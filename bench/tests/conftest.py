@@ -1,0 +1,10 @@
+"""Put the benchmark's modules and the package source on sys.path."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
