@@ -183,8 +183,7 @@ def main():
 
 @main.command()
 @_common_options
-@click.option("--q3", type=click.Choice(["structural", "full"]), default="structural", help="How to fill the q = 3 Betti row.")
-def betti(q3, fmt, out_path, config_path, **flags):
+def betti(fmt, out_path, config_path, **flags):
     """Betti table of the split ribbon's canonical ring, plus checks."""
     cfg = _load_config(config_path, **flags)
     field, rng = _session(cfg)
@@ -192,7 +191,7 @@ def betti(q3, fmt, out_path, config_path, **flags):
     t = -cfg["conormal"]
     try:
         ring = build_split_ribbon(model, t)
-        table = ring.betti(q3=q3)
+        table = ring.betti()
     except RibbonError as exc:
         raise click.UsageError(str(exc))
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ribbonsyz.curves import SectionSpace, mult_map
-from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank
+from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank, rref
 
 __all__ = [
     "GradedError",
@@ -167,6 +167,48 @@ class GradedAlgebra:
             t = self.tensor(1, q)
             action.append(np.ascontiguousarray(np.swapaxes(t, 1, 2)))
         return GradedModule(self.field, self.dims[1], self.dims, tuple(action))
+
+    def artinian_reduction(self, l1, l2) -> GradedModule | None:
+        """The algebra cut by two linear forms, or None if they are not certified.
+
+        Returns B = A / (l1, l2), with pieces B_q = A_q / (l1 A_{q-1} + l2 A_{q-1})
+        spanned by the coordinate vectors off the pivots of that subspace,
+        acted on by the complement of <l1, l2> in A_1 spanned the same way.
+        The certificate, checked exactly for every q <= window - 1:
+
+        * multiplication by l1 is injective on A_q;
+        * rank [l1 A_q | l2 A_q] = 2 dim A_q - dim A_{q-1}.
+
+        It makes (l1, l2) a regular sequence through the window, and then
+        K_{p,q}(A, A_1) = K_{p,q}(B, A_1 / <l1, l2>) for q <= window - 1 (the
+        hyperplane-section property of Koszul cohomology).
+        """
+        p = self.field.p
+        n = self.dims[1]
+        forms = np.vstack([l1, l2])
+        action = self.as_module().action
+        # keep[q]: coordinates spanning B_q; project[q]: A_q -> B_q in them
+        keep, project = [[0]], [np.ones((1, 1), dtype=np.int64)]
+        for q, a in enumerate(action):
+            # by_l[k] is the matrix of multiplication by l_k on A_q
+            by_l = matmul_mod(forms, a.reshape(n, -1), p).reshape(2, *a.shape[1:])
+            r, pivots = rref(np.hstack(by_l).T, p)
+            below = self.dims[q - 1] if q else 0
+            if rank(by_l[0], p) != self.dims[q] or len(pivots) != 2 * self.dims[q] - below:
+                return None
+            free = sorted(set(range(self.dims[q + 1])) - set(pivots))
+            proj = np.zeros((len(free), self.dims[q + 1]), dtype=np.int64)
+            proj[:, free] = np.eye(len(free), dtype=np.int64)
+            proj[:, pivots] = (-r[: len(pivots), free].T) % p
+            keep.append(free)
+            project.append(proj)
+        quotient = []
+        for q, a in enumerate(action):
+            lifted = a[:, :, keep[q]].transpose(1, 0, 2).reshape(self.dims[q + 1], -1)
+            image = matmul_mod(project[q + 1], lifted, p)
+            quotient.append(image.reshape(len(keep[q + 1]), n, len(keep[q])).transpose(1, 0, 2))
+        module = GradedModule(self.field, n, tuple(len(k) for k in keep), tuple(quotient))
+        return module_restrict_action(module, np.eye(n, dtype=np.int64)[:, keep[1]])
 
     def degree_one_generates(self, k_max: int | None = None) -> bool:
         """Whether multiplication A_1 x A_k -> A_{k+1} surjects for 1 <= k <= k_max."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +110,11 @@ class SyzygyModule:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.module.pieces
+
+    @cached_property
+    def koszul(self) -> KoszulCalculator:
+        """One rank cache for every Koszul map of the module (Phi and K_{i,1})."""
+        return KoszulCalculator(self.module)
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,7 @@ def phi_map(syz: SyzygyModule, i: int, q: int = 1) -> PhiVerdict:
         matrix=mat,
         src=mat.shape[1],
         tgt=mat.shape[0],
-        rank=rank(mat, syz.model.field.p) if mat.size else 0,
+        rank=syz.koszul.rank_d(i + 1, q - 1),
     )
 
 
@@ -291,7 +297,7 @@ def module_koszul_vanishing(syz: SyzygyModule, i: int) -> int:
             HypothesisUnmetWarning,
             stacklevel=2,
         )
-    return KoszulCalculator(syz.module).dim(i, 1)
+    return syz.koszul.dim(i, 1)
 
 
 def green_split_report(model, conormal_multiple: int, ring: SplitRibbonRing | None = None) -> dict:
@@ -317,7 +323,6 @@ def green_split_report(model, conormal_multiple: int, ring: SplitRibbonRing | No
         rc = rcliff(table)
     except NoNonzero:
         rc = None
-    cond1 = rc == inv["lcliff"]
 
     pairs = [(i, 2 * m - 3 - i) for i in range(2 * m - 2)] if 2 * m - 3 >= 0 else []
     phi_entries = []

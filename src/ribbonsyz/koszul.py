@@ -145,19 +145,21 @@ class KoszulCalculator:
 class BettiTable:
     """Betti numbers b_{p,q} of a canonical ring, rows q = 0..3.
 
-    ``entries[q][p]`` for 0 <= p <= p_a - 2.  ``q3_mode`` records whether
-    the q = 3 row was fully computed ("full") or filled with the
-    structural zeros for p < p_a - 2 plus an honestly computed socle
-    ("structural").
+    ``entries[q][p]`` for 0 <= p <= p_a - 2, every cell computed.
+    ``method`` records which module the Koszul ranks were taken on:
+    "artinian" (the certified reduction by two linear forms) or "direct"
+    (the ring itself).
     """
 
     p_a: int
     entries: np.ndarray
-    q3_mode: str = "full"
+    method: str = "direct"
 
     def __post_init__(self):
         if self.entries.shape != (4, self.p_a - 1):
             raise ValueError(f"entries must be 4 x {self.p_a - 1}")
+        if self.method not in ("artinian", "direct"):
+            raise ValueError(f"unknown method {self.method!r}")
 
     def totals(self) -> list[int]:
         return [int(t) for t in self.entries.sum(axis=0)]
@@ -183,44 +185,59 @@ class BettiTable:
             "p_a": self.p_a,
             "rows": [[int(b) for b in row] for row in self.entries],
             "totals": self.totals(),
-            "q3_mode": self.q3_mode,
+            "q3_mode": "full",  # kept for schema compatibility
+            "method": self.method,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-def betti_table(algebra: GradedAlgebra, p_a: int | None = None, q3: str = "structural") -> BettiTable:
+# Seed of the local generator that draws the two linear forms, so a table
+# is a pure function of its algebra, and how many pairs are drawn before
+# the direct path answers.
+_REDUCTION_SEED = 0
+_REDUCTION_DRAWS = 4
+
+
+def _artinian_module(algebra: GradedAlgebra) -> GradedModule | None:
+    """The algebra cut by two certified general linear forms, or None."""
+    n = algebra.dims[1]
+    if n < 2:
+        return None
+    rng = np.random.default_rng(_REDUCTION_SEED)
+    for _ in range(_REDUCTION_DRAWS):
+        l1, l2 = rng.integers(0, algebra.field.p, size=(2, n))
+        module = algebra.artinian_reduction(l1, l2)
+        if module is not None:
+            return module
+    return None
+
+
+def betti_table(algebra: GradedAlgebra, p_a: int | None = None) -> BettiTable:
     """Betti table of the algebra as a module over itself, V = degree 1.
 
-    Rows q = 0, 1, 2 are always computed cell by cell from differential
-    ranks.  The q = 3 row: with q3="full" every cell is computed (window
-    must reach degree 4); with q3="structural" the cells p < p_a - 2 are
-    the structural zeros of a canonical ribbon's resolution and only the
-    socle entry b_{p_a-2,3} is computed.  Either way the socle is honest,
-    and the Hilbert identity cross-checks the whole row against rows
-    0..2.
+    Every cell of rows q = 0..3 is a Koszul dimension from differential
+    ranks (the window must reach degree 4).  The ranks are taken on the
+    Artinian reduction by two linear forms whenever its certificate holds
+    (``GradedAlgebra.artinian_reduction``), and on the algebra itself
+    otherwise.
     """
-    if q3 not in ("structural", "full"):
-        raise ValueError("q3 must be 'structural' or 'full'")
     if p_a is None:
         p_a = algebra.dims[1]
     if p_a != algebra.dims[1]:
         raise ValueError(f"p_a = {p_a} but the degree-one piece has dim {algebra.dims[1]}")
     if algebra.window < 4:
         raise OutOfWindow("betti_table needs pieces through degree 4 (socle rank)")
-    module = algebra.as_module()
+    module = _artinian_module(algebra)
+    method = "artinian"
+    if module is None:
+        module, method = algebra.as_module(), "direct"
     calc = KoszulCalculator(module)
-    entries = np.zeros((4, p_a - 1), dtype=np.int64)
-    for q in range(3):
-        for p in range(p_a - 1):
-            entries[q, p] = calc.dim(p, q)
-    if q3 == "full":
-        for p in range(p_a - 1):
-            entries[3, p] = calc.dim(p, 3)
-    else:
-        entries[3, p_a - 2] = calc.dim(p_a - 2, 3)
-    return BettiTable(p_a, entries, q3_mode=q3)
+    entries = np.array(
+        [[calc.dim(p, q) for p in range(p_a - 1)] for q in range(4)], dtype=np.int64
+    )
+    return BettiTable(p_a, entries, method=method)
 
 
 def duality_check(table: BettiTable) -> bool:

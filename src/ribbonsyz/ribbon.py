@@ -68,8 +68,8 @@ class SplitRibbonRing:
     def window(self) -> int:
         return self.algebra.window
 
-    def betti(self, q3: str = "structural") -> BettiTable:
-        return betti_table(self.algebra, self.p_a, q3=q3)
+    def betti(self) -> BettiTable:
+        return betti_table(self.algebra, self.p_a)
 
     def __repr__(self) -> str:
         return (

@@ -1,0 +1,170 @@
+"""Betti tables by Artinian reduction, against the direct computation.
+
+`betti_table` takes its Koszul ranks on A / (l1, l2) whenever the
+regular-sequence certificate of `GradedAlgebra.artinian_reduction` holds.
+The oracle is the direct computation on A itself, cell by cell.  A cell
+whose direct differentials would be too large to build in a test is left
+out by `direct_cells`; up to p_a = 8 no cell is.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ribbonsyz import koszul
+from ribbonsyz.curves import HyperellipticCurve, random_hyperelliptic, random_plane_curve
+from ribbonsyz.fflinalg import PrimeField
+from ribbonsyz.graded import GradedAlgebra
+from ribbonsyz.koszul import KoszulCalculator, betti_table
+from ribbonsyz.ribbon import build_split_ribbon
+
+from oracles import oracle_koszul_dim
+
+F101 = PrimeField(101)
+
+# Largest direct differential the oracle builds, in entries (64 MB as
+# int64).  Every table cell of a ring with p_a <= 8 fits.
+DIRECT_MAX_ENTRIES = 8_000_000
+
+
+def direct_cells(algebra, max_entries: int = DIRECT_MAX_ENTRIES) -> dict:
+    """{(q, p): b_{p,q}} computed on the unreduced ring.
+
+    Covers every cell of rows 0..3 whose two differentials have at most
+    ``max_entries`` entries.
+    """
+    module = algebra.as_module()
+    calc = KoszulCalculator(module)
+    n, d = module.n, module.pieces
+
+    def entries(p: int, q: int) -> int:
+        if p <= 0 or q < 0 or p > n:
+            return 0
+        return math.comb(n, p - 1) * d[q + 1] * math.comb(n, p) * d[q]
+
+    return {
+        (q, p): calc.dim(p, q)
+        for q in range(4)
+        for p in range(n - 1)
+        if entries(p, q) <= max_entries and entries(p + 1, q - 1) <= max_entries
+    }
+
+
+def compare_with_direct(ring, table=None) -> int:
+    """Assert the reduced table equals the direct cells; return how many were compared."""
+    table = ring.betti() if table is None else table
+    assert table.method == "artinian"
+    cells = direct_cells(ring.algebra)
+    for (q, p), dim in cells.items():
+        assert table.entries[q, p] == dim, (q, p)
+    if ring.p_a <= 8:
+        assert len(cells) == table.entries.size
+    return len(cells)
+
+
+def algebra_of(module) -> GradedAlgebra:
+    """A reduction with B_4 = 0, read back as an algebra over its degree-one piece.
+
+    The reduced module's acting space and B_1 share their coordinates, so
+    its action tensors are the multiplication tensors (1, q); the only
+    other product in the window, B_2 x B_2, lands in B_4 = 0.
+    """
+    dims = module.pieces
+    assert len(dims) == 5 and dims[4] == 0
+    mult = {(1, q): np.swapaxes(module.action[q], 1, 2) for q in range(1, 4)}
+    mult[(2, 2)] = np.zeros((dims[2], dims[2], 0), dtype=np.int64)
+    return GradedAlgebra(module.field, dims, mult)
+
+
+def test_seeded_quartics():
+    for seed in (1, 2):
+        ring = build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(seed)), 1)
+        assert compare_with_direct(ring) >= 25
+
+
+def test_seeded_genus2_hyperelliptics():
+    for seed in (2, 3):
+        ring = build_split_ribbon(random_hyperelliptic(F101, 2, np.random.default_rng(seed)), 5)
+        assert ring.p_a == 8
+        compare_with_direct(ring)
+
+
+@pytest.mark.parametrize(
+    "p, k", [(7, 4), (7, 6), (7, 9), (3, 4), (3, 6)]
+)  # genus-0 ribbons over small fields, p_a = k - 1
+def test_genus0_small_fields(p, k):
+    compare_with_direct(build_split_ribbon(HyperellipticCurve(PrimeField(p), [0, 1]), k))
+
+
+def test_reduction_pieces_and_certificate():
+    ring = build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(0)), 1)
+    rng = np.random.default_rng(5)
+    l1, l2 = rng.integers(0, 101, size=(2, 9))
+    module = ring.algebra.artinian_reduction(l1, l2)
+    assert module.n == 7 and module.pieces == (1, 7, 7, 1, 0)
+    module.check_commutativity()
+    # dependent forms are not a regular sequence, and neither is l1 = 0
+    assert ring.algebra.artinian_reduction(l1, 2 * l1) is None
+    assert ring.algebra.artinian_reduction(0 * l1, l2) is None
+
+
+def test_artinian_input_answers_directly():
+    # the quartic ribbon's reduction, read back as an algebra: its table is
+    # the ribbon's (the hyperplane-section property) cut to p <= 5
+    ring = build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(0)), 1)
+    artinian = algebra_of(koszul._artinian_module(ring.algebra))
+    assert artinian.dims == (1, 7, 7, 1, 0)
+    assert koszul._artinian_module(artinian) is None
+    table = betti_table(artinian)
+    assert table.method == "direct"
+    assert np.array_equal(table.entries, ring.betti().entries[:, :6])
+
+
+def test_artinian_input_against_naive_oracle():
+    ring = build_split_ribbon(HyperellipticCurve(F101, [0, 1]), 6)  # p_a = 5
+    artinian = algebra_of(koszul._artinian_module(ring.algebra))
+    assert artinian.dims == (1, 3, 3, 1, 0)
+    table = betti_table(artinian)
+    assert table.method == "direct"
+    module = artinian.as_module()
+    actions = [[module.action[q][k].tolist() for k in range(module.n)] for q in range(module.window)]
+    for q in range(4):
+        for p in range(table.p_a - 1):
+            want = oracle_koszul_dim(module.n, module.pieces, actions, p, q, 101)
+            assert table.entries[q, p] == want, (q, p)
+
+
+def test_every_draw_failing_falls_back(monkeypatch):
+    ring = build_split_ribbon(HyperellipticCurve(F101, [0, 1]), 6)
+    reduced = ring.betti()
+    calls = []
+
+    def refuse(self, l1, l2):
+        calls.append((tuple(l1), tuple(l2)))
+        return None
+
+    monkeypatch.setattr(GradedAlgebra, "artinian_reduction", refuse)
+    table = ring.betti()
+    assert table.method == "direct"
+    assert len(calls) == koszul._REDUCTION_DRAWS
+    assert len(set(calls)) == len(calls)  # each retry draws new forms
+    assert np.array_equal(table.entries, reduced.entries)
+
+
+def test_degree_one_below_two_answers_directly(monkeypatch):
+    # k[x] through degree 4: there is no second linear form to cut with
+    one = np.ones((1, 1, 1), dtype=np.int64)
+    alg = GradedAlgebra(F101, [1, 1, 1, 1, 1], {(1, 1): one, (1, 2): one, (1, 3): one, (2, 2): one})
+    monkeypatch.setattr(GradedAlgebra, "artinian_reduction", lambda *a: pytest.fail("drew forms"))
+    assert betti_table(alg).method == "direct"
+
+
+def test_table_is_a_pure_function_of_the_algebra():
+    ring = build_split_ribbon(random_hyperelliptic(F101, 1, np.random.default_rng(3)), 6)
+    np.random.seed(1)
+    a = ring.betti()
+    np.random.seed(2)
+    b = ring.betti()
+    assert a.method == b.method == "artinian"
+    assert a.to_json() == b.to_json()

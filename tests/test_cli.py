@@ -40,6 +40,8 @@ class TestBetti:
             schema_validate(obj, json.load(fh))
         assert obj["p_a"] == 5
         assert obj["checks"] == {"duality": True, "hilbert": True}
+        assert obj["table"]["q3_mode"] == "full"
+        assert obj["table"]["method"] == "artinian"
 
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "t.json"
@@ -51,6 +53,10 @@ class TestBetti:
         a = run(runner, "betti", *ELL1, "--format", "json").output
         b = run(runner, "betti", *ELL1, "--format", "json").output
         assert a == b
+
+    def test_q3_flag_retired(self, runner):
+        res = runner.invoke(main, ["betti", *G0, "--q3", "full"])
+        assert res.exit_code == 2
 
     def test_seed_changes_curve_not_table_shape(self, runner):
         a = json.loads(run(runner, "betti", *ELL1[:-1], "7", "--format", "json").output)
@@ -130,6 +136,7 @@ class TestGreen:
         with resources.files("ribbonsyz.schemas").joinpath("green.json").open() as fh:
             schema_validate(obj, json.load(fh))
         assert obj["report"]["conditions"]["phi_surjective"] is True
+        assert obj["report"]["betti"]["method"] == "artinian"
 
     def test_inject_fault_exit_4(self, runner):
         # the genus-0 report has no phi pairs: the hook perturbs rcliff and

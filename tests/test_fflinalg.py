@@ -98,6 +98,57 @@ class TestRref:
         assert np.array_equal(w.astype(np.int64), s)
 
 
+class TestDriftReset:
+    """The blocked engine's drift reset (``_sloppy_mod_inplace`` inside
+    ``_eliminate_blocked``), forced by lowering the exactness bound it guards."""
+
+    @pytest.mark.parametrize("p", [1048573, 101])
+    def test_forced_reset_matches_simple(self, p, monkeypatch):
+        from ribbonsyz import fflinalg
+
+        g = rng(p % 97)
+        # several panels wide and rank-deficient, with zero and repeated columns
+        a = matmul_mod(g.integers(0, p, (420, 330)), g.integers(0, p, (330, 640)), p)
+        a[:, 100:110] = 0
+        a[:, 300] = a[:, 7]
+        # one Schur update may pass unreduced, the next must reset first
+        step = fflinalg._PANEL * (p - 1) ** 2
+        monkeypatch.setattr(fflinalg, "_EXACT_FLOAT_MAX", float(p + 2 * step))
+        resets = []
+        sloppy = fflinalg._sloppy_mod_inplace
+
+        def counting(x, q):
+            resets.append(x.shape)
+            sloppy(x, q)
+
+        monkeypatch.setattr(fflinalg, "_sloppy_mod_inplace", counting)
+        s = a.copy()
+        piv_s = fflinalg._eliminate_simple(s, p, reduced=True)
+        assert 300 < len(piv_s) <= 330
+        fired = []
+        for reduced in (False, True):
+            w = a.astype(np.float64)
+            piv_b = fflinalg._eliminate_blocked(w, p, reduced)
+            fired.append(len(resets))
+            assert piv_b == piv_s
+        assert fired[0] > 0 and fired[1] > 2 * fired[0]  # forward and backward passes
+        assert np.array_equal(np.mod(w, p).astype(np.int64), s)
+
+    @pytest.mark.parametrize("p", [1048573, 101])
+    def test_sloppy_mod_output_range(self, p):
+        from ribbonsyz.fflinalg import _sloppy_mod_inplace
+
+        g = rng(3)
+        ints = np.concatenate(
+            [g.integers(0, 1 << 53, 5000), g.integers(0, (1 << 53) // p, 5000) * p, [0, p, 2 * p]]
+        )
+        x = ints.astype(np.float64)
+        _sloppy_mod_inplace(x, p)
+        assert np.all((x >= 0) & (x <= p))
+        assert np.all(x == np.floor(x))
+        assert np.array_equal(x.astype(np.int64) % p, ints % p)
+
+
 class TestKernel:
     def test_identity_empty(self):
         k = kernel_basis(np.eye(4, dtype=np.int64), P)

@@ -107,6 +107,29 @@ class TestPhi:
         assert v.src == 0
         assert v.surjective == (v.tgt == 0)
 
+    def test_phi_and_vanishing_share_one_rank_cache(self, hyp2, monkeypatch):
+        # K_{i,1}(M^p) needs rank d_{i+1,0}, which Phi_{i,p,1} has just computed
+        import ribbonsyz.koszul as koszul
+
+        syz = build_syzygy_module(hyp2, 5, 1)
+        calls = []
+        real = koszul.rank
+        monkeypatch.setattr(koszul, "rank", lambda a, p: calls.append(a.shape) or real(a, p))
+        verdict = phi_map(syz, 1, 1)
+        assert calls == [verdict.matrix.shape] == [(6, 8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HypothesisUnmetWarning)
+            dim = module_koszul_vanishing(syz, 1)
+        assert calls == [(6, 8), (4, 6)]  # only d_{1,1} is new
+        assert dim == oracle_koszul_dim(
+            syz.module.n,
+            syz.module.pieces,
+            [[a.tolist() for a in act] for act in syz.module.action],
+            1,
+            1,
+            101,
+        )
+
     def test_phi_composes_to_zero(self, quartic):
         # consecutive Koszul differentials of M^p vanish on cohomology
         syz = build_syzygy_module(quartic, 1, 1)

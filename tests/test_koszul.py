@@ -207,7 +207,7 @@ class TestBettiTable:
         line = HyperellipticCurve(F101, [0, 1])
         for n in range(3, 7):
             alg = algebra_from_sections([line.sections(n * q) for q in range(5)])
-            t = betti_table(alg, q3="full")
+            t = betti_table(alg)
             assert t.p_a == n + 1
             for p in range(1, n):
                 assert t.entries[1, p] == eagon_northcott_b_p1(n, p), (n, p)
@@ -221,7 +221,7 @@ class TestBettiTable:
     def test_smooth_genus3_canonical_curve(self, quartic_ring):
         # classical: the canonical model of a non-hyperelliptic genus-3 curve
         # is the quartic itself, so the resolution is 0 <- R <- S <- S(-4) <- 0
-        t = betti_table(quartic_ring, q3="full")
+        t = betti_table(quartic_ring)
         want = np.zeros((4, 2), dtype=np.int64)
         want[0, 0] = 1
         want[3, 1] = 1
@@ -294,3 +294,7 @@ class TestBettiTable:
         assert obj["p_a"] == 4
         assert obj["rows"][0][0] == 1
         assert obj["totals"] == [1, 0, 0]
+        assert obj["q3_mode"] == "full" and obj["method"] == "direct"
+        assert json.loads(BettiTable(4, e, method="artinian").to_json())["method"] == "artinian"
+        with pytest.raises(ValueError):
+            BettiTable(4, e, method="structural")

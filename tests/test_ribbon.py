@@ -202,9 +202,9 @@ class TestBettiProperties:
         assert hilbert_check(t, hilbert_dims(8, 3))
         assert t.totals()[0] == 1 and t.totals()[-1] == 1
 
-    def test_structural_q3_equals_full_small_models(self):
-        # the structural zeros in the q = 3 row are honest: verified cell by
-        # cell on models where the full computation is cheap
+    def test_artinian_equals_direct_small_models(self):
+        # the reduction by two linear forms answers, and agrees cell by cell
+        # with the direct computation on models where that is cheap
         line = HyperellipticCurve(F101, [0, 1])
         ell = HyperellipticCurve(F101, [1, 1, 0, 1])
         rings = [
@@ -212,9 +212,10 @@ class TestBettiProperties:
             build_split_ribbon(line, 7),
             build_split_ribbon(ell, 4),
         ]
+        from test_artinian import compare_with_direct
+
         for r in rings:
-            a = r.betti(q3="structural")
-            b = r.betti(q3="full")
-            assert np.array_equal(a.entries, b.entries)
-            assert duality_check(b)
-            assert hilbert_check(b, hilbert_dims(r.p_a, 3))
+            t = r.betti()
+            compare_with_direct(r, t)
+            assert duality_check(t)
+            assert hilbert_check(t, hilbert_dims(r.p_a, 3))
