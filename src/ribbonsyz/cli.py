@@ -35,6 +35,7 @@ from ribbonsyz.koszul import NoNonzero, duality_check, hilbert_check, hilbert_di
 from ribbonsyz.ribbon import (
     RibbonError,
     build_split_ribbon,
+    conormal_tags,
     split_invariants,
 )
 from ribbonsyz.strata import (
@@ -301,7 +302,7 @@ def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path,
         )
     else:
         m = model.gonality
-        p_a = 2 * model.genus - 1 + (t if model.family == "hyperelliptic" else t * model.d)
+        p_a = 2 * model.genus - 1 - conormal_tags(model, t)[2]
         obj["bounds"] = gonality_bounds(blowup_b, model.genus, m, p_a)
     _emit(obj, "strata.json", fmt, out_path, None)
 

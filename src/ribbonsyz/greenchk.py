@@ -21,13 +21,14 @@ mathematical state).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map
+from ribbonsyz.curves import mult_map
 from ribbonsyz.fflinalg import (
     image_basis,
     kernel_basis,
@@ -37,11 +38,11 @@ from ribbonsyz.fflinalg import (
     solve,
 )
 from ribbonsyz.graded import GradedModule
-from ribbonsyz.koszul import KoszulCalculator, NoNonzero, koszul_differential, rcliff
+from ribbonsyz.koszul import KoszulCalculator, NoNonzero, OutOfWindow, koszul_differential, rcliff
 from ribbonsyz.ribbon import (
     SplitRibbonRing,
-    UnsupportedConormal,
     build_split_ribbon,
+    conormal_tags,
     hypothesis_gate,
     split_invariants,
 )
@@ -65,17 +66,6 @@ class IllDefined(Exception):
 
 class HypothesisUnmetWarning(UserWarning):
     """Lemma hypotheses fail; the computed value is returned regardless."""
-
-
-def _conormal_tags(model, t: int):
-    """(canonical tag unit, W tag) for the supported conormal L = -t * polarization."""
-    if t < 1:
-        raise UnsupportedConormal("conormal bundle must be a negative multiple (t >= 1)")
-    if isinstance(model, PlaneCurve):
-        return model.canonical_tag, model.canonical_tag + t
-    if isinstance(model, HyperellipticCurve):
-        return model.canonical_tag, model.canonical_tag + t
-    raise UnsupportedConormal(f"unsupported model {model!r}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +114,6 @@ class PhiVerdict:
     i: int
     j: int
     q: int
-    matrix: np.ndarray
     src: int
     tgt: int
     rank: int
@@ -161,7 +150,7 @@ def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) 
     is checked, exactly, to send cocycles to cocycles and coboundaries to
     coboundaries before being reduced to cohomology coordinates.
     """
-    k_tag, w_tag = _conormal_tags(model, conormal_multiple)
+    k_tag, w_tag, _ = conormal_tags(model, conormal_multiple)
     prime = model.field.p
     u_space = model.sections(w_tag)
     k_space = model.sections(k_tag)
@@ -262,16 +251,18 @@ def phi_map(syz: SyzygyModule, i: int, q: int = 1) -> PhiVerdict:
     """The Koszul differential Phi_{i,p,q} of M^p over Sym H^0(K_C).
 
     Maps wedge^{i+1} H^0(K) (x) M^p_{q-1} -> wedge^i H^0(K) (x) M^p_q;
-    surjectivity is decided by rank.
+    surjectivity is decided by the rank from the module's shared cache, so
+    the matrix is built once, there.
     """
-    mat = koszul_differential(syz.module, i + 1, q - 1)
+    module = syz.module
+    if not 1 <= q <= module.window:
+        raise OutOfWindow(f"Phi needs degrees {q - 1} and {q} inside window 0..{module.window}")
     return PhiVerdict(
         i=i,
         j=syz.p,
         q=q,
-        matrix=mat,
-        src=mat.shape[1],
-        tgt=mat.shape[0],
+        src=math.comb(module.n, i + 1) * module.pieces[q - 1],
+        tgt=math.comb(module.n, i) * module.pieces[q],
         rank=syz.koszul.rank_d(i + 1, q - 1),
     )
 

@@ -33,6 +33,7 @@ __all__ = [
     "SplitRibbonRing",
     "build_split_ribbon",
     "check_projective_normality",
+    "conormal_tags",
     "split_invariants",
     "hypothesis_gate",
 ]
@@ -78,25 +79,23 @@ class SplitRibbonRing:
         )
 
 
-def _family_tags(model, conormal_multiple: int):
-    """Per-degree bundle tags for S_q and J_q, plus deg L.
+def conormal_tags(model, conormal_multiple: int) -> tuple[int, int, int]:
+    """(K_C tag, K_C - L tag, deg L) for the supported conormal L = -t * polarization.
 
-    Plane model, L = -t O_C(1): S_q = O(q(d-3+t)), J_q = O(q(d-3+t) - t).
-    Hyperelliptic, L = -k Pinf:  S_q = (q(2g-2+k)) Pinf, J_q = that - k.
-    In both families J_1 is exactly the canonical bundle.
+    Both tags live in the model's one-parameter bundle family, where L is
+    tag -t: plane models of degree d have deg L = -t d, hyperelliptic ones
+    deg L = -t.  A new curve family changes this function, not its callers.
     """
     t = conormal_multiple
     if t < 1:
         raise UnsupportedConormal("conormal bundle must be a negative multiple (t >= 1)")
     if isinstance(model, PlaneCurve):
-        unit = model.d - 3 + t
         deg_l = -t * model.d
     elif isinstance(model, HyperellipticCurve):
-        unit = 2 * model.g - 2 + t
         deg_l = -t
     else:
         raise UnsupportedConormal(f"unsupported model {model!r}")
-    return unit, t, deg_l
+    return model.canonical_tag, model.canonical_tag + t, deg_l
 
 
 def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitRibbonRing:
@@ -107,7 +106,9 @@ def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitR
     """
     if window < 2:
         raise DegreeWindowTooSmall("window must be at least 2")
-    unit, t, deg_l = _family_tags(model, conormal_multiple)
+    # S_q = q(K_C - L) and J_q = S_q + L; J_1 is exactly the canonical bundle
+    _, unit, deg_l = conormal_tags(model, conormal_multiple)
+    t = conormal_multiple
     g = model.genus
     p_a = 2 * g - 1 - deg_l
     s_spaces = [model.sections(q * unit) for q in range(window + 1)]

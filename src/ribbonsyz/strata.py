@@ -3,11 +3,14 @@
 A ribbon with conormal bundle L on C is a nonzero functional e on
 H^0(K_C^2 L^{-1}) up to scale.  Its blow-up index is the least degree of an
 effective divisor whose span (in the embedding by |2K_C - L|) contains the
-point e, i.e. the secant order of e.  With divisors restricted to reduced
-sets of rational points, the search is exhaustive at desk scale and the
-result is labelled a rational-reduced blow-up index: an upper bound for
-the index over the algebraic closure, and equal to it whenever the
-witnessing divisor is rational and reduced.
+point e, i.e. the secant order of e.  Divisors are restricted to reduced
+sets of rational points.  A degree b is searched exhaustively while the
+subset count stays at desk scale, by one projection per (b - 2)-subset P:
+the later points are projected from span(e, P), points with proportional
+images are bucketed together, and each bucketed pair is confirmed by an
+exact rank test.  The result is labelled a rational-reduced blow-up
+index: an upper bound for the index over the algebraic closure, and equal
+to it whenever the witnessing divisor is rational and reduced.
 
 The blow-up along a divisor splits the ribbon iff the restriction of e to
 the sections vanishing on the divisor is zero; push-out and pull-back give
@@ -25,13 +28,12 @@ import numpy as np
 
 from ribbonsyz.curves import (
     HyperellipticCurve,
-    PlaneCurve,
     SectionSpace,
     evaluation_matrix,
     rational_points,
 )
 from ribbonsyz.fflinalg import kernel_basis, matmul_mod, rank
-from ribbonsyz.ribbon import UnsupportedConormal
+from ribbonsyz.ribbon import conormal_tags
 
 __all__ = [
     "StrataError",
@@ -78,12 +80,8 @@ class HalvingNotRational(StrataError):
 
 def ambient_space(model, conormal_multiple: int) -> SectionSpace:
     """H^0(2K_C - L) for the supported conormal L = -t * polarization."""
-    t = conormal_multiple
-    if t < 1:
-        raise UnsupportedConormal("conormal bundle must be a negative multiple (t >= 1)")
-    if isinstance(model, (PlaneCurve, HyperellipticCurve)):
-        return model.sections(2 * model.canonical_tag + t)
-    raise UnsupportedConormal(f"unsupported model {model!r}")
+    k_tag, w_tag, _ = conormal_tags(model, conormal_multiple)
+    return model.sections(k_tag + w_tag)
 
 
 @dataclass(frozen=True)
@@ -199,49 +197,42 @@ class BlowupResult:
         }
 
 
-def _reduce_by_rows(vecs: np.ndarray, basis_rows: np.ndarray, p: int) -> np.ndarray:
-    """Eliminate the span of basis_rows from every row of vecs (both reduced)."""
-    out = vecs % p
-    work = basis_rows % p
-    prows = []
-    for r in range(work.shape[0]):
-        nz = np.nonzero(work[r])[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        inv = pow(int(work[r, c]), -1, p)
-        work[r] = (work[r] * inv) % p
-        for r2 in range(work.shape[0]):
-            if r2 != r and work[r2, c]:
-                work[r2] = (work[r2] - work[r2, c] * work[r]) % p
-        prows.append((r, c))
-    for r, c in prows:
-        hit = np.nonzero(out[:, c])[0]
-        if hit.size:
-            out[hit] = (out[hit] - np.outer(out[hit, c], work[r])) % p
-    return out
+def _projective_keys(vecs: np.ndarray, p: int) -> np.ndarray:
+    """Each row scaled so that its first nonzero entry is 1; zero rows stay zero."""
+    if vecs.shape[1] == 0:
+        return vecs
+    lead = vecs[np.arange(vecs.shape[0]), (vecs != 0).argmax(axis=1)]
+    inv = np.array([pow(int(a), -1, p) if a else 0 for a in lead], dtype=np.int64)
+    return vecs * inv[:, None] % p
 
 
-def _search_triples(e_vec: np.ndarray, pool_rows: np.ndarray, p: int):
-    """First triple of pool indices whose span contains e, scanning pairs
-    and matching the third point in the quotient by the pair."""
-    n = pool_rows.shape[0]
-    for a in range(n):
-        for b in range(a + 1, n):
-            reduced = _reduce_by_rows(
-                np.vstack([e_vec, pool_rows[b + 1 :]]), pool_rows[[a, b]].copy(), p
-            )
-            ebar = reduced[0]
-            nz = np.nonzero(ebar)[0]
-            if nz.size == 0:
-                continue  # e in the pair span: caught at b = 2 already
-            c0 = int(nz[0])
-            inv = pow(int(ebar[c0]), -1, p)
-            rest = reduced[1:]
-            lam = (rest[:, c0] * inv) % p
-            matches = np.nonzero((rest == (lam[:, None] * ebar[None, :]) % p).all(axis=1) & (lam > 0))[0]
-            if matches.size:
-                return (a, b, b + 1 + int(matches[0]))
+def _first_witness(vec: np.ndarray, rows: np.ndarray, b: int, p: int):
+    """Lexicographically first b-subset of row indices whose span contains vec.
+
+    Assumes no set of fewer than b rows has vec in its span, as holds once
+    every smaller degree was searched exhaustively.  A witness P + (j, k),
+    with P its first b - 2 indices, then forces rows j and k to have
+    proportional nonzero images modulo span(vec, P).  So each prefix P
+    buckets the later rows by their normalised projection from
+    span(vec, P), and every pair inside a bucket is confirmed by one exact
+    rank check, which rejects the collisions that come from dependent rows
+    rather than from vec.  Degree 1 compares each normalised row with vec
+    itself.  Returns None when no b-subset works.
+    """
+    if b == 1:
+        same = (_projective_keys(rows, p) == _projective_keys(vec[None, :], p)).all(axis=1)
+        return (int(np.argmax(same)),) if same.any() else None
+    for prefix in combinations(range(rows.shape[0]), b - 2):
+        start = prefix[-1] + 1 if prefix else 0
+        basis = kernel_basis(np.vstack([vec, rows[list(prefix)]]), p)
+        keys = _projective_keys(matmul_mod(rows[start:], basis, p), p)
+        buckets: dict[bytes, list[int]] = {}
+        for j in np.nonzero(keys.any(axis=1))[0]:
+            buckets.setdefault(keys[j].tobytes(), []).append(start + int(j))
+        for pair in sorted(pr for group in buckets.values() for pr in combinations(group, 2)):
+            sub = rows[list(prefix + pair)]
+            if rank(np.vstack([sub, vec]), p) == rank(sub, p):
+                return prefix + pair
     return None
 
 
@@ -255,45 +246,29 @@ def blowup_index_bruteforce(
 ) -> BlowupResult:
     """Smallest degree of a reduced rational divisor whose span contains e.
 
-    Exhaustive per degree while the subset count stays at desk scale
-    (dedicated scans for degrees <= 3, itertools above), then seeded random
-    sampling flagged as an upper bound.  The zero class is split already:
-    index 0 by convention.  Raises NotFound when nothing of degree <=
-    b_max works.
+    Degrees <= 3, and larger ones while the subset count stays at most
+    _EXHAUSTIVE_MAX, are searched exhaustively by ``_first_witness`` and
+    return the lexicographically first witness of the pool.  Larger
+    degrees fall back to seeded random sampling; once a degree has been
+    sampled, any later answer is flagged as an upper bound.  The zero class
+    is split already: index 0 by convention.  Raises NotFound when nothing
+    of degree <= b_max works.
     """
     p = space.field.p
     vec = np.asarray(e.vec if isinstance(e, ExtensionClass) else e, dtype=np.int64) % p
     if not np.any(vec):
         return BlowupResult(0, "exact", ())
-    e_cls = ExtensionClass(space, vec)
+    ExtensionClass(space, vec)  # checks the length
     pts = list(pool)
     rows = evaluation_matrix(space, pts)
     n = len(pts)
     exhaustive_so_far = True
     for b in range(1, b_max + 1):
-        if b == 1:
-            for i in range(n):
-                if rank(np.vstack([rows[i], vec]), p) == 1:
-                    return BlowupResult(1, "exact", (pts[i],))
-            continue
-        if b == 2:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rank(np.vstack([rows[i], rows[j], vec]), p) == rank(rows[[i, j]], p):
-                        return BlowupResult(2, "exact", (pts[i], pts[j]))
-            continue
-        if b == 3:
-            found = _search_triples(vec, rows, p)
+        if b <= 3 or math.comb(n, b) <= _EXHAUSTIVE_MAX:
+            found = _first_witness(vec, rows, b, p)
             if found is not None:
-                witness = tuple(pts[i] for i in found)
-                return BlowupResult(3, "exact", witness)
-            continue
-        if math.comb(n, b) <= _EXHAUSTIVE_MAX:
-            for combo in combinations(range(n), b):
-                sub = rows[list(combo)]
-                if rank(np.vstack([sub, vec]), p) == rank(sub, p):
-                    bound = "exact" if exhaustive_so_far else "upper-only"
-                    return BlowupResult(b, bound, tuple(pts[i] for i in combo))
+                bound = "exact" if exhaustive_so_far else "upper-only"
+                return BlowupResult(b, bound, tuple(pts[i] for i in found))
             continue
         rng = rng or np.random.default_rng(0)
         for _ in range(sample_budget):

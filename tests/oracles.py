@@ -34,6 +34,30 @@ def naive_rank(rows: list[list[int]], p: int) -> int:
     return r
 
 
+def naive_first_witness(vec: list[int], rows: list[list[int]], b: int, p: int):
+    """Lexicographically first b-subset of row indices whose span contains vec.
+
+    Every subset from itertools.combinations, decided by two naive ranks;
+    None when no b-subset works.
+    """
+    from itertools import combinations
+
+    for combo in combinations(range(len(rows)), b):
+        sub = [rows[i] for i in combo]
+        if naive_rank(sub + [vec], p) == naive_rank(sub, p):
+            return combo
+    return None
+
+
+def naive_blowup_index(vec: list[int], rows: list[list[int]], b_max: int, p: int):
+    """(least degree <= b_max, its first witness), or None if no degree works."""
+    for b in range(1, b_max + 1):
+        combo = naive_first_witness(vec, rows, b, p)
+        if combo is not None:
+            return b, combo
+    return None
+
+
 def naive_solve(rows: list[list[int]], rhs: list[int], p: int):
     """One solution of A x = rhs over Z/p, or None if inconsistent."""
     n = len(rows)

@@ -18,6 +18,7 @@ from ribbonsyz.greenchk import (
     module_koszul_vanishing,
     phi_map,
 )
+from ribbonsyz.koszul import OutOfWindow, koszul_differential
 from ribbonsyz.ribbon import UnsupportedConormal
 
 from oracles import oracle_koszul_dim
@@ -116,7 +117,7 @@ class TestPhi:
         real = koszul.rank
         monkeypatch.setattr(koszul, "rank", lambda a, p: calls.append(a.shape) or real(a, p))
         verdict = phi_map(syz, 1, 1)
-        assert calls == [verdict.matrix.shape] == [(6, 8)]
+        assert calls == [(verdict.tgt, verdict.src)] == [(6, 8)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HypothesisUnmetWarning)
             dim = module_koszul_vanishing(syz, 1)
@@ -133,10 +134,19 @@ class TestPhi:
     def test_phi_composes_to_zero(self, quartic):
         # consecutive Koszul differentials of M^p vanish on cohomology
         syz = build_syzygy_module(quartic, 1, 1)
-        first = phi_map(syz, 2, 1).matrix  # wedge^3 (x) M_0 -> wedge^2 (x) M_1
-        second = phi_map(syz, 1, 2).matrix  # wedge^2 (x) M_1 -> wedge^1 (x) M_2
+        first = koszul_differential(syz.module, 3, 0)  # wedge^3 (x) M_0 -> wedge^2 (x) M_1
+        second = koszul_differential(syz.module, 2, 1)  # wedge^2 (x) M_1 -> wedge^1 (x) M_2
+        for (i, q), mat in (((2, 1), first), ((1, 2), second)):
+            verdict = phi_map(syz, i, q)
+            assert (verdict.tgt, verdict.src) == mat.shape
         if first.size and second.size:
             assert not np.any(matmul_mod(second, first, 101))
+
+    def test_degree_outside_window(self, hyp2):
+        syz = build_syzygy_module(hyp2, 5, 1)
+        for q in (0, syz.module.window + 1):
+            with pytest.raises(OutOfWindow):
+                phi_map(syz, 1, q)
 
     def test_surjectivity_always_implies_vanishing(self, quartic, hyp2):
         # the unconditional direction of the equivalence

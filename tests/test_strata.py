@@ -6,11 +6,13 @@ import pytest
 from ribbonsyz.curves import (
     HyperellipticCurve,
     PlaneCurve,
+    evaluation_matrix,
     random_split_cubic,
     rational_points,
 )
 from ribbonsyz.fflinalg import PrimeField, rank
 from ribbonsyz.strata import (
+    _EXHAUSTIVE_MAX,
     EllipticGroup,
     ExtensionClass,
     NotFound,
@@ -27,7 +29,10 @@ from ribbonsyz.strata import (
     span_membership,
     w4_witnesses_elliptic,
     wd_containment_check,
+    _first_witness,
 )
+
+from oracles import naive_blowup_index
 
 F101 = PrimeField(101)
 
@@ -194,6 +199,108 @@ class TestBlowupIndex:
         hist = {int(k): v for k, v in sw["histogram"].items()}
         assert hist.get(3, 0) >= 16
         assert all(k in (2, 3) for k in hist)
+
+
+def assert_matches_naive(space, pool, e, b_max, rng):
+    """blowup_index_bruteforce against the itertools + naive_rank oracle."""
+    p = space.field.p
+    rows = evaluation_matrix(space, pool).tolist()
+    expected = naive_blowup_index(e.vec.tolist(), rows, b_max, p)
+    try:
+        res = blowup_index_bruteforce(e, pool, space, b_max, rng=rng)
+    except NotFound as exc:
+        assert expected is None and exc.exhaustive
+        return None
+    assert expected is not None
+    b, combo = expected
+    assert (res.index, res.bound, res.witness) == (b, "exact", tuple(pool[i] for i in combo))
+    return b
+
+
+class TestProjectionSearch:
+    @pytest.mark.parametrize("p", [13, 17, 23])
+    def test_matches_naive_oracle_small_fields(self, p):
+        # every degree up to 5 is exhaustive here, so degrees 4 and 5 run
+        # through the projection search too
+        field = PrimeField(p)
+        model = random_split_cubic(field, np.random.default_rng(0))
+        space = ambient_space(model, 8)
+        pool = rational_points(model)
+        assert math.comb(len(pool), 5) <= _EXHAUSTIVE_MAX
+        rng = np.random.default_rng(100 + p)
+        seen = set()
+        for span in (1, 2, 3, 4, 5, 5, 0, 0):
+            e = (
+                class_in_span(space, [pool[int(i)] for i in rng.choice(len(pool), size=span, replace=False)], rng)
+                if span
+                else random_class(space, rng)
+            )
+            seen.add(assert_matches_naive(space, pool, e, 5, rng))
+        assert {4, 5} <= seen
+
+    def test_matches_naive_oracle_on_elliptic_pool(self, elliptic):
+        space = ambient_space(elliptic, 6)
+        pool = rational_points(elliptic)
+        rng = np.random.default_rng(16)
+        for span in (1, 2, 3):
+            e = class_in_span(space, [pool[int(i)] for i in rng.choice(len(pool), size=span, replace=False)], rng)
+            assert assert_matches_naive(space, pool, e, 3, rng) == span
+
+    def test_dependent_pool_against_oracle(self):
+        # four-dimensional rows over F_5: dependent rows and degenerate
+        # collisions everywhere
+        p = 5
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            rows = rng.integers(0, p, (9, 4))
+            vec = rng.integers(0, p, 4)
+            if not vec.any():
+                continue
+            expected = naive_blowup_index(vec.tolist(), rows.tolist(), 4, p)
+            got = None
+            for b in range(1, 5):
+                found = _first_witness(vec, rows, b, p)
+                if found is not None:
+                    got = (b, found)
+                    break
+            assert got == expected
+
+    def test_prefix_spanning_the_whole_space(self):
+        # span(vec, row 0) is the whole plane: nothing is left to project onto
+        rows = np.array([[1, 0], [2, 0], [3, 0]], dtype=np.int64)
+        vec = np.array([0, 1], dtype=np.int64)
+        assert _first_witness(vec, rows, 3, 7) is None
+        assert naive_blowup_index(vec.tolist(), rows.tolist(), 3, 7) is None
+
+    def test_base_point_is_never_a_witness(self):
+        # on L(Pinf) of an elliptic curve the point at infinity evaluates to zero
+        model = random_split_cubic(F101, np.random.default_rng(0))
+        space = ambient_space(model, 1)
+        pool = rational_points(model)
+        assert pool[0] == "inf" and not evaluation_matrix(space, pool[:1]).any()
+        e = random_class(space, np.random.default_rng(0))
+        res = blowup_index_bruteforce(e, pool, space, 1)
+        assert (res.index, res.witness) == (1, (pool[1],))
+        assert span_membership(e, make_witness(space, res.witness))
+
+    def test_degenerate_collision_is_rejected(self, monkeypatch):
+        # rows 1 and 2 project to the same point from span(vec, row 0)
+        # because row 2 = row 0 + row 1, not because vec lies in their span
+        import ribbonsyz.strata as strata
+
+        p = 13
+        rows = np.array(
+            [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+            dtype=np.int64,
+        )
+        vec = np.array([1, 0, 1, 1, 0], dtype=np.int64)
+        checked = []
+        real = strata.rank
+        monkeypatch.setattr(strata, "rank", lambda a, q: checked.append(a.copy()) or real(a, q))
+        assert _first_witness(vec, rows, 3, p) == (0, 3, 4)
+        degenerate = np.vstack([rows[[0, 1, 2]], vec])
+        assert any(np.array_equal(a, degenerate) for a in checked)
+        assert naive_blowup_index(vec.tolist(), rows.tolist(), 3, p) == (3, (0, 3, 4))
 
 
 class TestGonalityBounds:
