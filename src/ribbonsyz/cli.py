@@ -4,9 +4,10 @@ All randomness flows from one seeded generator, so identical (config,
 seed) pairs produce byte-identical output.  Every JSON document is checked
 against the schema shipped in ribbonsyz/schemas before it is emitted.
 
-Exit codes: 0 success, 2 invalid configuration, 3 smoothness certificate
-failure, 4 a genuine consistency contradiction in the green report (which
-would indicate a bug, not a mathematical discovery).
+Exit codes: 0 success, 2 invalid configuration (including a strata class
+asked for in a span that is {0}), 3 smoothness certificate failure, 4 a
+genuine consistency contradiction in the green report (which would
+indicate a bug, not a mathematical discovery).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from ribbonsyz.ribbon import (
 )
 from ribbonsyz.strata import (
     NotFound,
+    ZeroSpan,
     ambient_space,
     blowup_index_bruteforce,
     blowup_sweep,
@@ -281,16 +283,22 @@ def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path,
     if task == "blowup":
         space = ambient_space(model, t)
         pool = rational_points(model)
-        e = random_class(space, rng) if span_size <= 0 else class_in_span(
-            space, [pool[int(i)] for i in rng.choice(len(pool), size=span_size, replace=False)], rng
-        )
+        try:
+            e = random_class(space, rng) if span_size <= 0 else class_in_span(
+                space, [pool[int(i)] for i in rng.choice(len(pool), size=span_size, replace=False)], rng
+            )
+        except ZeroSpan as exc:
+            raise click.UsageError(f"no nonzero extension class: {exc}")
         try:
             res = blowup_index_bruteforce(e, pool, space, bmax, rng=rng)
             obj.update(res.to_json_obj())
         except NotFound:
             obj.update({"blowup_index": None, "bound": "not-found", "witnesses": []})
     elif task == "sweep":
-        obj["sweep"] = blowup_sweep(model, t, sweep_n or 100, rng, span_size=span_size, b_max=bmax)
+        try:
+            obj["sweep"] = blowup_sweep(model, t, sweep_n or 100, rng, span_size=span_size, b_max=bmax)
+        except ZeroSpan as exc:
+            raise click.UsageError(f"no nonzero extension class: {exc}")
     elif task == "w4":
         wits, skipped = w4_witnesses_elliptic(model, t)
         obj.update(

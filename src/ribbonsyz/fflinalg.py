@@ -5,13 +5,16 @@ Everything here is deterministic and pure: the reduced row echelon form is
 the canonical one, so pivot columns, kernel bases and image bases are
 reproducible across runs and safe to use as reference bases elsewhere.
 
-Two elimination engines sit behind the public functions:
+Two elimination engines sit behind the public functions, and they share
+one Gauss-Jordan loop, ``_eliminate_simple``:
 
-* a plain vectorised Gauss-Jordan loop (``int64``, exact for any p < 2**31),
-* a blocked right-looking elimination that pushes the Schur-complement
-  updates through BLAS ``float64`` matmuls.  With p <= 2**20 and panels of
-  at most 128 columns every intermediate value stays below 2**53, so the
-  float arithmetic is exact.
+* the simple engine runs that loop on the whole matrix (``int64``, exact
+  for any p < 2**31),
+* a blocked right-looking elimination runs it only on panels of at most
+  128 columns, to find each panel's pivots, and pushes the
+  Schur-complement updates through BLAS ``float64`` matmuls.  With
+  p <= 2**20 every intermediate value stays below 2**53, so the float
+  arithmetic is exact.
 
 The blocked path is what makes desk-scale Koszul computations (ranks of
 ~5000 x 3000 matrices) run in seconds instead of hours.
@@ -122,11 +125,16 @@ def as_fp(a, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _eliminate_simple(a: np.ndarray, p: int, reduced: bool) -> list[int]:
+def _eliminate_simple(
+    a: np.ndarray, p: int, reduced: bool, order: np.ndarray | None = None
+) -> list[int]:
     """In-place row echelon (optionally reduced) for an int64 matrix.
 
     Exact for any p < 2**31: a row operation forms products < p**2 < 2**62.
-    Returns the pivot column list.
+    Each pivot step updates only the rows with a nonzero below the pivot.
+    Row swaps are mirrored into ``order`` when given, so that afterwards
+    ``order[i]`` names the input row now in row i.  Returns the pivot
+    column list.
     """
     n, m = a.shape
     pivots: list[int] = []
@@ -140,6 +148,8 @@ def _eliminate_simple(a: np.ndarray, p: int, reduced: bool) -> list[int]:
         pr = row + int(nz[0])
         if pr != row:
             a[[row, pr]] = a[[pr, row]]
+            if order is not None:
+                order[[row, pr]] = order[[pr, row]]
         inv = pow(int(a[row, col]), -1, p)
         a[row, col:] = (a[row, col:] * inv) % p
         below = a[row + 1 :, col]
@@ -158,41 +168,6 @@ def _eliminate_simple(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     return pivots
 
 
-def _panel_pivots(panel: np.ndarray, p: int) -> tuple[list[int], list[int]]:
-    """Locate pivots of one panel slab by in-place int64 elimination.
-
-    Returns (pivot local rows in original indexing, pivot local cols).
-    Incoming slabs may carry drifted values; everything is reduced here.
-    int64 keeps each row operation exact for p <= 2**20 and integer
-    remainders run much faster than float fmod.
-    """
-    w = np.mod(panel, p).astype(np.int64)
-    n, m = w.shape
-    local2orig = np.arange(n)
-    prows: list[int] = []
-    pcols: list[int] = []
-    row = 0
-    for col in range(m):
-        if row >= n:
-            break
-        nz = np.nonzero(w[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            w[[row, pr]] = w[[pr, row]]
-            local2orig[[row, pr]] = local2orig[[pr, row]]
-        inv = pow(int(w[row, col]), -1, p)
-        w[row, col:] = (w[row, col:] * inv) % p
-        below = w[row + 1 :, col].copy()
-        if np.any(below):
-            w[row + 1 :, col:] = (w[row + 1 :, col:] - np.outer(below, w[row, col:])) % p
-        prows.append(int(local2orig[row]))
-        pcols.append(col)
-        row += 1
-    return prows, pcols
-
-
 def _inv_small(b: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a small invertible float64 matrix mod p."""
     k = b.shape[0]
@@ -200,26 +175,6 @@ def _inv_small(b: np.ndarray, p: int) -> np.ndarray:
     aug_i = aug.astype(np.int64)
     _eliminate_simple(aug_i, p, reduced=True)
     return aug_i[:, k:].astype(np.float64)
-
-
-def _find_panel_pivots(a: np.ndarray, p: int, r0: int, c0: int, c1: int):
-    """Pivot rows/cols for panel columns [c0, c1), searching a growing row window.
-
-    Dense inputs resolve every panel column within the first ~panel-many
-    rows, so the O(rows * panel^2) scalar elimination only ever touches a
-    thin slab.  The window grows (up to all rows) whenever an unresolved
-    column still has nonzero entries below it.
-    """
-    n = a.shape[0]
-    win = min(n, r0 + 2 * (c1 - c0) + 32)
-    while True:
-        prows_rel, pcols_rel = _panel_pivots(a[r0:win, c0:c1], p)
-        if len(pcols_rel) == c1 - c0 or win >= n:
-            return prows_rel, pcols_rel
-        uncovered = sorted(set(range(c0, c1)) - {c0 + j for j in pcols_rel})
-        if not np.any(np.mod(a[win:, uncovered], p)):
-            return prows_rel, pcols_rel
-        win = min(n, 2 * win + 64)
 
 
 def _sloppy_mod_inplace(x: np.ndarray, p: int) -> None:
@@ -239,14 +194,16 @@ def _sloppy_mod_inplace(x: np.ndarray, p: int) -> None:
 def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     """In-place blocked elimination of a float64 matrix, entries in [0, p).
 
-    Forward pass, per panel of columns: locate pivots on a scratch slab,
-    swap pivot rows into place, left-multiply the pivot block by B^{-1} so
-    it carries exact unit pivots, and push one Schur-complement update
-    A_rest -= F @ A_piv through dgemm.  Backward pass (reduced only) clears
-    above the pivot blocks the same way.  All intermediates stay integral:
-    inner dimensions never exceed _PANEL, so values stay below 2**53.
-    Entries may come out as p instead of 0; callers normalise with one
-    exact np.mod at the end.  Returns the pivot column list.
+    Forward pass, per panel of columns: find the pivots with
+    ``_eliminate_simple`` on an int64 copy of the panel's rows below r0,
+    apply its row swaps so the pivot rows come first, left-multiply the
+    pivot block by B^{-1} so it carries exact unit pivots, and push one
+    Schur-complement update A_rest -= F @ A_piv through dgemm.  Backward
+    pass (reduced only) clears above the pivot blocks the same way.  All
+    intermediates stay integral: inner dimensions never exceed _PANEL, so
+    values stay below 2**53.  Entries may come out as p instead of 0;
+    callers normalise with one exact np.mod at the end.  Returns the pivot
+    column list.
     """
     n, m = a.shape
     pivots: list[int] = []
@@ -260,23 +217,15 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     bound = p
     while r0 < n and c0 < m:
         c1 = min(c0 + _PANEL, m)
-        prows_rel, pcols_rel = _find_panel_pivots(a, p, r0, c0, c1)
-        k = len(prows_rel)
+        order = np.arange(r0, n)
+        pcols_rel = _eliminate_simple(a[r0:, c0:c1].astype(np.int64) % p, p, False, order)
+        k = len(pcols_rel)
         if k == 0:
             c0 = c1
             continue
         pcols = [c0 + j for j in pcols_rel]
-        # swap pivot rows up to r0..r0+k-1 in pivot order
-        cur = [r0 + i for i in prows_rel]
-        for t in range(k):
-            tgt = r0 + t
-            pr = cur[t]
-            if pr != tgt:
-                a[[tgt, pr]] = a[[pr, tgt]]
-                for s in range(t + 1, k):
-                    if cur[s] == tgt:
-                        cur[s] = pr
-                        break
+        moved = np.flatnonzero(order != np.arange(r0, n))
+        a[r0 + moved] = a[order[moved]]  # pivot rows to r0..r0+k-1, in pivot order
         piv_block = a[r0 : r0 + k]
         piv_block[:, c0:] = np.mod(piv_block[:, c0:], p)
         binv = _inv_small(piv_block[:, pcols], p)

@@ -38,6 +38,7 @@ from ribbonsyz.ribbon import conormal_tags
 __all__ = [
     "StrataError",
     "NotFound",
+    "ZeroSpan",
     "HalvingNotRational",
     "ExtensionClass",
     "DivisorWitness",
@@ -72,6 +73,10 @@ class NotFound(StrataError):
         self.exhaustive = exhaustive
         kind = "exhaustive" if exhaustive else "sampled"
         super().__init__(f"no witness of degree <= {b_max} ({kind} search)")
+
+
+class ZeroSpan(StrataError):
+    """A class was asked for in a span that is {0}: it holds no nonzero class."""
 
 
 class HalvingNotRational(StrataError):
@@ -388,8 +393,13 @@ def wd_containment_check(alpha: DivisorWitness, ram: DivisorWitness, e: Extensio
 
 
 def random_class(space: SectionSpace, rng) -> ExtensionClass:
-    """Uniform random nonzero functional on the ambient space."""
+    """Uniform random nonzero functional on the ambient space.
+
+    Raises ZeroSpan when the ambient space is {0}.
+    """
     p = space.field.p
+    if space.dim == 0:
+        raise ZeroSpan("the ambient space H^0(2K - L)^* is zero")
     while True:
         v = rng.integers(0, p, space.dim)
         if np.any(v):
@@ -397,9 +407,18 @@ def random_class(space: SectionSpace, rng) -> ExtensionClass:
 
 
 def class_in_span(space: SectionSpace, points, rng) -> ExtensionClass:
-    """Random class supported on the span of the given points' functionals."""
-    rows = evaluation_matrix(space, list(points))
+    """Random class supported on the span of the given points' functionals.
+
+    Raises ZeroSpan when that span is {0}: no points are given, or every
+    point is a base point.
+    """
+    points = list(points)
+    if not points:
+        raise ZeroSpan("no points were given, and the span of no points is {0}")
+    rows = evaluation_matrix(space, points)
     p = space.field.p
+    if not np.any(rows):
+        raise ZeroSpan(f"the points {list(map(str, points))} are base points of |2K - L|")
     while True:
         coeffs = rng.integers(0, p, rows.shape[0])
         v = matmul_mod(coeffs.reshape(1, -1), rows, p).ravel()

@@ -232,6 +232,22 @@ class TestStrata:
         assert obj["bounds"]["upper"] == 4
         assert obj["bounds"]["upper_valid"] is True
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--curve", "genus0", "--conormal", "-1", "--span-size", "0"),
+            ("--curve", "genus0", "--conormal", "-1", "--span-size", "1"),
+            ("--curve", "genus0", "--conormal", "-1", "--sweep", "2", "--span-size", "1"),
+            ("--curve", "elliptic-split", "--conormal", "-6", "--sweep", "2", "--span-size", "0"),
+            # seed 141 draws the point at infinity, a base point of |2K - L|
+            ("--curve", "elliptic-split", "--conormal", "-1", "--span-size", "1", "--seed", "141"),
+        ],
+    )
+    def test_zero_span_exit_2(self, runner, args):
+        res = runner.invoke(main, ["strata", *args])
+        assert res.exit_code == 2
+        assert "no nonzero extension class" in res.output
+
     def test_sweep_deterministic(self, runner):
         args = ["strata", "--curve", "elliptic-split", "--conormal", "-6", "--seed", "5", "--sweep", "4"]
         a = run(runner, *args).output

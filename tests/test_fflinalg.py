@@ -84,18 +84,33 @@ class TestRref:
         stacked = np.vstack([a, a[:50]])
         assert rank(stacked, P) == r
 
-    def test_blocked_vs_simple_exact_equality(self):
+    @pytest.mark.parametrize("case", ["dense", "sparse", "late-pivot"])
+    def test_blocked_vs_simple_exact_equality(self, case):
         from ribbonsyz.fflinalg import _eliminate_blocked, _eliminate_simple
 
         g = rng(23)
-        a = g.integers(0, P, (250, 310))
-        a[:, 40] = (3 * a[:, 2] + 5 * a[:, 17]) % P
-        w = a.astype(np.float64)
-        piv_b = _eliminate_blocked(w, P, reduced=True)
-        s = a.copy()
-        piv_s = _eliminate_simple(s, P, reduced=True)
-        assert piv_b == piv_s
-        assert np.array_equal(w.astype(np.int64), s)
+        if case == "dense":
+            a = g.integers(0, P, (250, 310))
+            a[:, 40] = (3 * a[:, 2] + 5 * a[:, 17]) % P
+        elif case == "sparse":
+            # about 1% dense, and the first 288 rows are zero on the first
+            # panel, so that panel's pivots all lie below them
+            a = g.integers(1, P, (700, 300)) * (g.random((700, 300)) < 0.01)
+            a[:288, :128] = 0
+        else:
+            # columns 0 and 1 agree on the first 300 rows; only row 300,
+            # zero in column 1, makes column 1 a pivot
+            a = np.zeros((400, 300), dtype=np.int64)
+            a[0, :2] = 1
+            a[300, 0] = 1
+        for reduced in (False, True):
+            w = a.astype(np.float64)
+            piv_b = _eliminate_blocked(w, P, reduced)
+            s = a.copy()
+            piv_s = _eliminate_simple(s, P, reduced)
+            assert piv_b == piv_s
+            if reduced:
+                assert np.array_equal(w.astype(np.int64), s)
 
 
 class TestDriftReset:

@@ -99,7 +99,7 @@ class TestGradedModule:
 
     def test_commutativity_check_exhaustive(self, quartic):
         mod = algebra_from_sections([quartic.sections(q) for q in range(4)]).as_module()
-        mod.check_commutativity()  # n = 3 <= 10: exhaustive
+        mod.check_commutativity()
 
     def test_commutativity_violation_caught(self):
         a0 = np.zeros((2, 2, 1), dtype=np.int64)
@@ -111,6 +111,21 @@ class TestGradedModule:
         bad = GradedModule(F101, 2, (1, 2, 1), (a0, a1))
         with pytest.raises(GradedError):
             bad.check_commutativity()
+
+    def test_commutativity_checks_every_pair_above_ten_generators(self):
+        # n = 12, pieces (1, 12, 1): x_l sends the unit to e_l and x_k reads
+        # coordinate W[k, l], so x_k x_l = x_l x_k iff W is symmetric.  The
+        # only asymmetric entry is W[0, 2], a pair that a sample of pairs
+        # can miss.
+        n = 12
+        a0 = np.eye(n, dtype=np.int64).reshape(n, n, 1)
+        a1 = np.zeros((n, 1, n), dtype=np.int64)
+        a1[0, 0, 2] = 1
+        bad = GradedModule(F101, n, (1, n, 1), (a0, a1))
+        with pytest.raises(GradedError, match=r"degree 0 for basis pair \(0,2\)"):
+            bad.check_commutativity()
+        a1[2, 0, 0] = 1
+        GradedModule(F101, n, (1, n, 1), (a0, a1)).check_commutativity()
 
 
 class TestRestrictAction:

@@ -17,6 +17,7 @@ from ribbonsyz.strata import (
     ExtensionClass,
     NotFound,
     StrataError,
+    ZeroSpan,
     ambient_space,
     blowup_index_bruteforce,
     blowup_sweep,
@@ -282,6 +283,23 @@ class TestProjectionSearch:
         res = blowup_index_bruteforce(e, pool, space, 1)
         assert (res.index, res.witness) == (1, (pool[1],))
         assert span_membership(e, make_witness(space, res.witness))
+
+    def test_zero_span_raises_instead_of_looping(self):
+        # the point at infinity spans {0} in H^0(2K - L)^* for L = -Pinf,
+        # and genus 0 with L = -Pinf has a zero ambient space
+        model = random_split_cubic(F101, np.random.default_rng(0))
+        space = ambient_space(model, 1)
+        with pytest.raises(ZeroSpan, match="base points"):
+            class_in_span(space, ["inf"], np.random.default_rng(0))
+        with pytest.raises(ZeroSpan, match="no points were given"):
+            class_in_span(space, [], np.random.default_rng(0))
+        line = HyperellipticCurve(F101, [0, 1])
+        empty = ambient_space(line, 1)
+        assert empty.dim == 0
+        with pytest.raises(ZeroSpan):
+            random_class(empty, np.random.default_rng(0))
+        with pytest.raises(ZeroSpan):
+            class_in_span(empty, rational_points(line)[:1], np.random.default_rng(0))
 
     def test_degenerate_collision_is_rejected(self, monkeypatch):
         # rows 1 and 2 project to the same point from span(vec, row 0)
