@@ -4,10 +4,12 @@ All randomness flows from one seeded generator, so identical (config,
 seed) pairs produce byte-identical output.  Every JSON document is checked
 against the schema shipped in ribbonsyz/schemas before it is emitted.
 
-Exit codes: 0 success, 2 invalid configuration (including a strata class
-asked for in a span that is {0}), 3 smoothness certificate failure, 4 a
-genuine consistency contradiction in the green report (which would
-indicate a bug, not a mathematical discovery).
+Exit codes: 0 success, 2 invalid configuration (including a curve that
+cannot be built, a ribbon with p_a < 3, a strata span larger than the
+rational-point pool, a strata class asked for in a span that is {0}, and
+``--task w4`` on a curve that is not y^2 = cubic(x)), 3 smoothness
+certificate failure, 4 a genuine consistency contradiction in the green
+report (which would indicate a bug, not a mathematical discovery).
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import numpy as np
 from jsonschema import validate as schema_validate
 
 from ribbonsyz.curves import (
+    CurveError,
     HyperellipticCurve,
     NotSmooth,
     PlaneCurve,
-    WrongDegree,
     random_hyperelliptic,
     random_plane_curve,
     random_split_cubic,
@@ -41,6 +43,7 @@ from ribbonsyz.ribbon import (
 )
 from ribbonsyz.strata import (
     NotFound,
+    StrataError,
     ZeroSpan,
     ambient_space,
     blowup_index_bruteforce,
@@ -147,11 +150,11 @@ def _build_model(cfg, field, rng):
             return random_split_cubic(field, rng)
         if family == "genus0":
             return HyperellipticCurve(field, [0, 1])
-    except WrongDegree as exc:
-        raise click.UsageError(str(exc))
     except NotSmooth:
         click.echo("error: smoothness certificate failed for the given curve", err=True)
         sys.exit(3)
+    except CurveError as exc:
+        raise click.UsageError(str(exc))
     raise click.UsageError(f"unknown curve family {family!r}")
 
 
@@ -242,7 +245,10 @@ def green(inject_fault, fmt, out_path, config_path, **flags):
     cfg = _load_config(config_path, **flags)
     field, rng = _session(cfg)
     model = _build_model(cfg, field, rng)
-    report = green_split_report(model, -cfg["conormal"])
+    try:
+        report = green_split_report(model, -cfg["conormal"])
+    except RibbonError as exc:
+        raise click.UsageError(str(exc))
     if inject_fault:
         if report["phi"]:
             report["phi"][0]["surjective"] = not report["phi"][0]["surjective"]
@@ -268,7 +274,7 @@ def green(inject_fault, fmt, out_path, config_path, **flags):
 @_common_options
 @click.option("--task", type=click.Choice(["blowup", "sweep", "w4", "bounds"]), default="blowup")
 @click.option("--bmax", type=int, default=3, help="Largest divisor degree searched.")
-@click.option("--sweep", "sweep_n", type=int, default=None, help="Sweep this many constructed classes (implies --task sweep).")
+@click.option("--sweep", "sweep_n", type=click.IntRange(min=1), default=None, help="Sweep this many constructed classes (implies --task sweep).")
 @click.option("--span-size", type=int, default=3, help="Span size for constructed classes.")
 @click.option("--blowup-b", "blowup_b", type=int, default=0, help="Blow-up index for --task bounds.")
 def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path, **flags):
@@ -280,9 +286,12 @@ def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path,
     if sweep_n is not None:
         task = "sweep"
     obj: dict = {"command": "strata", "p": field.p, "seed": cfg["seed"], "task": task}
+    if task in ("blowup", "sweep"):
+        pool = rational_points(model)
+        if span_size > len(pool):
+            raise click.UsageError(f"--span-size {span_size} exceeds the {len(pool)} rational points")
     if task == "blowup":
         space = ambient_space(model, t)
-        pool = rational_points(model)
         try:
             e = random_class(space, rng) if span_size <= 0 else class_in_span(
                 space, [pool[int(i)] for i in rng.choice(len(pool), size=span_size, replace=False)], rng
@@ -300,7 +309,10 @@ def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path,
         except ZeroSpan as exc:
             raise click.UsageError(f"no nonzero extension class: {exc}")
     elif task == "w4":
-        wits, skipped = w4_witnesses_elliptic(model, t)
+        try:
+            wits, skipped = w4_witnesses_elliptic(model, t)
+        except StrataError as exc:
+            raise click.UsageError(str(exc))
         obj.update(
             {
                 "witness_count": len(wits),

@@ -550,6 +550,8 @@ def random_plane_curve(field: PrimeField, d: int, rng, max_tries: int = 200) -> 
 
 def random_hyperelliptic(field: PrimeField, g: int, rng, max_tries: int = 200) -> HyperellipticCurve:
     """Random monic squarefree h of degree 2g+1: retry until squarefree."""
+    if g < 0:
+        raise WrongDegree(f"genus must be >= 0, got {g}")
     for _ in range(max_tries):
         h = [int(c) for c in rng.integers(0, field.p, 2 * g + 1)] + [1]
         try:

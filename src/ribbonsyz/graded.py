@@ -21,6 +21,7 @@ __all__ = [
     "GradedError",
     "InconsistentDims",
     "NotASubspace",
+    "NotASubmodule",
     "GradedModule",
     "GradedAlgebra",
     "algebra_from_sections",
@@ -38,6 +39,10 @@ class InconsistentDims(GradedError):
 
 class NotASubspace(GradedError):
     pass
+
+
+class NotASubmodule(GradedError):
+    """The action leaves a subspace that ``GradedModule.subquotient`` needs it to keep."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,53 @@ class GradedModule:
                 raise GradedError(
                     f"action does not commute at degree {q} for basis pair ({k},{l})"
                 )
+
+    def subquotient(self, sub, rel) -> GradedModule:
+        """The subquotient with pieces span(sub[q]) / span(rel[q]) and the induced action.
+
+        ``sub[q]`` and ``rel[q]`` are basis columns of subspaces
+        rel_q <= sub_q of M_q.  Piece q is spanned by a complement C_q of
+        rel_q in sub_q: the last columns of sub_q that are independent of
+        rel_q and of the sub_q columns after them.  One RREF per degree, of
+
+            [rel_q | sub_q, last column first | x_k C_{q-1} | x_k rel_{q-1}],
+
+        picks C_q from its pivots and reads the action on C_{q-1} in
+        C_q-coordinates off the same rows.  Raises NotASubmodule when some
+        x_k maps sub_{q-1} outside sub_q or rel_{q-1} outside rel_q, and
+        NotASubspace when rel_q is dependent or (sub_q being a basis) not
+        inside span(sub_q).
+        """
+        p, n = self.field.p, self.n
+        if len(sub) != len(self.pieces) or len(rel) != len(self.pieces):
+            raise InconsistentDims(f"need sub and rel bases for each of {len(self.pieces)} degrees")
+        comps, action = [], []
+        prev = np.zeros((0, 0), dtype=np.int64)  # [C_{q-1} | rel_{q-1}]
+        for q, dim in enumerate(self.pieces):
+            s, r = (np.asarray(b[q], dtype=np.int64) % p for b in (sub, rel))
+            if s.ndim != 2 or r.ndim != 2 or s.shape[0] != dim or r.shape[0] != dim:
+                raise InconsistentDims(f"sub_{q} and rel_{q} need {dim} rows")
+            ns, nr, m = s.shape[1], r.shape[1], prev.shape[1]
+            images = np.zeros((dim, 0), dtype=np.int64)
+            if q:  # x_k applied to the columns of prev, as columns ordered (k, j)
+                images = matmul_mod(self.action[q - 1].reshape(n * dim, len(prev)), prev, p)
+                images = images.reshape(n, dim, m).transpose(1, 0, 2).reshape(dim, n * m)
+            red, pivots = rref(np.hstack([r, s[:, ::-1], images]), p)
+            picked = [j - nr for j in pivots if nr <= j < nr + ns]
+            if pivots[:nr] != list(range(nr)) or len(picked) != ns - nr:
+                raise NotASubspace(f"rel_{q} is dependent or not inside span(sub_{q})")
+            if pivots and pivots[-1] >= nr + ns:
+                raise NotASubmodule(f"the action maps sub_{q - 1} outside sub_{q}")
+            # the complement's pivot rows, reordered to follow sub's column order
+            coords = red[nr : nr + len(picked)][::-1, nr + ns :].reshape(len(picked), n, m)
+            if q:
+                c = comps[-1].shape[1]
+                if np.any(coords[:, :, c:]):
+                    raise NotASubmodule(f"the action maps rel_{q - 1} outside rel_{q}")
+                action.append(np.ascontiguousarray(coords[:, :, :c].transpose(1, 0, 2)))
+            comps.append(s[:, [ns - 1 - t for t in reversed(picked)]])
+            prev = np.hstack([comps[-1], r])
+        return GradedModule(self.field, n, tuple(cm.shape[1] for cm in comps), tuple(action))
 
 
 class GradedAlgebra:
@@ -169,10 +221,13 @@ class GradedAlgebra:
     def artinian_reduction(self, l1, l2) -> GradedModule | None:
         """The algebra cut by two linear forms, or None if they are not certified.
 
-        Returns B = A / (l1, l2), with pieces B_q = A_q / (l1 A_{q-1} + l2 A_{q-1})
-        spanned by the coordinate vectors off the pivots of that subspace,
-        acted on by the complement of <l1, l2> in A_1 spanned the same way.
-        The certificate, checked exactly for every q <= window - 1:
+        Returns B = A / (l1, l2) = ``subquotient(A_q, rel_q)`` of A acted on by
+        the complement of <l1, l2> in A_1, where rel_q = l1 A_{q-1} + l2 A_{q-1}
+        is spanned by the certificate's RREF rows.  Taking the last columns,
+        ``subquotient`` spans B_q by the coordinate vectors off the pivots of
+        rel_q; the acting space is spanned by the ones B_1 keeps, so the two
+        share a basis.  The certificate, checked exactly for every
+        q <= window - 1:
 
         * multiplication by l1 is injective on A_q;
         * rank [l1 A_q | l2 A_q] = 2 dim A_q - dim A_{q-1}.
@@ -184,29 +239,20 @@ class GradedAlgebra:
         p = self.field.p
         n = self.dims[1]
         forms = np.vstack([l1, l2])
-        action = self.as_module().action
-        # keep[q]: coordinates spanning B_q; project[q]: A_q -> B_q in them
-        keep, project = [[0]], [np.ones((1, 1), dtype=np.int64)]
-        for q, a in enumerate(action):
+        module = self.as_module()
+        rel = [np.zeros((1, 0), dtype=np.int64)]
+        for q, a in enumerate(module.action):
             # by_l[k] is the matrix of multiplication by l_k on A_q
             by_l = matmul_mod(forms, a.reshape(n, -1), p).reshape(2, *a.shape[1:])
             r, pivots = rref(np.hstack(by_l).T, p)
             below = self.dims[q - 1] if q else 0
             if rank(by_l[0], p) != self.dims[q] or len(pivots) != 2 * self.dims[q] - below:
                 return None
-            free = sorted(set(range(self.dims[q + 1])) - set(pivots))
-            proj = np.zeros((len(free), self.dims[q + 1]), dtype=np.int64)
-            proj[:, free] = np.eye(len(free), dtype=np.int64)
-            proj[:, pivots] = (-r[: len(pivots), free].T) % p
-            keep.append(free)
-            project.append(proj)
-        quotient = []
-        for q, a in enumerate(action):
-            lifted = a[:, :, keep[q]].transpose(1, 0, 2).reshape(self.dims[q + 1], -1)
-            image = matmul_mod(project[q + 1], lifted, p)
-            quotient.append(image.reshape(len(keep[q + 1]), n, len(keep[q])).transpose(1, 0, 2))
-        module = GradedModule(self.field, n, tuple(len(k) for k in keep), tuple(quotient))
-        return module_restrict_action(module, np.eye(n, dtype=np.int64)[:, keep[1]])
+            rel.append(r[: len(pivots)].T)
+            if q == 0:  # the coordinates of A_1 off the pivots of <l1, l2>
+                acting = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
+        identity = [np.eye(d, dtype=np.int64) for d in self.dims]
+        return module_restrict_action(module, acting).subquotient(identity, rel)
 
     def degree_one_generates(self, k_max: int | None = None) -> bool:
         """Whether multiplication A_1 x A_k -> A_{k+1} surjects for 1 <= k <= k_max."""

@@ -12,10 +12,14 @@ differentials are the maps Phi_{i,p,q}, and the split-ribbon resolution
 Clifford index question reduces to their surjectivity at q = 1 (for
 i + j = 2m - 3), equivalently to the vanishing of K_{i,1}(M^j).
 
-Cohomology pieces carry explicit bases: cocycles = coboundaries (+) a
-pivot-chosen complement, and the action is computed on complement
-representatives and reduced.  Every step that must preserve coboundaries
-or cocycles is checked exactly; a failure raises IllDefined (a bug, not a
+M^p is built as one subquotient, cocycles / coboundaries, of the module
+wedge^p U (x) H^0(K^q W) (q = 0..window) on which H^0(K_C) acts by
+id (x) multiplication (``GradedModule.subquotient``).  Piece q is spanned by
+the last cocycle columns independent of the coboundaries and of the later
+cocycle columns, and the action is read in those coordinates.  The exact
+checks live where the objects are made: ``koszul_cohomology`` checks
+d o d = 0, and ``subquotient`` checks that the action keeps the cocycles
+and the coboundaries.  A failure of either raises IllDefined (a bug, not a
 mathematical state).
 """
 
@@ -29,16 +33,16 @@ from functools import cached_property
 import numpy as np
 
 from ribbonsyz.curves import mult_map
-from ribbonsyz.fflinalg import (
-    image_basis,
-    kernel_basis,
-    matmul_mod,
-    rank,
-    rref,
-    solve,
+from ribbonsyz.fflinalg import WedgeIndex
+from ribbonsyz.graded import GradedModule, NotASubmodule
+from ribbonsyz.koszul import (
+    IllDefined,
+    KoszulCalculator,
+    NoNonzero,
+    OutOfWindow,
+    koszul_cohomology,
+    rcliff,
 )
-from ribbonsyz.graded import GradedModule
-from ribbonsyz.koszul import KoszulCalculator, NoNonzero, OutOfWindow, koszul_differential, rcliff
 from ribbonsyz.ribbon import (
     SplitRibbonRing,
     build_split_ribbon,
@@ -60,29 +64,8 @@ __all__ = [
 ]
 
 
-class IllDefined(Exception):
-    """An exact well-definedness check failed: implementation bug."""
-
-
 class HypothesisUnmetWarning(UserWarning):
     """Lemma hypotheses fail; the computed value is returned regardless."""
-
-
-@dataclass(frozen=True)
-class _Piece:
-    """One graded piece M^p_q with its representative bases.
-
-    Everything lives in the ambient space wedge^p U (x) H^0(K^q W):
-    ``cocycles`` = ker of the outgoing Koszul map, ``coboundaries`` = image
-    of the incoming one, ``complement`` the pivot-chosen complement, and
-    ``frame`` = [coboundaries | complement] for coordinate solves.
-    """
-
-    dim: int
-    cocycles: np.ndarray
-    coboundaries: np.ndarray
-    complement: np.ndarray
-    frame: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,7 +77,6 @@ class SyzygyModule:
     p: int
     g: int
     module: GradedModule
-    pieces: tuple[_Piece, ...]
     h1_neg_l: int
 
     @property
@@ -123,21 +105,6 @@ class PhiVerdict:
         return self.rank == self.tgt
 
 
-def _complement_split(cob: np.ndarray, ker: np.ndarray, p: int):
-    """Deterministic complement of the coboundary span inside the cocycles.
-
-    Column-pivots [cob | ker]: the coboundary columns are independent, so
-    the extra pivot columns in the kernel block extend them to a basis.
-    """
-    if ker.shape[1] == 0:
-        return ker, cob
-    stacked = np.hstack([cob, ker])
-    _, pivots = rref(stacked, p)
-    comp_cols = [j - cob.shape[1] for j in pivots if j >= cob.shape[1]]
-    comp = ker[:, comp_cols]
-    return comp, np.hstack([cob, comp])
-
-
 def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) -> SyzygyModule:
     """Construct M^p with pieces for q = 0..window and a verified action.
 
@@ -146,74 +113,41 @@ def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) 
       wedge^{p+1} U (x) H^0(K^q)  ->  wedge^p U (x) H^0(K^q W)  ->  wedge^{p-1} U (x) H^0(K^q W^2),
 
     computed as K_{p,1} of the coefficient module [H^0(K^q), H^0(K^q W),
-    H^0(K^q W^2)] over U.  The H^0(K_C) action multiplies coefficients and
-    is checked, exactly, to send cocycles to cocycles and coboundaries to
-    coboundaries before being reduced to cohomology coordinates.
+    H^0(K^q W^2)] over U by ``koszul_cohomology``.  M^p is then the
+    subquotient cocycles / coboundaries of the module wedge^p U (x) H^0(K^q W),
+    q = 0..window, on which H^0(K_C) acts by id (x) multiplication; see
+    ``GradedModule.subquotient`` for the basis and the checks.
     """
     k_tag, w_tag, _ = conormal_tags(model, conormal_multiple)
-    prime = model.field.p
     u_space = model.sections(w_tag)
     k_space = model.sections(k_tag)
     g = k_space.dim
+    wedge = WedgeIndex(u_space.dim, p).count
 
     def coefficient_module(q: int) -> GradedModule:
         spaces = [model.sections(q * k_tag + j * w_tag) for j in range(3)]
-        action = []
-        for j in range(2):
-            mm = mult_map(u_space, spaces[j])
-            action.append(
-                np.ascontiguousarray(np.swapaxes(mm.tensor, 1, 2))
-            )
-        return GradedModule(model.field, u_space.dim, tuple(s.dim for s in spaces), tuple(action))
-
-    pieces: list[_Piece] = []
-    outgoing: list[np.ndarray] = []
-    for q in range(window + 1):
-        nq = coefficient_module(q)
-        d_out = koszul_differential(nq, p, 1)
-        d_in = koszul_differential(nq, p + 1, 0)
-        ker = kernel_basis(d_out, prime)
-        cob = image_basis(d_in, prime)
-        if cob.shape[1] and np.any(matmul_mod(d_out, cob, prime)):
-            raise IllDefined("coefficient complex is not a complex (d o d != 0)")
-        comp, frame = _complement_split(cob, ker, prime)
-        pieces.append(
-            _Piece(
-                dim=comp.shape[1],
-                cocycles=ker,
-                coboundaries=cob,
-                complement=comp,
-                frame=frame,
-            )
+        action = tuple(
+            np.ascontiguousarray(np.swapaxes(mult_map(u_space, s).tensor, 1, 2)) for s in spaces[:2]
         )
-        outgoing.append(d_out)
+        return GradedModule(model.field, u_space.dim, tuple(s.dim for s in spaces), action)
 
-    # action of H^0(K_C) on cohomology representatives
-    action_tensors = []
+    groups = [koszul_cohomology(coefficient_module(q), p, 1) for q in range(window + 1)]
+    action = []
     for q in range(window):
-        src_space = model.sections(q * k_tag + w_tag)
-        tgt_space = model.sections((q + 1) * k_tag + w_tag)
-        mm = mult_map(k_space, src_space)
-        acts = np.zeros((g, pieces[q + 1].dim, pieces[q].dim), dtype=np.int64)
-        for k in range(g):
-            mk = mm.action_of(k)  # H^0(K^q W) -> H^0(K^{q+1} W)
-            lifted = _apply_on_coefficients(pieces[q].complement, mk, src_space.dim, prime)
-            if lifted.size and np.any(matmul_mod(outgoing[q + 1], lifted, prime)):
-                raise IllDefined("action does not preserve cocycles")
-            cob_img = _apply_on_coefficients(pieces[q].coboundaries, mk, src_space.dim, prime)
-            if cob_img.shape[1]:
-                b_next = pieces[q + 1].coboundaries
-                stacked = np.hstack([b_next, cob_img])
-                if rank(stacked, prime) != b_next.shape[1]:
-                    raise IllDefined("action does not preserve coboundaries")
-            if pieces[q].dim:
-                coords = solve(pieces[q + 1].frame, lifted, prime)
-                acts[k] = coords[pieces[q + 1].coboundaries.shape[1] :, :]
-        action_tensors.append(acts)
-
-    module = GradedModule(
-        model.field, g, tuple(pc.dim for pc in pieces), tuple(action_tensors)
+        src = model.sections(q * k_tag + w_tag)
+        mult = np.swapaxes(mult_map(k_space, src).tensor, 1, 2)  # (g, tgt, src)
+        # block diagonal: id on the wedge factor (x) multiplication on coefficients
+        blocks = np.einsum("ij,kab->kiajb", np.eye(wedge, dtype=np.int64), mult)
+        action.append(blocks.reshape(g, wedge * mult.shape[1], wedge * mult.shape[2]))
+    ambient = GradedModule(
+        model.field, g, tuple(grp.cocycles.shape[0] for grp in groups), tuple(action)
     )
+    try:
+        module = ambient.subquotient(
+            [grp.cocycles for grp in groups], [grp.coboundaries for grp in groups]
+        )
+    except NotASubmodule as exc:
+        raise IllDefined(f"the H^0(K_C) action does not descend to cohomology: {exc}") from exc
     module.check_commutativity()
     h1_neg_l = model.h0(k_tag + (k_tag - w_tag))  # h^1(-L) = h^0(K_C + L)
     return SyzygyModule(
@@ -222,28 +156,7 @@ def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) 
         p=p,
         g=g,
         module=module,
-        pieces=tuple(pieces),
         h1_neg_l=h1_neg_l,
-    )
-
-
-def _apply_on_coefficients(vectors: np.ndarray, coeff_map: np.ndarray, src_dim: int, p: int) -> np.ndarray:
-    """Apply (identity on the wedge factor) (x) coeff_map to stacked columns.
-
-    Columns of ``vectors`` live in wedge^p U (x) Src with index
-    wedge_rank * dim(Src) + coefficient_index.
-    """
-    rows, ncols = vectors.shape
-    tgt_dim = coeff_map.shape[0]
-    if rows == 0 or ncols == 0 or src_dim == 0:
-        wedge = rows // src_dim if src_dim else 0
-        return np.zeros((wedge * tgt_dim, ncols), dtype=np.int64)
-    wedge = rows // src_dim
-    # (wedge*src, ncols) -> (src, wedge*ncols) -> multiply -> back
-    blocks = vectors.reshape(wedge, src_dim, ncols).transpose(1, 0, 2).reshape(src_dim, -1)
-    hit = matmul_mod(coeff_map, blocks, p)
-    return (
-        hit.reshape(tgt_dim, wedge, ncols).transpose(1, 0, 2).reshape(wedge * tgt_dim, ncols)
     )
 
 

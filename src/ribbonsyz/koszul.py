@@ -23,6 +23,7 @@ from ribbonsyz.fflinalg import WedgeIndex, image_basis, kernel_basis, matmul_mod
 from ribbonsyz.graded import GradedAlgebra, GradedModule
 
 __all__ = [
+    "IllDefined",
     "OutOfWindow",
     "NoNonzero",
     "KoszulGroup",
@@ -36,6 +37,10 @@ __all__ = [
     "hilbert_dims",
     "rcliff",
 ]
+
+
+class IllDefined(Exception):
+    """An exact well-definedness check failed: implementation bug."""
 
 
 class OutOfWindow(Exception):
@@ -101,7 +106,7 @@ def koszul_cohomology(module: GradedModule, p: int, q: int) -> KoszulGroup:
     else:
         b = np.zeros((d_out.shape[1], 0), dtype=np.int64)
     if b.shape[1] and np.any(matmul_mod(d_out, b, module.field.p)):
-        raise AssertionError("d o d != 0: coboundaries are not cocycles")
+        raise IllDefined("d o d != 0: coboundaries are not cocycles")
     return KoszulGroup(p, q, z.shape[1] - b.shape[1], z, b)
 
 

@@ -102,7 +102,8 @@ def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitR
     """Assemble the split-ribbon canonical ring through the given degree window.
 
     The default window 4 is what Betti-table computations need (rows live
-    in q <= 3; the socle rank looks one degree further).
+    in q <= 3; the socle rank looks one degree further).  Raises
+    UnsupportedConormal when p_a < 3, below the range of canonical ribbons.
     """
     if window < 2:
         raise DegreeWindowTooSmall("window must be at least 2")
@@ -111,6 +112,8 @@ def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitR
     t = conormal_multiple
     g = model.genus
     p_a = 2 * g - 1 - deg_l
+    if p_a < 3:
+        raise UnsupportedConormal(f"p_a = {p_a}: a canonical ribbon needs p_a >= 3")
     s_spaces = [model.sections(q * unit) for q in range(window + 1)]
     j_spaces = [model.sections(q * unit - t) for q in range(window + 1)]
     s_dims = tuple(s.dim for s in s_spaces)

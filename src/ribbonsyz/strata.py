@@ -310,8 +310,8 @@ class EllipticGroup:
     """
 
     def __init__(self, model: HyperellipticCurve):
-        if model.g != 1:
-            raise StrataError("group law needs a genus-1 model")
+        if not isinstance(model, HyperellipticCurve) or model.g != 1:
+            raise StrataError("group law needs a genus-1 model y^2 = cubic(x)")
         self.model = model
         self.p = model.field.p
         self.c2 = model.h[2] if len(model.h) > 2 else 0

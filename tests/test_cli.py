@@ -134,6 +134,28 @@ class TestConfigHandling:
         assert res.exit_code == 3
 
 
+class TestCurveAndRibbonErrors:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("betti", "--curve", "hyperelliptic", "--g", "2", "--conormal", "-5", "--p", "2"), "odd characteristic"),
+            (("betti", "--curve", "genus0", "--conormal", "-5", "--p", "2"), "odd characteristic"),
+            (("green", "--curve", "genus0", "--conormal", "-5", "--p", "2"), "odd characteristic"),
+            (("betti", "--curve", "hyperelliptic", "--g", "-1", "--conormal", "-5"), "genus must be >= 0"),
+            # genus-0 ribbons have p_a = t - 1
+            (("betti", "--curve", "genus0", "--conormal", "-1"), "p_a = 0"),
+            (("betti", "--curve", "genus0", "--conormal", "-2"), "p_a = 1"),
+            (("betti", "--curve", "genus0", "--conormal", "-3"), "p_a = 2"),
+            (("green", "--curve", "genus0", "--conormal", "-3"), "p_a = 2"),
+        ],
+    )
+    def test_exit_2(self, runner, args, message):
+        res = runner.invoke(main, list(args))
+        assert res.exit_code == 2
+        assert message in res.output
+        assert isinstance(res.exception, SystemExit)
+
+
 class TestGreen:
     def test_consistent_run_exit_0(self, runner):
         res = run(runner, "green", *HYP2)
@@ -247,6 +269,34 @@ class TestStrata:
         res = runner.invoke(main, ["strata", *args])
         assert res.exit_code == 2
         assert "no nonzero extension class" in res.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # seed 2026 draws the curve with the 84-point pool
+            (("--seed", "2026", "--span-size", "200"), "--span-size 200 exceeds the 84 rational points"),
+            (("--seed", "2026", "--sweep", "2", "--span-size", "85"), "--span-size 85 exceeds the 84"),
+            (("--sweep", "-3"), "Invalid value for '--sweep'"),
+        ],
+    )
+    def test_argument_errors_exit_2(self, runner, args, message):
+        res = runner.invoke(main, ["strata", "--curve", "elliptic-split", "--conormal", "-6", *args])
+        assert res.exit_code == 2
+        assert message in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            ("--curve", "hyperelliptic", "--g", "2", "--conormal", "-5"),
+            ("--curve", "plane-quartic", "--conormal", "-1"),
+        ],
+    )
+    def test_w4_needs_an_elliptic_model(self, runner, curve):
+        res = runner.invoke(main, ["strata", *curve, "--task", "w4"])
+        assert res.exit_code == 2
+        assert "group law needs a genus-1 model" in res.output
+        assert isinstance(res.exception, SystemExit)
 
     def test_sweep_deterministic(self, runner):
         args = ["strata", "--curve", "elliptic-split", "--conormal", "-6", "--seed", "5", "--sweep", "4"]

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
+from itertools import combinations_with_replacement
+
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve
-from ribbonsyz.fflinalg import PrimeField, matmul_mod
+from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank, solve
 from ribbonsyz.graded import (
     GradedAlgebra,
     GradedError,
     GradedModule,
     InconsistentDims,
+    NotASubmodule,
     NotASubspace,
     algebra_from_sections,
     module_restrict_action,
 )
+from ribbonsyz.koszul import KoszulCalculator
+
+from oracles import oracle_koszul_dim
 
 F101 = PrimeField(101)
 
@@ -155,3 +161,180 @@ class TestRestrictAction:
         for q in range(mod.window):
             want = (mod.action[q][0] + 2 * mod.action[q][1] + 5 * mod.action[q][2]) % 101
             assert np.array_equal(res.action[q][0], want)
+
+
+def monomials(n: int, q: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the degree-q monomials in n variables."""
+    out = []
+    for combo in combinations_with_replacement(range(n), q):
+        out.append(tuple(combo.count(k) for k in range(n)))
+    return out
+
+
+def divides(gens, mono) -> bool:
+    return any(all(a <= b for a, b in zip(g, mono)) for g in gens)
+
+
+def polynomial_module(n: int, window: int) -> GradedModule:
+    """F[x_0..x_{n-1}] in degrees 0..window, acted on by the variables, monomial bases."""
+    bases = [monomials(n, q) for q in range(window + 1)]
+    action = []
+    for q in range(window):
+        index = {m: i for i, m in enumerate(bases[q + 1])}
+        a = np.zeros((n, len(bases[q + 1]), len(bases[q])), dtype=np.int64)
+        for k in range(n):
+            for j, m in enumerate(bases[q]):
+                a[k, index[tuple(e + (i == k) for i, e in enumerate(m))], j] = 1
+        action.append(a)
+    return GradedModule(F101, n, tuple(len(b) for b in bases), tuple(action))
+
+
+def invertible(d: int, rng) -> np.ndarray:
+    while True:
+        g = rng.integers(0, 101, (d, d))
+        if rank(g, 101) == d:
+            return g
+
+
+def monomial_columns(n: int, q: int, gens) -> np.ndarray:
+    """Coordinate columns of the degree-q monomials in the ideal spanned by gens."""
+    basis = monomials(n, q)
+    cols = [i for i, m in enumerate(basis) if divides(gens, m)]
+    return np.eye(len(basis), dtype=np.int64)[:, cols]
+
+
+class TestSubquotient:
+    # J / I for the monomial ideals I = (x0^2, x0 x1 x2, x1^3) in
+    # J = (x0, x1) of F[x0, x1, x2], degrees 0..4
+    N, WINDOW = 3, 4
+    J = [(1, 0, 0), (0, 1, 0)]
+    I = [(2, 0, 0), (1, 1, 1), (0, 3, 0)]
+
+    def hand_built(self):
+        """J / I on the monomials of J outside I; x_k kills what lands in I."""
+        n = self.N
+        bases = [
+            [m for m in monomials(n, q) if divides(self.J, m) and not divides(self.I, m)]
+            for q in range(self.WINDOW + 1)
+        ]
+        actions = []
+        for q in range(self.WINDOW):
+            index = {m: i for i, m in enumerate(bases[q + 1])}
+            per_k = []
+            for k in range(n):
+                mat = [[0] * len(bases[q]) for _ in bases[q + 1]]
+                for j, m in enumerate(bases[q]):
+                    image = tuple(e + (i == k) for i, e in enumerate(m))
+                    if image in index:
+                        mat[index[image]][j] = 1
+                per_k.append(mat)
+            actions.append(per_k)
+        return [len(b) for b in bases], actions
+
+    def test_against_oracle_in_scrambled_bases(self):
+        # the same subquotient, with every ambient piece and both bases put
+        # through random invertible changes of coordinates
+        rng = np.random.default_rng(5)
+        n, window = self.N, self.WINDOW
+        plain = polynomial_module(n, window)
+        change = [invertible(d, rng) for d in plain.pieces]
+        inverse = [solve(c, np.eye(len(c), dtype=np.int64), 101) for c in change]
+        action = tuple(
+            np.stack([matmul_mod(change[q + 1], matmul_mod(a[k], inverse[q], 101), 101) for k in range(n)])
+            for q, a in enumerate(plain.action)
+        )
+        ambient = GradedModule(F101, n, plain.pieces, action)
+        sub, rel = [], []
+        for q in range(window + 1):
+            for basis, gens in ((sub, self.J), (rel, self.I)):
+                cols = matmul_mod(change[q], monomial_columns(n, q, gens), 101)
+                mix = invertible(cols.shape[1], rng)
+                basis.append(matmul_mod(cols, mix, 101) if cols.size else cols)
+        module = ambient.subquotient(sub, rel)
+        pieces, actions = self.hand_built()
+        assert list(module.pieces) == pieces == [0, 2, 4, 4, 3]
+        calc = KoszulCalculator(module)
+        for q in range(window):
+            for i in range(n + 1):
+                assert calc.dim(i, q) == oracle_koszul_dim(n, pieces, actions, i, q, 101), (i, q)
+        module.check_commutativity()
+
+    def test_whole_module_over_nothing_is_itself(self):
+        mod = polynomial_module(2, 3)
+        same = mod.subquotient(
+            [np.eye(d, dtype=np.int64) for d in mod.pieces],
+            [np.zeros((d, 0), dtype=np.int64) for d in mod.pieces],
+        )
+        assert same.pieces == mod.pieces
+        for got, want in zip(same.action, mod.action):
+            assert np.array_equal(got, want)
+
+    def test_complement_takes_the_last_columns(self):
+        # M_0 -> M_1 of dims 2 -> 3 with x m_0 = e_0 + e_2 and x m_1 = e_1 + e_2.
+        # For rel_1 = <e_0 + e_2> the last columns give the complement
+        # (e_1, e_2); the first columns would give (e_0, e_1).
+        a = np.array([[[1, 0], [0, 1], [1, 1]]], dtype=np.int64)
+        mod = GradedModule(F101, 1, (2, 3), (a,))
+        sub = [np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)]
+        rel = [np.zeros((2, 0), dtype=np.int64), np.array([[1], [0], [1]], dtype=np.int64)]
+        res = mod.subquotient(sub, rel)
+        assert res.pieces == (2, 2)
+        # x m_0 lies in rel_1; x m_1 = e_1 + e_2
+        assert res.action[0].tolist() == [[[0, 1], [0, 1]]]
+
+    def test_sub_not_preserved(self):
+        mod = polynomial_module(2, 2)
+        sub = [np.eye(1, dtype=np.int64), np.array([[1], [0]], dtype=np.int64), np.eye(3, dtype=np.int64)]
+        rel = [np.zeros((d, 0), dtype=np.int64) for d in mod.pieces]
+        with pytest.raises(NotASubmodule, match="maps sub_0 outside sub_1"):
+            mod.subquotient(sub, rel)
+
+    def test_rel_not_preserved(self):
+        mod = polynomial_module(2, 2)
+        sub = [np.eye(d, dtype=np.int64) for d in mod.pieces]
+        rel = [np.zeros((1, 0), dtype=np.int64), np.array([[1], [0]], dtype=np.int64), np.zeros((3, 0), dtype=np.int64)]
+        with pytest.raises(NotASubmodule, match="maps rel_1 outside rel_2"):
+            mod.subquotient(sub, rel)
+
+    @pytest.mark.parametrize(
+        "rel_1",
+        [[[1, 2], [0, 0]], [[0], [1]]],
+        ids=["dependent", "outside-sub"],  # sub_1 = <e_0>
+    )
+    def test_bad_bases(self, rel_1):
+        mod = polynomial_module(2, 1)
+        sub = [np.zeros((1, 0), dtype=np.int64), np.array([[1], [0]], dtype=np.int64)]
+        rel = [np.zeros((1, 0), dtype=np.int64), np.array(rel_1, dtype=np.int64)]
+        with pytest.raises(NotASubspace):
+            mod.subquotient(sub, rel)
+
+    def test_wrong_row_count(self):
+        mod = polynomial_module(2, 1)
+        with pytest.raises(InconsistentDims):
+            mod.subquotient([np.eye(1, dtype=np.int64), np.eye(3, dtype=np.int64)],
+                            [np.zeros((1, 0), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)])
+
+    def test_zero_pieces(self):
+        # a zero piece between nonzero ones, and a subquotient that is zero in degree 2
+        a0 = np.zeros((2, 0, 1), dtype=np.int64)
+        a1 = np.zeros((2, 2, 0), dtype=np.int64)
+        mod = GradedModule(F101, 2, (1, 0, 2), (a0, a1))
+        empty = [np.zeros((d, 0), dtype=np.int64) for d in mod.pieces]
+        res = mod.subquotient([np.eye(d, dtype=np.int64) for d in mod.pieces], empty)
+        assert res.pieces == (1, 0, 2)
+        assert [a.shape for a in res.action] == [(2, 0, 1), (2, 2, 0)]
+        res = mod.subquotient(
+            [np.eye(d, dtype=np.int64) for d in mod.pieces],
+            empty[:2] + [np.eye(2, dtype=np.int64)],
+        )
+        assert res.pieces == (1, 0, 0)
+
+    def test_no_acting_space(self):
+        # n = 0: pieces are plain subquotients and every action tensor is empty
+        mod = GradedModule(F101, 0, (2, 3), (np.zeros((0, 3, 2), dtype=np.int64),))
+        res = mod.subquotient(
+            [np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)[:, :2]],
+            [np.array([[1], [1]], dtype=np.int64), np.zeros((3, 0), dtype=np.int64)],
+        )
+        assert res.n == 0 and res.pieces == (1, 2)
+        assert res.action[0].shape == (0, 2, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,9 +10,11 @@ from ribbonsyz.curves import (
     random_hyperelliptic,
     random_plane_curve,
 )
-from ribbonsyz.fflinalg import PrimeField, matmul_mod
+from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank
+from ribbonsyz import greenchk, koszul
 from ribbonsyz.greenchk import (
     HypothesisUnmetWarning,
+    IllDefined,
     build_syzygy_module,
     green_split_report,
     lemma_hypotheses,
@@ -98,6 +101,56 @@ class TestSyzygyModule:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HypothesisUnmetWarning)
             assert module_koszul_vanishing(syz, hyp2.g + 1) == 0
+
+
+class TestIllDefined:
+    """Fault injection: each exact check of the construction must fire."""
+
+    @staticmethod
+    def corrupt_degree_one(monkeypatch, edit):
+        # build_syzygy_module takes K_{p,1} of the coefficient complexes of
+        # degrees 0, 1, 2 in that order; edit the group of degree 1
+        groups = []
+
+        def fake(module, p, q):
+            group = koszul.koszul_cohomology(module, p, q)
+            groups.append(group)
+            return edit(group) if len(groups) == 2 else group
+
+        monkeypatch.setattr(greenchk, "koszul_cohomology", fake)
+
+    def test_d_squared_nonzero(self, hyp2, monkeypatch):
+        real = koszul.koszul_differential
+
+        def fake(module, p, q):
+            d = real(module, p, q)
+            return np.ones_like(d) if q == 0 else d  # a wrong incoming map
+
+        monkeypatch.setattr(koszul, "koszul_differential", fake)
+        with pytest.raises(IllDefined, match="d o d != 0"):
+            build_syzygy_module(hyp2, 5, 1)
+
+    def test_cocycles_not_preserved(self, hyp2, monkeypatch):
+        # sub_1 gains a coordinate vector that is not a cocycle
+        def edit(group):
+            z = group.cocycles
+            col = next(
+                e for e in np.eye(z.shape[0], dtype=np.int64)
+                if rank(np.column_stack([z, e]), 101) > z.shape[1]
+            )
+            return dataclasses.replace(group, cocycles=np.column_stack([z, col]))
+
+        self.corrupt_degree_one(monkeypatch, edit)
+        with pytest.raises(IllDefined, match="maps sub_1 outside sub_2"):
+            build_syzygy_module(hyp2, 5, 1)
+
+    def test_coboundaries_not_preserved(self, hyp2, monkeypatch):
+        # rel_1 = every cocycle, so M^1_1 = 0 while x_k M^1_1 != 0 in M^1_2
+        self.corrupt_degree_one(
+            monkeypatch, lambda group: dataclasses.replace(group, coboundaries=group.cocycles)
+        )
+        with pytest.raises(IllDefined, match="maps rel_1 outside rel_2"):
+            build_syzygy_module(hyp2, 5, 1)
 
 
 class TestPhi:

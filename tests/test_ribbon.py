@@ -49,6 +49,13 @@ class TestBuild:
         assert r.j_dims[1] == 0
         assert r.s_dims[1] == r.p_a
 
+    def test_arithmetic_genus_below_three_rejected(self):
+        line = HyperellipticCurve(F101, [0, 1])  # p_a = t - 1
+        for t in (1, 2, 3):
+            with pytest.raises(UnsupportedConormal, match=f"p_a = {t - 1}"):
+                build_split_ribbon(line, t)
+        assert build_split_ribbon(line, 4).p_a == 3
+
     def test_dims_are_sums(self, quartic_ribbon):
         for q in range(quartic_ribbon.window + 1):
             assert quartic_ribbon.algebra.dims[q] == (
