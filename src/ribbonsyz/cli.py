@@ -5,9 +5,11 @@ seed) pairs produce byte-identical output.  Every JSON document is checked
 against the schema shipped in ribbonsyz/schemas before it is emitted.
 
 Exit codes: 0 success, 2 invalid configuration (including a curve that
-cannot be built, a ribbon with p_a < 3, a strata span larger than the
-rational-point pool, a strata class asked for in a span that is {0}, and
-``--task w4`` on a curve that is not y^2 = cubic(x)), 3 smoothness
+cannot be built, a ribbon with p_a < 3, a strata ``--bmax`` below 1 or
+``--span-size`` below 0, a strata span larger than the rational-point
+pool, a strata class asked for in a span that is {0}, a blow-up search
+whose degree has more prefixes than the search budget (SearchTooLarge),
+and ``--task w4`` on a curve that is not y^2 = cubic(x)), 3 smoothness
 certificate failure, 4 a genuine consistency contradiction in the green
 report (which would indicate a bug, not a mathematical discovery).
 """
@@ -43,6 +45,7 @@ from ribbonsyz.ribbon import (
 )
 from ribbonsyz.strata import (
     NotFound,
+    SearchTooLarge,
     StrataError,
     ZeroSpan,
     ambient_space,
@@ -273,9 +276,9 @@ def green(inject_fault, fmt, out_path, config_path, **flags):
 @main.command()
 @_common_options
 @click.option("--task", type=click.Choice(["blowup", "sweep", "w4", "bounds"]), default="blowup")
-@click.option("--bmax", type=int, default=3, help="Largest divisor degree searched.")
+@click.option("--bmax", type=click.IntRange(min=1), default=3, help="Largest divisor degree searched.")
 @click.option("--sweep", "sweep_n", type=click.IntRange(min=1), default=None, help="Sweep this many constructed classes (implies --task sweep).")
-@click.option("--span-size", type=int, default=3, help="Span size for constructed classes.")
+@click.option("--span-size", type=click.IntRange(min=0), default=3, help="Span size for constructed classes (0: a uniform class).")
 @click.option("--blowup-b", "blowup_b", type=int, default=0, help="Blow-up index for --task bounds.")
 def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path, **flags):
     """Blow-up index, W_4 witnesses, and gonality-bound computations."""
@@ -293,21 +296,25 @@ def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path,
     if task == "blowup":
         space = ambient_space(model, t)
         try:
-            e = random_class(space, rng) if span_size <= 0 else class_in_span(
+            e = random_class(space, rng) if span_size == 0 else class_in_span(
                 space, [pool[int(i)] for i in rng.choice(len(pool), size=span_size, replace=False)], rng
             )
         except ZeroSpan as exc:
             raise click.UsageError(f"no nonzero extension class: {exc}")
         try:
-            res = blowup_index_bruteforce(e, pool, space, bmax, rng=rng)
+            res = blowup_index_bruteforce(e, pool, space, bmax)
             obj.update(res.to_json_obj())
         except NotFound:
             obj.update({"blowup_index": None, "bound": "not-found", "witnesses": []})
+        except SearchTooLarge as exc:
+            raise click.UsageError(f"blow-up search too large: {exc}")
     elif task == "sweep":
         try:
             obj["sweep"] = blowup_sweep(model, t, sweep_n or 100, rng, span_size=span_size, b_max=bmax)
         except ZeroSpan as exc:
             raise click.UsageError(f"no nonzero extension class: {exc}")
+        except SearchTooLarge as exc:
+            raise click.UsageError(f"blow-up search too large: {exc}")
     elif task == "w4":
         try:
             wits, skipped = w4_witnesses_elliptic(model, t)

@@ -14,7 +14,6 @@ representative bases reproducible.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,16 +110,16 @@ def koszul_cohomology(module: GradedModule, p: int, q: int) -> KoszulGroup:
 
 
 class KoszulCalculator:
-    """Lazy per-cell Koszul dimensions with a concurrency-safe rank cache.
+    """Lazy per-cell Koszul dimensions with a rank cache.
 
-    Cells are pure and independent; the cache guarantees idempotent
-    re-evaluation, so concurrent duplicate work is harmless.
+    Cells are pure and independent, and the cache keeps the first rank
+    stored for a cell (``dict.setdefault``), so evaluating a cell twice,
+    even from two threads at once, only repeats work.
     """
 
     def __init__(self, module: GradedModule):
         self.module = module
         self._ranks: dict[tuple[int, int], int] = {}
-        self._lock = threading.Lock()
 
     def rank_d(self, p: int, q: int) -> int:
         """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) cost nothing."""
@@ -128,14 +127,10 @@ class KoszulCalculator:
         if p <= 0 or q < 0 or p > n:
             return 0
         key = (p, q)
-        with self._lock:
-            if key in self._ranks:
-                return self._ranks[key]
+        if key in self._ranks:
+            return self._ranks[key]
         d = koszul_differential(self.module, p, q)
-        r = rank(d, self.module.field.p) if d.size else 0
-        with self._lock:
-            self._ranks.setdefault(key, r)
-        return self._ranks[key]
+        return self._ranks.setdefault(key, rank(d, self.module.field.p) if d.size else 0)
 
     def dim(self, p: int, q: int) -> int:
         """dim K_{p,q} by the total-rank formula."""

@@ -4,13 +4,14 @@ A ribbon with conormal bundle L on C is a nonzero functional e on
 H^0(K_C^2 L^{-1}) up to scale.  Its blow-up index is the least degree of an
 effective divisor whose span (in the embedding by |2K_C - L|) contains the
 point e, i.e. the secant order of e.  Divisors are restricted to reduced
-sets of rational points.  A degree b is searched exhaustively while the
-subset count stays at desk scale, by one projection per (b - 2)-subset P:
-the later points are projected from span(e, P), points with proportional
-images are bucketed together, and each bucketed pair is confirmed by an
-exact rank test.  The result is labelled a rational-reduced blow-up
-index: an upper bound for the index over the algebraic closure, and equal
-to it whenever the witnessing divisor is rational and reduced.
+sets of rational points.  Every degree b is searched exhaustively, by one
+projection per (b - 2)-subset P: the later points are projected from
+span(e, P), points with proportional images are bucketed together, and
+each bucketed pair is confirmed by an exact rank test.  A degree with more
+than _PREFIX_MAX prefixes is refused up front (SearchTooLarge).  The
+result is labelled a rational-reduced blow-up index: an upper bound for
+the index over the algebraic closure, and equal to it whenever the
+witnessing divisor is rational and reduced.
 
 The blow-up along a divisor splits the ribbon iff the restriction of e to
 the sections vanishing on the divisor is zero; push-out and pull-back give
@@ -38,6 +39,7 @@ from ribbonsyz.ribbon import conormal_tags
 __all__ = [
     "StrataError",
     "NotFound",
+    "SearchTooLarge",
     "ZeroSpan",
     "HalvingNotRational",
     "ExtensionClass",
@@ -58,7 +60,8 @@ __all__ = [
     "blowup_sweep",
 ]
 
-_EXHAUSTIVE_MAX = 300_000
+# (b - 2)-prefixes one degree may scan: about 30 s at ~105 us per prefix
+_PREFIX_MAX = 300_000
 
 
 class StrataError(Exception):
@@ -68,11 +71,20 @@ class StrataError(Exception):
 class NotFound(StrataError):
     """No divisor of the searched degrees has e in its span."""
 
-    def __init__(self, b_max: int, exhaustive: bool):
+    def __init__(self, b_max: int):
         self.b_max = b_max
-        self.exhaustive = exhaustive
-        kind = "exhaustive" if exhaustive else "sampled"
-        super().__init__(f"no witness of degree <= {b_max} ({kind} search)")
+        super().__init__(f"no witness of degree <= {b_max}")
+
+
+class SearchTooLarge(StrataError):
+    """An exhaustive search of one degree would scan more than _PREFIX_MAX prefixes."""
+
+    def __init__(self, b: int, n: int, prefixes: int):
+        self.b, self.n, self.prefixes = b, n, prefixes
+        super().__init__(
+            f"degree {b} over {n} points needs {prefixes} prefixes of size {b - 2}, "
+            f"more than the budget of {_PREFIX_MAX}"
+        )
 
 
 class ZeroSpan(StrataError):
@@ -191,7 +203,7 @@ def pullback_class(e: ExtensionClass, w: DivisorWitness) -> Restriction:
 @dataclass(frozen=True)
 class BlowupResult:
     index: int
-    bound: str  # "exact" | "upper-only"
+    bound: str  # always "exact": every degree is searched exhaustively
     witness: tuple
 
     def to_json_obj(self) -> dict:
@@ -214,15 +226,16 @@ def _projective_keys(vecs: np.ndarray, p: int) -> np.ndarray:
 def _first_witness(vec: np.ndarray, rows: np.ndarray, b: int, p: int):
     """Lexicographically first b-subset of row indices whose span contains vec.
 
-    Assumes no set of fewer than b rows has vec in its span, as holds once
-    every smaller degree was searched exhaustively.  A witness P + (j, k),
-    with P its first b - 2 indices, then forces rows j and k to have
-    proportional nonzero images modulo span(vec, P).  So each prefix P
-    buckets the later rows by their normalised projection from
-    span(vec, P), and every pair inside a bucket is confirmed by one exact
-    rank check, which rejects the collisions that come from dependent rows
-    rather than from vec.  Degree 1 compares each normalised row with vec
-    itself.  Returns None when no b-subset works.
+    Assumes no set of fewer than b rows has vec in its span, which
+    ``blowup_index_bruteforce`` guarantees by calling it for b = 1, 2, ...
+    in turn.  A witness P + (j, k), with P its first b - 2 indices, then
+    forces rows j and k to have proportional nonzero images modulo
+    span(vec, P).  So each prefix P buckets the later rows by their
+    normalised projection from span(vec, P), and every pair inside a
+    bucket is confirmed by one exact rank check, which rejects the
+    collisions that come from dependent rows rather than from vec.
+    Degree 1 compares each normalised row with vec itself.  Returns None
+    when no b-subset works.
     """
     if b == 1:
         same = (_projective_keys(rows, p) == _projective_keys(vec[None, :], p)).all(axis=1)
@@ -241,23 +254,14 @@ def _first_witness(vec: np.ndarray, rows: np.ndarray, b: int, p: int):
     return None
 
 
-def blowup_index_bruteforce(
-    e,
-    pool,
-    space: SectionSpace,
-    b_max: int,
-    rng=None,
-    sample_budget: int = 20000,
-) -> BlowupResult:
+def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int) -> BlowupResult:
     """Smallest degree of a reduced rational divisor whose span contains e.
 
-    Degrees <= 3, and larger ones while the subset count stays at most
-    _EXHAUSTIVE_MAX, are searched exhaustively by ``_first_witness`` and
-    return the lexicographically first witness of the pool.  Larger
-    degrees fall back to seeded random sampling; once a degree has been
-    sampled, any later answer is flagged as an upper bound.  The zero class
-    is split already: index 0 by convention.  Raises NotFound when nothing
-    of degree <= b_max works.
+    Every degree 1..b_max is searched exhaustively by ``_first_witness``,
+    so the answer is the lexicographically first witness of the pool and
+    always exact.  The zero class is split already: index 0 by convention.
+    Raises SearchTooLarge before a degree whose (b - 2)-prefixes exceed
+    _PREFIX_MAX, and NotFound when nothing of degree <= b_max works.
     """
     p = space.field.p
     vec = np.asarray(e.vec if isinstance(e, ExtensionClass) else e, dtype=np.int64) % p
@@ -267,23 +271,14 @@ def blowup_index_bruteforce(
     pts = list(pool)
     rows = evaluation_matrix(space, pts)
     n = len(pts)
-    exhaustive_so_far = True
     for b in range(1, b_max + 1):
-        if b <= 3 or math.comb(n, b) <= _EXHAUSTIVE_MAX:
-            found = _first_witness(vec, rows, b, p)
-            if found is not None:
-                bound = "exact" if exhaustive_so_far else "upper-only"
-                return BlowupResult(b, bound, tuple(pts[i] for i in found))
-            continue
-        rng = rng or np.random.default_rng(0)
-        for _ in range(sample_budget):
-            combo = rng.choice(n, size=b, replace=False)
-            sub = rows[combo]
-            if rank(np.vstack([sub, vec]), p) == rank(sub, p):
-                bound = "exact" if exhaustive_so_far else "upper-only"
-                return BlowupResult(b, bound, tuple(pts[int(i)] for i in combo))
-        exhaustive_so_far = False
-    raise NotFound(b_max, exhaustive_so_far)
+        prefixes = math.comb(n, max(b - 2, 0))
+        if prefixes > _PREFIX_MAX:
+            raise SearchTooLarge(b, n, prefixes)
+        found = _first_witness(vec, rows, b, p)
+        if found is not None:
+            return BlowupResult(b, "exact", tuple(pts[i] for i in found))
+    raise NotFound(b_max)
 
 
 def gonality_bounds(b: int, g: int, m: int, p_a: int) -> dict:
@@ -449,7 +444,7 @@ def blowup_sweep(
         idx_pts = rng.choice(len(pool), size=span_size, replace=False)
         e = class_in_span(space, [pool[int(i)] for i in idx_pts], rng)
         try:
-            res = blowup_index_bruteforce(e, pool, space, b_max, rng=rng)
+            res = blowup_index_bruteforce(e, pool, space, b_max)
             key = res.index
             results.append({"index": res.index, "bound": res.bound})
         except NotFound:

@@ -1,15 +1,19 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here is deliberately naive and self-contained (pure-python
-integers, no numpy tricks, no imports from the package's fast paths) so the
-production code can be checked against an implementation that shares
-nothing with it beyond the problem statement.
+integers, or one plain elimination batched over numpy arrays where a
+python loop would take minutes; no imports from the package's fast paths)
+so the production code can be checked against an implementation that
+shares nothing with it beyond the problem statement.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations, islice
+
+import numpy as np
 
 
 def naive_rank(rows: list[list[int]], p: int) -> int:
@@ -40,8 +44,6 @@ def naive_first_witness(vec: list[int], rows: list[list[int]], b: int, p: int):
     Every subset from itertools.combinations, decided by two naive ranks;
     None when no b-subset works.
     """
-    from itertools import combinations
-
     for combo in combinations(range(len(rows)), b):
         sub = [rows[i] for i in combo]
         if naive_rank(sub + [vec], p) == naive_rank(sub, p):
@@ -55,6 +57,55 @@ def naive_blowup_index(vec: list[int], rows: list[list[int]], b_max: int, p: int
         combo = naive_first_witness(vec, rows, b, p)
         if combo is not None:
             return b, combo
+    return None
+
+
+def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """Rank over Z/p of each matrix in a (batch, rows, cols) stack.
+
+    Gauss-Jordan on every matrix at once, column by column: the first
+    unused row with a nonzero entry is the pivot, it is scaled to 1 and
+    cleared from every other row.  No row swaps, so the ranks differ
+    freely across the batch.
+    """
+    mat = np.asarray(mats, dtype=np.int64) % p
+    batch, nrows, _ = mat.shape
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    used = np.zeros((batch, nrows), dtype=bool)
+    every = np.arange(batch)
+    for c in range(mat.shape[2]):
+        candidates = (mat[:, :, c] != 0) & ~used
+        has = candidates.any(axis=1)
+        piv = candidates.argmax(axis=1)
+        pivot_row = mat[every, piv] * inverse[mat[every, piv, c]][:, None] % p
+        factors = np.where(has[:, None], mat[:, :, c], 0)
+        factors[every, piv] = 0
+        mat = (mat - factors[:, :, None] * pivot_row[:, None, :]) % p
+        mat[every[has], piv[has]] = pivot_row[has]
+        used[every[has], piv[has]] = True
+    return used.sum(axis=1)
+
+
+def vectorised_blowup_index(vec, rows, b_max: int, p: int, chunk: int = 1 << 14):
+    """``naive_blowup_index`` with each chunk of subsets ranked in one batch.
+
+    Walks the b-subsets of row indices in lexicographic order, b = 1, 2,
+    ..., b_max, and returns (b, first subset whose span contains vec), or
+    None.  Fast enough to scan every subset of a degree with millions.
+    """
+    vec = np.asarray(vec, dtype=np.int64) % p
+    rows = np.asarray(rows, dtype=np.int64) % p
+    for b in range(1, b_max + 1):
+        subsets = combinations(range(rows.shape[0]), b)
+        while True:
+            block = np.array(list(islice(subsets, chunk)), dtype=np.int64)
+            if not block.size:
+                break
+            sub = rows[block]
+            with_vec = np.concatenate([sub, np.broadcast_to(vec, (len(block), 1, vec.size))], axis=1)
+            works = batched_rank(with_vec, p) == batched_rank(sub, p)
+            if works.any():
+                return b, tuple(int(i) for i in block[works.argmax()])
     return None
 
 

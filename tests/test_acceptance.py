@@ -252,7 +252,7 @@ def test_criterion_5_strata_equivalences_and_sweep():
     for size in (1, 2):
         pts = [pool[int(i)] for i in rng.choice(len(pool), size=size, replace=False)]
         e = class_in_span(space, pts, rng)
-        res = blowup_index_bruteforce(e, pool, space, 3, rng=rng)
+        res = blowup_index_bruteforce(e, pool, space, 3)
         if res.index > size:
             small_ok = False
     elapsed = time.monotonic() - t0

@@ -1,11 +1,16 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from jsonschema import validate as schema_validate
 
+from ribbonsyz import strata
 from ribbonsyz.cli import main
+from ribbonsyz.curves import random_split_cubic, rational_points
+from ribbonsyz.fflinalg import PrimeField
+from ribbonsyz.strata import ambient_space, make_witness, random_class, span_membership
 
 
 @pytest.fixture
@@ -277,12 +282,40 @@ class TestStrata:
             (("--seed", "2026", "--span-size", "200"), "--span-size 200 exceeds the 84 rational points"),
             (("--seed", "2026", "--sweep", "2", "--span-size", "85"), "--span-size 85 exceeds the 84"),
             (("--sweep", "-3"), "Invalid value for '--sweep'"),
+            (("--sweep", "2", "--bmax", "0"), "Invalid value for '--bmax'"),
+            (("--task", "blowup", "--bmax", "0"), "Invalid value for '--bmax'"),
+            (("--task", "blowup", "--bmax", "-3"), "Invalid value for '--bmax'"),
+            (("--sweep", "2", "--span-size", "-1"), "Invalid value for '--span-size'"),
+            (("--task", "blowup", "--span-size", "-1"), "Invalid value for '--span-size'"),
         ],
     )
     def test_argument_errors_exit_2(self, runner, args, message):
         res = runner.invoke(main, ["strata", "--curve", "elliptic-split", "--conormal", "-6", *args])
         assert res.exit_code == 2
         assert message in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    def test_every_degree_is_exact(self, runner):
+        # degree 5 over 96 points, far past 300 000 subsets: sampling
+        # 20 000 of them missed every witness here
+        res = run(runner, "strata", "--curve", "elliptic-split", "--conormal", "-8", "--span-size", "0", "--bmax", "5", "--format", "json")
+        obj = json.loads(res.output)
+        assert (obj["blowup_index"], obj["bound"]) == (5, "exact")
+        rng = np.random.default_rng(0)
+        model = random_split_cubic(PrimeField(101), rng)
+        space = ambient_space(model, 8)
+        e = random_class(space, rng)
+        by_name = {str(pt): pt for pt in rational_points(model)}
+        witness = make_witness(space, [by_name[name] for name in obj["witnesses"][0]])
+        assert witness.degree == 5 and span_membership(e, witness)
+
+    @pytest.mark.parametrize("task", [("--task", "blowup"), ("--sweep", "2")])
+    def test_search_too_large_exit_2(self, runner, monkeypatch, task):
+        # seed 2026 draws the 84-point pool; degree 3 scans 84 prefixes
+        monkeypatch.setattr(strata, "_PREFIX_MAX", 83)
+        res = runner.invoke(main, ["strata", "--curve", "elliptic-split", "--conormal", "-6", "--seed", "2026", *task])
+        assert res.exit_code == 2
+        assert "blow-up search too large: degree 3 over 84 points needs 84 prefixes" in res.output
         assert isinstance(res.exception, SystemExit)
 
     @pytest.mark.parametrize(
@@ -309,5 +342,8 @@ class TestStrata:
 def test_strata_witnesses_match_golden(runner, case):
     # recorded from the per-degree exhaustive search (one rank test per
     # subset) that the projection search replaced: indices, bounds,
-    # witnesses and sweep histograms must stay byte-identical
+    # witnesses and sweep histograms must stay byte-identical.  The four
+    # `--span-size 4 --bmax 4` cases of index 4 were recorded from the
+    # projection search itself, once degree 4 stopped being sampled; the
+    # vectorised oracle in test_strata confirms their witnesses.
     assert run(runner, *case["args"]).output == case["output"]

@@ -11,11 +11,13 @@ from ribbonsyz.curves import (
     rational_points,
 )
 from ribbonsyz.fflinalg import PrimeField, rank
+from ribbonsyz import strata
 from ribbonsyz.strata import (
-    _EXHAUSTIVE_MAX,
+    _PREFIX_MAX,
     EllipticGroup,
     ExtensionClass,
     NotFound,
+    SearchTooLarge,
     StrataError,
     ZeroSpan,
     ambient_space,
@@ -33,7 +35,7 @@ from ribbonsyz.strata import (
     _first_witness,
 )
 
-from oracles import naive_blowup_index
+from oracles import naive_blowup_index, vectorised_blowup_index
 
 F101 = PrimeField(101)
 
@@ -165,7 +167,7 @@ class TestBlowupIndex:
         for _ in range(10):
             pts = [pool[int(i)] for i in rng.choice(len(pool), size=2, replace=False)]
             e = class_in_span(space, pts, rng)
-            res = blowup_index_bruteforce(e, pool, space, 3, rng=rng)
+            res = blowup_index_bruteforce(e, pool, space, 3)
             assert res.index <= 2
             if res.index == 2:
                 exact_two += 1
@@ -184,7 +186,7 @@ class TestBlowupIndex:
             e = class_in_span(
                 space, [pool[int(i)] for i in rng.choice(len(pool), size=3, replace=False)], rng
             )
-            res = blowup_index_bruteforce(e, pool, space, 3, rng=rng)
+            res = blowup_index_bruteforce(e, pool, space, 3)
             assert 0 <= res.index <= bound
 
     def test_not_found_raises(self, elliptic):
@@ -202,15 +204,15 @@ class TestBlowupIndex:
         assert all(k in (2, 3) for k in hist)
 
 
-def assert_matches_naive(space, pool, e, b_max, rng):
+def assert_matches_naive(space, pool, e, b_max):
     """blowup_index_bruteforce against the itertools + naive_rank oracle."""
     p = space.field.p
     rows = evaluation_matrix(space, pool).tolist()
     expected = naive_blowup_index(e.vec.tolist(), rows, b_max, p)
     try:
-        res = blowup_index_bruteforce(e, pool, space, b_max, rng=rng)
-    except NotFound as exc:
-        assert expected is None and exc.exhaustive
+        res = blowup_index_bruteforce(e, pool, space, b_max)
+    except NotFound:
+        assert expected is None
         return None
     assert expected is not None
     b, combo = expected
@@ -221,13 +223,13 @@ def assert_matches_naive(space, pool, e, b_max, rng):
 class TestProjectionSearch:
     @pytest.mark.parametrize("p", [13, 17, 23])
     def test_matches_naive_oracle_small_fields(self, p):
-        # every degree up to 5 is exhaustive here, so degrees 4 and 5 run
-        # through the projection search too
+        # degrees 4 and 5 run through the projection search too, well
+        # inside the prefix budget
         field = PrimeField(p)
         model = random_split_cubic(field, np.random.default_rng(0))
         space = ambient_space(model, 8)
         pool = rational_points(model)
-        assert math.comb(len(pool), 5) <= _EXHAUSTIVE_MAX
+        assert math.comb(len(pool), 3) <= _PREFIX_MAX
         rng = np.random.default_rng(100 + p)
         seen = set()
         for span in (1, 2, 3, 4, 5, 5, 0, 0):
@@ -236,7 +238,7 @@ class TestProjectionSearch:
                 if span
                 else random_class(space, rng)
             )
-            seen.add(assert_matches_naive(space, pool, e, 5, rng))
+            seen.add(assert_matches_naive(space, pool, e, 5))
         assert {4, 5} <= seen
 
     def test_matches_naive_oracle_on_elliptic_pool(self, elliptic):
@@ -245,7 +247,7 @@ class TestProjectionSearch:
         rng = np.random.default_rng(16)
         for span in (1, 2, 3):
             e = class_in_span(space, [pool[int(i)] for i in rng.choice(len(pool), size=span, replace=False)], rng)
-            assert assert_matches_naive(space, pool, e, 3, rng) == span
+            assert assert_matches_naive(space, pool, e, 3) == span
 
     def test_dependent_pool_against_oracle(self):
         # four-dimensional rows over F_5: dependent rows and degenerate
@@ -283,6 +285,45 @@ class TestProjectionSearch:
         res = blowup_index_bruteforce(e, pool, space, 1)
         assert (res.index, res.witness) == (1, (pool[1],))
         assert span_membership(e, make_witness(space, res.witness))
+
+    @pytest.mark.parametrize(
+        "seed, witness",
+        [
+            (0, ("inf", (9, 61), (11, 93), (52, 94))),
+            (1, ("inf", (0, 26), (2, 95), (4, 79))),
+            (2, ("inf", (0, 92), (13, 73), (26, 0))),
+            (4, ("inf", (3, 100), (85, 10), (96, 59))),
+        ],
+    )
+    def test_degree_four_goldens_against_vectorised_oracle(self, seed, witness):
+        # the classes of the golden `--span-size 4 --bmax 4` CLI cases, drawn
+        # as the CLI draws them: no subset of degree <= 3, and no
+        # lexicographically earlier 4-subset, has the class in its span
+        rng = np.random.default_rng(seed)
+        model = random_split_cubic(F101, rng)
+        pool = rational_points(model)
+        space = ambient_space(model, 6)
+        e = class_in_span(space, [pool[int(i)] for i in rng.choice(len(pool), size=4, replace=False)], rng)
+        expected = vectorised_blowup_index(e.vec, evaluation_matrix(space, pool), 4, 101)
+        assert expected == (4, tuple(pool.index(pt) for pt in witness))
+        res = blowup_index_bruteforce(e, pool, space, 4)
+        assert (res.index, res.bound, res.witness) == (4, "exact", witness)
+
+    def test_search_too_large_raises_before_searching(self, elliptic, monkeypatch):
+        space = ambient_space(elliptic, 6)
+        pool = rational_points(elliptic)
+        rng = np.random.default_rng(18)
+        e = class_in_span(space, [pool[int(i)] for i in rng.choice(len(pool), size=3, replace=False)], rng)
+        assert blowup_index_bruteforce(e, pool, space, 3).index == 3
+        # degrees 1 and 2 have one empty prefix each; degree 3 has n
+        monkeypatch.setattr(strata, "_PREFIX_MAX", len(pool) - 1)
+        with pytest.raises(SearchTooLarge) as info:
+            blowup_index_bruteforce(e, pool, space, 3)
+        assert (info.value.b, info.value.n, info.value.prefixes) == (3, len(pool), len(pool))
+        assert f"degree 3 over {len(pool)} points needs {len(pool)} prefixes" in str(info.value)
+        # a witness found below the refused degree is still returned
+        e2 = class_in_span(space, pool[1:3], rng)
+        assert blowup_index_bruteforce(e2, pool, space, 3).index == 2
 
     def test_zero_span_raises_instead_of_looping(self):
         # the point at infinity spans {0} in H^0(2K - L)^* for L = -Pinf,
