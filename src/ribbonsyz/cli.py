@@ -5,13 +5,14 @@ seed) pairs produce byte-identical output.  Every JSON document is checked
 against the schema shipped in ribbonsyz/schemas before it is emitted.
 
 Exit codes: 0 success, 2 invalid configuration (including a curve that
-cannot be built, a ribbon with p_a < 3, a strata ``--bmax`` below 1 or
-``--span-size`` below 0, a strata span larger than the rational-point
-pool, a strata class asked for in a span that is {0}, a blow-up search
-whose degree has more prefixes than the search budget (SearchTooLarge),
-and ``--task w4`` on a curve that is not y^2 = cubic(x)), 3 smoothness
-certificate failure, 4 a genuine consistency contradiction in the green
-report (which would indicate a bug, not a mathematical discovery).
+cannot be built, a ribbon with p_a < 3, a strata ``--bmax`` below 1,
+``--span-size`` or ``--blowup-b`` below 0, a strata span larger than the
+rational-point pool, a strata class asked for in a span that is {0}, a
+blow-up search whose degree has more prefixes than the search budget
+(SearchTooLarge), and ``--task w4`` on a curve that is not
+y^2 = cubic(x)), 3 smoothness certificate failure, 4 a genuine
+consistency contradiction in the green report (which would indicate a
+bug, not a mathematical discovery).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from importlib import resources
 
 import click
 import numpy as np
-from jsonschema import validate as schema_validate
+from jsonschema.validators import validator_for
 
 from ribbonsyz.curves import (
     CurveError,
@@ -173,6 +174,15 @@ def _curve_info(model) -> dict:
     return info
 
 
+def schema_validate(obj: dict, schema: dict) -> None:
+    """Validate obj against a shipped schema, raising jsonschema's ValidationError.
+
+    The schema itself is not checked against its metaschema here (that
+    costs 10-20 ms a run); the test suite checks every shipped schema.
+    """
+    validator_for(schema)(schema).validate(obj)
+
+
 def _emit(obj: dict, schema_name: str, fmt: str, out_path, text: str | None):
     with resources.files("ribbonsyz.schemas").joinpath(schema_name).open() as fh:
         schema = json.load(fh)
@@ -279,7 +289,7 @@ def green(inject_fault, fmt, out_path, config_path, **flags):
 @click.option("--bmax", type=click.IntRange(min=1), default=3, help="Largest divisor degree searched.")
 @click.option("--sweep", "sweep_n", type=click.IntRange(min=1), default=None, help="Sweep this many constructed classes (implies --task sweep).")
 @click.option("--span-size", type=click.IntRange(min=0), default=3, help="Span size for constructed classes (0: a uniform class).")
-@click.option("--blowup-b", "blowup_b", type=int, default=0, help="Blow-up index for --task bounds.")
+@click.option("--blowup-b", "blowup_b", type=click.IntRange(min=0), default=0, help="Blow-up index for --task bounds.")
 def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path, **flags):
     """Blow-up index, W_4 witnesses, and gonality-bound computations."""
     cfg = _load_config(config_path, **flags)

@@ -86,6 +86,22 @@ def _monomials(q: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _powers(x: np.ndarray, top: int, p: int) -> np.ndarray:
+    """(len(x), top + 1) table whose column k is x**k mod p."""
+    out = np.ones((x.shape[0], top + 1), dtype=np.int64)
+    for k in range(1, top + 1):
+        out[:, k] = out[:, k - 1] * x % p
+    return out
+
+
+def _monomial_values(xyz: np.ndarray, monos, p: int) -> np.ndarray:
+    """(N, len(monos)) values of the exponent triples at the rows of xyz, mod p."""
+    e = np.array(monos, dtype=np.int64).reshape(-1, 3)
+    top = int(e.max(initial=0))
+    px, py, pz = (_powers(xyz[:, i], top, p) for i in range(3))
+    return px[:, e[:, 0]] * py[:, e[:, 1]] % p * pz[:, e[:, 2]] % p
+
+
 def _pmul(f: dict, g: dict, p: int) -> dict:
     out: dict = {}
     for ma, ca in f.items():
@@ -226,16 +242,17 @@ class PlaneCurve:
                     t[i, j, index[m]] = c
         return t
 
-    def on_curve(self, point) -> bool:
-        x, y, z = point
+    def _on_curve_rows(self, xyz: np.ndarray) -> np.ndarray:
+        """on_curve for each row of an (N, 3) array with entries in [0, p)."""
         p = self.field.p
-        if x % p == 0 and y % p == 0 and z % p == 0:
-            return False
-        v = sum(
-            c * pow(x, m[0], p) * pow(y, m[1], p) * pow(z, m[2], p)
-            for m, c in self.coeffs.items()
-        )
-        return v % p == 0
+        vals = _monomial_values(xyz, list(self.coeffs), p)
+        total = np.zeros(xyz.shape[0], dtype=np.int64)
+        for col, c in enumerate(self.coeffs.values()):
+            total = (total + vals[:, col] * c) % p
+        return xyz.any(axis=1) & (total == 0)
+
+    def on_curve(self, point) -> bool:
+        return bool(self._on_curve_rows(np.array([point], dtype=np.int64) % self.field.p)[0])
 
     def __repr__(self) -> str:
         return f"PlaneCurve(d={self.d}, g={self.genus}, p={self.field.p})"
@@ -364,13 +381,19 @@ class HyperellipticCurve:
                     t[i, j, index[(deg, ya or yb)]] = 1
         return t
 
+    def _on_curve_rows(self, xy: np.ndarray) -> np.ndarray:
+        """on_curve for each row of an (N, 2) array of affine points in [0, p)."""
+        p = self.field.p
+        x, y = xy[:, 0], xy[:, 1]
+        rhs = np.zeros(xy.shape[0], dtype=np.int64)
+        for c in reversed(self.h):
+            rhs = (rhs * x + c) % p
+        return y * y % p == rhs
+
     def on_curve(self, point) -> bool:
         if point == "inf":
             return True
-        x, y = point
-        p = self.field.p
-        rhs = sum(c * pow(x, k, p) for k, c in enumerate(self.h)) % p
-        return (y * y) % p == rhs
+        return bool(self._on_curve_rows(np.array([point], dtype=np.int64) % self.field.p)[0])
 
     def __repr__(self) -> str:
         return f"HyperellipticCurve(g={self.g}, p={self.field.p})"
@@ -449,6 +472,15 @@ def mult_map(sa: SectionSpace, sb: SectionSpace) -> MultMap:
 # ---------------------------------------------------------------------------
 
 
+def _plane_charts(p: int):
+    """The normalized triples [1:y:z], [0:1:z] and [0:0:1], one chart line at a time."""
+    zs = np.arange(p, dtype=np.int64)
+    for y in range(p):
+        yield np.column_stack([np.ones_like(zs), np.full_like(zs, y), zs])
+    yield np.column_stack([np.zeros_like(zs), np.ones_like(zs), zs])
+    yield np.array([[0, 0, 1]], dtype=np.int64)
+
+
 def rational_points(model, max_count: int | None = None) -> list:
     """Distinct F_p-rational points of the model, in a deterministic order.
 
@@ -459,19 +491,10 @@ def rational_points(model, max_count: int | None = None) -> list:
     p = model.field.p
     pts: list = []
     if isinstance(model, PlaneCurve):
-        for y in range(p):
-            for z in range(p):
-                if model.on_curve((1, y, z)):
-                    pts.append((1, y, z))
-                    if max_count and len(pts) >= max_count:
-                        return pts
-        for z in range(p):
-            if model.on_curve((0, 1, z)):
-                pts.append((0, 1, z))
-                if max_count and len(pts) >= max_count:
-                    return pts
-        if model.on_curve((0, 0, 1)):
-            pts.append((0, 0, 1))
+        for line in _plane_charts(p):
+            pts += [tuple(map(int, row)) for row in line[model._on_curve_rows(line)]]
+            if max_count and len(pts) >= max_count:
+                break
     else:
         pts.append("inf")
         squares: dict[int, list[int]] = {}
@@ -489,46 +512,43 @@ def rational_points(model, max_count: int | None = None) -> list:
 
 
 def evaluation_vector(space: SectionSpace, point) -> np.ndarray:
-    """Values of the basis sections at a point, well-defined up to scale.
-
-    Plane curves: plain monomial evaluation at any homogeneous
-    representative.  Hyperelliptic affine points likewise; at infinity the
-    local trivialization by t^{-tag} sends the (unique, by parity) basis
-    element of pole order exactly ``tag`` to 1 and all others to 0.
-    """
-    model = space.model
-    p = model.field.p
-    if not model.on_curve(point):
-        raise PointNotOnCurve(f"{point} does not lie on {model}")
-    if isinstance(model, PlaneCurve):
-        x, y, z = point
-        return np.array(
-            [
-                (pow(x, m[0], p) * pow(y, m[1], p) * pow(z, m[2], p)) % p
-                for m in space.basis
-            ],
-            dtype=np.int64,
-        )
-    if point == "inf":
-        return np.array(
-            [1 if model._pole_order(tok) == space.tag else 0 for tok in space.basis],
-            dtype=np.int64,
-        )
-    x, y = point
-    out = []
-    for i, has_y in space.basis:
-        v = pow(x, i, p)
-        if has_y:
-            v = (v * y) % p
-        out.append(v)
-    return np.array(out, dtype=np.int64)
+    """Values of the basis sections at one point: a one-row evaluation_matrix."""
+    return evaluation_matrix(space, [point])[0]
 
 
 def evaluation_matrix(space: SectionSpace, points) -> np.ndarray:
-    """Rows are the evaluation vectors of the given points."""
-    if not points:
-        return np.zeros((0, space.dim), dtype=np.int64)
-    return np.vstack([evaluation_vector(space, pt) for pt in points])
+    """Rows are the evaluation vectors of the given points, in one vectorised pass.
+
+    Each row is well-defined up to scale.  Plane curves: plain monomial
+    evaluation at any homogeneous representative.  Hyperelliptic affine
+    points likewise; at infinity the local trivialization by t^{-tag} sends
+    the (unique, by parity) basis element of pole order exactly ``tag`` to
+    1 and all others to 0.  Raises PointNotOnCurve, naming the first
+    offending point, before anything is evaluated.
+    """
+    model = space.model
+    p = model.field.p
+    points = list(points)
+    plane = isinstance(model, PlaneCurve)
+    # the points given by coordinates: all of them on a plane curve
+    listed = [i for i, pt in enumerate(points) if plane or pt != "inf"]
+    coords = np.array([points[i] for i in listed], dtype=np.int64).reshape(-1, 3 if plane else 2) % p
+    on = model._on_curve_rows(coords)
+    if not on.all():
+        raise PointNotOnCurve(f"{points[listed[int(np.argmin(on))]]} does not lie on {model}")
+    if plane:
+        return _monomial_values(coords, space.basis, p)
+    out = np.zeros((len(points), space.dim), dtype=np.int64)
+    out[[i for i, pt in enumerate(points) if pt == "inf"]] = [
+        1 if model._pole_order(tok) == space.tag else 0 for tok in space.basis
+    ]
+    if listed and space.dim:
+        expo = np.array([i for i, _ in space.basis], dtype=np.int64)
+        has_y = np.array([bool(y) for _, y in space.basis])
+        vals = _powers(coords[:, 0], int(expo.max()), p)[:, expo]
+        vals[:, has_y] = vals[:, has_y] * coords[:, 1:2] % p
+        out[listed] = vals
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ A ribbon with conormal bundle L on C is a nonzero functional e on
 H^0(K_C^2 L^{-1}) up to scale.  Its blow-up index is the least degree of an
 effective divisor whose span (in the embedding by |2K_C - L|) contains the
 point e, i.e. the secant order of e.  Divisors are restricted to reduced
-sets of rational points.  Every degree b is searched exhaustively, by one
-projection per (b - 2)-subset P: the later points are projected from
-span(e, P), points with proportional images are bucketed together, and
-each bucketed pair is confirmed by an exact rank test.  A degree with more
-than _PREFIX_MAX prefixes is refused up front (SearchTooLarge).  The
-result is labelled a rational-reduced blow-up index: an upper bound for
-the index over the algebraic closure, and equal to it whenever the
-witnessing divisor is rational and reduced.
+sets of rational points.  Every degree b is searched exhaustively, by
+projection from span(e, P) for each (b - 2)-subset P: the subsets are
+walked depth first, one rank-1 update for each point added to P, with
+the last point of P vectorised over a numpy stack; later points whose
+images agree up to scale share a key and a bucket, and each bucketed
+pair is confirmed, in lexicographic order, by an exact rank test.  A
+degree with more than _PREFIX_MAX prefixes is refused up front
+(SearchTooLarge).  The result is labelled a rational-reduced blow-up
+index: an upper bound for the index over the algebraic closure, and equal
+to it whenever the witnessing divisor is rational and reduced.
 
 The blow-up along a divisor splits the ribbon iff the restriction of e to
 the sections vanishing on the divisor is zero; push-out and pull-back give
@@ -60,8 +62,13 @@ __all__ = [
     "blowup_sweep",
 ]
 
-# (b - 2)-prefixes one degree may scan: about 30 s at ~105 us per prefix
+# (b - 2)-prefixes one degree may scan: about 8 s at ~27 us per prefix
+# (a full degree-5 scan of the 84-point pool in dimension 10: 2.5-2.7 s)
 _PREFIX_MAX = 300_000
+# int64 entries in one chunk of the last prefix level's projection stack
+# (32 KB): small enough to stop soon after the witness's chunk and to keep
+# the temporaries small, large enough to amortise numpy's per-call cost
+_STACK_ENTRIES = 1 << 12
 
 
 class StrataError(Exception):
@@ -214,13 +221,93 @@ class BlowupResult:
         }
 
 
-def _projective_keys(vecs: np.ndarray, p: int) -> np.ndarray:
-    """Each row scaled so that its first nonzero entry is 1; zero rows stay zero."""
-    if vecs.shape[1] == 0:
-        return vecs
-    lead = vecs[np.arange(vecs.shape[0]), (vecs != 0).argmax(axis=1)]
-    inv = np.array([pow(int(a), -1, p) if a else 0 for a in lead], dtype=np.int64)
-    return vecs * inv[:, None] % p
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """Entrywise a**(p - 2) mod p (Fermat): the inverse of each nonzero entry, 0 for 0."""
+    base = a % p
+    out = (base != 0).astype(np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _project(rows: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
+    """The rows modulo span(point) for each of the points: a (points, rows, dim) stack.
+
+    One rank-1 update per point clears the point's first nonzero column,
+    so two rows are proportional (or zero) modulo the point exactly when
+    their images are.  A zero point spans nothing and leaves the rows as
+    they are.
+    """
+    lead = (points != 0).argmax(axis=1)
+    f = rows[:, lead].T * _inverses(points[np.arange(len(points)), lead], p)[:, None] % p
+    return (rows[None] - f[:, :, None] * points[:, None, :]) % p
+
+
+def _bucket_pairs(stack: np.ndarray, first: np.ndarray, p: int) -> list:
+    """Triples (t, j, k), in lexicographic order, with stack[t, j] and stack[t, k]
+    nonzero, first[t] <= j < k, and equal scale-invariant keys.
+
+    Each vector is scaled so that its first nonzero entry is 1 and read as
+    base-p digits, wrapping modulo 2**64.  Proportional vectors therefore
+    always share a key; other vectors share one only by a wrapped collision,
+    which the caller's exact check rejects.
+    """
+    lead = np.take_along_axis(stack, (stack != 0).argmax(axis=2)[..., None], axis=2)[..., 0]
+    unit = stack * _inverses(lead, p)[..., None] % p
+    radix = np.array([pow(p, c, 1 << 64) for c in range(stack.shape[2])], dtype=np.uint64)
+    keys = unit.astype(np.uint64) @ radix
+    t, j = np.nonzero((lead != 0) & (np.arange(stack.shape[1]) >= first[:, None]))
+    k = keys[t, j]
+    order = np.lexsort((k, t))  # stable, and j already ascends within each t
+    t, j, k = t[order], j[order], k[order]
+    buckets: list[list[int]] = []
+    for a in np.flatnonzero((t[1:] == t[:-1]) & (k[1:] == k[:-1])).tolist():
+        if buckets and buckets[-1][-1] == a:
+            buckets[-1].append(a + 1)
+        else:
+            buckets.append([a, a + 1])
+    return sorted((int(t[g[0]]), int(j[x]), int(j[y])) for g in buckets for x, y in combinations(g, 2))
+
+
+def _confirm(vec: np.ndarray, rows: np.ndarray, candidates, p: int):
+    """The first candidate tuple of row indices whose span contains vec, or None."""
+    for cand in candidates:
+        sub = rows[list(cand)]
+        if rank(np.vstack([sub, vec]), p) == rank(sub, p):
+            return cand
+    return None
+
+
+def _walk(vec: np.ndarray, rows: np.ndarray, proj: np.ndarray, prefix: tuple, depth: int, p: int):
+    """First witness prefix + Q + (i, j, k), with Q of size ``depth``.
+
+    ``proj`` holds the rows modulo span(vec, prefix).  The walk is depth
+    first, with one rank-1 update for each point added to the prefix.  The
+    last prefix point i is vectorised: one (points, rows, dim) stack,
+    built a chunk of points at a time, projects every later row from
+    span(vec, prefix, i) for each i of the chunk.
+    """
+    n, d = rows.shape
+    first = prefix[-1] + 1 if prefix else 0
+    if depth:
+        for i in range(first, n - depth - 2):
+            found = _walk(vec, rows, _project(proj, proj[i : i + 1], p)[0], prefix + (i,), depth - 1, p)
+            if found is not None:
+                return found
+        return None
+    chunk = max(1, _STACK_ENTRIES // max(1, (n - first) * d))
+    for i0 in range(first, n - 2, chunk):
+        pts = proj[i0 : min(i0 + chunk, n - 2)]
+        stack = _project(proj[i0 + 1 :], pts, p)  # row r is row i0 + 1 + r of the pool
+        cands = _bucket_pairs(stack, np.arange(len(pts)), p)  # j > i: r >= t
+        found = _confirm(vec, rows, [prefix + (i0 + t, i0 + 1 + j, i0 + 1 + k) for t, j, k in cands], p)
+        if found is not None:
+            return found
+    return None
 
 
 def _first_witness(vec: np.ndarray, rows: np.ndarray, b: int, p: int):
@@ -230,28 +317,24 @@ def _first_witness(vec: np.ndarray, rows: np.ndarray, b: int, p: int):
     ``blowup_index_bruteforce`` guarantees by calling it for b = 1, 2, ...
     in turn.  A witness P + (j, k), with P its first b - 2 indices, then
     forces rows j and k to have proportional nonzero images modulo
-    span(vec, P).  So each prefix P buckets the later rows by their
-    normalised projection from span(vec, P), and every pair inside a
-    bucket is confirmed by one exact rank check, which rejects the
-    collisions that come from dependent rows rather than from vec.
-    Degree 1 compares each normalised row with vec itself.  Returns None
-    when no b-subset works.
+    span(vec, P).  The rows are projected from vec once, by a rank-1
+    update; degree 1 takes the first nonzero row that this kills.  Higher
+    degrees walk the prefixes P depth first (``_walk``), bucket the later
+    rows by the keys of their projections, and confirm every bucketed pair
+    in lexicographic order by one exact rank check, which rejects the
+    collisions that come from dependent rows (or from wrapped keys) rather
+    than from vec.  Returns None when no b-subset works.
     """
+    vec = np.asarray(vec, dtype=np.int64) % p
+    rows = np.asarray(rows, dtype=np.int64) % p
+    proj = _project(rows, vec[None], p)[0]
     if b == 1:
-        same = (_projective_keys(rows, p) == _projective_keys(vec[None, :], p)).all(axis=1)
-        return (int(np.argmax(same)),) if same.any() else None
-    for prefix in combinations(range(rows.shape[0]), b - 2):
-        start = prefix[-1] + 1 if prefix else 0
-        basis = kernel_basis(np.vstack([vec, rows[list(prefix)]]), p)
-        keys = _projective_keys(matmul_mod(rows[start:], basis, p), p)
-        buckets: dict[bytes, list[int]] = {}
-        for j in np.nonzero(keys.any(axis=1))[0]:
-            buckets.setdefault(keys[j].tobytes(), []).append(start + int(j))
-        for pair in sorted(pr for group in buckets.values() for pr in combinations(group, 2)):
-            sub = rows[list(prefix + pair)]
-            if rank(np.vstack([sub, vec]), p) == rank(sub, p):
-                return prefix + pair
-    return None
+        hit = rows.any(axis=1) & ~proj.any(axis=1)
+        return (int(np.argmax(hit)),) if hit.any() else None
+    if b == 2:
+        pairs = _bucket_pairs(proj[None], np.zeros(1, dtype=np.int64), p)
+        return _confirm(vec, rows, [(j, k) for _, j, k in pairs], p)
+    return _walk(vec, rows, proj, (), b - 3, p)
 
 
 def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int) -> BlowupResult:
@@ -287,7 +370,10 @@ def gonality_bounds(b: int, g: int, m: int, p_a: int) -> dict:
     upper: d <= min(b + 2m, floor((p_a + 3) / 2)), valid when
     p_a > 2g - 1 + 2m (and a smooth divisor in |-2L| exists, which the
     caller vouches for); lower: d >= b - (2g - 2), unconditional.
+    Raises StrataError for a negative b, which no class has.
     """
+    if b < 0:
+        raise StrataError(f"a blow-up index is at least 0, got {b}")
     return {
         "upper": min(b + 2 * m, (p_a + 3) // 2),
         "upper_valid": p_a > 2 * g - 1 + 2 * m,

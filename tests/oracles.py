@@ -60,6 +60,17 @@ def naive_blowup_index(vec: list[int], rows: list[list[int]], b_max: int, p: int
     return None
 
 
+def fermat_inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """a**(p - 2) mod p entrywise, by square and multiply (p < 2**31)."""
+    out = np.ones_like(a)
+    base = a % p
+    for bit in bin(p - 2)[2:]:
+        out = out * out % p
+        if bit == "1":
+            out = out * base % p
+    return out
+
+
 def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Rank over Z/p of each matrix in a (batch, rows, cols) stack.
 
@@ -70,14 +81,13 @@ def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """
     mat = np.asarray(mats, dtype=np.int64) % p
     batch, nrows, _ = mat.shape
-    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
     used = np.zeros((batch, nrows), dtype=bool)
     every = np.arange(batch)
     for c in range(mat.shape[2]):
         candidates = (mat[:, :, c] != 0) & ~used
         has = candidates.any(axis=1)
         piv = candidates.argmax(axis=1)
-        pivot_row = mat[every, piv] * inverse[mat[every, piv, c]][:, None] % p
+        pivot_row = mat[every, piv] * fermat_inverse(mat[every, piv, c], p)[:, None] % p
         factors = np.where(has[:, None], mat[:, :, c], 0)
         factors[every, piv] = 0
         mat = (mat - factors[:, :, None] * pivot_row[:, None, :]) % p

@@ -1,10 +1,12 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from jsonschema import validate as schema_validate
+from jsonschema.validators import validator_for
 
 from ribbonsyz import strata
 from ribbonsyz.cli import main
@@ -287,6 +289,7 @@ class TestStrata:
             (("--task", "blowup", "--bmax", "-3"), "Invalid value for '--bmax'"),
             (("--sweep", "2", "--span-size", "-1"), "Invalid value for '--span-size'"),
             (("--task", "blowup", "--span-size", "-1"), "Invalid value for '--span-size'"),
+            (("--task", "bounds", "--blowup-b", "-1"), "Invalid value for '--blowup-b'"),
         ],
     )
     def test_argument_errors_exit_2(self, runner, args, message):
@@ -294,6 +297,13 @@ class TestStrata:
         assert res.exit_code == 2
         assert message in res.output
         assert isinstance(res.exception, SystemExit)
+
+    def test_negative_blowup_index_exit_2(self, runner):
+        # it used to print a gonality bound of -3 as valid
+        res = runner.invoke(main, ["strata", *HYP2, "--task", "bounds", "--blowup-b", "-7"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--blowup-b'" in res.output
+        assert "upper" not in res.output
 
     def test_every_degree_is_exact(self, runner):
         # degree 5 over 96 points, far past 300 000 subsets: sampling
@@ -336,6 +346,15 @@ class TestStrata:
         a = run(runner, *args).output
         b = run(runner, *args).output
         assert a == b
+
+
+@pytest.mark.parametrize("name", ["betti.json", "green.json", "strata.json"])
+def test_shipped_schema_is_valid(name):
+    # the CLI validates documents without re-checking the schema itself
+    with resources.files("ribbonsyz.schemas").joinpath(name).open() as fh:
+        schema = json.load(fh)
+    validator_for(schema).check_schema(schema)
+    assert validator_for(schema).META_SCHEMA["$id"].startswith(schema["$schema"].rstrip("#"))
 
 
 @pytest.mark.parametrize("case", STRATA_GOLDEN, ids=_golden_id)

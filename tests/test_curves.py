@@ -239,6 +239,61 @@ class TestEvaluation:
         assert not np.any(v)
 
 
+def pointwise_evaluation(space, point, p: int) -> list[int]:
+    """One point's evaluation vector by python-integer pow, basis element by basis element."""
+    model = space.model
+    if isinstance(model, PlaneCurve):
+        x, y, z = point
+        return [pow(x, a, p) * pow(y, b, p) * pow(z, c, p) % p for a, b, c in space.basis]
+    if point == "inf":
+        return [int(model._pole_order(tok) == space.tag) for tok in space.basis]
+    x, y = point
+    return [pow(x, i, p) * (y if has_y else 1) % p for i, has_y in space.basis]
+
+
+class TestVectorisedEvaluation:
+    def test_matches_pointwise_reference(self, quartic, hyp2):
+        for model, tags in [(quartic, range(-1, 6)), (hyp2, range(-1, 12)), (HyperellipticCurve(F101, [0, 1]), range(4))]:
+            pts = rational_points(model)
+            for tag in tags:
+                space = model.sections(tag)
+                want = [pointwise_evaluation(space, pt, 101) for pt in pts]
+                assert evaluation_matrix(space, pts).tolist() == want
+                assert evaluation_matrix(space, []).shape == (0, space.dim)
+
+    @pytest.mark.parametrize("p", [1048573, 2147483647])
+    def test_large_p_does_not_overflow(self, p):
+        # one planted point per model, with representatives and coordinates
+        # far outside [0, p) for the plane curve
+        rng = np.random.default_rng(p % 1000)
+        field = PrimeField(p)
+        x0, y0 = (int(v) for v in rng.integers(1, p, 2))
+        h = [0, int(rng.integers(1, p)), 0, 0, 0, 1]
+        h[0] = (y0 * y0 - pow(x0, 5, p) - h[1] * x0) % p
+        hyp = HyperellipticCurve(field, h)
+        plane_coeffs = {m: int(c) for m, c in zip([(4, 0, 0), (3, 1, 0), (1, 2, 1), (0, 4, 0)], rng.integers(1, p, 4))}
+        plane_coeffs[(0, 0, 4)] = -sum(c * pow(x0, a, p) * pow(y0, b, p) for (a, b, _), c in plane_coeffs.items()) % p
+        plane = PlaneCurve(field, plane_coeffs, 4)
+        for model, pts in [
+            (hyp, ["inf", (x0, y0), (x0, p - y0), (x0 + 3 * p, y0 - 2 * p)]),
+            (plane, [(x0, y0, 1), (x0 * 5 % p, y0 * 5 % p, 5), (x0 - 7 * p, y0 + p, 1 + p)]),
+        ]:
+            for tag in (4, 9):
+                space = model.sections(tag)
+                want = [pointwise_evaluation(space, pt, p) for pt in pts]
+                assert evaluation_matrix(space, pts).tolist() == want
+                assert [evaluation_vector(space, pt).tolist() for pt in pts] == want
+
+    def test_first_point_off_the_curve_is_named(self, quartic, hyp2):
+        good = rational_points(quartic)[0]
+        with pytest.raises(PointNotOnCurve, match=r"\(1, 0, 0\) does not lie"):
+            evaluation_matrix(quartic.sections(2), [good, (1, 0, 0), (0, 0, 0)])
+        with pytest.raises(PointNotOnCurve, match=r"\(0, 0, 0\) does not lie"):
+            evaluation_matrix(quartic.sections(2), [good, (0, 0, 0)])
+        with pytest.raises(PointNotOnCurve, match=r"\(0, 2\) does not lie"):
+            evaluation_matrix(hyp2.sections(5), ["inf", rational_points(hyp2)[1], (0, 2)])
+
+
 class TestGenusDegenerations:
     def test_genus1_cubic(self):
         e = HyperellipticCurve(F101, [1, 1, 0, 1])  # y^2 = x^3 + x + 1

@@ -149,6 +149,24 @@ class TestDriftReset:
         assert fired[0] > 0 and fired[1] > 2 * fired[0]  # forward and backward passes
         assert np.array_equal(np.mod(w, p).astype(np.int64), s)
 
+    @pytest.mark.parametrize("p", [2, 13, 101, 65521, 1048573])
+    def test_mod_inplace_is_exact(self, p):
+        # negative intermediates, exact multiples and their neighbours, where
+        # floor(x/p) misrounds (to -1 at p = 13, to p at p = 65521), and
+        # values near 2**53 - p, in a matrix of several row blocks
+        from ribbonsyz.fflinalg import _MOD_BLOCK, _mod_inplace
+
+        g = rng(5)
+        top = (1 << 53) - p
+        near = g.integers(-top // p, top // p, 2 * _MOD_BLOCK) * p
+        ints = np.concatenate(
+            [g.integers(-top, top, 2 * _MOD_BLOCK), near, near - 1, near + 1, [p, -p, top - 1, 1 - top]]
+        )
+        x = ints.astype(np.float64).reshape(-1, 4)
+        assert x.shape[0] > _MOD_BLOCK // 4
+        assert _mod_inplace(x, p) is x
+        assert np.array_equal(x.ravel().astype(np.int64), ints % p)
+
     @pytest.mark.parametrize("p", [1048573, 101])
     def test_sloppy_mod_output_range(self, p):
         from ribbonsyz.fflinalg import _sloppy_mod_inplace

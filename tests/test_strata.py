@@ -32,10 +32,13 @@ from ribbonsyz.strata import (
     span_membership,
     w4_witnesses_elliptic,
     wd_containment_check,
+    _STACK_ENTRIES,
+    _bucket_pairs,
     _first_witness,
+    _inverses,
 )
 
-from oracles import naive_blowup_index, vectorised_blowup_index
+from oracles import naive_blowup_index, naive_first_witness, vectorised_blowup_index
 
 F101 = PrimeField(101)
 
@@ -362,6 +365,119 @@ class TestProjectionSearch:
         assert naive_blowup_index(vec.tolist(), rows.tolist(), 3, p) == (3, (0, 3, 4))
 
 
+def structured_pool(rng, p: int, n: int, d: int) -> np.ndarray:
+    """Random rows plus a base point, a duplicate, a scaled copy and a sum."""
+    rows = rng.integers(0, p, (n, d))
+    rows[3] = 0
+    rows[7] = rows[2]
+    rows[9] = rows[5] * 3 % p
+    rows[10] = (rows[0] + rows[1]) % p
+    return rows
+
+
+def search_index(vec, rows, b_max: int, p: int):
+    """(degree, witness) from _first_witness called for b = 1, 2, ... in turn."""
+    for b in range(1, b_max + 1):
+        found = _first_witness(vec, rows, b, p)
+        if found is not None:
+            return b, found
+    return None
+
+
+class TestDifferentialSearch:
+    """The depth-first search against the naive and vectorised oracles."""
+
+    @pytest.mark.parametrize("p", [13, 101, 1048573])
+    def test_structured_pools_against_both_oracles(self, p):
+        # base point, duplicate and dependent rows; degrees up to 5, so
+        # the prefixes of size 2 and 3 go through the depth-first walk
+        rng = np.random.default_rng(p % 1000)
+        n, d = 12, 6
+        rows = structured_pool(rng, p, n, d)
+        seen = set()
+        for span in (1, 2, 3, 4, 5, 5, 6):
+            vec = rng.integers(0, p, span) @ rows[rng.choice(n, span, replace=False)] % p
+            if not vec.any():
+                continue
+            got = search_index(vec, rows, 5, p)
+            assert got == vectorised_blowup_index(vec, rows, 5, p)
+            b_found = got[0] if got else 6
+            for b in range(1, min(b_found, 5) + 1):
+                want = naive_first_witness(vec.tolist(), rows.tolist(), b, p)
+                assert _first_witness(vec, rows, b, p) == want
+            seen.add(b_found)
+        assert {4, 5} <= seen
+
+    @pytest.mark.parametrize("p", [13, 101, 1048573])
+    def test_pool_larger_than_one_chunk(self, p):
+        # the last prefix level spans several chunks of the projection stack
+        rng = np.random.default_rng(p % 997)
+        n, d = 32, 6
+        assert n - 2 > _STACK_ENTRIES // (n * d)
+        rows = structured_pool(rng, p, n, d)
+        for span in (3, 4, 5):
+            pick = rng.choice(np.arange(11, n), span, replace=False)  # late rows
+            vec = rng.integers(1, p, span) @ rows[pick] % p
+            got = search_index(vec, rows, 5, p)
+            assert got == vectorised_blowup_index(vec, rows, 5, p)
+            assert got is not None and got[0] <= span
+
+    @pytest.mark.parametrize("p", [101, 1048573])
+    def test_witness_at_every_position(self, p, monkeypatch):
+        # chunks of about three points: a planted witness ends a walk level,
+        # starts or ends a chunk, or takes the pool's last rows
+        n, d = 16, 6
+        monkeypatch.setattr(strata, "_STACK_ENTRIES", 3 * n * d)
+        rng = np.random.default_rng(p % 983)
+        rows = rng.integers(1, p, (n, d))
+        planted = [(i, n - 2, n - 1) for i in range(n - 2)]
+        planted += [(0, i, n - 2, n - 1) for i in range(1, n - 2)] + [tuple(range(n - 4, n))]
+        planted += [(0, 1, i, n - 2, n - 1) for i in range(2, n - 2)] + [tuple(range(n - 5, n))]
+        for pick in planted:
+            vec = rng.integers(1, p, len(pick)) @ rows[list(pick)] % p
+            got = search_index(vec, rows, 5, p)
+            assert got == vectorised_blowup_index(vec, rows, 5, p)
+            assert got[0] <= len(pick)
+            if p > 1000:  # no other subset meets the class, with near certainty
+                assert got == (len(pick), pick)
+
+    @pytest.mark.parametrize("p", [13, 101, 1048573])
+    def test_prefix_spanning_the_whole_space_at_degree_five(self, p):
+        # the rows span a hyperplane and vec lies off it: every prefix that
+        # spans the hyperplane spans the whole space with vec, and no degree works
+        rng = np.random.default_rng(p % 991)
+        rows = np.zeros((9, 4), dtype=np.int64)
+        rows[:, :3] = rng.integers(0, p, (9, 3))
+        rows[4] = 0
+        rows[6] = rows[1]
+        vec = np.array([1, 2, 3, 1], dtype=np.int64)
+        assert search_index(vec, rows, 5, p) is None
+        assert vectorised_blowup_index(vec, rows, 5, p) is None
+        for b in (4, 5):
+            assert naive_first_witness(vec.tolist(), rows.tolist(), b, p) is None
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 1048573, 2147483647])
+    def test_inverses(self, p):
+        a = np.concatenate([np.arange(min(p, 500)), np.random.default_rng(0).integers(0, p, 500)])
+        inv = _inverses(a, p)
+        assert np.array_equal(a * inv % p, (a % p != 0).astype(np.int64))
+
+    @pytest.mark.parametrize("p", [13, 101, 1048573, 2147483647])
+    def test_proportional_vectors_share_a_bucket(self, p):
+        # the keys of 8 entries wrap modulo 2**64 at the two largest p;
+        # proportional rows must still meet in one bucket
+        rng = np.random.default_rng(1)
+        x = rng.integers(0, p, (5, 8))
+        x[:, 0] = 0  # leading zeros
+        scale = rng.integers(1, p, 5)
+        stack = np.concatenate([x, x * scale[:, None] % p, np.zeros((2, 8), dtype=np.int64)])
+        pairs = _bucket_pairs(np.stack([stack, stack]), np.array([0, 3]), p)
+        assert {(0, i, i + 5) for i in range(5)} | {(1, i, i + 5) for i in range(3, 5)} <= set(pairs)
+        assert all(j >= 3 for t, j, _ in pairs if t == 1)
+        assert all(10 not in pair and 11 not in pair for pair in pairs)  # zero rows are never bucketed
+        assert pairs == sorted(pairs)
+
+
 class TestGonalityBounds:
     def test_split_hyperelliptic_case(self):
         # b = 0, g = 2, m = 2, p_a = 8: upper = min(4, 5) = 4 = expected gonality
@@ -375,6 +491,10 @@ class TestGonalityBounds:
     def test_quartic_hypothesis_fails(self):
         out = gonality_bounds(0, 3, 3, 9)
         assert not out["upper_valid"]  # 9 <= 2*3 - 1 + 6 = 11
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(StrataError, match="at least 0"):
+            gonality_bounds(-7, 2, 2, 8)
 
 
 class TestEllipticGroupAndW4:
