@@ -9,7 +9,9 @@ cannot be built, a ribbon with p_a < 3, a strata ``--bmax`` below 1,
 ``--span-size`` or ``--blowup-b`` below 0, a strata span larger than the
 rational-point pool, a strata class asked for in a span that is {0}, a
 blow-up search whose degree has more prefixes than the search budget
-(SearchTooLarge), and ``--task w4`` on a curve that is not
+(SearchTooLarge), a strata task whose rational points would take more
+candidates to scan than the point budget (PointScanTooLarge), and
+``--task w4`` on a curve that is not
 y^2 = cubic(x)), 3 smoothness certificate failure, 4 a genuine
 consistency contradiction in the green report (which would indicate a
 bug, not a mathematical discovery).
@@ -30,6 +32,7 @@ from ribbonsyz.curves import (
     HyperellipticCurve,
     NotSmooth,
     PlaneCurve,
+    PointScanTooLarge,
     random_hyperelliptic,
     random_plane_curve,
     random_split_cubic,
@@ -300,7 +303,10 @@ def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path,
         task = "sweep"
     obj: dict = {"command": "strata", "p": field.p, "seed": cfg["seed"], "task": task}
     if task in ("blowup", "sweep"):
-        pool = rational_points(model)
+        try:
+            pool = rational_points(model)
+        except PointScanTooLarge as exc:
+            raise click.UsageError(f"rational points: {exc}")
         if span_size > len(pool):
             raise click.UsageError(f"--span-size {span_size} exceeds the {len(pool)} rational points")
     if task == "blowup":
@@ -328,7 +334,7 @@ def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path,
     elif task == "w4":
         try:
             wits, skipped = w4_witnesses_elliptic(model, t)
-        except StrataError as exc:
+        except (StrataError, PointScanTooLarge) as exc:
             raise click.UsageError(str(exc))
         obj.update(
             {

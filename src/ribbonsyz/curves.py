@@ -31,6 +31,7 @@ __all__ = [
     "WrongDegree",
     "TargetOverflow",
     "PointNotOnCurve",
+    "PointScanTooLarge",
     "PlaneCurve",
     "HyperellipticCurve",
     "SectionSpace",
@@ -48,6 +49,13 @@ __all__ = [
 # precomputed-range contract; generous for desk scale.
 _PLANE_TAG_MAX = 64
 _HYP_TAG_MAX = 1024
+# Candidates rational_points may scan: the p^2 + p + 1 normalized triples
+# of a plane model, the p x-coordinates of a hyperelliptic one.  Measured
+# at 0.5-1.0 us a plane triple (quartics and quintics, p = 1009 and 2003)
+# and about 4.5 us a hyperelliptic x (p = 10^5 and 10^6), so a scan at the
+# budget takes about 1-2 s on a plane model and about 10 s on a
+# hyperelliptic one.
+_POINT_SCAN_MAX = 1 << 21
 
 
 class CurveError(Exception):
@@ -68,6 +76,10 @@ class TargetOverflow(CurveError):
 
 class PointNotOnCurve(CurveError):
     pass
+
+
+class PointScanTooLarge(CurveError):
+    """Enumerating the rational points would scan more candidates than the budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +498,16 @@ def rational_points(model, max_count: int | None = None) -> list:
 
     Plane curves: normalized homogeneous triples, charts [1:y:z], [0:1:z],
     [0:0:1] in that order.  Hyperelliptic: the point at infinity first,
-    then affine (x, y) sorted by x then y.
+    then affine (x, y) sorted by x then y.  Raises PointScanTooLarge,
+    before scanning anything, when the full scan has more than
+    ``_POINT_SCAN_MAX`` candidates.
     """
     p = model.field.p
+    candidates = p * p + p + 1 if isinstance(model, PlaneCurve) else p
+    if candidates > _POINT_SCAN_MAX:
+        raise PointScanTooLarge(
+            f"{candidates} candidate points over F_{p}, more than the scan budget of {_POINT_SCAN_MAX}"
+        )
     pts: list = []
     if isinstance(model, PlaneCurve):
         for line in _plane_charts(p):

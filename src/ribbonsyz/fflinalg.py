@@ -144,7 +144,9 @@ def _eliminate_simple(
     for col in range(m):
         if row >= n:
             break
-        nz = np.nonzero(a[row:, col])[0]
+        # method calls and broadcasting keep the per-pivot python overhead,
+        # which dominates on small weight blocks, low
+        nz = a[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pr = row + int(nz[0])
@@ -154,19 +156,18 @@ def _eliminate_simple(
                 order[[row, pr]] = order[[pr, row]]
         inv = pow(int(a[row, col]), -1, p)
         a[row, col:] = (a[row, col:] * inv) % p
-        below = a[row + 1 :, col]
-        hit = np.nonzero(below)[0]
+        hit = a[row + 1 :, col].nonzero()[0]
         if hit.size:
             rows = hit + row + 1
-            a[rows, col:] = (a[rows, col:] - np.outer(a[rows, col], a[row, col:])) % p
+            a[rows, col:] = (a[rows, col:] - a[rows, col, None] * a[row, col:]) % p
         pivots.append(col)
         row += 1
     if reduced:
         for i in reversed(range(len(pivots))):
             col = pivots[i]
-            above = np.nonzero(a[:i, col])[0]
+            above = a[:i, col].nonzero()[0]
             if above.size:
-                a[above, col:] = (a[above, col:] - np.outer(a[above, col], a[i, col:])) % p
+                a[above, col:] = (a[above, col:] - a[above, col, None] * a[i, col:]) % p
     return pivots
 
 

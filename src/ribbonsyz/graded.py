@@ -6,6 +6,17 @@ downstream (Koszul differentials, Betti tables, syzygy modules) consumes
 only the data held here -- per-degree dimensions and explicit action
 matrices.  Pieces of a module may equally well be cohomology subquotients;
 nothing in this module assumes they are section spaces.
+
+Weights.  A module may carry an integer weight for each basis vector of
+each piece and of V (the canonical ring S~ = S (+) epsilon J of a split
+ribbon puts S at epsilon-weight 0 and epsilon J at weight 1).  They are a
+claim, not a fact: ``GradedModule.respects_weights`` is the exact
+certificate that every x_k maps weight w of M_q into weight
+w + weight(x_k) of M_{q+1}, and only a certified module is split by
+weight downstream (``koszul.KoszulCalculator``).  ``as_module``,
+``module_restrict_action`` and ``subquotient`` pass the weights on to the
+basis columns they keep, and drop them when a kept column is not
+homogeneous.
 """
 
 from __future__ import annotations
@@ -51,13 +62,17 @@ class GradedModule:
 
     ``action[q]`` has shape (n, dim M_{q+1}, dim M_q): the matrix of the
     k-th distinguished basis vector of V is ``action[q][k]``.  The action
-    must commute: x.(y.m) = y.(x.m).
+    must commute: x.(y.m) = y.(x.m).  ``v_weights`` (length n) and
+    ``weights`` (one array per piece) are the optional integer weights of
+    the basis vectors, both given or both None.
     """
 
     field: PrimeField
     n: int
     pieces: tuple[int, ...]
     action: tuple[np.ndarray, ...]
+    v_weights: np.ndarray | None = None
+    weights: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         if len(self.action) != len(self.pieces) - 1:
@@ -66,10 +81,36 @@ class GradedModule:
             want = (self.n, self.pieces[q + 1], self.pieces[q])
             if a.shape != want:
                 raise InconsistentDims(f"action[{q}] has shape {a.shape}, expected {want}")
+        if (self.v_weights is None) != (self.weights is None):
+            raise InconsistentDims("give weights for V and for the pieces, or for neither")
+        if self.weights is not None:
+            vw = np.asarray(self.v_weights, dtype=np.int64)
+            ws = tuple(np.asarray(w, dtype=np.int64) for w in self.weights)
+            if vw.shape != (self.n,) or tuple(w.shape for w in ws) != tuple((d,) for d in self.pieces):
+                raise InconsistentDims("need one weight per basis vector of V and of each piece")
+            object.__setattr__(self, "v_weights", vw)
+            object.__setattr__(self, "weights", ws)
 
     @property
     def window(self) -> int:
         return len(self.pieces) - 1
+
+    def respects_weights(self) -> bool:
+        """The exact weight certificate: every action tensor vanishes outside its weight blocks.
+
+        True when weights are given and each x_k maps the weight-w basis
+        vectors of M_q into the span of the weight w + v_weights[k] ones of
+        M_{q+1}, for every q; False otherwise.
+        """
+        if self.weights is None:
+            return False
+        for q, a in enumerate(self.action):
+            allowed = self.weights[q + 1][None, :, None] == (
+                self.v_weights[:, None, None] + self.weights[q][None, None, :]
+            )
+            if np.any(np.where(allowed, 0, a)):
+                return False
+        return True
 
     def check_commutativity(self) -> None:
         """Verify that every pair of basis vectors of V commutes in the action.
@@ -107,7 +148,8 @@ class GradedModule:
         C_q-coordinates off the same rows.  Raises NotASubmodule when some
         x_k maps sub_{q-1} outside sub_q or rel_{q-1} outside rel_q, and
         NotASubspace when rel_q is dependent or (sub_q being a basis) not
-        inside span(sub_q).
+        inside span(sub_q).  Weights pass to the kept columns of sub_q, and
+        are dropped when one of them is not homogeneous.
         """
         p, n = self.field.p, self.n
         if len(sub) != len(self.pieces) or len(rel) != len(self.pieces):
@@ -138,7 +180,19 @@ class GradedModule:
                 action.append(np.ascontiguousarray(coords[:, :, :c].transpose(1, 0, 2)))
             comps.append(s[:, [ns - 1 - t for t in reversed(picked)]])
             prev = np.hstack([comps[-1], r])
-        return GradedModule(self.field, n, tuple(cm.shape[1] for cm in comps), tuple(action))
+        weights = None
+        if self.weights is not None:
+            weights = tuple(_column_weights(c, w) for c, w in zip(comps, self.weights))
+            if any(w is None for w in weights):
+                weights = None
+        return GradedModule(
+            self.field,
+            n,
+            tuple(cm.shape[1] for cm in comps),
+            tuple(action),
+            None if weights is None else self.v_weights,
+            weights,
+        )
 
 
 class GradedAlgebra:
@@ -147,14 +201,20 @@ class GradedAlgebra:
     ``mult[(a, b)]`` (for 1 <= a <= b, a + b <= window) has shape
     (dims[a], dims[b], dims[a+b]).  Degree 0 is one-dimensional with the
     basis vector acting as the unit; multiplication by degree 0 is
-    structural and not stored.
+    structural and not stored.  ``weights``, when given, holds one integer
+    weight per basis vector of each degree; ``as_module`` hands them on.
     """
 
-    def __init__(self, field: PrimeField, dims, mult: dict, validate: bool = True):
+    def __init__(self, field: PrimeField, dims, mult: dict, validate: bool = True, weights=None):
         self.field = field
         self.dims = tuple(int(d) for d in dims)
         if not self.dims or self.dims[0] != 1:
             raise InconsistentDims("dims[0] must be 1 (the unit)")
+        self.weights = None
+        if weights is not None:
+            self.weights = tuple(np.asarray(w, dtype=np.int64) for w in weights)
+            if tuple(w.shape for w in self.weights) != tuple((d,) for d in self.dims):
+                raise InconsistentDims("need one weight per basis vector of each degree")
         self.mult = {}
         for (a, b), t in mult.items():
             if a > b:
@@ -211,12 +271,13 @@ class GradedAlgebra:
                             raise GradedError(f"associativity fails on degrees ({a},{b},{c})")
 
     def as_module(self) -> GradedModule:
-        """The algebra as a module over itself, acted on by V = degree 1."""
+        """The algebra as a module over itself, acted on by V = degree 1, weights kept."""
         action = []
         for q in range(self.window):
             t = self.tensor(1, q)
             action.append(np.ascontiguousarray(np.swapaxes(t, 1, 2)))
-        return GradedModule(self.field, self.dims[1], self.dims, tuple(action))
+        v_weights = None if self.weights is None else self.weights[1]
+        return GradedModule(self.field, self.dims[1], self.dims, tuple(action), v_weights, self.weights)
 
     def artinian_reduction(self, l1, l2) -> GradedModule | None:
         """The algebra cut by two linear forms, or None if they are not certified.
@@ -302,7 +363,10 @@ def algebra_from_sections(spaces: list[SectionSpace], validate: bool = True) -> 
 
 
 def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> GradedModule:
-    """Same pieces, action restricted to a subspace of V given by basis columns."""
+    """Same pieces, action restricted to a subspace of V given by basis columns.
+
+    The weights stay when every basis column is homogeneous in V.
+    """
     p = module.field.p
     b = np.asarray(subspace, dtype=np.int64) % p
     if b.ndim != 2 or b.shape[0] != module.n:
@@ -310,15 +374,18 @@ def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> Graded
     k = b.shape[1]
     if k and rank(b, p) != k:
         raise NotASubspace("basis columns are dependent")
-    action = []
-    for q in range(module.window):
-        old = module.action[q]
-        new = np.zeros((k, module.pieces[q + 1], module.pieces[q]), dtype=np.int64)
-        for j in range(k):
-            acc = np.zeros_like(new[j])
-            for i in range(module.n):
-                if b[i, j]:
-                    acc = (acc + int(b[i, j]) * old[i]) % p
-            new[j] = acc
-        action.append(new)
-    return GradedModule(module.field, k, module.pieces, tuple(action))
+    action = tuple(
+        matmul_mod(b.T, a.reshape(module.n, -1), p).reshape(k, *a.shape[1:]) for a in module.action
+    )
+    v_weights = None if module.weights is None else _column_weights(b, module.v_weights)
+    weights = None if v_weights is None else module.weights
+    return GradedModule(module.field, k, module.pieces, action, v_weights, weights)
+
+
+def _column_weights(basis: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """The weight of each basis column, or None when some column is not homogeneous."""
+    nonzero = basis != 0
+    big = np.iinfo(np.int64).max
+    lo = np.where(nonzero, weights[:, None], big).min(axis=0, initial=big)
+    hi = np.where(nonzero, weights[:, None], -big).max(axis=0, initial=-big)
+    return lo if np.array_equal(lo, hi) else None

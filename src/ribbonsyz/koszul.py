@@ -9,16 +9,33 @@ Conventions, fixed project-wide:
 
 Cohomology dimensions are convention-independent; fixing one makes the
 representative bases reproducible.
+
+Weight blocks.  When a module carries weights (``GradedModule.weights``;
+the split ribbon S~ = S (+) epsilon J puts S at epsilon-weight 0 and
+epsilon J at weight 1), the basis vector e_{s_1}^...^e_{s_p} (x) m has
+total weight  weight(x_{s_1}) + ... + weight(x_{s_p}) + weight(m).  If the
+action respects the weights, every differential preserves the total
+weight, so d_{p,q} is block diagonal, one block per total weight w: the
+rows and columns of weight w, each in basis order.  For the split ribbon
+the blocks are the curve-level Koszul complexes with coefficients in
+K^q L^{-q} and K^q L^{-q+1}.  ``KoszulCalculator`` checks the exact
+certificate once per module (``GradedModule.respects_weights``: every
+action tensor vanishes outside its weight blocks); if it holds, the rank
+of a cell is the sum of its block ranks, each block assembled on its own,
+and if it fails the whole cell is assembled and ranked.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from ribbonsyz.fflinalg import WedgeIndex, image_basis, kernel_basis, matmul_mod, rank
+from ribbonsyz.fflinalg import image_basis, kernel_basis, matmul_mod, rank
 from ribbonsyz.graded import GradedAlgebra, GradedModule
 
 __all__ = [
@@ -50,30 +67,72 @@ class NoNonzero(Exception):
     """A Betti table with no nonzero entry in the q = 2 row."""
 
 
-def koszul_differential(module: GradedModule, p: int, q: int) -> np.ndarray:
-    """Matrix of d : wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}.
+@lru_cache(maxsize=64)
+def _wedge_arrays(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(subsets, faces) for the size-p subsets of range(n), colex order.
 
-    For p = 0 the target is the empty wedge and the map is the zero map
-    out of M_q (a matrix with zero rows).
+    ``subsets[r]`` is the r-th subset, increasing; ``faces[r, j]`` is the
+    colex rank of ``subsets[r]`` with its j-th element removed.  The colex
+    rank of s_0 < ... < s_{k-1} is sum_i C(s_i, i + 1).
+    """
+    count = comb(n, p) if 0 <= p <= n else 0
+    binom = np.array([comb(v, k) for v in range(n) for k in range(p + 1)], dtype=np.int64)
+    binom = binom.reshape(n, max(p + 1, 0))
+    subsets = np.empty((count, max(p, 0)), dtype=np.int64)
+    if count:
+        lex = np.array(list(combinations(range(n), p)), dtype=np.int64).reshape(count, p)
+        subsets[binom[lex, np.arange(1, p + 1)].sum(axis=1)] = lex
+    faces = np.empty((count, max(p, 0)), dtype=np.int64)
+    for j in range(p):
+        rest = np.delete(subsets, j, axis=1)
+        faces[:, j] = binom[rest, np.arange(1, p)].sum(axis=1)
+    subsets.setflags(write=False)
+    faces.setflags(write=False)
+    return subsets, faces
+
+
+def _total_weights(module: GradedModule, p: int, q: int) -> np.ndarray:
+    """Total weight of each basis vector of wedge^p V (x) M_q, in basis order."""
+    subsets, _ = _wedge_arrays(module.n, p)
+    wedge = module.v_weights[subsets].sum(axis=1)
+    return (wedge[:, None] + module.weights[q][None, :]).ravel()
+
+
+def koszul_differential(module: GradedModule, p: int, q: int, weight: int | None = None) -> np.ndarray:
+    """Matrix of d : wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, or one weight block of it.
+
+    With ``weight`` given, only the rows and columns of that total weight
+    (see the module docstring), in basis order; the entries that the
+    action puts outside the block are not read, so this is a block of d
+    only when the module's action respects its weights.  For p = 0 the
+    target is the empty wedge and the map is the zero map out of M_q (a
+    matrix with zero rows).  Every entry is placed at once: column (r, m)
+    holds (-1)^j (x_{s_j})[m', m] in row (faces[r, j], m') for each wedge
+    position j of the subset s = subsets[r].
     """
     if q < 0 or q + 1 > module.window:
         raise OutOfWindow(f"degree {q} -> {q + 1} outside window 0..{module.window}")
-    n = module.n
-    w_src = WedgeIndex(n, p)
-    w_tgt = WedgeIndex(n, p - 1)
-    dmq = module.pieces[q]
-    dmq1 = module.pieces[q + 1]
-    out = np.zeros((w_tgt.count * dmq1, w_src.count * dmq), dtype=np.int64)
-    if p == 0 or w_src.count == 0:
+    dmq, dmq1 = module.pieces[q], module.pieces[q + 1]
+    subsets, faces = _wedge_arrays(module.n, p)
+    n_rows = (comb(module.n, p - 1) if 1 <= p <= module.n + 1 else 0) * dmq1
+    if weight is None:
+        cols, local = np.arange(len(subsets) * dmq), np.arange(n_rows)
+    elif module.weights is None:
+        raise ValueError("a weight block needs a module with weights")
+    else:
+        cols = np.flatnonzero(_total_weights(module, p, q) == weight)
+        in_block = _total_weights(module, p - 1, q + 1) == weight
+        local = np.where(in_block, np.cumsum(in_block) - 1, -1)
+    out = np.zeros((int(np.count_nonzero(local >= 0)), len(cols)), dtype=np.int64)
+    if not out.size:
         return out
-    act = module.action[q]
-    pmod = module.field.p
-    for r, subset in enumerate(w_src.subsets):
-        c0 = r * dmq
-        for j, sj in enumerate(subset):
-            t = w_tgt.rank(subset[:j] + subset[j + 1 :])
-            block = act[sj] if j % 2 == 0 else (pmod - act[sj]) % pmod
-            out[t * dmq1 : (t + 1) * dmq1, c0 : c0 + dmq] = block
+    r, m = np.divmod(cols, dmq)
+    signs = np.where(np.arange(p) % 2, -1, 1)[None, :, None]
+    vals = (module.action[q][subsets[r], :, m[:, None]] * signs) % module.field.p
+    rows = local[faces[r][:, :, None] * dmq1 + np.arange(dmq1)]
+    keep = rows >= 0
+    at = np.broadcast_to(np.arange(len(cols))[:, None, None], rows.shape)
+    out[rows[keep], at[keep]] = vals[keep]
     return out
 
 
@@ -114,30 +173,46 @@ class KoszulCalculator:
 
     Cells are pure and independent, and the cache keeps the first rank
     stored for a cell (``dict.setdefault``), so evaluating a cell twice,
-    even from two threads at once, only repeats work.
+    even from two threads at once, only repeats work.  ``split`` is the
+    module's weight certificate, checked once: when it holds, each cell is
+    ranked one weight block at a time.
     """
 
     def __init__(self, module: GradedModule):
         self.module = module
+        self.split = module.respects_weights()
         self._ranks: dict[tuple[int, int], int] = {}
 
     def rank_d(self, p: int, q: int) -> int:
-        """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) cost nothing."""
+        """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) cost nothing.
+
+        On a certified module, the sum of the ranks of the weight blocks
+        found on both sides of the cell, each assembled and ranked before
+        the next is built.
+        """
         n = self.module.n
         if p <= 0 or q < 0 or p > n:
             return 0
         key = (p, q)
         if key in self._ranks:
             return self._ranks[key]
-        d = koszul_differential(self.module, p, q)
-        return self._ranks.setdefault(key, rank(d, self.module.field.p) if d.size else 0)
+        blocks = [None]
+        if self.split:
+            src = _total_weights(self.module, p, q)
+            tgt = _total_weights(self.module, p - 1, q + 1)
+            blocks = sorted(set(src.tolist()) & set(tgt.tolist()))
+        total = 0
+        for w in blocks:
+            d = koszul_differential(self.module, p, q, w)
+            total += rank(d, self.module.field.p) if d.size else 0
+        return self._ranks.setdefault(key, total)
 
     def dim(self, p: int, q: int) -> int:
         """dim K_{p,q} by the total-rank formula."""
         n = self.module.n
         if not 0 <= p <= n or not 0 <= q <= self.module.window:
             return 0
-        middle = WedgeIndex(n, p).count * self.module.pieces[q]
+        middle = comb(n, p) * self.module.pieces[q]
         return middle - self.rank_d(p, q) - self.rank_d(p + 1, q - 1)
 
 
@@ -201,13 +276,19 @@ _REDUCTION_DRAWS = 4
 
 
 def _artinian_module(algebra: GradedAlgebra) -> GradedModule | None:
-    """The algebra cut by two certified general linear forms, or None."""
+    """The algebra cut by two certified general linear forms, or None.
+
+    On an algebra with weights the forms are drawn on the weight-0
+    coordinates of degree one, so the reduction keeps the weights; the
+    regular-sequence certificate decides either way.
+    """
     n = algebra.dims[1]
     if n < 2:
         return None
+    support = 1 if algebra.weights is None else algebra.weights[1] == 0
     rng = np.random.default_rng(_REDUCTION_SEED)
     for _ in range(_REDUCTION_DRAWS):
-        l1, l2 = rng.integers(0, algebra.field.p, size=(2, n))
+        l1, l2 = rng.integers(0, algebra.field.p, size=(2, n)) * support
         module = algebra.artinian_reduction(l1, l2)
         if module is not None:
             return module

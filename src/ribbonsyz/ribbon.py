@@ -8,9 +8,10 @@ degree-q piece of the canonical ring splits as
 with multiplication (s, ej)(s', ej') = (ss', e(sj' + s'j)) and epsilon^2 = 0.
 Both summand families live in the model's one-parameter bundle family, so
 the ring is assembled from curve multiplication tables alone.  The basis of
-every graded piece puts the S block first, then the epsilon J block, which
-makes the subcomplex/quotient-complex structure of the Koszul complex
-visible as a block structure.
+every graded piece puts the S block first, then the epsilon J block, and
+the algebra carries these as epsilon-weights 0 and 1: multiplication adds
+them, so every Koszul differential splits into weight blocks (see
+``koszul``).
 
 Supported conormal bundles: L = -t * O_C(1) on a plane model (t >= 1) and
 L = -k * Pinf on a hyperelliptic model (k >= 1).
@@ -141,7 +142,8 @@ def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitR
             # epsilon J x epsilon J = 0
             mult[(a, b)] = tensor
     dims = [s_dims[q] + j_dims[q] for q in range(window + 1)]
-    algebra = GradedAlgebra(model.field, dims, mult)
+    weights = [np.repeat([0, 1], [s_dims[q], j_dims[q]]) for q in range(window + 1)]
+    algebra = GradedAlgebra(model.field, dims, mult, weights=weights)
     return SplitRibbonRing(
         model=model,
         conormal_multiple=t,

@@ -214,6 +214,38 @@ def oracle_koszul_matrix(n: int, p: int, dim_src: int, dim_tgt: int, action, pri
     return mat
 
 
+def loop_koszul_differential(module, p: int, q: int) -> np.ndarray:
+    """d_{p,q} of a graded module by one python loop over (subset, position).
+
+    The package's conventions (colex wedge bases, column index
+    wedge_rank * dim M_q + m, sign (-1)^j), one dense action block placed
+    per (subset, j): the loop the vectorised assembler replaced.  Reads
+    only ``module.n``, ``pieces``, ``action`` and ``field.p``.
+    """
+
+    def colex(n, k):
+        return sorted(combinations(range(n), k), key=lambda s: s[::-1])
+
+    def colex_rank(s):
+        return sum(math.comb(v, j + 1) for j, v in enumerate(s))
+
+    n, prime = module.n, module.field.p
+    dmq, dmq1 = module.pieces[q], module.pieces[q + 1]
+    src = colex(n, p) if 0 <= p <= n else []
+    n_tgt = math.comb(n, p - 1) if 1 <= p <= n + 1 else 0
+    out = np.zeros((n_tgt * dmq1, len(src) * dmq), dtype=np.int64)
+    if p == 0:
+        return out
+    act = module.action[q]
+    for r, subset in enumerate(src):
+        c0 = r * dmq
+        for j, sj in enumerate(subset):
+            t = colex_rank(subset[:j] + subset[j + 1 :])
+            block = act[sj] if j % 2 == 0 else (prime - act[sj]) % prime
+            out[t * dmq1 : (t + 1) * dmq1, c0 : c0 + dmq] = block
+    return out
+
+
 def oracle_koszul_dim(n: int, pieces, actions, i: int, q: int, prime: int) -> int:
     """dim K_{i,q} of a graded module by naive three-term ranks.
 

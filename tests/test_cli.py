@@ -77,6 +77,15 @@ class TestBetti:
         res = runner.invoke(main, ["betti", *G0, "--q3", "full"])
         assert res.exit_code == 2
 
+    def test_w5_golden_hash(self, runner):
+        # the genus-2, p_a = 12 table (largest cell d_{5,1}, 2100 x 2520 whole)
+        import hashlib
+
+        res = run(runner, "betti", "--curve", "hyperelliptic", "--g", "2", "--conormal", "-9", "--format", "json")
+        assert res.exit_code == 0
+        digest = hashlib.sha256(res.output.encode()).hexdigest()
+        assert digest == "4ba1bc60f0054b9f5c3fbdcc1a12a7c633fb7f8835a37b0f607867abb3507505"
+
     def test_seed_changes_curve_not_table_shape(self, runner):
         a = json.loads(run(runner, "betti", *ELL1[:-1], "7", "--format", "json").output)
         b = json.loads(run(runner, "betti", *ELL1, "--format", "json").output)
@@ -326,6 +335,31 @@ class TestStrata:
         res = runner.invoke(main, ["strata", "--curve", "elliptic-split", "--conormal", "-6", "--seed", "2026", *task])
         assert res.exit_code == 2
         assert "blow-up search too large: degree 3 over 84 points needs 84 prefixes" in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--curve", "elliptic-split", "--conormal", "-6"),
+            ("--curve", "elliptic-split", "--conormal", "-6", "--sweep", "2"),
+            ("--curve", "elliptic-split", "--conormal", "-6", "--task", "w4"),
+            ("--curve", "plane-quartic", "--conormal", "-1", "--bmax", "1"),
+        ],
+    )
+    def test_point_scan_too_large_exit_2(self, runner, monkeypatch, args):
+        from ribbonsyz import curves
+
+        monkeypatch.setattr(curves, "_POINT_SCAN_MAX", 100)
+        res = runner.invoke(main, ["strata", *args])
+        assert res.exit_code == 2
+        assert "candidate points over F_101, more than the scan budget of 100" in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    def test_plane_points_at_a_large_prime_exit_2(self, runner):
+        # about 10^12 triples: refused before the scan starts
+        res = runner.invoke(main, ["strata", "--curve", "plane-quartic", "--p", "1048573", "--conormal", "-1"])
+        assert res.exit_code == 2
+        assert "1099506384903 candidate points over F_1048573" in res.output
         assert isinstance(res.exception, SystemExit)
 
     @pytest.mark.parametrize(

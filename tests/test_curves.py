@@ -196,6 +196,22 @@ class TestRationalPoints:
     def test_max_count(self, hyp2):
         assert len(rational_points(hyp2, max_count=5)) == 5
 
+    def test_scan_budget(self, quartic, hyp2, monkeypatch):
+        # p^2 + p + 1 = 10 303 plane candidates and p = 101 hyperelliptic ones
+        from ribbonsyz import curves
+
+        monkeypatch.setattr(curves, "_POINT_SCAN_MAX", 10_302)
+        with pytest.raises(curves.PointScanTooLarge, match="10303 candidate points over F_101"):
+            rational_points(quartic)
+        with pytest.raises(curves.PointScanTooLarge):
+            rational_points(quartic, max_count=1)
+        assert len(rational_points(hyp2)) > 1
+        monkeypatch.setattr(curves, "_POINT_SCAN_MAX", 10_303)
+        assert rational_points(quartic) == plane_points_exhaustive({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}, 101)
+        monkeypatch.setattr(curves, "_POINT_SCAN_MAX", 100)
+        with pytest.raises(curves.PointScanTooLarge, match="101 candidate points"):
+            rational_points(hyp2)
+
 
 class TestEvaluation:
     def test_standard_basis_point(self):

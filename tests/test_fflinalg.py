@@ -167,19 +167,25 @@ class TestDriftReset:
         assert _mod_inplace(x, p) is x
         assert np.array_equal(x.ravel().astype(np.int64), ints % p)
 
-    @pytest.mark.parametrize("p", [1048573, 101])
+    @pytest.mark.parametrize("p", [1048573, 101, 13, 65521])
     def test_sloppy_mod_output_range(self, p):
+        # the float quotient misrounds next to multiples of p, leaving -1 in
+        # place of p - 1 (often at p = 13) or p in place of 0: the range is
+        # [-1, p], and every value stays congruent to its input
         from ribbonsyz.fflinalg import _sloppy_mod_inplace
 
         g = rng(3)
+        multiples = g.integers(1, (1 << 53) // p, 5000) * p
         ints = np.concatenate(
-            [g.integers(0, 1 << 53, 5000), g.integers(0, (1 << 53) // p, 5000) * p, [0, p, 2 * p]]
+            [g.integers(0, 1 << 53, 5000), multiples, multiples - 1, [0, p, 2 * p, p - 1]]
         )
         x = ints.astype(np.float64)
         _sloppy_mod_inplace(x, p)
-        assert np.all((x >= 0) & (x <= p))
+        assert np.all((x >= -1) & (x <= p))
         assert np.all(x == np.floor(x))
         assert np.array_equal(x.astype(np.int64) % p, ints % p)
+        if p == 13:
+            assert np.any(x == -1)
 
 
 class TestKernel:

@@ -1,0 +1,235 @@
+"""Weight blocks of split-ribbon Koszul cells, against the unsplit computation.
+
+A split ribbon's ring S~ = S (+) epsilon J carries epsilon-weights (S at 0,
+epsilon J at 1), and ``KoszulCalculator`` ranks each cell one weight block
+at a time once ``GradedModule.respects_weights`` certifies the module.
+The oracle is the unsplit rank of the whole cell, and for the vectorised
+assembler the python loop it replaced (``oracles.loop_koszul_differential``).
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from ribbonsyz import koszul
+from ribbonsyz.curves import (
+    HyperellipticCurve,
+    random_hyperelliptic,
+    random_plane_curve,
+    random_split_cubic,
+)
+from ribbonsyz.fflinalg import PrimeField, WedgeIndex, rank
+from ribbonsyz.graded import GradedModule, InconsistentDims, module_restrict_action
+from ribbonsyz.koszul import KoszulCalculator, koszul_differential
+from ribbonsyz.ribbon import build_split_ribbon
+
+from oracles import loop_koszul_differential
+
+PRIMES = (2, 13, 101, 1048573)
+
+
+def zoo(p: int = 101):
+    """(name, ring) for the five curve families, each with p_a between 6 and 9."""
+    f = PrimeField(p)
+    return [
+        ("plane quartic", build_split_ribbon(random_plane_curve(f, 4, np.random.default_rng(0)), 1)),
+        ("genus 0", build_split_ribbon(HyperellipticCurve(f, [0, 1]), 8)),
+        ("hyperelliptic g=2", build_split_ribbon(random_hyperelliptic(f, 2, np.random.default_rng(1)), 4)),
+        ("hyperelliptic g=3", build_split_ribbon(random_hyperelliptic(f, 3, np.random.default_rng(2)), 2)),
+        ("elliptic", build_split_ribbon(random_split_cubic(f, np.random.default_rng(3)), 6)),
+    ]
+
+
+def unweighted(module: GradedModule) -> GradedModule:
+    return replace(module, v_weights=None, weights=None)
+
+
+def cells(module: GradedModule):
+    return [(p, q) for q in range(module.window) for p in range(module.n + 2)]
+
+
+def assert_split_matches_unsplit(module: GradedModule, max_entries: int | None = None) -> int:
+    """Summed block ranks equal the unsplit rank on every cell (of at most
+    ``max_entries`` entries when given); returns the cells compared."""
+    calc = KoszulCalculator(module)
+    assert calc.split
+    assert not KoszulCalculator(unweighted(module)).split
+    compared = 0
+    for p, q in cells(module):
+        n_rows = math.comb(module.n, p - 1) * module.pieces[q + 1] if p else 0
+        if max_entries is not None and n_rows * math.comb(module.n, p) * module.pieces[q] > max_entries:
+            continue
+        full = koszul_differential(module, p, q)
+        want = rank(full, module.field.p) if full.size and p > 0 else 0
+        assert calc.rank_d(p, q) == want, (p, q)
+        compared += 1
+    return compared
+
+
+def random_weighted_module(rng, prime: int) -> GradedModule:
+    """A random module whose action respects random weights (not commuting)."""
+    n = int(rng.integers(2, 6))
+    pieces = tuple(int(d) for d in rng.integers(0, 5, size=4))
+    v_weights = rng.integers(0, 2, n)
+    weights = [rng.integers(0, 3, d) for d in pieces]
+    action = []
+    for q in range(3):
+        a = rng.integers(0, prime, (n, pieces[q + 1], pieces[q]))
+        allowed = weights[q + 1][None, :, None] == v_weights[:, None, None] + weights[q][None, None, :]
+        action.append(np.where(allowed, a, 0))
+    return GradedModule(PrimeField(prime), n, pieces, tuple(action), v_weights, tuple(weights))
+
+
+class TestWedgeArrays:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_colex_subsets_and_faces(self, n):
+        for p in range(0, n + 2):
+            subsets, faces = koszul._wedge_arrays(n, p)
+            w = WedgeIndex(n, p)
+            assert subsets.shape == (w.count, p)
+            assert [tuple(s) for s in subsets.tolist()] == w.subsets
+            for r, s in enumerate(w.subsets):
+                for j in range(p):
+                    assert faces[r, j] == WedgeIndex(n, p - 1).rank(s[:j] + s[j + 1 :])
+
+
+class TestAssembler:
+    def test_matches_loop_on_the_zoo(self):
+        for name, ring in zoo():
+            for module in (ring.algebra.as_module(), koszul._artinian_module(ring.algebra)):
+                for p, q in cells(module):
+                    if math.comb(module.n, p) * module.pieces[q] > 4000:
+                        continue
+                    got = koszul_differential(module, p, q)
+                    assert np.array_equal(got, loop_koszul_differential(module, p, q)), (name, p, q)
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    def test_matches_loop_on_random_modules(self, prime):
+        rng = np.random.default_rng(prime)
+        for _ in range(6):
+            module = unweighted(random_weighted_module(rng, prime))
+            for p, q in cells(module):
+                got = koszul_differential(module, p, q)
+                assert np.array_equal(got, loop_koszul_differential(module, p, q)), (p, q)
+
+    def test_blocks_are_the_weight_slices_and_cover_the_cell(self):
+        _, ring = zoo()[0]
+        module = koszul._artinian_module(ring.algebra)
+        for p, q in cells(module):
+            full = koszul_differential(module, p, q)
+            src = koszul._total_weights(module, p, q)
+            tgt = koszul._total_weights(module, p - 1, q + 1)
+            covered = 0
+            for w in sorted(set(src.tolist()) | set(tgt.tolist())):
+                block = koszul_differential(module, p, q, w)
+                assert np.array_equal(block, full[np.ix_(tgt == w, src == w)]), (p, q, w)
+                covered += np.count_nonzero(block)
+            assert covered == np.count_nonzero(full), (p, q)
+
+    def test_quartic_block_shapes(self):
+        # d_{4,1} of the quartic's reduced module: 245 x 245 whole, 108 x 108 at most
+        _, ring = zoo()[0]
+        module = koszul._artinian_module(ring.algebra)
+        assert koszul_differential(module, 4, 1).shape == (245, 245)
+        src = koszul._total_weights(module, 4, 1)
+        shapes = [koszul_differential(module, 4, 1, w).shape for w in sorted(set(src.tolist()))]
+        assert max(shapes) == (108, 108)
+        assert sum(r for r, _ in shapes) == 245 and sum(c for _, c in shapes) == 245
+
+    def test_weight_block_needs_weights(self):
+        _, ring = zoo()[0]
+        with pytest.raises(ValueError):
+            koszul_differential(unweighted(ring.algebra.as_module()), 2, 1, 0)
+
+
+class TestSplitRanks:
+    def test_zoo_cells(self):
+        # every cell of the reduced modules the tables use; the direct modules'
+        # cells up to 3 000 000 entries
+        compared = 0
+        for name, ring in zoo():
+            compared += assert_split_matches_unsplit(koszul._artinian_module(ring.algebra))
+            compared += assert_split_matches_unsplit(ring.algebra.as_module(), 3_000_000)
+        assert compared > 150
+
+    @pytest.mark.parametrize("prime", (13, 1048573))
+    def test_ribbons_over_other_fields(self, prime):
+        for name, ring in zoo(prime)[:3]:
+            module = koszul._artinian_module(ring.algebra)
+            assert_split_matches_unsplit(module)
+            assert ring.betti().method == "artinian"
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    def test_random_weighted_modules(self, prime):
+        rng = np.random.default_rng(1000 + prime)
+        for _ in range(8):
+            assert_split_matches_unsplit(random_weighted_module(rng, prime))
+
+
+class TestCertificate:
+    def test_reduction_keeps_the_weights(self):
+        for name, ring in zoo():
+            module = koszul._artinian_module(ring.algebra)
+            assert module.weights is not None and module.respects_weights(), name
+            assert ring.betti().method == "artinian", name
+            # the acting space keeps the J_1 coordinates: the forms lie in S_1
+            assert np.count_nonzero(module.v_weights) == np.count_nonzero(ring.algebra.weights[1])
+
+    def test_tampered_cross_block_entry_is_rejected(self):
+        _, ring = zoo()[2]
+        module = koszul._artinian_module(ring.algebra)
+        action = [a.copy() for a in module.action]
+        # x_k of weight 1 sends a weight-1 vector of M_1 to a weight-0 one of M_2
+        k = int(np.flatnonzero(module.v_weights == 1)[0])
+        i = int(np.flatnonzero(module.weights[2] == 0)[0])
+        j = int(np.flatnonzero(module.weights[1] == 1)[0])
+        action[1][k, i, j] = 1 + action[1][k, i, j]
+        tampered = replace(module, action=tuple(action))
+        assert not tampered.respects_weights()
+        calc = KoszulCalculator(tampered)
+        assert not calc.split
+        plain = KoszulCalculator(unweighted(tampered))
+        table = [[calc.dim(p, q) for p in range(module.n + 1)] for q in range(module.window)]
+        assert table == [[plain.dim(p, q) for p in range(module.n + 1)] for q in range(module.window)]
+        # summing block ranks on the tampered module would have lost the entry
+        mismatched = 0
+        for p, q in cells(tampered):
+            if p == 0 or q != 1:
+                continue
+            src = koszul._total_weights(tampered, p, q)
+            summed = sum(rank(koszul_differential(tampered, p, q, w), tampered.field.p) for w in set(src.tolist()))
+            mismatched += summed != plain.rank_d(p, q)
+        assert mismatched
+
+    def test_non_homogeneous_kept_column_drops_the_weights(self):
+        _, ring = zoo()[2]
+        module = ring.algebra.as_module()
+        ident = [np.eye(d, dtype=np.int64) for d in module.pieces]
+        none = [np.zeros((d, 0), dtype=np.int64) for d in module.pieces]
+        kept = module.subquotient(ident, none)
+        assert kept.respects_weights()
+        assert all(np.array_equal(a, b) for a, b in zip(kept.weights, module.weights))
+        # the sum of the first S_1 and the first J_1 coordinate vector is not homogeneous
+        mixed = [b.copy() for b in ident]
+        s, j = int(np.flatnonzero(module.weights[1] == 0)[0]), int(np.flatnonzero(module.weights[1] == 1)[0])
+        mixed[1][j, s] = 1
+        dropped = module.subquotient(mixed, none)
+        assert dropped.weights is None and dropped.v_weights is None
+        assert not KoszulCalculator(dropped).split
+        # in V, the same mixed column drops the weights of the restricted action
+        basis = np.eye(module.n, dtype=np.int64)
+        basis[j, s] = 1
+        assert module_restrict_action(module, basis).weights is None
+        assert module_restrict_action(module, np.eye(module.n, dtype=np.int64)).respects_weights()
+
+    def test_weights_are_validated(self):
+        _, ring = zoo()[2]
+        module = ring.algebra.as_module()
+        with pytest.raises(InconsistentDims):
+            replace(module, weights=None)
+        with pytest.raises(InconsistentDims):
+            replace(module, v_weights=module.v_weights[1:])
+        with pytest.raises(InconsistentDims):
+            replace(module, weights=module.weights[:-1] + (module.weights[-1][1:],))
