@@ -9,7 +9,10 @@ Two elimination engines sit behind the public functions, and they share
 one Gauss-Jordan loop, ``_eliminate_simple``:
 
 * the simple engine runs that loop on the whole matrix (``int64``, exact
-  for any p < 2**31),
+  for any p < 2**31).  It reduces only the pivot column and the pivot row
+  at each step and lets the trailing entries drift: every rank-1 update
+  moves an entry by at most (p - 1)**2, and the trailing block is reduced
+  only when that additive bound would reach 2**62,
 * a blocked right-looking elimination runs it only on panels of at most
   128 columns, to find each panel's pivots, and pushes the
   Schur-complement updates through BLAS ``float64`` matmuls.  With
@@ -51,6 +54,9 @@ _BLOCK_MIN = 200
 _FAST_P_MAX = 1 << 20
 # Entries of the quotient temporary that one block of _mod_inplace allocates.
 _MOD_BLOCK = 1 << 14
+# The simple engine lets its trailing entries drift below -p; their bound
+# stays under this, so every int64 product and difference stays exact.
+_INT_DRIFT_MAX = 1 << 62
 
 
 class LinearAlgebraError(Exception):
@@ -127,47 +133,94 @@ def as_fp(a, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _swap_rows(x: np.ndarray, i: int, j: int) -> None:
+    """Swap rows i and j through a copy: cheaper than a fancy-index swap on short rows."""
+    t = x[i].copy()
+    x[i] = x[j]
+    x[j] = t
+
+
+def _int_mod_inplace(x: np.ndarray, p: int) -> None:
+    """Reduce an int64 array into [0, p), in place: the simple engine's drift reset."""
+    np.remainder(x, p, out=x)
+
+
+def _rank1_update(a, piv, col: int, lo: int, hi: int, hit, p: int, bound: int) -> int:
+    """a[r, col:] -= a[r, col] * piv for the rows r = hit of lo..hi-1, unreduced.
+
+    The multipliers a[r, col] and the pivot row ``piv`` are residues, and
+    ``bound`` bounds |entry| on rows lo..hi-1; returns the bound after the
+    update.  Those rows are reduced first when the update could take it to
+    _INT_DRIFT_MAX.
+    """
+    step = (p - 1) ** 2
+    if bound + step >= _INT_DRIFT_MAX:
+        _int_mod_inplace(a[lo:hi, col + 1 :], p)
+        bound = p - 1
+    rest = a[hit, col:]
+    rest -= rest[:, :1] * piv
+    a[hit, col:] = rest
+    return bound + step
+
+
 def _eliminate_simple(
     a: np.ndarray, p: int, reduced: bool, order: np.ndarray | None = None
 ) -> list[int]:
-    """In-place row echelon (optionally reduced) for an int64 matrix.
+    """In-place row echelon (optionally reduced) for an int64 matrix with entries in [0, p).
 
-    Exact for any p < 2**31: a row operation forms products < p**2 < 2**62.
-    Each pivot step updates only the rows with a nonzero below the pivot.
+    Lazy reduction.  A pivot step reduces only the pivot column, before the
+    nonzero search that must see residues, and the pivot row; the rank-1
+    update of the rows it hits is subtracted without ``% p``.  Multipliers
+    and pivot row lie in [0, p), so one update moves an entry by at most
+    (p - 1)**2.  ``bound`` is an additive bound on |entry| in the trailing
+    block, which is reduced (``_int_mod_inplace``) only when
+    bound + (p - 1)**2 would reach _INT_DRIFT_MAX = 2**62: near p = 2**31
+    at every pivot, at p = 101 never.  The backward pass (``reduced``) works
+    the same way.  Pivots, result and ``order`` equal those of reducing
+    everything after every update: each row ends as a reduced pivot row
+    or exactly zero.
+
     Row swaps are mirrored into ``order`` when given, so that afterwards
     ``order[i]`` names the input row now in row i.  Returns the pivot
     column list.
     """
     n, m = a.shape
     pivots: list[int] = []
+    bound = p - 1
     row = 0
     for col in range(m):
         if row >= n:
             break
-        # method calls and broadcasting keep the per-pivot python overhead,
-        # which dominates on small weight blocks, low
-        nz = a[row:, col].nonzero()[0]
+        below = a[row:, col]
+        np.remainder(below, p, out=below)
+        nz = below.nonzero()[0]
         if nz.size == 0:
             continue
-        pr = row + int(nz[0])
-        if pr != row:
-            a[[row, pr]] = a[[pr, row]]
+        if nz[0]:
+            pr = row + int(nz[0])
+            _swap_rows(a, row, pr)
             if order is not None:
-                order[[row, pr]] = order[[pr, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row, col:] = (a[row, col:] * inv) % p
-        hit = a[row + 1 :, col].nonzero()[0]
-        if hit.size:
-            rows = hit + row + 1
-            a[rows, col:] = (a[rows, col:] - a[rows, col, None] * a[row, col:]) % p
+                _swap_rows(order, row, pr)
+        piv = a[row, col:]
+        if bound * (p - 1) >= 1 << 63:  # the product with the inverse must stay exact
+            np.remainder(piv, p, out=piv)
+        np.multiply(piv, pow(int(piv[0]), -1, p), out=piv)
+        np.remainder(piv, p, out=piv)
+        if nz.size > 1:  # after the swap the rows hit are row + nz[1:]
+            bound = _rank1_update(a, piv, col, row + 1, n, nz[1:] + row, p, bound)
         pivots.append(col)
         row += 1
     if reduced:
+        bound = p - 1  # pivot rows are reduced, the rows below them zero
         for i in reversed(range(len(pivots))):
             col = pivots[i]
-            above = a[:i, col].nonzero()[0]
-            if above.size:
-                a[above, col:] = (a[above, col:] - a[above, col, None] * a[i, col:]) % p
+            # later pivots update only the columns right of theirs: this
+            # row may have drifted there, the column above this pivot not
+            piv = a[i, col:]
+            np.remainder(piv, p, out=piv)
+            hit = a[:i, col].nonzero()[0]
+            if hit.size:
+                bound = _rank1_update(a, piv, col, 0, i, hit, p, bound)
     return pivots
 
 
@@ -335,16 +388,15 @@ def kernel_basis(a, p: int) -> np.ndarray:
     column f, with 1 in position f and -R[i, pivot_i] above.  Satisfies
     a @ k == 0 and k has cols(a) - rank(a) columns.
     """
-    m = as_fp(a, p)
-    ncols = m.shape[1]
-    r, pivots = _echelon(m, p, reduced=True)
-    free = [j for j in range(ncols) if j not in set(pivots)]
-    k = np.zeros((ncols, len(free)), dtype=np.int64)
-    for idx, f in enumerate(free):
-        k[f, idx] = 1
-        for i, c in enumerate(pivots):
-            if c < f:
-                k[c, idx] = (-r[i, f]) % p
+    r, pivots = _echelon(a, p, reduced=True)
+    ncols = r.shape[1]
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    k = np.zeros((ncols, free.size), dtype=np.int64)
+    # R[i, f] = 0 when pivot_i > f, so no order test is needed
+    k[pivots] = -r[: len(pivots), free] % p
+    k[free, np.arange(free.size)] = 1
     return k
 
 
@@ -405,13 +457,16 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     if inner == 0:
         return np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
     if p <= _FAST_P_MAX:
-        chunk = max(1, (1 << 53) // (p * p))
+        # chunk * p**2 <= 2**53 with chunk >= 8192, so a reduced acc plus
+        # one chunk's products, < p + chunk * (p - 1)**2, stays below
+        # 2**53 - p: every float sum is exact and _mod_inplace applies
+        chunk = (1 << 53) // (p * p)
         xf = x.astype(np.float64)
         yf = y.astype(np.float64)
-        acc = np.zeros((x.shape[0], y.shape[1]), dtype=np.float64)
-        for s in range(0, inner, chunk):
-            e = min(s + chunk, inner)
-            acc = np.mod(acc + xf[:, s:e] @ yf[s:e], p)
+        acc = _mod_inplace(xf[:, :chunk] @ yf[:chunk], p)
+        for s in range(chunk, inner, chunk):
+            acc += xf[:, s : s + chunk] @ yf[s : s + chunk]
+            _mod_inplace(acc, p)
         return acc.astype(np.int64)
     # large p: per-row int64 with immediate reduction (p**2 < 2**62, chunk=1)
     out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)

@@ -119,6 +119,61 @@ def vectorised_blowup_index(vec, rows, b_max: int, p: int, chunk: int = 1 << 14)
     return None
 
 
+def eager_eliminate(a: np.ndarray, p: int, reduced: bool, order: np.ndarray | None = None) -> list[int]:
+    """In-place row echelon of an int64 matrix in [0, p), reduced at every step.
+
+    The Gauss-Jordan loop ``fflinalg._eliminate_simple`` ran before it
+    reduced lazily: the first row at or below the current one with a
+    nonzero in the column is swapped up (and the swap mirrored into
+    ``order``), scaled to a leading 1, and cleared from the rows below
+    with a ``% p`` after every update; ``reduced`` then clears above each
+    pivot, last pivot first.  Returns the pivot columns.
+    """
+    n, m = a.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(m):
+        if row >= n:
+            break
+        nz = a[row:, col].nonzero()[0]
+        if nz.size == 0:
+            continue
+        pr = row + int(nz[0])
+        if pr != row:
+            a[[row, pr]] = a[[pr, row]]
+            if order is not None:
+                order[[row, pr]] = order[[pr, row]]
+        inv = pow(int(a[row, col]), -1, p)
+        a[row, col:] = (a[row, col:] * inv) % p
+        hit = a[row + 1 :, col].nonzero()[0] + row + 1
+        a[hit, col:] = (a[hit, col:] - a[hit, col, None] * a[row, col:]) % p
+        pivots.append(col)
+        row += 1
+    if reduced:
+        for i in reversed(range(len(pivots))):
+            col = pivots[i]
+            above = a[:i, col].nonzero()[0]
+            a[above, col:] = (a[above, col:] - a[above, col, None] * a[i, col:]) % p
+    return pivots
+
+
+def loop_kernel_basis(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Kernel basis read off an RREF ``r`` with its pivot columns, by a double loop.
+
+    One column per free column f: 1 in row f and -r[i, f] in the row of
+    each pivot c_i < f.  The loop ``fflinalg.kernel_basis`` replaced.
+    """
+    ncols = r.shape[1]
+    free = [j for j in range(ncols) if j not in set(pivots)]
+    k = np.zeros((ncols, len(free)), dtype=np.int64)
+    for idx, f in enumerate(free):
+        k[f, idx] = 1
+        for i, c in enumerate(pivots):
+            if c < f:
+                k[c, idx] = (-r[i, f]) % p
+    return k
+
+
 def naive_solve(rows: list[list[int]], rhs: list[int], p: int):
     """One solution of A x = rhs over Z/p, or None if inconsistent."""
     n = len(rows)

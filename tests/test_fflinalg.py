@@ -16,7 +16,7 @@ from ribbonsyz.fflinalg import (
     solve,
 )
 
-from oracles import naive_rank, naive_solve
+from oracles import eager_eliminate, loop_kernel_basis, naive_rank, naive_solve
 
 P = 101
 
@@ -188,6 +188,105 @@ class TestDriftReset:
             assert np.any(x == -1)
 
 
+MODULI = [2, 13, 101, 65521, 1048573, 2**31 - 1]
+
+
+def exact_product(x, y, p):
+    """x @ y mod p in python integers."""
+    return np.array((np.asarray(x, dtype=object) @ np.asarray(y, dtype=object)) % p, dtype=np.int64)
+
+
+def shaped_cases(p, seed=0):
+    """Matrices in [0, p) of every shape and structure the elimination meets."""
+    g = rng(seed)
+    sparse = g.integers(0, p, (20, 18)) * (g.random((20, 18)) < 0.15)
+    deficient = exact_product(g.integers(0, p, (25, 4)), g.integers(0, p, (4, 30)), p)
+    deficient[:, 7] = deficient[:, 2]
+    late = g.integers(0, p, (16, 12))
+    late[:9, :5] = 0  # the first pivots lie below zero rows: swaps
+    return {
+        "dense": g.integers(0, p, (12, 15)),
+        "sparse": sparse,
+        "tall": g.integers(0, p, (40, 7)),
+        "wide": g.integers(0, p, (6, 45)),
+        "zero": np.zeros((5, 8), dtype=np.int64),
+        "rank-deficient": deficient,
+        "late-pivot": late,
+    }
+
+
+class TestLazyElimination:
+    """``_eliminate_simple`` reduces lazily; pivots, matrix and row order must
+    be those of the eager loop that reduces after every update."""
+
+    @pytest.mark.parametrize("p", MODULI)
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("with_order", [False, True])
+    def test_matches_eager_oracle(self, p, reduced, with_order):
+        from ribbonsyz.fflinalg import _eliminate_simple
+
+        for name, a in shaped_cases(p, seed=p % 1000).items():
+            lazy, eager = a.copy(), a.copy()
+            lazy_order = np.arange(a.shape[0]) if with_order else None
+            eager_order = np.arange(a.shape[0]) if with_order else None
+            piv = _eliminate_simple(lazy, p, reduced, lazy_order)
+            assert piv == eager_eliminate(eager, p, reduced, eager_order), name
+            assert np.array_equal(lazy, eager), name
+            assert lazy.min(initial=0) >= 0 and lazy.max(initial=0) < p, name
+            if with_order:
+                assert np.array_equal(lazy_order, eager_order), name
+            assert len(piv) == naive_rank(a.tolist(), p), name
+
+    def test_forced_reset_mid_matrix(self, monkeypatch):
+        # a limit three updates above the start makes every third update
+        # reduce the trailing block first, in both passes
+        from ribbonsyz import fflinalg
+
+        p = 101
+        step = (p - 1) ** 2
+        monkeypatch.setattr(fflinalg, "_INT_DRIFT_MAX", p - 1 + 3 * step)
+        resets = []
+        exact = fflinalg._int_mod_inplace
+
+        def counting(x, q):
+            resets.append(x.shape)
+            exact(x, q)
+
+        monkeypatch.setattr(fflinalg, "_int_mod_inplace", counting)
+        a = rng(41).integers(0, p, (30, 40))
+        a[:, 5] = (2 * a[:, 1] + a[:, 3]) % p
+        fired = []
+        for reduced in (False, True):
+            lazy, eager = a.copy(), a.copy()
+            order, eager_order = np.arange(30), np.arange(30)
+            piv = fflinalg._eliminate_simple(lazy, p, reduced, order)
+            fired.append(len(resets))
+            assert piv == eager_eliminate(eager, p, reduced, eager_order)
+            assert np.array_equal(lazy, eager) and np.array_equal(order, eager_order)
+        # forward: 29 updates, a reset before every third; the backward pass adds more
+        assert 5 <= fired[0] < 29
+        assert fired[1] > 2 * fired[0]
+
+    @pytest.mark.parametrize("p, fires", [(101, False), (2**31 - 1, True)])
+    def test_reset_at_the_real_limit(self, p, fires, monkeypatch):
+        # never at p = 101; near 2**31 before every update but the first
+        from ribbonsyz import fflinalg
+
+        resets = []
+        exact = fflinalg._int_mod_inplace
+
+        def counting(x, q):
+            resets.append(x.shape)
+            exact(x, q)
+
+        monkeypatch.setattr(fflinalg, "_int_mod_inplace", counting)
+        a = rng(43).integers(1, p, (20, 24))
+        lazy, eager = a.copy(), a.copy()
+        piv = fflinalg._eliminate_simple(lazy, p, False)
+        assert piv == eager_eliminate(eager, p, False) and np.array_equal(lazy, eager)
+        assert len(resets) == (len(piv) - 2 if fires else 0)
+
+
 class TestKernel:
     def test_identity_empty(self):
         k = kernel_basis(np.eye(4, dtype=np.int64), P)
@@ -209,6 +308,23 @@ class TestKernel:
             assert not np.any(matmul_mod(a, k, P))
             if k.shape[1]:
                 assert rank(k, P) == k.shape[1]
+
+
+    @pytest.mark.parametrize("p", [2, 101, 1048573, 2**31 - 1])
+    def test_matches_loop_oracle(self, p):
+        g = rng(p % 89)
+        cases = list(shaped_cases(p).values()) + [
+            g.integers(0, p, (9, 13)),
+            np.eye(6, dtype=np.int64),  # full rank: no free column
+            np.zeros((0, 5), dtype=np.int64),  # no rows: every column free
+            np.zeros((4, 0), dtype=np.int64),  # no columns
+        ]
+        for a in cases:
+            r, pivots = rref(a, p)
+            want = loop_kernel_basis(r, pivots, p)
+            k = kernel_basis(a, p)
+            assert k.dtype == np.int64 and np.array_equal(k, want)
+            assert not np.any(exact_product(a, k, p))
 
 
 class TestImageMembership:
@@ -281,6 +397,35 @@ def test_other_moduli(p):
     assert rank(a, p) == naive_rank(a.tolist(), p)
     k = kernel_basis(a, p)
     assert not np.any(matmul_mod(a, k, p))
+
+
+class TestMatmulMod:
+    def test_float_path_crosses_a_chunk_boundary(self):
+        # at p = 1048573 one float chunk holds 2**53 // p**2 = 8192 products
+        p = 1048573
+        assert (1 << 53) // (p * p) == 8192
+        g = rng(37)
+        x = g.integers(p - 40, p, (3, 9001))  # near p - 1: the largest sums
+        y = g.integers(p - 40, p, (9001, 4))
+        x[1] = g.integers(0, p, 9001)
+        assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
+
+    @pytest.mark.parametrize("p", [2, 13, 101])
+    def test_float_path_one_chunk(self, p):
+        g = rng(p)
+        x, y = g.integers(0, p, (7, 300)), g.integers(0, p, (300, 5))
+        assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
+
+    @pytest.mark.parametrize("p", [1048583, 2147483629])
+    def test_int64_path_above_2_20(self, p):
+        g = rng(p % 97)
+        x, y = g.integers(p - 1000, p, (6, 50)), g.integers(0, p, (50, 8))
+        assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
+
+    def test_empty_inner_and_outer(self):
+        assert np.array_equal(matmul_mod(np.ones((2, 0)), np.ones((0, 3)), P), np.zeros((2, 3)))
+        assert matmul_mod(np.ones((0, 4)), np.ones((4, 3)), P).shape == (0, 3)
+        assert matmul_mod(np.ones((2, 4)), np.ones((4, 0)), P).shape == (2, 0)
 
 
 def test_large_p_fallback_path():

@@ -98,6 +98,110 @@ class TestGradedAlgebra:
                 assert np.array_equal(via_mult, via_action)
 
 
+def tampered(alg: GradedAlgebra, key, entry) -> dict:
+    """A copy of the algebra's tensors with one entry of mult[key] moved by one."""
+    mult = {k: t.copy() for k, t in alg.mult.items()}
+    mult[key][entry] = (mult[key][entry] + 1) % alg.field.p
+    return mult
+
+
+class TestBatchedCertificate:
+    """``multiply`` on stacks of vectors, and the associativity certificate
+    that draws its five seeded triples per split as stacks."""
+
+    @pytest.fixture(scope="class")
+    def ring4(self, quartic):
+        return algebra_from_sections([quartic.sections(q) for q in range(5)])
+
+    def test_stacked_multiply_equals_rows(self, ring4):
+        rng = np.random.default_rng(7)
+        for a, b in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (0, 3), (3, 0)]:
+            # residues are taken first: products of these would overflow int64
+            va, vb = (rng.integers(-(2**40), 2**40, (6, ring4.dims[d])) for d in (a, b))
+            stacked = ring4.multiply(a, va, b, vb)
+            assert stacked.shape == (6, ring4.dims[a + b])
+            rows = [ring4.multiply(a, x, b, y) for x, y in zip(va, vb)]
+            assert all(r.shape == (ring4.dims[a + b],) for r in rows)
+            assert np.array_equal(stacked, np.array(rows))
+            # one vector pairs with every row of the other stack
+            one = ring4.multiply(a, va, b, vb[2])
+            assert np.array_equal(one, np.array([ring4.multiply(a, x, b, vb[2]) for x in va]))
+            want = np.einsum("ki,kj,ijc->kc", va % 101, vb % 101, ring4.tensor(a, b)) % 101
+            assert np.array_equal(stacked, want)
+
+    def test_empty_top_piece(self):
+        # k[x] / (x^3) through degree 4: the products into degrees 3 and 4 are empty
+        one = np.ones((1, 1, 1), dtype=np.int64)
+        mult = {
+            (1, 1): one,
+            (1, 2): np.zeros((1, 1, 0), dtype=np.int64),
+            (1, 3): np.zeros((1, 0, 0), dtype=np.int64),
+            (2, 2): np.zeros((1, 1, 0), dtype=np.int64),
+        }
+        alg = GradedAlgebra(F101, [1, 1, 1, 0, 0], mult)
+        assert alg.multiply(2, [3], 2, [5]).shape == (0,)
+        assert alg.multiply(1, np.ones((4, 1)), 3, np.zeros((4, 0))).shape == (4, 0)
+        assert np.array_equal(alg.multiply(1, [[2], [3]], 1, [[4], [5]]), [[8], [15]])
+
+    def test_every_triple_counts(self, quartic):
+        # at window 3 the one split is (1,1,1).  Moving mult[(1,2)][i, j, 0]
+        # by lam moves coordinate 0 of (ab)c - a(bc) by lam * s_ij, with
+        # s_ij = (ab)_j c_i - a_i (bc)_j per triple.  Two such moves that
+        # cancel on the first of the five seeded triples must still be caught.
+        alg = algebra_from_sections([quartic.sections(q) for q in range(4)])
+        p = 101
+        rng = np.random.default_rng(0)  # the draws of GradedAlgebra._validate
+        va, vb, vc = (rng.integers(0, p, (5, alg.dims[1])) for _ in range(3))
+        ab, bc = alg.multiply(1, va, 1, vb), alg.multiply(1, vb, 1, vc)
+        s1 = (ab[:, 4] * vc[:, 0] - va[:, 0] * bc[:, 4]) % p
+        s2 = (ab[:, 5] * vc[:, 1] - va[:, 1] * bc[:, 5]) % p
+        assert s1[0] or s2[0]
+        assert np.any((s2[0] * s1 - s1[0] * s2)[1:] % p)  # triple 0 sees nothing, some other does
+        mult = {k: t.copy() for k, t in alg.mult.items()}
+        mult[(1, 2)][0, 4, 0] += s2[0]
+        mult[(1, 2)][1, 5, 0] -= s1[0]
+        mult[(1, 2)] %= p
+        with pytest.raises(GradedError, match=r"associativity fails on degrees \(1,1,1\)"):
+            GradedAlgebra(F101, alg.dims, mult)
+
+    def test_sixteen_products_at_window_4(self, ring4, monkeypatch):
+        from ribbonsyz import graded
+
+        calls = []
+        original = graded.matmul_mod
+
+        def counting(x, y, p):
+            calls.append(np.shape(x)[0])
+            return original(x, y, p)
+
+        monkeypatch.setattr(graded, "matmul_mod", counting)
+        GradedAlgebra(F101, ring4.dims, ring4.mult)
+        # four splits, four stacked products each, five triples per product
+        assert calls == [5] * 16
+
+    @pytest.mark.parametrize(
+        "split, window, key, entry, names",
+        [
+            # at window 3, (1,1,1) is the only split (on this ring, moving
+            # any mult[(1,2)][0, 0, k] alone would stay associative)
+            ((1, 1, 1), 3, (1, 2), (0, 4, 0), "(1,1,1)"),
+            # a diagonal entry keeps mult[(2,2)] symmetric; the first split reading it is (1,1,2)
+            ((1, 1, 2), 4, (2, 2), (1, 1, 3), "(1,1,2)"),
+            # (1,2,1) reads only mult[(1,2)] and mult[(1,3)], which (1,1,2) reads too
+            ((1, 2, 1), 4, (1, 3), (0, 0, 0), None),
+            # (2,1,1) reads mult[(1,1)], mult[(1,2)], mult[(1,3)] and mult[(2,2)]
+            ((2, 1, 1), 4, (1, 1), (2, 2, 4), None),
+        ],
+    )
+    def test_tampered_split_is_caught(self, quartic, split, window, key, entry, names):
+        alg = algebra_from_sections([quartic.sections(q) for q in range(window + 1)])
+        assert key in alg.mult
+        with pytest.raises(GradedError, match="associativity fails") as err:
+            GradedAlgebra(F101, alg.dims, tampered(alg, key, entry))
+        if names is not None:
+            assert names in str(err.value)
+
+
 class TestGradedModule:
     def test_action_shape_validation(self):
         with pytest.raises(InconsistentDims):
