@@ -2,7 +2,9 @@
 
 All randomness flows from one seeded generator, so identical (config,
 seed) pairs produce byte-identical output.  Every JSON document is checked
-against the schema shipped in ribbonsyz/schemas before it is emitted.
+against the schema shipped in ribbonsyz/schemas before it is emitted, by
+``schema_validate`` (a subset of JSON Schema 2020-12, without the
+jsonschema package).
 
 Exit codes: 0 success, 2 invalid configuration (including a curve that
 cannot be built, a ribbon with p_a < 3, a strata ``--bmax`` below 1,
@@ -10,11 +12,12 @@ cannot be built, a ribbon with p_a < 3, a strata ``--bmax`` below 1,
 rational-point pool, a strata class asked for in a span that is {0}, a
 blow-up search whose degree has more prefixes than the search budget
 (SearchTooLarge), a strata task whose rational points would take more
-candidates to scan than the point budget (PointScanTooLarge), and
-``--task w4`` on a curve that is not
-y^2 = cubic(x)), 3 smoothness certificate failure, 4 a genuine
-consistency contradiction in the green report (which would indicate a
-bug, not a mathematical discovery).
+candidates to scan than the point budget (PointScanTooLarge), a
+``betti`` or ``green`` run with a Koszul weight block that would take
+more memory to rank than the block budget (CellTooLarge), and
+``--task w4`` on a curve that is not y^2 = cubic(x)), 3 smoothness
+certificate failure, 4 a genuine consistency contradiction in the green
+report (which would indicate a bug, not a mathematical discovery).
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from __future__ import annotations
 import json
 import sys
 from importlib import resources
+from numbers import Number
 
 import click
 import numpy as np
-from jsonschema.validators import validator_for
 
 from ribbonsyz.curves import (
     CurveError,
@@ -40,7 +43,7 @@ from ribbonsyz.curves import (
 )
 from ribbonsyz.fflinalg import NotPrime, PrimeField
 from ribbonsyz.greenchk import green_split_report, recompute_consistency
-from ribbonsyz.koszul import NoNonzero, duality_check, hilbert_check, hilbert_dims, rcliff
+from ribbonsyz.koszul import CellTooLarge, NoNonzero, duality_check, hilbert_check, hilbert_dims, rcliff
 from ribbonsyz.ribbon import (
     RibbonError,
     build_split_ribbon,
@@ -177,13 +180,144 @@ def _curve_info(model) -> dict:
     return info
 
 
-def schema_validate(obj: dict, schema: dict) -> None:
-    """Validate obj against a shipped schema, raising jsonschema's ValidationError.
+class OutputSchemaError(ValueError):
+    """An emitted document breaks its schema; ``path`` locates the first failure."""
 
-    The schema itself is not checked against its metaschema here (that
-    costs 10-20 ms a run); the test suite checks every shipped schema.
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+
+
+class UnsupportedSchema(ValueError):
+    """A schema uses a keyword, type name or draft outside ``schema_validate``'s subset."""
+
+
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
+_KEYWORDS = frozenset(
+    {
+        "$schema", "title", "type", "const", "enum", "minimum", "maximum", "minItems",
+        "maxItems", "items", "properties", "required", "additionalProperties", "oneOf",
+    }
+)
+# JSON Schema's types over the values json.load produces: bool is neither
+# integer nor number, a float with an integral value is an integer, and an
+# array is a list (a tuple is not).
+_TYPES = {
+    "null": lambda x: x is None,
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: not isinstance(x, bool) and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+    "number": lambda x: not isinstance(x, bool) and isinstance(x, Number),
+    "string": lambda x: isinstance(x, str),
+    "array": lambda x: isinstance(x, list),
+    "object": lambda x: isinstance(x, dict),
+}
+
+
+def _type_names(schema: dict) -> list:
+    names = schema.get("type", [])
+    return [names] if isinstance(names, str) else names
+
+
+def _check_schema(schema, where: str) -> None:
+    """Raise UnsupportedSchema unless every subschema stays inside the subset."""
+    if not isinstance(schema, dict):
+        raise UnsupportedSchema(f"{where}: a subschema must be an object, not {schema!r}")
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if unknown:
+        raise UnsupportedSchema(f"{where}: unsupported keyword(s) {', '.join(unknown)}")
+    if schema.get("$schema", _DRAFT) != _DRAFT:
+        raise UnsupportedSchema(f"{where}: only {_DRAFT} is supported, not {schema['$schema']!r}")
+    for name in _type_names(schema):
+        if name not in _TYPES:
+            raise UnsupportedSchema(f"{where}: unknown type {name!r}")
+    for key in ("items", "additionalProperties"):
+        if key in schema:
+            _check_schema(schema[key], f"{where}/{key}")
+    for name, sub in schema.get("properties", {}).items():
+        _check_schema(sub, f"{where}/properties/{name}")
+    for i, sub in enumerate(schema.get("oneOf", [])):
+        _check_schema(sub, f"{where}/oneOf/{i}")
+
+
+def _equal(a, b) -> bool:
+    """JSON equality for ``const`` and ``enum``: True != 1, but 1 == 1.0."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    return a == b
+
+
+def _validate(x, schema: dict, path: str) -> None:
+    """Raise OutputSchemaError at the first keyword of ``schema`` that ``x`` fails."""
+    names = _type_names(schema)
+    if names and not any(_TYPES[name](x) for name in names):
+        raise OutputSchemaError(path, f"{x!r} is not of type {' or '.join(names)}")
+    if "const" in schema and not _equal(x, schema["const"]):
+        raise OutputSchemaError(path, f"{x!r} is not {schema['const']!r}")
+    if "enum" in schema and not any(_equal(x, e) for e in schema["enum"]):
+        raise OutputSchemaError(path, f"{x!r} is not one of {schema['enum']!r}")
+    if _TYPES["number"](x):
+        if "minimum" in schema and x < schema["minimum"]:
+            raise OutputSchemaError(path, f"{x!r} is less than the minimum {schema['minimum']!r}")
+        if "maximum" in schema and x > schema["maximum"]:
+            raise OutputSchemaError(path, f"{x!r} is greater than the maximum {schema['maximum']!r}")
+    if isinstance(x, list):
+        if len(x) < schema.get("minItems", 0):
+            raise OutputSchemaError(path, f"{len(x)} items, fewer than {schema['minItems']}")
+        if "maxItems" in schema and len(x) > schema["maxItems"]:
+            raise OutputSchemaError(path, f"{len(x)} items, more than {schema['maxItems']}")
+        if "items" in schema:
+            for i, item in enumerate(x):
+                _validate(item, schema["items"], f"{path}[{i}]")
+    if isinstance(x, dict):
+        for name in schema.get("required", ()):
+            if name not in x:
+                raise OutputSchemaError(path, f"required property {name!r} is missing")
+        props = schema.get("properties", {})
+        for name, sub in props.items():
+            if name in x:
+                _validate(x[name], sub, f"{path}.{name}")
+        if "additionalProperties" in schema:
+            for name in x:
+                if name not in props:
+                    _validate(x[name], schema["additionalProperties"], f"{path}.{name}")
+    if "oneOf" in schema:
+        matched = sum(_matches(x, sub, path) for sub in schema["oneOf"])
+        if matched != 1:
+            raise OutputSchemaError(path, f"matches {matched} of the {len(schema['oneOf'])} oneOf branches, not exactly 1")
+
+
+def _matches(x, schema: dict, path: str) -> bool:
+    try:
+        _validate(x, schema, path)
+    except OutputSchemaError:
+        return False
+    return True
+
+
+def schema_validate(obj: dict, schema: dict) -> None:
+    """Validate obj against a shipped schema, with JSON Schema 2020-12 semantics.
+
+    Only the keywords the shipped schemas use are implemented: ``$schema``
+    (which must name draft 2020-12), ``title``, ``type``, ``const``,
+    ``enum``, ``minimum``, ``maximum``, ``minItems``, ``maxItems``,
+    ``items``, ``properties``, ``required``, ``additionalProperties`` and
+    ``oneOf``.  The whole schema is checked first, so a keyword outside
+    that set raises UnsupportedSchema even in a branch the document never
+    reaches; it is never ignored.  The first keyword the document fails
+    raises OutputSchemaError, whose ``path`` (``$.report.phi[0].src``)
+    locates it.  The test suite checks this against the jsonschema
+    package, which the program itself does not import.
     """
-    validator_for(schema)(schema).validate(obj)
+    _check_schema(schema, "#")
+    _validate(obj, schema, "$")
 
 
 def _emit(obj: dict, schema_name: str, fmt: str, out_path, text: str | None):
@@ -216,6 +350,8 @@ def betti(fmt, out_path, config_path, **flags):
         table = ring.betti()
     except RibbonError as exc:
         raise click.UsageError(str(exc))
+    except CellTooLarge as exc:
+        raise click.UsageError(f"Koszul cell too large: {exc}")
     try:
         rc = rcliff(table)
     except NoNonzero:
@@ -265,6 +401,8 @@ def green(inject_fault, fmt, out_path, config_path, **flags):
         report = green_split_report(model, -cfg["conormal"])
     except RibbonError as exc:
         raise click.UsageError(str(exc))
+    except CellTooLarge as exc:
+        raise click.UsageError(f"Koszul cell too large: {exc}")
     if inject_fault:
         if report["phi"]:
             report["phi"][0]["surjective"] = not report["phi"][0]["surjective"]

@@ -40,7 +40,6 @@ __all__ = [
     "kernel_basis",
     "image_basis",
     "image_membership",
-    "solve",
     "matmul_mod",
     "as_fp",
 ]
@@ -69,10 +68,6 @@ class DimensionMismatch(LinearAlgebraError):
 
 class NotPrime(LinearAlgebraError):
     """The session modulus failed the primality check."""
-
-
-class LinearSolveError(LinearAlgebraError):
-    """An exact linear solve had no solution."""
 
 
 def _is_prime(n: int) -> bool:
@@ -421,26 +416,6 @@ def image_membership(a, v, p: int) -> bool:
     if not np.any(w):
         return True
     return rank(np.hstack([m, w]), p) == rank(m, p)
-
-
-def solve(a, b, p: int) -> np.ndarray:
-    """Solve a @ x = b exactly mod p; ``b`` may have several columns.
-
-    Requires ``a`` to have full column rank (the use case throughout this
-    package: expressing vectors in a chosen basis).  Raises LinearSolveError
-    if the system is inconsistent or the basis is rank-deficient.
-    """
-    m = as_fp(a, p)
-    w = as_fp(b, p)
-    if w.shape[0] != m.shape[0]:
-        raise DimensionMismatch("right-hand side has wrong number of rows")
-    ncols = m.shape[1]
-    r, pivots = _echelon(np.hstack([m, w]), p, reduced=True)
-    if any(c >= ncols for c in pivots):
-        raise LinearSolveError("inconsistent system")
-    if len(pivots) != ncols:
-        raise LinearSolveError("coefficient matrix is rank-deficient")
-    return r[:ncols, ncols:].copy()
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:

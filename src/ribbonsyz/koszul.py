@@ -42,6 +42,7 @@ __all__ = [
     "IllDefined",
     "OutOfWindow",
     "NoNonzero",
+    "CellTooLarge",
     "KoszulGroup",
     "KoszulCalculator",
     "BettiTable",
@@ -65,6 +66,20 @@ class OutOfWindow(Exception):
 
 class NoNonzero(Exception):
     """A Betti table with no nonzero entry in the q = 2 row."""
+
+
+class CellTooLarge(Exception):
+    """A Koszul block would take more memory to rank than ``_CELL_BYTES_MAX``."""
+
+
+# Memory budget for ranking one block of a Koszul cell.  Ranking an r x c
+# block holds four r x c arrays of 8-byte entries at its peak: the int64
+# block, the reduced int64 copy ``fflinalg.as_fp`` makes, the float64
+# working copy of the blocked engine and the int64 matrix it returns.  The
+# largest block of the genus-3 gate case (p_a = 14), 4158 x 4536, needs
+# 0.6 GB of the 1 GiB budget.
+_CELL_BYTES_MAX = 1 << 30
+_CELL_BYTES_PER_ENTRY = 32
 
 
 @lru_cache(maxsize=64)
@@ -188,7 +203,9 @@ class KoszulCalculator:
 
         On a certified module, the sum of the ranks of the weight blocks
         found on both sides of the cell, each assembled and ranked before
-        the next is built.
+        the next is built.  Every block's shape is checked against the
+        memory budget before the first is assembled: one over it raises
+        CellTooLarge.
         """
         n = self.module.n
         if p <= 0 or q < 0 or p > n:
@@ -196,15 +213,29 @@ class KoszulCalculator:
         key = (p, q)
         if key in self._ranks:
             return self._ranks[key]
-        blocks = [None]
+        module = self.module
+        if q + 1 > module.window:
+            raise OutOfWindow(f"degree {q} -> {q + 1} outside window 0..{module.window}")
         if self.split:
-            src = _total_weights(self.module, p, q)
-            tgt = _total_weights(self.module, p - 1, q + 1)
-            blocks = sorted(set(src.tolist()) & set(tgt.tolist()))
+            src = _total_weights(module, p, q)
+            tgt = _total_weights(module, p - 1, q + 1)
+            blocks = {
+                w: (int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w)))
+                for w in sorted(set(src.tolist()) & set(tgt.tolist()))
+            }
+        else:
+            blocks = {None: (comb(n, p - 1) * module.pieces[q + 1], comb(n, p) * module.pieces[q])}
+        for w, (rows, cols) in blocks.items():
+            estimate = _CELL_BYTES_PER_ENTRY * rows * cols
+            if estimate > _CELL_BYTES_MAX:
+                raise CellTooLarge(
+                    f"cell (p, q) = ({p}, {q}), weight block {w}: {rows} x {cols}, "
+                    f"about {estimate} bytes to rank, more than the budget of {_CELL_BYTES_MAX}"
+                )
         total = 0
         for w in blocks:
-            d = koszul_differential(self.module, p, q, w)
-            total += rank(d, self.module.field.p) if d.size else 0
+            d = koszul_differential(module, p, q, w)
+            total += rank(d, module.field.p) if d.size else 0
         return self._ranks.setdefault(key, total)
 
     def dim(self, p: int, q: int) -> int:
@@ -353,8 +384,6 @@ def hilbert_check(table: BettiTable, h: list[int]) -> bool:
     if len(h) < top + 1:
         h = h + hilbert_dims(p_a, top)[len(h) :]
     # (1-t)^{p_a} coefficients
-    from math import comb
-
     lhs = [0] * (top + 1)
     for q in range(top + 1):
         for k in range(0, top + 1 - q):

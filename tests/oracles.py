@@ -4,7 +4,9 @@ Everything here is deliberately naive and self-contained (pure-python
 integers, or one plain elimination batched over numpy arrays where a
 python loop would take minutes; no imports from the package's fast paths)
 so the production code can be checked against an implementation that
-shares nothing with it beyond the problem statement.
+shares nothing with it beyond the problem statement.  The exception is
+``solve``, a test helper that the package no longer uses, which runs on
+``fflinalg.rref``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
+
+from ribbonsyz.fflinalg import DimensionMismatch, as_fp, rref
 
 
 def naive_rank(rows: list[list[int]], p: int) -> int:
@@ -200,6 +204,29 @@ def naive_solve(rows: list[list[int]], rhs: list[int], p: int):
     for i, c in enumerate(pivots):
         x[c] = aug[i][m]
     return x
+
+
+class LinearSolveError(Exception):
+    """An exact linear solve had no solution."""
+
+
+def solve(a, b, p: int) -> np.ndarray:
+    """Solve a @ x = b exactly mod p; ``b`` may have several columns.
+
+    Requires ``a`` to have full column rank.  Raises LinearSolveError if
+    the system is inconsistent or the basis is rank-deficient.
+    """
+    m = as_fp(a, p)
+    w = as_fp(b, p)
+    if w.shape[0] != m.shape[0]:
+        raise DimensionMismatch("right-hand side has wrong number of rows")
+    ncols = m.shape[1]
+    r, pivots = rref(np.hstack([m, w]), p)
+    if any(c >= ncols for c in pivots):
+        raise LinearSolveError("inconsistent system")
+    if len(pivots) != ncols:
+        raise LinearSolveError("coefficient matrix is rank-deficient")
+    return r[:ncols, ncols:].copy()
 
 
 def rational_rank(rows: list[list[int]]) -> int:

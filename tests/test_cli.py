@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from jsonschema import validate as schema_validate
 from jsonschema.validators import validator_for
 
-from ribbonsyz import strata
+from ribbonsyz import koszul, strata
 from ribbonsyz.cli import main
 from ribbonsyz.curves import random_split_cubic, rational_points
 from ribbonsyz.fflinalg import PrimeField
@@ -169,6 +169,14 @@ class TestCurveAndRibbonErrors:
         res = runner.invoke(main, list(args))
         assert res.exit_code == 2
         assert message in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("command", ["betti", "green"])
+    def test_cell_too_large_exit_2(self, runner, monkeypatch, command):
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 10 * 10)
+        res = runner.invoke(main, [command, *HYP2])
+        assert res.exit_code == 2
+        assert "Koszul cell too large" in res.output and "more than the budget of 3200" in res.output
         assert isinstance(res.exception, SystemExit)
 
 

@@ -13,10 +13,9 @@ from ribbonsyz.fflinalg import (
     matmul_mod,
     rank,
     rref,
-    solve,
 )
 
-from oracles import eager_eliminate, loop_kernel_basis, naive_rank, naive_solve
+from oracles import eager_eliminate, loop_kernel_basis, naive_rank, naive_solve, solve
 
 P = 101
 

@@ -4,7 +4,7 @@ import pytest
 from itertools import combinations_with_replacement
 
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve
-from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank, solve
+from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank
 from ribbonsyz.graded import (
     GradedAlgebra,
     GradedError,
@@ -17,7 +17,7 @@ from ribbonsyz.graded import (
 )
 from ribbonsyz.koszul import KoszulCalculator
 
-from oracles import oracle_koszul_dim
+from oracles import oracle_koszul_dim, solve
 
 F101 = PrimeField(101)
 

@@ -233,3 +233,70 @@ class TestCertificate:
             replace(module, v_weights=module.v_weights[1:])
         with pytest.raises(InconsistentDims):
             replace(module, weights=module.weights[:-1] + (module.weights[-1][1:],))
+
+
+class TestCellBudget:
+    """``rank_d`` checks every block of a cell against the memory budget first."""
+
+    def quartic_module(self):
+        _, ring = zoo()[0]
+        return koszul._artinian_module(ring.algebra)
+
+    def test_largest_block_at_and_over_the_budget(self, monkeypatch):
+        # d_{4,1} of the quartic: its largest block is 108 x 108, 32 bytes an entry
+        module = self.quartic_module()
+        expected = KoszulCalculator(module).rank_d(4, 1)
+        need = 32 * 108 * 108
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", need)
+        assert KoszulCalculator(module).rank_d(4, 1) == expected
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", need - 1)
+        built = []
+        monkeypatch.setattr(koszul, "koszul_differential", lambda *args: built.append(args))
+        with pytest.raises(koszul.CellTooLarge) as info:
+            KoszulCalculator(module).rank_d(4, 1)
+        message = str(info.value)
+        assert "(p, q) = (4, 1)" in message and "108 x 108" in message and str(need) in message
+        assert "weight block 2" in message
+        # refused before any block of the cell is assembled
+        assert built == []
+
+    def test_message_gives_the_block_shape(self, monkeypatch):
+        # the first block over the budget is named with its (rows, cols)
+        module = self.quartic_module()
+        shape = koszul_differential(module, 4, 1, 1).shape
+        assert shape[0] != shape[1]
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * shape[0] * shape[1] - 1)
+        with pytest.raises(koszul.CellTooLarge, match=f"weight block 1: {shape[0]} x {shape[1]},"):
+            KoszulCalculator(module).rank_d(4, 1)
+
+    def test_whole_cell_of_an_unsplit_module(self, monkeypatch):
+        module = unweighted(self.quartic_module())
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 245 * 245 - 1)
+        with pytest.raises(koszul.CellTooLarge, match=r"weight block None: 245 x 245"):
+            KoszulCalculator(module).rank_d(4, 1)
+
+    def test_table_through_the_ring(self, monkeypatch):
+        _, ring = zoo()[0]
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 100 * 100)
+        with pytest.raises(koszul.CellTooLarge):
+            ring.betti()
+
+    def test_genus_3_gate_case_fits_the_default_budget(self):
+        # the split ribbon over a genus-3 hyperelliptic curve at p_a = 14
+        # (``green --curve hyperelliptic --g 3 --conormal -9``): every block
+        # its Betti table ranks is under the budget, the largest (the
+        # 4158 x 4536 block of d_{6,1} and its transpose in d_{7,1}) at 0.6 GB
+        f = PrimeField(101)
+        ring = build_split_ribbon(random_hyperelliptic(f, 3, np.random.default_rng(0)), 9)
+        module = koszul._artinian_module(ring.algebra)
+        largest = {}
+        for q in range(4):
+            for p in range(1, module.n + 1):
+                src = koszul._total_weights(module, p, q)
+                tgt = koszul._total_weights(module, p - 1, q + 1)
+                for w in set(src.tolist()) & set(tgt.tolist()):
+                    shape = (int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w)))
+                    largest.setdefault(shape[0] * shape[1], []).append((p, q, shape))
+        top = max(largest)
+        assert largest[top] == [(6, 1, (4158, 4536)), (7, 1, (4536, 4158))]
+        assert 32 * top <= koszul._CELL_BYTES_MAX
