@@ -15,7 +15,10 @@ blow-up search whose degree has more prefixes than the search budget
 candidates to scan than the point budget (PointScanTooLarge), a
 ``betti`` or ``green`` run with a Koszul weight block that would take
 more memory to rank than the block budget (CellTooLarge), and
-``--task w4`` on a curve that is not y^2 = cubic(x)), 3 smoothness
+``--task w4`` on a curve that is not y^2 = cubic(x), a ``--conormal``
+whose bundles lie past the model's supported tag range (TargetOverflow),
+and a config value for ``p``, ``seed``, ``curve.g``, ``curve.d`` or an
+entry of ``curve.coefficients`` that is not a JSON integer), 3 smoothness
 certificate failure, 4 a genuine consistency contradiction in the green
 report (which would indicate a bug, not a mathematical discovery).
 """
@@ -36,6 +39,7 @@ from ribbonsyz.curves import (
     NotSmooth,
     PlaneCurve,
     PointScanTooLarge,
+    TargetOverflow,
     random_hyperelliptic,
     random_plane_curve,
     random_split_cubic,
@@ -100,7 +104,6 @@ def _load_config(config_path, **flags) -> dict:
         cfg["seed"] = raw.get("seed", cfg["seed"])
         cfg["curve"] = dict(raw.get("curve", {}))
         cfg["conormal"] = raw.get("conormal", cfg["conormal"])
-        cfg["extra"] = {k: v for k, v in raw.items() if k not in ("p", "seed", "curve", "conormal")}
     if flags.get("p_mod") is not None:
         cfg["p"] = flags["p_mod"]
     if flags.get("seed") is not None:
@@ -119,11 +122,18 @@ def _load_config(config_path, **flags) -> dict:
         raise click.UsageError("no curve family given (--curve or config)")
     if cfg["conormal"] is None:
         raise click.UsageError("no conormal multiple given (--conormal or config)")
-    if not isinstance(cfg["conormal"], int) or cfg["conormal"] >= 0:
+    if not _is_int(cfg["conormal"]) or cfg["conormal"] >= 0:
         raise click.UsageError("--conormal must be a negative integer (L = t * polarization, t < 0)")
-    if not isinstance(cfg["seed"], int):
-        raise click.UsageError("seed must be an integer")
+    curve = {f"curve.{k}": cfg["curve"][k] for k in ("g", "d") if k in cfg["curve"]}
+    for name, value in {"p": cfg["p"], "seed": cfg["seed"], **curve}.items():
+        if not _is_int(value):
+            raise click.UsageError(f"{name} must be an integer, got {value!r}")
     return cfg
+
+
+def _is_int(value) -> bool:
+    """Whether value is a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _session(cfg):
@@ -139,23 +149,27 @@ def _build_model(cfg, field, rng):
     family = curve["family"]
     try:
         if family in ("plane-quartic", "plane"):
-            d = int(curve.get("d", 4))
+            d = curve.get("d", 4)
             coeffs = curve.get("coefficients")
             if coeffs is not None:
-                try:
-                    cd = {tuple(int(x) for x in entry[0]): int(entry[1]) for entry in coeffs}
-                except (TypeError, ValueError, IndexError):
-                    raise click.UsageError("plane coefficients must be [[[a,b,c], coeff], ...]")
-                return PlaneCurve(field, cd, d)
+                if not isinstance(coeffs, list) or not all(
+                    isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)
+                    and all(map(_is_int, e[0])) and _is_int(e[1])
+                    for e in coeffs
+                ):
+                    raise click.UsageError("plane coefficients must be [[[a,b,c], coeff], ...] with integer entries")
+                return PlaneCurve(field, {tuple(e[0]): e[1] for e in coeffs}, d)
             return random_plane_curve(field, d, rng)
         if family == "hyperelliptic":
             coeffs = curve.get("coefficients")
             if coeffs is not None:
-                return HyperellipticCurve(field, [int(c) for c in coeffs])
+                if not isinstance(coeffs, list) or not all(_is_int(c) for c in coeffs):
+                    raise click.UsageError("hyperelliptic coefficients must be a list of integers")
+                return HyperellipticCurve(field, coeffs)
             g = curve.get("g")
             if g is None:
                 raise click.UsageError("hyperelliptic curves need --g or explicit coefficients")
-            return random_hyperelliptic(field, int(g), rng)
+            return random_hyperelliptic(field, g, rng)
         if family == "elliptic-split":
             return random_split_cubic(field, rng)
         if family == "genus0":
@@ -166,6 +180,10 @@ def _build_model(cfg, field, rng):
     except CurveError as exc:
         raise click.UsageError(str(exc))
     raise click.UsageError(f"unknown curve family {family!r}")
+
+
+def _conormal_out_of_range(cfg, exc: TargetOverflow) -> click.UsageError:
+    return click.UsageError(f"--conormal {cfg['conormal']} is out of range for this model: {exc}")
 
 
 def _curve_info(model) -> dict:
@@ -350,6 +368,8 @@ def betti(fmt, out_path, config_path, **flags):
         table = ring.betti()
     except RibbonError as exc:
         raise click.UsageError(str(exc))
+    except TargetOverflow as exc:
+        raise _conormal_out_of_range(cfg, exc)
     except CellTooLarge as exc:
         raise click.UsageError(f"Koszul cell too large: {exc}")
     try:
@@ -401,6 +421,8 @@ def green(inject_fault, fmt, out_path, config_path, **flags):
         report = green_split_report(model, -cfg["conormal"])
     except RibbonError as exc:
         raise click.UsageError(str(exc))
+    except TargetOverflow as exc:
+        raise _conormal_out_of_range(cfg, exc)
     except CellTooLarge as exc:
         raise click.UsageError(f"Koszul cell too large: {exc}")
     if inject_fault:
@@ -439,6 +461,11 @@ def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path,
     t = -cfg["conormal"]
     if sweep_n is not None:
         task = "sweep"
+    if task != "bounds":  # the other tasks work in H^0(2K_C - L), the largest tag they read
+        try:
+            ambient_space(model, t)
+        except TargetOverflow as exc:
+            raise _conormal_out_of_range(cfg, exc)
     obj: dict = {"command": "strata", "p": field.p, "seed": cfg["seed"], "task": task}
     if task in ("blowup", "sweep"):
         try:

@@ -196,103 +196,60 @@ class GradedModule:
 
 
 class GradedAlgebra:
-    """A graded commutative algebra with unit, given by multiplication tensors.
+    """A graded commutative algebra with unit, given by its degree-one products.
 
-    ``mult[(a, b)]`` (for 1 <= a <= b, a + b <= window) has shape
-    (dims[a], dims[b], dims[a+b]).  Degree 0 is one-dimensional with the
-    basis vector acting as the unit; multiplication by degree 0 is
-    structural and not stored.  ``weights``, when given, holds one integer
-    weight per basis vector of each degree; ``as_module`` hands them on.
+    Every Koszul group computed downstream is K_{p,q}(A, A_1), which sees A
+    only as a module over Sym A_1, so the algebra is stored as that action:
+    ``mult[(1, b)]`` of shape (dims[1], dims[b], dims[b+1]) for exactly the
+    keys 1 <= b < window; any other key, or a missing one, raises
+    InconsistentDims.  Degree 0 is one-dimensional with the basis vector
+    acting as the unit; x_k . 1 = e_k is structural and not stored.
+
+    The constructor's certificate is exact: ``as_module().check_commutativity()``
+    checks x_k (x_l m) = x_l (x_k m) for every pair of basis vectors of A_1
+    and every basis vector m of A_q, q <= window - 2, with one ``matmul_mod``
+    per degree (window - 1 in all); at q = 0 it is the symmetry of
+    mult[(1, 1)].  It makes the pieces a graded Sym A_1-module, which is all
+    the Koszul groups read; when degree one generates, that module is cyclic,
+    hence a quotient ring of Sym A_1.  Raises GradedError.  ``weights``, when
+    given, holds one integer weight per basis vector of each degree;
+    ``as_module`` hands them on.
     """
 
-    def __init__(self, field: PrimeField, dims, mult: dict, validate: bool = True, weights=None):
+    def __init__(self, field: PrimeField, dims, mult: dict, weights=None):
         self.field = field
         self.dims = tuple(int(d) for d in dims)
-        if not self.dims or self.dims[0] != 1:
-            raise InconsistentDims("dims[0] must be 1 (the unit)")
+        if len(self.dims) < 2 or self.dims[0] != 1:
+            raise InconsistentDims("need dims[0] = 1 (the unit) and a degree-one piece")
         self.weights = None
         if weights is not None:
             self.weights = tuple(np.asarray(w, dtype=np.int64) for w in weights)
             if tuple(w.shape for w in self.weights) != tuple((d,) for d in self.dims):
                 raise InconsistentDims("need one weight per basis vector of each degree")
+        keys = {(1, b) for b in range(1, self.window)}
+        if set(mult) != keys:
+            raise InconsistentDims(f"need exactly the products {sorted(keys)}, got {list(mult)}")
         self.mult = {}
-        for (a, b), t in mult.items():
-            if a > b:
-                a, b, t = b, a, np.swapaxes(t, 0, 1)
-            want = (self.dims[a], self.dims[b], self.dims[a + b])
+        for b in range(1, self.window):
+            t = np.asarray(mult[(1, b)], dtype=np.int64)
+            want = (self.dims[1], self.dims[b], self.dims[b + 1])
             if t.shape != want:
-                raise InconsistentDims(f"mult[{(a, b)}] has shape {t.shape}, expected {want}")
-            self.mult[(a, b)] = np.asarray(t, dtype=np.int64) % field.p
-        if validate:
-            self._validate()
+                raise InconsistentDims(f"mult[{(1, b)}] has shape {t.shape}, expected {want}")
+            self.mult[(1, b)] = t % field.p
+        self.as_module().check_commutativity()
 
     @property
     def window(self) -> int:
         return len(self.dims) - 1
 
-    def tensor(self, a: int, b: int) -> np.ndarray:
-        """Multiplication tensor for degrees (a, b), swapping as needed."""
-        if a == 0:
-            da = self.dims[b]
-            return np.eye(da, dtype=np.int64).reshape(1, da, da)
-        if b == 0:
-            return np.eye(self.dims[a], dtype=np.int64).reshape(self.dims[a], 1, self.dims[a])
-        if (a, b) in self.mult:
-            return self.mult[(a, b)]
-        if (b, a) in self.mult:
-            return np.swapaxes(self.mult[(b, a)], 0, 1)
-        raise InconsistentDims(f"no multiplication tensor for degrees {(a, b)}")
-
-    def multiply(self, a: int, va, b: int, vb) -> np.ndarray:
-        """The product of va in degree a with vb in degree b.
-
-        Each factor is one vector or a stack of k vectors (shape (k, dim));
-        stacks multiply row by row, and one vector pairs with every row of
-        the other factor's stack.  The row-wise Kronecker products va (x) vb
-        go through the flattened tensor in one ``matmul_mod``.  Returns one
-        vector when both factors are vectors, else a (k, dims[a + b]) stack.
-        """
-        p = self.field.p
-        t = self.tensor(a, b)
-        da, db, dc = t.shape
-        xa, xb = (np.asarray(v, dtype=np.int64) % p for v in (va, vb))
-        # products of residues stay below 2**62; matmul_mod reduces them
-        kron = np.atleast_2d(xa)[:, :, None] * np.atleast_2d(xb)[:, None, :]
-        # explicit sizes: da * db or dc may be 0 (an empty top piece)
-        out = matmul_mod(kron.reshape(len(kron), da * db), t.reshape(da * db, dc), p)
-        return out[0] if xa.ndim == xb.ndim == 1 else out
-
-    def _validate(self) -> None:
-        """Check the symmetric tensors and associativity, exactly on seeded random triples.
-
-        For every split (a, b, c) with a + b + c <= window, five seeded
-        triples are drawn as stacks and both bracketings are formed with
-        two stacked ``multiply`` calls each, so a split costs four
-        ``matmul_mod`` calls (16 at window 4).  Raises GradedError.
-        """
-        p = self.field.p
-        rng = np.random.default_rng(0)
-        # commutativity where both orders live in the table
-        for (a, b), t in self.mult.items():
-            if a == b and not np.array_equal(t, np.swapaxes(t, 0, 1)):
-                raise GradedError(f"mult[{(a, a)}] is not symmetric")
-        for a in range(1, self.window + 1):
-            for b in range(1, self.window + 1 - a):
-                for c in range(1, self.window + 1 - a - b):
-                    va, vb, vc = (rng.integers(0, p, (5, self.dims[d])) for d in (a, b, c))
-                    left = self.multiply(a + b, self.multiply(a, va, b, vb), c, vc)
-                    right = self.multiply(a, va, b + c, self.multiply(b, vb, c, vc))
-                    if not np.array_equal(left, right):
-                        raise GradedError(f"associativity fails on degrees ({a},{b},{c})")
-
     def as_module(self) -> GradedModule:
         """The algebra as a module over itself, acted on by V = degree 1, weights kept."""
-        action = []
-        for q in range(self.window):
-            t = self.tensor(1, q)
-            action.append(np.ascontiguousarray(np.swapaxes(t, 1, 2)))
+        n = self.dims[1]
+        action = [np.eye(n, dtype=np.int64).reshape(n, n, 1)]  # x_k . 1 = e_k
+        for q in range(1, self.window):
+            action.append(np.ascontiguousarray(np.swapaxes(self.mult[(1, q)], 1, 2)))
         v_weights = None if self.weights is None else self.weights[1]
-        return GradedModule(self.field, self.dims[1], self.dims, tuple(action), v_weights, self.weights)
+        return GradedModule(self.field, n, self.dims, tuple(action), v_weights, self.weights)
 
     def artinian_reduction(self, l1, l2) -> GradedModule | None:
         """The algebra cut by two linear forms, or None if they are not certified.
@@ -336,15 +293,14 @@ class GradedAlgebra:
             k_max = self.window - 1
         p = self.field.p
         for k in range(1, k_max + 1):
-            t = self.tensor(1, k)
-            mat = t.reshape(self.dims[1] * self.dims[k], self.dims[k + 1]).T
+            mat = self.mult[(1, k)].reshape(self.dims[1] * self.dims[k], self.dims[k + 1]).T
             if rank(mat, p) < self.dims[k + 1]:
                 return False
         return True
 
 
-def algebra_from_sections(spaces: list[SectionSpace], validate: bool = True) -> GradedAlgebra:
-    """Assemble a graded algebra whose degree-q piece is spaces[q].
+def algebra_from_sections(spaces: list[SectionSpace]) -> GradedAlgebra:
+    """Assemble a graded algebra whose degree-q piece is spaces[q], from its degree-one products.
 
     The spaces must live on one model and have arithmetically consistent
     tags (tag_a + tag_b = tag_{a+b}), so polynomial multiplication realises
@@ -364,17 +320,14 @@ def algebra_from_sections(spaces: list[SectionSpace], validate: bool = True) -> 
         if q and tags[q] != q * tags[1] + tags[0]:
             raise InconsistentDims("tags must grow linearly with the degree")
     window = len(spaces) - 1
-    mult = {}
-    for a in range(1, window + 1):
-        for b in range(a, window + 1 - a):
-            mult[(a, b)] = mult_map(spaces[a], spaces[b]).tensor
+    mult = {(1, b): mult_map(spaces[1], spaces[b]).tensor for b in range(1, window)}
     # unit law from the actual model multiplication
     for q in range(1, window + 1):
         t = mult_map(spaces[0], spaces[q]).tensor
         if not np.array_equal(t[0], np.eye(spaces[q].dim, dtype=np.int64)):
             raise GradedError(f"degree-0 section does not act as identity on degree {q}")
     dims = [s.dim for s in spaces]
-    return GradedAlgebra(field, dims, mult, validate=validate)
+    return GradedAlgebra(field, dims, mult)
 
 
 def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> GradedModule:

@@ -33,7 +33,6 @@ from functools import cached_property
 import numpy as np
 
 from ribbonsyz.curves import mult_map
-from ribbonsyz.fflinalg import WedgeIndex
 from ribbonsyz.graded import GradedModule, NotASubmodule
 from ribbonsyz.koszul import (
     IllDefined,
@@ -122,7 +121,7 @@ def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) 
     u_space = model.sections(w_tag)
     k_space = model.sections(k_tag)
     g = k_space.dim
-    wedge = WedgeIndex(u_space.dim, p).count
+    wedge = math.comb(u_space.dim, p)
 
     def coefficient_module(q: int) -> GradedModule:
         spaces = [model.sections(q * k_tag + j * w_tag) for j in range(3)]

@@ -7,7 +7,9 @@ degree-q piece of the canonical ring splits as
 
 with multiplication (s, ej)(s', ej') = (ss', e(sj' + s'j)) and epsilon^2 = 0.
 Both summand families live in the model's one-parameter bundle family, so
-the ring is assembled from curve multiplication tables alone.  The basis of
+the ring's degree-one products S~_1 x S~_q -> S~_{q+1}, all that the
+algebra stores (see ``graded.GradedAlgebra``), are assembled from curve
+multiplication tables alone.  The basis of
 every graded piece puts the S block first, then the epsilon J block, and
 the algebra carries these as epsilon-weights 0 and 1: multiplication adds
 them, so every Koszul differential splits into weight blocks (see
@@ -126,23 +128,20 @@ def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitR
             f"dim S~_1 = {s_dims[1] + j_dims[1]} != p_a = {p_a}; "
             "the conormal degree is too small for this model"
         )
-    p = model.field.p
-    mult = {}
-    for a in range(1, window + 1):
-        for b in range(a, window + 1 - a):
-            sa, ja = s_dims[a], j_dims[a]
-            sb, jb = s_dims[b], j_dims[b]
-            sc, jc = s_dims[a + b], j_dims[a + b]
-            tensor = np.zeros((sa + ja, sb + jb, sc + jc), dtype=np.int64)
-            tensor[:sa, :sb, :sc] = mult_map(s_spaces[a], s_spaces[b]).tensor
-            if jb:
-                tensor[:sa, sb:, sc:] = mult_map(s_spaces[a], j_spaces[b]).tensor
-            if ja:
-                tensor[sa:, :sb, sc:] = mult_map(j_spaces[a], s_spaces[b]).tensor
-            # epsilon J x epsilon J = 0
-            mult[(a, b)] = tensor
     dims = [s_dims[q] + j_dims[q] for q in range(window + 1)]
     weights = [np.repeat([0, 1], [s_dims[q], j_dims[q]]) for q in range(window + 1)]
+    # the degree-one products S~_1 x S~_b -> S~_{b+1}; epsilon J x epsilon J = 0
+    s1, j1 = s_dims[1], j_dims[1]
+    mult = {}
+    for b in range(1, window):
+        sb, sc = s_dims[b], s_dims[b + 1]
+        tensor = np.zeros((dims[1], dims[b], dims[b + 1]), dtype=np.int64)
+        tensor[:s1, :sb, :sc] = mult_map(s_spaces[1], s_spaces[b]).tensor
+        if j_dims[b]:
+            tensor[:s1, sb:, sc:] = mult_map(s_spaces[1], j_spaces[b]).tensor
+        if j1:
+            tensor[s1:, :sb, sc:] = mult_map(j_spaces[1], s_spaces[b]).tensor
+        mult[(1, b)] = tensor
     algebra = GradedAlgebra(model.field, dims, mult, weights=weights)
     return SplitRibbonRing(
         model=model,

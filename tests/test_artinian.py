@@ -76,14 +76,11 @@ def algebra_of(module) -> GradedAlgebra:
     """A reduction with B_4 = 0, read back as an algebra over its degree-one piece.
 
     The reduced module's acting space and B_1 share their coordinates, so
-    its action tensors are the multiplication tensors (1, q); the only
-    other product in the window, B_2 x B_2, lands in B_4 = 0.
+    its action tensors are the multiplication tensors (1, q).
     """
     dims = module.pieces
     assert len(dims) == 5 and dims[4] == 0
-    mult = {(1, q): np.swapaxes(module.action[q], 1, 2) for q in range(1, 4)}
-    mult[(2, 2)] = np.zeros((dims[2], dims[2], 0), dtype=np.int64)
-    return GradedAlgebra(module.field, dims, mult)
+    return GradedAlgebra(module.field, dims, {(1, q): np.swapaxes(module.action[q], 1, 2) for q in range(1, 4)})
 
 
 def test_seeded_quartics():
@@ -164,7 +161,7 @@ def test_every_draw_failing_falls_back(monkeypatch):
 def test_degree_one_below_two_answers_directly(monkeypatch):
     # k[x] through degree 4: there is no second linear form to cut with
     one = np.ones((1, 1, 1), dtype=np.int64)
-    alg = GradedAlgebra(F101, [1, 1, 1, 1, 1], {(1, 1): one, (1, 2): one, (1, 3): one, (2, 2): one})
+    alg = GradedAlgebra(F101, [1, 1, 1, 1, 1], {(1, 1): one, (1, 2): one, (1, 3): one})
     monkeypatch.setattr(GradedAlgebra, "artinian_reduction", lambda *a: pytest.fail("drew forms"))
     assert betti_table(alg).method == "direct"
 

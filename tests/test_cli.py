@@ -130,6 +130,35 @@ class TestConfigHandling:
         res = runner.invoke(main, list(args))
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"p": "abc"}, "p must be an integer"),
+            ({"p": 101.9}, "p must be an integer"),  # ran at p = 101
+            ({"p": True}, "p must be an integer"),
+            ({"seed": True}, "seed must be an integer"),  # broke the output schema
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"curve": {"family": "hyperelliptic", "g": "two"}}, "curve.g must be an integer"),
+            ({"curve": {"family": "hyperelliptic", "g": 2.0}}, "curve.g must be an integer"),
+            ({"curve": {"family": "plane-quartic", "d": "four"}, "conormal": -1}, "curve.d must be an integer"),
+            ({"curve": {"family": "hyperelliptic", "coefficients": ["a", 1]}}, "coefficients must be a list of integers"),
+            ({"curve": {"family": "hyperelliptic", "coefficients": 5}}, "coefficients must be a list of integers"),
+            ({"curve": {"family": "hyperelliptic", "coefficients": [1, 3, 0, 0, 0, True]}}, "coefficients must be a list"),
+            # the Fermat quartic with one entry moved off the integers
+            ({"curve": {"family": "plane-quartic", "coefficients": [[[4, 0, 0], 1.5], [[0, 4, 0], 1], [[0, 0, 4], 1]]}, "conormal": -1}, "with integer entries"),
+            ({"curve": {"family": "plane-quartic", "coefficients": [[["4", 0, 0], 1], [[0, 4, 0], 1], [[0, 0, 4], 1]]}, "conormal": -1}, "with integer entries"),
+            ({"curve": {"family": "plane-quartic", "coefficients": [[[4, 0, 0], True], [[0, 4, 0], 1], [[0, 0, 4], 1]]}, "conormal": -1}, "with integer entries"),
+            ({"curve": {"family": "plane-quartic", "coefficients": [[[4, 0, 0]], [[0, 4, 0], 1], [[0, 0, 4], 1]]}, "conormal": -1}, "with integer entries"),
+        ],
+    )
+    def test_non_integer_config_values_exit_2(self, runner, tmp_path, edit, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"p": 101, "seed": 1, "curve": {"family": "hyperelliptic", "g": 2}, "conormal": -5, **edit}))
+        res = runner.invoke(main, ["betti", "--config", str(cfg)])
+        assert res.exit_code == 2
+        assert message in res.output
+        assert isinstance(res.exception, SystemExit)
+
     def test_malformed_config_file_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -169,6 +198,22 @@ class TestCurveAndRibbonErrors:
         res = runner.invoke(main, list(args))
         assert res.exit_code == 2
         assert message in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "args, tag",
+        [
+            (("betti", "--curve", "plane-quartic", "--conormal", "-20"), "plane bundle tag 84"),
+            (("betti", "--curve", "hyperelliptic", "--g", "2", "--conormal", "-300"), "hyperelliptic bundle tag 1208"),
+            (("green", "--curve", "plane-quartic", "--conormal", "-20"), "plane bundle tag 84"),
+            (("strata", "--curve", "plane-quartic", "--conormal", "-70", "--sweep", "2"), "plane bundle tag 72"),
+            (("strata", "--curve", "elliptic-split", "--conormal", "-2000", "--task", "w4"), "hyperelliptic bundle tag 2000"),
+        ],
+    )
+    def test_conormal_past_the_tag_range_exit_2(self, runner, args, tag):
+        res = runner.invoke(main, list(args))
+        assert res.exit_code == 2
+        assert f"{args[args.index('--conormal') + 1]} is out of range for this model: {tag}" in res.output
         assert isinstance(res.exception, SystemExit)
 
     @pytest.mark.parametrize("command", ["betti", "green"])

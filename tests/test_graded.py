@@ -3,7 +3,7 @@ import pytest
 
 from itertools import combinations_with_replacement
 
-from ribbonsyz.curves import HyperellipticCurve, PlaneCurve
+from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map
 from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank
 from ribbonsyz.graded import (
     GradedAlgebra,
@@ -55,14 +55,14 @@ class TestAlgebraFromSections:
             )
 
     def test_unit_and_associativity_validated(self, quartic):
+        # only the degree-one products are kept, each the curve's table;
+        # the unit acts through degree 0 of the module
         spaces = [quartic.sections(q) for q in range(4)]
         alg = algebra_from_sections(spaces)
-        v = np.arange(3) + 1
-        w = np.arange(6) + 1
-        left = alg.multiply(1, v, 2, w)
-        t12 = alg.tensor(1, 2)
-        want = np.einsum("i,j,ijk->k", v, w, t12) % 101
-        assert np.array_equal(left, want)
+        assert sorted(alg.mult) == [(1, 1), (1, 2)]
+        for b in (1, 2):
+            assert np.array_equal(alg.mult[(1, b)], mult_map(spaces[1], spaces[b]).tensor % 101)
+        assert np.array_equal(alg.as_module().action[0][:, :, 0], np.eye(3, dtype=np.int64))
 
 
 class TestGradedAlgebra:
@@ -73,6 +73,23 @@ class TestGradedAlgebra:
     def test_bad_tensor_shape(self):
         with pytest.raises(InconsistentDims):
             GradedAlgebra(F101, [1, 2, 3], {(1, 1): np.zeros((2, 2, 4), dtype=np.int64)})
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [(1, 1), (1, 2), (1, 3), (2, 2)],  # a product of two degrees >= 2
+            [(1, 1), (1, 3)],  # (1, 2) missing
+            [(1, 1), (2, 1), (1, 3)],  # the swapped key of (1, 2)
+            [(0, 1), (1, 1), (1, 2), (1, 3)],  # the unit is structural
+            [(1, 1), (1, 2), (1, 3), (1, 4)],  # past the window
+        ],
+    )
+    def test_only_degree_one_products(self, keys):
+        # k[x] through degree 4, every product the identity
+        one = np.ones((1, 1, 1), dtype=np.int64)
+        assert GradedAlgebra(F101, [1] * 5, {(1, b): one for b in (1, 2, 3)}).window == 4
+        with pytest.raises(InconsistentDims, match="need exactly the products"):
+            GradedAlgebra(F101, [1] * 5, {key: one for key in keys})
 
     def test_broken_associativity_caught(self):
         # x*x = y-ish garbage that cannot be associative/symmetric
@@ -91,11 +108,10 @@ class TestGradedAlgebra:
         for q in range(alg.window):
             for k in range(mod.n):
                 m = rng.integers(0, 101, alg.dims[q])
-                xk = np.zeros(mod.n, dtype=np.int64)
-                xk[k] = 1
-                via_mult = alg.multiply(1, xk, q, m)
+                # x_k . m: m itself in degree 1 when q = 0, else row k of mult[(1, q)] applied to m
+                via_mult = m[0] * np.eye(mod.n, dtype=np.int64)[k] if q == 0 else m @ alg.mult[(1, q)][k] % 101
                 via_action = matmul_mod(mod.action[q][k], m.reshape(-1, 1), 101).ravel()
-                assert np.array_equal(via_mult, via_action)
+                assert np.array_equal(via_mult % 101, via_action)
 
 
 def tampered(alg: GradedAlgebra, key, entry) -> dict:
@@ -105,54 +121,51 @@ def tampered(alg: GradedAlgebra, key, entry) -> dict:
     return mult
 
 
+def products(alg: GradedAlgebra, va, b: int, vb) -> np.ndarray:
+    """Row-wise products of a stack in degree 1 with a stack in degree b."""
+    return np.einsum("ki,kj,ijc->kc", va, vb, alg.mult[(1, b)]) % alg.field.p
+
+
 class TestBatchedCertificate:
-    """``multiply`` on stacks of vectors, and the associativity certificate
-    that draws its five seeded triples per split as stacks."""
+    """The exact commutativity certificate of ``GradedAlgebra``: one
+    product per degree for every pair of generators, catching each tamper
+    that the seeded associativity check it replaced caught."""
 
     @pytest.fixture(scope="class")
     def ring4(self, quartic):
         return algebra_from_sections([quartic.sections(q) for q in range(5)])
 
-    def test_stacked_multiply_equals_rows(self, ring4):
-        rng = np.random.default_rng(7)
-        for a, b in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (0, 3), (3, 0)]:
-            # residues are taken first: products of these would overflow int64
-            va, vb = (rng.integers(-(2**40), 2**40, (6, ring4.dims[d])) for d in (a, b))
-            stacked = ring4.multiply(a, va, b, vb)
-            assert stacked.shape == (6, ring4.dims[a + b])
-            rows = [ring4.multiply(a, x, b, y) for x, y in zip(va, vb)]
-            assert all(r.shape == (ring4.dims[a + b],) for r in rows)
-            assert np.array_equal(stacked, np.array(rows))
-            # one vector pairs with every row of the other stack
-            one = ring4.multiply(a, va, b, vb[2])
-            assert np.array_equal(one, np.array([ring4.multiply(a, x, b, vb[2]) for x in va]))
-            want = np.einsum("ki,kj,ijc->kc", va % 101, vb % 101, ring4.tensor(a, b)) % 101
-            assert np.array_equal(stacked, want)
-
-    def test_empty_top_piece(self):
+    def test_empty_top_piece(self, monkeypatch):
         # k[x] / (x^3) through degree 4: the products into degrees 3 and 4 are empty
+        from ribbonsyz import graded
+
         one = np.ones((1, 1, 1), dtype=np.int64)
-        mult = {
-            (1, 1): one,
-            (1, 2): np.zeros((1, 1, 0), dtype=np.int64),
-            (1, 3): np.zeros((1, 0, 0), dtype=np.int64),
-            (2, 2): np.zeros((1, 1, 0), dtype=np.int64),
-        }
+        mult = {(1, 1): one, (1, 2): np.zeros((1, 1, 0), dtype=np.int64), (1, 3): np.zeros((1, 0, 0), dtype=np.int64)}
+        shapes = []
+        original = graded.matmul_mod
+
+        def recording(x, y, p):
+            shapes.append((x.shape, y.shape))
+            return original(x, y, p)
+
+        monkeypatch.setattr(graded, "matmul_mod", recording)
         alg = GradedAlgebra(F101, [1, 1, 1, 0, 0], mult)
-        assert alg.multiply(2, [3], 2, [5]).shape == (0,)
-        assert alg.multiply(1, np.ones((4, 1)), 3, np.zeros((4, 0))).shape == (4, 0)
-        assert np.array_equal(alg.multiply(1, [[2], [3]], 1, [[4], [5]]), [[8], [15]])
+        # explicit sizes: the products into degrees 3 and 4 have no rows
+        assert shapes == [((1, 1), (1, 1)), ((0, 1), (1, 1)), ((0, 0), (0, 1))]
+        assert alg.as_module().pieces == (1, 1, 1, 0, 0)
+        assert alg.degree_one_generates()
 
     def test_every_triple_counts(self, quartic):
-        # at window 3 the one split is (1,1,1).  Moving mult[(1,2)][i, j, 0]
-        # by lam moves coordinate 0 of (ab)c - a(bc) by lam * s_ij, with
-        # s_ij = (ab)_j c_i - a_i (bc)_j per triple.  Two such moves that
-        # cancel on the first of the five seeded triples must still be caught.
+        # at window 3 the one associativity split was (1,1,1).  Moving
+        # mult[(1,2)][i, j, 0] by lam moves coordinate 0 of (ab)c - a(bc) by
+        # lam * s_ij, with s_ij = (ab)_j c_i - a_i (bc)_j per triple.  Two such
+        # moves that cancel on the first of the five seeded triples the
+        # sampled check drew are caught by the exact one.
         alg = algebra_from_sections([quartic.sections(q) for q in range(4)])
         p = 101
-        rng = np.random.default_rng(0)  # the draws of GradedAlgebra._validate
+        rng = np.random.default_rng(0)  # the draws of the retired sampled check
         va, vb, vc = (rng.integers(0, p, (5, alg.dims[1])) for _ in range(3))
-        ab, bc = alg.multiply(1, va, 1, vb), alg.multiply(1, vb, 1, vc)
+        ab, bc = products(alg, va, 1, vb), products(alg, vb, 1, vc)
         s1 = (ab[:, 4] * vc[:, 0] - va[:, 0] * bc[:, 4]) % p
         s2 = (ab[:, 5] * vc[:, 1] - va[:, 1] * bc[:, 5]) % p
         assert s1[0] or s2[0]
@@ -161,45 +174,54 @@ class TestBatchedCertificate:
         mult[(1, 2)][0, 4, 0] += s2[0]
         mult[(1, 2)][1, 5, 0] -= s1[0]
         mult[(1, 2)] %= p
-        with pytest.raises(GradedError, match=r"associativity fails on degrees \(1,1,1\)"):
+        with pytest.raises(GradedError, match="does not commute at degree 1"):
             GradedAlgebra(F101, alg.dims, mult)
 
-    def test_sixteen_products_at_window_4(self, ring4, monkeypatch):
+    @pytest.mark.parametrize("window", [2, 3, 4])
+    def test_one_product_per_degree(self, quartic, window, monkeypatch):
         from ribbonsyz import graded
 
+        alg = algebra_from_sections([quartic.sections(q) for q in range(window + 1)])
         calls = []
         original = graded.matmul_mod
 
         def counting(x, y, p):
-            calls.append(np.shape(x)[0])
+            calls.append((np.shape(x), np.shape(y)))
             return original(x, y, p)
 
         monkeypatch.setattr(graded, "matmul_mod", counting)
-        GradedAlgebra(F101, ring4.dims, ring4.mult)
-        # four splits, four stacked products each, five triples per product
-        assert calls == [5] * 16
+        GradedAlgebra(F101, alg.dims, alg.mult)
+        # x_k x_l on degree q for every pair (k, l): (n dims[q+2], dims[q+1]) by (dims[q+1], n dims[q])
+        n, d = alg.dims[1], alg.dims
+        assert calls == [((n * d[q + 2], d[q + 1]), (d[q + 1], n * d[q])) for q in range(window - 1)]
 
     @pytest.mark.parametrize(
-        "split, window, key, entry, names",
+        "window, key, entry",
         [
-            # at window 3, (1,1,1) is the only split (on this ring, moving
-            # any mult[(1,2)][0, 0, k] alone would stay associative)
-            ((1, 1, 1), 3, (1, 2), (0, 4, 0), "(1,1,1)"),
-            # a diagonal entry keeps mult[(2,2)] symmetric; the first split reading it is (1,1,2)
-            ((1, 1, 2), 4, (2, 2), (1, 1, 3), "(1,1,2)"),
-            # (1,2,1) reads only mult[(1,2)] and mult[(1,3)], which (1,1,2) reads too
-            ((1, 2, 1), 4, (1, 3), (0, 0, 0), None),
-            # (2,1,1) reads mult[(1,1)], mult[(1,2)], mult[(1,3)] and mult[(2,2)]
-            ((2, 1, 1), 4, (1, 1), (2, 2, 4), None),
+            # the seeded check caught this one at split (1,1,1); at window 3 it
+            # is the only split (moving any mult[(1,2)][0, 0, k] alone would
+            # stay associative on this ring)
+            (3, (1, 2), (0, 4, 0)),
+            # x_0 . x^2 y, where x^2 y = x_1 . x^2 too: x_0 x_1 x^2 != x_1 x_0 x^2
+            (4, (1, 3), (0, 1, 0)),
+            # a diagonal entry keeps mult[(1,1)] symmetric; caught at split (2,1,1)
+            (4, (1, 1), (2, 2, 4)),
         ],
     )
-    def test_tampered_split_is_caught(self, quartic, split, window, key, entry, names):
+    def test_tampered_product_is_caught(self, quartic, window, key, entry):
         alg = algebra_from_sections([quartic.sections(q) for q in range(window + 1)])
         assert key in alg.mult
-        with pytest.raises(GradedError, match="associativity fails") as err:
+        with pytest.raises(GradedError, match="does not commute"):
             GradedAlgebra(F101, alg.dims, tampered(alg, key, entry))
-        if names is not None:
-            assert names in str(err.value)
+
+    def test_tamper_that_stays_a_module_is_accepted(self, ring4):
+        # moving x_0 . x^3 (mult[(1,3)][0, 0, 0]) was caught by the seeded
+        # check only through the (2,2) product x^2 . x^2.  Only x_0 reaches
+        # x^3 from degree 2, so the moved table still commutes: it is another
+        # graded module over Sym A_1, and the certificate accepts it.
+        assert [l for l in range(3) if ring4.mult[(1, 2)][l, :, 0].any()] == [0]
+        moved = GradedAlgebra(F101, ring4.dims, tampered(ring4, (1, 3), (0, 0, 0)))
+        assert not np.array_equal(moved.mult[(1, 3)], ring4.mult[(1, 3)])
 
 
 class TestGradedModule:

@@ -163,6 +163,21 @@ class TestDifferential:
         ):
             assert not assert_agrees(doc, "strata")
 
+    @pytest.mark.parametrize(
+        "doc_id, schema_name, path, retired",
+        [
+            ("betti-genus0", "betti", ("table", "q3_mode"), "structural"),
+            ("strata-blowup", "strata", ("bound",), "upper-only"),
+        ],
+    )
+    def test_values_no_output_produces_are_rejected(self, documents, doc_id, schema_name, path, retired):
+        doc = next(doc for i, _, doc in documents if i == doc_id)
+        assert assert_agrees(doc, schema_name)
+        bad = _edit(doc, path, lambda parent, key: parent.__setitem__(key, retired))
+        with pytest.raises(OutputSchemaError):
+            schema_validate(bad, SCHEMAS[schema_name])
+        assert not ORACLES[schema_name].is_valid(bad)
+
     def test_one_of_counts_branches(self):
         # the shipped branches exclude each other by their task const, so a
         # document matching two branches needs a schema of its own
