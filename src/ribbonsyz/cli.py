@@ -14,7 +14,8 @@ blow-up search whose degree has more prefixes than the search budget
 (SearchTooLarge), a strata task whose rational points would take more
 candidates to scan than the point budget (PointScanTooLarge), a
 ``betti`` or ``green`` run with a Koszul weight block that would take
-more memory to rank than the block budget (CellTooLarge), and
+more memory to rank than the block budget, or a ``green`` run whose
+syzygy modules would exceed it (CellTooLarge), and
 ``--task w4`` on a curve that is not y^2 = cubic(x), a ``--conormal``
 whose bundles lie past the model's supported tag range (TargetOverflow),
 and a config value for ``p``, ``seed``, ``curve.g``, ``curve.d`` or an
@@ -451,7 +452,7 @@ def green(inject_fault, fmt, out_path, config_path, **flags):
 @click.option("--task", type=click.Choice(["blowup", "sweep", "w4", "bounds"]), default="blowup")
 @click.option("--bmax", type=click.IntRange(min=1), default=3, help="Largest divisor degree searched.")
 @click.option("--sweep", "sweep_n", type=click.IntRange(min=1), default=None, help="Sweep this many constructed classes (implies --task sweep).")
-@click.option("--span-size", type=click.IntRange(min=0), default=3, help="Span size for constructed classes (0: a uniform class).")
+@click.option("--span-size", type=click.IntRange(min=0), default=3, help="Span size for constructed classes (0, for --task blowup only: a uniform class; a --sweep needs 1 or more).")
 @click.option("--blowup-b", "blowup_b", type=click.IntRange(min=0), default=0, help="Blow-up index for --task bounds.")
 def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path, **flags):
     """Blow-up index, W_4 witnesses, and gonality-bound computations."""

@@ -39,6 +39,7 @@ from ribbonsyz.koszul import (
     KoszulCalculator,
     NoNonzero,
     OutOfWindow,
+    check_budget,
     koszul_cohomology,
     rcliff,
 )
@@ -115,7 +116,9 @@ def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) 
     H^0(K^q W^2)] over U by ``koszul_cohomology``.  M^p is then the
     subquotient cocycles / coboundaries of the module wedge^p U (x) H^0(K^q W),
     q = 0..window, on which H^0(K_C) acts by id (x) multiplication; see
-    ``GradedModule.subquotient`` for the basis and the checks.
+    ``GradedModule.subquotient`` for the basis and the checks.  Raises
+    CellTooLarge before any cohomology group or ambient action over the
+    memory budget is assembled.
     """
     k_tag, w_tag, _ = conormal_tags(model, conormal_multiple)
     u_space = model.sections(w_tag)
@@ -135,9 +138,11 @@ def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) 
     for q in range(window):
         src = model.sections(q * k_tag + w_tag)
         mult = np.swapaxes(mult_map(k_space, src).tensor, 1, 2)  # (g, tgt, src)
+        shape = (g, wedge * mult.shape[1], wedge * mult.shape[2])
+        check_budget(f"M^{p} ambient action in degree {q}", shape, 8)  # built, not reduced: int64 only
         # block diagonal: id on the wedge factor (x) multiplication on coefficients
         blocks = np.einsum("ij,kab->kiajb", np.eye(wedge, dtype=np.int64), mult)
-        action.append(blocks.reshape(g, wedge * mult.shape[1], wedge * mult.shape[2]))
+        action.append(blocks.reshape(shape))
     ambient = GradedModule(
         model.field, g, tuple(grp.cocycles.shape[0] for grp in groups), tuple(action)
     )

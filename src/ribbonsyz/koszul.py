@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "OutOfWindow",
     "NoNonzero",
     "CellTooLarge",
+    "check_budget",
     "KoszulGroup",
     "KoszulCalculator",
     "BettiTable",
@@ -82,6 +83,28 @@ _CELL_BYTES_MAX = 1 << 30
 _CELL_BYTES_PER_ENTRY = 32
 
 
+def check_budget(where: str, shape: tuple, bytes_per_entry: int = _CELL_BYTES_PER_ENTRY) -> None:
+    """Raise CellTooLarge, naming ``where`` and the shape, when an array of that shape
+    would take more than _CELL_BYTES_MAX: 32 bytes an entry to rank (above), 8 to build.
+    """
+    estimate = bytes_per_entry * prod(shape)
+    if estimate > _CELL_BYTES_MAX:
+        raise CellTooLarge(
+            f"{where}: {' x '.join(map(str, shape))}, "
+            f"about {estimate} bytes, more than the budget of {_CELL_BYTES_MAX}"
+        )
+
+
+def _wedges(n: int, p: int) -> int:
+    """dim wedge^p of an n-dimensional space: 0 outside 0 <= p <= n."""
+    return comb(n, p) if 0 <= p <= n else 0
+
+
+def _cell_shape(module: GradedModule, p: int, q: int) -> tuple[int, int]:
+    """Shape of d_{p,q}: rows wedge^{p-1} V (x) M_{q+1}, columns wedge^p V (x) M_q."""
+    return _wedges(module.n, p - 1) * module.pieces[q + 1], _wedges(module.n, p) * module.pieces[q]
+
+
 @lru_cache(maxsize=64)
 def _wedge_arrays(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(subsets, faces) for the size-p subsets of range(n), colex order.
@@ -90,7 +113,7 @@ def _wedge_arrays(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     colex rank of ``subsets[r]`` with its j-th element removed.  The colex
     rank of s_0 < ... < s_{k-1} is sum_i C(s_i, i + 1).
     """
-    count = comb(n, p) if 0 <= p <= n else 0
+    count = _wedges(n, p)
     binom = np.array([comb(v, k) for v in range(n) for k in range(p + 1)], dtype=np.int64)
     binom = binom.reshape(n, max(p + 1, 0))
     subsets = np.empty((count, max(p, 0)), dtype=np.int64)
@@ -129,7 +152,7 @@ def koszul_differential(module: GradedModule, p: int, q: int, weight: int | None
         raise OutOfWindow(f"degree {q} -> {q + 1} outside window 0..{module.window}")
     dmq, dmq1 = module.pieces[q], module.pieces[q + 1]
     subsets, faces = _wedge_arrays(module.n, p)
-    n_rows = (comb(module.n, p - 1) if 1 <= p <= module.n + 1 else 0) * dmq1
+    n_rows = _wedges(module.n, p - 1) * dmq1
     if weight is None:
         cols, local = np.arange(len(subsets) * dmq), np.arange(n_rows)
     elif module.weights is None:
@@ -170,7 +193,13 @@ def koszul_cohomology(module: GradedModule, p: int, q: int) -> KoszulGroup:
     """K_{p,q} of the module with explicit cocycle/coboundary bases.
 
     Needs pieces q-1 (implicitly zero when q = 0), q, and q+1 in window.
+    Raises CellTooLarge, before either is assembled, when d_out = d_{p,q}
+    or d_in = d_{p+1,q-1} would take more than the memory budget to reduce.
     """
+    where = f"K_{{p,q}} at (p, q) = ({p}, {q})"
+    check_budget(f"{where}, d_out", _cell_shape(module, p, q))
+    if q >= 1:
+        check_budget(f"{where}, d_in", _cell_shape(module, p + 1, q - 1))
     d_out = koszul_differential(module, p, q)
     z = kernel_basis(d_out, module.field.p)
     if q >= 1:
@@ -224,14 +253,9 @@ class KoszulCalculator:
                 for w in sorted(set(src.tolist()) & set(tgt.tolist()))
             }
         else:
-            blocks = {None: (comb(n, p - 1) * module.pieces[q + 1], comb(n, p) * module.pieces[q])}
-        for w, (rows, cols) in blocks.items():
-            estimate = _CELL_BYTES_PER_ENTRY * rows * cols
-            if estimate > _CELL_BYTES_MAX:
-                raise CellTooLarge(
-                    f"cell (p, q) = ({p}, {q}), weight block {w}: {rows} x {cols}, "
-                    f"about {estimate} bytes to rank, more than the budget of {_CELL_BYTES_MAX}"
-                )
+            blocks = {None: _cell_shape(module, p, q)}
+        for w, shape in blocks.items():
+            check_budget(f"cell (p, q) = ({p}, {q}), weight block {w}", shape)
         total = 0
         for w in blocks:
             d = koszul_differential(module, p, q, w)

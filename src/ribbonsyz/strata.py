@@ -5,12 +5,21 @@ H^0(K_C^2 L^{-1}) up to scale.  Its blow-up index is the least degree of an
 effective divisor whose span (in the embedding by |2K_C - L|) contains the
 point e, i.e. the secant order of e.  Divisors are restricted to reduced
 sets of rational points.  Every degree b is searched exhaustively, by
-projection from span(e, P) for each (b - 2)-subset P: the subsets are
-walked depth first, one rank-1 update for each point added to P, with
-the last point of P vectorised over a numpy stack; later points whose
-images agree up to scale share a key and a bucket, and each bucketed
-pair is confirmed, in lexicographic order, by an exact rank test.  A
-degree with more than _PREFIX_MAX prefixes is refused up front
+projection from span(e, P) for each (b - 2)-subset P.  Each piece of
+work is done at the level it depends on:
+
+* per field: the inverses mod p, read from a table for p <= _TABLE_P_MAX
+  (Fermat above it), and the radix of the bucket keys for each dimension;
+* per pool: its evaluation matrix, cached for the last (space, pool) and
+  read-only, so a sweep evaluates its pool once;
+* per class: the pool's rows projected from e, shared by every degree;
+* per degree: the subsets P, walked depth first with one rank-1 update
+  for each point added to P, the last point of P vectorised over a numpy
+  stack; later points whose images agree up to scale share a key and a
+  bucket, and each bucketed pair is confirmed, in lexicographic order,
+  by an exact rank test.
+
+A degree with more than _PREFIX_MAX prefixes is refused up front
 (SearchTooLarge).  The result is labelled a rational-reduced blow-up
 index: an upper bound for the index over the algebraic closure, and equal
 to it whenever the witnessing divisor is rational and reduced.
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -62,13 +72,15 @@ __all__ = [
     "blowup_sweep",
 ]
 
-# (b - 2)-prefixes one degree may scan: about 8 s at ~27 us per prefix
-# (a full degree-5 scan of the 84-point pool in dimension 10: 2.5-2.7 s)
+# (b - 2)-prefixes one degree may scan: about 5 s at ~15-18 us per prefix
+# (a full degree-5 scan of the 84-point pool in dimension 10: 1.4-1.75 s)
 _PREFIX_MAX = 300_000
 # int64 entries in one chunk of the last prefix level's projection stack
 # (32 KB): small enough to stop soon after the witness's chunk and to keep
 # the temporaries small, large enough to amortise numpy's per-call cost
 _STACK_ENTRIES = 1 << 12
+# largest p whose inverses are read from a table (2**16 int64 entries, 512 KB)
+_TABLE_P_MAX = 1 << 16
 
 
 class StrataError(Exception):
@@ -221,7 +233,7 @@ class BlowupResult:
         }
 
 
-def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+def _fermat_inverses(a: np.ndarray, p: int) -> np.ndarray:
     """Entrywise a**(p - 2) mod p (Fermat): the inverse of each nonzero entry, 0 for 0."""
     base = a % p
     out = (base != 0).astype(np.int64)
@@ -232,6 +244,41 @@ def _inverses(a: np.ndarray, p: int) -> np.ndarray:
         base = base * base % p
         e >>= 1
     return out
+
+
+@lru_cache(maxsize=16)  # at most 8 MB of tables
+def _inverse_table(p: int) -> np.ndarray:
+    """Every residue's inverse mod p (0 for 0), read-only; at most 512 KB at _TABLE_P_MAX."""
+    table = _fermat_inverses(np.arange(p, dtype=np.int64), p)
+    table.setflags(write=False)
+    return table
+
+
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """The inverse mod p of each entry of a, 0 for 0: a table lookup up to _TABLE_P_MAX, Fermat above."""
+    if p <= _TABLE_P_MAX:
+        return _inverse_table(p).take(a, mode="wrap")  # the index wraps modulo p
+    return _fermat_inverses(a, p)
+
+
+@lru_cache(maxsize=None)
+def _radix(p: int, d: int) -> np.ndarray:
+    """p**c modulo 2**64 for c < d: the digit weights of a bucket key."""
+    radix = np.array([pow(p, c, 1 << 64) for c in range(d)], dtype=np.uint64)
+    radix.setflags(write=False)
+    return radix
+
+
+@lru_cache(maxsize=1)
+def _pool_rows(space: SectionSpace, pool: tuple) -> np.ndarray:
+    """The pool's evaluation matrix reduced mod p, read-only; kept for the last pool asked.
+
+    A point off the curve raises PointNotOnCurve on every call, since
+    lru_cache does not keep exceptions.
+    """
+    rows = evaluation_matrix(space, pool) % space.field.p
+    rows.setflags(write=False)
+    return rows
 
 
 def _project(rows: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
@@ -256,10 +303,10 @@ def _bucket_pairs(stack: np.ndarray, first: np.ndarray, p: int) -> list:
     always share a key; other vectors share one only by a wrapped collision,
     which the caller's exact check rejects.
     """
-    lead = np.take_along_axis(stack, (stack != 0).argmax(axis=2)[..., None], axis=2)[..., 0]
+    flat = stack.reshape(-1, stack.shape[2])
+    lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)].reshape(stack.shape[:2])
     unit = stack * _inverses(lead, p)[..., None] % p
-    radix = np.array([pow(p, c, 1 << 64) for c in range(stack.shape[2])], dtype=np.uint64)
-    keys = unit.astype(np.uint64) @ radix
+    keys = unit.astype(np.uint64) @ _radix(p, stack.shape[2])
     t, j = np.nonzero((lead != 0) & (np.arange(stack.shape[1]) >= first[:, None]))
     k = keys[t, j]
     order = np.lexsort((k, t))  # stable, and j already ascends within each t
@@ -314,20 +361,26 @@ def _first_witness(vec: np.ndarray, rows: np.ndarray, b: int, p: int):
     """Lexicographically first b-subset of row indices whose span contains vec.
 
     Assumes no set of fewer than b rows has vec in its span, which
-    ``blowup_index_bruteforce`` guarantees by calling it for b = 1, 2, ...
-    in turn.  A witness P + (j, k), with P its first b - 2 indices, then
+    ``blowup_index_bruteforce`` guarantees by searching b = 1, 2, ... in
+    turn.  A witness P + (j, k), with P its first b - 2 indices, then
     forces rows j and k to have proportional nonzero images modulo
-    span(vec, P).  The rows are projected from vec once, by a rank-1
-    update; degree 1 takes the first nonzero row that this kills.  Higher
-    degrees walk the prefixes P depth first (``_walk``), bucket the later
-    rows by the keys of their projections, and confirm every bucketed pair
-    in lexicographic order by one exact rank check, which rejects the
-    collisions that come from dependent rows (or from wrapped keys) rather
-    than from vec.  Returns None when no b-subset works.
+    span(vec, P).  Returns None when no b-subset works.
     """
     vec = np.asarray(vec, dtype=np.int64) % p
     rows = np.asarray(rows, dtype=np.int64) % p
-    proj = _project(rows, vec[None], p)[0]
+    return _search_degree(vec, rows, _project(rows, vec[None], p)[0], b, p)
+
+
+def _search_degree(vec: np.ndarray, rows: np.ndarray, proj: np.ndarray, b: int, p: int):
+    """``_first_witness`` for reduced vec and rows, given proj: the rows modulo span(vec).
+
+    Degree 1 takes the first nonzero row that the projection kills.
+    Higher degrees walk the prefixes P depth first (``_walk``), bucket the
+    later rows by the keys of their projections, and confirm every
+    bucketed pair in lexicographic order by one exact rank check, which
+    rejects the collisions that come from dependent rows (or from wrapped
+    keys) rather than from vec.
+    """
     if b == 1:
         hit = rows.any(axis=1) & ~proj.any(axis=1)
         return (int(np.argmax(hit)),) if hit.any() else None
@@ -340,25 +393,28 @@ def _first_witness(vec: np.ndarray, rows: np.ndarray, b: int, p: int):
 def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int) -> BlowupResult:
     """Smallest degree of a reduced rational divisor whose span contains e.
 
-    Every degree 1..b_max is searched exhaustively by ``_first_witness``,
-    so the answer is the lexicographically first witness of the pool and
-    always exact.  The zero class is split already: index 0 by convention.
-    Raises SearchTooLarge before a degree whose (b - 2)-prefixes exceed
-    _PREFIX_MAX, and NotFound when nothing of degree <= b_max works.
+    Every degree 1..b_max is searched exhaustively, so the answer is the
+    lexicographically first witness of the pool and always exact.  The
+    pool's rows come from ``_pool_rows`` and the projection from e is made
+    once for all degrees.  The zero class is split already: index 0 by
+    convention.  Raises SearchTooLarge before a degree whose
+    (b - 2)-prefixes exceed _PREFIX_MAX, and NotFound when nothing of
+    degree <= b_max works.
     """
     p = space.field.p
     vec = np.asarray(e.vec if isinstance(e, ExtensionClass) else e, dtype=np.int64) % p
     if not np.any(vec):
         return BlowupResult(0, "exact", ())
     ExtensionClass(space, vec)  # checks the length
-    pts = list(pool)
-    rows = evaluation_matrix(space, pts)
+    pts = tuple(pool)
+    rows = _pool_rows(space, pts)
+    proj = _project(rows, vec[None], p)[0]
     n = len(pts)
     for b in range(1, b_max + 1):
         prefixes = math.comb(n, max(b - 2, 0))
         if prefixes > _PREFIX_MAX:
             raise SearchTooLarge(b, n, prefixes)
-        found = _first_witness(vec, rows, b, p)
+        found = _search_degree(vec, rows, proj, b, p)
         if found is not None:
             return BlowupResult(b, "exact", tuple(pts[i] for i in found))
     raise NotFound(b_max)

@@ -224,6 +224,17 @@ class TestCurveAndRibbonErrors:
         assert "Koszul cell too large" in res.output and "more than the budget of 3200" in res.output
         assert isinstance(res.exception, SystemExit)
 
+    def test_syzygy_module_too_large_exit_2(self, runner, monkeypatch):
+        # every block of the Betti table fits 32 * 60 * 45 - 1 bytes (the largest
+        # is 71 680), but the d_in of M^1's degree-2 coefficient complex does not
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 45)
+        assert runner.invoke(main, ["green", *HYP2]).exit_code == 0
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 45 - 1)
+        res = runner.invoke(main, ["green", *HYP2])
+        assert res.exit_code == 2
+        assert "Koszul cell too large: K_{p,q} at (p, q) = (1, 1), d_in: 60 x 45," in res.output
+        assert isinstance(res.exception, SystemExit)
+
 
 class TestGreen:
     def test_consistent_run_exit_0(self, runner):

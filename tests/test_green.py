@@ -103,6 +103,30 @@ class TestSyzygyModule:
             assert module_koszul_vanishing(syz, hyp2.g + 1) == 0
 
 
+class TestAmbientBudget:
+    """The dense ambient action of M^p is priced at 8 bytes an entry before it is built."""
+
+    def test_action_over_the_budget_is_refused_before_einsum(self, hyp2, monkeypatch):
+        # M^1 of hyp2 at t = 5: the degree-1 action is 2 x 60 x 48 (wedge 6 times 10 x 8)
+        real, default = greenchk.koszul_cohomology, koszul._CELL_BYTES_MAX
+
+        def unbudgeted(module, p, q):  # isolates the action's guard from the groups'
+            with monkeypatch.context() as m:
+                m.setattr(koszul, "_CELL_BYTES_MAX", default)
+                return real(module, p, q)
+
+        monkeypatch.setattr(greenchk, "koszul_cohomology", unbudgeted)
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 8 * 2 * 60 * 48)
+        build_syzygy_module(hyp2, 5, 1)  # at the budget exactly
+        einsums = []
+        real_einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: einsums.append(a[0]) or real_einsum(*a, **k))
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 8 * 2 * 60 * 48 - 1)
+        with pytest.raises(koszul.CellTooLarge, match=r"M\^1 ambient action in degree 1: 2 x 60 x 48,"):
+            build_syzygy_module(hyp2, 5, 1)
+        assert einsums == ["ij,kab->kiajb"]  # degree 0 only
+
+
 class TestIllDefined:
     """Fault injection: each exact check of the construction must fire."""
 

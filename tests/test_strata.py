@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ribbonsyz.curves import (
     HyperellipticCurve,
     PlaneCurve,
+    PointNotOnCurve,
     evaluation_matrix,
     random_split_cubic,
     rational_points,
@@ -14,6 +16,7 @@ from ribbonsyz.fflinalg import PrimeField, rank
 from ribbonsyz import strata
 from ribbonsyz.strata import (
     _PREFIX_MAX,
+    _TABLE_P_MAX,
     EllipticGroup,
     ExtensionClass,
     NotFound,
@@ -35,7 +38,9 @@ from ribbonsyz.strata import (
     _STACK_ENTRIES,
     _bucket_pairs,
     _first_witness,
+    _inverse_table,
     _inverses,
+    _pool_rows,
 )
 
 from oracles import naive_blowup_index, naive_first_witness, vectorised_blowup_index
@@ -456,11 +461,16 @@ class TestDifferentialSearch:
         for b in (4, 5):
             assert naive_first_witness(vec.tolist(), rows.tolist(), b, p) is None
 
-    @pytest.mark.parametrize("p", [2, 3, 13, 1048573, 2147483647])
+    # 101 and 65521 (the largest prime under _TABLE_P_MAX) read the inverse
+    # table; 65537 (the first prime above it) and the larger ones use Fermat
+    @pytest.mark.parametrize("p", [2, 3, 13, 101, 65521, 65537, 1048573, 2147483647])
     def test_inverses(self, p):
         a = np.concatenate([np.arange(min(p, 500)), np.random.default_rng(0).integers(0, p, 500)])
+        a = np.concatenate([a, a - p, a + p])  # unreduced residues too
+        _inverse_table.cache_clear()
         inv = _inverses(a, p)
-        assert np.array_equal(a * inv % p, (a % p != 0).astype(np.int64))
+        assert np.array_equal(a % p * inv % p, (a % p != 0).astype(np.int64))
+        assert _inverse_table.cache_info().currsize == (p <= _TABLE_P_MAX)  # no table above the bound
 
     @pytest.mark.parametrize("p", [13, 101, 1048573, 2147483647])
     def test_proportional_vectors_share_a_bucket(self, p):
@@ -547,6 +557,58 @@ class TestEllipticGroupAndW4:
             e = class_in_span(space, pts, rng) if trial % 2 else random_class(space, rng)
             for w in wits[:3]:
                 assert wd_containment_check(alpha, w, e)
+
+
+class TestPoolRows:
+    """The pool's evaluation matrix, cached for the last (space, pool) asked."""
+
+    def test_same_pool_in_two_spaces(self, elliptic):
+        pool = tuple(rational_points(elliptic))
+        for t in (5, 6, 5):
+            space = ambient_space(elliptic, t)
+            rows = _pool_rows(space, pool)
+            assert rows.shape == (len(pool), space.dim)
+            assert np.array_equal(rows, evaluation_matrix(space, pool))
+        assert ambient_space(elliptic, 5).dim != ambient_space(elliptic, 6).dim
+
+    def test_second_pool_gives_fresh_rows(self, elliptic):
+        space = ambient_space(elliptic, 6)
+        pool = tuple(rational_points(elliptic))
+        first = _pool_rows(space, pool)
+        assert _pool_rows(space, pool) is first  # a hit is the same array
+        other = pool[::-1]
+        rows = _pool_rows(space, other)
+        assert np.array_equal(rows, evaluation_matrix(space, other))
+        assert not np.array_equal(rows, first)
+
+    def test_cached_rows_refuse_writes(self, elliptic):
+        rows = _pool_rows(ambient_space(elliptic, 6), tuple(rational_points(elliptic)))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+
+    def test_off_curve_point_raises_on_every_call(self, elliptic):
+        space = ambient_space(elliptic, 6)
+        pool = rational_points(elliptic)
+        on = set(pool)
+        off = next((x, y) for x in range(101) for y in range(101) if (x, y) not in on)
+        bad = tuple(pool[:5]) + (off,)
+        e = class_in_span(space, pool[:2], np.random.default_rng(0))
+        for _ in range(2):
+            with pytest.raises(PointNotOnCurve, match=re.escape(str(off))):
+                _pool_rows(space, bad)
+            with pytest.raises(PointNotOnCurve):
+                blowup_index_bruteforce(e, bad, space, 3)
+
+    def test_sweep_evaluates_the_pool_once(self, elliptic, monkeypatch):
+        pool = rational_points(elliptic)
+        sizes = []
+        real = strata.evaluation_matrix
+        monkeypatch.setattr(strata, "evaluation_matrix", lambda s, pts: sizes.append(len(pts)) or real(s, pts))
+        _pool_rows.cache_clear()
+        out = blowup_sweep(elliptic, 6, 20, np.random.default_rng(3), span_size=3, b_max=3)
+        assert out["pool_size"] == len(pool)
+        assert sizes.count(len(pool)) == 1  # the other calls are the classes' three points
+        assert sizes.count(3) == 20
 
 
 class TestValidation:

@@ -275,6 +275,22 @@ class TestCellBudget:
         with pytest.raises(koszul.CellTooLarge, match=r"weight block None: 245 x 245"):
             KoszulCalculator(module).rank_d(4, 1)
 
+    def test_cohomology_checks_both_maps_before_building(self, monkeypatch):
+        # K_{3,2} of the quartic: d_out = d_{3,2} is 21 x 245, d_in = d_{4,1} 245 x 245
+        module = self.quartic_module()
+        expected = koszul.koszul_cohomology(module, 3, 2).dim
+        assert koszul_differential(module, 3, 2).shape == (21, 245)
+        assert koszul_differential(module, 4, 1).shape == (245, 245)
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 245 * 245)
+        assert koszul.koszul_cohomology(module, 3, 2).dim == expected
+        built = []
+        monkeypatch.setattr(koszul, "koszul_differential", lambda *args: built.append(args))
+        for budget, named in ((32 * 21 * 245 - 1, "d_out: 21 x 245,"), (32 * 245 * 245 - 1, "d_in: 245 x 245,")):
+            monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", budget)
+            with pytest.raises(koszul.CellTooLarge, match=rf"\(p, q\) = \(3, 2\), {named}"):
+                koszul.koszul_cohomology(module, 3, 2)
+        assert built == []
+
     def test_table_through_the_ring(self, monkeypatch):
         _, ring = zoo()[0]
         monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 100 * 100)
