@@ -460,9 +460,11 @@ class MultMap:
         tmp = matmul_mod(np.reshape(va, (1, da)), self.tensor.reshape(da, db * dc), p)
         return matmul_mod(np.reshape(vb, (1, db)), tmp.reshape(db, dc), p).ravel()
 
-    def action_of(self, i: int) -> np.ndarray:
-        """Matrix of multiplication by basis element i of A, as B -> target."""
-        return self.tensor[i].T.copy()
+    @property
+    def action(self) -> np.ndarray:
+        """The tensor in the action layout (dim A, dim target, dim B), contiguous:
+        ``action[i]`` is the matrix of multiplication by basis element i of A."""
+        return np.ascontiguousarray(np.swapaxes(self.tensor, 1, 2))
 
 
 def mult_map(sa: SectionSpace, sb: SectionSpace) -> MultMap:

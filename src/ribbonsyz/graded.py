@@ -5,18 +5,21 @@ This is the abstraction boundary between geometry and homological algebra:
 downstream (Koszul differentials, Betti tables, syzygy modules) consumes
 only the data held here -- per-degree dimensions and explicit action
 matrices.  Pieces of a module may equally well be cohomology subquotients;
-nothing in this module assumes they are section spaces.
+nothing in this module assumes they are section spaces.  A graded algebra
+is a graded module over its degree-one piece (``GradedAlgebra``), so every
+consumer reads one layout of action tensors.
 
-Weights.  A module may carry an integer weight for each basis vector of
-each piece and of V (the canonical ring S~ = S (+) epsilon J of a split
-ribbon puts S at epsilon-weight 0 and epsilon J at weight 1).  They are a
-claim, not a fact: ``GradedModule.respects_weights`` is the exact
-certificate that every x_k maps weight w of M_q into weight
-w + weight(x_k) of M_{q+1}, and only a certified module is split by
-weight downstream (``koszul.KoszulCalculator``).  ``as_module``,
+Weights.  Every module carries an integer weight for each basis vector of
+each piece and of V; a module built without them has the trivial grading,
+all zeros (the canonical ring S~ = S (+) epsilon J of a split ribbon puts
+S at epsilon-weight 0 and epsilon J at weight 1).  They are a claim, not a
+fact: ``GradedModule.respects_weights`` is the exact certificate that
+every x_k maps weight w of M_q into weight w + weight(x_k) of M_{q+1}, and
+``koszul.KoszulCalculator`` splits a cell by weight only on a certified
+module, ranking any other by its trivial grading.
 ``module_restrict_action`` and ``subquotient`` pass the weights on to the
-basis columns they keep, and drop them when a kept column is not
-homogeneous.
+basis columns they keep, and give the trivial grading when a kept column
+is not homogeneous.
 """
 
 from __future__ import annotations
@@ -63,16 +66,16 @@ class GradedModule:
     ``action[q]`` has shape (n, dim M_{q+1}, dim M_q): the matrix of the
     k-th distinguished basis vector of V is ``action[q][k]``.  The action
     must commute: x.(y.m) = y.(x.m).  ``v_weights`` (length n) and
-    ``weights`` (one array per piece) are the optional integer weights of
-    the basis vectors, both given or both None.
+    ``weights`` (one array per piece) are the integer weights of the basis
+    vectors; either one left out is all zeros.
     """
 
     field: PrimeField
     n: int
     pieces: tuple[int, ...]
     action: tuple[np.ndarray, ...]
-    v_weights: np.ndarray | None = None
-    weights: tuple[np.ndarray, ...] | None = None
+    v_weights: np.ndarray = None
+    weights: tuple[np.ndarray, ...] = None
 
     def __post_init__(self):
         if len(self.action) != len(self.pieces) - 1:
@@ -81,15 +84,11 @@ class GradedModule:
             want = (self.n, self.pieces[q + 1], self.pieces[q])
             if a.shape != want:
                 raise InconsistentDims(f"action[{q}] has shape {a.shape}, expected {want}")
-        if (self.v_weights is None) != (self.weights is None):
-            raise InconsistentDims("give weights for V and for the pieces, or for neither")
-        if self.weights is not None:
-            vw = np.asarray(self.v_weights, dtype=np.int64)
-            ws = tuple(np.asarray(w, dtype=np.int64) for w in self.weights)
-            if vw.shape != (self.n,) or tuple(w.shape for w in ws) != tuple((d,) for d in self.pieces):
-                raise InconsistentDims("need one weight per basis vector of V and of each piece")
-            object.__setattr__(self, "v_weights", vw)
-            object.__setattr__(self, "weights", ws)
+        weights = self.weights or (None,) * len(self.pieces)
+        if len(weights) != len(self.pieces):
+            raise InconsistentDims("need one weight array per piece")
+        object.__setattr__(self, "v_weights", _as_weights(self.v_weights, self.n))
+        object.__setattr__(self, "weights", tuple(map(_as_weights, weights, self.pieces)))
 
     @property
     def window(self) -> int:
@@ -98,12 +97,10 @@ class GradedModule:
     def respects_weights(self) -> bool:
         """The exact weight certificate: every action tensor vanishes outside its weight blocks.
 
-        True when weights are given and each x_k maps the weight-w basis
-        vectors of M_q into the span of the weight w + v_weights[k] ones of
-        M_{q+1}, for every q; False otherwise.
+        True when each x_k maps the weight-w basis vectors of M_q into the
+        span of the weight w + v_weights[k] ones of M_{q+1}, for every q;
+        always true of the trivial grading.
         """
-        if self.weights is None:
-            return False
         for q, a in enumerate(self.action):
             allowed = self.weights[q + 1][None, :, None] == (
                 self.v_weights[:, None, None] + self.weights[q][None, None, :]
@@ -148,8 +145,8 @@ class GradedModule:
         C_q-coordinates off the same rows.  Raises NotASubmodule when some
         x_k maps sub_{q-1} outside sub_q or rel_{q-1} outside rel_q, and
         NotASubspace when rel_q is dependent or (sub_q being a basis) not
-        inside span(sub_q).  Weights pass to the kept columns of sub_q, and
-        are dropped when one of them is not homogeneous.
+        inside span(sub_q).  Weights pass to the kept columns of sub_q; when
+        one of them is not homogeneous, the result has the trivial grading.
         """
         p, n = self.field.p, self.n
         if len(sub) != len(self.pieces) or len(rel) != len(self.pieces):
@@ -180,76 +177,45 @@ class GradedModule:
                 action.append(np.ascontiguousarray(coords[:, :, :c].transpose(1, 0, 2)))
             comps.append(s[:, [ns - 1 - t for t in reversed(picked)]])
             prev = np.hstack([comps[-1], r])
-        weights = None
-        if self.weights is not None:
-            weights = tuple(_column_weights(c, w) for c, w in zip(comps, self.weights))
-            if any(w is None for w in weights):
-                weights = None
-        return GradedModule(
-            self.field,
-            n,
-            tuple(cm.shape[1] for cm in comps),
-            tuple(action),
-            None if weights is None else self.v_weights,
-            weights,
-        )
+        pieces = tuple(cm.shape[1] for cm in comps)
+        kept = _column_weights(comps, self.weights)
+        if kept is None:  # a kept column is not homogeneous
+            return GradedModule(self.field, n, pieces, tuple(action))
+        return GradedModule(self.field, n, pieces, tuple(action), self.v_weights, kept)
 
 
-class GradedAlgebra:
-    """A graded commutative algebra with unit, given by its degree-one products.
+class GradedAlgebra(GradedModule):
+    """A graded commutative algebra with unit, stored as a module over its degree-one piece.
 
     Every Koszul group computed downstream is K_{p,q}(A, A_1), which sees A
-    only as a module over Sym A_1, so the algebra is stored as that action:
-    ``mult[(1, b)]`` of shape (dims[1], dims[b], dims[b+1]) for exactly the
-    keys 1 <= b < window; any other key, or a missing one, raises
-    InconsistentDims.  Degree 0 is one-dimensional with the basis vector
-    acting as the unit; x_k . 1 = e_k is structural and not stored.
+    only as a module over Sym A_1, so the algebra is that module: V = A_1
+    (n = dims[1]) acts on the pieces ``dims``, with ``action[0]`` the unit,
+    x_k . 1 = e_k (built here, so dims[0] must be 1), and ``action[b]`` =
+    ``products[b - 1]`` the products A_1 x A_b -> A_{b+1} for
+    1 <= b < window, of shape (dims[1], dims[b+1], dims[b]).  ``weights``,
+    one integer array per degree, weight the pieces and, through degree
+    one, V; left out, they are all zero.
 
-    The constructor's certificate is exact: ``as_module().check_commutativity()``
-    checks x_k (x_l m) = x_l (x_k m) for every pair of basis vectors of A_1
-    and every basis vector m of A_q, q <= window - 2, with one ``matmul_mod``
-    per degree (window - 1 in all); at q = 0 it is the symmetry of
-    mult[(1, 1)].  It makes the pieces a graded Sym A_1-module, which is all
-    the Koszul groups read; when degree one generates, that module is cyclic,
-    hence a quotient ring of Sym A_1.  Raises GradedError.  ``weights``, when
-    given, holds one integer weight per basis vector of each degree;
-    ``as_module`` hands them on.
+    The constructor's certificate is exact: ``check_commutativity`` checks
+    x_k (x_l m) = x_l (x_k m) for every pair of basis vectors of A_1 and
+    every basis vector m of A_q, q <= window - 2, with one ``matmul_mod``
+    per degree (window - 1 in all); at q = 0 it is the symmetry of the
+    products A_1 x A_1.  It makes the pieces a graded Sym A_1-module, which
+    is all the Koszul groups read; when degree one generates, that module
+    is cyclic, hence a quotient ring of Sym A_1.  Raises GradedError, and
+    InconsistentDims for a product of the wrong shape or number.
     """
 
-    def __init__(self, field: PrimeField, dims, mult: dict, weights=None):
-        self.field = field
-        self.dims = tuple(int(d) for d in dims)
-        if len(self.dims) < 2 or self.dims[0] != 1:
+    def __init__(self, field: PrimeField, dims, products, weights=None):
+        dims = tuple(int(d) for d in dims)
+        if len(dims) < 2 or dims[0] != 1:
             raise InconsistentDims("need dims[0] = 1 (the unit) and a degree-one piece")
-        self.weights = None
-        if weights is not None:
-            self.weights = tuple(np.asarray(w, dtype=np.int64) for w in weights)
-            if tuple(w.shape for w in self.weights) != tuple((d,) for d in self.dims):
-                raise InconsistentDims("need one weight per basis vector of each degree")
-        keys = {(1, b) for b in range(1, self.window)}
-        if set(mult) != keys:
-            raise InconsistentDims(f"need exactly the products {sorted(keys)}, got {list(mult)}")
-        self.mult = {}
-        for b in range(1, self.window):
-            t = np.asarray(mult[(1, b)], dtype=np.int64)
-            want = (self.dims[1], self.dims[b], self.dims[b + 1])
-            if t.shape != want:
-                raise InconsistentDims(f"mult[{(1, b)}] has shape {t.shape}, expected {want}")
-            self.mult[(1, b)] = t % field.p
-        self.as_module().check_commutativity()
-
-    @property
-    def window(self) -> int:
-        return len(self.dims) - 1
-
-    def as_module(self) -> GradedModule:
-        """The algebra as a module over itself, acted on by V = degree 1, weights kept."""
-        n = self.dims[1]
-        action = [np.eye(n, dtype=np.int64).reshape(n, n, 1)]  # x_k . 1 = e_k
-        for q in range(1, self.window):
-            action.append(np.ascontiguousarray(np.swapaxes(self.mult[(1, q)], 1, 2)))
-        v_weights = None if self.weights is None else self.weights[1]
-        return GradedModule(self.field, n, self.dims, tuple(action), v_weights, self.weights)
+        n = dims[1]
+        unit = np.eye(n, dtype=np.int64).reshape(n, n, 1)
+        action = (unit, *(np.asarray(t, dtype=np.int64) % field.p for t in products))
+        super().__init__(field, n, dims, action, weights=weights)
+        object.__setattr__(self, "v_weights", self.weights[1])  # V is degree one
+        self.check_commutativity()
 
     def artinian_reduction(self, l1, l2) -> GradedModule | None:
         """The algebra cut by two linear forms, or None if they are not certified.
@@ -269,32 +235,30 @@ class GradedAlgebra:
         K_{p,q}(A, A_1) = K_{p,q}(B, A_1 / <l1, l2>) for q <= window - 1 (the
         hyperplane-section property of Koszul cohomology).
         """
-        p = self.field.p
-        n = self.dims[1]
+        p, n = self.field.p, self.n
         forms = np.vstack([l1, l2])
-        module = self.as_module()
         rel = [np.zeros((1, 0), dtype=np.int64)]
-        for q, a in enumerate(module.action):
+        for q, a in enumerate(self.action):
             # by_l[k] is the matrix of multiplication by l_k on A_q
             by_l = matmul_mod(forms, a.reshape(n, -1), p).reshape(2, *a.shape[1:])
             r, pivots = rref(np.hstack(by_l).T, p)
-            below = self.dims[q - 1] if q else 0
-            if rank(by_l[0], p) != self.dims[q] or len(pivots) != 2 * self.dims[q] - below:
+            below = self.pieces[q - 1] if q else 0
+            if rank(by_l[0], p) != self.pieces[q] or len(pivots) != 2 * self.pieces[q] - below:
                 return None
             rel.append(r[: len(pivots)].T)
             if q == 0:  # the coordinates of A_1 off the pivots of <l1, l2>
                 acting = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
-        identity = [np.eye(d, dtype=np.int64) for d in self.dims]
-        return module_restrict_action(module, acting).subquotient(identity, rel)
+        identity = [np.eye(d, dtype=np.int64) for d in self.pieces]
+        return module_restrict_action(self, acting).subquotient(identity, rel)
 
     def degree_one_generates(self, k_max: int | None = None) -> bool:
         """Whether multiplication A_1 x A_k -> A_{k+1} surjects for 1 <= k <= k_max."""
         if k_max is None:
             k_max = self.window - 1
-        p = self.field.p
         for k in range(1, k_max + 1):
-            mat = self.mult[(1, k)].reshape(self.dims[1] * self.dims[k], self.dims[k + 1]).T
-            if rank(mat, p) < self.dims[k + 1]:
+            n, target, source = self.action[k].shape
+            products = self.action[k].transpose(1, 0, 2).reshape(target, n * source)
+            if rank(products, self.field.p) < target:
                 return False
         return True
 
@@ -320,20 +284,20 @@ def algebra_from_sections(spaces: list[SectionSpace]) -> GradedAlgebra:
         if q and tags[q] != q * tags[1] + tags[0]:
             raise InconsistentDims("tags must grow linearly with the degree")
     window = len(spaces) - 1
-    mult = {(1, b): mult_map(spaces[1], spaces[b]).tensor for b in range(1, window)}
+    products = [mult_map(spaces[1], spaces[b]).action for b in range(1, window)]
     # unit law from the actual model multiplication
     for q in range(1, window + 1):
         t = mult_map(spaces[0], spaces[q]).tensor
         if not np.array_equal(t[0], np.eye(spaces[q].dim, dtype=np.int64)):
             raise GradedError(f"degree-0 section does not act as identity on degree {q}")
-    dims = [s.dim for s in spaces]
-    return GradedAlgebra(field, dims, mult)
+    return GradedAlgebra(field, [s.dim for s in spaces], products)
 
 
 def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> GradedModule:
     """Same pieces, action restricted to a subspace of V given by basis columns.
 
-    The weights stay when every basis column is homogeneous in V.
+    The weights stay when every basis column is homogeneous in V; otherwise
+    the result has the trivial grading.
     """
     p = module.field.p
     b = np.asarray(subspace, dtype=np.int64) % p
@@ -345,15 +309,29 @@ def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> Graded
     action = tuple(
         matmul_mod(b.T, a.reshape(module.n, -1), p).reshape(k, *a.shape[1:]) for a in module.action
     )
-    v_weights = None if module.weights is None else _column_weights(b, module.v_weights)
-    weights = None if v_weights is None else module.weights
-    return GradedModule(module.field, k, module.pieces, action, v_weights, weights)
+    kept = _column_weights([b], [module.v_weights])
+    if kept is None:  # a basis column is not homogeneous
+        return GradedModule(module.field, k, module.pieces, action)
+    return GradedModule(module.field, k, module.pieces, action, kept[0], module.weights)
 
 
-def _column_weights(basis: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
-    """The weight of each basis column, or None when some column is not homogeneous."""
-    nonzero = basis != 0
+def _column_weights(bases, weights) -> tuple[np.ndarray, ...] | None:
+    """The weight of each column of each basis, or None when some column is not homogeneous."""
     big = np.iinfo(np.int64).max
-    lo = np.where(nonzero, weights[:, None], big).min(axis=0, initial=big)
-    hi = np.where(nonzero, weights[:, None], -big).max(axis=0, initial=-big)
-    return lo if np.array_equal(lo, hi) else None
+    out = []
+    for basis, w in zip(bases, weights):
+        nonzero = basis != 0
+        lo = np.where(nonzero, w[:, None], big).min(axis=0, initial=big)
+        hi = np.where(nonzero, w[:, None], -big).max(axis=0, initial=-big)
+        if not np.array_equal(lo, hi):
+            return None
+        out.append(lo)
+    return tuple(out)
+
+
+def _as_weights(given, count: int) -> np.ndarray:
+    """``count`` integer weights as an int64 array; None gives the trivial grading, all zeros."""
+    w = np.zeros(count, dtype=np.int64) if given is None else np.asarray(given, dtype=np.int64)
+    if w.shape != (count,):
+        raise InconsistentDims("need one weight per basis vector of V and of each piece")
+    return w

@@ -128,16 +128,14 @@ def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) 
 
     def coefficient_module(q: int) -> GradedModule:
         spaces = [model.sections(q * k_tag + j * w_tag) for j in range(3)]
-        action = tuple(
-            np.ascontiguousarray(np.swapaxes(mult_map(u_space, s).tensor, 1, 2)) for s in spaces[:2]
-        )
+        action = tuple(mult_map(u_space, s).action for s in spaces[:2])
         return GradedModule(model.field, u_space.dim, tuple(s.dim for s in spaces), action)
 
     groups = [koszul_cohomology(coefficient_module(q), p, 1) for q in range(window + 1)]
     action = []
     for q in range(window):
         src = model.sections(q * k_tag + w_tag)
-        mult = np.swapaxes(mult_map(k_space, src).tensor, 1, 2)  # (g, tgt, src)
+        mult = mult_map(k_space, src).action  # (g, tgt, src)
         shape = (g, wedge * mult.shape[1], wedge * mult.shape[2])
         check_budget(f"M^{p} ambient action in degree {q}", shape, 8)  # built, not reduced: int64 only
         # block diagonal: id on the wedge factor (x) multiplication on coefficients

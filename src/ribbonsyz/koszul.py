@@ -10,19 +10,22 @@ Conventions, fixed project-wide:
 Cohomology dimensions are convention-independent; fixing one makes the
 representative bases reproducible.
 
-Weight blocks.  When a module carries weights (``GradedModule.weights``;
-the split ribbon S~ = S (+) epsilon J puts S at epsilon-weight 0 and
-epsilon J at weight 1), the basis vector e_{s_1}^...^e_{s_p} (x) m has
-total weight  weight(x_{s_1}) + ... + weight(x_{s_p}) + weight(m).  If the
-action respects the weights, every differential preserves the total
-weight, so d_{p,q} is block diagonal, one block per total weight w: the
-rows and columns of weight w, each in basis order.  For the split ribbon
-the blocks are the curve-level Koszul complexes with coefficients in
+Weight blocks.  Every module carries weights (``GradedModule.weights``,
+all zero unless given; the split ribbon S~ = S (+) epsilon J puts S at
+epsilon-weight 0 and epsilon J at weight 1), and the basis vector
+e_{s_1}^...^e_{s_p} (x) m has total weight
+weight(x_{s_1}) + ... + weight(x_{s_p}) + weight(m).  If the action
+respects the weights, every differential preserves the total weight, so
+d_{p,q} is block diagonal, one block per total weight w: the rows and
+columns of weight w, each in basis order.  For the split ribbon the
+blocks are the curve-level Koszul complexes with coefficients in
 K^q L^{-q} and K^q L^{-q+1}.  ``KoszulCalculator`` checks the exact
 certificate once per module (``GradedModule.respects_weights``: every
-action tensor vanishes outside its weight blocks); if it holds, the rank
-of a cell is the sum of its block ranks, each block assembled on its own,
-and if it fails the whole cell is assembled and ranked.
+action tensor vanishes outside its weight blocks) and ranks every cell
+one weight block at a time, each block assembled on its own; a module
+whose certificate fails is ranked by its trivial grading, whose one block
+is the whole cell.  The Betti table reads one set of action tensors,
+whether it ranks the ring itself or its Artinian reduction.
 """
 
 from __future__ import annotations
@@ -155,8 +158,6 @@ def koszul_differential(module: GradedModule, p: int, q: int, weight: int | None
     n_rows = _wedges(module.n, p - 1) * dmq1
     if weight is None:
         cols, local = np.arange(len(subsets) * dmq), np.arange(n_rows)
-    elif module.weights is None:
-        raise ValueError("a weight block needs a module with weights")
     else:
         cols = np.flatnonzero(_total_weights(module, p, q) == weight)
         in_block = _total_weights(module, p - 1, q + 1) == weight
@@ -217,24 +218,24 @@ class KoszulCalculator:
 
     Cells are pure and independent, and the cache keeps the first rank
     stored for a cell (``dict.setdefault``), so evaluating a cell twice,
-    even from two threads at once, only repeats work.  ``split`` is the
-    module's weight certificate, checked once: when it holds, each cell is
-    ranked one weight block at a time.
+    even from two threads at once, only repeats work.  ``module`` is the
+    module as given when its weight certificate holds (checked once), and
+    otherwise the same module with the trivial grading.
     """
 
     def __init__(self, module: GradedModule):
+        if not module.respects_weights():
+            module = GradedModule(module.field, module.n, module.pieces, module.action)
         self.module = module
-        self.split = module.respects_weights()
         self._ranks: dict[tuple[int, int], int] = {}
 
     def rank_d(self, p: int, q: int) -> int:
         """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) cost nothing.
 
-        On a certified module, the sum of the ranks of the weight blocks
-        found on both sides of the cell, each assembled and ranked before
-        the next is built.  Every block's shape is checked against the
-        memory budget before the first is assembled: one over it raises
-        CellTooLarge.
+        The sum of the ranks of the weight blocks found on both sides of
+        the cell, each assembled and ranked before the next is built.
+        Every block's shape is checked against the memory budget before the
+        first is assembled: one over it raises CellTooLarge.
         """
         n = self.module.n
         if p <= 0 or q < 0 or p > n:
@@ -245,21 +246,18 @@ class KoszulCalculator:
         module = self.module
         if q + 1 > module.window:
             raise OutOfWindow(f"degree {q} -> {q + 1} outside window 0..{module.window}")
-        if self.split:
-            src = _total_weights(module, p, q)
-            tgt = _total_weights(module, p - 1, q + 1)
-            blocks = {
-                w: (int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w)))
-                for w in sorted(set(src.tolist()) & set(tgt.tolist()))
-            }
-        else:
-            blocks = {None: _cell_shape(module, p, q)}
+        src = _total_weights(module, p, q)
+        tgt = _total_weights(module, p - 1, q + 1)
+        blocks = {
+            w: (int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w)))
+            for w in sorted(set(src.tolist()) & set(tgt.tolist()))
+        }
         for w, shape in blocks.items():
             check_budget(f"cell (p, q) = ({p}, {q}), weight block {w}", shape)
         total = 0
         for w in blocks:
             d = koszul_differential(module, p, q, w)
-            total += rank(d, module.field.p) if d.size else 0
+            total += rank(d, module.field.p)
         return self._ranks.setdefault(key, total)
 
     def dim(self, p: int, q: int) -> int:
@@ -333,14 +331,14 @@ _REDUCTION_DRAWS = 4
 def _artinian_module(algebra: GradedAlgebra) -> GradedModule | None:
     """The algebra cut by two certified general linear forms, or None.
 
-    On an algebra with weights the forms are drawn on the weight-0
-    coordinates of degree one, so the reduction keeps the weights; the
-    regular-sequence certificate decides either way.
+    The forms are drawn on the weight-0 coordinates of degree one (all of
+    them under the trivial grading), so the reduction keeps the weights;
+    the regular-sequence certificate decides either way.
     """
-    n = algebra.dims[1]
+    n = algebra.n
     if n < 2:
         return None
-    support = 1 if algebra.weights is None else algebra.weights[1] == 0
+    support = algebra.weights[1] == 0
     rng = np.random.default_rng(_REDUCTION_SEED)
     for _ in range(_REDUCTION_DRAWS):
         l1, l2 = rng.integers(0, algebra.field.p, size=(2, n)) * support
@@ -360,15 +358,15 @@ def betti_table(algebra: GradedAlgebra, p_a: int | None = None) -> BettiTable:
     otherwise.
     """
     if p_a is None:
-        p_a = algebra.dims[1]
-    if p_a != algebra.dims[1]:
-        raise ValueError(f"p_a = {p_a} but the degree-one piece has dim {algebra.dims[1]}")
+        p_a = algebra.n
+    if p_a != algebra.n:
+        raise ValueError(f"p_a = {p_a} but the degree-one piece has dim {algebra.n}")
     if algebra.window < 4:
         raise OutOfWindow("betti_table needs pieces through degree 4 (socle rank)")
     module = _artinian_module(algebra)
     method = "artinian"
     if module is None:
-        module, method = algebra.as_module(), "direct"
+        module, method = algebra, "direct"
     calc = KoszulCalculator(module)
     entries = np.array(
         [[calc.dim(p, q) for p in range(p_a - 1)] for q in range(4)], dtype=np.int64

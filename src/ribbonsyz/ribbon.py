@@ -7,13 +7,13 @@ degree-q piece of the canonical ring splits as
 
 with multiplication (s, ej)(s', ej') = (ss', e(sj' + s'j)) and epsilon^2 = 0.
 Both summand families live in the model's one-parameter bundle family, so
-the ring's degree-one products S~_1 x S~_q -> S~_{q+1}, all that the
-algebra stores (see ``graded.GradedAlgebra``), are assembled from curve
-multiplication tables alone.  The basis of
-every graded piece puts the S block first, then the epsilon J block, and
-the algebra carries these as epsilon-weights 0 and 1: multiplication adds
-them, so every Koszul differential splits into weight blocks (see
-``koszul``).
+the ring, stored as its action by S~_1 (``graded.GradedAlgebra``: the unit
+and the products S~_1 x S~_q -> S~_{q+1}, each of shape
+(dim S~_1, dim S~_{q+1}, dim S~_q)), is assembled from curve
+multiplication tables alone.  The basis of every graded piece puts the S
+block first, then the epsilon J block, and the algebra carries these as
+epsilon-weights 0 and 1: multiplication adds them, so every Koszul
+differential splits into weight blocks (see ``koszul``).
 
 Supported conormal bundles: L = -t * O_C(1) on a plane model (t >= 1) and
 L = -k * Pinf on a hyperelliptic model (k >= 1).
@@ -130,19 +130,19 @@ def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitR
         )
     dims = [s_dims[q] + j_dims[q] for q in range(window + 1)]
     weights = [np.repeat([0, 1], [s_dims[q], j_dims[q]]) for q in range(window + 1)]
-    # the degree-one products S~_1 x S~_b -> S~_{b+1}; epsilon J x epsilon J = 0
+    # S~_1 x S~_b -> S~_{b+1} in the action layout; epsilon J x epsilon J = 0
     s1, j1 = s_dims[1], j_dims[1]
-    mult = {}
+    products = []
     for b in range(1, window):
         sb, sc = s_dims[b], s_dims[b + 1]
-        tensor = np.zeros((dims[1], dims[b], dims[b + 1]), dtype=np.int64)
-        tensor[:s1, :sb, :sc] = mult_map(s_spaces[1], s_spaces[b]).tensor
+        tensor = np.zeros((dims[1], dims[b + 1], dims[b]), dtype=np.int64)
+        tensor[:s1, :sc, :sb] = mult_map(s_spaces[1], s_spaces[b]).action
         if j_dims[b]:
-            tensor[:s1, sb:, sc:] = mult_map(s_spaces[1], j_spaces[b]).tensor
+            tensor[:s1, sc:, sb:] = mult_map(s_spaces[1], j_spaces[b]).action
         if j1:
-            tensor[s1:, :sb, sc:] = mult_map(j_spaces[1], s_spaces[b]).tensor
-        mult[(1, b)] = tensor
-    algebra = GradedAlgebra(model.field, dims, mult, weights=weights)
+            tensor[s1:, sc:, :sb] = mult_map(j_spaces[1], s_spaces[b]).action
+        products.append(tensor)
+    algebra = GradedAlgebra(model.field, dims, products, weights=weights)
     return SplitRibbonRing(
         model=model,
         conormal_multiple=t,

@@ -550,10 +550,14 @@ def class_in_span(space: SectionSpace, points, rng) -> ExtensionClass:
     point is a base point.
     """
     points = list(points)
+    return _class_in_rows(space, points, evaluation_matrix(space, points), rng)
+
+
+def _class_in_rows(space: SectionSpace, points: list, rows: np.ndarray, rng) -> ExtensionClass:
+    """``class_in_span`` for points whose evaluation rows are already known."""
+    p = space.field.p
     if not points:
         raise ZeroSpan("no points were given, and the span of no points is {0}")
-    rows = evaluation_matrix(space, points)
-    p = space.field.p
     if not np.any(rows):
         raise ZeroSpan(f"the points {list(map(str, points))} are base points of |2K - L|")
     while True:
@@ -577,14 +581,17 @@ def blowup_sweep(
     index is exactly span_size for almost every draw (a uniform class of
     the full space would instead concentrate above it, since spans of
     rational-reduced divisors cover only a thin slice of the dual space).
+    Each class is drawn from the pool's cached rows (``_pool_rows``), so
+    the pool is evaluated once for the whole sweep.
     """
     space = ambient_space(model, conormal_multiple)
     pool = rational_points(model)
+    rows = _pool_rows(space, tuple(pool))
     histogram: dict[int, int] = {}
     results = []
     for _ in range(count):
         idx_pts = rng.choice(len(pool), size=span_size, replace=False)
-        e = class_in_span(space, [pool[int(i)] for i in idx_pts], rng)
+        e = _class_in_rows(space, [pool[int(i)] for i in idx_pts], rows[idx_pts], rng)
         try:
             res = blowup_index_bruteforce(e, pool, space, b_max)
             key = res.index

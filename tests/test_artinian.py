@@ -8,8 +8,6 @@ a cell only when its largest weight block would be too large to build in
 a test; up to p_a = 9 no cell is.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -32,13 +30,11 @@ DIRECT_MAX_ENTRIES = 8_000_000
 
 def largest_block(calc: KoszulCalculator, p: int, q: int) -> int:
     """Entries of the largest matrix that ranking d_{p,q} builds: its largest
-    weight block when the module is certified to split, else the whole cell."""
+    weight block under the grading the calculator ranks by (the whole cell
+    under the trivial grading of a module whose certificate fails)."""
     module = calc.module
-    n, d = module.n, module.pieces
-    if p <= 0 or q < 0 or p > n:
+    if p <= 0 or q < 0 or p > module.n:
         return 0
-    if not calc.split:
-        return math.comb(n, p - 1) * d[q + 1] * math.comb(n, p) * d[q]
     cols = np.bincount(koszul._total_weights(module, p, q))
     rows = np.bincount(koszul._total_weights(module, p - 1, q + 1))
     k = min(cols.size, rows.size)
@@ -51,7 +47,7 @@ def direct_cells(algebra, max_entries: int = DIRECT_MAX_ENTRIES) -> dict:
     Covers every cell of rows 0..3 whose two differentials have no block
     of more than ``max_entries`` entries.
     """
-    calc = KoszulCalculator(algebra.as_module())
+    calc = KoszulCalculator(algebra)
     return {
         (q, p): calc.dim(p, q)
         for q in range(4)
@@ -76,11 +72,11 @@ def algebra_of(module) -> GradedAlgebra:
     """A reduction with B_4 = 0, read back as an algebra over its degree-one piece.
 
     The reduced module's acting space and B_1 share their coordinates, so
-    its action tensors are the multiplication tensors (1, q).
+    its action tensors past degree 0 are the algebra's degree-one products.
     """
     dims = module.pieces
     assert len(dims) == 5 and dims[4] == 0
-    return GradedAlgebra(module.field, dims, {(1, q): np.swapaxes(module.action[q], 1, 2) for q in range(1, 4)})
+    return GradedAlgebra(module.field, dims, module.action[1:])
 
 
 def test_seeded_quartics():
@@ -120,7 +116,7 @@ def test_artinian_input_answers_directly():
     # the ribbon's (the hyperplane-section property) cut to p <= 5
     ring = build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(0)), 1)
     artinian = algebra_of(koszul._artinian_module(ring.algebra))
-    assert artinian.dims == (1, 7, 7, 1, 0)
+    assert artinian.pieces == (1, 7, 7, 1, 0)
     assert koszul._artinian_module(artinian) is None
     table = betti_table(artinian)
     assert table.method == "direct"
@@ -130,10 +126,10 @@ def test_artinian_input_answers_directly():
 def test_artinian_input_against_naive_oracle():
     ring = build_split_ribbon(HyperellipticCurve(F101, [0, 1]), 6)  # p_a = 5
     artinian = algebra_of(koszul._artinian_module(ring.algebra))
-    assert artinian.dims == (1, 3, 3, 1, 0)
+    assert artinian.pieces == (1, 3, 3, 1, 0)
     table = betti_table(artinian)
     assert table.method == "direct"
-    module = artinian.as_module()
+    module = artinian
     actions = [[module.action[q][k].tolist() for k in range(module.n)] for q in range(module.window)]
     for q in range(4):
         for p in range(table.p_a - 1):
@@ -161,7 +157,7 @@ def test_every_draw_failing_falls_back(monkeypatch):
 def test_degree_one_below_two_answers_directly(monkeypatch):
     # k[x] through degree 4: there is no second linear form to cut with
     one = np.ones((1, 1, 1), dtype=np.int64)
-    alg = GradedAlgebra(F101, [1, 1, 1, 1, 1], {(1, 1): one, (1, 2): one, (1, 3): one})
+    alg = GradedAlgebra(F101, [1, 1, 1, 1, 1], [one, one, one])
     monkeypatch.setattr(GradedAlgebra, "artinian_reduction", lambda *a: pytest.fail("drew forms"))
     assert betti_table(alg).method == "direct"
 

@@ -86,6 +86,16 @@ class TestBetti:
         digest = hashlib.sha256(res.output.encode()).hexdigest()
         assert digest == "4ba1bc60f0054b9f5c3fbdcc1a12a7c633fb7f8835a37b0f607867abb3507505"
 
+    def test_w4_golden_hash(self, runner):
+        # the genus-0 ribbon at p_a = 8: J_1 = 0, so degree one does not
+        # generate the ring, and its table goes through the reduction
+        import hashlib
+
+        res = run(runner, "betti", "--curve", "genus0", "--conormal", "-9", "--format", "json")
+        assert res.exit_code == 0
+        digest = hashlib.sha256(res.output.encode()).hexdigest()
+        assert digest == "45c78801adbabda6910b143c7f3d890f984e27a880b3ca492e720a3f6cf63e07"
+
     def test_seed_changes_curve_not_table_shape(self, runner):
         a = json.loads(run(runner, "betti", *ELL1[:-1], "7", "--format", "json").output)
         b = json.loads(run(runner, "betti", *ELL1, "--format", "json").output)

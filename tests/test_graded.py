@@ -37,16 +37,16 @@ class TestAlgebraFromSections:
         # pieces H^0(O(q)): Riemann-Roch plus the quartic ideal count
         spaces = [quartic.sections(q) for q in range(5)]
         alg = algebra_from_sections(spaces)
-        assert alg.dims == (1, 3, 6, 10, 14)
+        assert alg.pieces == (1, 3, 6, 10, 14)
 
     def test_genus0_o1(self):
         line = HyperellipticCurve(F101, [0, 1])
         alg = algebra_from_sections([line.sections(q) for q in range(5)])
-        assert alg.dims == (1, 2, 3, 4, 5)
+        assert alg.pieces == (1, 2, 3, 4, 5)
 
     def test_hyperelliptic_reindexed(self, hyp2):
         alg = algebra_from_sections([hyp2.sections(7 * q) for q in range(4)])
-        assert alg.dims == (1, 6, 13, 20)
+        assert alg.pieces == (1, 6, 13, 20)
 
     def test_inconsistent_tags_rejected(self, hyp2):
         with pytest.raises(InconsistentDims):
@@ -55,24 +55,24 @@ class TestAlgebraFromSections:
             )
 
     def test_unit_and_associativity_validated(self, quartic):
-        # only the degree-one products are kept, each the curve's table;
-        # the unit acts through degree 0 of the module
+        # only the degree-one products are kept, each the curve's table in
+        # the action layout; the unit acts through degree 0
         spaces = [quartic.sections(q) for q in range(4)]
         alg = algebra_from_sections(spaces)
-        assert sorted(alg.mult) == [(1, 1), (1, 2)]
+        assert len(alg.action) == 3
         for b in (1, 2):
-            assert np.array_equal(alg.mult[(1, b)], mult_map(spaces[1], spaces[b]).tensor % 101)
-        assert np.array_equal(alg.as_module().action[0][:, :, 0], np.eye(3, dtype=np.int64))
+            assert np.array_equal(alg.action[b], mult_map(spaces[1], spaces[b]).tensor.transpose(0, 2, 1) % 101)
+        assert np.array_equal(alg.action[0][:, :, 0], np.eye(3, dtype=np.int64))
 
 
 class TestGradedAlgebra:
     def test_dims0_must_be_1(self):
         with pytest.raises(InconsistentDims):
-            GradedAlgebra(F101, [2, 3], {})
+            GradedAlgebra(F101, [2, 3], [])
 
     def test_bad_tensor_shape(self):
         with pytest.raises(InconsistentDims):
-            GradedAlgebra(F101, [1, 2, 3], {(1, 1): np.zeros((2, 2, 4), dtype=np.int64)})
+            GradedAlgebra(F101, [1, 2, 3], [np.zeros((2, 2, 4), dtype=np.int64)])
 
     @pytest.mark.parametrize(
         "keys",
@@ -85,45 +85,54 @@ class TestGradedAlgebra:
         ],
     )
     def test_only_degree_one_products(self, keys):
-        # k[x] through degree 4, every product the identity
-        one = np.ones((1, 1, 1), dtype=np.int64)
-        assert GradedAlgebra(F101, [1] * 5, {(1, b): one for b in (1, 2, 3)}).window == 4
-        with pytest.raises(InconsistentDims, match="need exactly the products"):
-            GradedAlgebra(F101, [1] * 5, {key: one for key in keys})
+        # pieces of dims 1..5, every product zero: the products A_a x A_b
+        # that ``keys`` names, each in the action layout (dims[a], dims[a+b],
+        # dims[b]), are accepted only as the degree-one ones, in order
+        def product(a, b):
+            return np.zeros((a + 1, a + b + 1, b + 1), dtype=np.int64)
+
+        assert GradedAlgebra(F101, range(1, 6), [product(1, b) for b in (1, 2, 3)]).window == 4
+        with pytest.raises(InconsistentDims, match="action"):
+            GradedAlgebra(F101, range(1, 6), [product(a, b) for a, b in keys])
 
     def test_broken_associativity_caught(self):
         # x*x = y-ish garbage that cannot be associative/symmetric
-        t = np.zeros((2, 2, 3), dtype=np.int64)
-        t[0, 1] = [1, 0, 0]
-        t[1, 0] = [0, 1, 0]
+        t = np.zeros((2, 3, 2), dtype=np.int64)
+        t[0, :, 1] = [1, 0, 0]
+        t[1, :, 0] = [0, 1, 0]
         with pytest.raises(GradedError):
-            GradedAlgebra(F101, [1, 2, 3], {(1, 1): t})
+            GradedAlgebra(F101, [1, 2, 3], [t])
 
-    def test_as_module_agrees_with_multiplication(self, quartic):
-        alg = algebra_from_sections([quartic.sections(q) for q in range(4)])
-        mod = alg.as_module()
-        assert mod.pieces == alg.dims
-        assert mod.n == alg.dims[1]
+    def test_action_agrees_with_multiplication(self, quartic):
+        spaces = [quartic.sections(q) for q in range(4)]
+        alg = algebra_from_sections(spaces)
+        assert isinstance(alg, GradedModule)
+        assert alg.n == alg.pieces[1] == 3
         rng = np.random.default_rng(1)
         for q in range(alg.window):
-            for k in range(mod.n):
-                m = rng.integers(0, 101, alg.dims[q])
-                # x_k . m: m itself in degree 1 when q = 0, else row k of mult[(1, q)] applied to m
-                via_mult = m[0] * np.eye(mod.n, dtype=np.int64)[k] if q == 0 else m @ alg.mult[(1, q)][k] % 101
-                via_action = matmul_mod(mod.action[q][k], m.reshape(-1, 1), 101).ravel()
-                assert np.array_equal(via_mult % 101, via_action)
+            for k in range(alg.n):
+                m = rng.integers(0, 101, alg.pieces[q])
+                # x_k . m: m itself in degree 1 when q = 0, else the curve's
+                # table (the product of basis k of degree 1 with m) applied to m
+                via_table = (
+                    m[0] * np.eye(alg.n, dtype=np.int64)[k]
+                    if q == 0
+                    else m @ mult_map(spaces[1], spaces[q]).tensor[k] % 101
+                )
+                via_action = matmul_mod(alg.action[q][k], m.reshape(-1, 1), 101).ravel()
+                assert np.array_equal(via_table % 101, via_action)
 
 
-def tampered(alg: GradedAlgebra, key, entry) -> dict:
-    """A copy of the algebra's tensors with one entry of mult[key] moved by one."""
-    mult = {k: t.copy() for k, t in alg.mult.items()}
-    mult[key][entry] = (mult[key][entry] + 1) % alg.field.p
-    return mult
+def tampered(alg: GradedAlgebra, b: int, entry) -> list:
+    """A copy of the algebra's products with one entry of action[b] moved by one."""
+    prods = [t.copy() for t in alg.action[1:]]
+    prods[b - 1][entry] = (prods[b - 1][entry] + 1) % alg.field.p
+    return prods
 
 
 def products(alg: GradedAlgebra, va, b: int, vb) -> np.ndarray:
     """Row-wise products of a stack in degree 1 with a stack in degree b."""
-    return np.einsum("ki,kj,ijc->kc", va, vb, alg.mult[(1, b)]) % alg.field.p
+    return np.einsum("ki,kj,icj->kc", va, vb, alg.action[b]) % alg.field.p
 
 
 class TestBatchedCertificate:
@@ -140,7 +149,7 @@ class TestBatchedCertificate:
         from ribbonsyz import graded
 
         one = np.ones((1, 1, 1), dtype=np.int64)
-        mult = {(1, 1): one, (1, 2): np.zeros((1, 1, 0), dtype=np.int64), (1, 3): np.zeros((1, 0, 0), dtype=np.int64)}
+        prods = [one, np.zeros((1, 0, 1), dtype=np.int64), np.zeros((1, 0, 0), dtype=np.int64)]
         shapes = []
         original = graded.matmul_mod
 
@@ -149,10 +158,10 @@ class TestBatchedCertificate:
             return original(x, y, p)
 
         monkeypatch.setattr(graded, "matmul_mod", recording)
-        alg = GradedAlgebra(F101, [1, 1, 1, 0, 0], mult)
+        alg = GradedAlgebra(F101, [1, 1, 1, 0, 0], prods)
         # explicit sizes: the products into degrees 3 and 4 have no rows
         assert shapes == [((1, 1), (1, 1)), ((0, 1), (1, 1)), ((0, 0), (0, 1))]
-        assert alg.as_module().pieces == (1, 1, 1, 0, 0)
+        assert alg.pieces == (1, 1, 1, 0, 0)
         assert alg.degree_one_generates()
 
     def test_every_triple_counts(self, quartic):
@@ -164,18 +173,18 @@ class TestBatchedCertificate:
         alg = algebra_from_sections([quartic.sections(q) for q in range(4)])
         p = 101
         rng = np.random.default_rng(0)  # the draws of the retired sampled check
-        va, vb, vc = (rng.integers(0, p, (5, alg.dims[1])) for _ in range(3))
+        va, vb, vc = (rng.integers(0, p, (5, alg.n)) for _ in range(3))
         ab, bc = products(alg, va, 1, vb), products(alg, vb, 1, vc)
         s1 = (ab[:, 4] * vc[:, 0] - va[:, 0] * bc[:, 4]) % p
         s2 = (ab[:, 5] * vc[:, 1] - va[:, 1] * bc[:, 5]) % p
         assert s1[0] or s2[0]
         assert np.any((s2[0] * s1 - s1[0] * s2)[1:] % p)  # triple 0 sees nothing, some other does
-        mult = {k: t.copy() for k, t in alg.mult.items()}
-        mult[(1, 2)][0, 4, 0] += s2[0]
-        mult[(1, 2)][1, 5, 0] -= s1[0]
-        mult[(1, 2)] %= p
+        prods = [t.copy() for t in alg.action[1:]]
+        prods[1][0, 0, 4] += s2[0]
+        prods[1][1, 0, 5] -= s1[0]
+        prods[1] %= p
         with pytest.raises(GradedError, match="does not commute at degree 1"):
-            GradedAlgebra(F101, alg.dims, mult)
+            GradedAlgebra(F101, alg.pieces, prods)
 
     @pytest.mark.parametrize("window", [2, 3, 4])
     def test_one_product_per_degree(self, quartic, window, monkeypatch):
@@ -190,38 +199,39 @@ class TestBatchedCertificate:
             return original(x, y, p)
 
         monkeypatch.setattr(graded, "matmul_mod", counting)
-        GradedAlgebra(F101, alg.dims, alg.mult)
+        GradedAlgebra(F101, alg.pieces, alg.action[1:])
         # x_k x_l on degree q for every pair (k, l): (n dims[q+2], dims[q+1]) by (dims[q+1], n dims[q])
-        n, d = alg.dims[1], alg.dims
+        n, d = alg.n, alg.pieces
         assert calls == [((n * d[q + 2], d[q + 1]), (d[q + 1], n * d[q])) for q in range(window - 1)]
 
     @pytest.mark.parametrize(
         "window, key, entry",
         [
-            # the seeded check caught this one at split (1,1,1); at window 3 it
-            # is the only split (moving any mult[(1,2)][0, 0, k] alone would
-            # stay associative on this ring)
-            (3, (1, 2), (0, 4, 0)),
+            # entries of action[b] for the product key (1, b), indexed
+            # (k, target, source).  The seeded check caught this one at split
+            # (1,1,1); at window 3 it is the only split (moving any
+            # action[2][0, k, 0] alone would stay associative on this ring)
+            (3, (1, 2), (0, 0, 4)),
             # x_0 . x^2 y, where x^2 y = x_1 . x^2 too: x_0 x_1 x^2 != x_1 x_0 x^2
-            (4, (1, 3), (0, 1, 0)),
-            # a diagonal entry keeps mult[(1,1)] symmetric; caught at split (2,1,1)
-            (4, (1, 1), (2, 2, 4)),
+            (4, (1, 3), (0, 0, 1)),
+            # a diagonal entry keeps the products A_1 x A_1 symmetric; caught at split (2,1,1)
+            (4, (1, 1), (2, 4, 2)),
         ],
     )
     def test_tampered_product_is_caught(self, quartic, window, key, entry):
         alg = algebra_from_sections([quartic.sections(q) for q in range(window + 1)])
-        assert key in alg.mult
+        assert key[1] < alg.window
         with pytest.raises(GradedError, match="does not commute"):
-            GradedAlgebra(F101, alg.dims, tampered(alg, key, entry))
+            GradedAlgebra(F101, alg.pieces, tampered(alg, key[1], entry))
 
     def test_tamper_that_stays_a_module_is_accepted(self, ring4):
-        # moving x_0 . x^3 (mult[(1,3)][0, 0, 0]) was caught by the seeded
+        # moving x_0 . x^3 (action[3][0, 0, 0]) was caught by the seeded
         # check only through the (2,2) product x^2 . x^2.  Only x_0 reaches
         # x^3 from degree 2, so the moved table still commutes: it is another
         # graded module over Sym A_1, and the certificate accepts it.
-        assert [l for l in range(3) if ring4.mult[(1, 2)][l, :, 0].any()] == [0]
-        moved = GradedAlgebra(F101, ring4.dims, tampered(ring4, (1, 3), (0, 0, 0)))
-        assert not np.array_equal(moved.mult[(1, 3)], ring4.mult[(1, 3)])
+        assert [l for l in range(3) if ring4.action[2][l, 0].any()] == [0]
+        moved = GradedAlgebra(F101, ring4.pieces, tampered(ring4, 3, (0, 0, 0)))
+        assert not np.array_equal(moved.action[3], ring4.action[3])
 
 
 class TestGradedModule:
@@ -230,7 +240,7 @@ class TestGradedModule:
             GradedModule(F101, 2, (1, 2), (np.zeros((2, 3, 1), dtype=np.int64),))
 
     def test_commutativity_check_exhaustive(self, quartic):
-        mod = algebra_from_sections([quartic.sections(q) for q in range(4)]).as_module()
+        mod = algebra_from_sections([quartic.sections(q) for q in range(4)])
         mod.check_commutativity()
 
     def test_commutativity_violation_caught(self):
@@ -262,26 +272,26 @@ class TestGradedModule:
 
 class TestRestrictAction:
     def test_full_subspace_identity(self, quartic):
-        mod = algebra_from_sections([quartic.sections(q) for q in range(4)]).as_module()
+        mod = algebra_from_sections([quartic.sections(q) for q in range(4)])
         res = module_restrict_action(mod, np.eye(3, dtype=np.int64))
         for q in range(mod.window):
             assert np.array_equal(res.action[q], mod.action[q])
 
     def test_zero_subspace(self, quartic):
-        mod = algebra_from_sections([quartic.sections(q) for q in range(4)]).as_module()
+        mod = algebra_from_sections([quartic.sections(q) for q in range(4)])
         res = module_restrict_action(mod, np.zeros((3, 0), dtype=np.int64))
         assert res.n == 0
         for q in range(mod.window):
             assert res.action[q].shape[0] == 0
 
     def test_dependent_columns_rejected(self, quartic):
-        mod = algebra_from_sections([quartic.sections(q) for q in range(4)]).as_module()
+        mod = algebra_from_sections([quartic.sections(q) for q in range(4)])
         b = np.array([[1, 2], [0, 0], [3, 6]], dtype=np.int64)
         with pytest.raises(NotASubspace):
             module_restrict_action(mod, b)
 
     def test_linear_combination(self, quartic):
-        mod = algebra_from_sections([quartic.sections(q) for q in range(4)]).as_module()
+        mod = algebra_from_sections([quartic.sections(q) for q in range(4)])
         b = np.array([[1], [2], [5]], dtype=np.int64)
         res = module_restrict_action(mod, b)
         for q in range(mod.window):

@@ -104,12 +104,12 @@ def random_commuting_module(n, dims, rng, prime=101):
 
 class TestDifferential:
     def test_p0_zero_map(self, quartic_ring):
-        mod = quartic_ring.as_module()
+        mod = quartic_ring
         d = koszul_differential(mod, 0, 1)
         assert d.shape == (0, mod.pieces[1])
 
     def test_dd_zero_everywhere(self, quartic_ring):
-        mod = quartic_ring.as_module()
+        mod = quartic_ring
         for q in range(mod.window - 1):
             for p in range(1, mod.n + 1):
                 d1 = koszul_differential(mod, p, q)
@@ -118,32 +118,32 @@ class TestDifferential:
 
     def test_quartic_multiplication_rank(self, quartic_ring):
         # d_{1,1}: V (x) H^0(O(1)) -> H^0(O(2)) is the multiplication, rank 6
-        mod = quartic_ring.as_module()
+        mod = quartic_ring
         d = koszul_differential(mod, 1, 1)
         assert d.shape == (6, 9)
         assert rank(d, 101) == 6
 
     def test_out_of_window(self, quartic_ring):
-        mod = quartic_ring.as_module()
+        mod = quartic_ring
         with pytest.raises(OutOfWindow):
             koszul_differential(mod, 2, mod.window)
 
 
 class TestCohomology:
     def test_k00_is_unit(self, quartic_ring):
-        mod = quartic_ring.as_module()
+        mod = quartic_ring
         grp = koszul_cohomology(mod, 0, 0)
         assert grp.dim == 1
 
     def test_coboundaries_inside_cocycles(self, quartic_ring):
-        mod = quartic_ring.as_module()
+        mod = quartic_ring
         grp = koszul_cohomology(mod, 2, 1)
         d = koszul_differential(mod, 2, 1)
         assert not np.any(matmul_mod(d, grp.cocycles, 101))
         assert not np.any(matmul_mod(d, grp.coboundaries, 101))
 
     def test_bases_vs_rank_formula(self, quartic_ring):
-        mod = quartic_ring.as_module()
+        mod = quartic_ring
         calc = KoszulCalculator(mod)
         for p in range(0, 4):
             for q in range(0, 3):
@@ -184,7 +184,7 @@ class TestCalculatorConcurrency:
         # cells are pure; the cache must stay coherent under racing threads
         import threading
 
-        mod = quartic_ring.as_module()
+        mod = quartic_ring
         calc = KoszulCalculator(mod)
         reference = KoszulCalculator(mod)
         cells = [(p, q) for p in range(0, 4) for q in range(0, 3)]

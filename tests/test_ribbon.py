@@ -3,7 +3,7 @@ import pytest
 
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map
 from ribbonsyz.fflinalg import PrimeField
-from ribbonsyz.graded import GradedAlgebra
+from ribbonsyz.graded import GradedAlgebra, GradedModule
 from ribbonsyz.koszul import duality_check, hilbert_check, hilbert_dims, rcliff
 from ribbonsyz.ribbon import (
     DegreeWindowTooSmall,
@@ -33,14 +33,14 @@ class TestBuild:
     def test_quartic_arithmetic_genus_and_dims(self, quartic_ribbon):
         r = quartic_ribbon
         assert r.p_a == 2 * 3 - 1 + 4 == 9
-        assert r.algebra.dims[:4] == (1, 9, 24, 40)
-        assert r.algebra.dims[1] == r.p_a
+        assert r.algebra.pieces[:4] == (1, 9, 24, 40)
+        assert r.algebra.pieces[1] == r.p_a
 
     def test_hyperelliptic_dims(self, hyp_ribbon):
         r = hyp_ribbon
         assert r.p_a == 3 + 5 == 8
         assert r.s_dims[1] == 6 and r.j_dims[1] == 2
-        assert r.algebra.dims[:4] == (1, 8, 21, 35)
+        assert r.algebra.pieces[:4] == (1, 8, 21, 35)
 
     def test_genus0_j1_vanishes(self):
         line = HyperellipticCurve(F101, [0, 1])
@@ -58,14 +58,14 @@ class TestBuild:
 
     def test_dims_are_sums(self, quartic_ribbon):
         for q in range(quartic_ribbon.window + 1):
-            assert quartic_ribbon.algebra.dims[q] == (
+            assert quartic_ribbon.algebra.pieces[q] == (
                 quartic_ribbon.s_dims[q] + quartic_ribbon.j_dims[q]
             )
 
     def test_hilbert_function_matches_riemann_roch(self, quartic_ribbon, hyp_ribbon):
         for r in (quartic_ribbon, hyp_ribbon):
             want = hilbert_dims(r.p_a, r.window)
-            assert list(r.algebra.dims) == want
+            assert list(r.algebra.pieces) == want
 
     def test_nonnegative_conormal_rejected(self, hyp_ribbon):
         with pytest.raises(UnsupportedConormal):
@@ -77,20 +77,31 @@ class TestBuild:
 
 
 class TestRingStructure:
+    def test_ring_is_a_graded_module(self, hyp_ribbon):
+        # the ring is its action by S~_1: one set of tensors, weights always there
+        alg = hyp_ribbon.algebra
+        assert isinstance(alg, GradedModule)
+        assert not hasattr(alg, "mult") and not hasattr(alg, "as_module")
+        assert alg.n == alg.pieces[1] == hyp_ribbon.p_a
+        assert np.array_equal(alg.action[0][:, :, 0], np.eye(alg.n, dtype=np.int64))  # x_k . 1 = e_k
+        assert np.array_equal(alg.v_weights, alg.weights[1])
+        for q, w in enumerate(alg.weights):
+            assert w.tolist() == [0] * hyp_ribbon.s_dims[q] + [1] * hyp_ribbon.j_dims[q]
+
     def test_epsilon_nilpotency_exhaustive(self, hyp_ribbon):
         # products of the epsilon-block basis vectors vanish identically
         r = hyp_ribbon
         for b in (1, 2, 3):
-            tensor = r.algebra.mult[(1, b)]
-            assert not np.any(tensor[r.s_dims[1] :, r.s_dims[b] :, :])
+            tensor = r.algebra.action[b]
+            assert not np.any(tensor[r.s_dims[1] :, :, r.s_dims[b] :])
 
     def test_epsilon_block_lands_in_j(self, hyp_ribbon):
         r = hyp_ribbon
-        tensor = r.algebra.mult[(1, 1)]
+        tensor = r.algebra.action[1]
         s1, s2 = r.s_dims[1], r.s_dims[2]
         # S x eJ and eJ x S never touch the S block of the target
-        assert not np.any(tensor[:s1, s1:, :s2])
-        assert not np.any(tensor[s1:, :s1, :s2])
+        assert not np.any(tensor[:s1, :s2, s1:])
+        assert not np.any(tensor[s1:, :s2, :s1])
 
     def test_s_action_on_j_equals_curve_mult_map(self, hyp_ribbon):
         r = hyp_ribbon
@@ -98,9 +109,9 @@ class TestRingStructure:
         unit = 2 * model.g - 2 + r.conormal_multiple
         s1 = model.sections(unit)
         j2 = model.sections(2 * unit - r.conormal_multiple)
-        expect = mult_map(s1, j2).tensor
-        tensor = r.algebra.mult[(1, 2)]
-        got = tensor[: r.s_dims[1], r.s_dims[2] :, r.s_dims[3] :]
+        expect = mult_map(s1, j2).action
+        tensor = r.algebra.action[2]
+        got = tensor[: r.s_dims[1], r.s_dims[3] :, r.s_dims[2] :]
         assert np.array_equal(got, expect)
 
     def test_restrict_action_to_epsilon_block(self, hyp_ribbon):
@@ -109,7 +120,7 @@ class TestRingStructure:
         from ribbonsyz.graded import module_restrict_action
 
         r = hyp_ribbon
-        mod = r.algebra.as_module()
+        mod = r.algebra
         s1, j1 = r.s_dims[1], r.j_dims[1]
         basis = np.zeros((s1 + j1, j1), dtype=np.int64)
         for col in range(j1):
@@ -129,7 +140,7 @@ class TestRingStructure:
         s1, j1 = r.s_dims[1], r.j_dims[1]
 
         def multiply(v, w):
-            return np.einsum("i,j,ijc->c", v, w, alg.mult[(1, 1)]) % 101
+            return np.einsum("i,j,icj->c", v, w, alg.action[1]) % 101
 
         for _ in range(20):
             v = rng.integers(0, 101, s1 + j1)
@@ -161,9 +172,9 @@ class TestProjectiveNormality:
     def test_truncated_ring_false(self):
         # k[x] / (x^2) (+) k y with y in degree 2: a commutative ring that
         # degree one does not generate, since x * x = 0 misses y
-        truncated = GradedAlgebra(F101, [1, 1, 1], {(1, 1): np.zeros((1, 1, 1), dtype=np.int64)})
+        truncated = GradedAlgebra(F101, [1, 1, 1], [np.zeros((1, 1, 1), dtype=np.int64)])
         assert not truncated.degree_one_generates(1)
-        assert GradedAlgebra(F101, [1, 1, 1], {(1, 1): np.ones((1, 1, 1), dtype=np.int64)}).degree_one_generates(1)
+        assert GradedAlgebra(F101, [1, 1, 1], [np.ones((1, 1, 1), dtype=np.int64)]).degree_one_generates(1)
 
 
 class TestInvariants:
@@ -190,7 +201,7 @@ class TestPaperKoszulGroups:
         # the representative-bases path rather than the rank formula
         from ribbonsyz.koszul import koszul_cohomology
 
-        mod = quartic_ribbon.algebra.as_module()
+        mod = quartic_ribbon.algebra
         k11 = koszul_cohomology(mod, 1, 1)
         assert k11.dim == 21
         k22 = koszul_cohomology(mod, 2, 2)

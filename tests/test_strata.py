@@ -607,8 +607,13 @@ class TestPoolRows:
         _pool_rows.cache_clear()
         out = blowup_sweep(elliptic, 6, 20, np.random.default_rng(3), span_size=3, b_max=3)
         assert out["pool_size"] == len(pool)
-        assert sizes.count(len(pool)) == 1  # the other calls are the classes' three points
-        assert sizes.count(3) == 20
+        # one evaluation in all: each class is drawn from the cached rows
+        assert sizes == [len(pool)]
+        # the same draws as evaluating each class's points with class_in_span
+        rng, space = np.random.default_rng(3), ambient_space(elliptic, 6)
+        for got in out["results"]:
+            e = class_in_span(space, [pool[int(i)] for i in rng.choice(len(pool), size=3, replace=False)], rng)
+            assert got == {"index": blowup_index_bruteforce(e, pool, space, 3).index, "bound": "exact"}
 
 
 class TestValidation:

@@ -2,9 +2,11 @@
 
 A split ribbon's ring S~ = S (+) epsilon J carries epsilon-weights (S at 0,
 epsilon J at 1), and ``KoszulCalculator`` ranks each cell one weight block
-at a time once ``GradedModule.respects_weights`` certifies the module.
-The oracle is the unsplit rank of the whole cell, and for the vectorised
-assembler the python loop it replaced (``oracles.loop_koszul_differential``).
+at a time, by the module's weights once ``GradedModule.respects_weights``
+certifies them and by the trivial grading (all zeros, one block per cell)
+otherwise.  The oracle is the unsplit rank of the whole cell, and for the
+vectorised assembler the python loop it replaced
+(``oracles.loop_koszul_differential``).
 """
 
 import math
@@ -43,7 +45,12 @@ def zoo(p: int = 101):
 
 
 def unweighted(module: GradedModule) -> GradedModule:
-    return replace(module, v_weights=None, weights=None)
+    """The same module built without weights: the trivial grading."""
+    return GradedModule(module.field, module.n, module.pieces, module.action)
+
+
+def trivially_graded(module: GradedModule) -> bool:
+    return not module.v_weights.any() and not any(w.any() for w in module.weights)
 
 
 def cells(module: GradedModule):
@@ -54,8 +61,8 @@ def assert_split_matches_unsplit(module: GradedModule, max_entries: int | None =
     """Summed block ranks equal the unsplit rank on every cell (of at most
     ``max_entries`` entries when given); returns the cells compared."""
     calc = KoszulCalculator(module)
-    assert calc.split
-    assert not KoszulCalculator(unweighted(module)).split
+    assert calc.module is module  # certified: ranked by its own weights
+    assert trivially_graded(KoszulCalculator(unweighted(module)).module)
     compared = 0
     for p, q in cells(module):
         n_rows = math.comb(module.n, p - 1) * module.pieces[q + 1] if p else 0
@@ -98,7 +105,7 @@ class TestWedgeArrays:
 class TestAssembler:
     def test_matches_loop_on_the_zoo(self):
         for name, ring in zoo():
-            for module in (ring.algebra.as_module(), koszul._artinian_module(ring.algebra)):
+            for module in (ring.algebra, koszul._artinian_module(ring.algebra)):
                 for p, q in cells(module):
                     if math.comb(module.n, p) * module.pieces[q] > 4000:
                         continue
@@ -139,9 +146,14 @@ class TestAssembler:
         assert sum(r for r, _ in shapes) == 245 and sum(c for _, c in shapes) == 245
 
     def test_weight_block_needs_weights(self):
+        # a module built without weights has the trivial grading: its
+        # weight-0 block is the whole cell, and no other weight has a block
         _, ring = zoo()[0]
-        with pytest.raises(ValueError):
-            koszul_differential(unweighted(ring.algebra.as_module()), 2, 1, 0)
+        module = unweighted(ring.algebra)
+        full = koszul_differential(module, 2, 1)
+        assert full.shape == koszul_differential(ring.algebra, 2, 1).shape
+        assert np.array_equal(koszul_differential(module, 2, 1, 0), full)
+        assert koszul_differential(module, 2, 1, 1).shape == (0, 0)
 
 
 class TestSplitRanks:
@@ -151,7 +163,7 @@ class TestSplitRanks:
         compared = 0
         for name, ring in zoo():
             compared += assert_split_matches_unsplit(koszul._artinian_module(ring.algebra))
-            compared += assert_split_matches_unsplit(ring.algebra.as_module(), 3_000_000)
+            compared += assert_split_matches_unsplit(ring.algebra, 3_000_000)
         assert compared > 150
 
     @pytest.mark.parametrize("prime", (13, 1048573))
@@ -172,7 +184,7 @@ class TestCertificate:
     def test_reduction_keeps_the_weights(self):
         for name, ring in zoo():
             module = koszul._artinian_module(ring.algebra)
-            assert module.weights is not None and module.respects_weights(), name
+            assert not trivially_graded(module) and module.respects_weights(), name
             assert ring.betti().method == "artinian", name
             # the acting space keeps the J_1 coordinates: the forms lie in S_1
             assert np.count_nonzero(module.v_weights) == np.count_nonzero(ring.algebra.weights[1])
@@ -189,7 +201,7 @@ class TestCertificate:
         tampered = replace(module, action=tuple(action))
         assert not tampered.respects_weights()
         calc = KoszulCalculator(tampered)
-        assert not calc.split
+        assert calc.module is not tampered and trivially_graded(calc.module)
         plain = KoszulCalculator(unweighted(tampered))
         table = [[calc.dim(p, q) for p in range(module.n + 1)] for q in range(module.window)]
         assert table == [[plain.dim(p, q) for p in range(module.n + 1)] for q in range(module.window)]
@@ -205,7 +217,7 @@ class TestCertificate:
 
     def test_non_homogeneous_kept_column_drops_the_weights(self):
         _, ring = zoo()[2]
-        module = ring.algebra.as_module()
+        module = ring.algebra
         ident = [np.eye(d, dtype=np.int64) for d in module.pieces]
         none = [np.zeros((d, 0), dtype=np.int64) for d in module.pieces]
         kept = module.subquotient(ident, none)
@@ -216,23 +228,119 @@ class TestCertificate:
         s, j = int(np.flatnonzero(module.weights[1] == 0)[0]), int(np.flatnonzero(module.weights[1] == 1)[0])
         mixed[1][j, s] = 1
         dropped = module.subquotient(mixed, none)
-        assert dropped.weights is None and dropped.v_weights is None
-        assert not KoszulCalculator(dropped).split
+        assert trivially_graded(dropped) and dropped.respects_weights()
+        assert KoszulCalculator(dropped).module is dropped  # one block per cell
         # in V, the same mixed column drops the weights of the restricted action
         basis = np.eye(module.n, dtype=np.int64)
         basis[j, s] = 1
-        assert module_restrict_action(module, basis).weights is None
+        assert trivially_graded(module_restrict_action(module, basis))
         assert module_restrict_action(module, np.eye(module.n, dtype=np.int64)).respects_weights()
 
     def test_weights_are_validated(self):
         _, ring = zoo()[2]
-        module = ring.algebra.as_module()
-        with pytest.raises(InconsistentDims):
-            replace(module, weights=None)
+        algebra = ring.algebra
+        module = GradedModule(algebra.field, algebra.n, algebra.pieces, algebra.action, algebra.v_weights, algebra.weights)
+        assert module.respects_weights()
+        # the pieces' weights left out are all zero, which the epsilon J_1
+        # coordinates of V (weight 1) do not respect
+        zeroed = replace(module, weights=None)
+        assert np.array_equal(zeroed.v_weights, module.v_weights)
+        assert not any(w.any() for w in zeroed.weights) and not zeroed.respects_weights()
         with pytest.raises(InconsistentDims):
             replace(module, v_weights=module.v_weights[1:])
         with pytest.raises(InconsistentDims):
             replace(module, weights=module.weights[:-1] + (module.weights[-1][1:],))
+        with pytest.raises(InconsistentDims):
+            replace(module, weights=module.weights[:-1])
+
+
+class TestTrivialGrading:
+    """A module built without weights has the trivial grading, all zeros: one
+    weight block per cell, which is the whole cell."""
+
+    def test_module_without_weights_ranks_whole_cells(self):
+        # every cell of the reduced modules the tables use; the direct
+        # modules' cells up to 3 000 000 entries
+        compared = 0
+        for name, ring in zoo():
+            for module, cap in ((koszul._artinian_module(ring.algebra), None), (ring.algebra, 3_000_000)):
+                plain = unweighted(module)
+                assert plain.v_weights.shape == (plain.n,) and not plain.v_weights.any(), name
+                assert [w.shape for w in plain.weights] == [(d,) for d in plain.pieces], name
+                assert trivially_graded(plain) and plain.respects_weights(), name
+                calc = KoszulCalculator(plain)
+                assert calc.module is plain
+                for p, q in cells(plain):
+                    shape = koszul._cell_shape(plain, p, q) if p else (0, 0)
+                    if cap is not None and shape[0] * shape[1] > cap:
+                        continue
+                    full = koszul_differential(plain, p, q)
+                    want = rank(full, plain.field.p) if full.size and p > 0 else 0
+                    assert calc.rank_d(p, q) == want, (name, p, q)
+                    compared += 1
+        assert compared > 150
+
+    def tampered_module(self):
+        _, ring = zoo()[2]
+        module = koszul._artinian_module(ring.algebra)
+        action = [a.copy() for a in module.action]
+        k = int(np.flatnonzero(module.v_weights == 1)[0])
+        i = int(np.flatnonzero(module.weights[2] == 0)[0])
+        j = int(np.flatnonzero(module.weights[1] == 1)[0])
+        action[1][k, i, j] = 1 + action[1][k, i, j]
+        return module, replace(module, action=tuple(action))
+
+    def table(self, module, monkeypatch):
+        """The Koszul table of the module, and the shape of every matrix each cell built."""
+        built = {}
+        real = koszul.koszul_differential
+
+        def recording(mod, p, q, weight=None):
+            out = real(mod, p, q, weight)
+            built.setdefault((p, q), []).append(out.shape)
+            return out
+
+        monkeypatch.setattr(koszul, "koszul_differential", recording)
+        calc = KoszulCalculator(module)
+        table = [[calc.dim(p, q) for p in range(module.n + 1)] for q in range(module.window)]
+        monkeypatch.undo()
+        return table, built
+
+    def assert_one_block_per_cell(self, module, built):
+        for p in range(1, module.n + 1):
+            for q in range(module.window):
+                rows, cols = koszul._cell_shape(module, p, q)
+                assert built.get((p, q), []) == ([(rows, cols)] if rows and cols else []), (p, q)
+
+    def test_tampered_module_is_ranked_as_one_block_per_cell(self, monkeypatch):
+        # one cross-block entry: the certificate fails, every cell is built
+        # whole, once, and the table is that of the module without weights
+        module, tampered = self.tampered_module()
+        assert not tampered.respects_weights()
+        table, built = self.table(tampered, monkeypatch)
+        self.assert_one_block_per_cell(tampered, built)
+        assert table == self.table(unweighted(tampered), monkeypatch)[0]
+        assert table != self.table(module, monkeypatch)[0]
+
+    def test_basis_change_across_blocks_keeps_the_table(self, monkeypatch):
+        # e_s + e_j for a weight-0 e_s and a weight-1 e_j of M_2 puts
+        # cross-block entries into an isomorphic module: the certificate
+        # fails, every cell is built whole, and the table is the untampered one
+        module, _ = self.tampered_module()
+        p = module.field.p
+        s = int(np.flatnonzero(module.weights[2] == 0)[0])
+        j = int(np.flatnonzero(module.weights[2] == 1)[0])
+        change, inverse = np.eye(module.pieces[2], dtype=np.int64), np.eye(module.pieces[2], dtype=np.int64)
+        change[s, j], inverse[s, j] = 1, p - 1
+        action = list(module.action)
+        action[1] = np.einsum("ab,kbc->kac", change, action[1]) % p
+        action[2] = np.einsum("kab,bc->kac", action[2], inverse) % p
+        moved = replace(module, action=tuple(action))
+        moved.check_commutativity()
+        assert not moved.respects_weights()
+        table, built = self.table(moved, monkeypatch)
+        self.assert_one_block_per_cell(moved, built)
+        assert table == self.table(module, monkeypatch)[0]
 
 
 class TestCellBudget:
@@ -272,7 +380,7 @@ class TestCellBudget:
     def test_whole_cell_of_an_unsplit_module(self, monkeypatch):
         module = unweighted(self.quartic_module())
         monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 245 * 245 - 1)
-        with pytest.raises(koszul.CellTooLarge, match=r"weight block None: 245 x 245"):
+        with pytest.raises(koszul.CellTooLarge, match=r"weight block 0: 245 x 245"):
             KoszulCalculator(module).rank_d(4, 1)
 
     def test_cohomology_checks_both_maps_before_building(self, monkeypatch):
