@@ -62,7 +62,8 @@ def assert_split_matches_unsplit(module: GradedModule, max_entries: int | None =
     ``max_entries`` entries when given); returns the cells compared."""
     calc = KoszulCalculator(module)
     assert calc.module is module  # certified: ranked by its own weights
-    assert trivially_graded(KoszulCalculator(unweighted(module)).module)
+    plain = KoszulCalculator(unweighted(module))
+    assert trivially_graded(plain.module)
     compared = 0
     for p, q in cells(module):
         n_rows = math.comb(module.n, p - 1) * module.pieces[q + 1] if p else 0
@@ -71,6 +72,7 @@ def assert_split_matches_unsplit(module: GradedModule, max_entries: int | None =
         full = koszul_differential(module, p, q)
         want = rank(full, module.field.p) if full.size and p > 0 else 0
         assert calc.rank_d(p, q) == want, (p, q)
+        assert plain.rank_d(p, q) == want, (p, q)  # the whole cell, one block
         compared += 1
     return compared
 
@@ -258,27 +260,16 @@ class TestTrivialGrading:
     """A module built without weights has the trivial grading, all zeros: one
     weight block per cell, which is the whole cell."""
 
-    def test_module_without_weights_ranks_whole_cells(self):
-        # every cell of the reduced modules the tables use; the direct
-        # modules' cells up to 3 000 000 entries
-        compared = 0
+    def test_module_without_weights_is_trivially_graded(self):
+        # its rank_d is the rank of the whole koszul_differential on every
+        # zoo cell: ``assert_split_matches_unsplit``, run by TestSplitRanks
         for name, ring in zoo():
-            for module, cap in ((koszul._artinian_module(ring.algebra), None), (ring.algebra, 3_000_000)):
+            for module in (koszul._artinian_module(ring.algebra), ring.algebra):
                 plain = unweighted(module)
                 assert plain.v_weights.shape == (plain.n,) and not plain.v_weights.any(), name
                 assert [w.shape for w in plain.weights] == [(d,) for d in plain.pieces], name
                 assert trivially_graded(plain) and plain.respects_weights(), name
-                calc = KoszulCalculator(plain)
-                assert calc.module is plain
-                for p, q in cells(plain):
-                    shape = koszul._cell_shape(plain, p, q) if p else (0, 0)
-                    if cap is not None and shape[0] * shape[1] > cap:
-                        continue
-                    full = koszul_differential(plain, p, q)
-                    want = rank(full, plain.field.p) if full.size and p > 0 else 0
-                    assert calc.rank_d(p, q) == want, (name, p, q)
-                    compared += 1
-        assert compared > 150
+                assert KoszulCalculator(plain).module is plain, name
 
     def tampered_module(self):
         _, ring = zoo()[2]
