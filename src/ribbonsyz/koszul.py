@@ -26,6 +26,31 @@ one weight block at a time, each block assembled on its own; a module
 whose certificate fails is ranked by its trivial grading, whose one block
 is the whole cell.  The Betti table reads one set of action tensors,
 whether it ranks the ring itself or its Artinian reduction.
+
+Cells next to a one-dimensional piece.  Two exact certificates, checked
+once per module, give the rank of d_{p,q}, 1 <= p <= n, without assembling
+it.  Both read only ``action[q]``, of shape (n, dim M_{q+1}, dim M_q).
+
+* Injective: dim M_q = 1, spanned by m_0, and the n x dim M_{q+1} matrix
+  ``action[q][:, :, 0]`` has rank n, so the y_k = x_k.m_0 are independent.
+  Then d(e_S (x) m_0) = sum_j +-e_{S - s_j} (x) y_{s_j} is supported on the
+  vectors e_T (x) y_k with T + k = S; in a basis of M_{q+1} extending the
+  y_k these supports are disjoint and nonempty, so d_{p,q} is injective
+  and its rank is C(n, p).
+* Surjective: dim M_{q+1} = 1, spanned by t, and the n x dim M_q matrix
+  ``action[q][:, 0, :]`` has rank n, so the functionals x_k : M_q -> M_{q+1}
+  are independent and M_q holds a dual family m_k (x_l.m_k = delta_kl t).
+  Then d(e_S (x) m_k) = +-e_{S - k} (x) t for k in S, and every e_T (x) t,
+  |T| = p - 1 < n, is such an image, so d_{p,q} is surjective and its rank
+  is C(n, p - 1).
+
+An Artinian reduction of a canonical ribbon has pieces (1, n, n, 1, 0), so
+rows q = 0 (the unit) and q = 2 (the socle pairing B_2 x B_1 -> B_3) come
+from these certificates; the ring itself gets row 0 through its unit.  Row
+q = 1 is always ranked: ``duality_check`` compares its computed ranks,
+while ``hilbert_check`` holds for any ranks (they telescope out of the
+Euler characteristic).  A cell whose certificate fails is ranked as any
+other.
 """
 
 from __future__ import annotations
@@ -220,20 +245,24 @@ class KoszulCalculator:
     stored for a cell (``dict.setdefault``), so evaluating a cell twice,
     even from two threads at once, only repeats work.  ``module`` is the
     module as given when its weight certificate holds (checked once), and
-    otherwise the same module with the trivial grading.
+    otherwise the same module with the trivial grading.  The cache starts
+    with the ranks of the cells next to a one-dimensional piece whose
+    injective or surjective certificate holds (see the module docstring);
+    ``derived`` is the set of those cells, which are never assembled.
     """
 
     def __init__(self, module: GradedModule):
         if not module.respects_weights():
             module = GradedModule(module.field, module.n, module.pieces, module.action)
         self.module = module
-        self._ranks: dict[tuple[int, int], int] = {}
+        self._ranks: dict[tuple[int, int], int] = _certified_ranks(module)
+        self.derived = frozenset(self._ranks)
 
     def rank_d(self, p: int, q: int) -> int:
-        """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) cost nothing.
+        """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) and derived cells cost nothing.
 
-        The sum of the ranks of the weight blocks found on both sides of
-        the cell, each assembled and ranked before the next is built.
+        Otherwise the sum of the ranks of the weight blocks found on both
+        sides of the cell, each assembled and ranked before the next is built.
         Every block's shape is checked against the memory budget before the
         first is assembled: one over it raises CellTooLarge.
         """
@@ -267,6 +296,18 @@ class KoszulCalculator:
             return 0
         middle = comb(n, p) * self.module.pieces[q]
         return middle - self.rank_d(p, q) - self.rank_d(p + 1, q - 1)
+
+
+def _certified_ranks(module: GradedModule) -> dict[tuple[int, int], int]:
+    """rank d_{p,q} for 1 <= p <= n wherever the injective or surjective certificate holds."""
+    n, prime = module.n, module.field.p
+    ranks = {}
+    for q, a in enumerate(module.action):
+        if module.pieces[q] == 1 and rank(a[:, :, 0], prime) == n:
+            ranks.update({(p, q): comb(n, p) for p in range(1, n + 1)})
+        elif module.pieces[q + 1] == 1 and rank(a[:, 0, :], prime) == n:
+            ranks.update({(p, q): comb(n, p - 1) for p in range(1, n + 1)})
+    return ranks
 
 
 @dataclass(frozen=True)
