@@ -7,8 +7,10 @@ against the schema shipped in ribbonsyz/schemas before it is emitted, by
 jsonschema package).
 
 Exit codes: 0 success, 2 invalid configuration (including a curve that
-cannot be built, a ribbon with p_a < 3, a strata ``--bmax`` below 1,
-``--span-size`` or ``--blowup-b`` below 0, a strata span larger than the
+cannot be built, such as a plane curve of degree below 3, random or
+given by coefficients, or an ``elliptic-split`` model over F_2, too
+small for three distinct roots; a ribbon with p_a < 3, a strata
+``--bmax`` below 1, ``--span-size`` or ``--blowup-b`` below 0, a strata span larger than the
 rational-point pool, a strata class asked for in a span that is {0}, a
 blow-up search whose degree has more prefixes than the search budget
 (SearchTooLarge), a strata task whose rational points would take more

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank
+from ribbonsyz.fflinalg import PrimeField, rank
 
 __all__ = [
     "CurveError",
@@ -38,7 +38,6 @@ __all__ = [
     "MultMap",
     "mult_map",
     "rational_points",
-    "evaluation_vector",
     "evaluation_matrix",
     "random_plane_curve",
     "random_hyperelliptic",
@@ -56,6 +55,8 @@ _HYP_TAG_MAX = 1024
 # budget takes about 1-2 s on a plane model and about 10 s on a
 # hyperelliptic one.
 _POINT_SCAN_MAX = 1 << 21
+# Draws a random model may take before it gives up.
+_RANDOM_TRIES = 200
 
 
 class CurveError(Exception):
@@ -112,15 +113,6 @@ def _monomial_values(xyz: np.ndarray, monos, p: int) -> np.ndarray:
     top = int(e.max(initial=0))
     px, py, pz = (_powers(xyz[:, i], top, p) for i in range(3))
     return px[:, e[:, 0]] * py[:, e[:, 1]] % p * pz[:, e[:, 2]] % p
-
-
-def _pmul(f: dict, g: dict, p: int) -> dict:
-    out: dict = {}
-    for ma, ca in f.items():
-        for mb, cb in g.items():
-            key = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
-            out[key] = (out.get(key, 0) + ca * cb) % p
-    return {m: c for m, c in out.items() if c}
 
 
 def _divides(m: tuple, lead: tuple) -> bool:
@@ -449,17 +441,6 @@ class MultMap:
     target: SectionSpace
     tensor: np.ndarray
 
-    def as_matrix(self) -> np.ndarray:
-        """Flatten to a (dim_target, dim_A * dim_B) matrix for rank checks."""
-        da, db, dc = self.tensor.shape
-        return self.tensor.reshape(da * db, dc).T.copy()
-
-    def apply(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        p = self.source_a.field.p
-        da, db, dc = self.tensor.shape
-        tmp = matmul_mod(np.reshape(va, (1, da)), self.tensor.reshape(da, db * dc), p)
-        return matmul_mod(np.reshape(vb, (1, db)), tmp.reshape(db, dc), p).ravel()
-
     @property
     def action(self) -> np.ndarray:
         """The tensor in the action layout (dim A, dim target, dim B), contiguous:
@@ -495,7 +476,7 @@ def _plane_charts(p: int):
     yield np.array([[0, 0, 1]], dtype=np.int64)
 
 
-def rational_points(model, max_count: int | None = None) -> list:
+def rational_points(model) -> list:
     """Distinct F_p-rational points of the model, in a deterministic order.
 
     Plane curves: normalized homogeneous triples, charts [1:y:z], [0:1:z],
@@ -514,8 +495,6 @@ def rational_points(model, max_count: int | None = None) -> list:
     if isinstance(model, PlaneCurve):
         for line in _plane_charts(p):
             pts += [tuple(map(int, row)) for row in line[model._on_curve_rows(line)]]
-            if max_count and len(pts) >= max_count:
-                break
     else:
         pts.append("inf")
         squares: dict[int, list[int]] = {}
@@ -525,16 +504,7 @@ def rational_points(model, max_count: int | None = None) -> list:
             rhs = sum(c * pow(x, k, p) for k, c in enumerate(model.h)) % p
             for y in squares.get(rhs, ()):
                 pts.append((x, y))
-                if max_count and len(pts) >= max_count:
-                    return pts
-    if max_count:
-        return pts[:max_count]
     return pts
-
-
-def evaluation_vector(space: SectionSpace, point) -> np.ndarray:
-    """Values of the basis sections at one point: a one-row evaluation_matrix."""
-    return evaluation_matrix(space, [point])[0]
 
 
 def evaluation_matrix(space: SectionSpace, points) -> np.ndarray:
@@ -577,23 +547,25 @@ def evaluation_matrix(space: SectionSpace, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def random_plane_curve(field: PrimeField, d: int, rng, max_tries: int = 200) -> PlaneCurve:
+def random_plane_curve(field: PrimeField, d: int, rng) -> PlaneCurve:
     """Random smooth plane curve of degree d: retry until the certificate passes."""
+    if d < 3:
+        raise WrongDegree("need degree >= 3 (positive-genus plane models)")
     monos = _monomials(d)
-    for _ in range(max_tries):
+    for _ in range(_RANDOM_TRIES):
         coeffs = {m: int(c) for m, c in zip(monos, rng.integers(0, field.p, len(monos)))}
         try:
             return PlaneCurve(field, coeffs, d)
         except (NotSmooth, WrongDegree):
             continue
-    raise NotSmooth(f"no smooth degree-{d} curve found in {max_tries} tries")
+    raise NotSmooth(f"no smooth degree-{d} curve found in {_RANDOM_TRIES} tries")
 
 
-def random_hyperelliptic(field: PrimeField, g: int, rng, max_tries: int = 200) -> HyperellipticCurve:
+def random_hyperelliptic(field: PrimeField, g: int, rng) -> HyperellipticCurve:
     """Random monic squarefree h of degree 2g+1: retry until squarefree."""
     if g < 0:
         raise WrongDegree(f"genus must be >= 0, got {g}")
-    for _ in range(max_tries):
+    for _ in range(_RANDOM_TRIES):
         h = [int(c) for c in rng.integers(0, field.p, 2 * g + 1)] + [1]
         try:
             return HyperellipticCurve(field, h)
@@ -609,6 +581,8 @@ def random_split_cubic(field: PrimeField, rng) -> HyperellipticCurve:
     halvings rational, which the W_4 witness enumeration wants.
     """
     p = field.p
+    if p < 3:
+        raise CurveError("a split cubic needs three distinct roots in odd characteristic (p >= 3)")
     roots = sorted(int(r) for r in rng.choice(p, size=3, replace=False))
     h = [1]
     for r in roots:

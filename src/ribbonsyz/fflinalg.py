@@ -31,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "PrimeField",
-    "WedgeIndex",
     "LinearAlgebraError",
     "DimensionMismatch",
     "NotPrime",
@@ -39,7 +38,6 @@ __all__ = [
     "rank",
     "kernel_basis",
     "image_basis",
-    "image_membership",
     "matmul_mod",
     "as_fp",
 ]
@@ -135,11 +133,6 @@ def _swap_rows(x: np.ndarray, i: int, j: int) -> None:
     x[j] = t
 
 
-def _int_mod_inplace(x: np.ndarray, p: int) -> None:
-    """Reduce an int64 array into [0, p), in place: the simple engine's drift reset."""
-    np.remainder(x, p, out=x)
-
-
 def _rank1_update(a, piv, col: int, lo: int, hi: int, hit, p: int, bound: int) -> int:
     """a[r, col:] -= a[r, col] * piv for the rows r = hit of lo..hi-1, unreduced.
 
@@ -150,7 +143,8 @@ def _rank1_update(a, piv, col: int, lo: int, hi: int, hit, p: int, bound: int) -
     """
     step = (p - 1) ** 2
     if bound + step >= _INT_DRIFT_MAX:
-        _int_mod_inplace(a[lo:hi, col + 1 :], p)
+        drifted = a[lo:hi, col + 1 :]
+        np.remainder(drifted, p, out=drifted)
         bound = p - 1
     rest = a[hit, col:]
     rest -= rest[:, :1] * piv
@@ -168,7 +162,7 @@ def _eliminate_simple(
     update of the rows it hits is subtracted without ``% p``.  Multipliers
     and pivot row lie in [0, p), so one update moves an entry by at most
     (p - 1)**2.  ``bound`` is an additive bound on |entry| in the trailing
-    block, which is reduced (``_int_mod_inplace``) only when
+    block, which is reduced (``np.remainder``) only when
     bound + (p - 1)**2 would reach _INT_DRIFT_MAX = 2**62: near p = 2**31
     at every pivot, at p = 101 never.  The backward pass (``reduced``) works
     the same way.  Pivots, result and ``order`` equal those of reducing
@@ -226,21 +220,6 @@ def _inv_small(b: np.ndarray, p: int) -> np.ndarray:
     aug_i = aug.astype(np.int64)
     _eliminate_simple(aug_i, p, reduced=True)
     return aug_i[:, k:].astype(np.float64)
-
-
-def _sloppy_mod_inplace(x: np.ndarray, p: int) -> None:
-    """Reduce an exact-integer float array into [-1, p], in place.
-
-    x - floor(x/p)*p via one multiply and one floor: much faster than
-    np.mod's fmod path.  The float quotient can misround by one next to a
-    multiple of p, leaving p in place of 0 or -1 in place of p - 1 (both
-    occur at p = 13 and p = 65521) -- harmless, since every consumer treats
-    values mod p and the final normalisation applies one exact
-    ``_mod_inplace``.
-    """
-    q = np.floor(x * (1.0 / p))
-    q *= p
-    x -= q
 
 
 def _mod_inplace(x: np.ndarray, p: int) -> np.ndarray:
@@ -307,7 +286,7 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
         below = a[r0 + k :]
         if below.shape[0]:
             if bound + step >= _EXACT_FLOAT_MAX - p:
-                _sloppy_mod_inplace(below[:, c0:], p)
+                _mod_inplace(below[:, c0:], p)
                 bound = p
             f = _mod_inplace(below[:, pcols], p)  # pivot block is identity there
             if np.any(f):
@@ -331,7 +310,7 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
             a[lo:hi] = _mod_inplace(tinv @ a[lo:hi], p)
             if lo > 0:
                 if bound + step >= _EXACT_FLOAT_MAX - p:
-                    _sloppy_mod_inplace(a[:lo], p)
+                    _mod_inplace(a[:lo], p)
                     bound = p
                 f = _mod_inplace(a[:lo, pcols], p)
                 if np.any(f):
@@ -350,7 +329,7 @@ def _echelon(a, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
     if p <= _FAST_P_MAX and min(m.shape) >= _BLOCK_MIN:
         w = m.astype(np.float64)
         pivots = _eliminate_blocked(w, p, reduced)
-        _mod_inplace(w, p)  # normalise the p-for-0 values the fast path leaves
+        _mod_inplace(w, p)  # rows below the rank may hold unreduced multiples of p
         return w.astype(np.int64), pivots
     pivots = _eliminate_simple(m, p, reduced)
     return m, pivots
@@ -402,22 +381,6 @@ def image_basis(a, p: int) -> np.ndarray:
     return m[:, pivots]
 
 
-def image_membership(a, v, p: int) -> bool:
-    """Whether vector ``v`` lies in the column span of ``a``.
-
-    Decided by comparing rank(a) with rank([a | v]).
-    """
-    m = as_fp(a, p)
-    w = as_fp(v, p)
-    if w.shape[0] != m.shape[0]:
-        raise DimensionMismatch(
-            f"vector length {w.shape[0]} != row count {m.shape[0]}"
-        )
-    if not np.any(w):
-        return True
-    return rank(np.hstack([m, w]), p) == rank(m, p)
-
-
 def matmul_mod(a, b, p: int) -> np.ndarray:
     """Exact matrix product mod p.
 
@@ -449,52 +412,3 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
         out = (out + np.outer(x[:, i], y[i])) % p
     return out
 
-
-# ---------------------------------------------------------------------------
-# wedge-basis combinatorics
-# ---------------------------------------------------------------------------
-
-
-class WedgeIndex:
-    """Size-p subsets of {0..n-1} in colexicographic order.
-
-    Colex is the project-wide convention for wedge bases: S < T iff the
-    largest element of the symmetric difference lies in T.  rank/unrank run
-    in O(p) off a cached Pascal triangle, and ``subsets`` materialises the
-    full ordered list for differential assembly.
-    """
-
-    __slots__ = ("n", "p", "count")
-
-    def __init__(self, n: int, p: int):
-        if n < 0:
-            raise ValueError("ambient dimension must be >= 0")
-        self.n = n
-        self.p = p
-        self.count = math.comb(n, p) if 0 <= p <= n else 0
-
-    def rank(self, subset) -> int:
-        s = tuple(subset)
-        if len(s) != self.p or any(not 0 <= v < self.n for v in s):
-            raise ValueError(f"not a size-{self.p} subset of range({self.n}): {s}")
-        if sorted(set(s)) != list(s):
-            raise ValueError(f"subset must be strictly increasing: {s}")
-        return sum(math.comb(v, j + 1) for j, v in enumerate(s))
-
-    def unrank(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.count:
-            raise ValueError(f"rank {i} out of range [0, {self.count})")
-        out = []
-        rem = i
-        for j in range(self.p, 0, -1):
-            # largest v with C(v, j) <= rem
-            v = j - 1
-            while math.comb(v + 1, j) <= rem:
-                v += 1
-            out.append(v)
-            rem -= math.comb(v, j)
-        return tuple(reversed(out))
-
-    @property
-    def subsets(self) -> list[tuple[int, ...]]:
-        return [self.unrank(i) for i in range(self.count)]

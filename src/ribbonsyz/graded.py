@@ -251,11 +251,9 @@ class GradedAlgebra(GradedModule):
         identity = [np.eye(d, dtype=np.int64) for d in self.pieces]
         return module_restrict_action(self, acting).subquotient(identity, rel)
 
-    def degree_one_generates(self, k_max: int | None = None) -> bool:
-        """Whether multiplication A_1 x A_k -> A_{k+1} surjects for 1 <= k <= k_max."""
-        if k_max is None:
-            k_max = self.window - 1
-        for k in range(1, k_max + 1):
+    def degree_one_generates(self) -> bool:
+        """Whether multiplication A_1 x A_k -> A_{k+1} surjects for 1 <= k < window."""
+        for k in range(1, self.window):
             n, target, source = self.action[k].shape
             products = self.action[k].transpose(1, 0, 2).reshape(target, n * source)
             if rank(products, self.field.p) < target:

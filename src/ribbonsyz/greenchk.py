@@ -13,7 +13,7 @@ Clifford index question reduces to their surjectivity at q = 1 (for
 i + j = 2m - 3), equivalently to the vanishing of K_{i,1}(M^j).
 
 M^p is built as one subquotient, cocycles / coboundaries, of the module
-wedge^p U (x) H^0(K^q W) (q = 0..window) on which H^0(K_C) acts by
+wedge^p U (x) H^0(K^q W) (q = 0, 1, 2) on which H^0(K_C) acts by
 id (x) multiplication (``GradedModule.subquotient``).  Piece q is spanned by
 the last cocycle columns independent of the coboundaries and of the later
 cocycle columns, and the action is read in those coordinates.  The exact
@@ -105,8 +105,8 @@ class PhiVerdict:
         return self.rank == self.tgt
 
 
-def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) -> SyzygyModule:
-    """Construct M^p with pieces for q = 0..window and a verified action.
+def build_syzygy_module(model, conormal_multiple: int, p: int) -> SyzygyModule:
+    """Construct M^p with pieces for q = 0, 1, 2 and a verified action.
 
     Each piece is the middle cohomology of
 
@@ -115,7 +115,7 @@ def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) 
     computed as K_{p,1} of the coefficient module [H^0(K^q), H^0(K^q W),
     H^0(K^q W^2)] over U by ``koszul_cohomology``.  M^p is then the
     subquotient cocycles / coboundaries of the module wedge^p U (x) H^0(K^q W),
-    q = 0..window, on which H^0(K_C) acts by id (x) multiplication; see
+    q = 0, 1, 2, on which H^0(K_C) acts by id (x) multiplication; see
     ``GradedModule.subquotient`` for the basis and the checks.  Raises
     CellTooLarge before any cohomology group or ambient action over the
     memory budget is assembled.
@@ -131,9 +131,10 @@ def build_syzygy_module(model, conormal_multiple: int, p: int, window: int = 2) 
         action = tuple(mult_map(u_space, s).action for s in spaces[:2])
         return GradedModule(model.field, u_space.dim, tuple(s.dim for s in spaces), action)
 
-    groups = [koszul_cohomology(coefficient_module(q), p, 1) for q in range(window + 1)]
+    # Phi_{i,p,1} and K_{i,1}(M^p) read no piece past degree 2
+    groups = [koszul_cohomology(coefficient_module(q), p, 1) for q in range(3)]
     action = []
-    for q in range(window):
+    for q in range(2):
         src = model.sections(q * k_tag + w_tag)
         mult = mult_map(k_space, src).action  # (g, tgt, src)
         shape = (g, wedge * mult.shape[1], wedge * mult.shape[2])

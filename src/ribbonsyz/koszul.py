@@ -2,7 +2,7 @@
 
 Conventions, fixed project-wide:
 
-* wedge bases are ordered colexicographically (``fflinalg.WedgeIndex``);
+* wedge bases are ordered colexicographically (``_wedge_arrays``);
 * the differential  d : wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}  acts by
   d(e_{s_1}^...^e_{s_p} (x) m) = sum_j (-1)^{j+1} e_{s_1}^..^{s_j}^..^e_{s_p} (x) x_{s_j}.m;
 * the basis of wedge^p V (x) M_q is indexed by  wedge_rank * dim(M_q) + m_index.
@@ -389,7 +389,7 @@ def _artinian_module(algebra: GradedAlgebra) -> GradedModule | None:
     return None
 
 
-def betti_table(algebra: GradedAlgebra, p_a: int | None = None) -> BettiTable:
+def betti_table(algebra: GradedAlgebra) -> BettiTable:
     """Betti table of the algebra as a module over itself, V = degree 1.
 
     Every cell of rows q = 0..3 is a Koszul dimension from differential
@@ -398,10 +398,7 @@ def betti_table(algebra: GradedAlgebra, p_a: int | None = None) -> BettiTable:
     (``GradedAlgebra.artinian_reduction``), and on the algebra itself
     otherwise.
     """
-    if p_a is None:
-        p_a = algebra.n
-    if p_a != algebra.n:
-        raise ValueError(f"p_a = {p_a} but the degree-one piece has dim {algebra.n}")
+    p_a = algebra.n
     if algebra.window < 4:
         raise OutOfWindow("betti_table needs pieces through degree 4 (socle rank)")
     module = _artinian_module(algebra)

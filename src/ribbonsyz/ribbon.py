@@ -32,14 +32,17 @@ from ribbonsyz.koszul import BettiTable, betti_table
 __all__ = [
     "RibbonError",
     "UnsupportedConormal",
-    "DegreeWindowTooSmall",
     "SplitRibbonRing",
     "build_split_ribbon",
-    "check_projective_normality",
     "conormal_tags",
     "split_invariants",
     "hypothesis_gate",
 ]
+
+
+# Degrees of the assembled ring: Betti rows live in q <= 3, and the socle
+# rank looks one degree further.
+_WINDOW = 4
 
 
 class RibbonError(Exception):
@@ -47,10 +50,6 @@ class RibbonError(Exception):
 
 
 class UnsupportedConormal(RibbonError):
-    pass
-
-
-class DegreeWindowTooSmall(RibbonError):
     pass
 
 
@@ -62,7 +61,6 @@ class SplitRibbonRing:
     conormal_multiple: int
     deg_l: int
     g: int
-    gonality_base: int
     p_a: int
     s_dims: tuple[int, ...]
     j_dims: tuple[int, ...]
@@ -73,7 +71,7 @@ class SplitRibbonRing:
         return self.algebra.window
 
     def betti(self) -> BettiTable:
-        return betti_table(self.algebra, self.p_a)
+        return betti_table(self.algebra)
 
     def __repr__(self) -> str:
         return (
@@ -101,15 +99,12 @@ def conormal_tags(model, conormal_multiple: int) -> tuple[int, int, int]:
     return model.canonical_tag, model.canonical_tag + t, deg_l
 
 
-def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitRibbonRing:
-    """Assemble the split-ribbon canonical ring through the given degree window.
+def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
+    """Assemble the split-ribbon canonical ring through degree _WINDOW.
 
-    The default window 4 is what Betti-table computations need (rows live
-    in q <= 3; the socle rank looks one degree further).  Raises
-    UnsupportedConormal when p_a < 3, below the range of canonical ribbons.
+    Raises UnsupportedConormal when p_a < 3, below the range of canonical
+    ribbons.
     """
-    if window < 2:
-        raise DegreeWindowTooSmall("window must be at least 2")
     # S_q = q(K_C - L) and J_q = S_q + L; J_1 is exactly the canonical bundle
     _, unit, deg_l = conormal_tags(model, conormal_multiple)
     t = conormal_multiple
@@ -117,8 +112,8 @@ def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitR
     p_a = 2 * g - 1 - deg_l
     if p_a < 3:
         raise UnsupportedConormal(f"p_a = {p_a}: a canonical ribbon needs p_a >= 3")
-    s_spaces = [model.sections(q * unit) for q in range(window + 1)]
-    j_spaces = [model.sections(q * unit - t) for q in range(window + 1)]
+    s_spaces = [model.sections(q * unit) for q in range(_WINDOW + 1)]
+    j_spaces = [model.sections(q * unit - t) for q in range(_WINDOW + 1)]
     s_dims = tuple(s.dim for s in s_spaces)
     j_dims = tuple(j.dim for j in j_spaces)
     if j_dims[0] != 0:
@@ -128,12 +123,12 @@ def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitR
             f"dim S~_1 = {s_dims[1] + j_dims[1]} != p_a = {p_a}; "
             "the conormal degree is too small for this model"
         )
-    dims = [s_dims[q] + j_dims[q] for q in range(window + 1)]
-    weights = [np.repeat([0, 1], [s_dims[q], j_dims[q]]) for q in range(window + 1)]
+    dims = [s_dims[q] + j_dims[q] for q in range(_WINDOW + 1)]
+    weights = [np.repeat([0, 1], [s_dims[q], j_dims[q]]) for q in range(_WINDOW + 1)]
     # S~_1 x S~_b -> S~_{b+1} in the action layout; epsilon J x epsilon J = 0
     s1, j1 = s_dims[1], j_dims[1]
     products = []
-    for b in range(1, window):
+    for b in range(1, _WINDOW):
         sb, sc = s_dims[b], s_dims[b + 1]
         tensor = np.zeros((dims[1], dims[b + 1], dims[b]), dtype=np.int64)
         tensor[:s1, :sc, :sb] = mult_map(s_spaces[1], s_spaces[b]).action
@@ -148,17 +143,11 @@ def build_split_ribbon(model, conormal_multiple: int, window: int = 4) -> SplitR
         conormal_multiple=t,
         deg_l=deg_l,
         g=g,
-        gonality_base=model.gonality,
         p_a=p_a,
         s_dims=s_dims,
         j_dims=j_dims,
         algebra=algebra,
     )
-
-
-def check_projective_normality(ring: SplitRibbonRing, k_max: int | None = None) -> bool:
-    """Whether S~_1 (x) S~_k -> S~_{k+1} surjects for 1 <= k <= k_max."""
-    return ring.algebra.degree_one_generates(k_max)
 
 
 def split_invariants(g: int, m: int, deg_l: int) -> dict:

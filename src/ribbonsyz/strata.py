@@ -53,7 +53,6 @@ __all__ = [
     "NotFound",
     "SearchTooLarge",
     "ZeroSpan",
-    "HalvingNotRational",
     "ExtensionClass",
     "DivisorWitness",
     "Restriction",
@@ -108,10 +107,6 @@ class SearchTooLarge(StrataError):
 
 class ZeroSpan(StrataError):
     """A class was asked for in a span that is {0}: it holds no nonzero class."""
-
-
-class HalvingNotRational(StrataError):
-    """A ramification divisor has no full rational representative."""
 
 
 def ambient_space(model, conormal_multiple: int) -> SectionSpace:

@@ -296,6 +296,16 @@ def oracle_koszul_matrix(n: int, p: int, dim_src: int, dim_tgt: int, action, pri
     return mat
 
 
+def colex(n: int, k: int) -> list[tuple[int, ...]]:
+    """The size-k subsets of range(n), increasing, in colex order."""
+    return sorted(combinations(range(n), k), key=lambda s: s[::-1])
+
+
+def colex_rank(s) -> int:
+    """Position of an increasing subset in colex order."""
+    return sum(math.comb(v, j + 1) for j, v in enumerate(s))
+
+
 def loop_koszul_differential(module, p: int, q: int) -> np.ndarray:
     """d_{p,q} of a graded module by one python loop over (subset, position).
 
@@ -304,13 +314,6 @@ def loop_koszul_differential(module, p: int, q: int) -> np.ndarray:
     per (subset, j): the loop the vectorised assembler replaced.  Reads
     only ``module.n``, ``pieces``, ``action`` and ``field.p``.
     """
-
-    def colex(n, k):
-        return sorted(combinations(range(n), k), key=lambda s: s[::-1])
-
-    def colex_rank(s):
-        return sum(math.comb(v, j + 1) for j, v in enumerate(s))
-
     n, prime = module.n, module.field.p
     dmq, dmq1 = module.pieces[q], module.pieces[q + 1]
     src = colex(n, p) if 0 <= p <= n else []

@@ -96,6 +96,36 @@ class TestBetti:
         digest = hashlib.sha256(res.output.encode()).hexdigest()
         assert digest == "45c78801adbabda6910b143c7f3d890f984e27a880b3ca492e720a3f6cf63e07"
 
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (
+                ("betti", "--curve", "plane-quartic", "--random", "--p", "101", "--conormal", "-1", "--seed", "0"),
+                "7f0eaaf850f20ea169c1a391226e361347af6dad4ebeff417c79add2b66a04d1",
+            ),
+            (
+                ("green", "--curve", "hyperelliptic", "--g", "2", "--conormal", "-5", "--seed", "1"),
+                "545dbe08f041269a2eed034c5d16d5ff37aaa12a8effc7484f0cf3d01e61f7fd",
+            ),
+            (
+                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--sweep", "100", "--seed", "2026"),
+                "c5a33a1ca453641f5f818fe4cd773680e9c0d219651b1df0c82f8d2d7edc1822",
+            ),
+            (
+                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--task", "w4", "--seed", "2026"),
+                "42498faacaa5b8b530d90aa1b6bdd26d7dc5ee05094290dd4cdb3c9835b87c0b",
+            ),
+        ],
+        ids=["betti-quartic", "green-hyperelliptic", "strata-sweep", "strata-w4"],
+    )
+    def test_benchmark_commands_golden_hash(self, runner, args, want):
+        # the three benchmark commands at benchmark seed 0, and W4
+        import hashlib
+
+        res = run(runner, *args, "--format", "json")
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode()).hexdigest() == want
+
     def test_seed_changes_curve_not_table_shape(self, runner):
         a = json.loads(run(runner, "betti", *ELL1[:-1], "7", "--format", "json").output)
         b = json.loads(run(runner, "betti", *ELL1, "--format", "json").output)
@@ -202,6 +232,13 @@ class TestCurveAndRibbonErrors:
             (("betti", "--curve", "genus0", "--conormal", "-2"), "p_a = 1"),
             (("betti", "--curve", "genus0", "--conormal", "-3"), "p_a = 2"),
             (("green", "--curve", "genus0", "--conormal", "-3"), "p_a = 2"),
+            # a random plane model below degree 3 fails as its coefficients do
+            (("betti", "--curve", "plane", "--d", "2", "--conormal", "-1"), "need degree >= 3"),
+            (("betti", "--curve", "plane", "--d", "0", "--conormal", "-1"), "need degree >= 3"),
+            (("betti", "--curve", "plane", "--d", "-3", "--conormal", "-1"), "need degree >= 3"),
+            # F_2 has two elements, too few for three distinct roots
+            (("betti", "--curve", "elliptic-split", "--conormal", "-6", "--p", "2"), "three distinct roots"),
+            (("strata", "--curve", "elliptic-split", "--conormal", "-6", "--p", "2", "--task", "bounds"), "three distinct roots"),
         ],
     )
     def test_exit_2(self, runner, args, message):

@@ -6,10 +6,8 @@ from ribbonsyz.fflinalg import PrimeField
 from ribbonsyz.graded import GradedAlgebra, GradedModule
 from ribbonsyz.koszul import duality_check, hilbert_check, hilbert_dims, rcliff
 from ribbonsyz.ribbon import (
-    DegreeWindowTooSmall,
     UnsupportedConormal,
     build_split_ribbon,
-    check_projective_normality,
     hypothesis_gate,
     split_invariants,
 )
@@ -71,9 +69,6 @@ class TestBuild:
         with pytest.raises(UnsupportedConormal):
             build_split_ribbon(hyp_ribbon.model, 0)
 
-    def test_window_too_small(self, hyp_ribbon):
-        with pytest.raises(DegreeWindowTooSmall):
-            build_split_ribbon(hyp_ribbon.model, 5, window=1)
 
 
 class TestRingStructure:
@@ -157,24 +152,24 @@ class TestRingStructure:
 class TestProjectiveNormality:
     def test_quartic_true(self, quartic_ribbon):
         # p_a = 9 >= 2g+2 and h^0(K_C + L) = h^0(O) = 1 <= g - 2
-        assert check_projective_normality(quartic_ribbon, 3)
+        assert quartic_ribbon.algebra.degree_one_generates()
 
     def test_hyperelliptic_true(self, hyp_ribbon):
-        assert check_projective_normality(hyp_ribbon, 3)
+        assert hyp_ribbon.algebra.degree_one_generates()
 
     def test_genus0_false(self):
         # epsilon J_2 = H^0((k-4) Pinf) is nonzero for k >= 4 but unreachable
         # from degree one, where J_1 = H^0(K_P1) = 0: never projectively normal
         line = HyperellipticCurve(F101, [0, 1])
         for k in (4, 8):
-            assert not check_projective_normality(build_split_ribbon(line, k), 2)
+            assert not build_split_ribbon(line, k).algebra.degree_one_generates()
 
     def test_truncated_ring_false(self):
         # k[x] / (x^2) (+) k y with y in degree 2: a commutative ring that
         # degree one does not generate, since x * x = 0 misses y
         truncated = GradedAlgebra(F101, [1, 1, 1], [np.zeros((1, 1, 1), dtype=np.int64)])
-        assert not truncated.degree_one_generates(1)
-        assert GradedAlgebra(F101, [1, 1, 1], [np.ones((1, 1, 1), dtype=np.int64)]).degree_one_generates(1)
+        assert not truncated.degree_one_generates()
+        assert GradedAlgebra(F101, [1, 1, 1], [np.ones((1, 1, 1), dtype=np.int64)]).degree_one_generates()
 
 
 class TestInvariants:
