@@ -49,7 +49,7 @@ from ribbonsyz.curves import (
     rational_points,
 )
 from ribbonsyz.fflinalg import NotPrime, PrimeField
-from ribbonsyz.greenchk import green_split_report, recompute_consistency
+from ribbonsyz.greenchk import green_split_report
 from ribbonsyz.koszul import CellTooLarge, NoNonzero, duality_check, hilbert_check, hilbert_dims, rcliff
 from ribbonsyz.ribbon import (
     RibbonError,
@@ -410,8 +410,7 @@ def betti(fmt, out_path, config_path, **flags):
 
 @main.command()
 @_common_options
-@click.option("--inject-fault", is_flag=True, default=False, hidden=True, help="Test hook: corrupt one verdict to exercise the inconsistency exit path.")
-def green(inject_fault, fmt, out_path, config_path, **flags):
+def green(fmt, out_path, config_path, **flags):
     """The three split-ribbon equivalence conditions, checked independently.
 
     Exits 4 if the verdicts contradict each other while every hypothesis
@@ -428,12 +427,6 @@ def green(inject_fault, fmt, out_path, config_path, **flags):
         raise _conormal_out_of_range(cfg, exc)
     except CellTooLarge as exc:
         raise click.UsageError(f"Koszul cell too large: {exc}")
-    if inject_fault:
-        if report["phi"]:
-            report["phi"][0]["surjective"] = not report["phi"][0]["surjective"]
-        else:
-            report["rcliff"] = (report["rcliff"] or 0) + 1
-        report = recompute_consistency(report)
     obj = {"command": "green", "p": field.p, "seed": cfg["seed"], "curve": _curve_info(model), "report": report}
     conds = report["conditions"]
     lines = [

@@ -36,6 +36,7 @@ __all__ = [
     "NotPrime",
     "rref",
     "rank",
+    "pivots",
     "kernel_basis",
     "image_basis",
     "matmul_mod",
@@ -349,10 +350,18 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     return _echelon(a, p, reduced=True)
 
 
+def pivots(a, p: int) -> list[int]:
+    """Pivot columns of ``a`` over Z/p (forward elimination only).
+
+    Column c is a pivot exactly when it is not in the span of the columns
+    before it, so the list is canonical across engines.
+    """
+    return _echelon(a, p, reduced=False)[1]
+
+
 def rank(a, p: int) -> int:
     """Rank of ``a`` over Z/p (forward elimination only)."""
-    _, pivots = _echelon(a, p, reduced=False)
-    return len(pivots)
+    return len(pivots(a, p))
 
 
 def kernel_basis(a, p: int) -> np.ndarray:

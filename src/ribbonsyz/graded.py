@@ -251,15 +251,6 @@ class GradedAlgebra(GradedModule):
         identity = [np.eye(d, dtype=np.int64) for d in self.pieces]
         return module_restrict_action(self, acting).subquotient(identity, rel)
 
-    def degree_one_generates(self) -> bool:
-        """Whether multiplication A_1 x A_k -> A_{k+1} surjects for 1 <= k < window."""
-        for k in range(1, self.window):
-            n, target, source = self.action[k].shape
-            products = self.action[k].transpose(1, 0, 2).reshape(target, n * source)
-            if rank(products, self.field.p) < target:
-                return False
-        return True
-
 
 def algebra_from_sections(spaces: list[SectionSpace]) -> GradedAlgebra:
     """Assemble a graded algebra whose degree-q piece is spaces[q], from its degree-one products.

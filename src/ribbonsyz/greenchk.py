@@ -44,7 +44,6 @@ from ribbonsyz.koszul import (
     rcliff,
 )
 from ribbonsyz.ribbon import (
-    SplitRibbonRing,
     build_split_ribbon,
     conormal_tags,
     hypothesis_gate,
@@ -207,7 +206,7 @@ def module_koszul_vanishing(syz: SyzygyModule, i: int) -> int:
     return syz.koszul.dim(i, 1)
 
 
-def green_split_report(model, conormal_multiple: int, ring: SplitRibbonRing | None = None) -> dict:
+def green_split_report(model, conormal_multiple: int) -> dict:
     """All three split-ribbon equivalence conditions, computed independently.
 
     (1) the resolution Clifford index of the split ribbon equals 2m - 2,
@@ -220,8 +219,7 @@ def green_split_report(model, conormal_multiple: int, ring: SplitRibbonRing | No
     surjectivity<=>vanishing hypotheses hold for a pair, its two verdicts
     must agree.  A False flag signals an implementation bug.
     """
-    if ring is None:
-        ring = build_split_ribbon(model, conormal_multiple)
+    ring = build_split_ribbon(model, conormal_multiple)
     m = model.gonality
     inv = split_invariants(ring.g, m, ring.deg_l)
     gate = hypothesis_gate(ring.g, m, ring.p_a)

@@ -15,9 +15,12 @@ work is done at the level it depends on:
 * per class: the pool's rows projected from e, shared by every degree;
 * per degree: the subsets P, walked depth first with one rank-1 update
   for each point added to P, the last point of P vectorised over a numpy
-  stack; later points whose images agree up to scale share a key and a
-  bucket, and each bucketed pair is confirmed, in lexicographic order,
-  by an exact rank test.
+  stack, a chunk of points at a time; later points whose images agree up
+  to scale share a key.  One sort of a chunk's keys finds the shared
+  ones, and most chunks have none.  The points behind a shared key are
+  paired per last point exactly, and each pair is confirmed, in
+  lexicographic order, by one forward elimination of the columns
+  (points, e): e lies in their span exactly when its column is no pivot.
 
 A degree with more than _PREFIX_MAX prefixes is refused up front
 (SearchTooLarge).  The result is labelled a rational-reduced blow-up
@@ -45,7 +48,7 @@ from ribbonsyz.curves import (
     evaluation_matrix,
     rational_points,
 )
-from ribbonsyz.fflinalg import kernel_basis, matmul_mod, rank
+from ribbonsyz.fflinalg import kernel_basis, matmul_mod, pivots, rank
 from ribbonsyz.ribbon import conormal_tags
 
 __all__ = [
@@ -71,8 +74,9 @@ __all__ = [
     "blowup_sweep",
 ]
 
-# (b - 2)-prefixes one degree may scan: about 5 s at ~15-18 us per prefix
-# (a full degree-5 scan of the 84-point pool in dimension 10: 1.4-1.75 s)
+# (b - 2)-prefixes one degree may scan: about 2 s at ~6.5-7 us per prefix
+# (a full degree-5 scan of the 84-point pool in dimension 10: 0.61-0.66 s
+# on 2 vCPUs)
 _PREFIX_MAX = 300_000
 # int64 entries in one chunk of the last prefix level's projection stack
 # (32 KB): small enough to stop soon after the witness's chunk and to keep
@@ -276,6 +280,18 @@ def _pool_rows(space: SectionSpace, pool: tuple) -> np.ndarray:
     return rows
 
 
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place for int64 x, as x - (x // p) * p.
+
+    numpy divides an integer array by a scalar with a multiply and a shift,
+    so this is 2-3x faster than ``%`` on the search's stacks.
+    """
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
 def _project(rows: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
     """The rows modulo span(point) for each of the points: a (points, rows, dim) stack.
 
@@ -285,8 +301,10 @@ def _project(rows: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
     they are.
     """
     lead = (points != 0).argmax(axis=1)
-    f = rows[:, lead].T * _inverses(points[np.arange(len(points)), lead], p)[:, None] % p
-    return (rows[None] - f[:, :, None] * points[:, None, :]) % p
+    f = _reduce(rows[:, lead].T * _inverses(points[np.arange(len(points)), lead], p)[:, None], p)
+    out = f[:, :, None] * points[:, None, :]
+    np.subtract(rows, out, out=out)
+    return _reduce(out, p)
 
 
 def _bucket_pairs(stack: np.ndarray, first: np.ndarray, p: int) -> list:
@@ -296,30 +314,37 @@ def _bucket_pairs(stack: np.ndarray, first: np.ndarray, p: int) -> list:
     Each vector is scaled so that its first nonzero entry is 1 and read as
     base-p digits, wrapping modulo 2**64.  Proportional vectors therefore
     always share a key; other vectors share one only by a wrapped collision,
-    which the caller's exact check rejects.
+    which the caller's exact check rejects.  One sort of the keys finds
+    the shared ones (most stacks have none and return there); the vectors
+    behind them are then grouped exactly by (t, key).
     """
     flat = stack.reshape(-1, stack.shape[2])
     lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)].reshape(stack.shape[:2])
-    unit = stack * _inverses(lead, p)[..., None] % p
-    keys = unit.astype(np.uint64) @ _radix(p, stack.shape[2])
-    t, j = np.nonzero((lead != 0) & (np.arange(stack.shape[1]) >= first[:, None]))
-    k = keys[t, j]
-    order = np.lexsort((k, t))  # stable, and j already ascends within each t
-    t, j, k = t[order], j[order], k[order]
-    buckets: list[list[int]] = []
-    for a in np.flatnonzero((t[1:] == t[:-1]) & (k[1:] == k[:-1])).tolist():
-        if buckets and buckets[-1][-1] == a:
-            buckets[-1].append(a + 1)
-        else:
-            buckets.append([a, a + 1])
-    return sorted((int(t[g[0]]), int(j[x]), int(j[y])) for g in buckets for x, y in combinations(g, 2))
+    unit = _reduce(stack * _inverses(lead, p)[..., None], p)
+    keys = unit.view(np.uint64) @ _radix(p, stack.shape[2])
+    kept = (lead != 0) & (np.arange(stack.shape[1]) >= first[:, None])
+    k = keys[kept]
+    s = np.sort(k)
+    dup = s[1:][s[1:] == s[:-1]]  # sorted, each shared key at least once
+    if not dup.size:
+        return []
+    at = np.searchsorted(dup, k).clip(max=dup.size - 1)
+    hit = np.flatnonzero(dup[at] == k)  # the entries whose key is shared
+    t, j = (x[hit].tolist() for x in np.nonzero(kept))
+    groups: dict[tuple, list] = {}
+    for tx, jx, kx in zip(t, j, k[hit].tolist()):  # t, then j, ascending
+        groups.setdefault((tx, kx), []).append(jx)
+    return sorted((tx, a, b) for (tx, _), js in groups.items() for a, b in combinations(js, 2))
 
 
 def _confirm(vec: np.ndarray, rows: np.ndarray, candidates, p: int):
-    """The first candidate tuple of row indices whose span contains vec, or None."""
+    """The first candidate tuple of row indices whose span contains vec, or None.
+
+    One forward elimination of the columns [rows of the candidate, vec]
+    decides: vec lies in their span exactly when its column is no pivot.
+    """
     for cand in candidates:
-        sub = rows[list(cand)]
-        if rank(np.vstack([sub, vec]), p) == rank(sub, p):
+        if len(cand) not in pivots(np.vstack([rows[list(cand)], vec]).T, p):
             return cand
     return None
 
@@ -372,9 +397,9 @@ def _search_degree(vec: np.ndarray, rows: np.ndarray, proj: np.ndarray, b: int, 
     Degree 1 takes the first nonzero row that the projection kills.
     Higher degrees walk the prefixes P depth first (``_walk``), bucket the
     later rows by the keys of their projections, and confirm every
-    bucketed pair in lexicographic order by one exact rank check, which
-    rejects the collisions that come from dependent rows (or from wrapped
-    keys) rather than from vec.
+    bucketed pair in lexicographic order by one forward elimination
+    (``_confirm``), which rejects the collisions that come from dependent
+    rows (or from wrapped keys) rather than from vec.
     """
     if b == 1:
         hit = rows.any(axis=1) & ~proj.any(axis=1)
@@ -488,7 +513,7 @@ class EllipticGroup:
         return self._halvings.get(q, [])
 
 
-def w4_witnesses_elliptic(model: HyperellipticCurve, conormal_multiple: int = 6):
+def w4_witnesses_elliptic(model: HyperellipticCurve, conormal_multiple: int):
     """Ramification-divisor witnesses of the degree-2 maps on a genus-1 curve.
 
     The degree-2 map attached to the degree-2 class of Q + O ramifies at

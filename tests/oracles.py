@@ -17,7 +17,17 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ribbonsyz.fflinalg import DimensionMismatch, as_fp, rref
+from ribbonsyz.fflinalg import DimensionMismatch, as_fp, rank, rref
+
+
+def degree_one_generates(alg) -> bool:
+    """Whether multiplication A_1 x A_k -> A_{k+1} of a GradedAlgebra surjects for 1 <= k < window."""
+    for k in range(1, alg.window):
+        n, target, source = alg.action[k].shape
+        products = alg.action[k].transpose(1, 0, 2).reshape(target, n * source)
+        if rank(products, alg.field.p) < target:
+            return False
+    return True
 
 
 def naive_rank(rows: list[list[int]], p: int) -> int:

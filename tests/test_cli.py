@@ -8,10 +8,11 @@ from click.testing import CliRunner
 from jsonschema import validate as schema_validate
 from jsonschema.validators import validator_for
 
-from ribbonsyz import koszul, strata
+from ribbonsyz import cli, koszul, strata
 from ribbonsyz.cli import main
 from ribbonsyz.curves import random_split_cubic, rational_points
 from ribbonsyz.fflinalg import PrimeField
+from ribbonsyz.greenchk import recompute_consistency
 from ribbonsyz.strata import ambient_space, make_witness, random_class, span_membership
 
 
@@ -299,11 +300,26 @@ class TestGreen:
         assert obj["report"]["conditions"]["phi_surjective"] is True
         assert obj["report"]["betti"]["method"] == "artinian"
 
-    def test_inject_fault_exit_4(self, runner):
-        # the genus-0 report has no phi pairs: the hook perturbs rcliff and
-        # the gate-level (1) == (2) requirement trips
-        res = runner.invoke(main, ["green", *G0, "--inject-fault"])
+    def test_inconsistent_report_exit_4(self, runner, monkeypatch):
+        # the genus-0 report has no phi pairs: a perturbed rcliff makes the
+        # gate-level (1) == (2) requirement trip in recompute_consistency
+        real = cli.green_split_report
+
+        def corrupted(model, conormal_multiple):
+            report = real(model, conormal_multiple)
+            assert not report["phi"] and report["consistent"]
+            report["rcliff"] = (report["rcliff"] or 0) + 1
+            return recompute_consistency(report)
+
+        monkeypatch.setattr(cli, "green_split_report", corrupted)
+        res = runner.invoke(main, ["green", *G0])
         assert res.exit_code == 4
+        assert "consistent: False" in res.output
+
+    def test_no_fault_hook_option(self, runner):
+        res = runner.invoke(main, ["green", *G0, "--inject-fault"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
 
 
 class TestStrata:

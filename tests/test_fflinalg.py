@@ -8,6 +8,7 @@ from ribbonsyz.fflinalg import (
     image_basis,
     kernel_basis,
     matmul_mod,
+    pivots,
     rank,
     rref,
 )
@@ -58,6 +59,20 @@ class TestRref:
             a = g.integers(0, P, (20, 30))
             _, piv = rref(a, P)
             assert len(piv) == naive_rank(a.tolist(), P)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (20, 30), (250, 310)])
+    def test_pivots_are_the_rref_pivots(self, shape):
+        # forward elimination alone gives the canonical pivot columns, on
+        # the simple engine and on the blocked one (250 x 310); column 3 is
+        # a combination of earlier columns, so it is never a pivot
+        g = rng(shape[0])
+        for _ in range(3):
+            a = g.integers(0, P, shape)
+            a[:, 3] = (2 * a[:, 0] + 7 * a[:, 1]) % P
+            piv = pivots(a, P)
+            assert piv == rref(a, P)[1]
+            assert rank(a, P) == len(piv)
+            assert 3 not in piv
 
     def test_idempotent(self):
         g = rng(3)

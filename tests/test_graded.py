@@ -17,7 +17,7 @@ from ribbonsyz.graded import (
 )
 from ribbonsyz.koszul import KoszulCalculator
 
-from oracles import oracle_koszul_dim, solve
+from oracles import degree_one_generates, oracle_koszul_dim, solve
 
 F101 = PrimeField(101)
 
@@ -162,7 +162,7 @@ class TestBatchedCertificate:
         # explicit sizes: the products into degrees 3 and 4 have no rows
         assert shapes == [((1, 1), (1, 1)), ((0, 1), (1, 1)), ((0, 0), (0, 1))]
         assert alg.pieces == (1, 1, 1, 0, 0)
-        assert alg.degree_one_generates()
+        assert degree_one_generates(alg)
 
     def test_every_triple_counts(self, quartic):
         # at window 3 the one associativity split was (1,1,1).  Moving

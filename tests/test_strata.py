@@ -41,6 +41,7 @@ from ribbonsyz.strata import (
     _inverse_table,
     _inverses,
     _pool_rows,
+    _reduce,
 )
 
 from oracles import naive_blowup_index, naive_first_witness, vectorised_blowup_index
@@ -362,11 +363,14 @@ class TestProjectionSearch:
         )
         vec = np.array([1, 0, 1, 1, 0], dtype=np.int64)
         checked = []
-        real = strata.rank
-        monkeypatch.setattr(strata, "rank", lambda a, q: checked.append(a.copy()) or real(a, q))
+        real = strata.pivots
+        monkeypatch.setattr(strata, "pivots", lambda a, q: checked.append(a.copy()) or real(a, q))
         assert _first_witness(vec, rows, 3, p) == (0, 3, 4)
-        degenerate = np.vstack([rows[[0, 1, 2]], vec])
+        # the candidate (0, 1, 2) reaches the exact check, as the columns
+        # [rows 0, 1, 2; vec], and is rejected there: vec's column is a pivot
+        degenerate = np.vstack([rows[[0, 1, 2]], vec]).T
         assert any(np.array_equal(a, degenerate) for a in checked)
+        assert 3 in real(degenerate, p)
         assert naive_blowup_index(vec.tolist(), rows.tolist(), 3, p) == (3, (0, 3, 4))
 
 
@@ -460,6 +464,36 @@ class TestDifferentialSearch:
         assert vectorised_blowup_index(vec, rows, 5, p) is None
         for b in (4, 5):
             assert naive_first_witness(vec.tolist(), rows.tolist(), b, p) is None
+
+    @pytest.mark.parametrize("p", [13, 101, 2147483647])
+    def test_every_image_in_one_bucket(self, p, monkeypatch):
+        # with an all-zero radix every nonzero image shares the key 0, so
+        # the exact check alone picks the witness; chunks of 3 and 5 points
+        # leave an odd chunk, and the last chunk, at every walk level
+        n, d = 14, 5
+        monkeypatch.setattr(strata, "_radix", lambda q, dim: np.zeros(dim, dtype=np.uint64))
+        rng = np.random.default_rng(p % 977)
+        rows = structured_pool(rng, p, n, d)
+        for chunk in (3, 5):
+            monkeypatch.setattr(strata, "_STACK_ENTRIES", chunk * n * d)
+            for span in (2, 3, 4, 5):
+                # each product reduced before the sum, which stays exact at p near 2**31
+                terms = rng.integers(1, p, (span, 1)) * rows[rng.choice(n, span, replace=False)] % p
+                vec = terms.sum(axis=0) % p
+                if not vec.any():
+                    continue
+                got = search_index(vec, rows, 5, p)
+                assert got == vectorised_blowup_index(vec, rows, 5, p)
+                assert got is not None and got[0] <= span
+
+    @pytest.mark.parametrize("p", [2, 13, 101, 1048573, 2147483647])
+    def test_reduce_equals_remainder(self, p):
+        # the search's int64 values: products of two residues, and a residue
+        # minus such a product, so down to -(p - 1)**2
+        g = np.random.default_rng(p % 1000)
+        x = g.integers(0, p, 4000) * g.integers(0, p, 4000)
+        x = np.concatenate([x, g.integers(0, p, 4000) - x, [0, p - 1, -(p - 1) ** 2, (p - 1) ** 2]])
+        assert np.array_equal(_reduce(x.copy(), p), x % p)
 
     # 101 and 65521 (the largest prime under _TABLE_P_MAX) read the inverse
     # table; 65537 (the first prime above it) and the larger ones use Fermat
