@@ -148,10 +148,11 @@ class PlaneCurve:
 
     The constructor requires a homogeneous f of the stated degree and
     verifies a Nullstellensatz certificate of smoothness: the Jacobian
-    ideal (f, f_x, f_y, f_z) must contain every form of some degree
-    D <= 3(d-1) - 2 (the Macaulay bound for three variables), which is
+    ideal I = (f, f_x, f_y, f_z) must contain every form of degree
+    D = 3(d-1) - 2 (the Macaulay bound for three variables), which is
     equivalent to the singular locus being empty over the algebraic
-    closure.
+    closure.  One Macaulay matrix, at D, decides: I_D' = S_D' for some
+    D' <= D puts S_{D-D'} I_D' = S_D inside I_D.
     """
 
     family = "plane"
@@ -197,24 +198,18 @@ class PlaneCurve:
                     key[axis] -= 1
                     g[tuple(key)] = (g.get(tuple(key), 0) + m[axis] * c) % p
             partials.append({m: c for m, c in g.items() if c})
-        gens = [(g, sum(next(iter(g)))) for g in partials if g]
-        for big in range(self.d - 1, 3 * (self.d - 1) - 1):
-            monos = _monomials(big)
-            index = {m: i for i, m in enumerate(monos)}
-            rows = []
-            for g, deg in gens:
-                if deg > big:
-                    continue
-                for shift in _monomials(big - deg):
-                    row = np.zeros(len(monos), dtype=np.int64)
-                    for m, c in g.items():
-                        row[index[(m[0] + shift[0], m[1] + shift[1], m[2] + shift[2])]] = c
-                    rows.append(row)
-            if rows and rank(np.array(rows), p) == len(monos):
-                return
-        raise NotSmooth(
-            f"Jacobian ideal certificate failed through degree {3 * (self.d - 1) - 2}"
-        )
+        big = 3 * (self.d - 1) - 2
+        monos = _monomials(big)
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for g in filter(None, partials):
+            for shift in _monomials(big - sum(next(iter(g)))):
+                row = np.zeros(len(monos), dtype=np.int64)
+                for m, c in g.items():
+                    row[index[(m[0] + shift[0], m[1] + shift[1], m[2] + shift[2])]] = c
+                rows.append(row)
+        if rank(np.array(rows), p) != len(monos):
+            raise NotSmooth(f"Jacobian ideal certificate failed at degree {big}")
 
     def sections(self, tag: int) -> "SectionSpace":
         """H^0(C, O_C(tag)) with the monomial quotient basis."""

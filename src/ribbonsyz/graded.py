@@ -16,10 +16,16 @@ S at epsilon-weight 0 and epsilon J at weight 1).  They are a claim, not a
 fact: ``GradedModule.respects_weights`` is the exact certificate that
 every x_k maps weight w of M_q into weight w + weight(x_k) of M_{q+1}, and
 ``koszul.KoszulCalculator`` splits a cell by weight only on a certified
-module, ranking any other by its trivial grading.
-``module_restrict_action`` and ``subquotient`` pass the weights on to the
-basis columns they keep, and give the trivial grading when a kept column
-is not homogeneous.
+module, ranking any other by its trivial grading.  ``subquotient`` passes
+the weights on to the basis columns it keeps, and gives the trivial
+grading when a kept column is not homogeneous.
+
+Two ways to a smaller module.  ``GradedModule.subquotient`` is the general
+one, for any homogeneous sub and rel (the syzygy modules M^p of
+``greenchk``).  ``GradedAlgebra.artinian_reduction`` cuts the algebra by
+two linear forms and reads the quotient off the one RREF per degree that
+its regular-sequence certificate runs anyway: every kept basis vector is a
+coordinate vector, so the weights pass on unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ribbonsyz.curves import SectionSpace, mult_map
-from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank, rref
+from ribbonsyz.fflinalg import PrimeField, matmul_mod, rref
 
 __all__ = [
     "GradedError",
@@ -39,7 +45,6 @@ __all__ = [
     "GradedModule",
     "GradedAlgebra",
     "algebra_from_sections",
-    "module_restrict_action",
 ]
 
 
@@ -220,36 +225,57 @@ class GradedAlgebra(GradedModule):
     def artinian_reduction(self, l1, l2) -> GradedModule | None:
         """The algebra cut by two linear forms, or None if they are not certified.
 
-        Returns B = A / (l1, l2) = ``subquotient(A_q, rel_q)`` of A acted on by
-        the complement of <l1, l2> in A_1, where rel_q = l1 A_{q-1} + l2 A_{q-1}
-        is spanned by the certificate's RREF rows.  Taking the last columns,
-        ``subquotient`` spans B_q by the coordinate vectors off the pivots of
-        rel_q; the acting space is spanned by the ones B_1 keeps, so the two
-        share a basis.  The certificate, checked exactly for every
-        q <= window - 1:
+        Returns B = A / (l1, l2), acted on by the complement of <l1, l2> in
+        A_1, read off one RREF per degree: R_{q+1}, of the rows l1 e_i and
+        l2 e_i (e_i the basis of A_q), spans rel_{q+1} = l1 A_q + l2 A_q with
+        pivot columns P_{q+1}.  B_q is spanned by the coordinate vectors off
+        P_q (N_q), the acting space by those of A_1 off P_1, so the two
+        share a basis, and x_k maps e_j, j in N_q, to
 
-        * multiplication by l1 is injective on A_q;
-        * rank [l1 A_q | l2 A_q] = 2 dim A_q - dim A_{q-1}.
+            img[N_{q+1}] - R_{q+1}[:, N_{q+1}]^T img[P_{q+1}]   (mod p),
 
-        It makes (l1, l2) a regular sequence through the window, and then
+        img = x_k e_j, its class modulo rel_{q+1}; the weights are the kept
+        coordinates' weights.  The certificate, checked exactly for every
+        q <= window - 1, is the rank condition
+
+            rank [l1 A_q | l2 A_q] = 2 dim A_q - dim A_{q-1}.
+
+        It implies that multiplication by l1 is injective on each A_q.  At
+        q = 0 rank 2 forces l1 != 0, and l1 . 1 = l1.  For q >= 1, let l1 be
+        injective on A_{q-1}: the Koszul syzygies (l2 c, -l1 c), c in
+        A_{q-1}, lie in the kernel of (a, b) -> l1 a + l2 b (commutativity),
+        are dim A_{q-1} independent vectors, and so fill that kernel; l1 a = 0
+        puts (a, 0) there, so a = l2 c with l1 c = 0, hence c = 0 and a = 0.
+        The action keeps the relations, x_k rel_q in rel_{q+1}, by the same
+        certified commutativity: x_k (l1 a + l2 b) = l1 (x_k a) + l2 (x_k b).
+        So (l1, l2) is a regular sequence through the window, and then
         K_{p,q}(A, A_1) = K_{p,q}(B, A_1 / <l1, l2>) for q <= window - 1 (the
         hyperplane-section property of Koszul cohomology).
         """
         p, n = self.field.p, self.n
         forms = np.vstack([l1, l2])
-        rel = [np.zeros((1, 0), dtype=np.int64)]
+        kept, action = [np.arange(1)], []  # N_q: the coordinates off the pivots of rel_q
         for q, a in enumerate(self.action):
             # by_l[k] is the matrix of multiplication by l_k on A_q
             by_l = matmul_mod(forms, a.reshape(n, -1), p).reshape(2, *a.shape[1:])
             r, pivots = rref(np.hstack(by_l).T, p)
-            below = self.pieces[q - 1] if q else 0
-            if rank(by_l[0], p) != self.pieces[q] or len(pivots) != 2 * self.pieces[q] - below:
+            if len(pivots) != 2 * self.pieces[q] - (self.pieces[q - 1] if q else 0):
                 return None
-            rel.append(r[: len(pivots)].T)
-            if q == 0:  # the coordinates of A_1 off the pivots of <l1, l2>
-                acting = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
-        identity = [np.eye(d, dtype=np.int64) for d in self.pieces]
-        return module_restrict_action(self, acting).subquotient(identity, rel)
+            off = np.ones(self.pieces[q + 1], dtype=bool)
+            off[pivots] = False
+            kept.append(np.flatnonzero(off))
+            # x_k e_j modulo rel_{q+1}: img[N_{q+1}] - R_{q+1}[:, N_{q+1}]^T img[P_{q+1}]
+            k, c, m = len(kept[1]), len(kept[q + 1]), len(kept[q])
+            out = a[np.ix_(kept[1], kept[q + 1], kept[q])]
+            img = a[np.ix_(kept[1], pivots, kept[q])].transpose(1, 0, 2).reshape(len(pivots), k * m)
+            fold = r[: len(pivots), kept[q + 1]].T
+            out -= matmul_mod(fold, img, p).reshape(c, k, m).transpose(1, 0, 2)
+            out %= p
+            action.append(out)
+        weights = tuple(w[cols] for w, cols in zip(self.weights, kept))
+        return GradedModule(
+            self.field, len(kept[1]), tuple(map(len, kept)), tuple(action), weights[1], weights
+        )
 
 
 def algebra_from_sections(spaces: list[SectionSpace]) -> GradedAlgebra:
@@ -280,28 +306,6 @@ def algebra_from_sections(spaces: list[SectionSpace]) -> GradedAlgebra:
         if not np.array_equal(t[0], np.eye(spaces[q].dim, dtype=np.int64)):
             raise GradedError(f"degree-0 section does not act as identity on degree {q}")
     return GradedAlgebra(field, [s.dim for s in spaces], products)
-
-
-def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> GradedModule:
-    """Same pieces, action restricted to a subspace of V given by basis columns.
-
-    The weights stay when every basis column is homogeneous in V; otherwise
-    the result has the trivial grading.
-    """
-    p = module.field.p
-    b = np.asarray(subspace, dtype=np.int64) % p
-    if b.ndim != 2 or b.shape[0] != module.n:
-        raise NotASubspace(f"basis matrix must have {module.n} rows")
-    k = b.shape[1]
-    if k and rank(b, p) != k:
-        raise NotASubspace("basis columns are dependent")
-    action = tuple(
-        matmul_mod(b.T, a.reshape(module.n, -1), p).reshape(k, *a.shape[1:]) for a in module.action
-    )
-    kept = _column_weights([b], [module.v_weights])
-    if kept is None:  # a basis column is not homogeneous
-        return GradedModule(module.field, k, module.pieces, action)
-    return GradedModule(module.field, k, module.pieces, action, kept[0], module.weights)
 
 
 def _column_weights(bases, weights) -> tuple[np.ndarray, ...] | None:

@@ -25,7 +25,10 @@ action tensor vanishes outside its weight blocks) and ranks every cell
 one weight block at a time, each block assembled on its own; a module
 whose certificate fails is ranked by its trivial grading, whose one block
 is the whole cell.  The Betti table reads one set of action tensors,
-whether it ranks the ring itself or its Artinian reduction.
+whether it ranks the ring itself or its Artinian reduction; the reduction
+(``GradedAlgebra.artinian_reduction``) comes from the one RREF per degree
+of its regular-sequence certificate and keeps coordinate vectors of the
+ring, so it keeps their weights.
 
 Cells next to a one-dimensional piece.  Two exact certificates, checked
 once per module, give the rank of d_{p,q}, 1 <= p <= n, without assembling

@@ -58,17 +58,10 @@ class SplitRibbonRing:
     """Assembled canonical ring of a split ribbon, with its invariants."""
 
     model: object
-    conormal_multiple: int
     deg_l: int
     g: int
     p_a: int
-    s_dims: tuple[int, ...]
-    j_dims: tuple[int, ...]
     algebra: GradedAlgebra
-
-    @property
-    def window(self) -> int:
-        return self.algebra.window
 
     def betti(self) -> BettiTable:
         return betti_table(self.algebra)
@@ -138,16 +131,7 @@ def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
             tensor[s1:, sc:, :sb] = mult_map(j_spaces[1], s_spaces[b]).action
         products.append(tensor)
     algebra = GradedAlgebra(model.field, dims, products, weights=weights)
-    return SplitRibbonRing(
-        model=model,
-        conormal_multiple=t,
-        deg_l=deg_l,
-        g=g,
-        p_a=p_a,
-        s_dims=s_dims,
-        j_dims=j_dims,
-        algebra=algebra,
-    )
+    return SplitRibbonRing(model=model, deg_l=deg_l, g=g, p_a=p_a, algebra=algebra)
 
 
 def split_invariants(g: int, m: int, deg_l: int) -> dict:

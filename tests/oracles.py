@@ -4,9 +4,12 @@ Everything here is deliberately naive and self-contained (pure-python
 integers, or one plain elimination batched over numpy arrays where a
 python loop would take minutes; no imports from the package's fast paths)
 so the production code can be checked against an implementation that
-shares nothing with it beyond the problem statement.  The exception is
+shares nothing with it beyond the problem statement.  The exceptions are
 ``solve``, a test helper that the package no longer uses, which runs on
-``fflinalg.rref``.
+``fflinalg.rref``; ``artinian_by_subquotient`` and ``module_restrict_action``,
+the Artinian reduction as the package once computed it, through
+``GradedModule.subquotient``; and ``smooth_every_degree``, the smoothness
+certificate ranked at every degree up to the Macaulay bound.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ribbonsyz.fflinalg import DimensionMismatch, as_fp, rank, rref
+from ribbonsyz.fflinalg import DimensionMismatch, as_fp, matmul_mod, rank, rref
+from ribbonsyz.graded import GradedModule, NotASubspace
 
 
 def degree_one_generates(alg) -> bool:
@@ -28,6 +32,93 @@ def degree_one_generates(alg) -> bool:
         if rank(products, alg.field.p) < target:
             return False
     return True
+
+
+def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> GradedModule:
+    """Same pieces, action restricted to a subspace of V given by basis columns.
+
+    The weights stay when every basis column is homogeneous in V; otherwise
+    the result has the trivial grading.  Raises NotASubspace for a basis of
+    the wrong height or with dependent columns.
+    """
+    p = module.field.p
+    b = np.asarray(subspace, dtype=np.int64) % p
+    if b.ndim != 2 or b.shape[0] != module.n:
+        raise NotASubspace(f"basis matrix must have {module.n} rows")
+    k = b.shape[1]
+    if k and rank(b, p) != k:
+        raise NotASubspace("basis columns are dependent")
+    action = tuple(
+        matmul_mod(b.T, a.reshape(module.n, -1), p).reshape(k, *a.shape[1:]) for a in module.action
+    )
+    column_weights = [set(module.v_weights[b[:, j] != 0].tolist()) for j in range(k)]
+    if any(len(w) > 1 for w in column_weights):  # a basis column is not homogeneous
+        return GradedModule(module.field, k, module.pieces, action)
+    v_weights = [min(w, default=0) for w in column_weights]
+    return GradedModule(module.field, k, module.pieces, action, v_weights, module.weights)
+
+
+def artinian_by_subquotient(alg, l1, l2):
+    """A / (l1, l2) by the direct path: both rank conditions checked, then a subquotient.
+
+    For every q <= window - 1: multiplication by l1 must be injective on A_q
+    and rank [l1 A_q | l2 A_q] = 2 dim A_q - dim A_{q-1}, else None.  The
+    acting space is spanned by the coordinates of A_1 off the pivots of
+    <l1, l2>, and B = ``subquotient(identity, rel)`` of A restricted to it,
+    rel_q the RREF rows spanning l1 A_{q-1} + l2 A_{q-1}.
+    """
+    p, n = alg.field.p, alg.n
+    forms = np.vstack([l1, l2])
+    rel = [np.zeros((1, 0), dtype=np.int64)]
+    for q, a in enumerate(alg.action):
+        by_l = matmul_mod(forms, a.reshape(n, -1), p).reshape(2, *a.shape[1:])
+        r, pivots = rref(np.hstack(by_l).T, p)
+        below = alg.pieces[q - 1] if q else 0
+        if rank(by_l[0], p) != alg.pieces[q] or len(pivots) != 2 * alg.pieces[q] - below:
+            return None
+        rel.append(r[: len(pivots)].T)
+        if q == 0:
+            acting = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
+    identity = [np.eye(d, dtype=np.int64) for d in alg.pieces]
+    return module_restrict_action(alg, acting).subquotient(identity, rel)
+
+
+def _monomial_triples(deg: int) -> list[tuple[int, int, int]]:
+    return [(a, b, deg - a - b) for a in range(deg, -1, -1) for b in range(deg - a, -1, -1)]
+
+
+def smooth_every_degree(coeffs: dict, d: int, p: int) -> bool:
+    """Whether (f, f_x, f_y, f_z) contains every form of some degree d - 1 <= D <= 3(d - 1) - 2.
+
+    ``coeffs`` maps exponent triples to the coefficients of f, homogeneous
+    of degree d.  Each degree's Macaulay matrix, the products of the
+    generators with every monomial that lands in degree D, is ranked in
+    turn, lowest first.
+    """
+    f = {m: c % p for m, c in coeffs.items() if c % p}
+    gens = [f]
+    for axis in range(3):
+        g = {}
+        for m, c in f.items():
+            if m[axis]:
+                key = list(m)
+                key[axis] -= 1
+                g[tuple(key)] = (g.get(tuple(key), 0) + m[axis] * c) % p
+        gens.append({m: c for m, c in g.items() if c})
+    gens = [g for g in gens if g]
+    for big in range(d - 1, 3 * (d - 1) - 1):
+        index = {m: i for i, m in enumerate(_monomial_triples(big))}
+        rows = []
+        for g in gens:
+            deg = sum(next(iter(g)))
+            for shift in _monomial_triples(big - deg) if deg <= big else ():
+                row = [0] * len(index)
+                for m, c in g.items():
+                    row[index[(m[0] + shift[0], m[1] + shift[1], m[2] + shift[2])]] = c
+                rows.append(row)
+        if rows and rank(np.array(rows, dtype=np.int64), p) == len(index):
+            return True
+    return False
 
 
 def naive_rank(rows: list[list[int]], p: int) -> int:

@@ -5,20 +5,23 @@ regular-sequence certificate of `GradedAlgebra.artinian_reduction` holds.
 The oracle is the direct computation on A itself, cell by cell.  The
 direct path ranks one weight block at a time, so `direct_cells` leaves out
 a cell only when its largest weight block would be too large to build in
-a test; up to p_a = 9 no cell is.
+a test; up to p_a = 9 no cell is.  The reduction itself, read off one RREF
+per degree, is checked array for array against the subquotient it
+replaces (`oracles.artinian_by_subquotient`).
 """
 
 import numpy as np
 import pytest
 
-from ribbonsyz import koszul
+import oracles
+from ribbonsyz import fflinalg, graded, koszul
 from ribbonsyz.curves import HyperellipticCurve, random_hyperelliptic, random_plane_curve
 from ribbonsyz.fflinalg import PrimeField
 from ribbonsyz.graded import GradedAlgebra
 from ribbonsyz.koszul import KoszulCalculator, betti_table
 from ribbonsyz.ribbon import build_split_ribbon
 
-from oracles import oracle_koszul_dim
+from oracles import artinian_by_subquotient, oracle_koszul_dim
 
 F101 = PrimeField(101)
 
@@ -170,3 +173,69 @@ def test_table_is_a_pure_function_of_the_algebra():
     b = ring.betti()
     assert a.method == b.method == "artinian"
     assert a.to_json() == b.to_json()
+
+
+@pytest.fixture(scope="module")
+def reduction_rings():
+    """Quartic seeds 0-2, genus-2 seeds 1-3, and genus-0 ribbons over F_3 and F_7."""
+    rings = [build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(s)), 1) for s in (0, 1, 2)]
+    rings += [build_split_ribbon(random_hyperelliptic(F101, 2, np.random.default_rng(s)), 5) for s in (1, 2, 3)]
+    rings += [build_split_ribbon(HyperellipticCurve(PrimeField(p), [0, 1]), k) for p in (3, 7) for k in (4, 6)]
+    return [ring.algebra for ring in rings]
+
+
+def form_pairs(alg, rng, each: int = 5):
+    """(kind, l1, l2): ``each`` pairs of five kinds, valid or not as regular sequences."""
+    p, n = alg.field.p, alg.n
+    eps = alg.weights[1] == 1
+    for _ in range(each):
+        l1, l2 = rng.integers(0, p, size=(2, n))
+        yield "random", l1, l2
+        i, j = rng.integers(0, n, size=2)
+        yield "one coordinate each", np.eye(n, dtype=np.int64)[i] * rng.integers(1, p), np.eye(n, dtype=np.int64)[j]
+        yield "l2 in span(l1)", l1, l1 * rng.integers(0, p) % p
+        yield "l1 = 0", 0 * l1, l2
+        yield "weight-1 coordinates", l1 * eps, l2 * eps
+
+
+def test_reduction_equals_the_subquotient(reduction_rings):
+    rng = np.random.default_rng(17)
+    pairs = certified = 0
+    for alg in reduction_rings:
+        for kind, l1, l2 in form_pairs(alg, rng):
+            got, want = alg.artinian_reduction(l1, l2), artinian_by_subquotient(alg, l1, l2)
+            pairs += 1
+            assert (got is None) == (want is None), kind
+            if got is None:
+                continue
+            certified += 1
+            assert (got.n, got.pieces) == (want.n, want.pieces), kind
+            assert np.array_equal(got.v_weights, want.v_weights)
+            for mine, theirs in zip(got.action + got.weights, want.action + want.weights, strict=True):
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), kind
+    assert pairs >= 200
+    assert 0 < certified < pairs
+
+
+def test_reduction_makes_one_rref_per_degree(monkeypatch):
+    alg = build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(0)), 1).algebra
+    l1, l2 = np.random.default_rng(5).integers(0, 101, size=(2, alg.n))
+    shapes = []
+
+    def counted(a, p):
+        shapes.append(np.shape(a))
+        return fflinalg.rref(a, p)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("the reduction eliminated outside its certificate")
+
+    monkeypatch.setattr(graded, "rref", counted)
+    monkeypatch.setattr(graded.GradedModule, "subquotient", refuse)
+    monkeypatch.setattr(oracles, "module_restrict_action", refuse)
+    for name in ("rank", "pivots"):
+        monkeypatch.setattr(fflinalg, name, refuse)
+    assert not hasattr(graded, "rank") and not hasattr(graded, "module_restrict_action")
+    module = alg.artinian_reduction(l1, l2)
+    assert module.pieces == (1, 7, 7, 1, 0)
+    # one RREF of [l1 A_q | l2 A_q]^T for each q <= window - 1
+    assert shapes == [(2 * alg.pieces[q], alg.pieces[q + 1]) for q in range(alg.window)]

@@ -17,7 +17,7 @@ from ribbonsyz.curves import (
 )
 from ribbonsyz.fflinalg import PrimeField, rank
 
-from oracles import plane_points_exhaustive
+from oracles import plane_points_exhaustive, smooth_every_degree
 
 F101 = PrimeField(101)
 
@@ -69,6 +69,72 @@ class TestPlaneConstruction:
         # determinism: same seed, same curve
         c2 = random_plane_curve(F101, 4, np.random.default_rng(0))
         assert c.coeffs == c2.coeffs
+
+
+def plane_monomials(d: int) -> list[tuple[int, int, int]]:
+    return [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+
+
+def random_form(d: int, p: int, rng, terms: int | None = None) -> dict:
+    """A nonzero form of degree d over F_p: dense, or on ``terms`` random monomials."""
+    monos = plane_monomials(d)
+    while True:
+        if terms is None:
+            coeffs = dict(zip(monos, rng.integers(0, p, len(monos)).tolist()))
+        else:
+            picked = rng.choice(len(monos), size=min(terms, len(monos)), replace=False)
+            coeffs = {monos[i]: int(c) for i, c in zip(picked, rng.integers(1, p, len(picked)))}
+        coeffs = {m: c for m, c in coeffs.items() if c}
+        if coeffs:
+            return coeffs
+
+
+def times(f: dict, g: dict, p: int) -> dict:
+    out: dict = {}
+    for m, a in f.items():
+        for n, b in g.items():
+            key = (m[0] + n[0], m[1] + n[1], m[2] + n[2])
+            out[key] = (out.get(key, 0) + a * b) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def smoothness_verdict(field, coeffs: dict, d: int) -> bool:
+    try:
+        PlaneCurve(field, coeffs, d)
+    except NotSmooth:
+        return False
+    return True
+
+
+class TestSmoothnessCertificate:
+    """The one Macaulay matrix at D = 3(d - 1) - 2 against every degree from d - 1 up."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_agrees_with_every_degree(self, p):
+        field = PrimeField(p)
+        rng = np.random.default_rng(p)
+        smooth = 0
+        for d in (3, 4, 5, 6):
+            cases = [("random", random_form(d, p, rng)) for _ in range(22)]
+            cases += [("sparse", random_form(d, p, rng, terms=int(rng.integers(1, 6)))) for _ in range(20)]
+            cases += [
+                ("line x form", times(random_form(1, p, rng), random_form(d - 1, p, rng), p))
+                for _ in range(10)
+            ]
+            for kind, coeffs in cases:
+                verdict = smoothness_verdict(field, coeffs, d)
+                assert verdict == smooth_every_degree(coeffs, d, p), (kind, d, coeffs)
+                assert not (verdict and kind == "line x form")  # a reducible curve is singular
+                smooth += verdict
+        assert 0 < smooth < 4 * 52
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 101])
+    def test_named_curves(self, p):
+        fermat = {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}
+        nodal = {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1}  # y^2 z = x^3 + x^2 z, node at [0:0:1]
+        field = PrimeField(p)
+        assert smoothness_verdict(field, fermat, 4) == smooth_every_degree(fermat, 4, p) == (p != 2)
+        assert smoothness_verdict(field, nodal, 3) == smooth_every_degree(nodal, 3, p) is False
 
 
 class TestSections:

@@ -13,11 +13,10 @@ from ribbonsyz.graded import (
     NotASubmodule,
     NotASubspace,
     algebra_from_sections,
-    module_restrict_action,
 )
 from ribbonsyz.koszul import KoszulCalculator
 
-from oracles import degree_one_generates, oracle_koszul_dim, solve
+from oracles import degree_one_generates, module_restrict_action, oracle_koszul_dim, solve
 
 F101 = PrimeField(101)
 

@@ -8,13 +8,24 @@ from ribbonsyz.koszul import duality_check, hilbert_check, hilbert_dims, rcliff
 from ribbonsyz.ribbon import (
     UnsupportedConormal,
     build_split_ribbon,
+    conormal_tags,
     hypothesis_gate,
     split_invariants,
 )
 
-from oracles import degree_one_generates
+from oracles import degree_one_generates, module_restrict_action
 
 F101 = PrimeField(101)
+
+
+def split_dims(ring, t: int) -> tuple[list[int], list[int]]:
+    """(dim S_q, dim J_q for q = 0..window) of a split ribbon with conormal L = -t, from its model."""
+    _, unit, _ = conormal_tags(ring.model, t)
+    qs = range(ring.algebra.window + 1)
+    return (
+        [ring.model.sections(q * unit).dim for q in qs],
+        [ring.model.sections(q * unit - t).dim for q in qs],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +50,17 @@ class TestBuild:
     def test_hyperelliptic_dims(self, hyp_ribbon):
         r = hyp_ribbon
         assert r.p_a == 3 + 5 == 8
-        assert r.s_dims[1] == 6 and r.j_dims[1] == 2
+        s, j = split_dims(r, 5)
+        assert s[1] == 6 and j[1] == 2
         assert r.algebra.pieces[:4] == (1, 8, 21, 35)
 
     def test_genus0_j1_vanishes(self):
         line = HyperellipticCurve(F101, [0, 1])
         r = build_split_ribbon(line, 6)  # deg L = -6, p_a = 5
         assert r.p_a == 5
-        assert r.j_dims[1] == 0
-        assert r.s_dims[1] == r.p_a
+        s, j = split_dims(r, 6)
+        assert j[1] == 0
+        assert s[1] == r.p_a
 
     def test_arithmetic_genus_below_three_rejected(self):
         line = HyperellipticCurve(F101, [0, 1])  # p_a = t - 1
@@ -57,14 +70,12 @@ class TestBuild:
         assert build_split_ribbon(line, 4).p_a == 3
 
     def test_dims_are_sums(self, quartic_ribbon):
-        for q in range(quartic_ribbon.window + 1):
-            assert quartic_ribbon.algebra.pieces[q] == (
-                quartic_ribbon.s_dims[q] + quartic_ribbon.j_dims[q]
-            )
+        s, j = split_dims(quartic_ribbon, 1)
+        assert list(quartic_ribbon.algebra.pieces) == [a + b for a, b in zip(s, j)]
 
     def test_hilbert_function_matches_riemann_roch(self, quartic_ribbon, hyp_ribbon):
         for r in (quartic_ribbon, hyp_ribbon):
-            want = hilbert_dims(r.p_a, r.window)
+            want = hilbert_dims(r.p_a, r.algebra.window)
             assert list(r.algebra.pieces) == want
 
     def test_nonnegative_conormal_rejected(self, hyp_ribbon):
@@ -82,20 +93,22 @@ class TestRingStructure:
         assert alg.n == alg.pieces[1] == hyp_ribbon.p_a
         assert np.array_equal(alg.action[0][:, :, 0], np.eye(alg.n, dtype=np.int64))  # x_k . 1 = e_k
         assert np.array_equal(alg.v_weights, alg.weights[1])
+        s, j = split_dims(hyp_ribbon, 5)
         for q, w in enumerate(alg.weights):
-            assert w.tolist() == [0] * hyp_ribbon.s_dims[q] + [1] * hyp_ribbon.j_dims[q]
+            assert w.tolist() == [0] * s[q] + [1] * j[q]
 
     def test_epsilon_nilpotency_exhaustive(self, hyp_ribbon):
         # products of the epsilon-block basis vectors vanish identically
         r = hyp_ribbon
+        s, _ = split_dims(r, 5)
         for b in (1, 2, 3):
             tensor = r.algebra.action[b]
-            assert not np.any(tensor[r.s_dims[1] :, :, r.s_dims[b] :])
+            assert not np.any(tensor[s[1] :, :, s[b] :])
 
     def test_epsilon_block_lands_in_j(self, hyp_ribbon):
         r = hyp_ribbon
         tensor = r.algebra.action[1]
-        s1, s2 = r.s_dims[1], r.s_dims[2]
+        s1, s2 = split_dims(r, 5)[0][1:3]
         # S x eJ and eJ x S never touch the S block of the target
         assert not np.any(tensor[:s1, :s2, s1:])
         assert not np.any(tensor[s1:, :s2, :s1])
@@ -103,22 +116,22 @@ class TestRingStructure:
     def test_s_action_on_j_equals_curve_mult_map(self, hyp_ribbon):
         r = hyp_ribbon
         model = r.model
-        unit = 2 * model.g - 2 + r.conormal_multiple
+        unit = 2 * model.g - 2 + 5
         s1 = model.sections(unit)
-        j2 = model.sections(2 * unit - r.conormal_multiple)
+        j2 = model.sections(2 * unit - 5)
         expect = mult_map(s1, j2).action
         tensor = r.algebra.action[2]
-        got = tensor[: r.s_dims[1], r.s_dims[3] :, r.s_dims[2] :]
+        s, _ = split_dims(r, 5)
+        got = tensor[: s[1], s[3] :, s[2] :]
         assert np.array_equal(got, expect)
 
     def test_restrict_action_to_epsilon_block(self, hyp_ribbon):
         # restricting the degree-one action to eps J_1: eps^2 = 0 shows up as
         # zero columns on every eps J_q block, and values land inside eps J
-        from ribbonsyz.graded import module_restrict_action
-
         r = hyp_ribbon
         mod = r.algebra
-        s1, j1 = r.s_dims[1], r.j_dims[1]
+        s, j = split_dims(r, 5)
+        s1, j1 = s[1], j[1]
         basis = np.zeros((s1 + j1, j1), dtype=np.int64)
         for col in range(j1):
             basis[s1 + col, col] = 1
@@ -126,15 +139,16 @@ class TestRingStructure:
         assert res.n == j1
         for q in range(mod.window):
             act = res.action[q]
-            assert not np.any(act[:, :, r.s_dims[q] :])  # kills eps J_q
-            assert not np.any(act[:, : r.s_dims[q + 1], : r.s_dims[q]])  # lands in eps J
+            assert not np.any(act[:, :, s[q] :])  # kills eps J_q
+            assert not np.any(act[:, : s[q + 1], : s[q]])  # lands in eps J
 
     def test_ring_multiplication_rule(self, hyp_ribbon):
         # (s, ej)(s', ej') = (ss', e(sj' + s'j)) on random elements
         r = hyp_ribbon
         rng = np.random.default_rng(0)
         alg = r.algebra
-        s1, j1 = r.s_dims[1], r.j_dims[1]
+        s, j = split_dims(r, 5)
+        s1, j1 = s[1], j[1]
 
         def multiply(v, w):
             return np.einsum("i,j,icj->c", v, w, alg.action[1]) % 101

@@ -4,7 +4,8 @@ The CLI validates every document it emits with its own subset of JSON
 Schema 2020-12; jsonschema is only a test dependency.  Accept/reject must
 agree with ``jsonschema.Draft202012Validator`` on real documents of every
 subcommand and task, on systematic mutations of them and on generated
-JSON, and the CLI must run with jsonschema unimportable.
+JSON, and the CLI must run with jsonschema unimportable.  The benchmark
+commands must also run without importing numpy.ma.
 """
 
 import copy
@@ -430,3 +431,26 @@ def test_cli_runs_without_jsonschema(argv):
     # the finder really refuses
     probe = _python(REFUSE_JSONSCHEMA + "import jsonschema")
     assert probe.returncode != 0 and "No module named 'jsonschema'" in probe.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("betti", "--curve", "plane-quartic", "--random", "--p", "101", "--conormal", "-1", "--seed", "0"),
+        ("green", "--curve", "hyperelliptic", "--g", "2", "--conormal", "-5", "--seed", "1"),
+        ("strata", *ELL, "--sweep", "100", "--seed", "2026"),
+    ],
+    ids=["betti-quartic", "green-hyperelliptic", "strata-sweep"],
+)
+def test_benchmark_commands_leave_numpy_ma_out(argv):
+    # np.isin, np.in1d and np.setdiff1d import numpy.ma on first use, about
+    # 12 ms inside the timed run of every fresh benchmark process
+    res = _python(
+        "import sys; from ribbonsyz.cli import main; "
+        "main(sys.argv[1:], standalone_mode=False); print('numpy.ma' in sys.modules)",
+        *argv,
+        "--format",
+        "json",
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"

@@ -23,11 +23,11 @@ from ribbonsyz.curves import (
     random_split_cubic,
 )
 from ribbonsyz.fflinalg import PrimeField, rank
-from ribbonsyz.graded import GradedModule, InconsistentDims, module_restrict_action
+from ribbonsyz.graded import GradedModule, InconsistentDims
 from ribbonsyz.koszul import KoszulCalculator, koszul_differential
 from ribbonsyz.ribbon import build_split_ribbon
 
-from oracles import colex, colex_rank, loop_koszul_differential
+from oracles import colex, colex_rank, loop_koszul_differential, module_restrict_action
 
 PRIMES = (2, 13, 101, 1048573)
 
