@@ -21,10 +21,11 @@ the weights on to the basis columns it keeps, and gives the trivial
 grading when a kept column is not homogeneous.
 
 Two ways to a smaller module.  ``GradedModule.subquotient`` is the general
-one, for any homogeneous sub and rel (the syzygy modules M^p of
-``greenchk``).  ``GradedAlgebra.artinian_reduction`` cuts the algebra by
-two linear forms and reads the quotient off the one RREF per degree that
-its regular-sequence certificate runs anyway: every kept basis vector is a
+one, for any homogeneous sub and rel in w copies of the module (the syzygy
+modules M^p of ``greenchk``, in C(dim U, p) copies of their coefficients).
+``GradedAlgebra.artinian_reduction`` cuts the algebra by two linear forms
+and reads the quotient off the one RREF per degree that its
+regular-sequence certificate runs anyway: every kept basis vector is a
 coordinate vector, so the weights pass on unchanged.
 """
 
@@ -140,34 +141,48 @@ class GradedModule:
         """The subquotient with pieces span(sub[q]) / span(rel[q]) and the induced action.
 
         ``sub[q]`` and ``rel[q]`` are basis columns of subspaces
-        rel_q <= sub_q of M_q.  Piece q is spanned by a complement C_q of
-        rel_q in sub_q: the last columns of sub_q that are independent of
-        rel_q and of the sub_q columns after them.  One RREF per degree, of
+        rel_q <= sub_q of w copies of M_q, stacked with the copy index slow
+        (row c * dim M_q + m is coordinate m of copy c, koszul's layout of
+        wedge^p V (x) M_q); V acts on the M factor of every copy.  w is read
+        off the row counts, the same in every degree, and w = 1 is M itself.
+        Piece q is spanned by a complement C_q of rel_q in sub_q: the last
+        columns of sub_q that are independent of rel_q and of the sub_q
+        columns after them.  One RREF per degree, of
 
             [rel_q | sub_q, last column first | x_k C_{q-1} | x_k rel_{q-1}],
 
         picks C_q from its pivots and reads the action on C_{q-1} in
-        C_q-coordinates off the same rows.  Raises NotASubmodule when some
-        x_k maps sub_{q-1} outside sub_q or rel_{q-1} outside rel_q, and
-        NotASubspace when rel_q is dependent or (sub_q being a basis) not
-        inside span(sub_q).  Weights pass to the kept columns of sub_q; when
-        one of them is not homogeneous, the result has the trivial grading.
+        C_q-coordinates off the same rows; x_k is applied to all w copies at
+        once, by one product with the (n dim M_q) x dim M_{q-1} matrix of the
+        action.  Raises InconsistentDims when some degree's rows are not
+        w dim M_q, NotASubmodule when some x_k maps sub_{q-1} outside sub_q
+        or rel_{q-1} outside rel_q, and NotASubspace when rel_q is dependent
+        or (sub_q being a basis) not inside span(sub_q).  Weights pass to the
+        kept columns of sub_q, each copy weighted as M_q (the weights tiled w
+        times); when a kept column is not homogeneous, the result has the
+        trivial grading.
         """
         p, n = self.field.p, self.n
         if len(sub) != len(self.pieces) or len(rel) != len(self.pieces):
             raise InconsistentDims(f"need sub and rel bases for each of {len(self.pieces)} degrees")
+        sub, rel = ([np.asarray(b, dtype=np.int64) % p for b in bases] for bases in (sub, rel))
+        w = sum(len(s) for s in sub if s.ndim == 2) // max(sum(self.pieces), 1)  # copies of M
         comps, action = [], []
         prev = np.zeros((0, 0), dtype=np.int64)  # [C_{q-1} | rel_{q-1}]
         for q, dim in enumerate(self.pieces):
-            s, r = (np.asarray(b[q], dtype=np.int64) % p for b in (sub, rel))
-            if s.ndim != 2 or r.ndim != 2 or s.shape[0] != dim or r.shape[0] != dim:
-                raise InconsistentDims(f"sub_{q} and rel_{q} need {dim} rows")
+            s, r = sub[q], rel[q]
+            if s.ndim != 2 or r.ndim != 2 or s.shape[0] != w * dim or r.shape[0] != w * dim:
+                raise InconsistentDims(f"sub_{q} and rel_{q} need {w} x {dim} rows")
             ns, nr, m = s.shape[1], r.shape[1], prev.shape[1]
-            images = np.zeros((dim, 0), dtype=np.int64)
+            images = np.zeros((w * dim, 0), dtype=np.int64)
             if q:  # x_k applied to the columns of prev, as columns ordered (k, j)
-                images = matmul_mod(self.action[q - 1].reshape(n * dim, len(prev)), prev, p)
-                images = images.reshape(n, dim, m).transpose(1, 0, 2).reshape(dim, n * m)
-            red, pivots = rref(np.hstack([r, s[:, ::-1], images]), p)
+                below = self.pieces[q - 1]
+                flat = prev.reshape(w, below, m).transpose(1, 0, 2).reshape(below, w * m)
+                images = matmul_mod(self.action[q - 1].reshape(n * dim, below), flat, p)
+                images = images.reshape(n, dim, w, m).transpose(2, 1, 0, 3).reshape(w * dim, n * m)
+            joint = np.hstack([r, s[:, ::-1], images])
+            del images  # copied into joint: free it before the elimination, the peak of M^p
+            red, pivots = rref(joint, p)
             picked = [j - nr for j in pivots if nr <= j < nr + ns]
             if pivots[:nr] != list(range(nr)) or len(picked) != ns - nr:
                 raise NotASubspace(f"rel_{q} is dependent or not inside span(sub_{q})")
@@ -183,7 +198,7 @@ class GradedModule:
             comps.append(s[:, [ns - 1 - t for t in reversed(picked)]])
             prev = np.hstack([comps[-1], r])
         pieces = tuple(cm.shape[1] for cm in comps)
-        kept = _column_weights(comps, self.weights)
+        kept = _column_weights(comps, [np.tile(wt, w) for wt in self.weights])
         if kept is None:  # a kept column is not homogeneous
             return GradedModule(self.field, n, pieces, tuple(action))
         return GradedModule(self.field, n, pieces, tuple(action), self.v_weights, kept)

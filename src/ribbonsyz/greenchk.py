@@ -12,14 +12,16 @@ differentials are the maps Phi_{i,p,q}, and the split-ribbon resolution
 Clifford index question reduces to their surjectivity at q = 1 (for
 i + j = 2m - 3), equivalently to the vanishing of K_{i,1}(M^j).
 
-M^p is built as one subquotient, cocycles / coboundaries, of the module
-wedge^p U (x) H^0(K^q W) (q = 0, 1, 2) on which H^0(K_C) acts by
-id (x) multiplication (``GradedModule.subquotient``).  Piece q is spanned by
-the last cocycle columns independent of the coboundaries and of the later
-cocycle columns, and the action is read in those coordinates.  The exact
-checks live where the objects are made: ``koszul_cohomology`` checks
-d o d = 0, and ``subquotient`` checks that the action keeps the cocycles
-and the coboundaries.  A failure of either raises IllDefined (a bug, not a
+M^p is built as one subquotient, cocycles / coboundaries, of
+wedge^p U (x) H^0(K^q W) (q = 0, 1, 2): w = C(dim U, p) copies of the
+coefficient module [H^0(W), H^0(KW), H^0(K^2 W)], on which H^0(K_C) acts
+by multiplication (``GradedModule.subquotient`` of w copies), so the
+block-diagonal action id (x) multiplication is never written out.  Piece q
+is spanned by the last cocycle columns independent of the coboundaries and
+of the later cocycle columns, and the action is read in those coordinates.
+The exact checks live where the objects are made: ``koszul_cohomology``
+checks d o d = 0, and ``subquotient`` checks that the action keeps the
+cocycles and the coboundaries.  A failure of either raises IllDefined (a bug, not a
 mathematical state).
 """
 
@@ -30,15 +32,12 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from ribbonsyz.curves import mult_map
 from ribbonsyz.graded import GradedModule, NotASubmodule
 from ribbonsyz.koszul import (
     IllDefined,
     KoszulCalculator,
     NoNonzero,
-    OutOfWindow,
     check_budget,
     koszul_cohomology,
     rcliff,
@@ -71,8 +70,6 @@ class HypothesisUnmetWarning(UserWarning):
 class SyzygyModule:
     """M^p as a module over Sym H^0(K_C), with explicit presentations."""
 
-    model: object
-    conormal_multiple: int
     p: int
     g: int
     module: GradedModule
@@ -90,11 +87,10 @@ class SyzygyModule:
 
 @dataclass(frozen=True)
 class PhiVerdict:
-    """Surjectivity verdict for Phi_{i,p,q}."""
+    """Surjectivity verdict for Phi_{i,j,1}."""
 
     i: int
     j: int
-    q: int
     src: int
     tgt: int
     rank: int
@@ -112,18 +108,19 @@ def build_syzygy_module(model, conormal_multiple: int, p: int) -> SyzygyModule:
       wedge^{p+1} U (x) H^0(K^q)  ->  wedge^p U (x) H^0(K^q W)  ->  wedge^{p-1} U (x) H^0(K^q W^2),
 
     computed as K_{p,1} of the coefficient module [H^0(K^q), H^0(K^q W),
-    H^0(K^q W^2)] over U by ``koszul_cohomology``.  M^p is then the
-    subquotient cocycles / coboundaries of the module wedge^p U (x) H^0(K^q W),
-    q = 0, 1, 2, on which H^0(K_C) acts by id (x) multiplication; see
-    ``GradedModule.subquotient`` for the basis and the checks.  Raises
-    CellTooLarge before any cohomology group or ambient action over the
-    memory budget is assembled.
+    H^0(K^q W^2)] over U by ``koszul_cohomology``.  Its cocycles and
+    coboundaries lie in w = C(dim U, p) copies of H^0(K^q W), and M^p is
+    their subquotient over the module [H^0(W), H^0(KW), H^0(K^2 W)] of
+    H^0(K_C) acting by multiplication, applied to every copy
+    (``GradedModule.subquotient``, which reads w off the row counts); see
+    there for the basis and the checks.  Raises CellTooLarge before any
+    cohomology group, or the subquotient's joint RREF input of some degree
+    (w dim H^0(K^q W) rows), over the memory budget is assembled.
     """
     k_tag, w_tag, _ = conormal_tags(model, conormal_multiple)
     u_space = model.sections(w_tag)
     k_space = model.sections(k_tag)
     g = k_space.dim
-    wedge = math.comb(u_space.dim, p)
 
     def coefficient_module(q: int) -> GradedModule:
         spaces = [model.sections(q * k_tag + j * w_tag) for j in range(3)]
@@ -132,53 +129,38 @@ def build_syzygy_module(model, conormal_multiple: int, p: int) -> SyzygyModule:
 
     # Phi_{i,p,1} and K_{i,1}(M^p) read no piece past degree 2
     groups = [koszul_cohomology(coefficient_module(q), p, 1) for q in range(3)]
-    action = []
-    for q in range(2):
-        src = model.sections(q * k_tag + w_tag)
-        mult = mult_map(k_space, src).action  # (g, tgt, src)
-        shape = (g, wedge * mult.shape[1], wedge * mult.shape[2])
-        check_budget(f"M^{p} ambient action in degree {q}", shape, 8)  # built, not reduced: int64 only
-        # block diagonal: id on the wedge factor (x) multiplication on coefficients
-        blocks = np.einsum("ij,kab->kiajb", np.eye(wedge, dtype=np.int64), mult)
-        action.append(blocks.reshape(shape))
-    ambient = GradedModule(
-        model.field, g, tuple(grp.cocycles.shape[0] for grp in groups), tuple(action)
-    )
+    sections = [model.sections(q * k_tag + w_tag) for q in range(3)]
+    action = tuple(mult_map(k_space, s).action for s in sections[:2])  # (g, tgt, src)
+    coefficients = GradedModule(model.field, g, tuple(s.dim for s in sections), action)
+    sub = [grp.cocycles for grp in groups]
+    rel = [grp.coboundaries for grp in groups]
+    for q in range(3):  # [rel_q | sub_q | x_k of the sub_{q-1} columns]
+        products = g * sub[q - 1].shape[1] if q else 0
+        shape = (len(sub[q]), rel[q].shape[1] + sub[q].shape[1] + products)
+        check_budget(f"M^{p} subquotient in degree {q}", shape)
     try:
-        module = ambient.subquotient(
-            [grp.cocycles for grp in groups], [grp.coboundaries for grp in groups]
-        )
+        module = coefficients.subquotient(sub, rel)
     except NotASubmodule as exc:
         raise IllDefined(f"the H^0(K_C) action does not descend to cohomology: {exc}") from exc
     module.check_commutativity()
     h1_neg_l = model.h0(k_tag + (k_tag - w_tag))  # h^1(-L) = h^0(K_C + L)
-    return SyzygyModule(
-        model=model,
-        conormal_multiple=conormal_multiple,
-        p=p,
-        g=g,
-        module=module,
-        h1_neg_l=h1_neg_l,
-    )
+    return SyzygyModule(p=p, g=g, module=module, h1_neg_l=h1_neg_l)
 
 
-def phi_map(syz: SyzygyModule, i: int, q: int = 1) -> PhiVerdict:
-    """The Koszul differential Phi_{i,p,q} of M^p over Sym H^0(K_C).
+def phi_map(syz: SyzygyModule, i: int) -> PhiVerdict:
+    """The Koszul differential Phi_{i,p,1} of M^p over Sym H^0(K_C).
 
-    Maps wedge^{i+1} H^0(K) (x) M^p_{q-1} -> wedge^i H^0(K) (x) M^p_q;
+    Maps wedge^{i+1} H^0(K) (x) M^p_0 -> wedge^i H^0(K) (x) M^p_1;
     surjectivity is decided by the rank from the module's shared cache, so
     the matrix is built once, there.
     """
     module = syz.module
-    if not 1 <= q <= module.window:
-        raise OutOfWindow(f"Phi needs degrees {q - 1} and {q} inside window 0..{module.window}")
     return PhiVerdict(
         i=i,
         j=syz.p,
-        q=q,
-        src=math.comb(module.n, i + 1) * module.pieces[q - 1],
-        tgt=math.comb(module.n, i) * module.pieces[q],
-        rank=syz.koszul.rank_d(i + 1, q - 1),
+        src=math.comb(module.n, i + 1) * module.pieces[0],
+        tgt=math.comb(module.n, i) * module.pieces[1],
+        rank=syz.koszul.rank_d(i + 1, 0),
     )
 
 
@@ -237,7 +219,7 @@ def green_split_report(model, conormal_multiple: int) -> dict:
         if j not in syz_cache:
             syz_cache[j] = build_syzygy_module(model, conormal_multiple, j)
         syz = syz_cache[j]
-        verdict = phi_map(syz, i, 1)
+        verdict = phi_map(syz, i)
         phi_entries.append(
             {
                 "i": i,

@@ -114,11 +114,11 @@ _CELL_BYTES_MAX = 1 << 30
 _CELL_BYTES_PER_ENTRY = 32
 
 
-def check_budget(where: str, shape: tuple, bytes_per_entry: int = _CELL_BYTES_PER_ENTRY) -> None:
-    """Raise CellTooLarge, naming ``where`` and the shape, when an array of that shape
-    would take more than _CELL_BYTES_MAX: 32 bytes an entry to rank (above), 8 to build.
+def check_budget(where: str, shape: tuple) -> None:
+    """Raise CellTooLarge, naming ``where`` and the shape, when reducing a matrix of that
+    shape would take more than _CELL_BYTES_MAX, at 32 bytes an entry (above).
     """
-    estimate = bytes_per_entry * prod(shape)
+    estimate = _CELL_BYTES_PER_ENTRY * prod(shape)
     if estimate > _CELL_BYTES_MAX:
         raise CellTooLarge(
             f"{where}: {' x '.join(map(str, shape))}, "

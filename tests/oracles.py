@@ -8,6 +8,8 @@ shares nothing with it beyond the problem statement.  The exceptions are
 ``solve``, a test helper that the package no longer uses, which runs on
 ``fflinalg.rref``; ``artinian_by_subquotient`` and ``module_restrict_action``,
 the Artinian reduction as the package once computed it, through
+``GradedModule.subquotient``; ``syzygy_module_by_ambient``, the syzygy
+module M^p as the package once built it, from a dense ambient action and
 ``GradedModule.subquotient``; and ``smooth_every_degree``, the smoothness
 certificate ranked at every degree up to the Macaulay bound.
 """
@@ -20,8 +22,11 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from ribbonsyz.curves import mult_map
 from ribbonsyz.fflinalg import DimensionMismatch, as_fp, matmul_mod, rank, rref
 from ribbonsyz.graded import GradedModule, NotASubspace
+from ribbonsyz.koszul import koszul_cohomology
+from ribbonsyz.ribbon import conormal_tags
 
 
 def degree_one_generates(alg) -> bool:
@@ -81,6 +86,34 @@ def artinian_by_subquotient(alg, l1, l2):
             acting = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
     identity = [np.eye(d, dtype=np.int64) for d in alg.pieces]
     return module_restrict_action(alg, acting).subquotient(identity, rel)
+
+
+def syzygy_module_by_ambient(model, t: int, p: int) -> GradedModule:
+    """M^p of ``greenchk.build_syzygy_module`` through the dense ambient module.
+
+    The cocycles and coboundaries of K_{p,1} of each coefficient complex
+    are taken as subspaces of the one module wedge^p U (x) H^0(K^q W),
+    q = 0, 1, 2, on which H^0(K_C) acts by id (x) multiplication: a dense
+    (g, w c_{q+1}, w c_q) tensor per degree, w = C(dim U, p), built by an
+    einsum.  Its ``subquotient`` is M^p, without the commutativity check.
+    """
+    k_tag, w_tag, _ = conormal_tags(model, t)
+    u_space, k_space = model.sections(w_tag), model.sections(k_tag)
+    g, wedge = k_space.dim, math.comb(u_space.dim, p)
+    groups = []
+    for q in range(3):
+        spaces = [model.sections(q * k_tag + j * w_tag) for j in range(3)]
+        action = tuple(mult_map(u_space, s).action for s in spaces[:2])
+        coefficients = GradedModule(model.field, u_space.dim, tuple(s.dim for s in spaces), action)
+        groups.append(koszul_cohomology(coefficients, p, 1))
+    action = []
+    for q in range(2):
+        mult = mult_map(k_space, model.sections(q * k_tag + w_tag)).action
+        blocks = np.einsum("ij,kab->kiajb", np.eye(wedge, dtype=np.int64), mult)
+        action.append(blocks.reshape(g, wedge * mult.shape[1], wedge * mult.shape[2]))
+    pieces = tuple(grp.cocycles.shape[0] for grp in groups)
+    ambient = GradedModule(model.field, g, pieces, tuple(action))
+    return ambient.subquotient([grp.cocycles for grp in groups], [grp.coboundaries for grp in groups])
 
 
 def _monomial_triples(deg: int) -> list[tuple[int, int, int]]:

@@ -205,7 +205,7 @@ def test_criterion_4_lemma_cross_path():
                 assert j <= 2 * model.genus - 4
                 syz = build_syzygy_module(model, t, j)
                 for i in range(0, 4):
-                    surj = phi_map(syz, i, 1).surjective
+                    surj = phi_map(syz, i).surjective
                     vanish = module_koszul_vanishing(syz, i) == 0
                     checked += 1
                     if surj != vanish:

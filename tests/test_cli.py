@@ -273,10 +273,16 @@ class TestCurveAndRibbonErrors:
         assert isinstance(res.exception, SystemExit)
 
     def test_syzygy_module_too_large_exit_2(self, runner, monkeypatch):
-        # every block of the Betti table fits 32 * 60 * 45 - 1 bytes (the largest
-        # is 71 680), but the d_in of M^1's degree-2 coefficient complex does not
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 45)
+        # the largest matrix of this run is the 60 x 148 that M^1's subquotient
+        # reduces in degree 2.  Every block of the Betti table fits 32 * 60 * 45 - 1
+        # bytes (the largest is 71 680), but the d_in of M^1's degree-2
+        # coefficient complex does not, and it is priced first
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 148)
         assert runner.invoke(main, ["green", *HYP2]).exit_code == 0
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 148 - 1)
+        res = runner.invoke(main, ["green", *HYP2])
+        assert res.exit_code == 2
+        assert "Koszul cell too large: M^1 subquotient in degree 2: 60 x 148," in res.output
         monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 45 - 1)
         res = runner.invoke(main, ["green", *HYP2])
         assert res.exit_code == 2

@@ -4,7 +4,7 @@ import pytest
 from itertools import combinations_with_replacement
 
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map
-from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank
+from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank, rref
 from ribbonsyz.graded import (
     GradedAlgebra,
     GradedError,
@@ -473,3 +473,87 @@ class TestSubquotient:
         )
         assert res.n == 0 and res.pieces == (1, 2)
         assert res.action[0].shape == (0, 2, 1)
+
+
+def weighted_module(rng) -> GradedModule:
+    """F[x0, x1, x2] in degrees 0..3, weighted by the degree in x0 (x0 of weight 1),
+    in random bases of each piece that keep every weight block."""
+    plain = polynomial_module(3, 3)
+    weights = [np.array([m[0] for m in monomials(3, q)], dtype=np.int64) for q in range(4)]
+    change = []
+    for wt in weights:
+        same = wt[:, None] == wt[None, :]
+        g = rng.integers(0, 101, same.shape) * same
+        while rank(g, 101) < len(wt):
+            g = rng.integers(0, 101, same.shape) * same
+        change.append(g)
+    inverse = [solve(c, np.eye(len(c), dtype=np.int64), 101) for c in change]
+    action = tuple(
+        np.stack([matmul_mod(change[q + 1], matmul_mod(a[k], inverse[q], 101), 101) for k in range(3)])
+        for q, a in enumerate(plain.action)
+    )
+    return GradedModule(F101, 3, plain.pieces, action, [1, 0, 0], weights)
+
+
+def block_diagonal(mod: GradedModule, w: int) -> GradedModule:
+    """w copies of mod written out: id_w (x) the action, the weights tiled w times."""
+    eye = np.eye(w, dtype=np.int64)
+    action = tuple(
+        np.einsum("ij,kab->kiajb", eye, a).reshape(mod.n, w * a.shape[1], w * a.shape[2]) for a in mod.action
+    )
+    pieces = tuple(w * d for d in mod.pieces)
+    return GradedModule(mod.field, mod.n, pieces, action, mod.v_weights, [np.tile(wt, w) for wt in mod.weights])
+
+
+def generated(big: GradedModule, gens) -> list:
+    """A basis of the submodule generated by homogeneous columns gens[q], each
+    basis column a product x_k1 ... x_kr of a generator, so homogeneous too."""
+    basis = []
+    for q, dim in enumerate(big.pieces):
+        cols = [gens[q]]
+        if q:
+            cols += [matmul_mod(a, basis[-1], 101) for a in big.action[q - 1]]
+        cols = np.hstack(cols)
+        basis.append(cols[:, rref(cols, 101)[1]] if cols.size else np.zeros((dim, 0), dtype=np.int64))
+    return basis
+
+
+def homogeneous(rng, weights: np.ndarray, weight: int, count: int) -> np.ndarray:
+    """``count`` random columns supported on the coordinates of one weight."""
+    return rng.integers(0, 101, (len(weights), count)) * (weights == weight)[:, None]
+
+
+class TestSubquotientOfCopies:
+    """``subquotient`` of sub and rel in w copies of M, against the same
+    subquotient of the block-diagonal module of w copies."""
+
+    @pytest.mark.parametrize("w", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_block_diagonal_module(self, w, seed):
+        rng = np.random.default_rng(seed)
+        mod = weighted_module(rng)
+        big = block_diagonal(mod, w)
+        empty = [np.zeros((d, 0), dtype=np.int64) for d in big.pieces]
+        gens = [homogeneous(rng, big.weights[0], 0, 1), homogeneous(rng, big.weights[1], 1, 2)]
+        sub = generated(big, gens + empty[2:])
+        # rel: generated by a random combination of the sub_1 columns of weight 0
+        of_weight = np.where(sub[1] != 0, big.weights[1][:, None], -1).max(axis=0, initial=-1) == 0
+        mix = rng.integers(0, 101, (int(of_weight.sum()), 1))
+        rel = generated(big, [empty[0], matmul_mod(sub[1][:, of_weight], mix, 101), *empty[2:]])
+        got, want = mod.subquotient(sub, rel), big.subquotient(sub, rel)
+        assert got.n == want.n and got.pieces == want.pieces
+        for a, b in zip(got.action + (got.v_weights,) + got.weights, want.action + (want.v_weights,) + want.weights):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        if w:
+            assert sum(got.pieces) and any(wt.any() for wt in got.weights)  # the tiled weights are read
+
+    @pytest.mark.parametrize("rows", [(2, 6, 12, 21), (2, 6, 12, 19), (1, 6, 12, 20), (3, 6, 12, 20)])
+    def test_bad_row_counts(self, rows):
+        # two copies of pieces (1, 3, 6, 10) need rows (2, 6, 12, 20) in sub and in rel
+        mod = polynomial_module(3, 3)
+        sub = [np.zeros((r, 0), dtype=np.int64) for r in rows]
+        with pytest.raises(InconsistentDims):
+            mod.subquotient(sub, sub)
+        good = [np.zeros((2 * d, 0), dtype=np.int64) for d in mod.pieces]
+        with pytest.raises(InconsistentDims):
+            mod.subquotient(good, sub)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from ribbonsyz.curves import (
     random_plane_curve,
 )
 from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank
-from ribbonsyz import greenchk, koszul
+from ribbonsyz import graded, greenchk, koszul
 from ribbonsyz.greenchk import (
     HypothesisUnmetWarning,
     IllDefined,
@@ -21,10 +22,10 @@ from ribbonsyz.greenchk import (
     module_koszul_vanishing,
     phi_map,
 )
-from ribbonsyz.koszul import OutOfWindow, koszul_differential
-from ribbonsyz.ribbon import UnsupportedConormal
+from ribbonsyz.koszul import koszul_differential
+from ribbonsyz.ribbon import UnsupportedConormal, conormal_tags
 
-from oracles import oracle_koszul_dim
+from oracles import oracle_koszul_dim, syzygy_module_by_ambient
 
 F101 = PrimeField(101)
 
@@ -92,7 +93,7 @@ class TestSyzygyModule:
         line = HyperellipticCurve(F101, [0, 1])
         syz = build_syzygy_module(line, 6, 1)
         assert syz.g == 0
-        v = phi_map(syz, 1, 1)
+        v = phi_map(syz, 1)
         assert v.src == 0 and v.tgt == 0 and v.surjective
 
     def test_vanishing_beyond_genus_wedge(self, hyp2):
@@ -103,28 +104,69 @@ class TestSyzygyModule:
             assert module_koszul_vanishing(syz, hyp2.g + 1) == 0
 
 
-class TestAmbientBudget:
-    """The dense ambient action of M^p is priced at 8 bytes an entry before it is built."""
+class TestAgainstAmbient:
+    """M^p from its coefficient module equals M^p from the dense ambient id (x) mult."""
 
-    def test_action_over_the_budget_is_refused_before_einsum(self, hyp2, monkeypatch):
-        # M^1 of hyp2 at t = 5: the degree-1 action is 2 x 60 x 48 (wedge 6 times 10 x 8)
+    @pytest.mark.parametrize(
+        "case, t, p",
+        [("hyp2", 5, j) for j in (0, 1, 2, 3, 7)]  # j = 7 > dim U = 6: no wedge, w = 0
+        + [("quartic", t, j) for t in (1, 2) for j in (0, 1, 2)]
+        + [("genus0", 6, j) for j in (0, 1, 2)]
+        + [("elliptic", 6, j) for j in (1, 2)]
+        + [("hyp2_p7", 5, j) for j in (1, 2)],
+    )
+    def test_equals_the_ambient_oracle(self, case, t, p, quartic, hyp2):
+        model = {
+            "hyp2": hyp2,
+            "quartic": quartic,
+            "genus0": HyperellipticCurve(F101, [0, 1]),
+            "elliptic": HyperellipticCurve(F101, [1, 1, 0, 1]),
+            "hyp2_p7": random_hyperelliptic(PrimeField(7), 2, np.random.default_rng(1)),
+        }[case]
+        got = build_syzygy_module(model, t, p).module
+        want = syzygy_module_by_ambient(model, t, p)
+        assert got.n == want.n and got.pieces == want.pieces
+        for a, b in zip(got.action + (got.v_weights,) + got.weights, want.action + (want.v_weights,) + want.weights):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_no_dense_ambient(self, quartic, monkeypatch):
+        # M^2 of the quartic at t = 1 lies in w = 15 copies of each coefficient
+        # piece; every action product is one of the coefficient module's
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: pytest.fail("np.einsum called"))
+        left = []
+        real = graded.matmul_mod
+        monkeypatch.setattr(graded, "matmul_mod", lambda a, b, p: left.append(a.shape) or real(a, b, p))
+        syz = build_syzygy_module(quartic, 1, 2)
+        k_tag, w_tag, _ = conormal_tags(quartic, 1)
+        c = [quartic.sections(q * k_tag + w_tag).dim for q in range(3)]
+        g = syz.g
+        assert left[:2] == [(g * c[1], c[0]), (g * c[2], c[1])]  # the subquotient's products
+        assert all(rows <= g * c[2] for rows, _ in left)  # and the commutativity check's
+
+
+class TestSubquotientBudget:
+    """The joint RREF input of each degree of M^p's subquotient is priced at 32 bytes an entry first."""
+
+    def test_matrix_over_the_budget_is_refused_before_rref(self, hyp2, monkeypatch):
+        # M^1 of hyp2 at t = 5: w = 6 copies of (6, 8, 10); in degree 2 the
+        # input is 60 x 148, rel_2 and sub_2 beside x_k of the 48 sub_1 columns
         real, default = greenchk.koszul_cohomology, koszul._CELL_BYTES_MAX
 
-        def unbudgeted(module, p, q):  # isolates the action's guard from the groups'
+        def unbudgeted(module, p, q):  # isolates the subquotient's guard from the groups'
             with monkeypatch.context() as m:
                 m.setattr(koszul, "_CELL_BYTES_MAX", default)
                 return real(module, p, q)
 
         monkeypatch.setattr(greenchk, "koszul_cohomology", unbudgeted)
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 8 * 2 * 60 * 48)
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 148)
         build_syzygy_module(hyp2, 5, 1)  # at the budget exactly
-        einsums = []
-        real_einsum = np.einsum
-        monkeypatch.setattr(np, "einsum", lambda *a, **k: einsums.append(a[0]) or real_einsum(*a, **k))
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 8 * 2 * 60 * 48 - 1)
-        with pytest.raises(koszul.CellTooLarge, match=r"M\^1 ambient action in degree 1: 2 x 60 x 48,"):
+        rrefs = []
+        real_rref = graded.rref
+        monkeypatch.setattr(graded, "rref", lambda a, p: rrefs.append(a.shape) or real_rref(a, p))
+        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * (60 * 148 - 1))
+        with pytest.raises(koszul.CellTooLarge, match=r"M\^1 subquotient in degree 2: 60 x 148,"):
             build_syzygy_module(hyp2, 5, 1)
-        assert einsums == ["ij,kab->kiajb"]  # degree 0 only
+        assert rrefs == []
 
 
 class TestIllDefined:
@@ -181,7 +223,7 @@ class TestPhi:
     def test_wedge_overflow_source_zero(self, hyp2):
         # i + 1 > g: the source wedge vanishes; surjective iff target zero
         syz = build_syzygy_module(hyp2, 5, 1)
-        v = phi_map(syz, 5, 1)
+        v = phi_map(syz, 5)
         assert v.src == 0
         assert v.surjective == (v.tgt == 0)
 
@@ -193,7 +235,7 @@ class TestPhi:
         calls = []
         real = koszul.rank
         monkeypatch.setattr(koszul, "rank", lambda a, p: calls.append(a.shape) or real(a, p))
-        verdict = phi_map(syz, 1, 1)
+        verdict = phi_map(syz, 1)
         assert calls == [(verdict.tgt, verdict.src)] == [(6, 8)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HypothesisUnmetWarning)
@@ -213,17 +255,12 @@ class TestPhi:
         syz = build_syzygy_module(quartic, 1, 1)
         first = koszul_differential(syz.module, 3, 0)  # wedge^3 (x) M_0 -> wedge^2 (x) M_1
         second = koszul_differential(syz.module, 2, 1)  # wedge^2 (x) M_1 -> wedge^1 (x) M_2
-        for (i, q), mat in (((2, 1), first), ((1, 2), second)):
-            verdict = phi_map(syz, i, q)
-            assert (verdict.tgt, verdict.src) == mat.shape
+        n, dims = syz.module.n, syz.dims
+        for (p, q), mat in (((3, 0), first), ((2, 1), second)):
+            assert mat.shape == (math.comb(n, p - 1) * dims[q + 1], math.comb(n, p) * dims[q])
+            assert syz.koszul.rank_d(p, q) == rank(mat, 101)
         if first.size and second.size:
             assert not np.any(matmul_mod(second, first, 101))
-
-    def test_degree_outside_window(self, hyp2):
-        syz = build_syzygy_module(hyp2, 5, 1)
-        for q in (0, syz.module.window + 1):
-            with pytest.raises(OutOfWindow):
-                phi_map(syz, 1, q)
 
     def test_surjectivity_always_implies_vanishing(self, quartic, hyp2):
         # the unconditional direction of the equivalence
@@ -233,7 +270,7 @@ class TestPhi:
                 for j in range(0, 3):
                     syz = build_syzygy_module(model, t, j)
                     for i in range(0, 3):
-                        if phi_map(syz, i, 1).surjective:
+                        if phi_map(syz, i).surjective:
                             assert module_koszul_vanishing(syz, i) == 0
 
     def test_quartic_some_phi_fails_on_critical_antidiagonal(self, quartic):
@@ -241,7 +278,7 @@ class TestPhi:
         verdicts = []
         for j in range(0, 4):
             syz = build_syzygy_module(quartic, 1, j)
-            verdicts.append(phi_map(syz, 3 - j, 1).surjective)
+            verdicts.append(phi_map(syz, 3 - j).surjective)
         assert not all(verdicts)
 
 
@@ -254,7 +291,7 @@ class TestLemmaCrossPath:
                 syz = build_syzygy_module(quartic, 2, j)
                 assert all(lemma_hypotheses(syz).values())
                 for i in range(0, 4):
-                    surj = phi_map(syz, i, 1).surjective
+                    surj = phi_map(syz, i).surjective
                     van = module_koszul_vanishing(syz, i) == 0
                     assert surj == van, (i, j)
 
@@ -265,7 +302,7 @@ class TestLemmaCrossPath:
             warnings.simplefilter("ignore", HypothesisUnmetWarning)
             syz = build_syzygy_module(quartic, 2, 3)
             assert not all(lemma_hypotheses(syz).values())
-            v = phi_map(syz, 1, 1)
+            v = phi_map(syz, 1)
             assert not v.surjective
             assert module_koszul_vanishing(syz, 1) == 0
 
