@@ -1,10 +1,10 @@
 """Command-line front end: reproducible Betti / Green / strata reports.
 
-All randomness flows from one seeded generator, so identical (config,
-seed) pairs produce byte-identical output.  Every JSON document is checked
-against the schema shipped in ribbonsyz/schemas before it is emitted, by
-``schema_validate`` (a subset of JSON Schema 2020-12, without the
-jsonschema package).
+All randomness flows from one ``SeededStream``, which draws what numpy's
+``default_rng(seed)`` would, so identical (config, seed) pairs produce
+byte-identical output.  Every JSON document is checked against the schema
+shipped in ribbonsyz/schemas before it is emitted, by ``schema_validate``
+(a subset of JSON Schema 2020-12, without the jsonschema package).
 
 Exit codes: 0 success, 2 invalid configuration (including a curve that
 cannot be built, such as a plane curve of degree below 3, random or
@@ -20,10 +20,11 @@ more memory to rank than the block budget, or a ``green`` run whose
 syzygy modules would exceed it (CellTooLarge), and
 ``--task w4`` on a curve that is not y^2 = cubic(x), a ``--conormal``
 whose bundles lie past the model's supported tag range (TargetOverflow),
-and a config value for ``p``, ``seed``, ``curve.g``, ``curve.d`` or an
-entry of ``curve.coefficients`` that is not a JSON integer), 3 smoothness
-certificate failure, 4 a genuine consistency contradiction in the green
-report (which would indicate a bug, not a mathematical discovery).
+a config value for ``p``, ``seed``, ``curve.g``, ``curve.d`` or an
+entry of ``curve.coefficients`` that is not a JSON integer, and a negative
+``seed``), 3 smoothness certificate failure, 4 a genuine consistency
+contradiction in the green report (which would indicate a bug, not a
+mathematical discovery).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from importlib import resources
 from numbers import Number
 
 import click
-import numpy as np
 
 from ribbonsyz.curves import (
     CurveError,
@@ -57,6 +57,7 @@ from ribbonsyz.ribbon import (
     conormal_tags,
     split_invariants,
 )
+from ribbonsyz.rng import SeededStream
 from ribbonsyz.strata import (
     NotFound,
     SearchTooLarge,
@@ -131,6 +132,8 @@ def _load_config(config_path, **flags) -> dict:
     for name, value in {"p": cfg["p"], "seed": cfg["seed"], **curve}.items():
         if not _is_int(value):
             raise click.UsageError(f"{name} must be an integer, got {value!r}")
+    if cfg["seed"] < 0:
+        raise click.UsageError(f"seed must be a non-negative integer, got {cfg['seed']}")
     return cfg
 
 
@@ -144,7 +147,7 @@ def _session(cfg):
         field = PrimeField(cfg["p"])
     except NotPrime as exc:
         raise click.UsageError(str(exc))
-    return field, np.random.default_rng(cfg["seed"])
+    return field, SeededStream(cfg["seed"])
 
 
 def _build_model(cfg, field, rng):
@@ -374,7 +377,7 @@ def betti(fmt, out_path, config_path, **flags):
     except TargetOverflow as exc:
         raise _conormal_out_of_range(cfg, exc)
     except CellTooLarge as exc:
-        raise click.UsageError(f"Koszul cell too large: {exc}")
+        raise click.UsageError(f"matrix too large: {exc}")
     try:
         rc = rcliff(table)
     except NoNonzero:
@@ -426,7 +429,7 @@ def green(fmt, out_path, config_path, **flags):
     except TargetOverflow as exc:
         raise _conormal_out_of_range(cfg, exc)
     except CellTooLarge as exc:
-        raise click.UsageError(f"Koszul cell too large: {exc}")
+        raise click.UsageError(f"matrix too large: {exc}")
     obj = {"command": "green", "p": field.p, "seed": cfg["seed"], "curve": _curve_info(model), "report": report}
     conds = report["conditions"]
     lines = [

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ribbonsyz.curves import SectionSpace, mult_map
-from ribbonsyz.fflinalg import PrimeField, matmul_mod, rref
+from ribbonsyz.fflinalg import PrimeField, matmul_mod, pivots, rref
 
 __all__ = [
     "GradedError",
@@ -241,11 +241,14 @@ class GradedAlgebra(GradedModule):
         """The algebra cut by two linear forms, or None if they are not certified.
 
         Returns B = A / (l1, l2), acted on by the complement of <l1, l2> in
-        A_1, read off one RREF per degree: R_{q+1}, of the rows l1 e_i and
-        l2 e_i (e_i the basis of A_q), spans rel_{q+1} = l1 A_q + l2 A_q with
-        pivot columns P_{q+1}.  B_q is spanned by the coordinate vectors off
-        P_q (N_q), the acting space by those of A_1 off P_1, so the two
-        share a basis, and x_k maps e_j, j in N_q, to
+        A_1, read off one elimination per degree: R_{q+1}, of the rows l1 e_i
+        and l2 e_i (e_i the basis of A_q), spans rel_{q+1} = l1 A_q + l2 A_q
+        with pivot columns P_{q+1}.  R is the RREF, except where the rank
+        condition below makes rel_{q+1} all of A_{q+1}: there B_{q+1} = 0, no
+        row of R is read, and forward elimination gives the pivots.  B_q is
+        spanned by the coordinate vectors off P_q (N_q), the acting space by
+        those of A_1 off P_1, so the two share a basis, and x_k maps e_j,
+        j in N_q, to
 
             img[N_{q+1}] - R_{q+1}[:, N_{q+1}]^T img[P_{q+1}]   (mod p),
 
@@ -273,19 +276,24 @@ class GradedAlgebra(GradedModule):
         for q, a in enumerate(self.action):
             # by_l[k] is the matrix of multiplication by l_k on A_q
             by_l = matmul_mod(forms, a.reshape(n, -1), p).reshape(2, *a.shape[1:])
-            r, pivots = rref(np.hstack(by_l).T, p)
-            if len(pivots) != 2 * self.pieces[q] - (self.pieces[q - 1] if q else 0):
+            rank_want = 2 * self.pieces[q] - (self.pieces[q - 1] if q else 0)
+            # where the certified rank fills A_{q+1}, B_{q+1} = 0 and no row of R is read
+            full = rank_want == self.pieces[q + 1]
+            stacked = np.hstack(by_l).T
+            r, piv = (None, pivots(stacked, p)) if full else rref(stacked, p)
+            if len(piv) != rank_want:
                 return None
             off = np.ones(self.pieces[q + 1], dtype=bool)
-            off[pivots] = False
+            off[piv] = False
             kept.append(np.flatnonzero(off))
-            # x_k e_j modulo rel_{q+1}: img[N_{q+1}] - R_{q+1}[:, N_{q+1}]^T img[P_{q+1}]
-            k, c, m = len(kept[1]), len(kept[q + 1]), len(kept[q])
             out = a[np.ix_(kept[1], kept[q + 1], kept[q])]
-            img = a[np.ix_(kept[1], pivots, kept[q])].transpose(1, 0, 2).reshape(len(pivots), k * m)
-            fold = r[: len(pivots), kept[q + 1]].T
-            out -= matmul_mod(fold, img, p).reshape(c, k, m).transpose(1, 0, 2)
-            out %= p
+            if not full:
+                # x_k e_j modulo rel_{q+1}: img[N_{q+1}] - R_{q+1}[:, N_{q+1}]^T img[P_{q+1}]
+                k, c, m = len(kept[1]), len(kept[q + 1]), len(kept[q])
+                img = a[np.ix_(kept[1], piv, kept[q])].transpose(1, 0, 2).reshape(len(piv), k * m)
+                fold = r[: len(piv), kept[q + 1]].T
+                out -= matmul_mod(fold, img, p).reshape(c, k, m).transpose(1, 0, 2)
+                out %= p
             action.append(out)
         weights = tuple(w[cols] for w, cols in zip(self.weights, kept))
         return GradedModule(

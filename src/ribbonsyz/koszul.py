@@ -68,6 +68,7 @@ import numpy as np
 
 from ribbonsyz.fflinalg import image_basis, kernel_basis, matmul_mod, rank
 from ribbonsyz.graded import GradedAlgebra, GradedModule
+from ribbonsyz.rng import SeededStream
 
 __all__ = [
     "IllDefined",
@@ -101,7 +102,7 @@ class NoNonzero(Exception):
 
 
 class CellTooLarge(Exception):
-    """A Koszul block would take more memory to rank than ``_CELL_BYTES_MAX``."""
+    """A matrix would take more memory to reduce than ``_CELL_BYTES_MAX``."""
 
 
 # Memory budget for ranking one block of a Koszul cell.  Ranking an r x c
@@ -383,7 +384,7 @@ def _artinian_module(algebra: GradedAlgebra) -> GradedModule | None:
     if n < 2:
         return None
     support = algebra.weights[1] == 0
-    rng = np.random.default_rng(_REDUCTION_SEED)
+    rng = SeededStream(_REDUCTION_SEED)
     for _ in range(_REDUCTION_DRAWS):
         l1, l2 = rng.integers(0, algebra.field.p, size=(2, n)) * support
         module = algebra.artinian_reduction(l1, l2)

@@ -5,9 +5,9 @@ regular-sequence certificate of `GradedAlgebra.artinian_reduction` holds.
 The oracle is the direct computation on A itself, cell by cell.  The
 direct path ranks one weight block at a time, so `direct_cells` leaves out
 a cell only when its largest weight block would be too large to build in
-a test; up to p_a = 9 no cell is.  The reduction itself, read off one RREF
-per degree, is checked array for array against the subquotient it
-replaces (`oracles.artinian_by_subquotient`).
+a test; up to p_a = 9 no cell is.  The reduction itself, read off one
+elimination per degree, is checked array for array against the subquotient
+it replaces (`oracles.artinian_by_subquotient`).
 """
 
 import numpy as np
@@ -218,18 +218,26 @@ def test_reduction_equals_the_subquotient(reduction_rings):
 
 
 def test_reduction_makes_one_rref_per_degree(monkeypatch):
+    # one elimination per degree: the RREF, except in the top degree, where
+    # B_{q+1} = 0, no row of R is read and the pivots carry the certificate
     alg = build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(0)), 1).algebra
     l1, l2 = np.random.default_rng(5).integers(0, 101, size=(2, alg.n))
-    shapes = []
+    calls = []
 
-    def counted(a, p):
-        shapes.append(np.shape(a))
-        return fflinalg.rref(a, p)
+    def counted(name):
+        original = getattr(fflinalg, name)
+
+        def run(a, p):
+            calls.append((name, np.shape(a)))
+            return original(a, p)
+
+        return run
 
     def refuse(*args, **kwargs):
         pytest.fail("the reduction eliminated outside its certificate")
 
-    monkeypatch.setattr(graded, "rref", counted)
+    for name in ("rref", "pivots"):
+        monkeypatch.setattr(graded, name, counted(name))
     monkeypatch.setattr(graded.GradedModule, "subquotient", refuse)
     monkeypatch.setattr(oracles, "module_restrict_action", refuse)
     for name in ("rank", "pivots"):
@@ -237,5 +245,9 @@ def test_reduction_makes_one_rref_per_degree(monkeypatch):
     assert not hasattr(graded, "rank") and not hasattr(graded, "module_restrict_action")
     module = alg.artinian_reduction(l1, l2)
     assert module.pieces == (1, 7, 7, 1, 0)
-    # one RREF of [l1 A_q | l2 A_q]^T for each q <= window - 1
-    assert shapes == [(2 * alg.pieces[q], alg.pieces[q + 1]) for q in range(alg.window)]
+    # one elimination of [l1 A_q | l2 A_q]^T for each q <= window - 1
+    assert calls == [
+        ("pivots" if module.pieces[q + 1] == 0 else "rref", (2 * alg.pieces[q], alg.pieces[q + 1]))
+        for q in range(alg.window)
+    ]
+    assert [name for name, _ in calls] == ["rref"] * (alg.window - 1) + ["pivots"]

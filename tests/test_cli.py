@@ -200,6 +200,20 @@ class TestConfigHandling:
         assert message in res.output
         assert isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exit_2(self, runner, tmp_path, monkeypatch, source):
+        # a seed names a stream only when it is non-negative; refused before any draw
+        monkeypatch.setattr(cli, "SeededStream", lambda seed: pytest.fail("drew from a negative seed"))
+        args = ["betti", "--curve", "genus0", "--conormal", "-9", "--seed", "-1"]
+        if source == "config":
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"seed": -1, "curve": {"family": "genus0"}, "conormal": -9}))
+            args = ["betti", "--config", str(cfg)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert "seed must be a non-negative integer, got -1" in res.output
+        assert isinstance(res.exception, SystemExit)
+
     def test_malformed_config_file_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -269,7 +283,7 @@ class TestCurveAndRibbonErrors:
         monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 10 * 10)
         res = runner.invoke(main, [command, *HYP2])
         assert res.exit_code == 2
-        assert "Koszul cell too large" in res.output and "more than the budget of 3200" in res.output
+        assert "matrix too large: cell (p, q) = " in res.output and "more than the budget of 3200" in res.output
         assert isinstance(res.exception, SystemExit)
 
     def test_syzygy_module_too_large_exit_2(self, runner, monkeypatch):
@@ -282,11 +296,11 @@ class TestCurveAndRibbonErrors:
         monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 148 - 1)
         res = runner.invoke(main, ["green", *HYP2])
         assert res.exit_code == 2
-        assert "Koszul cell too large: M^1 subquotient in degree 2: 60 x 148," in res.output
+        assert "matrix too large: M^1 subquotient in degree 2: 60 x 148," in res.output
         monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 45 - 1)
         res = runner.invoke(main, ["green", *HYP2])
         assert res.exit_code == 2
-        assert "Koszul cell too large: K_{p,q} at (p, q) = (1, 1), d_in: 60 x 45," in res.output
+        assert "matrix too large: K_{p,q} at (p, q) = (1, 1), d_in: 60 x 45," in res.output
         assert isinstance(res.exception, SystemExit)
 
 
