@@ -199,16 +199,21 @@ class PlaneCurve:
                     g[tuple(key)] = (g.get(tuple(key), 0) + m[axis] * c) % p
             partials.append({m: c for m, c in g.items() if c})
         big = 3 * (self.d - 1) - 2
-        monos = _monomials(big)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for g in filter(None, partials):
-            for shift in _monomials(big - sum(next(iter(g)))):
-                row = np.zeros(len(monos), dtype=np.int64)
-                for m, c in g.items():
-                    row[index[(m[0] + shift[0], m[1] + shift[1], m[2] + shift[2])]] = c
-                rows.append(row)
-        if rank(np.array(rows), p) != len(monos):
+        gens = list(filter(None, partials))
+        shifts = [np.array(_monomials(big - sum(next(iter(g)))), dtype=np.int64) for g in gens]
+        # one row per generator and shift: the shifted terms, scattered at
+        # once; (a, b, c) sits at (big - a)(big - a + 1)/2 + big - a - b of
+        # _monomials(big), whose order is descending lex
+        macaulay = np.zeros((sum(map(len, shifts)), (big + 1) * (big + 2) // 2), dtype=np.int64)
+        start = 0
+        for g, shift in zip(gens, shifts):
+            terms = shift[:, None, :] + np.array(list(g), dtype=np.int64)[None]
+            top = big - terms[..., 0]
+            cols = top * (top + 1) // 2 + top - terms[..., 1]
+            rows = np.arange(start, start + len(shift))[:, None]
+            macaulay[rows, cols] = np.array(list(g.values()), dtype=np.int64)
+            start += len(shift)
+        if rank(macaulay, p) != macaulay.shape[1]:
             raise NotSmooth(f"Jacobian ideal certificate failed at degree {big}")
 
     def sections(self, tag: int) -> "SectionSpace":

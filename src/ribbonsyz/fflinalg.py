@@ -21,6 +21,14 @@ one Gauss-Jordan loop, ``_eliminate_simple``:
 
 The blocked path is what makes desk-scale Koszul computations (ranks of
 ~5000 x 3000 matrices) run in seconds instead of hours.
+
+Memory.  An elimination reduces one working copy of the caller's matrix:
+the blocked engine's float64 copy is written straight from it, and its
+Schur updates go _PANEL rows at a time, so their temporaries stay
+_PANEL rows.  ``rank``, ``pivots`` and ``image_basis`` build no int64
+result matrix, and ``rref`` builds its own in the float copy's buffer.
+``matmul_mod`` writes a product larger than _MOD_BLOCK entries into its
+int64 result a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -112,14 +120,19 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def as_fp(a, p: int) -> np.ndarray:
-    """Coerce array-like data to a 2-D int64 matrix with entries in [0, p)."""
+def _as_matrix(a) -> np.ndarray:
+    """Array-like data as a 2-D int64 matrix, unreduced; a view when ``a`` already is one."""
     m = np.asarray(a, dtype=np.int64)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    return np.mod(m, p)
+    return m
+
+
+def as_fp(a, p: int) -> np.ndarray:
+    """Coerce array-like data to a 2-D int64 matrix with entries in [0, p)."""
+    return np.mod(_as_matrix(a), p)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +257,18 @@ def _mod_inplace(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _subtract_product(x: np.ndarray, f: np.ndarray, b: np.ndarray) -> None:
+    """x -= f @ b in place, _PANEL rows at a time, skipping the zero row blocks of f.
+
+    The product temporary is at most _PANEL rows of x, not a second x.
+    """
+    for r in range(0, x.shape[0], _PANEL):
+        fr = f[r : r + _PANEL]
+        if fr.any():
+            rows = x[r : r + _PANEL]
+            rows -= fr @ b
+
+
 def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     """In-place blocked elimination of a float64 matrix, entries in [0, p).
 
@@ -251,13 +276,13 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     ``_eliminate_simple`` on an int64 copy of the panel's rows below r0,
     apply its row swaps so the pivot rows come first, left-multiply the
     pivot block by B^{-1} so it carries exact unit pivots, and push one
-    Schur-complement update A_rest -= F @ A_piv through dgemm.  Backward
-    pass (reduced only) clears above the pivot blocks the same way.  All
+    Schur-complement update A_rest -= F @ A_piv through dgemm, _PANEL rows
+    of A_rest at a time.  Backward pass (reduced only) clears above the
+    pivot blocks the same way and leaves every entry in [0, p).  All
     intermediates stay integral: inner dimensions never exceed _PANEL, so
-    values stay below 2**53 - p, where ``_mod_inplace`` is exact.  Rows
-    below the rank may keep unreduced multiples of p; callers normalise
-    with one exact ``_mod_inplace`` at the end.  Returns the pivot column
-    list.
+    values stay below 2**53 - p, where ``_mod_inplace`` is exact.  After
+    the forward pass alone, entries may be unreduced and the rows below the
+    rank multiples of p.  Returns the pivot column list.
     """
     n, m = a.shape
     pivots: list[int] = []
@@ -272,7 +297,8 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     while r0 < n and c0 < m:
         c1 = min(c0 + _PANEL, m)
         order = np.arange(r0, n)
-        pcols_rel = _eliminate_simple(a[r0:, c0:c1].astype(np.int64) % p, p, False, order)
+        panel = a[r0:, c0:c1].astype(np.int64)
+        pcols_rel = _eliminate_simple(np.remainder(panel, p, out=panel), p, False, order)
         k = len(pcols_rel)
         if k == 0:
             c0 = c1
@@ -291,8 +317,7 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
                 bound = p
             f = _mod_inplace(below[:, pcols], p)  # pivot block is identity there
             if np.any(f):
-                tail = below[:, c0:]
-                tail -= f @ piv_block[:, c0:]
+                _subtract_product(below[:, c0:], f, piv_block[:, c0:])
                 bound += step
         pivots.extend(pcols)
         r0 += k
@@ -315,25 +340,42 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
                     bound = p
                 f = _mod_inplace(a[:lo, pcols], p)
                 if np.any(f):
-                    upper = a[:lo]
-                    upper -= f @ a[lo:hi]
+                    _subtract_product(a[:lo], f, a[lo:hi])
                     bound += step
             hi = lo
     return pivots
 
 
-def _echelon(a, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Copy ``a`` and run the appropriate engine.  Returns (matrix, pivots)."""
-    m = as_fp(a, p)
-    if m.size == 0:
-        return m, []
+def _eliminate(a, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """Reduce ``a`` into the engine's one working copy.  Returns (working copy, pivots).
+
+    The blocked engine's copy is float64, written from ``a`` by one
+    ``np.remainder`` with no int64 copy between; the simple engine's is the
+    int64 copy ``as_fp`` makes.  With ``reduced``, the copy ends as the
+    int64 RREF, every entry in [0, p): the float copy is turned into it in
+    its own buffer.  Without, only the pivots are meaningful.
+    """
+    m = _as_matrix(a)
     if p <= _FAST_P_MAX and min(m.shape) >= _BLOCK_MIN:
-        w = m.astype(np.float64)
+        w = np.remainder(m, p, out=np.empty(m.shape))
         pivots = _eliminate_blocked(w, p, reduced)
-        _mod_inplace(w, p)  # rows below the rank may hold unreduced multiples of p
-        return w.astype(np.int64), pivots
-    pivots = _eliminate_simple(m, p, reduced)
-    return m, pivots
+        return (_int64_in_place(w) if reduced else w), pivots
+    w = np.mod(m, p)
+    return w, _eliminate_simple(w, p, reduced)
+
+
+def _int64_in_place(w: np.ndarray) -> np.ndarray:
+    """The exact integers of a float64 matrix as int64, in its own buffer.
+
+    Both dtypes take 8 bytes, so an int64 view of the buffer is filled a
+    block of rows at a time, each block cast through a temporary of under
+    _MOD_BLOCK entries (at least one row).
+    """
+    out = w.view(np.int64)
+    step = max(1, _MOD_BLOCK // max(1, w.shape[1]))
+    for r in range(0, w.shape[0], step):
+        out[r : r + step] = w[r : r + step].astype(np.int64)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +389,7 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     The RREF over a field is unique, hence canonical across engines.
     rank(a) == len(pivots).
     """
-    return _echelon(a, p, reduced=True)
+    return _eliminate(a, p, reduced=True)
 
 
 def pivots(a, p: int) -> list[int]:
@@ -356,7 +398,7 @@ def pivots(a, p: int) -> list[int]:
     Column c is a pivot exactly when it is not in the span of the columns
     before it, so the list is canonical across engines.
     """
-    return _echelon(a, p, reduced=False)[1]
+    return _eliminate(a, p, reduced=False)[1]
 
 
 def rank(a, p: int) -> int:
@@ -371,53 +413,63 @@ def kernel_basis(a, p: int) -> np.ndarray:
     column f, with 1 in position f and -R[i, pivot_i] above.  Satisfies
     a @ k == 0 and k has cols(a) - rank(a) columns.
     """
-    r, pivots = _echelon(a, p, reduced=True)
+    r, pivots = _eliminate(a, p, reduced=True)
     ncols = r.shape[1]
     free = np.ones(ncols, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
     k = np.zeros((ncols, free.size), dtype=np.int64)
     # R[i, f] = 0 when pivot_i > f, so no order test is needed
-    k[pivots] = -r[: len(pivots), free] % p
+    above = r[: len(pivots), free]
+    np.negative(above, out=above)
+    k[pivots] = np.remainder(above, p, out=above)
     k[free, np.arange(free.size)] = 1
     return k
 
 
 def image_basis(a, p: int) -> np.ndarray:
     """Columns of ``a`` forming a basis of its column space (pivot columns)."""
-    m = as_fp(a, p)
-    _, pivots = _echelon(m, p, reduced=False)
-    return m[:, pivots]
+    m = _as_matrix(a)
+    return np.mod(m[:, pivots(m, p)], p)
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
-    """Exact matrix product mod p.
+    """Exact matrix product mod p, written into its int64 result a block of rows at a time.
 
-    Uses float64 BLAS with inner-dimension chunking sized so the integer
-    accumulations stay below 2**53; falls back to int64 matmul for large p.
+    A block is about _MOD_BLOCK result entries (at least one row).  For
+    p <= 2**20 it is a float64 BLAS product whose inner dimension is chunked
+    so that the integer accumulations stay below 2**53; for larger p, a sum
+    of int64 outer products reduced one at a time (p**2 < 2**62).  Beside
+    operands and result it holds one working copy of ``b``, one of a block
+    of rows of ``a``, and the block's accumulator.
     """
-    x = as_fp(a, p)
-    y = as_fp(b, p)
+    x, y = _as_matrix(a), _as_matrix(b)
     if x.shape[1] != y.shape[0]:
         raise DimensionMismatch(f"cannot multiply {x.shape} by {y.shape}")
-    inner = x.shape[1]
-    if inner == 0:
-        return np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
     if p <= _FAST_P_MAX:
         # chunk * p**2 <= 2**53 with chunk >= 8192, so a reduced acc plus
         # one chunk's products, < p + chunk * (p - 1)**2, stays below
         # 2**53 - p: every float sum is exact and _mod_inplace applies
-        chunk = (1 << 53) // (p * p)
-        xf = x.astype(np.float64)
-        yf = y.astype(np.float64)
-        acc = _mod_inplace(xf[:, :chunk] @ yf[:chunk], p)
-        for s in range(chunk, inner, chunk):
-            acc += xf[:, s : s + chunk] @ yf[s : s + chunk]
-            _mod_inplace(acc, p)
-        return acc.astype(np.int64)
-    # large p: per-row int64 with immediate reduction (p**2 < 2**62, chunk=1)
-    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
-    for i in range(inner):
-        out = (out + np.outer(x[:, i], y[i])) % p
+        work, chunk, reduce = np.float64, (1 << 53) // (p * p), _mod_inplace
+    else:
+        work, chunk, reduce = np.int64, 1, lambda v, q: np.remainder(v, q, out=v)
+    if x.shape[0] * y.shape[1] <= _MOD_BLOCK:  # one block: small copies beat a cast on the fly
+        xw, yw = np.mod(x, p).astype(work), np.mod(y, p).astype(work)
+        return _product_rows(xw, yw, p, chunk, reduce).astype(np.int64)
+    out = np.empty((x.shape[0], y.shape[1]), dtype=np.int64)
+    yw = np.remainder(y, p, out=np.empty(y.shape, work))
+    step = max(1, _MOD_BLOCK // y.shape[1])
+    for r in range(0, x.shape[0], step):
+        rows = x[r : r + step]
+        xw = np.remainder(rows, p, out=np.empty(rows.shape, work))
+        out[r : r + step] = _product_rows(xw, yw, p, chunk, reduce)
     return out
 
+
+def _product_rows(xw: np.ndarray, yw: np.ndarray, p: int, chunk: int, reduce) -> np.ndarray:
+    """xw @ yw mod p for reduced working copies, chunk inner columns at a time, in their dtype."""
+    acc = reduce(xw[:, :chunk] @ yw[:chunk], p)
+    for s in range(chunk, xw.shape[1], chunk):
+        acc += xw[:, s : s + chunk] @ yw[s : s + chunk]
+        reduce(acc, p)
+    return acc

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ribbonsyz.curves import SectionSpace, mult_map
-from ribbonsyz.fflinalg import PrimeField, matmul_mod, pivots, rref
+from ribbonsyz.fflinalg import _MOD_BLOCK, PrimeField, matmul_mod, pivots, rref
 
 __all__ = [
     "GradedError",
@@ -118,24 +118,31 @@ class GradedModule:
     def check_commutativity(self) -> None:
         """Verify that every pair of basis vectors of V commutes in the action.
 
-        One product per degree: all n**2 products x_k x_l : M_q -> M_{q+2}
-        come from a single ``matmul_mod``, compared with their (k, l)
-        transpose.  Raises GradedError naming the first failing pair.
+        Degree by degree, q = 0, 1, ..., and within a degree one block of
+        target rows of M_{q+2} at a time, in row order.  For the rows of a
+        block, one ``matmul_mod`` forms all n**2 products x_k x_l : M_q ->
+        M_{q+2} restricted to them, about _MOD_BLOCK entries (at least one
+        row), and compares them with their (k, l) transpose: x_k x_l m and
+        x_l x_k m land in the same rows, so each block is settled on its
+        own.  A degree with an empty piece forms no product.  Raises
+        GradedError naming the first failing pair of the first failing block.
         """
         p, n = self.field.p, self.n
         for q in range(self.window - 1):
             d0, d1, d2 = self.pieces[q : q + 3]
-            prod = matmul_mod(
-                self.action[q + 1].reshape(n * d2, d1),
-                self.action[q].transpose(1, 0, 2).reshape(d1, n * d0),
-                p,
-            ).reshape(n, d2, n, d0)
-            bad = np.argwhere((prod != prod.transpose(2, 1, 0, 3)).any(axis=(1, 3)))
-            if bad.size:
-                k, l = bad[0]
-                raise GradedError(
-                    f"action does not commute at degree {q} for basis pair ({k},{l})"
-                )
+            if not n * d0 * d1 * d2:  # nothing to compare, or every product zero
+                continue
+            right = self.action[q].transpose(1, 0, 2).reshape(d1, n * d0)
+            rows = max(1, _MOD_BLOCK // (n * n * d0))
+            for t in range(0, d2, rows):
+                left = self.action[q + 1][:, t : t + rows].reshape(-1, d1)
+                prod = matmul_mod(left, right, p).reshape(n, -1, n, d0)
+                bad = np.argwhere((prod != prod.transpose(2, 1, 0, 3)).any(axis=(1, 3)))
+                if bad.size:
+                    k, l = bad[0]
+                    raise GradedError(
+                        f"action does not commute at degree {q} for basis pair ({k},{l})"
+                    )
 
     def subquotient(self, sub, rel) -> GradedModule:
         """The subquotient with pieces span(sub[q]) / span(rel[q]) and the induced action.
@@ -218,9 +225,9 @@ class GradedAlgebra(GradedModule):
 
     The constructor's certificate is exact: ``check_commutativity`` checks
     x_k (x_l m) = x_l (x_k m) for every pair of basis vectors of A_1 and
-    every basis vector m of A_q, q <= window - 2, with one ``matmul_mod``
-    per degree (window - 1 in all); at q = 0 it is the symmetry of the
-    products A_1 x A_1.  It makes the pieces a graded Sym A_1-module, which
+    every basis vector m of A_q, q <= window - 2, one block of target rows
+    of A_{q+2} at a time; at q = 0 it is the symmetry of the products
+    A_1 x A_1.  It makes the pieces a graded Sym A_1-module, which
     is all the Koszul groups read; when degree one generates, that module
     is cyclic, hence a quotient ring of Sym A_1.  Raises GradedError, and
     InconsistentDims for a product of the wrong shape or number.

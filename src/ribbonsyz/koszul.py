@@ -106,11 +106,14 @@ class CellTooLarge(Exception):
 
 
 # Memory budget for ranking one block of a Koszul cell.  Ranking an r x c
-# block holds four r x c arrays of 8-byte entries at its peak: the int64
-# block, the reduced int64 copy ``fflinalg.as_fp`` makes, the float64
-# working copy of the blocked engine and the int64 matrix it returns.  The
-# largest block of the genus-3 gate case (p_a = 14), 4158 x 4536, needs
-# 0.6 GB of the 1 GiB budget.
+# block holds the int64 block, the elimination's one working copy (the
+# blocked engine's float64 copy, written straight from the block) and
+# temporaries of at most ``fflinalg._PANEL`` rows: about 16 r c bytes.
+# The budget still prices 32 bytes an entry, the four copies a block held
+# before the engine kept one, on purpose: it refuses what it refused
+# before, and re-pricing it is a change of its own.  The largest block of
+# the genus-3 gate case (p_a = 14), 4158 x 4536, is priced at 0.6 GB of
+# the 1 GiB budget and holds about 0.3 GB.
 _CELL_BYTES_MAX = 1 << 30
 _CELL_BYTES_PER_ENTRY = 32
 
@@ -266,7 +269,8 @@ class KoszulCalculator:
         """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) and derived cells cost nothing.
 
         Otherwise the sum of the ranks of the weight blocks found on both
-        sides of the cell, each assembled and ranked before the next is built.
+        sides of the cell, each assembled, ranked and dropped before the next
+        is built.
         Every block's shape is checked against the memory budget before the
         first is assembled: one over it raises CellTooLarge.
         """
@@ -287,10 +291,8 @@ class KoszulCalculator:
         }
         for w, shape in blocks.items():
             check_budget(f"cell (p, q) = ({p}, {q}), weight block {w}", shape)
-        total = 0
-        for w in blocks:
-            d = koszul_differential(module, p, q, w)
-            total += rank(d, module.field.p)
+        # no name holds a block past its rank call, so it is freed before the next is built
+        total = sum(rank(koszul_differential(module, p, q, w), module.field.p) for w in blocks)
         return self._ranks.setdefault(key, total)
 
     def dim(self, p: int, q: int) -> int:

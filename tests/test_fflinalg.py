@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,8 @@ from ribbonsyz.fflinalg import (
     rank,
     rref,
 )
+
+from ribbonsyz.fflinalg import _MOD_BLOCK
 
 from oracles import eager_eliminate, loop_kernel_basis, naive_rank, naive_solve, solve
 
@@ -429,10 +433,68 @@ class TestMatmulMod:
         x, y = g.integers(p - 1000, p, (6, 50)), g.integers(0, p, (50, 8))
         assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
 
+    @pytest.mark.parametrize("p", MODULI)
+    @pytest.mark.parametrize("shape", [(300, 40, 70), (17000, 2, 1), (90, 5, 200)])
+    def test_row_blocks(self, p, shape):
+        # results of more than one block of rows, each on both paths; the
+        # last block is short
+        g = rng(p % 89)
+        r, k, c = shape
+        x, y = g.integers(-p, 2 * p, (r, k)), g.integers(0, p, (k, c))
+        assert r * c > _MOD_BLOCK and r % max(1, _MOD_BLOCK // c)
+        assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
+
     def test_empty_inner_and_outer(self):
         assert np.array_equal(matmul_mod(np.ones((2, 0)), np.ones((0, 3)), P), np.zeros((2, 3)))
         assert matmul_mod(np.ones((0, 4)), np.ones((4, 3)), P).shape == (0, 3)
         assert matmul_mod(np.ones((2, 4)), np.ones((4, 0)), P).shape == (2, 0)
+
+
+def traced_peak(f) -> int:
+    """Peak bytes allocated while f runs, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingCopies:
+    """What a product or an elimination holds beside its input and result."""
+
+    def test_rank_on_the_blocked_path(self):
+        # the caller's matrix, one float copy and temporaries of _PANEL rows
+        a = rng(47).integers(0, P, (1200, 1600))
+        a[:, 900:] = matmul_mod(a[:, :60], rng(48).integers(0, P, (60, 700)), P)
+        r = []
+        assert traced_peak(lambda: r.append(rank(a, P))) <= 1.5 * a.nbytes
+        assert r == [900]
+
+    def test_rref_on_the_blocked_path(self):
+        # the int64 RREF is made in the float copy's own buffer; it equals
+        # the simple engine's, zero rows below the rank included
+        from ribbonsyz.fflinalg import _eliminate_simple
+
+        g = rng(51)
+        a = matmul_mod(g.integers(0, P, (1000, 300)), g.integers(0, P, (300, 1400)), P)
+        out = []
+        assert traced_peak(lambda: out.append(rref(a, P))) <= 1.5 * a.nbytes
+        r, piv = out[0]
+        s = a.copy()
+        assert piv == _eliminate_simple(s, P, reduced=True)
+        assert len(piv) == 300 and r.dtype == np.int64 and np.array_equal(r, s)
+        k = kernel_basis(a, P)
+        assert k.shape == (1400, 1100) and not np.any(matmul_mod(a, k, P))
+        assert np.array_equal(image_basis(a, P), a[:, piv])
+
+    def test_matmul_mod_writes_its_result_by_row_blocks(self):
+        g = rng(49)
+        x, y = g.integers(0, P, (760, 60)), g.integers(0, P, (60, 760))
+        out = []
+        peak = traced_peak(lambda: out.append(matmul_mod(x, y, P)))
+        assert peak <= out[0].nbytes + (1 << 20)
+        assert np.array_equal(out[0], (x @ y) % P)
 
 
 def test_large_p_fallback_path():

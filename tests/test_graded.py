@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from itertools import combinations_with_replacement
 
-from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map
+from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map, random_plane_curve
 from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank, rref
 from ribbonsyz.graded import (
     GradedAlgebra,
@@ -15,6 +17,7 @@ from ribbonsyz.graded import (
     algebra_from_sections,
 )
 from ribbonsyz.koszul import KoszulCalculator
+from ribbonsyz.ribbon import build_split_ribbon
 
 from oracles import degree_one_generates, module_restrict_action, oracle_koszul_dim, solve
 
@@ -134,10 +137,62 @@ def products(alg: GradedAlgebra, va, b: int, vb) -> np.ndarray:
     return np.einsum("ki,kj,icj->kc", va, vb, alg.action[b]) % alg.field.p
 
 
+def traced_peak(f) -> int:
+    """Peak bytes allocated while f runs, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def product_blocks(alg, monkeypatch, block=None) -> list:
+    """The operands of every ``matmul_mod`` call the certificate makes on
+    rebuilding ``alg``, with the block size patched to ``block`` when given."""
+    from ribbonsyz import graded
+
+    calls = []
+    original = graded.matmul_mod
+
+    def recording(x, y, p):
+        calls.append((np.array(x), np.array(y)))
+        return original(x, y, p)
+
+    monkeypatch.setattr(graded, "matmul_mod", recording)
+    if block is not None:
+        monkeypatch.setattr(graded, "_MOD_BLOCK", block)
+    GradedAlgebra(F101, alg.pieces, alg.action[1:])
+    return calls
+
+
+def assert_row_blocks(alg, calls, block: int) -> None:
+    """The certificate's products, ``calls``, are x_k x_l on degree q for
+    every pair (k, l), restricted to a block of target rows of degree q + 2:
+    (n rows, dims[q+1]) by (dims[q+1], n dims[q]).  Each has at most
+    ``block`` entries, as many rows as fit, and the blocks of a degree
+    cover its target rows once, in order."""
+    n, d = alg.n, alg.pieces
+    assert all(len(x) * y.shape[1] <= block for x, y in calls)
+    it = iter(calls)
+    for q in range(alg.window - 1):
+        right = alg.action[q].transpose(1, 0, 2).reshape(d[q + 1], n * d[q])
+        blocks, covered = [], 0
+        while covered < d[q + 2]:
+            x, y = next(it)
+            assert np.array_equal(y, right)
+            blocks.append(x.reshape(n, -1, d[q + 1]))
+            assert blocks[-1].shape[1] > 0
+            covered += blocks[-1].shape[1]
+        assert np.array_equal(np.concatenate(blocks, axis=1), alg.action[q + 1])
+        assert len(blocks) == -(-d[q + 2] // max(1, block // (n * n * d[q])))
+    assert next(it, None) is None
+
+
 class TestBatchedCertificate:
-    """The exact commutativity certificate of ``GradedAlgebra``: one
-    product per degree for every pair of generators, catching each tamper
-    that the seeded associativity check it replaced caught."""
+    """The exact commutativity certificate of ``GradedAlgebra``: all pairs
+    of generators in one product per block of target rows, catching each
+    tamper that the seeded associativity check it replaced caught."""
 
     @pytest.fixture(scope="class")
     def ring4(self, quartic):
@@ -145,23 +200,14 @@ class TestBatchedCertificate:
 
     def test_empty_top_piece(self, monkeypatch):
         # k[x] / (x^3) through degree 4: the products into degrees 3 and 4 are empty
-        from ribbonsyz import graded
-
         one = np.ones((1, 1, 1), dtype=np.int64)
         prods = [one, np.zeros((1, 0, 1), dtype=np.int64), np.zeros((1, 0, 0), dtype=np.int64)]
-        shapes = []
-        original = graded.matmul_mod
-
-        def recording(x, y, p):
-            shapes.append((x.shape, y.shape))
-            return original(x, y, p)
-
-        monkeypatch.setattr(graded, "matmul_mod", recording)
         alg = GradedAlgebra(F101, [1, 1, 1, 0, 0], prods)
-        # explicit sizes: the products into degrees 3 and 4 have no rows
-        assert shapes == [((1, 1), (1, 1)), ((0, 1), (1, 1)), ((0, 0), (0, 1))]
         assert alg.pieces == (1, 1, 1, 0, 0)
         assert degree_one_generates(alg)
+        # the empty degrees form no product: only x x : degree 0 -> degree 2
+        calls = product_blocks(alg, monkeypatch)
+        assert [(x.shape, y.shape) for x, y in calls] == [((1, 1), (1, 1))]
 
     def test_every_triple_counts(self, quartic):
         # at window 3 the one associativity split was (1,1,1).  Moving
@@ -187,21 +233,45 @@ class TestBatchedCertificate:
 
     @pytest.mark.parametrize("window", [2, 3, 4])
     def test_one_product_per_degree(self, quartic, window, monkeypatch):
+        # at the full block, each degree of this ring is one product:
+        # x_k x_l on degree q for every pair (k, l) at once
+        from ribbonsyz.fflinalg import _MOD_BLOCK
+
+        alg = algebra_from_sections([quartic.sections(q) for q in range(window + 1)])
+        assert_row_blocks(alg, product_blocks(alg, monkeypatch), _MOD_BLOCK)
+
+    @pytest.mark.parametrize("window", [3, 4])
+    def test_products_by_target_row_block(self, quartic, window, monkeypatch):
+        # blocks of at most 64 entries split degrees 1 and up into several products
+        alg = algebra_from_sections([quartic.sections(q) for q in range(window + 1)])
+        calls = product_blocks(alg, monkeypatch, 64)
+        assert len(calls) > window - 1
+        assert_row_blocks(alg, calls, 64)
+
+    def test_certificate_memory_on_the_betti_quartic_ring(self):
+        # W1's ring: the top degree's 504 x 216 products, formed a block of
+        # target rows at a time, stay well under 1 MB (2.4 MB when formed whole)
+        alg = build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(0)), 1).algebra
+        assert alg.pieces == (1, 9, 24, 40, 56)
+        assert traced_peak(alg.check_commutativity) <= 1 << 20
+
+    @pytest.mark.parametrize(
+        "window, key, entry", [(3, (1, 2), (0, 0, 4)), (4, (1, 3), (0, 0, 1)), (4, (1, 3), (0, 13, 9))]
+    )
+    def test_small_blocks_name_the_same_pair(self, quartic, window, key, entry, monkeypatch):
+        # split into blocks of at most 64 entries, the certificate names the
+        # pair the whole product names; the last tamper sits in the last
+        # target row of degree 4, so only the last block of degree 2 fails
         from ribbonsyz import graded
 
         alg = algebra_from_sections([quartic.sections(q) for q in range(window + 1)])
-        calls = []
-        original = graded.matmul_mod
-
-        def counting(x, y, p):
-            calls.append((np.shape(x), np.shape(y)))
-            return original(x, y, p)
-
-        monkeypatch.setattr(graded, "matmul_mod", counting)
-        GradedAlgebra(F101, alg.pieces, alg.action[1:])
-        # x_k x_l on degree q for every pair (k, l): (n dims[q+2], dims[q+1]) by (dims[q+1], n dims[q])
-        n, d = alg.n, alg.pieces
-        assert calls == [((n * d[q + 2], d[q + 1]), (d[q + 1], n * d[q])) for q in range(window - 1)]
+        prods = tampered(alg, key[1], entry)
+        with pytest.raises(GradedError, match="does not commute") as whole:
+            GradedAlgebra(F101, alg.pieces, prods)
+        monkeypatch.setattr(graded, "_MOD_BLOCK", 64)
+        with pytest.raises(GradedError, match="does not commute") as split:
+            GradedAlgebra(F101, alg.pieces, prods)
+        assert str(split.value) == str(whole.value)
 
     @pytest.mark.parametrize(
         "window, key, entry",

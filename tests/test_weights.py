@@ -10,6 +10,7 @@ vectorised assembler the python loop it replaced
 """
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,29 @@ class TestSplitRanks:
         rng = np.random.default_rng(1000 + prime)
         for _ in range(8):
             assert_split_matches_unsplit(random_weighted_module(rng, prime))
+
+    def test_each_block_is_dropped_before_the_next_is_built(self, monkeypatch):
+        # rank_d holds no block past its rank call: when a block is built,
+        # every block built before it is already freed
+        module = koszul._artinian_module(zoo()[0][1].algebra)
+        built = []
+        assemble = koszul.koszul_differential
+
+        def tracked(*args):
+            assert all(ref() is None for ref in built)
+            block = assemble(*args)
+            built.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(koszul, "koszul_differential", tracked)
+        calc = KoszulCalculator(module)
+        counts = []
+        for p in range(1, module.n + 1):
+            before = len(built)
+            calc.rank_d(p, 1)
+            counts.append(len(built) - before)
+        assert max(counts) > 1  # some cell is ranked in several blocks
+        assert all(ref() is None for ref in built)
 
 
 class TestCertificate:
