@@ -6,29 +6,23 @@ byte-identical output.  Every JSON document is checked against the schema
 shipped in ribbonsyz/schemas before it is emitted, by ``schema_validate``
 (a subset of JSON Schema 2020-12, without the jsonschema package).
 
-Exit codes: 0 success, 2 invalid configuration (including a curve that
-cannot be built, such as a plane curve of degree below 3, random or
-given by coefficients, or an ``elliptic-split`` model over F_2, too
-small for three distinct roots; a ribbon with p_a < 3, a strata
-``--bmax`` below 1, ``--span-size`` or ``--blowup-b`` below 0, a strata span larger than the
-rational-point pool, a strata class asked for in a span that is {0}, a
-blow-up search whose degree has more prefixes than the search budget
-(SearchTooLarge), a strata task whose rational points would take more
-candidates to scan than the point budget (PointScanTooLarge), a
-``betti`` or ``green`` run with a Koszul weight block that would take
-more memory to rank than the block budget, or a ``green`` run whose
-syzygy modules would exceed it (CellTooLarge), and
-``--task w4`` on a curve that is not y^2 = cubic(x), a ``--conormal``
-whose bundles lie past the model's supported tag range (TargetOverflow),
-a config value for ``p``, ``seed``, ``curve.g``, ``curve.d`` or an
-entry of ``curve.coefficients`` that is not a JSON integer, and a negative
-``seed``), 3 smoothness certificate failure, 4 a genuine consistency
-contradiction in the green report (which would indicate a bug, not a
-mathematical discovery).
+Every subcommand runs through one runner, ``_runs``: it loads the config,
+makes the field, the seeded stream and the curve model, calls the
+subcommand's body, which computes and reports, and emits the document the
+body returns.  The runner alone turns the library's typed errors into exit
+codes; each condition is documented where its error is raised.
+
+Exit codes: 0 success; 2 a usage or configuration error, or a NotPrime,
+CurveError, RibbonError, StrataError or CellTooLarge, printed as its
+message (a TargetOverflow names the ``--conormal`` that is out of range);
+3 a failed smoothness certificate (NotSmooth); 4 a green report whose
+verdicts contradict each other, which would indicate a bug, not a
+mathematical discovery.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from importlib import resources
@@ -41,7 +35,6 @@ from ribbonsyz.curves import (
     HyperellipticCurve,
     NotSmooth,
     PlaneCurve,
-    PointScanTooLarge,
     TargetOverflow,
     random_hyperelliptic,
     random_plane_curve,
@@ -60,9 +53,7 @@ from ribbonsyz.ribbon import (
 from ribbonsyz.rng import SeededStream
 from ribbonsyz.strata import (
     NotFound,
-    SearchTooLarge,
     StrataError,
-    ZeroSpan,
     ambient_space,
     blowup_index_bruteforce,
     blowup_sweep,
@@ -142,54 +133,36 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _session(cfg):
-    try:
-        field = PrimeField(cfg["p"])
-    except NotPrime as exc:
-        raise click.UsageError(str(exc))
-    return field, SeededStream(cfg["seed"])
-
-
 def _build_model(cfg, field, rng):
     curve = cfg["curve"]
     family = curve["family"]
-    try:
-        if family in ("plane-quartic", "plane"):
-            d = curve.get("d", 4)
-            coeffs = curve.get("coefficients")
-            if coeffs is not None:
-                if not isinstance(coeffs, list) or not all(
-                    isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)
-                    and all(map(_is_int, e[0])) and _is_int(e[1])
-                    for e in coeffs
-                ):
-                    raise click.UsageError("plane coefficients must be [[[a,b,c], coeff], ...] with integer entries")
-                return PlaneCurve(field, {tuple(e[0]): e[1] for e in coeffs}, d)
-            return random_plane_curve(field, d, rng)
-        if family == "hyperelliptic":
-            coeffs = curve.get("coefficients")
-            if coeffs is not None:
-                if not isinstance(coeffs, list) or not all(_is_int(c) for c in coeffs):
-                    raise click.UsageError("hyperelliptic coefficients must be a list of integers")
-                return HyperellipticCurve(field, coeffs)
-            g = curve.get("g")
-            if g is None:
-                raise click.UsageError("hyperelliptic curves need --g or explicit coefficients")
-            return random_hyperelliptic(field, g, rng)
-        if family == "elliptic-split":
-            return random_split_cubic(field, rng)
-        if family == "genus0":
-            return HyperellipticCurve(field, [0, 1])
-    except NotSmooth:
-        click.echo("error: smoothness certificate failed for the given curve", err=True)
-        sys.exit(3)
-    except CurveError as exc:
-        raise click.UsageError(str(exc))
+    if family in ("plane-quartic", "plane"):
+        d = curve.get("d", 4)
+        coeffs = curve.get("coefficients")
+        if coeffs is not None:
+            if not isinstance(coeffs, list) or not all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)
+                and all(map(_is_int, e[0])) and _is_int(e[1])
+                for e in coeffs
+            ):
+                raise click.UsageError("plane coefficients must be [[[a,b,c], coeff], ...] with integer entries")
+            return PlaneCurve(field, {tuple(e[0]): e[1] for e in coeffs}, d)
+        return random_plane_curve(field, d, rng)
+    if family == "hyperelliptic":
+        coeffs = curve.get("coefficients")
+        if coeffs is not None:
+            if not isinstance(coeffs, list) or not all(_is_int(c) for c in coeffs):
+                raise click.UsageError("hyperelliptic coefficients must be a list of integers")
+            return HyperellipticCurve(field, coeffs)
+        g = curve.get("g")
+        if g is None:
+            raise click.UsageError("hyperelliptic curves need --g or explicit coefficients")
+        return random_hyperelliptic(field, g, rng)
+    if family == "elliptic-split":
+        return random_split_cubic(field, rng)
+    if family == "genus0":
+        return HyperellipticCurve(field, [0, 1])
     raise click.UsageError(f"unknown curve family {family!r}")
-
-
-def _conormal_out_of_range(cfg, exc: TargetOverflow) -> click.UsageError:
-    return click.UsageError(f"--conormal {cfg['conormal']} is out of range for this model: {exc}")
 
 
 def _curve_info(model) -> dict:
@@ -361,23 +334,50 @@ def main():
     """Exact syzygy computations for canonical split ribbons over Z/p."""
 
 
+def _runs(body):
+    """The runner of one subcommand, with the common options and body's own.
+
+    It loads the config, makes the field, the seeded stream and the model,
+    and calls ``body(cfg, field, rng, model, **options)``, which returns
+    (document, schema name, text or None, exit code); the runner emits the
+    document and exits with that code.  Typed errors are caught here once.
+    Bodies call the library through this module's globals, where tests
+    patch it.  Apply ``_runs`` above body's own click options: the wrapper
+    takes them over, so ``--help`` lists the common options first.
+    """
+    # the options decorating body, which click keeps on it until the command is made
+    own = [param.name for param in getattr(body, "__click_params__", [])]
+
+    @_common_options
+    @functools.wraps(body)
+    def command(fmt, out_path, config_path, **flags):
+        options = {name: flags.pop(name) for name in own}
+        cfg = _load_config(config_path, **flags)
+        try:
+            field = PrimeField(cfg["p"])
+            rng = SeededStream(cfg["seed"])
+            model = _build_model(cfg, field, rng)
+            obj, schema_name, text, code = body(cfg, field, rng, model, **options)
+        except NotSmooth:
+            click.echo("error: smoothness certificate failed for the given curve", err=True)
+            sys.exit(3)
+        except TargetOverflow as exc:
+            raise click.UsageError(f"--conormal {cfg['conormal']} is out of range for this model: {exc}")
+        except (NotPrime, CurveError, RibbonError, StrataError, CellTooLarge) as exc:
+            raise click.UsageError(str(exc))
+        _emit(obj, schema_name, fmt, out_path, text)
+        if code:
+            sys.exit(code)
+
+    return command
+
+
 @main.command()
-@_common_options
-def betti(fmt, out_path, config_path, **flags):
+@_runs
+def betti(cfg, field, rng, model):
     """Betti table of the split ribbon's canonical ring, plus checks."""
-    cfg = _load_config(config_path, **flags)
-    field, rng = _session(cfg)
-    model = _build_model(cfg, field, rng)
-    t = -cfg["conormal"]
-    try:
-        ring = build_split_ribbon(model, t)
-        table = ring.betti()
-    except RibbonError as exc:
-        raise click.UsageError(str(exc))
-    except TargetOverflow as exc:
-        raise _conormal_out_of_range(cfg, exc)
-    except CellTooLarge as exc:
-        raise click.UsageError(f"matrix too large: {exc}")
+    ring = build_split_ribbon(model, -cfg["conormal"])
+    table = ring.betti()
     try:
         rc = rcliff(table)
     except NoNonzero:
@@ -408,28 +408,18 @@ def betti(fmt, out_path, config_path, **flags):
             f"hilbert: {'ok' if obj['checks']['hilbert'] else 'FAIL'}",
         ]
     )
-    _emit(obj, "betti.json", fmt, out_path, text)
+    return obj, "betti.json", text, 0
 
 
 @main.command()
-@_common_options
-def green(fmt, out_path, config_path, **flags):
+@_runs
+def green(cfg, field, rng, model):
     """The three split-ribbon equivalence conditions, checked independently.
 
     Exits 4 if the verdicts contradict each other while every hypothesis
     that ties them together holds.
     """
-    cfg = _load_config(config_path, **flags)
-    field, rng = _session(cfg)
-    model = _build_model(cfg, field, rng)
-    try:
-        report = green_split_report(model, -cfg["conormal"])
-    except RibbonError as exc:
-        raise click.UsageError(str(exc))
-    except TargetOverflow as exc:
-        raise _conormal_out_of_range(cfg, exc)
-    except CellTooLarge as exc:
-        raise click.UsageError(f"matrix too large: {exc}")
+    report = green_split_report(model, -cfg["conormal"])
     obj = {"command": "green", "p": field.p, "seed": cfg["seed"], "curve": _curve_info(model), "report": report}
     conds = report["conditions"]
     lines = [
@@ -440,66 +430,40 @@ def green(fmt, out_path, config_path, **flags):
         f"(3) all K_(i,1)(M^j) = 0,      i+j = {2 * report['m'] - 3}: {conds['vanishing']}",
         f"consistent: {report['consistent']}",
     ]
-    _emit(obj, "green.json", fmt, out_path, "\n".join(lines))
-    if not report["consistent"]:
-        sys.exit(4)
+    return obj, "green.json", "\n".join(lines), 0 if report["consistent"] else 4
 
 
 @main.command()
-@_common_options
+@_runs
 @click.option("--task", type=click.Choice(["blowup", "sweep", "w4", "bounds"]), default="blowup")
 @click.option("--bmax", type=click.IntRange(min=1), default=3, help="Largest divisor degree searched.")
 @click.option("--sweep", "sweep_n", type=click.IntRange(min=1), default=None, help="Sweep this many constructed classes (implies --task sweep).")
 @click.option("--span-size", type=click.IntRange(min=0), default=3, help="Span size for constructed classes (0, for --task blowup only: a uniform class; a --sweep needs 1 or more).")
 @click.option("--blowup-b", "blowup_b", type=click.IntRange(min=0), default=0, help="Blow-up index for --task bounds.")
-def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path, **flags):
+def strata(cfg, field, rng, model, task, bmax, sweep_n, span_size, blowup_b):
     """Blow-up index, W_4 witnesses, and gonality-bound computations."""
-    cfg = _load_config(config_path, **flags)
-    field, rng = _session(cfg)
-    model = _build_model(cfg, field, rng)
     t = -cfg["conormal"]
     if sweep_n is not None:
         task = "sweep"
     if task != "bounds":  # the other tasks work in H^0(2K_C - L), the largest tag they read
-        try:
-            ambient_space(model, t)
-        except TargetOverflow as exc:
-            raise _conormal_out_of_range(cfg, exc)
+        space = ambient_space(model, t)
     obj: dict = {"command": "strata", "p": field.p, "seed": cfg["seed"], "task": task}
     if task in ("blowup", "sweep"):
-        try:
-            pool = rational_points(model)
-        except PointScanTooLarge as exc:
-            raise click.UsageError(f"rational points: {exc}")
+        pool = rational_points(model)
         if span_size > len(pool):
             raise click.UsageError(f"--span-size {span_size} exceeds the {len(pool)} rational points")
     if task == "blowup":
-        space = ambient_space(model, t)
+        e = random_class(space, rng) if span_size == 0 else class_in_span(
+            space, [pool[int(i)] for i in rng.choice(len(pool), size=span_size, replace=False)], rng
+        )
         try:
-            e = random_class(space, rng) if span_size == 0 else class_in_span(
-                space, [pool[int(i)] for i in rng.choice(len(pool), size=span_size, replace=False)], rng
-            )
-        except ZeroSpan as exc:
-            raise click.UsageError(f"no nonzero extension class: {exc}")
-        try:
-            res = blowup_index_bruteforce(e, pool, space, bmax)
-            obj.update(res.to_json_obj())
+            obj.update(blowup_index_bruteforce(e, pool, space, bmax).to_json_obj())
         except NotFound:
             obj.update({"blowup_index": None, "bound": "not-found", "witnesses": []})
-        except SearchTooLarge as exc:
-            raise click.UsageError(f"blow-up search too large: {exc}")
     elif task == "sweep":
-        try:
-            obj["sweep"] = blowup_sweep(model, t, sweep_n or 100, rng, span_size=span_size, b_max=bmax)
-        except ZeroSpan as exc:
-            raise click.UsageError(f"no nonzero extension class: {exc}")
-        except SearchTooLarge as exc:
-            raise click.UsageError(f"blow-up search too large: {exc}")
+        obj["sweep"] = blowup_sweep(model, t, sweep_n or 100, rng, span_size=span_size, b_max=bmax)
     elif task == "w4":
-        try:
-            wits, skipped = w4_witnesses_elliptic(model, t)
-        except (StrataError, PointScanTooLarge) as exc:
-            raise click.UsageError(str(exc))
+        wits, skipped = w4_witnesses_elliptic(model, t)
         obj.update(
             {
                 "witness_count": len(wits),
@@ -511,7 +475,7 @@ def strata(task, bmax, sweep_n, span_size, blowup_b, fmt, out_path, config_path,
         m = model.gonality
         p_a = 2 * model.genus - 1 - conormal_tags(model, t)[2]
         obj["bounds"] = gonality_bounds(blowup_b, model.genus, m, p_a)
-    _emit(obj, "strata.json", fmt, out_path, None)
+    return obj, "strata.json", None, 0
 
 
 if __name__ == "__main__":

@@ -489,7 +489,7 @@ def rational_points(model) -> list:
     candidates = p * p + p + 1 if isinstance(model, PlaneCurve) else p
     if candidates > _POINT_SCAN_MAX:
         raise PointScanTooLarge(
-            f"{candidates} candidate points over F_{p}, more than the scan budget of {_POINT_SCAN_MAX}"
+            f"rational points: {candidates} candidate points over F_{p}, more than the scan budget of {_POINT_SCAN_MAX}"
         )
     pts: list = []
     if isinstance(model, PlaneCurve):

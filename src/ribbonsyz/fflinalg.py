@@ -48,7 +48,6 @@ __all__ = [
     "kernel_basis",
     "image_basis",
     "matmul_mod",
-    "as_fp",
 ]
 
 # Panel width for the blocked engine.  128 * (2**20)**2 < 2**53, so float64
@@ -128,11 +127,6 @@ def _as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
     return m
-
-
-def as_fp(a, p: int) -> np.ndarray:
-    """Coerce array-like data to a 2-D int64 matrix with entries in [0, p)."""
-    return np.mod(_as_matrix(a), p)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def _eliminate(a, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
 
     The blocked engine's copy is float64, written from ``a`` by one
     ``np.remainder`` with no int64 copy between; the simple engine's is the
-    int64 copy ``as_fp`` makes.  With ``reduced``, the copy ends as the
+    int64 copy ``np.mod`` makes.  With ``reduced``, the copy ends as the
     int64 RREF, every entry in [0, p): the float copy is turned into it in
     its own buffer.  Without, only the pivots are meaningful.
     """

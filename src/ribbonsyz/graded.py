@@ -167,17 +167,18 @@ class GradedModule:
         or (sub_q being a basis) not inside span(sub_q).  Weights pass to the
         kept columns of sub_q, each copy weighted as M_q (the weights tiled w
         times); when a kept column is not homogeneous, the result has the
-        trivial grading.
+        trivial grading.  Only one degree is held at a time: its sub and
+        rel are reduced mod p inside that degree's RREF input, and C_q and
+        rel_q are read back from it.
         """
         p, n = self.field.p, self.n
         if len(sub) != len(self.pieces) or len(rel) != len(self.pieces):
             raise InconsistentDims(f"need sub and rel bases for each of {len(self.pieces)} degrees")
-        sub, rel = ([np.asarray(b, dtype=np.int64) % p for b in bases] for bases in (sub, rel))
-        w = sum(len(s) for s in sub if s.ndim == 2) // max(sum(self.pieces), 1)  # copies of M
+        w = sum(np.shape(s)[0] for s in sub if np.ndim(s) == 2) // max(sum(self.pieces), 1)  # copies of M
         comps, action = [], []
         prev = np.zeros((0, 0), dtype=np.int64)  # [C_{q-1} | rel_{q-1}]
         for q, dim in enumerate(self.pieces):
-            s, r = sub[q], rel[q]
+            s, r = np.asarray(sub[q], dtype=np.int64), np.asarray(rel[q], dtype=np.int64)
             if s.ndim != 2 or r.ndim != 2 or s.shape[0] != w * dim or r.shape[0] != w * dim:
                 raise InconsistentDims(f"sub_{q} and rel_{q} need {w} x {dim} rows")
             ns, nr, m = s.shape[1], r.shape[1], prev.shape[1]
@@ -186,9 +187,11 @@ class GradedModule:
                 below = self.pieces[q - 1]
                 flat = prev.reshape(w, below, m).transpose(1, 0, 2).reshape(below, w * m)
                 images = matmul_mod(self.action[q - 1].reshape(n * dim, below), flat, p)
+                del flat
                 images = images.reshape(n, dim, w, m).transpose(2, 1, 0, 3).reshape(w * dim, n * m)
             joint = np.hstack([r, s[:, ::-1], images])
-            del images  # copied into joint: free it before the elimination, the peak of M^p
+            del images, s, r  # copied into joint: free them before the elimination, the peak of M^p
+            joint %= p
             red, pivots = rref(joint, p)
             picked = [j - nr for j in pivots if nr <= j < nr + ns]
             if pivots[:nr] != list(range(nr)) or len(picked) != ns - nr:
@@ -201,9 +204,10 @@ class GradedModule:
                 c = comps[-1].shape[1]
                 if np.any(coords[:, :, c:]):
                     raise NotASubmodule(f"the action maps rel_{q - 1} outside rel_{q}")
-                action.append(np.ascontiguousarray(coords[:, :, :c].transpose(1, 0, 2)))
-            comps.append(s[:, [ns - 1 - t for t in reversed(picked)]])
-            prev = np.hstack([comps[-1], r])
+                action.append(coords[:, :, :c].transpose(1, 0, 2).copy())  # a copy, never a view of red
+            comps.append(joint[:, [nr + t for t in reversed(picked)]])
+            prev = np.hstack([comps[-1], joint[:, :nr]])
+            del joint, red, coords  # this degree's matrices go before the next is built
         pieces = tuple(cm.shape[1] for cm in comps)
         kept = _column_weights(comps, [np.tile(wt, w) for wt in self.weights])
         if kept is None:  # a kept column is not homogeneous

@@ -58,7 +58,6 @@ other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -125,7 +124,7 @@ def check_budget(where: str, shape: tuple) -> None:
     estimate = _CELL_BYTES_PER_ENTRY * prod(shape)
     if estimate > _CELL_BYTES_MAX:
         raise CellTooLarge(
-            f"{where}: {' x '.join(map(str, shape))}, "
+            f"matrix too large: {where}: {' x '.join(map(str, shape))}, "
             f"about {estimate} bytes, more than the budget of {_CELL_BYTES_MAX}"
         )
 
@@ -363,9 +362,6 @@ class BettiTable:
             "q3_mode": "full",  # kept for schema compatibility
             "method": self.method,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 # Seed of the local generator that draws the two linear forms, so a table

@@ -104,7 +104,7 @@ class SearchTooLarge(StrataError):
     def __init__(self, b: int, n: int, prefixes: int):
         self.b, self.n, self.prefixes = b, n, prefixes
         super().__init__(
-            f"degree {b} over {n} points needs {prefixes} prefixes of size {b - 2}, "
+            f"blow-up search too large: degree {b} over {n} points needs {prefixes} prefixes of size {b - 2}, "
             f"more than the budget of {_PREFIX_MAX}"
         )
 
@@ -133,9 +133,6 @@ class ExtensionClass:
         if not np.any(v):
             raise StrataError("the zero functional is not an extension class")
         object.__setattr__(self, "vec", v)
-
-    def proportional_to(self, other: "ExtensionClass") -> bool:
-        return bool(rank(np.vstack([self.vec, other.vec]), self.space.field.p) <= 1)
 
 
 @dataclass(frozen=True)
@@ -476,12 +473,6 @@ class EllipticGroup:
         self.points = rational_points(model)
         self._halvings: dict | None = None
 
-    def neg(self, pt):
-        if pt == "inf":
-            return "inf"
-        x, y = pt
-        return (x, (-y) % self.p)
-
     def add(self, p1, p2):
         p = self.p
         if p1 == "inf":
@@ -556,7 +547,7 @@ def random_class(space: SectionSpace, rng) -> ExtensionClass:
     """
     p = space.field.p
     if space.dim == 0:
-        raise ZeroSpan("the ambient space H^0(2K - L)^* is zero")
+        raise ZeroSpan("no nonzero extension class: the ambient space H^0(2K - L)^* is zero")
     while True:
         v = rng.integers(0, p, space.dim)
         if np.any(v):
@@ -577,9 +568,9 @@ def _class_in_rows(space: SectionSpace, points: list, rows: np.ndarray, rng) -> 
     """``class_in_span`` for points whose evaluation rows are already known."""
     p = space.field.p
     if not points:
-        raise ZeroSpan("no points were given, and the span of no points is {0}")
+        raise ZeroSpan("no nonzero extension class: no points were given, and the span of no points is {0}")
     if not np.any(rows):
-        raise ZeroSpan(f"the points {list(map(str, points))} are base points of |2K - L|")
+        raise ZeroSpan(f"no nonzero extension class: the points {list(map(str, points))} are base points of |2K - L|")
     while True:
         coeffs = rng.integers(0, p, rows.shape[0])
         v = matmul_mod(coeffs.reshape(1, -1), rows, p).ravel()

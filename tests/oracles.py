@@ -23,7 +23,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from ribbonsyz.curves import mult_map
-from ribbonsyz.fflinalg import DimensionMismatch, as_fp, matmul_mod, rank, rref
+from ribbonsyz.fflinalg import DimensionMismatch, matmul_mod, rank, rref
 from ribbonsyz.graded import GradedModule, NotASubspace
 from ribbonsyz.koszul import koszul_cohomology
 from ribbonsyz.ribbon import conormal_tags
@@ -350,8 +350,8 @@ def solve(a, b, p: int) -> np.ndarray:
     Requires ``a`` to have full column rank.  Raises LinearSolveError if
     the system is inconsistent or the basis is rank-deficient.
     """
-    m = as_fp(a, p)
-    w = as_fp(b, p)
+    m = np.asarray(a, dtype=np.int64) % p
+    w = np.asarray(b, dtype=np.int64) % p
     if w.shape[0] != m.shape[0]:
         raise DimensionMismatch("right-hand side has wrong number of rows")
     ncols = m.shape[1]

@@ -172,7 +172,7 @@ def test_table_is_a_pure_function_of_the_algebra():
     np.random.seed(2)
     b = ring.betti()
     assert a.method == b.method == "artinian"
-    assert a.to_json() == b.to_json()
+    assert a.to_json_obj() == b.to_json_obj()
 
 
 @pytest.fixture(scope="module")

@@ -10,10 +10,12 @@ from jsonschema.validators import validator_for
 
 from ribbonsyz import cli, koszul, strata
 from ribbonsyz.cli import main
-from ribbonsyz.curves import random_split_cubic, rational_points
-from ribbonsyz.fflinalg import PrimeField
+from ribbonsyz.curves import CurveError, NotSmooth, TargetOverflow, random_split_cubic, rational_points
+from ribbonsyz.fflinalg import NotPrime, PrimeField
 from ribbonsyz.greenchk import recompute_consistency
-from ribbonsyz.strata import ambient_space, make_witness, random_class, span_membership
+from ribbonsyz.koszul import CellTooLarge
+from ribbonsyz.ribbon import RibbonError
+from ribbonsyz.strata import StrataError, ambient_space, make_witness, random_class, span_membership
 
 
 @pytest.fixture
@@ -26,6 +28,7 @@ def run(runner, *args):
 
 
 STRATA_GOLDEN = json.loads((Path(__file__).parent / "golden" / "strata_cli.json").read_text())
+HELP_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text())
 
 
 def _golden_id(case):
@@ -499,6 +502,8 @@ class TestStrata:
         monkeypatch.setattr(curves, "_POINT_SCAN_MAX", 100)
         res = runner.invoke(main, ["strata", *args])
         assert res.exit_code == 2
+        # every task, --task w4 included, names the point scan it refuses
+        assert "Error: rational points: 101" in res.output or "Error: rational points: 10303" in res.output
         assert "candidate points over F_101, more than the scan budget of 100" in res.output
         assert isinstance(res.exception, SystemExit)
 
@@ -527,6 +532,72 @@ class TestStrata:
         a = run(runner, *args).output
         b = run(runner, *args).output
         assert a == b
+
+
+class TestRunner:
+    """Every subcommand runs through one runner: its text output, its help
+    and the exit code of every typed error are pinned here."""
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (
+                ("betti", "--curve", "plane-quartic", "--random", "--p", "101", "--conormal", "-1", "--seed", "0"),
+                "3d53995c7572d9d48baa97aff089002aa54d816d346889ce228ffd33c9302392",
+            ),
+            (("green", *HYP2), "4def81494849a6b800680cc141192b061befcd4ba99ef3e142632ea74017799a"),
+            (
+                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--task", "w4"),
+                "5724d333dcb4460d1ad4c5b9c076599a8eaaa5a3af0392046c4c2aa81bfe6fe5",
+            ),
+            (
+                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--task", "blowup", "--seed", "3"),
+                "a78fc04e6405e03944ec584f3088d56339f0717bb97d954c182f4193530ff47e",
+            ),
+            (
+                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--task", "bounds", "--blowup-b", "0"),
+                "d49036db3f573732df1a12b87f495bd8986284357528a05cea4cc1cc02acd43d",
+            ),
+        ],
+        ids=["betti", "green", "strata-w4", "strata-blowup", "strata-bounds"],
+    )
+    def test_text_output_golden_hash(self, runner, args, want):
+        import hashlib
+
+        res = run(runner, *args)
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+    def test_help_text(self, runner, command):
+        args = [] if command == "ribbonsyz" else [command]
+        res = runner.invoke(main, [*args, "--help"], prog_name="ribbonsyz", terminal_width=80, catch_exceptions=False)
+        assert res.exit_code == 0
+        assert res.output == HELP_GOLDEN[command]
+
+    @pytest.mark.parametrize(
+        "command, call",
+        [("betti", "build_split_ribbon"), ("green", "green_split_report"), ("strata", "rational_points")],
+    )
+    @pytest.mark.parametrize(
+        "error",
+        [NotPrime, CurveError, RibbonError, StrataError, CellTooLarge, NotSmooth, TargetOverflow],
+        ids=lambda error: error.__name__,
+    )
+    def test_typed_error_exit_code(self, runner, monkeypatch, command, call, error):
+        # a library function the subcommand calls through cli raises the error
+        def refuse(*args, **kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, call, refuse)
+        res = runner.invoke(main, [command, *HYP2], prog_name="ribbonsyz")
+        code, message = {
+            NotSmooth: (3, "error: smoothness certificate failed for the given curve\n"),
+            TargetOverflow: (2, "Error: --conormal -5 is out of range for this model: refused\n"),
+        }.get(error, (2, "Error: refused\n"))
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == code
+        assert res.output.endswith(message)
 
 
 @pytest.mark.parametrize("name", ["betti.json", "green.json", "strata.json"])

@@ -1,10 +1,12 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from itertools import combinations_with_replacement
 
+from ribbonsyz import graded
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map, random_plane_curve
 from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank, rref
 from ribbonsyz.graded import (
@@ -473,6 +475,25 @@ class TestSubquotient:
         assert same.pieces == mod.pieces
         for got, want in zip(same.action, mod.action):
             assert np.array_equal(got, want)
+
+    def test_each_degree_is_released_before_the_next(self, monkeypatch):
+        # subquotient holds one degree's joint matrix and RREF at a time:
+        # when a degree is reduced, every earlier one is already freed
+        mod = polynomial_module(self.N, self.WINDOW)
+        sub = [monomial_columns(self.N, q, self.J) for q in range(self.WINDOW + 1)]
+        rel = [monomial_columns(self.N, q, self.I) for q in range(self.WINDOW + 1)]
+        held = []
+        reduce = graded.rref
+
+        def tracked(a, p):
+            assert all(ref() is None for ref in held)
+            red, pivots = reduce(a, p)
+            held.extend([weakref.ref(a), weakref.ref(red)])
+            return red, pivots
+
+        monkeypatch.setattr(graded, "rref", tracked)
+        assert mod.subquotient(sub, rel).pieces == (0, 2, 4, 4, 3)
+        assert len(held) == 2 * (self.WINDOW + 1)
 
     def test_complement_takes_the_last_columns(self):
         # M_0 -> M_1 of dims 2 -> 3 with x m_0 = e_0 + e_2 and x m_1 = e_1 + e_2.

@@ -290,11 +290,11 @@ class TestBettiTable:
         e = np.zeros((4, 3), dtype=np.int64)
         e[0, 0] = 1
         t = BettiTable(4, e)
-        obj = json.loads(t.to_json())
+        obj = json.loads(json.dumps(t.to_json_obj()))
         assert obj["p_a"] == 4
         assert obj["rows"][0][0] == 1
         assert obj["totals"] == [1, 0, 0]
         assert obj["q3_mode"] == "full" and obj["method"] == "direct"
-        assert json.loads(BettiTable(4, e, method="artinian").to_json())["method"] == "artinian"
+        assert json.loads(json.dumps(BettiTable(4, e, method="artinian").to_json_obj()))["method"] == "artinian"
         with pytest.raises(ValueError):
             BettiTable(4, e, method="structural")

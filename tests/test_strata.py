@@ -549,7 +549,7 @@ class TestEllipticGroupAndW4:
         for _ in range(50):
             a, b, c = (pts[int(i)] for i in rng.integers(0, len(pts), 3))
             assert grp.add(a, "inf") == a
-            assert grp.add(a, grp.neg(a)) == "inf"
+            assert grp.add(a, "inf" if a == "inf" else (a[0], -a[1] % 101)) == "inf"
             assert grp.add(a, b) == grp.add(b, a)
             assert grp.add(grp.add(a, b), c) == grp.add(a, grp.add(b, c))
             assert grp.add(a, b) in pts
@@ -667,5 +667,5 @@ class TestValidation:
         e = random_class(space, np.random.default_rng(14))
         scaled = ExtensionClass(space, (7 * e.vec) % 101)
         other = random_class(space, np.random.default_rng(15))
-        assert e.proportional_to(scaled)
-        assert not e.proportional_to(other)
+        assert rank(np.vstack([e.vec, scaled.vec]), 101) == 1
+        assert rank(np.vstack([e.vec, other.vec]), 101) == 2
