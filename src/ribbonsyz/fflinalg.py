@@ -15,20 +15,24 @@ one Gauss-Jordan loop, ``_eliminate_simple``:
   only when that additive bound would reach 2**62,
 * a blocked right-looking elimination runs it only on panels of at most
   128 columns, to find each panel's pivots, and pushes the
-  Schur-complement updates through BLAS ``float64`` matmuls.  With
-  p <= 2**20 every intermediate value stays below 2**53, so the float
-  arithmetic is exact.
+  Schur-complement updates through BLAS matmuls in one float dtype picked
+  from p: ``float32`` when 2 * 128 * (p - 1)**2 < 2**24 (p <= 256, the
+  default p = 101 included), else ``float64`` up to p = 2**20.  Every
+  intermediate value then stays below the dtype's exact-integer limit,
+  2**24 or 2**53, so the float arithmetic is exact.
 
 The blocked path is what makes desk-scale Koszul computations (ranks of
 ~5000 x 3000 matrices) run in seconds instead of hours.
 
-Memory.  An elimination reduces one working copy of the caller's matrix:
-the blocked engine's float64 copy is written straight from it, and its
-Schur updates go _PANEL rows at a time, so their temporaries stay
-_PANEL rows.  ``rank``, ``pivots`` and ``image_basis`` build no int64
-result matrix, and ``rref`` builds its own in the float copy's buffer.
-``matmul_mod`` writes a product larger than _MOD_BLOCK entries into its
-int64 result a block of rows at a time.
+Memory.  An elimination reduces one working copy of the caller's matrix,
+written straight from it, and its Schur updates go _PANEL rows at a
+time, so their temporaries stay _PANEL rows.  ``rank``, ``pivots`` and
+``image_basis`` reduce a copy in the dtype picked from p (4 bytes an
+entry at p <= 256) and build no int64 result matrix; ``rref`` and
+``kernel_basis`` reduce a float64 copy and build the int64 RREF in its
+own buffer.  ``matmul_mod`` works in the same dtype and writes a product
+larger than _MOD_BLOCK entries into its int64 result a block of rows at
+a time.
 """
 
 from __future__ import annotations
@@ -50,10 +54,15 @@ __all__ = [
     "matmul_mod",
 ]
 
-# Panel width for the blocked engine.  128 * (2**20)**2 < 2**53, so float64
-# accumulation inside one panel never rounds.
+# Panel width for the blocked engine.  One panel's update adds at most
+# _PANEL * (p - 1)**2 to an entry; the working dtype is one whose
+# exact-integer limit exceeds twice that (``_work_dtype``), so an update
+# always fits after a drift reset: float32 for p <= 256, since
+# 2 * 128 * 255**2 < 2**24, and float64 up to p = 2**20.
 _PANEL = 128
+# Every integer up to these in magnitude is exact in float64 and float32.
 _EXACT_FLOAT_MAX = float(1 << 53)
+_EXACT_FLOAT32_MAX = float(1 << 24)
 # Below this size the simple engine wins (no dgemm setup cost).
 _BLOCK_MIN = 200
 _FAST_P_MAX = 1 << 20
@@ -147,16 +156,22 @@ def _rank1_update(a, piv, col: int, lo: int, hi: int, hit, p: int, bound: int) -
     The multipliers a[r, col] and the pivot row ``piv`` are residues, and
     ``bound`` bounds |entry| on rows lo..hi-1; returns the bound after the
     update.  Those rows are reduced first when the update could take it to
-    _INT_DRIFT_MAX.
+    _INT_DRIFT_MAX.  The rows not hit are exactly zero in column ``col``;
+    when they are under half the range, the whole range is updated through
+    a view, with no gathered copy of the rows hit.
     """
     step = (p - 1) ** 2
     if bound + step >= _INT_DRIFT_MAX:
         drifted = a[lo:hi, col + 1 :]
         np.remainder(drifted, p, out=drifted)
         bound = p - 1
-    rest = a[hit, col:]
-    rest -= rest[:, :1] * piv
-    a[hit, col:] = rest
+    if 2 * hit.size >= hi - lo:
+        rest = a[lo:hi, col:]
+        rest -= rest[:, :1] * piv
+    else:
+        rest = a[hit, col:]
+        rest -= rest[:, :1] * piv
+        a[hit, col:] = rest
     return bound + step
 
 
@@ -221,28 +236,50 @@ def _eliminate_simple(
     return pivots
 
 
+def _work_dtype(p: int) -> type:
+    """The working dtype of ``matmul_mod`` and the blocked engine for p, from p alone.
+
+    float32 when 2 * _PANEL * (p - 1)**2 < 2**24 (p <= 256), float64 up to
+    _FAST_P_MAX, int64 above.
+    """
+    if p > _FAST_P_MAX:
+        return np.int64
+    return np.float32 if 2 * _PANEL * (p - 1) ** 2 < _EXACT_FLOAT32_MAX else np.float64
+
+
+def _exact_max(dtype) -> float:
+    """The float dtype's exact-integer limit: 2**24 for float32, 2**53 for float64."""
+    return _EXACT_FLOAT32_MAX if dtype == np.float32 else _EXACT_FLOAT_MAX
+
+
 def _inv_small(b: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a small invertible float64 matrix mod p."""
+    """Inverse mod p of a small invertible float matrix of residues, in its dtype."""
     k = b.shape[0]
-    aug = np.hstack([b, np.eye(k)])
-    aug_i = aug.astype(np.int64)
-    _eliminate_simple(aug_i, p, reduced=True)
-    return aug_i[:, k:].astype(np.float64)
+    aug = np.hstack([b.astype(np.int64), np.eye(k, dtype=np.int64)])
+    _eliminate_simple(aug, p, reduced=True)
+    return aug[:, k:].astype(b.dtype)
 
 
 def _mod_inplace(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce an exact-integer float matrix with |x| < 2**53 - p into [0, p).
+    """Reduce an exact-integer float matrix with |x| < 2**t - p into [0, p).
 
-    In place, and returns x.  The float quotient floor(x/p) is off by at
-    most one either way, so one masked add and one masked subtract make
-    the remainder exact, negative intermediates included.  4-9x faster
-    than np.mod's fmod path on the engine's matrices.  Rows go a block at
-    a time, so the quotient temporary stays under _MOD_BLOCK entries.
+    2**t is the dtype's exact-integer limit: t = 24 for float32, 53 for
+    float64.  In place, and returns x.  The quotient q = x * (1/p) is taken
+    in x's dtype, two roundings of relative error at most u = 2**-t each,
+    so |q - x/p| <= |x| (2u + u**2) / p < 2/p for |x| <= 2**t - p - 1.
+    Hence floor(q) is floor(x/p) or off by one: one low only when
+    x mod p is 0 or 1, one high only when it is p - 1.  Either way
+    floor(q) * p lies in [-2**t, 2**t - p], which the dtype holds exactly,
+    and one masked add and one masked subtract make the remainder exact,
+    negative intermediates included.  4-9x faster than np.mod's fmod path
+    on the engine's matrices.  Rows go a block at a time, so the quotient
+    temporary stays under _MOD_BLOCK entries.
     """
+    inv = x.dtype.type(1.0 / p)
     step = max(1, _MOD_BLOCK // max(1, x.shape[1]))
     for r in range(0, x.shape[0], step):
         v = x[r : r + step]
-        q = v * (1.0 / p)
+        q = v * inv
         np.floor(q, out=q)
         q *= p
         v -= q
@@ -264,17 +301,21 @@ def _subtract_product(x: np.ndarray, f: np.ndarray, b: np.ndarray) -> None:
 
 
 def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
-    """In-place blocked elimination of a float64 matrix, entries in [0, p).
+    """In-place blocked elimination of a float32 or float64 matrix, entries in [0, p).
+
+    2 * _PANEL * (p - 1)**2 must lie below the dtype's exact-integer limit
+    2**t (2**24 or 2**53; ``_work_dtype`` picks such a dtype).
 
     Forward pass, per panel of columns: find the pivots with
     ``_eliminate_simple`` on an int64 copy of the panel's rows below r0,
     apply its row swaps so the pivot rows come first, left-multiply the
     pivot block by B^{-1} so it carries exact unit pivots, and push one
-    Schur-complement update A_rest -= F @ A_piv through dgemm, _PANEL rows
+    Schur-complement update A_rest -= F @ A_piv through BLAS, _PANEL rows
     of A_rest at a time.  Backward pass (reduced only) clears above the
     pivot blocks the same way and leaves every entry in [0, p).  All
     intermediates stay integral: inner dimensions never exceed _PANEL, so
-    values stay below 2**53 - p, where ``_mod_inplace`` is exact.  After
+    a product adds at most _PANEL * (p - 1)**2, and the drift reset keeps
+    values below 2**t - p, where ``_mod_inplace`` is exact.  After
     the forward pass alone, entries may be unreduced and the rows below the
     rank multiples of p.  Returns the pivot column list.
     """
@@ -285,14 +326,16 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     # Trailing entries are allowed to drift above p: the multipliers are
     # re-reduced from thin column slices each panel, so the drift grows only
     # additively by panel * p**2 per update.  Reduce the whole block only
-    # when the accumulated bound would reach 2**53 - p.
+    # when the accumulated bound would reach 2**t - p.
     step = _PANEL * (p - 1) ** 2
+    limit = _exact_max(a.dtype) - p
     bound = p
     while r0 < n and c0 < m:
         c1 = min(c0 + _PANEL, m)
         order = np.arange(r0, n)
         panel = a[r0:, c0:c1].astype(np.int64)
         pcols_rel = _eliminate_simple(np.remainder(panel, p, out=panel), p, False, order)
+        del panel  # before the next panel's copy
         k = len(pcols_rel)
         if k == 0:
             c0 = c1
@@ -306,7 +349,7 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
         piv_block[:, c0:] = _mod_inplace(binv @ piv_block[:, c0:], p)
         below = a[r0 + k :]
         if below.shape[0]:
-            if bound + step >= _EXACT_FLOAT_MAX - p:
+            if bound + step >= limit:
                 _mod_inplace(below[:, c0:], p)
                 bound = p
             f = _mod_inplace(below[:, pcols], p)  # pivot block is identity there
@@ -329,7 +372,7 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
             tinv = _inv_small(tri, p)
             a[lo:hi] = _mod_inplace(tinv @ a[lo:hi], p)
             if lo > 0:
-                if bound + step >= _EXACT_FLOAT_MAX - p:
+                if bound + step >= limit:
                     _mod_inplace(a[:lo], p)
                     bound = p
                 f = _mod_inplace(a[:lo, pcols], p)
@@ -343,15 +386,20 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
 def _eliminate(a, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
     """Reduce ``a`` into the engine's one working copy.  Returns (working copy, pivots).
 
-    The blocked engine's copy is float64, written from ``a`` by one
-    ``np.remainder`` with no int64 copy between; the simple engine's is the
-    int64 copy ``np.mod`` makes.  With ``reduced``, the copy ends as the
-    int64 RREF, every entry in [0, p): the float copy is turned into it in
-    its own buffer.  Without, only the pivots are meaningful.
+    The blocked engine's copy is written from ``a`` by one ``np.remainder``
+    with no int64 copy between.  A forward elimination's copy has the
+    dtype ``_work_dtype`` picks from p: float32, exact below 2**24, for
+    p <= 256, else float64, exact below 2**53.  With ``reduced`` the copy
+    is float64 at every p and ends as the int64 RREF, every entry in
+    [0, p): the float copy is turned into it in its own buffer, which
+    takes int64's 8 bytes an entry.  Without, only the pivots are
+    meaningful.  The simple engine's copy is the int64 copy ``np.mod``
+    makes.
     """
     m = _as_matrix(a)
-    if p <= _FAST_P_MAX and min(m.shape) >= _BLOCK_MIN:
-        w = np.remainder(m, p, out=np.empty(m.shape))
+    work = _work_dtype(p)
+    if work is not np.int64 and min(m.shape) >= _BLOCK_MIN:
+        w = np.remainder(m, p, out=np.empty(m.shape, np.float64 if reduced else work))
         pivots = _eliminate_blocked(w, p, reduced)
         return (_int64_in_place(w) if reduced else w), pivots
     w = np.mod(m, p)
@@ -430,23 +478,27 @@ def image_basis(a, p: int) -> np.ndarray:
 def matmul_mod(a, b, p: int) -> np.ndarray:
     """Exact matrix product mod p, written into its int64 result a block of rows at a time.
 
-    A block is about _MOD_BLOCK result entries (at least one row).  For
-    p <= 2**20 it is a float64 BLAS product whose inner dimension is chunked
-    so that the integer accumulations stay below 2**53; for larger p, a sum
-    of int64 outer products reduced one at a time (p**2 < 2**62).  Beside
-    operands and result it holds one working copy of ``b``, one of a block
-    of rows of ``a``, and the block's accumulator.
+    A block is about _MOD_BLOCK result entries (at least one row).  The
+    working dtype is ``_work_dtype(p)``.  For p <= 2**20 it is a BLAS
+    product in float32 (p <= 256) or float64 whose inner dimension is
+    chunked so that the integer accumulations stay below the dtype's
+    exact-integer limit 2**t, 2**24 or 2**53; for larger p, a sum of int64
+    outer products reduced one at a time (p**2 < 2**62).  Beside operands
+    and result it holds one working copy of ``b``, one of a block of rows
+    of ``a``, and the block's accumulator.
     """
     x, y = _as_matrix(a), _as_matrix(b)
     if x.shape[1] != y.shape[0]:
         raise DimensionMismatch(f"cannot multiply {x.shape} by {y.shape}")
-    if p <= _FAST_P_MAX:
-        # chunk * p**2 <= 2**53 with chunk >= 8192, so a reduced acc plus
-        # one chunk's products, < p + chunk * (p - 1)**2, stays below
-        # 2**53 - p: every float sum is exact and _mod_inplace applies
-        work, chunk, reduce = np.float64, (1 << 53) // (p * p), _mod_inplace
+    work = _work_dtype(p)
+    if work is np.int64:
+        chunk, reduce = 1, lambda v, q: np.remainder(v, q, out=v)
     else:
-        work, chunk, reduce = np.int64, 1, lambda v, q: np.remainder(v, q, out=v)
+        # chunk = 2**t // p**2 (266 at p = 251, 8192 at p = 1048573): a
+        # reduced acc plus one chunk's products, < p + chunk * (p - 1)**2,
+        # stays below 2**t - p, as 2 p**3 < 2**t (2p - 1).  So every float
+        # sum is exact and _mod_inplace applies
+        chunk, reduce = int(_exact_max(work)) // (p * p), _mod_inplace
     if x.shape[0] * y.shape[1] <= _MOD_BLOCK:  # one block: small copies beat a cast on the fly
         xw, yw = np.mod(x, p).astype(work), np.mod(y, p).astype(work)
         return _product_rows(xw, yw, p, chunk, reduce).astype(np.int64)

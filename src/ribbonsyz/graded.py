@@ -147,11 +147,14 @@ class GradedModule:
     def subquotient(self, sub, rel) -> GradedModule:
         """The subquotient with pieces span(sub[q]) / span(rel[q]) and the induced action.
 
-        ``sub[q]`` and ``rel[q]`` are basis columns of subspaces
-        rel_q <= sub_q of w copies of M_q, stacked with the copy index slow
-        (row c * dim M_q + m is coordinate m of copy c, koszul's layout of
-        wedge^p V (x) M_q); V acts on the M factor of every copy.  w is read
-        off the row counts, the same in every degree, and w = 1 is M itself.
+        ``sub`` and ``rel`` give, one entry per degree, basis columns of
+        subspaces rel_q <= sub_q of w copies of M_q, stacked with the copy
+        index slow (row c * dim M_q + m is coordinate m of copy c, koszul's
+        layout of wedge^p V (x) M_q); V acts on the M factor of every copy.
+        Each entry is read once, in order, so either may be an iterator that
+        hands the degrees over one at a time.  w is read off the rows of the
+        first degree of nonzero dimension, the same in every degree, and
+        w = 1 is M itself.
         Piece q is spanned by a complement C_q of rel_q in sub_q: the last
         columns of sub_q that are independent of rel_q and of the sub_q
         columns after them.  One RREF per degree, of
@@ -172,23 +175,29 @@ class GradedModule:
         rel_q are read back from it.
         """
         p, n = self.field.p, self.n
-        if len(sub) != len(self.pieces) or len(rel) != len(self.pieces):
-            raise InconsistentDims(f"need sub and rel bases for each of {len(self.pieces)} degrees")
-        w = sum(np.shape(s)[0] for s in sub if np.ndim(s) == 2) // max(sum(self.pieces), 1)  # copies of M
+        count = f"need sub and rel bases for each of {len(self.pieces)} degrees"
+        sub, rel = iter(sub), iter(rel)
+        w = None  # copies of M
         comps, action = [], []
         prev = np.zeros((0, 0), dtype=np.int64)  # [C_{q-1} | rel_{q-1}]
         for q, dim in enumerate(self.pieces):
-            s, r = np.asarray(sub[q], dtype=np.int64), np.asarray(rel[q], dtype=np.int64)
-            if s.ndim != 2 or r.ndim != 2 or s.shape[0] != w * dim or r.shape[0] != w * dim:
-                raise InconsistentDims(f"sub_{q} and rel_{q} need {w} x {dim} rows")
+            s, r = next(sub, None), next(rel, None)
+            if s is None or r is None:
+                raise InconsistentDims(count)
+            s, r = np.asarray(s, dtype=np.int64), np.asarray(r, dtype=np.int64)
+            if w is None and dim and s.ndim == 2:
+                w = s.shape[0] // dim
+            rows = w * dim if w else 0
+            if s.ndim != 2 or r.ndim != 2 or s.shape[0] != rows or r.shape[0] != rows:
+                raise InconsistentDims(f"sub_{q} and rel_{q} need {rows} rows, {dim} a copy")
             ns, nr, m = s.shape[1], r.shape[1], prev.shape[1]
-            images = np.zeros((w * dim, 0), dtype=np.int64)
-            if q:  # x_k applied to the columns of prev, as columns ordered (k, j)
+            images = np.zeros((rows, 0), dtype=np.int64)
+            if m:  # x_k applied to the columns of prev, as columns ordered (k, j); w is known
                 below = self.pieces[q - 1]
                 flat = prev.reshape(w, below, m).transpose(1, 0, 2).reshape(below, w * m)
                 images = matmul_mod(self.action[q - 1].reshape(n * dim, below), flat, p)
                 del flat
-                images = images.reshape(n, dim, w, m).transpose(2, 1, 0, 3).reshape(w * dim, n * m)
+                images = images.reshape(n, dim, w, m).transpose(2, 1, 0, 3).reshape(rows, n * m)
             joint = np.hstack([r, s[:, ::-1], images])
             del images, s, r  # copied into joint: free them before the elimination, the peak of M^p
             joint %= p
@@ -208,8 +217,10 @@ class GradedModule:
             comps.append(joint[:, [nr + t for t in reversed(picked)]])
             prev = np.hstack([comps[-1], joint[:, :nr]])
             del joint, red, coords  # this degree's matrices go before the next is built
+        if next(sub, None) is not None or next(rel, None) is not None:
+            raise InconsistentDims(count)
         pieces = tuple(cm.shape[1] for cm in comps)
-        kept = _column_weights(comps, [np.tile(wt, w) for wt in self.weights])
+        kept = _column_weights(comps, [np.tile(wt, w or 0) for wt in self.weights])
         if kept is None:  # a kept column is not homogeneous
             return GradedModule(self.field, n, pieces, tuple(action))
         return GradedModule(self.field, n, pieces, tuple(action), self.v_weights, kept)

@@ -134,12 +134,15 @@ def build_syzygy_module(model, conormal_multiple: int, p: int) -> SyzygyModule:
     coefficients = GradedModule(model.field, g, tuple(s.dim for s in sections), action)
     sub = [grp.cocycles for grp in groups]
     rel = [grp.coboundaries for grp in groups]
+    del groups  # sub and rel hold the only references
     for q in range(3):  # [rel_q | sub_q | x_k of the sub_{q-1} columns]
         products = g * sub[q - 1].shape[1] if q else 0
         shape = (len(sub[q]), rel[q].shape[1] + sub[q].shape[1] + products)
         check_budget(f"M^{p} subquotient in degree {q}", shape)
     try:
-        module = coefficients.subquotient(sub, rel)
+        # one degree at a time: each leaves the lists as subquotient takes it,
+        # so it is freed once copied into that degree's RREF input
+        module = coefficients.subquotient((sub.pop(0) for _ in range(3)), (rel.pop(0) for _ in range(3)))
     except NotASubmodule as exc:
         raise IllDefined(f"the H^0(K_C) action does not descend to cohomology: {exc}") from exc
     module.check_commutativity()

@@ -106,13 +106,14 @@ class CellTooLarge(Exception):
 
 # Memory budget for ranking one block of a Koszul cell.  Ranking an r x c
 # block holds the int64 block, the elimination's one working copy (the
-# blocked engine's float64 copy, written straight from the block) and
-# temporaries of at most ``fflinalg._PANEL`` rows: about 16 r c bytes.
+# blocked engine's float32 copy at p <= 256, float64 above, written
+# straight from the block) and temporaries of at most ``fflinalg._PANEL``
+# rows: about 12 r c bytes at p <= 256 and 16 r c bytes above.
 # The budget still prices 32 bytes an entry, the four copies a block held
 # before the engine kept one, on purpose: it refuses what it refused
 # before, and re-pricing it is a change of its own.  The largest block of
 # the genus-3 gate case (p_a = 14), 4158 x 4536, is priced at 0.6 GB of
-# the 1 GiB budget and holds about 0.3 GB.
+# the 1 GiB budget and holds about 0.23 GB.
 _CELL_BYTES_MAX = 1 << 30
 _CELL_BYTES_PER_ENTRY = 32
 

@@ -177,18 +177,126 @@ class TestDriftReset:
         # negative intermediates, exact multiples and their neighbours, where
         # floor(x/p) misrounds (to -1 at p = 13, to p at p = 65521), and
         # values near 2**53 - p, in a matrix of several row blocks
-        from ribbonsyz.fflinalg import _MOD_BLOCK, _mod_inplace
+        assert_mod_inplace_exact(p, np.float64)
 
-        g = rng(5)
-        top = (1 << 53) - p
-        near = g.integers(-top // p, top // p, 2 * _MOD_BLOCK) * p
-        ints = np.concatenate(
-            [g.integers(-top, top, 2 * _MOD_BLOCK), near, near - 1, near + 1, [p, -p, top - 1, 1 - top]]
-        )
-        x = ints.astype(np.float64).reshape(-1, 4)
-        assert x.shape[0] > _MOD_BLOCK // 4
-        assert _mod_inplace(x, p) is x
-        assert np.array_equal(x.ravel().astype(np.int64), ints % p)
+    @pytest.mark.parametrize("p", [2, 3, 13, 101, 251])
+    def test_mod_inplace_is_exact_in_float32(self, p):
+        # the same in float32, up to 2**24 - p; the float32 quotient
+        # misrounds for every p here but 2, whose inverse is exact
+        misrounded = assert_mod_inplace_exact(p, np.float32)
+        assert (misrounded > 0) == (p > 2)
+
+
+def assert_mod_inplace_exact(p, dtype) -> int:
+    """Check ``_mod_inplace`` below the dtype's limit 2**t - p; returns how
+    many raw quotients floor(x * (1/p)) were off, which it corrected."""
+    from ribbonsyz.fflinalg import _MOD_BLOCK, _exact_max, _mod_inplace
+
+    g = rng(5)
+    top = int(_exact_max(dtype)) - p  # |x| < top
+    k = (top - 2) // p  # the largest multiple k p whose neighbours stay below top
+    near = g.integers(-k, k + 1, 2 * _MOD_BLOCK) * p
+    ends = [p, -p, top - 1, 1 - top, k * p - 1, k * p + 1, 1 - k * p, -1 - k * p]
+    ints = np.concatenate([g.integers(1 - top, top, 2 * _MOD_BLOCK), near, near - 1, near + 1, ends])
+    x = ints.astype(dtype).reshape(-1, 4)
+    assert x.dtype == dtype and np.array_equal(x.ravel().astype(np.int64), ints)
+    assert x.shape[0] > _MOD_BLOCK // 4
+    raw = np.floor(x * dtype(1.0 / p)).ravel().astype(np.int64)
+    assert _mod_inplace(x, p) is x and x.dtype == dtype
+    assert np.array_equal(x.ravel().astype(np.int64), ints % p)
+    return int(np.count_nonzero(raw != ints // p))
+
+
+class TestFloat32Boundary:
+    """p = 251 is the largest prime whose working dtype is float32, p = 257
+    the smallest past it.  Both are differentially checked against the
+    simple engine on the blocked path."""
+
+    @pytest.mark.parametrize("p, dtype", [(2, np.float32), (101, np.float32), (251, np.float32),
+                                          (257, np.float64), (1048573, np.float64), (1048583, np.int64)])
+    def test_dtype_is_picked_from_p(self, p, dtype):
+        from ribbonsyz.fflinalg import _work_dtype
+
+        assert _work_dtype(p) is dtype
+
+    @pytest.mark.parametrize("p", [251, 257])
+    @pytest.mark.parametrize("case", ["near-top", "rank-deficient"])
+    def test_blocked_path_matches_simple(self, p, case, monkeypatch):
+        from ribbonsyz import fflinalg
+
+        g = rng(p)
+        if case == "near-top":  # entries near p - 1: the largest products and sums
+            a = g.integers(p - 3, p, (420, 260))
+            a[:, 100] = a[:, 3]
+        else:  # rank 150 over three panels, with zero and repeated columns
+            a = matmul_mod(g.integers(0, p, (300, 150)), g.integers(0, p, (150, 420)), p)
+            a[:, 200:210] = 0
+            a[:, 300] = a[:, 7]
+        s = a.copy()
+        piv = fflinalg._eliminate_simple(s, p, reduced=True)
+        dtypes = []
+        blocked = fflinalg._eliminate_blocked
+
+        def recording(w, q, reduced):
+            dtypes.append((reduced, w.dtype))
+            return blocked(w, q, reduced)
+
+        monkeypatch.setattr(fflinalg, "_eliminate_blocked", recording)
+        assert pivots(a, p) == piv and rank(a, p) == len(piv)
+        r, rpiv = rref(a, p)
+        assert rpiv == piv and r.dtype == np.int64 and np.array_equal(r, s)
+        k = kernel_basis(a, p)
+        assert np.array_equal(k, loop_kernel_basis(s, piv, p)) and not np.any(matmul_mod(a, k, p))
+        forward = np.float32 if p < 256 else np.float64
+        assert dtypes == [(False, forward)] * 2 + [(True, np.float64)] * 2
+
+    @pytest.mark.parametrize("p", [251, 257])
+    def test_matmul_mod_over_several_chunks(self, p):
+        # at p = 251 one float32 chunk holds 2**24 // p**2 = 266 products; an
+        # inner dimension of 1000 spans four chunks, and a product of more
+        # than _MOD_BLOCK entries is written in row blocks
+        if p == 251:
+            assert (1 << 24) // (p * p) == 266
+        g = rng(p)
+        x = g.integers(p - 2, p, (5, 1000))  # near p - 1: the largest sums
+        y = g.integers(p - 2, p, (1000, 7))
+        x[2] = g.integers(0, p, 1000)
+        assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
+        x, y = g.integers(-p, 2 * p, (300, 700)), g.integers(0, p, (700, 60))
+        assert x.shape[0] * y.shape[1] > _MOD_BLOCK
+        assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
+
+    def test_drift_reset_at_the_float32_limit(self, monkeypatch):
+        # at p = 251 one update adds up to step = 128 * 250**2 = 8 000 000,
+        # so two fit below 2**24 - p and a third resets the trailing block
+        # first.  A float64 copy never resets, so the surplus _mod_inplace
+        # calls of the float32 run count its resets: (updates - 1) // 2 per
+        # pass, where a dense 900 x 1100 matrix has seven updates in each
+        from ribbonsyz import fflinalg
+
+        p = 251
+        step = fflinalg._PANEL * (p - 1) ** 2
+        assert p + 2 * step < (1 << 24) - p <= p + 3 * step
+        a = rng(53).integers(0, p, (900, 1100))
+        s = a.copy()
+        piv = fflinalg._eliminate_simple(s, p, reduced=True)
+        assert piv == list(range(900))
+        calls = []
+        exact = fflinalg._mod_inplace
+        monkeypatch.setattr(fflinalg, "_mod_inplace", lambda x, q: calls.append(x.shape) or exact(x, q))
+
+        def run(dtype, reduced):
+            calls.clear()
+            w = a.astype(dtype)
+            assert fflinalg._eliminate_blocked(w, p, reduced) == piv
+            return w, len(calls)
+
+        resets = []
+        for reduced in (False, True):
+            w, single = run(np.float32, reduced)
+            resets.append(single - run(np.float64, reduced)[1])
+        assert resets == [3, 6]  # forward; forward and backward
+        assert w.dtype == np.float32 and np.array_equal(w.astype(np.int64), s)
 
 
 MODULI = [2, 13, 101, 65521, 1048573, 2**31 - 1]
@@ -487,6 +595,14 @@ class TestWorkingCopies:
         k = kernel_basis(a, P)
         assert k.shape == (1400, 1100) and not np.any(matmul_mod(a, k, P))
         assert np.array_equal(image_basis(a, P), a[:, piv])
+
+    def test_rank_holds_a_float32_copy(self):
+        # at p = 101 the working copy takes 4 bytes an entry, half the int64 input
+        a = rng(47).integers(0, P, (1200, 1600))
+        a[:, 900:] = matmul_mod(a[:, :60], rng(48).integers(0, P, (60, 700)), P)
+        r = []
+        assert traced_peak(lambda: r.append(rank(a, P))) <= 0.75 * a.nbytes
+        assert r == [900]
 
     def test_matmul_mod_writes_its_result_by_row_blocks(self):
         g = rng(49)

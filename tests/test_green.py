@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -102,6 +103,31 @@ class TestSyzygyModule:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HypothesisUnmetWarning)
             assert module_koszul_vanishing(syz, hyp2.g + 1) == 0
+
+    def test_each_degree_is_released_once_copied(self, hyp2, monkeypatch):
+        # the subquotient copies degree 0's cocycle basis into its first
+        # RREF input; no other reference may keep it past that elimination
+        degree0 = []
+        real_group, real_rref = greenchk.koszul_cohomology, graded.rref
+
+        def recording(module, p, q):
+            group = real_group(module, p, q)
+            if not degree0:
+                degree0.append(weakref.ref(group.cocycles))
+            return group
+
+        reduced = []
+
+        def tracked(a, p):
+            if reduced:  # every RREF after degree 0's
+                assert degree0[0]() is None
+            reduced.append(a.shape)
+            return real_rref(a, p)
+
+        monkeypatch.setattr(greenchk, "koszul_cohomology", recording)
+        monkeypatch.setattr(graded, "rref", tracked)
+        assert build_syzygy_module(hyp2, 5, 1).module.pieces == (8, 3, 4)
+        assert len(reduced) == 3
 
 
 class TestAgainstAmbient:
