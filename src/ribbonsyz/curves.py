@@ -19,6 +19,7 @@ derived from them are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "TargetOverflow",
     "PointNotOnCurve",
     "PointScanTooLarge",
+    "CertificateTooLarge",
     "PlaneCurve",
     "HyperellipticCurve",
     "SectionSpace",
@@ -51,10 +53,18 @@ _HYP_TAG_MAX = 1024
 # Candidates rational_points may scan: the p^2 + p + 1 normalized triples
 # of a plane model, the p x-coordinates of a hyperelliptic one.  Measured
 # at 0.5-1.0 us a plane triple (quartics and quintics, p = 1009 and 2003)
-# and about 4.5 us a hyperelliptic x (p = 10^5 and 10^6), so a scan at the
-# budget takes about 1-2 s on a plane model and about 10 s on a
-# hyperelliptic one.
+# and 0.3-0.7 us a hyperelliptic x (genus 2 to 30, p = 10^5 to 2^21, one
+# vectorised pass; 2 vCPUs), so a scan at the budget takes about 1-2 s on
+# either model.
 _POINT_SCAN_MAX = 1 << 21
+# Entries of the dense Macaulay matrix that the plane smoothness
+# certificate may rank: the same 1 GiB that koszul's _CELL_BYTES_MAX grants
+# one Koszul block, at its 32 bytes an entry.  With three nonzero partials
+# the matrix is C(2d-3, 2) + 3 C(2d-2, 2) by C(3d-3, 2), so every degree up
+# to 32 fits (d = 30: 6555 x 3741, ranked in about 4 s at 370 MB), and
+# d = 40 (11935 x 6786, 618 MiB as int64 alone) is refused before the
+# matrix is allocated.
+_MACAULAY_ENTRIES_MAX = 1 << 25
 # Draws a random model may take before it gives up.
 _RANDOM_TRIES = 200
 
@@ -81,6 +91,10 @@ class PointNotOnCurve(CurveError):
 
 class PointScanTooLarge(CurveError):
     """Enumerating the rational points would scan more candidates than the budget."""
+
+
+class CertificateTooLarge(CurveError):
+    """The smoothness certificate's Macaulay matrix would exceed _MACAULAY_ENTRIES_MAX entries."""
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +166,9 @@ class PlaneCurve:
     D = 3(d-1) - 2 (the Macaulay bound for three variables), which is
     equivalent to the singular locus being empty over the algebraic
     closure.  One Macaulay matrix, at D, decides: I_D' = S_D' for some
-    D' <= D puts S_{D-D'} I_D' = S_D inside I_D.
+    D' <= D puts S_{D-D'} I_D' = S_D inside I_D.  A matrix of more than
+    _MACAULAY_ENTRIES_MAX entries raises CertificateTooLarge before it is
+    built.
     """
 
     family = "plane"
@@ -200,11 +216,18 @@ class PlaneCurve:
             partials.append({m: c for m, c in g.items() if c})
         big = 3 * (self.d - 1) - 2
         gens = list(filter(None, partials))
-        shifts = [np.array(_monomials(big - sum(next(iter(g)))), dtype=np.int64) for g in gens]
+        degrees = [sum(next(iter(g))) for g in gens]
+        shape = (sum(math.comb(big - e + 2, 2) for e in degrees), math.comb(big + 2, 2))
+        if shape[0] * shape[1] > _MACAULAY_ENTRIES_MAX:
+            raise CertificateTooLarge(
+                f"smoothness certificate of a degree-{self.d} curve: a {shape[0]} x {shape[1]} Macaulay matrix, "
+                f"more than the budget of {_MACAULAY_ENTRIES_MAX} entries"
+            )
+        shifts = [np.array(_monomials(big - e), dtype=np.int64) for e in degrees]
         # one row per generator and shift: the shifted terms, scattered at
         # once; (a, b, c) sits at (big - a)(big - a + 1)/2 + big - a - b of
         # _monomials(big), whose order is descending lex
-        macaulay = np.zeros((sum(map(len, shifts)), (big + 1) * (big + 2) // 2), dtype=np.int64)
+        macaulay = np.zeros(shape, dtype=np.int64)
         start = 0
         for g, shift in zip(gens, shifts):
             terms = shift[:, None, :] + np.array(list(g), dtype=np.int64)[None]
@@ -247,16 +270,13 @@ class PlaneCurve:
         return t
 
     def _on_curve_rows(self, xyz: np.ndarray) -> np.ndarray:
-        """on_curve for each row of an (N, 3) array with entries in [0, p)."""
+        """Whether each row of an (N, 3) array with entries in [0, p) is a point of the curve."""
         p = self.field.p
         vals = _monomial_values(xyz, list(self.coeffs), p)
         total = np.zeros(xyz.shape[0], dtype=np.int64)
         for col, c in enumerate(self.coeffs.values()):
             total = (total + vals[:, col] * c) % p
         return xyz.any(axis=1) & (total == 0)
-
-    def on_curve(self, point) -> bool:
-        return bool(self._on_curve_rows(np.array([point], dtype=np.int64) % self.field.p)[0])
 
     def __repr__(self) -> str:
         return f"PlaneCurve(d={self.d}, g={self.genus}, p={self.field.p})"
@@ -385,19 +405,17 @@ class HyperellipticCurve:
                     t[i, j, index[(deg, ya or yb)]] = 1
         return t
 
-    def _on_curve_rows(self, xy: np.ndarray) -> np.ndarray:
-        """on_curve for each row of an (N, 2) array of affine points in [0, p)."""
+    def _h_values(self, x: np.ndarray) -> np.ndarray:
+        """h(x) mod p for each entry of x in [0, p), by one vectorised Horner loop."""
         p = self.field.p
-        x, y = xy[:, 0], xy[:, 1]
-        rhs = np.zeros(xy.shape[0], dtype=np.int64)
+        out = np.zeros(x.shape[0], dtype=np.int64)
         for c in reversed(self.h):
-            rhs = (rhs * x + c) % p
-        return y * y % p == rhs
+            out = (out * x + c) % p
+        return out
 
-    def on_curve(self, point) -> bool:
-        if point == "inf":
-            return True
-        return bool(self._on_curve_rows(np.array([point], dtype=np.int64) % self.field.p)[0])
+    def _on_curve_rows(self, xy: np.ndarray) -> np.ndarray:
+        """Whether each row of an (N, 2) array of affine points in [0, p) is a point of the curve."""
+        return xy[:, 1] * xy[:, 1] % self.field.p == self._h_values(xy[:, 0])
 
     def __repr__(self) -> str:
         return f"HyperellipticCurve(g={self.g}, p={self.field.p})"
@@ -497,13 +515,14 @@ def rational_points(model) -> list:
             pts += [tuple(map(int, row)) for row in line[model._on_curve_rows(line)]]
     else:
         pts.append("inf")
-        squares: dict[int, list[int]] = {}
-        for y in range(p):
-            squares.setdefault((y * y) % p, []).append(y)
-        for x in range(p):
-            rhs = sum(c * pow(x, k, p) for k, c in enumerate(model.h)) % p
-            for y in squares.get(rhs, ()):
-                pts.append((x, y))
+        # root[s] is the square root r <= (p - 1) / 2 of s, -1 off the squares;
+        # the other root of a nonzero s is p - r > r
+        ys = np.arange((p + 1) // 2, dtype=np.int64)
+        root = np.full(p, -1, dtype=np.int64)
+        root[ys * ys % p] = ys
+        r = root[model._h_values(np.arange(p, dtype=np.int64))]
+        for x, y in zip(np.flatnonzero(r >= 0).tolist(), r[r >= 0].tolist()):
+            pts += [(x, y), (x, p - y)] if y else [(x, 0)]
     return pts
 
 

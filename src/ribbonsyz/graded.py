@@ -1,13 +1,14 @@
 """Graded algebras and graded modules as finite-dimensional pieces plus matrices.
 
-This is the abstraction boundary between geometry and homological algebra:
-``curves`` produces section spaces and multiplication tensors, everything
-downstream (Koszul differentials, Betti tables, syzygy modules) consumes
-only the data held here -- per-degree dimensions and explicit action
-matrices.  Pieces of a module may equally well be cohomology subquotients;
-nothing in this module assumes they are section spaces.  A graded algebra
-is a graded module over its degree-one piece (``GradedAlgebra``), so every
-consumer reads one layout of action tensors.
+This is the abstraction boundary between geometry and homological algebra,
+and it imports nothing from ``curves``: ``ribbon`` and ``greenchk`` turn
+section spaces and multiplication tensors into per-degree dimensions and
+explicit action matrices, and everything downstream (Koszul differentials,
+Betti tables, syzygy modules) consumes only that data.  Pieces of a module
+may equally well be cohomology subquotients; nothing in this module
+assumes they are section spaces.  A graded algebra is a graded module over
+its degree-one piece (``GradedAlgebra``), so every consumer reads one
+layout of action tensors.
 
 Weights.  Every module carries an integer weight for each basis vector of
 each piece and of V; a module built without them has the trivial grading,
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ribbonsyz.curves import SectionSpace, mult_map
 from ribbonsyz.fflinalg import _MOD_BLOCK, PrimeField, matmul_mod, pivots, rref
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "NotASubmodule",
     "GradedModule",
     "GradedAlgebra",
-    "algebra_from_sections",
 ]
 
 
@@ -321,36 +320,6 @@ class GradedAlgebra(GradedModule):
         return GradedModule(
             self.field, len(kept[1]), tuple(map(len, kept)), tuple(action), weights[1], weights
         )
-
-
-def algebra_from_sections(spaces: list[SectionSpace]) -> GradedAlgebra:
-    """Assemble a graded algebra whose degree-q piece is spaces[q], from its degree-one products.
-
-    The spaces must live on one model and have arithmetically consistent
-    tags (tag_a + tag_b = tag_{a+b}), so polynomial multiplication realises
-    the ring structure.  The unit law is verified against the model's
-    degree-0 space.
-    """
-    if not spaces:
-        raise InconsistentDims("need at least the degree-0 space")
-    model = spaces[0].model
-    field = model.field
-    if spaces[0].dim != 1:
-        raise InconsistentDims("degree-0 space must be one-dimensional")
-    tags = [s.tag for s in spaces]
-    for q, s in enumerate(spaces):
-        if s.model is not model:
-            raise InconsistentDims("all spaces must live on one model")
-        if q and tags[q] != q * tags[1] + tags[0]:
-            raise InconsistentDims("tags must grow linearly with the degree")
-    window = len(spaces) - 1
-    products = [mult_map(spaces[1], spaces[b]).action for b in range(1, window)]
-    # unit law from the actual model multiplication
-    for q in range(1, window + 1):
-        t = mult_map(spaces[0], spaces[q]).tensor
-        if not np.array_equal(t[0], np.eye(spaces[q].dim, dtype=np.int64)):
-            raise GradedError(f"degree-0 section does not act as identity on degree {q}")
-    return GradedAlgebra(field, [s.dim for s in spaces], products)
 
 
 def _column_weights(bases, weights) -> tuple[np.ndarray, ...] | None:

@@ -75,10 +75,6 @@ class SyzygyModule:
     module: GradedModule
     h1_neg_l: int
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.module.pieces
-
     @cached_property
     def koszul(self) -> KoszulCalculator:
         """One rank cache for every Koszul map of the module (Phi and K_{i,1})."""

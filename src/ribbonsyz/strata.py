@@ -28,9 +28,10 @@ index: an upper bound for the index over the algebraic closure, and equal
 to it whenever the witnessing divisor is rational and reduced.
 
 The blow-up along a divisor splits the ribbon iff the restriction of e to
-the sections vanishing on the divisor is zero; push-out and pull-back give
-the same restriction map, and both entry points are kept so that equality
-is an executable assertion rather than a convention.
+the sections vanishing on the divisor is zero, that is iff e lies in the
+span of the divisor's evaluation functionals.  ``span_membership`` decides
+that by two ranks, and the search by one forward elimination a candidate;
+no kernel of the evaluation matrix is computed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from ribbonsyz.curves import (
     evaluation_matrix,
     rational_points,
 )
-from ribbonsyz.fflinalg import kernel_basis, matmul_mod, pivots, rank
+from ribbonsyz.fflinalg import matmul_mod, pivots, rank
 from ribbonsyz.ribbon import conormal_tags
 
 __all__ = [
@@ -58,17 +59,13 @@ __all__ = [
     "ZeroSpan",
     "ExtensionClass",
     "DivisorWitness",
-    "Restriction",
     "BlowupResult",
     "ambient_space",
     "span_membership",
-    "pushout_class",
-    "pullback_class",
     "blowup_index_bruteforce",
     "gonality_bounds",
     "EllipticGroup",
     "w4_witnesses_elliptic",
-    "wd_containment_check",
     "random_class",
     "class_in_span",
     "blowup_sweep",
@@ -143,14 +140,6 @@ class DivisorWitness:
     points: tuple
     rows: np.ndarray
 
-    @property
-    def degree(self) -> int:
-        return len(self.points)
-
-    def union(self, other: "DivisorWitness") -> "DivisorWitness":
-        pts = list(self.points) + [q for q in other.points if q not in self.points]
-        return make_witness(self.space, pts)
-
 
 def make_witness(space: SectionSpace, points) -> DivisorWitness:
     pts = tuple(points)
@@ -172,47 +161,6 @@ def span_membership(e: ExtensionClass, w: DivisorWitness) -> bool:
     p = e.space.field.p
     base = rank(w.rows, p)
     return rank(np.vstack([w.rows, e.vec]), p) == base
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """A functional restricted to the sections vanishing on a divisor.
-
-    ``basis`` columns span H^0(2K_C - L - beta) inside the ambient space
-    (the canonical kernel basis of the evaluation matrix); ``coords`` are
-    the values of the functional on those basis vectors.
-    """
-
-    basis: np.ndarray
-    coords: np.ndarray
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.coords)
-
-
-def pushout_class(e: ExtensionClass, w: DivisorWitness) -> Restriction:
-    """Image of e under the blow-up along the witness divisor (push-out form).
-
-    The blow-up splits iff the restriction is zero.
-    """
-    p = e.space.field.p
-    basis = kernel_basis(w.rows, p)
-    coords = matmul_mod(e.vec.reshape(1, -1), basis, p).ravel()
-    return Restriction(basis, coords)
-
-
-def pullback_class(e: ExtensionClass, w: DivisorWitness) -> Restriction:
-    """The same restriction reached through the pull-back description.
-
-    Assembles the vanishing conditions in the opposite order; because the
-    kernel basis is read off the canonical RREF, the result must be
-    identical to ``pushout_class`` -- asserted by the property suite.
-    """
-    p = e.space.field.p
-    basis = kernel_basis(w.rows[::-1], p)
-    coords = matmul_mod(e.vec.reshape(1, -1), basis, p).ravel()
-    return Restriction(basis, coords)
 
 
 @dataclass(frozen=True)
@@ -374,24 +322,15 @@ def _walk(vec: np.ndarray, rows: np.ndarray, proj: np.ndarray, prefix: tuple, de
     return None
 
 
-def _first_witness(vec: np.ndarray, rows: np.ndarray, b: int, p: int):
-    """Lexicographically first b-subset of row indices whose span contains vec.
-
-    Assumes no set of fewer than b rows has vec in its span, which
-    ``blowup_index_bruteforce`` guarantees by searching b = 1, 2, ... in
-    turn.  A witness P + (j, k), with P its first b - 2 indices, then
-    forces rows j and k to have proportional nonzero images modulo
-    span(vec, P).  Returns None when no b-subset works.
-    """
-    vec = np.asarray(vec, dtype=np.int64) % p
-    rows = np.asarray(rows, dtype=np.int64) % p
-    return _search_degree(vec, rows, _project(rows, vec[None], p)[0], b, p)
-
-
 def _search_degree(vec: np.ndarray, rows: np.ndarray, proj: np.ndarray, b: int, p: int):
-    """``_first_witness`` for reduced vec and rows, given proj: the rows modulo span(vec).
+    """Lexicographically first b-subset of row indices whose span contains vec, or None.
 
-    Degree 1 takes the first nonzero row that the projection kills.
+    vec and rows are reduced mod p, and proj holds the rows modulo
+    span(vec).  Assumes no set of fewer than b rows has vec in its span,
+    which ``blowup_index_bruteforce`` guarantees by searching b = 1, 2, ...
+    in turn.  A witness P + (j, k), with P its first b - 2 indices, then
+    forces rows j and k to have proportional nonzero images modulo
+    span(vec, P).  Degree 1 takes the first nonzero row that the projection kills.
     Higher degrees walk the prefixes P depth first (``_walk``), bucket the
     later rows by the keys of their projections, and confirm every
     bucketed pair in lexicographic order by one forward elimination
@@ -528,16 +467,6 @@ def w4_witnesses_elliptic(model: HyperellipticCurve, conormal_multiple: int):
             raise StrataError(f"ramification witness of {q} does not span a P^3")
         witnesses.append(w)
     return witnesses, skipped
-
-
-def wd_containment_check(alpha: DivisorWitness, ram: DivisorWitness, e: ExtensionClass) -> bool:
-    """Witness-level inclusion: e in span(alpha) implies e in span(alpha + R).
-
-    Must always return True; a False signals a bug in span bookkeeping.
-    """
-    if not span_membership(e, alpha):
-        return True
-    return span_membership(e, alpha.union(ram))
 
 
 def random_class(space: SectionSpace, rng) -> ExtensionClass:

@@ -10,8 +10,14 @@ shares nothing with it beyond the problem statement.  The exceptions are
 the Artinian reduction as the package once computed it, through
 ``GradedModule.subquotient``; ``syzygy_module_by_ambient``, the syzygy
 module M^p as the package once built it, from a dense ambient action and
-``GradedModule.subquotient``; and ``smooth_every_degree``, the smoothness
-certificate ranked at every degree up to the Macaulay bound.
+``GradedModule.subquotient``; ``smooth_every_degree``, the smoothness
+certificate ranked at every degree up to the Macaulay bound; and three
+reference paths the package's commands never take, kept here because the
+tests check against them: ``algebra_from_sections`` (a ``GradedAlgebra``
+straight from section spaces), ``restriction`` (the push-out and pull-back
+restriction of a class, through ``fflinalg.kernel_basis``) and
+``first_witness`` (one degree of the secant search, through
+``strata._project`` and ``strata._search_degree``).
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from itertools import combinations, islice
 import numpy as np
 
 from ribbonsyz.curves import mult_map
-from ribbonsyz.fflinalg import DimensionMismatch, matmul_mod, rank, rref
-from ribbonsyz.graded import GradedModule, NotASubspace
+from ribbonsyz.fflinalg import DimensionMismatch, kernel_basis, matmul_mod, rank, rref
+from ribbonsyz.graded import GradedAlgebra, GradedError, GradedModule, InconsistentDims, NotASubspace
 from ribbonsyz.koszul import koszul_cohomology
 from ribbonsyz.ribbon import conormal_tags
+from ribbonsyz.strata import _project, _search_degree
 
 
 def degree_one_generates(alg) -> bool:
@@ -61,6 +68,35 @@ def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> Graded
         return GradedModule(module.field, k, module.pieces, action)
     v_weights = [min(w, default=0) for w in column_weights]
     return GradedModule(module.field, k, module.pieces, action, v_weights, module.weights)
+
+
+def algebra_from_sections(spaces) -> GradedAlgebra:
+    """Assemble a graded algebra whose degree-q piece is spaces[q], from its degree-one products.
+
+    The spaces must live on one model and have arithmetically consistent
+    tags (tag_a + tag_b = tag_{a+b}), so polynomial multiplication realises
+    the ring structure.  The unit law is verified against the model's
+    degree-0 space.
+    """
+    if not spaces:
+        raise InconsistentDims("need at least the degree-0 space")
+    model = spaces[0].model
+    if spaces[0].dim != 1:
+        raise InconsistentDims("degree-0 space must be one-dimensional")
+    tags = [s.tag for s in spaces]
+    for q, s in enumerate(spaces):
+        if s.model is not model:
+            raise InconsistentDims("all spaces must live on one model")
+        if q and tags[q] != q * tags[1] + tags[0]:
+            raise InconsistentDims("tags must grow linearly with the degree")
+    window = len(spaces) - 1
+    products = [mult_map(spaces[1], spaces[b]).action for b in range(1, window)]
+    # unit law from the actual model multiplication
+    for q in range(1, window + 1):
+        t = mult_map(spaces[0], spaces[q]).tensor
+        if not np.array_equal(t[0], np.eye(spaces[q].dim, dtype=np.int64)):
+            raise GradedError(f"degree-0 section does not act as identity on degree {q}")
+    return GradedAlgebra(model.field, [s.dim for s in spaces], products)
 
 
 def artinian_by_subquotient(alg, l1, l2):
@@ -174,6 +210,35 @@ def naive_rank(rows: list[list[int]], p: int) -> int:
         if r == n:
             break
     return r
+
+
+def restriction(e, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The class e restricted to the sections vanishing on the points with these evaluation rows.
+
+    Returns (basis, coords): the columns of ``basis`` span the sections
+    vanishing on the points, the canonical kernel basis of ``rows``, and
+    ``coords`` are e's values on them.  The blow-up along the points splits
+    the ribbon iff coords is zero.  Push-out and pull-back differ only in
+    the order of the vanishing conditions, ``rows`` or ``rows[::-1]``; the
+    kernel basis is read off the canonical RREF, so both give the same
+    result.
+    """
+    p = e.space.field.p
+    basis = kernel_basis(rows, p)
+    return basis, matmul_mod(e.vec.reshape(1, -1), basis, p).ravel()
+
+
+def first_witness(vec, rows, b: int, p: int):
+    """Lexicographically first b-subset of row indices whose span contains vec, or None.
+
+    One degree of ``strata.blowup_index_bruteforce``'s search, for any vec
+    and rows: reduce both mod p, project the rows from span(vec), and call
+    ``strata._search_degree``, which assumes no set of fewer than b rows
+    has vec in its span.
+    """
+    vec = np.asarray(vec, dtype=np.int64) % p
+    rows = np.asarray(rows, dtype=np.int64) % p
+    return _search_degree(vec, rows, _project(rows, vec[None], p)[0], b, p)
 
 
 def naive_first_witness(vec: list[int], rows: list[list[int]], b: int, p: int):

@@ -57,3 +57,32 @@ def test_every_exported_exception_is_emitted(name):
     exported = [getattr(module, n) for n in getattr(module, "__all__", ())]
     errors = [c for c in exported if isinstance(c, type) and issubclass(c, BaseException)]
     assert [c.__name__ for c in errors if not any(issubclass(e, c) for e in emitted)] == []
+
+
+
+def package_imports(stem: str) -> dict:
+    """The package modules ``ribbonsyz.<stem>`` imports, each with the names it takes from it.
+
+    A relative import counts under its dotted name, ``from ribbonsyz import x``
+    under ``ribbonsyz``: neither is a module of the allowed layers.
+    """
+    out: dict = {}
+    for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] == "ribbonsyz":
+                out.setdefault(module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update({alias.name: set() for alias in node.names if alias.name.split(".")[0] == "ribbonsyz"})
+    return out
+
+
+def test_layering():
+    # graded is the boundary between geometry and homological algebra: it
+    # reads no curve, only the linear algebra below it
+    assert set(package_imports("graded")) == {"ribbonsyz.fflinalg"}
+    # the secant search decides membership by ranks and pivots, never by a
+    # kernel: no import, call or attribute of strata names kernel_basis
+    tree = ast.parse((SRC / "strata.py").read_text())
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None) for node in ast.walk(tree)}
+    assert "kernel_basis" not in names

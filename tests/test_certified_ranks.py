@@ -168,7 +168,7 @@ class TestTamper:
     def test_syzygy_module_has_no_one_dimensional_piece(self, monkeypatch):
         # M^1 of the genus-2 curve at t = 5 has pieces (8, 3, 4): nothing to derive
         syz = build_syzygy_module(random_hyperelliptic(F101, 2, np.random.default_rng(1)), 5, 1)
-        assert syz.dims == (8, 3, 4)
+        assert syz.module.pieces == (8, 3, 4)
         calc = KoszulCalculator(syz.module)
         assert not calc.derived
         rows = range(syz.module.window)

@@ -289,6 +289,24 @@ class TestCurveAndRibbonErrors:
         assert "matrix too large: cell (p, q) = " in res.output and "more than the budget of 3200" in res.output
         assert isinstance(res.exception, SystemExit)
 
+    def test_smoothness_certificate_too_large_exit_2(self, runner, monkeypatch):
+        # d = 60: a 27495 x 15576 Macaulay matrix (3.3 GiB as int64) is refused
+        # before it is built or ranked
+        from ribbonsyz import curves
+
+        ranked = []
+        real = curves.rank
+        monkeypatch.setattr(curves, "rank", lambda a, p: ranked.append(a.shape) or real(a, p))
+        res = runner.invoke(main, ["betti", "--curve", "plane", "--d", "60", "--conormal", "-1"])
+        assert res.exit_code == 2
+        assert "a 27495 x 15576 Macaulay matrix, more than the budget of 33554432 entries" in res.output
+        assert isinstance(res.exception, SystemExit) and ranked == []
+        # d = 30 fits the budget: its 6555 x 3741 certificate is ranked once, and passes
+        res = runner.invoke(main, ["strata", "--curve", "plane", "--d", "30", "--conormal", "-1", "--task", "bounds"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["bounds"]["upper"] == 58
+        assert ranked == [(6555, 3741)]
+
     def test_syzygy_module_too_large_exit_2(self, runner, monkeypatch):
         # the largest matrix of this run is the 60 x 148 that M^1's subquotient
         # reduces in degree 2.  Every block of the Betti table fits 32 * 60 * 45 - 1
@@ -476,7 +494,7 @@ class TestStrata:
         e = random_class(space, rng)
         by_name = {str(pt): pt for pt in rational_points(model)}
         witness = make_witness(space, [by_name[name] for name in obj["witnesses"][0]])
-        assert witness.degree == 5 and span_membership(e, witness)
+        assert len(witness.points) == 5 and span_membership(e, witness)
 
     @pytest.mark.parametrize("task", [("--task", "blowup"), ("--sweep", "2")])
     def test_search_too_large_exit_2(self, runner, monkeypatch, task):

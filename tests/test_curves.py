@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ribbonsyz.curves import (
+    CertificateTooLarge,
     HyperellipticCurve,
     NotSmooth,
     PlaneCurve,
@@ -136,6 +137,36 @@ class TestSmoothnessCertificate:
         assert smoothness_verdict(field, fermat, 4) == smooth_every_degree(fermat, 4, p) == (p != 2)
         assert smoothness_verdict(field, nodal, 3) == smooth_every_degree(nodal, 3, p) is False
 
+    def test_budget_prices_the_macaulay_shape(self, monkeypatch):
+        # the Fermat quartic's matrix at D = 7: 10 + 3 * 15 rows, C(9, 2) = 36 columns
+        from ribbonsyz import curves
+
+        fermat = {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}
+        monkeypatch.setattr(curves, "_MACAULAY_ENTRIES_MAX", 55 * 36)
+        PlaneCurve(F101, fermat, 4)
+        monkeypatch.setattr(curves, "_MACAULAY_ENTRIES_MAX", 55 * 36 - 1)
+        with pytest.raises(CertificateTooLarge, match="a 55 x 36 Macaulay matrix"):
+            PlaneCurve(F101, fermat, 4)
+        # a zero partial leaves its rows out: in characteristic 2, x^4 + y^4 + z^4
+        # has none, and f alone gives C(5, 2) = 10 rows
+        monkeypatch.setattr(curves, "_MACAULAY_ENTRIES_MAX", 10 * 36 - 1)
+        with pytest.raises(CertificateTooLarge, match="a 10 x 36 Macaulay matrix"):
+            PlaneCurve(PrimeField(2), fermat, 4)
+
+    def test_random_model_does_not_retry_an_oversized_certificate(self):
+        # d = 40: 11935 x 6786 entries, refused at the first draw, before any matrix is built
+        draws = []
+        rng = np.random.default_rng(0)
+
+        class Counted:
+            def integers(self, *args):
+                draws.append(args)
+                return rng.integers(*args)
+
+        with pytest.raises(CertificateTooLarge, match="a 11935 x 6786 Macaulay matrix"):
+            random_plane_curve(F101, 40, Counted())
+        assert len(draws) == 1
+
 
 class TestSections:
     def test_quartic_canonical_dim_is_genus(self, quartic):
@@ -243,7 +274,7 @@ class TestRationalPoints:
     def test_fermat_points_satisfy_f(self, quartic):
         pts = rational_points(quartic)
         assert pts
-        assert all(quartic.on_curve(pt) for pt in pts)
+        assert quartic._on_curve_rows(np.array(pts, dtype=np.int64)).all()
 
     def test_fermat_count_vs_exhaustive_oracle(self, quartic):
         got = rational_points(quartic)
@@ -253,7 +284,7 @@ class TestRationalPoints:
     def test_hyperelliptic_infinity_first(self, hyp2):
         pts = rational_points(hyp2)
         assert pts[0] == "inf"
-        assert all(hyp2.on_curve(pt) for pt in pts)
+        assert hyp2._on_curve_rows(np.array(pts[1:], dtype=np.int64)).all()
 
     def test_hyperelliptic_count_vs_scan(self, hyp2):
         pts = rational_points(hyp2)
@@ -392,7 +423,8 @@ class TestGenusDegenerations:
     def test_split_cubic_two_torsion(self):
         e = random_split_cubic(F101, np.random.default_rng(5))
         # three affine ramification points with y = 0
-        roots = [x for x in range(101) if e.on_curve((x, 0))]
+        xs = np.arange(101, dtype=np.int64)
+        roots = np.flatnonzero(e._on_curve_rows(np.column_stack([xs, np.zeros_like(xs)])))
         assert len(roots) == 3
 
     def test_random_hyperelliptic_seeded(self):

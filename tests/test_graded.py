@@ -16,12 +16,11 @@ from ribbonsyz.graded import (
     InconsistentDims,
     NotASubmodule,
     NotASubspace,
-    algebra_from_sections,
 )
 from ribbonsyz.koszul import KoszulCalculator
 from ribbonsyz.ribbon import build_split_ribbon
 
-from oracles import degree_one_generates, module_restrict_action, oracle_koszul_dim, solve
+from oracles import algebra_from_sections, degree_one_generates, module_restrict_action, oracle_koszul_dim, solve
 
 F101 = PrimeField(101)
 

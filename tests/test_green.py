@@ -62,23 +62,23 @@ def brute_force_piece_dims(model, t, p):
 class TestSyzygyModule:
     def test_quartic_m0_dims_match_brute_force(self, quartic):
         syz = build_syzygy_module(quartic, 1, 0)
-        assert list(syz.dims) == brute_force_piece_dims(quartic, 1, 0)
+        assert list(syz.module.pieces) == brute_force_piece_dims(quartic, 1, 0)
 
     def test_quartic_m1_dims_match_brute_force(self, quartic):
         syz = build_syzygy_module(quartic, 1, 1)
-        assert list(syz.dims) == brute_force_piece_dims(quartic, 1, 1)
+        assert list(syz.module.pieces) == brute_force_piece_dims(quartic, 1, 1)
 
     def test_hyperelliptic_m_dims_match_brute_force(self, hyp2):
         for j in (0, 1):
             syz = build_syzygy_module(hyp2, 5, j)
-            assert list(syz.dims) == brute_force_piece_dims(hyp2, 5, j)
+            assert list(syz.module.pieces) == brute_force_piece_dims(hyp2, 5, j)
 
     def test_wedge_overflow_pieces_vanish(self, hyp2):
         # p beyond h^0(K-L) - 1: every graded piece is zero
         u_dim = hyp2.sections(hyp2.canonical_tag + 5).dim
         for p in (u_dim, u_dim + 1):
             syz = build_syzygy_module(hyp2, 5, p)
-            assert syz.dims == (0, 0, 0)
+            assert syz.module.pieces == (0, 0, 0)
 
     def test_action_commutes(self, quartic):
         syz = build_syzygy_module(quartic, 1, 2)
@@ -281,7 +281,7 @@ class TestPhi:
         syz = build_syzygy_module(quartic, 1, 1)
         first = koszul_differential(syz.module, 3, 0)  # wedge^3 (x) M_0 -> wedge^2 (x) M_1
         second = koszul_differential(syz.module, 2, 1)  # wedge^2 (x) M_1 -> wedge^1 (x) M_2
-        n, dims = syz.module.n, syz.dims
+        n, dims = syz.module.n, syz.module.pieces
         for (p, q), mat in (((3, 0), first), ((2, 1), second)):
             assert mat.shape == (math.comb(n, p - 1) * dims[q + 1], math.comb(n, p) * dims[q])
             assert syz.koszul.rank_d(p, q) == rank(mat, 101)

@@ -5,7 +5,7 @@ import pytest
 
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve
 from ribbonsyz.fflinalg import PrimeField, kernel_basis, matmul_mod, rank
-from ribbonsyz.graded import GradedModule, algebra_from_sections
+from ribbonsyz.graded import GradedModule
 from ribbonsyz.koszul import (
     BettiTable,
     KoszulCalculator,
@@ -20,7 +20,7 @@ from ribbonsyz.koszul import (
     rcliff,
 )
 
-from oracles import eagon_northcott_b_p1, oracle_koszul_dim
+from oracles import algebra_from_sections, eagon_northcott_b_p1, oracle_koszul_dim
 
 F101 = PrimeField(101)
 
