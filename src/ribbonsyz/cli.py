@@ -324,8 +324,11 @@ def _emit(obj: dict, schema_name: str, fmt: str, out_path, text: str | None):
     payload = text if (fmt == "text" and text is not None) else json.dumps(obj, indent=2, sort_keys=True)
     click.echo(payload)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}")
 
 
 @click.group()

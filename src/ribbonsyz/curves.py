@@ -102,6 +102,15 @@ class CertificateTooLarge(CurveError):
 # ---------------------------------------------------------------------------
 
 
+def _price_certificate(d: int, shape: tuple[int, int], at_least: str = "") -> None:
+    """Raise CertificateTooLarge when a degree-d curve's Macaulay matrix of ``shape`` is over budget."""
+    if shape[0] * shape[1] > _MACAULAY_ENTRIES_MAX:
+        raise CertificateTooLarge(
+            f"smoothness certificate of a degree-{d} curve: {at_least}a {shape[0]} x {shape[1]} Macaulay matrix, "
+            f"more than the budget of {_MACAULAY_ENTRIES_MAX} entries"
+        )
+
+
 def _monomials(q: int) -> list[tuple[int, int, int]]:
     """Degree-q monomials in descending lex order (x > y > z)."""
     if q < 0:
@@ -218,11 +227,7 @@ class PlaneCurve:
         gens = list(filter(None, partials))
         degrees = [sum(next(iter(g))) for g in gens]
         shape = (sum(math.comb(big - e + 2, 2) for e in degrees), math.comb(big + 2, 2))
-        if shape[0] * shape[1] > _MACAULAY_ENTRIES_MAX:
-            raise CertificateTooLarge(
-                f"smoothness certificate of a degree-{self.d} curve: a {shape[0]} x {shape[1]} Macaulay matrix, "
-                f"more than the budget of {_MACAULAY_ENTRIES_MAX} entries"
-            )
+        _price_certificate(self.d, shape)
         shifts = [np.array(_monomials(big - e), dtype=np.int64) for e in degrees]
         # one row per generator and shift: the shifted terms, scattered at
         # once; (a, b, c) sits at (big - a)(big - a + 1)/2 + big - a - b of
@@ -567,9 +572,14 @@ def evaluation_matrix(space: SectionSpace, points) -> np.ndarray:
 
 
 def random_plane_curve(field: PrimeField, d: int, rng) -> PlaneCurve:
-    """Random smooth plane curve of degree d: retry until the certificate passes."""
+    """Random smooth plane curve of degree d: retry until the certificate passes.
+
+    f's own rows of the certificate's Macaulay matrix, C(2d - 3, 2) of its
+    C(3d - 3, 2) columns, are priced before any coefficient is drawn.
+    """
     if d < 3:
         raise WrongDegree("need degree >= 3 (positive-genus plane models)")
+    _price_certificate(d, (math.comb(2 * d - 3, 2), math.comb(3 * d - 3, 2)), "at least ")
     monos = _monomials(d)
     for _ in range(_RANDOM_TRIES):
         coeffs = {m: int(c) for m, c in zip(monos, rng.integers(0, field.p, len(monos)))}

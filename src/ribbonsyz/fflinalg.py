@@ -5,24 +5,25 @@ Everything here is deterministic and pure: the reduced row echelon form is
 the canonical one, so pivot columns, kernel bases and image bases are
 reproducible across runs and safe to use as reference bases elsewhere.
 
-Two elimination engines sit behind the public functions, and they share
-one Gauss-Jordan loop, ``_eliminate_simple``:
+Every elimination is one Gauss-Jordan pass.  Each pivot clears the rows
+below it and, for a reduced echelon form, the rows above it in the same
+update; the matrix is then reduced mod p once, at the end.  Two engines
+run that pass:
 
-* the simple engine runs that loop on the whole matrix (``int64``, exact
-  for any p < 2**31).  It reduces only the pivot column and the pivot row
-  at each step and lets the trailing entries drift: every rank-1 update
-  moves an entry by at most (p - 1)**2, and the trailing block is reduced
-  only when that additive bound would reach 2**62,
-* a blocked right-looking elimination runs it only on panels of at most
-  128 columns, to find each panel's pivots, and pushes the
-  Schur-complement updates through BLAS matmuls in one float dtype picked
-  from p: ``float32`` when 2 * 128 * (p - 1)**2 < 2**24 (p <= 256, the
-  default p = 101 included), else ``float64`` up to p = 2**20.  Every
+* the simple engine, ``_eliminate_simple`` (``int64``, exact for any
+  p < 2**31), pivots one column at a time.  It reduces only the pivot
+  column and the pivot row at each step and lets the other entries drift:
+  every rank-1 update moves an entry by at most (p - 1)**2, and the rows
+  updated are reduced only when that additive bound would reach 2**62,
+* the blocked engine, ``_eliminate_blocked``, runs the simple one only on
+  panels of at most 128 columns, to find each panel's pivots, and pushes
+  the Schur-complement updates through BLAS matmuls in one float dtype
+  picked from p: ``float32`` when 2 * 128 * (p - 1)**2 < 2**24 (p <= 256,
+  the default p = 101 included), else ``float64`` up to p = 2**20.  Every
   intermediate value then stays below the dtype's exact-integer limit,
-  2**24 or 2**53, so the float arithmetic is exact.
-
-The blocked path is what makes desk-scale Koszul computations (ranks of
-~5000 x 3000 matrices) run in seconds instead of hours.
+  2**24 or 2**53, so the float arithmetic is exact.  It is what makes
+  desk-scale Koszul computations (ranks of ~5000 x 3000 matrices) run in
+  seconds instead of hours.
 
 Memory.  An elimination reduces one working copy of the caller's matrix,
 written straight from it, and its Schur updates go _PANEL rows at a
@@ -150,24 +151,29 @@ def _swap_rows(x: np.ndarray, i: int, j: int) -> None:
     x[j] = t
 
 
-def _rank1_update(a, piv, col: int, lo: int, hi: int, hit, p: int, bound: int) -> int:
-    """a[r, col:] -= a[r, col] * piv for the rows r = hit of lo..hi-1, unreduced.
+def _rank1_update(a, row: int, col: int, lo: int, hi: int, hit, p: int, bound: int) -> int:
+    """a[r, col:] -= a[r, col] * a[row, col:] for the rows r = hit of lo..hi-1, unreduced.
 
-    The multipliers a[r, col] and the pivot row ``piv`` are residues, and
-    ``bound`` bounds |entry| on rows lo..hi-1; returns the bound after the
-    update.  Those rows are reduced first when the update could take it to
-    _INT_DRIFT_MAX.  The rows not hit are exactly zero in column ``col``;
-    when they are under half the range, the whole range is updated through
-    a view, with no gathered copy of the rows hit.
+    Pivot row ``row`` and multipliers a[r, col] are residues, and ``bound``
+    bounds |entry| on rows lo..hi-1; returns the bound after the update.
+    Those rows are reduced first when the update could take it to
+    _INT_DRIFT_MAX.  The rows not hit are exactly zero in column ``col``,
+    but for the pivot row when it lies in lo..hi-1; when they are under
+    half the range, the whole range is updated through a view, with no
+    gathered copy of the rows hit.
     """
     step = (p - 1) ** 2
     if bound + step >= _INT_DRIFT_MAX:
         drifted = a[lo:hi, col + 1 :]
         np.remainder(drifted, p, out=drifted)
         bound = p - 1
+    piv = a[row, col:]
     if 2 * hit.size >= hi - lo:
         rest = a[lo:hi, col:]
-        rest -= rest[:, :1] * piv
+        update = rest[:, :1] * piv
+        if lo <= row:
+            update[row - lo] = 0  # the pivot row stays
+        rest -= update
     else:
         rest = a[hit, col:]
         rest -= rest[:, :1] * piv
@@ -180,17 +186,16 @@ def _eliminate_simple(
 ) -> list[int]:
     """In-place row echelon (optionally reduced) for an int64 matrix with entries in [0, p).
 
-    Lazy reduction.  A pivot step reduces only the pivot column, before the
-    nonzero search that must see residues, and the pivot row; the rank-1
-    update of the rows it hits is subtracted without ``% p``.  Multipliers
-    and pivot row lie in [0, p), so one update moves an entry by at most
-    (p - 1)**2.  ``bound`` is an additive bound on |entry| in the trailing
-    block, which is reduced (``np.remainder``) only when
+    One Gauss-Jordan pass: each pivot clears the rows below it and, with
+    ``reduced``, those above it in the same ``_rank1_update``.  Lazy
+    reduction: a step reduces only the pivot column, which the nonzero
+    search must see as residues, and the pivot row; updates are subtracted
+    without ``% p``, each moving an entry by at most (p - 1)**2.  ``bound``
+    bounds |entry| in the rows updated, which are reduced only when
     bound + (p - 1)**2 would reach _INT_DRIFT_MAX = 2**62: near p = 2**31
-    at every pivot, at p = 101 never.  The backward pass (``reduced``) works
-    the same way.  Pivots, result and ``order`` equal those of reducing
-    everything after every update: each row ends as a reduced pivot row
-    or exactly zero.
+    at every pivot, at p = 101 never.  With ``reduced`` the pivot rows
+    drift too, and are reduced once at the end.  Pivots, result and
+    ``order`` equal those of reducing after every update.
 
     Row swaps are mirrored into ``order`` when given, so that afterwards
     ``order[i]`` names the input row now in row i.  Returns the pivot
@@ -218,21 +223,20 @@ def _eliminate_simple(
             np.remainder(piv, p, out=piv)
         np.multiply(piv, pow(int(piv[0]), -1, p), out=piv)
         np.remainder(piv, p, out=piv)
-        if nz.size > 1:  # after the swap the rows hit are row + nz[1:]
-            bound = _rank1_update(a, piv, col, row + 1, n, nz[1:] + row, p, bound)
+        # after the swap the rows hit below are row + nz[1:]
+        if reduced:  # and the rows above, whose column may have drifted
+            above = a[:row, col]
+            np.remainder(above, p, out=above)
+            hit = np.concatenate((above.nonzero()[0], nz[1:] + row))
+            if hit.size:
+                bound = _rank1_update(a, row, col, 0, n, hit, p, bound)
+        elif nz.size > 1:
+            bound = _rank1_update(a, row, col, row + 1, n, nz[1:] + row, p, bound)
         pivots.append(col)
         row += 1
     if reduced:
-        bound = p - 1  # pivot rows are reduced, the rows below them zero
-        for i in reversed(range(len(pivots))):
-            col = pivots[i]
-            # later pivots update only the columns right of theirs: this
-            # row may have drifted there, the column above this pivot not
-            piv = a[i, col:]
-            np.remainder(piv, p, out=piv)
-            hit = a[:i, col].nonzero()[0]
-            if hit.size:
-                bound = _rank1_update(a, piv, col, 0, i, hit, p, bound)
+        done = a[:row]
+        np.remainder(done, p, out=done)
     return pivots
 
 
@@ -306,27 +310,25 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     2 * _PANEL * (p - 1)**2 must lie below the dtype's exact-integer limit
     2**t (2**24 or 2**53; ``_work_dtype`` picks such a dtype).
 
-    Forward pass, per panel of columns: find the pivots with
-    ``_eliminate_simple`` on an int64 copy of the panel's rows below r0,
-    apply its row swaps so the pivot rows come first, left-multiply the
-    pivot block by B^{-1} so it carries exact unit pivots, and push one
-    Schur-complement update A_rest -= F @ A_piv through BLAS, _PANEL rows
-    of A_rest at a time.  Backward pass (reduced only) clears above the
-    pivot blocks the same way and leaves every entry in [0, p).  All
-    intermediates stay integral: inner dimensions never exceed _PANEL, so
-    a product adds at most _PANEL * (p - 1)**2, and the drift reset keeps
-    values below 2**t - p, where ``_mod_inplace`` is exact.  After
-    the forward pass alone, entries may be unreduced and the rows below the
+    One pass over panels of columns: find the panel's pivots with
+    ``_eliminate_simple`` on an int64 copy of its rows below r0, swap the
+    pivot rows up, left-multiply the pivot block by B^{-1} so it carries
+    exact unit pivots, and push one Schur update A_rest -= F @ A_piv
+    through BLAS, _PANEL rows at a time.  A_rest is the rows below the
+    pivot block and, with ``reduced``, those above it; the matrix is then
+    reduced into [0, p) once, at the end.  Inner dimensions never exceed
+    _PANEL, so an update adds at most _PANEL * (p - 1)**2, and the drift
+    reset keeps values below 2**t - p, where ``_mod_inplace`` is exact.
+    Without ``reduced``, entries may end unreduced and the rows below the
     rank multiples of p.  Returns the pivot column list.
     """
     n, m = a.shape
     pivots: list[int] = []
     r0 = 0
     c0 = 0
-    # Trailing entries are allowed to drift above p: the multipliers are
-    # re-reduced from thin column slices each panel, so the drift grows only
-    # additively by panel * p**2 per update.  Reduce the whole block only
-    # when the accumulated bound would reach 2**t - p.
+    # A_rest drifts above p, by at most step per update: its multipliers are
+    # re-reduced from thin column slices.  It is reduced only when the
+    # accumulated bound would reach 2**t - p
     step = _PANEL * (p - 1) ** 2
     limit = _exact_max(a.dtype) - p
     bound = p
@@ -340,61 +342,38 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
         if k == 0:
             c0 = c1
             continue
-        pcols = [c0 + j for j in pcols_rel]
         moved = np.flatnonzero(order != np.arange(r0, n))
         a[r0 + moved] = a[order[moved]]  # pivot rows to r0..r0+k-1, in pivot order
-        piv_block = a[r0 : r0 + k]
-        _mod_inplace(piv_block[:, c0:], p)
-        binv = _inv_small(piv_block[:, pcols], p)
-        piv_block[:, c0:] = _mod_inplace(binv @ piv_block[:, c0:], p)
-        below = a[r0 + k :]
-        if below.shape[0]:
-            if bound + step >= limit:
-                _mod_inplace(below[:, c0:], p)
-                bound = p
-            f = _mod_inplace(below[:, pcols], p)  # pivot block is identity there
-            if np.any(f):
-                _subtract_product(below[:, c0:], f, piv_block[:, c0:])
-                bound += step
-        pivots.extend(pcols)
+        piv_block = a[r0 : r0 + k, c0:]
+        _mod_inplace(piv_block, p)
+        binv = _inv_small(piv_block[:, pcols_rel], p)
+        piv_block[:] = _mod_inplace(binv @ piv_block, p)
+        rows = (a[r0 + k :], a[:r0]) if reduced else (a[r0 + k :],)
+        rest = [x[:, c0:] for x in rows if len(x)]
+        if rest and bound + step >= limit:
+            for x in rest:
+                _mod_inplace(x, p)
+            bound = p
+        fs = [_mod_inplace(x[:, pcols_rel], p) for x in rest]  # pivot block is identity there
+        for x, f in zip(rest, fs):
+            _subtract_product(x, f, piv_block)
+        bound += step * any(f.any() for f in fs)
+        pivots.extend(c0 + j for j in pcols_rel)
         r0 += k
         c0 = c1
-    if reduced and pivots:
+    if reduced:
         _mod_inplace(a, p)
-        hi = len(pivots)
-        bound = p
-        while hi > 0:
-            lo = max(0, hi - _PANEL)
-            pcols = pivots[lo:hi]
-            _mod_inplace(a[lo:hi], p)
-            # block rows at their own pivot columns are unit upper triangular
-            tri = a[lo:hi, pcols]
-            tinv = _inv_small(tri, p)
-            a[lo:hi] = _mod_inplace(tinv @ a[lo:hi], p)
-            if lo > 0:
-                if bound + step >= limit:
-                    _mod_inplace(a[:lo], p)
-                    bound = p
-                f = _mod_inplace(a[:lo, pcols], p)
-                if np.any(f):
-                    _subtract_product(a[:lo], f, a[lo:hi])
-                    bound += step
-            hi = lo
     return pivots
 
 
 def _eliminate(a, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
     """Reduce ``a`` into the engine's one working copy.  Returns (working copy, pivots).
 
-    The blocked engine's copy is written from ``a`` by one ``np.remainder``
-    with no int64 copy between.  A forward elimination's copy has the
-    dtype ``_work_dtype`` picks from p: float32, exact below 2**24, for
-    p <= 256, else float64, exact below 2**53.  With ``reduced`` the copy
-    is float64 at every p and ends as the int64 RREF, every entry in
-    [0, p): the float copy is turned into it in its own buffer, which
-    takes int64's 8 bytes an entry.  Without, only the pivots are
-    meaningful.  The simple engine's copy is the int64 copy ``np.mod``
-    makes.
+    The blocked engine's copy is written from ``a`` by one ``np.remainder``,
+    in the dtype ``_work_dtype`` picks from p, or with ``reduced`` in
+    float64 at every p, which ends as the int64 RREF (every entry in
+    [0, p)) in its own buffer.  Without ``reduced`` only the pivots are
+    meaningful.  The simple engine's copy is the int64 one ``np.mod`` makes.
     """
     m = _as_matrix(a)
     work = _work_dtype(p)

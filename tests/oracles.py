@@ -323,14 +323,16 @@ def vectorised_blowup_index(vec, rows, b_max: int, p: int, chunk: int = 1 << 14)
 
 
 def eager_eliminate(a: np.ndarray, p: int, reduced: bool, order: np.ndarray | None = None) -> list[int]:
-    """In-place row echelon of an int64 matrix in [0, p), reduced at every step.
+    """In-place row echelon of an int64 matrix in [0, p), reduced at every step, in two passes.
 
-    The Gauss-Jordan loop ``fflinalg._eliminate_simple`` ran before it
-    reduced lazily: the first row at or below the current one with a
-    nonzero in the column is swapped up (and the swap mirrored into
-    ``order``), scaled to a leading 1, and cleared from the rows below
-    with a ``% p`` after every update; ``reduced`` then clears above each
-    pivot, last pivot first.  Returns the pivot columns.
+    The elimination ``fflinalg._eliminate_simple`` ran before it reduced
+    lazily and cleared above each pivot in its one forward pass: the first
+    row at or below the current one with a nonzero in the column is
+    swapped up (and the swap mirrored into ``order``), scaled to a leading
+    1, and cleared from the rows below with a ``% p`` after every update;
+    ``reduced`` then clears above each pivot in a backward pass, last pivot
+    first.  The RREF is unique, so the one-pass engines must match it.
+    Returns the pivot columns.
     """
     n, m = a.shape
     pivots: list[int] = []

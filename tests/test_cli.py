@@ -72,6 +72,15 @@ class TestBetti:
         assert res.exit_code == 0
         assert json.loads(out.read_text())["command"] == "betti"
 
+    def test_unwritable_out_file_exits_2(self, runner, tmp_path):
+        # the document still goes to stdout; the failed write names its path
+        out = tmp_path / "missing" / "t.json"
+        res = runner.invoke(main, ["betti", *G0, "--format", "json", "--out", str(out)])
+        assert res.exit_code == 2 and res.exception.__class__ is SystemExit
+        assert json.loads(res.stdout)["command"] == "betti"
+        assert f"cannot write --out {out}: No such file or directory" in res.stderr
+        assert not out.parent.exists()
+
     def test_byte_identical_reruns(self, runner):
         a = run(runner, "betti", *ELL1, "--format", "json").output
         b = run(runner, "betti", *ELL1, "--format", "json").output
@@ -290,8 +299,9 @@ class TestCurveAndRibbonErrors:
         assert isinstance(res.exception, SystemExit)
 
     def test_smoothness_certificate_too_large_exit_2(self, runner, monkeypatch):
-        # d = 60: a 27495 x 15576 Macaulay matrix (3.3 GiB as int64) is refused
-        # before it is built or ranked
+        # d = 60: f's own 6786 rows of the 15576 columns are over the budget
+        # already, so the degree is refused before a coefficient is drawn, and
+        # the whole 27495 x 15576 Macaulay matrix (3.3 GiB as int64) is never built
         from ribbonsyz import curves
 
         ranked = []
@@ -299,7 +309,7 @@ class TestCurveAndRibbonErrors:
         monkeypatch.setattr(curves, "rank", lambda a, p: ranked.append(a.shape) or real(a, p))
         res = runner.invoke(main, ["betti", "--curve", "plane", "--d", "60", "--conormal", "-1"])
         assert res.exit_code == 2
-        assert "a 27495 x 15576 Macaulay matrix, more than the budget of 33554432 entries" in res.output
+        assert "at least a 6786 x 15576 Macaulay matrix, more than the budget of 33554432 entries" in res.output
         assert isinstance(res.exception, SystemExit) and ranked == []
         # d = 30 fits the budget: its 6555 x 3741 certificate is ranked once, and passes
         res = runner.invoke(main, ["strata", "--curve", "plane", "--d", "30", "--conormal", "-1", "--task", "bounds"])

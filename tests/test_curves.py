@@ -167,6 +167,29 @@ class TestSmoothnessCertificate:
             random_plane_curve(F101, 40, Counted())
         assert len(draws) == 1
 
+    def test_random_model_prices_f_alone_before_drawing(self, monkeypatch):
+        # f's own rows, C(2d - 3, 2) of C(3d - 3, 2) columns, bound the matrix
+        # from below; past the budget from d = 46 on, they refuse the degree
+        # before its monomials are listed or a coefficient drawn
+        from ribbonsyz import curves
+
+        class Listed(Exception):
+            pass
+
+        def listing(q):
+            raise Listed(q)
+
+        monkeypatch.setattr(curves, "_monomials", listing)
+        assert 3741 * 8646 <= curves._MACAULAY_ENTRIES_MAX < 3916 * 9045
+        with pytest.raises(Listed):
+            random_plane_curve(F101, 45, None)
+        with pytest.raises(CertificateTooLarge, match="at least a 3916 x 9045 Macaulay matrix"):
+            random_plane_curve(F101, 46, None)
+        with pytest.raises(CertificateTooLarge, match="at least a 1993006 x 4489506 Macaulay matrix"):
+            random_plane_curve(F101, 1000, None)
+        with pytest.raises(CertificateTooLarge, match="degree-1000000 curve"):
+            random_plane_curve(F101, 10**6, None)
+
 
 class TestSections:
     def test_quartic_canonical_dim_is_genus(self, quartic):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,10 +129,57 @@ class TestRref:
                 assert np.array_equal(w.astype(np.int64), s)
 
 
+def record_mod_calls(monkeypatch) -> list:
+    """The shapes of the ``_mod_inplace`` calls, one each.
+
+    Each call's input is checked against the bound |x| < 2**t - p under
+    which it is exact, with 2**t read when it is made, so that a lowered
+    ``_EXACT_FLOAT_MAX`` applies.
+    """
+    from ribbonsyz import fflinalg
+
+    calls = []
+    exact = fflinalg._mod_inplace
+
+    def checked(x, q):
+        assert np.abs(x).max(initial=0) < fflinalg._exact_max(x.dtype) - q
+        calls.append(x.shape)
+        return exact(x, q)
+
+    monkeypatch.setattr(fflinalg, "_mod_inplace", checked)
+    return calls
+
+
 class TestDriftReset:
-    """The blocked engine's drift reset (``_mod_inplace`` of the trailing
-    block inside ``_eliminate_blocked``), forced by lowering the exactness
-    bound it guards."""
+    """The blocked engine's drift reset (``_mod_inplace`` of the rows it
+    updates inside ``_eliminate_blocked``), forced by lowering the exactness
+    bound it guards.  A reset is one more ``_mod_inplace`` call for each of
+    the two row ranges, below and above the pivot block, and no other call
+    moves, so the surplus calls of a run at the lowered bound are its
+    resets."""
+
+    @staticmethod
+    def surplus_calls(a, p, monkeypatch) -> tuple[list, np.ndarray, list]:
+        """The blocked engine's reset calls, as shapes, forward and reduced,
+        and its reduced result; one update fits under the lowered bound,
+        the next must reset first."""
+        from ribbonsyz import fflinalg
+
+        calls = record_mod_calls(monkeypatch)
+
+        def run(reduced):
+            calls.clear()
+            w = a.astype(np.float64)
+            piv = fflinalg._eliminate_blocked(w, p, reduced)
+            return Counter(calls), w, piv
+
+        plain = [run(reduced)[0] for reduced in (False, True)]
+        step = fflinalg._PANEL * (p - 1) ** 2
+        monkeypatch.setattr(fflinalg, "_EXACT_FLOAT_MAX", float(p + 2 * step))
+        forward, _, piv = run(False)
+        reduced, w, rpiv = run(True)
+        assert piv == rpiv
+        return [forward - plain[0], reduced - plain[1]], w.astype(np.int64), piv
 
     @pytest.mark.parametrize("p", [1048573, 101])
     def test_forced_reset_matches_simple(self, p, monkeypatch):
@@ -142,35 +190,30 @@ class TestDriftReset:
         a = matmul_mod(g.integers(0, p, (420, 330)), g.integers(0, p, (330, 640)), p)
         a[:, 100:110] = 0
         a[:, 300] = a[:, 7]
-        calls = []
-        exact = fflinalg._mod_inplace
-
-        def counting(x, q):
-            calls.append(x.shape)
-            return exact(x, q)
-
-        monkeypatch.setattr(fflinalg, "_mod_inplace", counting)
         s = a.copy()
         piv_s = fflinalg._eliminate_simple(s, p, reduced=True)
-        assert 300 < len(piv_s) <= 330
+        surplus, w, piv = self.surplus_calls(a, p, monkeypatch)
+        assert piv == piv_s and np.array_equal(w, s)
+        # pivots 118, 128 and 84 in the first three panels, rank 330: the
+        # second and third updates reset the rows below, 174 and 90 of them,
+        # and with reduced the 118 and 246 rows above too
+        assert [sum(c // fflinalg._PANEL == i for c in piv) for i in range(5)] == [118, 128, 84, 0, 0]
+        assert surplus[0] == Counter({(174, 512): 1, (90, 384): 1})
+        assert surplus[1] == surplus[0] + Counter({(118, 512): 1, (246, 384): 1})
 
-        def run(reduced):
-            calls.clear()
-            w = a.astype(np.float64)
-            assert fflinalg._eliminate_blocked(w, p, reduced) == piv_s
-            return w, len(calls)
-
-        plain = [run(reduced)[1] for reduced in (False, True)]
-        # one Schur update may pass unreduced, the next must reset first; a
-        # reset is one more _mod_inplace call, and no other call moves
-        step = fflinalg._PANEL * (p - 1) ** 2
-        monkeypatch.setattr(fflinalg, "_EXACT_FLOAT_MAX", float(p + 2 * step))
-        fired = []
-        for reduced, base in zip((False, True), plain):
-            w, count = run(reduced)
-            fired.append(count - base)
-        assert fired[0] > 0 and fired[1] > fired[0]  # forward and backward passes
-        assert np.array_equal(np.mod(w, p).astype(np.int64), s)
+    def test_reset_of_the_rows_above_alone(self, monkeypatch):
+        # full rank 300 in panels of 128, 128 and 44 pivots: the last panel
+        # leaves no row below, so with reduced its update, and the reset
+        # before it, goes to the 256 rows above alone
+        p = 101
+        a = rng(59).integers(0, p, (300, 400))
+        eager = a.copy()
+        piv_e = eager_eliminate(eager, p, True)
+        assert piv_e == list(range(300))
+        surplus, w, piv = self.surplus_calls(a, p, monkeypatch)
+        assert piv == piv_e and np.array_equal(w, eager)
+        assert surplus[0] == Counter({(44, 272): 1})
+        assert surplus[1] == Counter({(44, 272): 1, (128, 272): 1, (256, 144): 1})
 
     @pytest.mark.parametrize("p", [2, 13, 101, 65521, 1048573])
     def test_mod_inplace_is_exact(self, p):
@@ -268,10 +311,13 @@ class TestFloat32Boundary:
 
     def test_drift_reset_at_the_float32_limit(self, monkeypatch):
         # at p = 251 one update adds up to step = 128 * 250**2 = 8 000 000,
-        # so two fit below 2**24 - p and a third resets the trailing block
+        # so two fit below 2**24 - p and a third resets the rows it updates
         # first.  A float64 copy never resets, so the surplus _mod_inplace
-        # calls of the float32 run count its resets: (updates - 1) // 2 per
-        # pass, where a dense 900 x 1100 matrix has seven updates in each
+        # calls of the float32 run count its resets.  A dense 900 x 1100
+        # matrix has pivots in eight panels: forward, seven updates of the
+        # rows below, reset before the third, fifth and seventh; reduced,
+        # an eighth of the rows above alone, and each reset goes to the rows
+        # below and above
         from ribbonsyz import fflinalg
 
         p = 251
@@ -281,9 +327,7 @@ class TestFloat32Boundary:
         s = a.copy()
         piv = fflinalg._eliminate_simple(s, p, reduced=True)
         assert piv == list(range(900))
-        calls = []
-        exact = fflinalg._mod_inplace
-        monkeypatch.setattr(fflinalg, "_mod_inplace", lambda x, q: calls.append(x.shape) or exact(x, q))
+        calls = record_mod_calls(monkeypatch)
 
         def run(dtype, reduced):
             calls.clear()
@@ -295,7 +339,7 @@ class TestFloat32Boundary:
         for reduced in (False, True):
             w, single = run(np.float32, reduced)
             resets.append(single - run(np.float64, reduced)[1])
-        assert resets == [3, 6]  # forward; forward and backward
+        assert resets == [3, 6]
         assert w.dtype == np.float32 and np.array_equal(w.astype(np.int64), s)
 
 
@@ -330,15 +374,17 @@ def record_resets(monkeypatch) -> list:
     """The simple engine's drift resets, one (lo, hi) row range each.
 
     A reset shows in the bound ``_rank1_update`` returns: it starts again
-    from p - 1 instead of growing by (p - 1)**2 from the bound given.
+    from p - 1 instead of growing by (p - 1)**2 from the bound given.  The
+    bound returned must bound every entry of the matrix.
     """
     from ribbonsyz import fflinalg
 
     resets = []
     update = fflinalg._rank1_update
 
-    def recording(a, piv, col, lo, hi, hit, p, bound):
-        out = update(a, piv, col, lo, hi, hit, p, bound)
+    def recording(a, row, col, lo, hi, hit, p, bound):
+        out = update(a, row, col, lo, hi, hit, p, bound)
+        assert np.abs(a).max() <= out
         if out != bound + (p - 1) ** 2:
             resets.append((lo, hi))
         return out
@@ -349,7 +395,7 @@ def record_resets(monkeypatch) -> list:
 
 class TestLazyElimination:
     """``_eliminate_simple`` reduces lazily; pivots, matrix and row order must
-    be those of the eager loop that reduces after every update."""
+    be those of the eager two-pass loop that reduces after every update."""
 
     @pytest.mark.parametrize("p", MODULI)
     @pytest.mark.parametrize("reduced", [False, True])
@@ -370,8 +416,11 @@ class TestLazyElimination:
             assert len(piv) == naive_rank(a.tolist(), p), name
 
     def test_forced_reset_mid_matrix(self, monkeypatch):
-        # a limit three updates above the start makes every third update
-        # reduce the trailing block first, in both passes
+        # a limit three updates above the start lets the first two updates
+        # pass and resets before every second one after them.  Rank 30:
+        # forward, 29 updates of the rows below, 14 resets; reduced, 30
+        # updates (the last of the rows above alone), each of rows 0..29, so
+        # 14 resets of the whole matrix
         from ribbonsyz import fflinalg
 
         p = 101
@@ -380,29 +429,32 @@ class TestLazyElimination:
         resets = record_resets(monkeypatch)
         a = rng(41).integers(0, p, (30, 40))
         a[:, 5] = (2 * a[:, 1] + a[:, 3]) % p
-        fired = []
         for reduced in (False, True):
             lazy, eager = a.copy(), a.copy()
             order, eager_order = np.arange(30), np.arange(30)
             piv = fflinalg._eliminate_simple(lazy, p, reduced, order)
-            fired.append(len(resets))
             assert piv == eager_eliminate(eager, p, reduced, eager_order)
             assert np.array_equal(lazy, eager) and np.array_equal(order, eager_order)
-        # forward: 29 updates, a reset before every third; the backward pass adds more
-        assert 5 <= fired[0] < 29
-        assert fired[1] > 2 * fired[0]
+            assert len(piv) == 30
+        assert resets == [(r + 1, 30) for r in range(2, 29, 2)] + [(0, 30)] * 14
 
     @pytest.mark.parametrize("p, fires", [(101, False), (2**31 - 1, True)])
     def test_reset_at_the_real_limit(self, p, fires, monkeypatch):
-        # never at p = 101; near 2**31 before every update but the first
+        # never at p = 101; near 2**31 before every update but the first: of
+        # the rows below the pivot forward, of the whole matrix reduced, whose
+        # last update goes to the rows above alone
         from ribbonsyz import fflinalg
 
         resets = record_resets(monkeypatch)
         a = rng(43).integers(1, p, (20, 24))
-        lazy, eager = a.copy(), a.copy()
-        piv = fflinalg._eliminate_simple(lazy, p, False)
-        assert piv == eager_eliminate(eager, p, False) and np.array_equal(lazy, eager)
-        assert len(resets) == (len(piv) - 2 if fires else 0)
+        for reduced in (False, True):
+            resets.clear()
+            lazy, eager = a.copy(), a.copy()
+            piv = fflinalg._eliminate_simple(lazy, p, reduced)
+            assert piv == eager_eliminate(eager, p, reduced) and np.array_equal(lazy, eager)
+            assert len(piv) == 20
+            want = [(0, 20)] * 19 if reduced else [(r + 1, 20) for r in range(1, 19)]
+            assert resets == (want if fires else [])
 
 
 class TestKernel:
