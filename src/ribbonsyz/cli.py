@@ -13,7 +13,7 @@ body returns.  The runner alone turns the library's typed errors into exit
 codes; each condition is documented where its error is raised.
 
 Exit codes: 0 success; 2 a usage or configuration error, or a NotPrime,
-CurveError, RibbonError, StrataError or CellTooLarge, printed as its
+CurveError, RibbonError, StrataError or MatrixTooLarge, printed as its
 message (a TargetOverflow names the ``--conormal`` that is out of range);
 3 a failed smoothness certificate (NotSmooth); 4 a green report whose
 verdicts contradict each other, which would indicate a bug, not a
@@ -41,9 +41,9 @@ from ribbonsyz.curves import (
     random_split_cubic,
     rational_points,
 )
-from ribbonsyz.fflinalg import NotPrime, PrimeField
+from ribbonsyz.fflinalg import MatrixTooLarge, NotPrime, PrimeField
 from ribbonsyz.greenchk import green_split_report
-from ribbonsyz.koszul import CellTooLarge, NoNonzero, duality_check, hilbert_check, hilbert_dims, rcliff
+from ribbonsyz.koszul import NoNonzero, duality_check, hilbert_check, hilbert_dims, rcliff
 from ribbonsyz.ribbon import (
     RibbonError,
     build_split_ribbon,
@@ -138,6 +138,8 @@ def _build_model(cfg, field, rng):
     family = curve["family"]
     if family in ("plane-quartic", "plane"):
         d = curve.get("d", 4)
+        if family == "plane-quartic" and d != 4:
+            raise click.UsageError(f"a plane-quartic has degree 4, not {d}: use --curve plane --d {d}")
         coeffs = curve.get("coefficients")
         if coeffs is not None:
             if not isinstance(coeffs, list) or not all(
@@ -366,7 +368,7 @@ def _runs(body):
             sys.exit(3)
         except TargetOverflow as exc:
             raise click.UsageError(f"--conormal {cfg['conormal']} is out of range for this model: {exc}")
-        except (NotPrime, CurveError, RibbonError, StrataError, CellTooLarge) as exc:
+        except (NotPrime, MatrixTooLarge, CurveError, RibbonError, StrataError) as exc:
             raise click.UsageError(str(exc))
         _emit(obj, schema_name, fmt, out_path, text)
         if code:

@@ -5,7 +5,9 @@ Two families cover everything the ribbon computations need:
 * ``PlaneCurve``: a smooth plane curve f(x,y,z) = 0 of degree d, with the
   one-parameter bundle family O_C(q).  Bases are the degree-q monomials not
   divisible by the leading monomial of f; multiplication is polynomial
-  multiplication followed by reduction mod f.
+  multiplication followed by reduction mod f.  Its smoothness certificate
+  ranks one Macaulay matrix, priced first by the program's one memory
+  budget, ``fflinalg.check_budget``.
 
 * ``HyperellipticCurve``: y^2 = h(x) with h squarefree of odd degree
   2g+1, one Weierstrass point at infinity, and the family O(m * Pinf).
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ribbonsyz.fflinalg import PrimeField, rank
+from ribbonsyz.fflinalg import PrimeField, check_budget, rank
 
 __all__ = [
     "CurveError",
@@ -33,7 +35,6 @@ __all__ = [
     "TargetOverflow",
     "PointNotOnCurve",
     "PointScanTooLarge",
-    "CertificateTooLarge",
     "PlaneCurve",
     "HyperellipticCurve",
     "SectionSpace",
@@ -57,14 +58,6 @@ _HYP_TAG_MAX = 1024
 # vectorised pass; 2 vCPUs), so a scan at the budget takes about 1-2 s on
 # either model.
 _POINT_SCAN_MAX = 1 << 21
-# Entries of the dense Macaulay matrix that the plane smoothness
-# certificate may rank: the same 1 GiB that koszul's _CELL_BYTES_MAX grants
-# one Koszul block, at its 32 bytes an entry.  With three nonzero partials
-# the matrix is C(2d-3, 2) + 3 C(2d-2, 2) by C(3d-3, 2), so every degree up
-# to 32 fits (d = 30: 6555 x 3741, ranked in about 4 s at 370 MB), and
-# d = 40 (11935 x 6786, 618 MiB as int64 alone) is refused before the
-# matrix is allocated.
-_MACAULAY_ENTRIES_MAX = 1 << 25
 # Draws a random model may take before it gives up.
 _RANDOM_TRIES = 200
 
@@ -93,22 +86,9 @@ class PointScanTooLarge(CurveError):
     """Enumerating the rational points would scan more candidates than the budget."""
 
 
-class CertificateTooLarge(CurveError):
-    """The smoothness certificate's Macaulay matrix would exceed _MACAULAY_ENTRIES_MAX entries."""
-
-
 # ---------------------------------------------------------------------------
 # plane-curve polynomial plumbing: dicts {(a,b,c): coeff}, x > y > z lex
 # ---------------------------------------------------------------------------
-
-
-def _price_certificate(d: int, shape: tuple[int, int], at_least: str = "") -> None:
-    """Raise CertificateTooLarge when a degree-d curve's Macaulay matrix of ``shape`` is over budget."""
-    if shape[0] * shape[1] > _MACAULAY_ENTRIES_MAX:
-        raise CertificateTooLarge(
-            f"smoothness certificate of a degree-{d} curve: {at_least}a {shape[0]} x {shape[1]} Macaulay matrix, "
-            f"more than the budget of {_MACAULAY_ENTRIES_MAX} entries"
-        )
 
 
 def _monomials(q: int) -> list[tuple[int, int, int]]:
@@ -175,9 +155,11 @@ class PlaneCurve:
     D = 3(d-1) - 2 (the Macaulay bound for three variables), which is
     equivalent to the singular locus being empty over the algebraic
     closure.  One Macaulay matrix, at D, decides: I_D' = S_D' for some
-    D' <= D puts S_{D-D'} I_D' = S_D inside I_D.  A matrix of more than
-    _MACAULAY_ENTRIES_MAX entries raises CertificateTooLarge before it is
-    built.
+    D' <= D puts S_{D-D'} I_D' = S_D inside I_D.  With three nonzero
+    partials the matrix is C(2d - 3, 2) + 3 C(2d - 2, 2) by C(3d - 3, 2);
+    one over the memory budget (``fflinalg.check_budget``) raises
+    MatrixTooLarge before it is built, so every degree up to 32 is
+    certified and d = 40 (11935 x 6786) is refused.
     """
 
     family = "plane"
@@ -227,7 +209,7 @@ class PlaneCurve:
         gens = list(filter(None, partials))
         degrees = [sum(next(iter(g))) for g in gens]
         shape = (sum(math.comb(big - e + 2, 2) for e in degrees), math.comb(big + 2, 2))
-        _price_certificate(self.d, shape)
+        check_budget(f"degree-{self.d} smoothness certificate, Macaulay matrix", shape)
         shifts = [np.array(_monomials(big - e), dtype=np.int64) for e in degrees]
         # one row per generator and shift: the shifted terms, scattered at
         # once; (a, b, c) sits at (big - a)(big - a + 1)/2 + big - a - b of
@@ -579,7 +561,8 @@ def random_plane_curve(field: PrimeField, d: int, rng) -> PlaneCurve:
     """
     if d < 3:
         raise WrongDegree("need degree >= 3 (positive-genus plane models)")
-    _price_certificate(d, (math.comb(2 * d - 3, 2), math.comb(3 * d - 3, 2)), "at least ")
+    where = f"degree-{d} smoothness certificate, f's rows alone of its Macaulay matrix"
+    check_budget(where, (math.comb(2 * d - 3, 2), math.comb(3 * d - 3, 2)))
     monos = _monomials(d)
     for _ in range(_RANDOM_TRIES):
         coeffs = {m: int(c) for m, c in zip(monos, rng.integers(0, field.p, len(monos)))}

@@ -33,7 +33,9 @@ entry at p <= 256) and build no int64 result matrix; ``rref`` and
 ``kernel_basis`` reduce a float64 copy and build the int64 RREF in its
 own buffer.  ``matmul_mod`` works in the same dtype and writes a product
 larger than _MOD_BLOCK entries into its int64 result a block of rows at
-a time.
+a time.  The program's one memory budget is here too: every caller prices
+a matrix it is about to build with ``check_budget``, which raises
+MatrixTooLarge above 1 GiB at 32 bytes an entry.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ __all__ = [
     "LinearAlgebraError",
     "DimensionMismatch",
     "NotPrime",
+    "MatrixTooLarge",
+    "check_budget",
     "rref",
     "rank",
     "pivots",
@@ -72,6 +76,19 @@ _MOD_BLOCK = 1 << 14
 # The simple engine lets its trailing entries drift below -p; their bound
 # stays under this, so every int64 product and difference stays exact.
 _INT_DRIFT_MAX = 1 << 62
+# The one memory budget of the program: the largest matrix, priced by
+# ``check_budget`` where it is built, that anything agrees to reduce.
+# Reducing an r x c matrix holds the int64 matrix, the elimination's one
+# working copy (float32 at p <= 256, float64 above, written straight from
+# the matrix) and temporaries of at most _PANEL rows: about 12 r c bytes at
+# p <= 256 and 16 r c bytes above.  The budget still prices 32 bytes an
+# entry, the four copies a matrix held before the engine kept one, on
+# purpose: it refuses what it refused before, and re-pricing it is a change
+# of its own.  The largest Koszul block of the genus-3 gate case
+# (p_a = 14), 4158 x 4536, is priced at 0.6 GB of the 1 GiB budget and
+# holds about 0.23 GB.
+_MATRIX_BYTES_MAX = 1 << 30
+_MATRIX_BYTES_PER_ENTRY = 32
 
 
 class LinearAlgebraError(Exception):
@@ -84,6 +101,22 @@ class DimensionMismatch(LinearAlgebraError):
 
 class NotPrime(LinearAlgebraError):
     """The session modulus failed the primality check."""
+
+
+class MatrixTooLarge(LinearAlgebraError):
+    """A matrix would take more memory to reduce than ``_MATRIX_BYTES_MAX``."""
+
+
+def check_budget(where: str, shape: tuple) -> None:
+    """Raise MatrixTooLarge, naming ``where`` and the shape, when reducing a matrix of that
+    shape would take more than _MATRIX_BYTES_MAX, at 32 bytes an entry (above).
+    """
+    estimate = _MATRIX_BYTES_PER_ENTRY * math.prod(shape)
+    if estimate > _MATRIX_BYTES_MAX:
+        raise MatrixTooLarge(
+            f"matrix too large: {where}: {' x '.join(map(str, shape))}, "
+            f"about {estimate} bytes, more than the budget of {_MATRIX_BYTES_MAX}"
+        )
 
 
 def _is_prime(n: int) -> bool:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ribbonsyz.fflinalg import _MOD_BLOCK, PrimeField, matmul_mod, pivots, rref
+from ribbonsyz.fflinalg import _MOD_BLOCK, PrimeField, check_budget, matmul_mod, pivots, rref
 
 __all__ = [
     "GradedError",
@@ -120,7 +120,8 @@ class GradedModule:
         Degree by degree, q = 0, 1, ..., and within a degree one block of
         target rows of M_{q+2} at a time, in row order.  For the rows of a
         block, one ``matmul_mod`` forms all n**2 products x_k x_l : M_q ->
-        M_{q+2} restricted to them, about _MOD_BLOCK entries (at least one
+        M_{q+2} restricted to them, about max(_MOD_BLOCK, d1 n d0) entries,
+        the larger of the block size and the right operand (at least one
         row), and compares them with their (k, l) transpose: x_k x_l m and
         x_l x_k m land in the same rows, so each block is settled on its
         own.  A degree with an empty piece forms no product.  Raises
@@ -132,7 +133,9 @@ class GradedModule:
             if not n * d0 * d1 * d2:  # nothing to compare, or every product zero
                 continue
             right = self.action[q].transpose(1, 0, 2).reshape(d1, n * d0)
-            rows = max(1, _MOD_BLOCK // (n * n * d0))
+            # matmul_mod casts right on every call: a block's product holds
+            # about as many entries as right or more, so that cast never dominates
+            rows = max(1, max(_MOD_BLOCK, d1 * n * d0) // (n * n * d0))
             for t in range(0, d2, rows):
                 left = self.action[q + 1][:, t : t + rows].reshape(-1, d1)
                 prod = matmul_mod(left, right, p).reshape(n, -1, n, d0)
@@ -166,7 +169,9 @@ class GradedModule:
         action.  Raises InconsistentDims when some degree's rows are not
         w dim M_q, NotASubmodule when some x_k maps sub_{q-1} outside sub_q
         or rel_{q-1} outside rel_q, and NotASubspace when rel_q is dependent
-        or (sub_q being a basis) not inside span(sub_q).  Weights pass to the
+        or (sub_q being a basis) not inside span(sub_q), and MatrixTooLarge
+        when a degree's RREF input, rows x (nr + ns + n m), is over the memory
+        budget, before its products are formed.  Weights pass to the
         kept columns of sub_q, each copy weighted as M_q (the weights tiled w
         times); when a kept column is not homogeneous, the result has the
         trivial grading.  Only one degree is held at a time: its sub and
@@ -190,6 +195,7 @@ class GradedModule:
             if s.ndim != 2 or r.ndim != 2 or s.shape[0] != rows or r.shape[0] != rows:
                 raise InconsistentDims(f"sub_{q} and rel_{q} need {rows} rows, {dim} a copy")
             ns, nr, m = s.shape[1], r.shape[1], prev.shape[1]
+            check_budget(f"subquotient in degree {q}", (rows, nr + ns + n * m))
             images = np.zeros((rows, 0), dtype=np.int64)
             if m:  # x_k applied to the columns of prev, as columns ordered (k, j); w is known
                 below = self.pieces[q - 1]

@@ -22,7 +22,9 @@ of the later cocycle columns, and the action is read in those coordinates.
 The exact checks live where the objects are made: ``koszul_cohomology``
 checks d o d = 0, and ``subquotient`` checks that the action keeps the
 cocycles and the coboundaries.  A failure of either raises IllDefined (a bug, not a
-mathematical state).
+mathematical state).  The memory budget (``fflinalg.check_budget``) is
+applied where the matrices are made too: ``koszul_cohomology`` prices its
+two maps, and ``subquotient`` each degree's RREF input.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from ribbonsyz.koszul import (
     IllDefined,
     KoszulCalculator,
     NoNonzero,
-    check_budget,
     koszul_cohomology,
     rcliff,
 )
@@ -109,8 +110,8 @@ def build_syzygy_module(model, conormal_multiple: int, p: int) -> SyzygyModule:
     their subquotient over the module [H^0(W), H^0(KW), H^0(K^2 W)] of
     H^0(K_C) acting by multiplication, applied to every copy
     (``GradedModule.subquotient``, which reads w off the row counts); see
-    there for the basis and the checks.  Raises CellTooLarge before any
-    cohomology group, or the subquotient's joint RREF input of some degree
+    there for the basis and the checks.  Raises MatrixTooLarge before a map
+    of a cohomology group, or the subquotient's RREF input of a degree
     (w dim H^0(K^q W) rows), over the memory budget is assembled.
     """
     k_tag, w_tag, _ = conormal_tags(model, conormal_multiple)
@@ -131,10 +132,6 @@ def build_syzygy_module(model, conormal_multiple: int, p: int) -> SyzygyModule:
     sub = [grp.cocycles for grp in groups]
     rel = [grp.coboundaries for grp in groups]
     del groups  # sub and rel hold the only references
-    for q in range(3):  # [rel_q | sub_q | x_k of the sub_{q-1} columns]
-        products = g * sub[q - 1].shape[1] if q else 0
-        shape = (len(sub[q]), rel[q].shape[1] + sub[q].shape[1] + products)
-        check_budget(f"M^{p} subquotient in degree {q}", shape)
     try:
         # one degree at a time: each leaves the lists as subquotient takes it,
         # so it is freed once copied into that degree's RREF input

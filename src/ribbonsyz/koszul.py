@@ -22,7 +22,9 @@ blocks are the curve-level Koszul complexes with coefficients in
 K^q L^{-q} and K^q L^{-q+1}.  ``KoszulCalculator`` checks the exact
 certificate once per module (``GradedModule.respects_weights``: every
 action tensor vanishes outside its weight blocks) and ranks every cell
-one weight block at a time, each block assembled on its own; a module
+one weight block at a time, each block assembled on its own, once every
+block of the cell has passed the memory budget (``fflinalg.check_budget``,
+which ``koszul_cohomology`` applies to its two maps too); a module
 whose certificate fails is ranked by its trivial grading, whose one block
 is the whole cell.  The Betti table reads one set of action tensors,
 whether it ranks the ring itself or its Artinian reduction; the reduction
@@ -61,11 +63,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
-from ribbonsyz.fflinalg import image_basis, kernel_basis, matmul_mod, rank
+from ribbonsyz.fflinalg import check_budget, image_basis, kernel_basis, matmul_mod, rank
 from ribbonsyz.graded import GradedAlgebra, GradedModule
 from ribbonsyz.rng import SeededStream
 
@@ -73,8 +75,6 @@ __all__ = [
     "IllDefined",
     "OutOfWindow",
     "NoNonzero",
-    "CellTooLarge",
-    "check_budget",
     "KoszulGroup",
     "KoszulCalculator",
     "BettiTable",
@@ -98,36 +98,6 @@ class OutOfWindow(Exception):
 
 class NoNonzero(Exception):
     """A Betti table with no nonzero entry in the q = 2 row."""
-
-
-class CellTooLarge(Exception):
-    """A matrix would take more memory to reduce than ``_CELL_BYTES_MAX``."""
-
-
-# Memory budget for ranking one block of a Koszul cell.  Ranking an r x c
-# block holds the int64 block, the elimination's one working copy (the
-# blocked engine's float32 copy at p <= 256, float64 above, written
-# straight from the block) and temporaries of at most ``fflinalg._PANEL``
-# rows: about 12 r c bytes at p <= 256 and 16 r c bytes above.
-# The budget still prices 32 bytes an entry, the four copies a block held
-# before the engine kept one, on purpose: it refuses what it refused
-# before, and re-pricing it is a change of its own.  The largest block of
-# the genus-3 gate case (p_a = 14), 4158 x 4536, is priced at 0.6 GB of
-# the 1 GiB budget and holds about 0.23 GB.
-_CELL_BYTES_MAX = 1 << 30
-_CELL_BYTES_PER_ENTRY = 32
-
-
-def check_budget(where: str, shape: tuple) -> None:
-    """Raise CellTooLarge, naming ``where`` and the shape, when reducing a matrix of that
-    shape would take more than _CELL_BYTES_MAX, at 32 bytes an entry (above).
-    """
-    estimate = _CELL_BYTES_PER_ENTRY * prod(shape)
-    if estimate > _CELL_BYTES_MAX:
-        raise CellTooLarge(
-            f"matrix too large: {where}: {' x '.join(map(str, shape))}, "
-            f"about {estimate} bytes, more than the budget of {_CELL_BYTES_MAX}"
-        )
 
 
 def _wedges(n: int, p: int) -> int:
@@ -226,7 +196,7 @@ def koszul_cohomology(module: GradedModule, p: int, q: int) -> KoszulGroup:
     """K_{p,q} of the module with explicit cocycle/coboundary bases.
 
     Needs pieces q-1 (implicitly zero when q = 0), q, and q+1 in window.
-    Raises CellTooLarge, before either is assembled, when d_out = d_{p,q}
+    Raises MatrixTooLarge, before either is assembled, when d_out = d_{p,q}
     or d_in = d_{p+1,q-1} would take more than the memory budget to reduce.
     """
     where = f"K_{{p,q}} at (p, q) = ({p}, {q})"
@@ -272,7 +242,7 @@ class KoszulCalculator:
         sides of the cell, each assembled, ranked and dropped before the next
         is built.
         Every block's shape is checked against the memory budget before the
-        first is assembled: one over it raises CellTooLarge.
+        first is assembled: one over it raises MatrixTooLarge.
         """
         n = self.module.n
         if p <= 0 or q < 0 or p > n:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ribbonsyz import koszul
+from ribbonsyz import fflinalg, koszul
 from ribbonsyz.cli import main
 from ribbonsyz.curves import random_hyperelliptic
 from ribbonsyz.fflinalg import PrimeField, rank
@@ -117,11 +117,11 @@ class TestDifferential:
         # nothing is assembled for a derived cell, so no budget applies to it
         _, module = modules[1]
         calc = KoszulCalculator(module)
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 0)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 0)
         monkeypatch.setattr(koszul, "koszul_differential", lambda *args: pytest.fail("assembled"))
         for p, q in calc.derived:
             assert calc.rank_d(p, q) in (comb(module.n, p), comb(module.n, p - 1))
-        with pytest.raises(koszul.CellTooLarge, match=r"\(p, q\) = \(1, 1\)"):
+        with pytest.raises(fflinalg.MatrixTooLarge, match=r"\(p, q\) = \(1, 1\)"):
             calc.rank_d(1, 1)
 
 

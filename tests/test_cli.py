@@ -8,12 +8,11 @@ from click.testing import CliRunner
 from jsonschema import validate as schema_validate
 from jsonschema.validators import validator_for
 
-from ribbonsyz import cli, koszul, strata
+from ribbonsyz import cli, fflinalg, strata
 from ribbonsyz.cli import main
 from ribbonsyz.curves import CurveError, NotSmooth, TargetOverflow, random_split_cubic, rational_points
-from ribbonsyz.fflinalg import NotPrime, PrimeField
+from ribbonsyz.fflinalg import MatrixTooLarge, NotPrime, PrimeField
 from ribbonsyz.greenchk import recompute_consistency
-from ribbonsyz.koszul import CellTooLarge
 from ribbonsyz.ribbon import RibbonError
 from ribbonsyz.strata import StrataError, ambient_space, make_witness, random_class, span_membership
 
@@ -226,6 +225,21 @@ class TestConfigHandling:
         assert "seed must be a non-negative integer, got -1" in res.output
         assert isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_plane_quartic_of_another_degree_exit_2(self, runner, tmp_path, monkeypatch, source, d):
+        # --d 5 used to build a quintic and --d 3 a cubic; refused before any model is made
+        monkeypatch.setattr(cli, "random_plane_curve", lambda *args: pytest.fail("drew a plane curve"))
+        args = ["betti", "--curve", "plane-quartic", "--d", str(d), "--conormal", "-1"]
+        if source == "config":
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"curve": {"family": "plane-quartic", "d": d}, "conormal": -1}))
+            args = ["betti", "--config", str(cfg)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert f"a plane-quartic has degree 4, not {d}: use --curve plane --d {d}" in res.output
+        assert isinstance(res.exception, SystemExit)
+
     def test_malformed_config_file_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -292,7 +306,7 @@ class TestCurveAndRibbonErrors:
 
     @pytest.mark.parametrize("command", ["betti", "green"])
     def test_cell_too_large_exit_2(self, runner, monkeypatch, command):
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 10 * 10)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 10 * 10)
         res = runner.invoke(main, [command, *HYP2])
         assert res.exit_code == 2
         assert "matrix too large: cell (p, q) = " in res.output and "more than the budget of 3200" in res.output
@@ -309,7 +323,10 @@ class TestCurveAndRibbonErrors:
         monkeypatch.setattr(curves, "rank", lambda a, p: ranked.append(a.shape) or real(a, p))
         res = runner.invoke(main, ["betti", "--curve", "plane", "--d", "60", "--conormal", "-1"])
         assert res.exit_code == 2
-        assert "at least a 6786 x 15576 Macaulay matrix, more than the budget of 33554432 entries" in res.output
+        assert (
+            "matrix too large: degree-60 smoothness certificate, f's rows alone of its Macaulay matrix: "
+            "6786 x 15576, about 3382359552 bytes, more than the budget of 1073741824"
+        ) in res.output
         assert isinstance(res.exception, SystemExit) and ranked == []
         # d = 30 fits the budget: its 6555 x 3741 certificate is ranked once, and passes
         res = runner.invoke(main, ["strata", "--curve", "plane", "--d", "30", "--conormal", "-1", "--task", "bounds"])
@@ -322,13 +339,13 @@ class TestCurveAndRibbonErrors:
         # reduces in degree 2.  Every block of the Betti table fits 32 * 60 * 45 - 1
         # bytes (the largest is 71 680), but the d_in of M^1's degree-2
         # coefficient complex does not, and it is priced first
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 148)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 60 * 148)
         assert runner.invoke(main, ["green", *HYP2]).exit_code == 0
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 148 - 1)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 60 * 148 - 1)
         res = runner.invoke(main, ["green", *HYP2])
         assert res.exit_code == 2
-        assert "matrix too large: M^1 subquotient in degree 2: 60 x 148," in res.output
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 45 - 1)
+        assert "matrix too large: subquotient in degree 2: 60 x 148," in res.output
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 60 * 45 - 1)
         res = runner.invoke(main, ["green", *HYP2])
         assert res.exit_code == 2
         assert "matrix too large: K_{p,q} at (p, q) = (1, 1), d_in: 60 x 45," in res.output
@@ -609,7 +626,7 @@ class TestRunner:
     )
     @pytest.mark.parametrize(
         "error",
-        [NotPrime, CurveError, RibbonError, StrataError, CellTooLarge, NotSmooth, TargetOverflow],
+        [NotPrime, CurveError, RibbonError, StrataError, MatrixTooLarge, NotSmooth, TargetOverflow],
         ids=lambda error: error.__name__,
     )
     def test_typed_error_exit_code(self, runner, monkeypatch, command, call, error):

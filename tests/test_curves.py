@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ribbonsyz.curves import (
-    CertificateTooLarge,
     HyperellipticCurve,
     NotSmooth,
     PlaneCurve,
@@ -16,7 +15,7 @@ from ribbonsyz.curves import (
     random_split_cubic,
     rational_points,
 )
-from ribbonsyz.fflinalg import PrimeField, rank
+from ribbonsyz.fflinalg import MatrixTooLarge, PrimeField, rank
 
 from oracles import plane_points_exhaustive, smooth_every_degree
 
@@ -139,18 +138,18 @@ class TestSmoothnessCertificate:
 
     def test_budget_prices_the_macaulay_shape(self, monkeypatch):
         # the Fermat quartic's matrix at D = 7: 10 + 3 * 15 rows, C(9, 2) = 36 columns
-        from ribbonsyz import curves
+        from ribbonsyz import fflinalg
 
         fermat = {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}
-        monkeypatch.setattr(curves, "_MACAULAY_ENTRIES_MAX", 55 * 36)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 55 * 36)
         PlaneCurve(F101, fermat, 4)
-        monkeypatch.setattr(curves, "_MACAULAY_ENTRIES_MAX", 55 * 36 - 1)
-        with pytest.raises(CertificateTooLarge, match="a 55 x 36 Macaulay matrix"):
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 55 * 36 - 1)
+        with pytest.raises(MatrixTooLarge, match="degree-4 smoothness certificate, Macaulay matrix: 55 x 36,"):
             PlaneCurve(F101, fermat, 4)
         # a zero partial leaves its rows out: in characteristic 2, x^4 + y^4 + z^4
         # has none, and f alone gives C(5, 2) = 10 rows
-        monkeypatch.setattr(curves, "_MACAULAY_ENTRIES_MAX", 10 * 36 - 1)
-        with pytest.raises(CertificateTooLarge, match="a 10 x 36 Macaulay matrix"):
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 10 * 36 - 1)
+        with pytest.raises(MatrixTooLarge, match="Macaulay matrix: 10 x 36,"):
             PlaneCurve(PrimeField(2), fermat, 4)
 
     def test_random_model_does_not_retry_an_oversized_certificate(self):
@@ -163,7 +162,7 @@ class TestSmoothnessCertificate:
                 draws.append(args)
                 return rng.integers(*args)
 
-        with pytest.raises(CertificateTooLarge, match="a 11935 x 6786 Macaulay matrix"):
+        with pytest.raises(MatrixTooLarge, match="degree-40 smoothness certificate, Macaulay matrix: 11935 x 6786,"):
             random_plane_curve(F101, 40, Counted())
         assert len(draws) == 1
 
@@ -171,7 +170,7 @@ class TestSmoothnessCertificate:
         # f's own rows, C(2d - 3, 2) of C(3d - 3, 2) columns, bound the matrix
         # from below; past the budget from d = 46 on, they refuse the degree
         # before its monomials are listed or a coefficient drawn
-        from ribbonsyz import curves
+        from ribbonsyz import curves, fflinalg
 
         class Listed(Exception):
             pass
@@ -180,14 +179,14 @@ class TestSmoothnessCertificate:
             raise Listed(q)
 
         monkeypatch.setattr(curves, "_monomials", listing)
-        assert 3741 * 8646 <= curves._MACAULAY_ENTRIES_MAX < 3916 * 9045
+        assert 32 * 3741 * 8646 <= fflinalg._MATRIX_BYTES_MAX < 32 * 3916 * 9045
         with pytest.raises(Listed):
             random_plane_curve(F101, 45, None)
-        with pytest.raises(CertificateTooLarge, match="at least a 3916 x 9045 Macaulay matrix"):
+        with pytest.raises(MatrixTooLarge, match="f's rows alone of its Macaulay matrix: 3916 x 9045,"):
             random_plane_curve(F101, 46, None)
-        with pytest.raises(CertificateTooLarge, match="at least a 1993006 x 4489506 Macaulay matrix"):
+        with pytest.raises(MatrixTooLarge, match="f's rows alone of its Macaulay matrix: 1993006 x 4489506,"):
             random_plane_curve(F101, 1000, None)
-        with pytest.raises(CertificateTooLarge, match="degree-1000000 curve"):
+        with pytest.raises(MatrixTooLarge, match="degree-1000000 smoothness certificate"):
             random_plane_curve(F101, 10**6, None)
 
 

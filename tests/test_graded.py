@@ -6,7 +6,7 @@ import pytest
 
 from itertools import combinations_with_replacement
 
-from ribbonsyz import graded
+from ribbonsyz import fflinalg, graded
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map, random_plane_curve
 from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank, rref
 from ribbonsyz.graded import (
@@ -151,7 +151,7 @@ def traced_peak(f) -> int:
 def product_blocks(alg, monkeypatch, block=None) -> list:
     """The operands of every ``matmul_mod`` call the certificate makes on
     rebuilding ``alg``, with the block size patched to ``block`` when given."""
-    from ribbonsyz import graded
+    from ribbonsyz import fflinalg, graded
 
     calls = []
     original = graded.matmul_mod
@@ -171,10 +171,10 @@ def assert_row_blocks(alg, calls, block: int) -> None:
     """The certificate's products, ``calls``, are x_k x_l on degree q for
     every pair (k, l), restricted to a block of target rows of degree q + 2:
     (n rows, dims[q+1]) by (dims[q+1], n dims[q]).  Each has at most
-    ``block`` entries, as many rows as fit, and the blocks of a degree
-    cover its target rows once, in order."""
+    max(``block``, entries of the right operand) entries, as many rows as
+    fit, and the blocks of a degree cover its target rows once, in order."""
     n, d = alg.n, alg.pieces
-    assert all(len(x) * y.shape[1] <= block for x, y in calls)
+    assert all(len(x) * y.shape[1] <= max(block, y.size) for x, y in calls)
     it = iter(calls)
     for q in range(alg.window - 1):
         right = alg.action[q].transpose(1, 0, 2).reshape(d[q + 1], n * d[q])
@@ -186,7 +186,7 @@ def assert_row_blocks(alg, calls, block: int) -> None:
             assert blocks[-1].shape[1] > 0
             covered += blocks[-1].shape[1]
         assert np.array_equal(np.concatenate(blocks, axis=1), alg.action[q + 1])
-        assert len(blocks) == -(-d[q + 2] // max(1, block // (n * n * d[q])))
+        assert len(blocks) == -(-d[q + 2] // max(1, max(block, right.size) // (n * n * d[q])))
     assert next(it, None) is None
 
 
@@ -249,6 +249,36 @@ class TestBatchedCertificate:
         assert len(calls) > window - 1
         assert_row_blocks(alg, calls, 64)
 
+    def test_blocks_hold_the_right_operand(self, monkeypatch):
+        # n = 16 generators acting alike (x_k = A_q for every k, so they
+        # commute) on pieces (80, 64, 10): one target row's products,
+        # n^2 d0 = 20480 entries, outgrow _MOD_BLOCK, and the right operand
+        # holds d1 n d0 = 81920.  A block of 4 rows holds as many, so the 10
+        # target rows take 3 products, not the 10 of one row each
+        n, (d0, d1, d2) = 16, (80, 64, 10)
+        assert n * n * d0 > fflinalg._MOD_BLOCK
+        rng = np.random.default_rng(0)
+        a0, a1 = rng.integers(0, 101, (d1, d0)), rng.integers(0, 101, (d2, d1))
+        action = [np.broadcast_to(a, (n, *a.shape)).copy() for a in (a0, a1)]
+        calls = []
+        real = graded.matmul_mod
+        monkeypatch.setattr(graded, "matmul_mod", lambda x, y, p: calls.append((x.shape, y.shape)) or real(x, y, p))
+        GradedModule(F101, n, (d0, d1, d2), tuple(action)).check_commutativity()
+        assert calls == [((4 * n, d1), (d1, n * d0))] * 2 + [((2 * n, d1), (d1, n * d0))]
+        # x_3 moved in the last target row, inside the last block: the pair
+        # named is the one the whole product, in one block, names first
+        action[1][3, d2 - 1, 0] += 1
+        assert a0[0].any()
+        tampered = GradedModule(F101, n, (d0, d1, d2), tuple(action))
+        calls.clear()
+        with pytest.raises(GradedError, match=r"degree 0 for basis pair \(0,3\)") as split:
+            tampered.check_commutativity()
+        assert len(calls) == 3
+        monkeypatch.setattr(graded, "_MOD_BLOCK", n * n * d0 * d2)
+        with pytest.raises(GradedError) as whole:
+            tampered.check_commutativity()
+        assert str(split.value) == str(whole.value)
+
     def test_certificate_memory_on_the_betti_quartic_ring(self):
         # W1's ring: the top degree's 504 x 216 products, formed a block of
         # target rows at a time, stay well under 1 MB (2.4 MB when formed whole)
@@ -263,7 +293,7 @@ class TestBatchedCertificate:
         # split into blocks of at most 64 entries, the certificate names the
         # pair the whole product names; the last tamper sits in the last
         # target row of degree 4, so only the last block of degree 2 fails
-        from ribbonsyz import graded
+        from ribbonsyz import fflinalg, graded
 
         alg = algebra_from_sections([quartic.sections(q) for q in range(window + 1)])
         prods = tampered(alg, key[1], entry)
@@ -493,6 +523,24 @@ class TestSubquotient:
         monkeypatch.setattr(graded, "rref", tracked)
         assert mod.subquotient(sub, rel).pieces == (0, 2, 4, 4, 3)
         assert len(held) == 2 * (self.WINDOW + 1)
+
+    def test_each_degree_is_priced_before_its_rref(self, monkeypatch):
+        # F[x0, x1, x2] through degree 1 in w = 2 copies, all of it over
+        # nothing: degree 0's input is 2 x 2, degree 1's 6 x 12, rel_1 and
+        # sub_1 (0 + 6 columns) beside x_k of the 2 columns of degree 0
+        mod = polynomial_module(3, 1)
+        sub = [np.eye(2 * d, dtype=np.int64) for d in mod.pieces]
+        rel = [np.zeros((2 * d, 0), dtype=np.int64) for d in mod.pieces]
+        rrefs = []
+        reduce = graded.rref
+        monkeypatch.setattr(graded, "rref", lambda a, p: rrefs.append(a.shape) or reduce(a, p))
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 6 * 12 - 1)
+        with pytest.raises(fflinalg.MatrixTooLarge, match=r"subquotient in degree 1: 6 x 12, about 2304 bytes,"):
+            mod.subquotient(sub, rel)
+        assert rrefs == [(2, 2)]  # degree 1 was refused before its RREF
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 6 * 12)
+        assert mod.subquotient(sub, rel).pieces == (2, 6)
+        assert rrefs == [(2, 2), (2, 2), (6, 12)]
 
     def test_complement_takes_the_last_columns(self):
         # M_0 -> M_1 of dims 2 -> 3 with x m_0 = e_0 + e_2 and x m_1 = e_1 + e_2.

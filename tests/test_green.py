@@ -13,7 +13,7 @@ from ribbonsyz.curves import (
     random_plane_curve,
 )
 from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank
-from ribbonsyz import graded, greenchk, koszul
+from ribbonsyz import fflinalg, graded, greenchk, koszul
 from ribbonsyz.greenchk import (
     HypothesisUnmetWarning,
     IllDefined,
@@ -176,23 +176,24 @@ class TestSubquotientBudget:
     def test_matrix_over_the_budget_is_refused_before_rref(self, hyp2, monkeypatch):
         # M^1 of hyp2 at t = 5: w = 6 copies of (6, 8, 10); in degree 2 the
         # input is 60 x 148, rel_2 and sub_2 beside x_k of the 48 sub_1 columns
-        real, default = greenchk.koszul_cohomology, koszul._CELL_BYTES_MAX
+        real, default = greenchk.koszul_cohomology, fflinalg._MATRIX_BYTES_MAX
 
         def unbudgeted(module, p, q):  # isolates the subquotient's guard from the groups'
             with monkeypatch.context() as m:
-                m.setattr(koszul, "_CELL_BYTES_MAX", default)
+                m.setattr(fflinalg, "_MATRIX_BYTES_MAX", default)
                 return real(module, p, q)
 
         monkeypatch.setattr(greenchk, "koszul_cohomology", unbudgeted)
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 60 * 148)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 60 * 148)
         build_syzygy_module(hyp2, 5, 1)  # at the budget exactly
         rrefs = []
         real_rref = graded.rref
         monkeypatch.setattr(graded, "rref", lambda a, p: rrefs.append(a.shape) or real_rref(a, p))
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * (60 * 148 - 1))
-        with pytest.raises(koszul.CellTooLarge, match=r"M\^1 subquotient in degree 2: 60 x 148,"):
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * (60 * 148 - 1))
+        with pytest.raises(fflinalg.MatrixTooLarge, match=r"subquotient in degree 2: 60 x 148,"):
             build_syzygy_module(hyp2, 5, 1)
-        assert rrefs == []
+        # degrees 0 and 1 are priced and reduced first; degree 2 is refused before its RREF
+        assert rrefs == [(36, 38), (48, 109)]
 
 
 class TestIllDefined:

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ribbonsyz import koszul
+from ribbonsyz import fflinalg, koszul
 from ribbonsyz.curves import (
     HyperellipticCurve,
     random_hyperelliptic,
@@ -380,12 +380,12 @@ class TestCellBudget:
         module = self.quartic_module()
         expected = KoszulCalculator(module).rank_d(4, 1)
         need = 32 * 108 * 108
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", need)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", need)
         assert KoszulCalculator(module).rank_d(4, 1) == expected
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", need - 1)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", need - 1)
         built = []
         monkeypatch.setattr(koszul, "koszul_differential", lambda *args: built.append(args))
-        with pytest.raises(koszul.CellTooLarge) as info:
+        with pytest.raises(fflinalg.MatrixTooLarge) as info:
             KoszulCalculator(module).rank_d(4, 1)
         message = str(info.value)
         assert "(p, q) = (4, 1)" in message and "108 x 108" in message and str(need) in message
@@ -398,14 +398,14 @@ class TestCellBudget:
         module = self.quartic_module()
         shape = koszul_differential(module, 4, 1, 1).shape
         assert shape[0] != shape[1]
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * shape[0] * shape[1] - 1)
-        with pytest.raises(koszul.CellTooLarge, match=f"weight block 1: {shape[0]} x {shape[1]},"):
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * shape[0] * shape[1] - 1)
+        with pytest.raises(fflinalg.MatrixTooLarge, match=f"weight block 1: {shape[0]} x {shape[1]},"):
             KoszulCalculator(module).rank_d(4, 1)
 
     def test_whole_cell_of_an_unsplit_module(self, monkeypatch):
         module = unweighted(self.quartic_module())
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 245 * 245 - 1)
-        with pytest.raises(koszul.CellTooLarge, match=r"weight block 0: 245 x 245"):
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 245 * 245 - 1)
+        with pytest.raises(fflinalg.MatrixTooLarge, match=r"weight block 0: 245 x 245"):
             KoszulCalculator(module).rank_d(4, 1)
 
     def test_cohomology_checks_both_maps_before_building(self, monkeypatch):
@@ -414,20 +414,20 @@ class TestCellBudget:
         expected = koszul.koszul_cohomology(module, 3, 2).dim
         assert koszul_differential(module, 3, 2).shape == (21, 245)
         assert koszul_differential(module, 4, 1).shape == (245, 245)
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 245 * 245)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 245 * 245)
         assert koszul.koszul_cohomology(module, 3, 2).dim == expected
         built = []
         monkeypatch.setattr(koszul, "koszul_differential", lambda *args: built.append(args))
         for budget, named in ((32 * 21 * 245 - 1, "d_out: 21 x 245,"), (32 * 245 * 245 - 1, "d_in: 245 x 245,")):
-            monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", budget)
-            with pytest.raises(koszul.CellTooLarge, match=rf"\(p, q\) = \(3, 2\), {named}"):
+            monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", budget)
+            with pytest.raises(fflinalg.MatrixTooLarge, match=rf"\(p, q\) = \(3, 2\), {named}"):
                 koszul.koszul_cohomology(module, 3, 2)
         assert built == []
 
     def test_table_through_the_ring(self, monkeypatch):
         _, ring = zoo()[0]
-        monkeypatch.setattr(koszul, "_CELL_BYTES_MAX", 32 * 100 * 100)
-        with pytest.raises(koszul.CellTooLarge):
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 100 * 100)
+        with pytest.raises(fflinalg.MatrixTooLarge):
             ring.betti()
 
     def test_genus_3_gate_case_fits_the_default_budget(self):
@@ -448,4 +448,4 @@ class TestCellBudget:
                     largest.setdefault(shape[0] * shape[1], []).append((p, q, shape))
         top = max(largest)
         assert largest[top] == [(6, 1, (4158, 4536)), (7, 1, (4536, 4158))]
-        assert 32 * top <= koszul._CELL_BYTES_MAX
+        assert 32 * top <= fflinalg._MATRIX_BYTES_MAX
