@@ -51,11 +51,26 @@ it.  Both read only ``action[q]``, of shape (n, dim M_{q+1}, dim M_q).
 
 An Artinian reduction of a canonical ribbon has pieces (1, n, n, 1, 0), so
 rows q = 0 (the unit) and q = 2 (the socle pairing B_2 x B_1 -> B_3) come
-from these certificates; the ring itself gets row 0 through its unit.  Row
-q = 1 is always ranked: ``duality_check`` compares its computed ranks,
-while ``hilbert_check`` holds for any ranks (they telescope out of the
-Euler characteristic).  A cell whose certificate fails is ranked as any
-other.
+from these certificates; the ring itself gets row 0 through its unit.
+``hilbert_check`` holds for any ranks (they telescope out of the Euler
+characteristic).  A cell whose certificate fails is ranked as any other.
+
+Row q = 1 by Gorenstein duality.  A third exact certificate, checked once
+per module, halves the row that is left.  It holds when the pieces are
+(1, n, n, 1, 0), the module is cyclic (B_q = V B_{q-1} for q = 1, 2, 3),
+its socle is B_3 alone (no nonzero m in B_q, q <= 2, with x_k.m = 0 for
+every k), and the action commutes.  Then B is a graded Artinian quotient
+of Sym V with a one-dimensional socle, so it is Gorenstein (Eisenbud, The
+Geometry of Syzygies, GTM 229): the pairings B_q x B_{3-q} -> B_3 are
+perfect, and through them and wedge^p V x wedge^{n-p} V -> wedge^n V the
+map d_{n+1-p,1} is, up to signs, the transpose of d_{p,1}.  So
+r_{p,1} = r_{n+1-p,1}, and only the cells with 2p <= n + 1 are ranked.
+The certificate also ranks the cheapest mirrored pair, d_{1,1} and the
+n^2 x n matrix d_{n,1}, and holds only when the two agree, so
+``duality_check`` still compares b_{1,1} with b_{n-1,2}, two ranks
+computed independently.  A module whose certificate fails (every ring,
+every syzygy module M^p, any reduction that is not Gorenstein) has its
+whole row ranked.
 """
 
 from __future__ import annotations
@@ -67,8 +82,8 @@ from math import comb
 
 import numpy as np
 
-from ribbonsyz.fflinalg import check_budget, image_basis, kernel_basis, matmul_mod, rank
-from ribbonsyz.graded import GradedAlgebra, GradedModule
+from ribbonsyz.fflinalg import MatrixTooLarge, check_budget, image_basis, kernel_basis, matmul_mod, rank
+from ribbonsyz.graded import GradedAlgebra, GradedError, GradedModule
 from ribbonsyz.rng import SeededStream
 
 __all__ = [
@@ -81,6 +96,7 @@ __all__ = [
     "koszul_differential",
     "koszul_cohomology",
     "betti_table",
+    "check_row_one_budget",
     "duality_check",
     "hilbert_check",
     "hilbert_dims",
@@ -136,9 +152,44 @@ def _wedge_arrays(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _total_weights(module: GradedModule, p: int, q: int) -> np.ndarray:
     """Total weight of each basis vector of wedge^p V (x) M_q, in basis order."""
-    subsets, _ = _wedge_arrays(module.n, p)
-    wedge = module.v_weights[subsets].sum(axis=1)
-    return (wedge[:, None] + module.weights[q][None, :]).ravel()
+    return _wedge_weights(module.v_weights, p, module.weights[q])
+
+
+def _wedge_weights(v_weights: np.ndarray, p: int, piece_weights: np.ndarray) -> np.ndarray:
+    """Total weight of each basis vector of wedge^p V (x) M, from the weights of V and of M."""
+    subsets, _ = _wedge_arrays(len(v_weights), p)
+    wedge = v_weights[subsets].sum(axis=1)
+    return (wedge[:, None] + piece_weights[None, :]).ravel()
+
+
+def _priced_blocks(v_weights, p: int, q: int, src_weights, tgt_weights) -> list[int]:
+    """The total weights found on both sides of d_{p,q}, every block priced before any is built.
+
+    ``src_weights`` and ``tgt_weights`` weight M_q and M_{q+1}; a block over
+    the memory budget raises MatrixTooLarge.
+    """
+    src = _wedge_weights(v_weights, p, src_weights)
+    tgt = _wedge_weights(v_weights, p - 1, tgt_weights)
+    blocks = sorted(set(src.tolist()) & set(tgt.tolist()))
+    for w in blocks:
+        shape = (int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w)))
+        check_budget(f"cell (p, q) = ({p}, {q}), weight block {w}", shape)
+    return blocks
+
+
+def check_row_one_budget(v_weights, weights_1, weights_2) -> None:
+    """Price, from the weights of V, M_1 and M_2 alone, the row-1 cells a Gorenstein module ranks.
+
+    Those are d_{p,1} for 2p <= n + 1 and d_{n,1} (see the module
+    docstring), priced in increasing p: the first block over the memory
+    budget raises the MatrixTooLarge that ``KoszulCalculator.rank_d``
+    would, so a caller can refuse a table before its module is built.
+    """
+    v_weights = np.asarray(v_weights, dtype=np.int64)
+    n = len(v_weights)
+    for p in range(1, n + 1):
+        if 2 * p <= n + 1 or p == n:
+            _priced_blocks(v_weights, p, 1, np.asarray(weights_1), np.asarray(weights_2))
 
 
 def koszul_differential(module: GradedModule, p: int, q: int, weight: int | None = None) -> np.ndarray:
@@ -222,22 +273,56 @@ class KoszulCalculator:
     stored for a cell (``dict.setdefault``), so evaluating a cell twice,
     even from two threads at once, only repeats work.  ``module`` is the
     module as given when its weight certificate holds (checked once), and
-    otherwise the same module with the trivial grading.  The cache starts
-    with the ranks of the cells next to a one-dimensional piece whose
-    injective or surjective certificate holds (see the module docstring);
-    ``derived`` is the set of those cells, which are never assembled.
+    otherwise the same module with the trivial grading.  ``certificates``
+    maps each cell whose rank comes from a certificate (see the module
+    docstring) to its name: "injective" or "surjective" for the cells next
+    to a one-dimensional piece, "gorenstein" for the row-1 cells read off
+    their mirror.  ``derived`` is the set of those cells, which are never
+    assembled.
     """
 
     def __init__(self, module: GradedModule):
         if not module.respects_weights():
             module = GradedModule(module.field, module.n, module.pieces, module.action)
         self.module = module
-        self._ranks: dict[tuple[int, int], int] = _certified_ranks(module)
-        self.derived = frozenset(self._ranks)
+        certified = _certified_ranks(module)
+        self._ranks: dict[tuple[int, int], int] = {cell: r for cell, (_, r) in certified.items()}
+        self.certificates: dict[tuple[int, int], str] = {cell: c for cell, (c, _) in certified.items()}
+        if self._gorenstein():
+            n = module.n
+            mirrored = {(p, 1): "gorenstein" for p in range(1, n) if 2 * p > n + 1}
+            self.certificates.update(mirrored)
+        self.derived = frozenset(self.certificates)
+
+    def _gorenstein(self) -> bool:
+        """The Gorenstein certificate of the module docstring; never raises.
+
+        The cheap legs run first: the pieces, then the ranks that certify
+        cyclic and socle B_3, then commutativity; last, the mirrored pair
+        d_{1,1} and d_{n,1} is ranked through ``rank_d`` (so both ranks are
+        cached) and must agree.  A pair over the memory budget fails it.
+        """
+        module, prime = self.module, self.module.field.p
+        n, dims = module.n, module.pieces
+        if dims != (1, n, n, 1, 0):
+            return False
+        for q in (1, 2, 3):  # cyclic: V B_{q-1} spans B_q
+            spanned = module.action[q - 1].transpose(1, 0, 2).reshape(dims[q], n * dims[q - 1])
+            if rank(spanned, prime) != dims[q]:
+                return False
+        for q in (0, 1, 2):  # no socle below B_3: m -> (x_k.m)_k is injective on B_q
+            if rank(module.action[q].reshape(n * dims[q + 1], dims[q]), prime) != dims[q]:
+                return False
+        try:
+            module.check_commutativity()
+            return self.rank_d(1, 1) == self.rank_d(n, 1)
+        except (GradedError, MatrixTooLarge):
+            return False
 
     def rank_d(self, p: int, q: int) -> int:
         """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) and derived cells cost nothing.
 
+        A Gorenstein cell returns the rank of its mirror d_{n+1-p,1}.
         Otherwise the sum of the ranks of the weight blocks found on both
         sides of the cell, each assembled, ranked and dropped before the next
         is built.
@@ -250,17 +335,12 @@ class KoszulCalculator:
         key = (p, q)
         if key in self._ranks:
             return self._ranks[key]
+        if self.certificates.get(key) == "gorenstein":
+            return self._ranks.setdefault(key, self.rank_d(n + 1 - p, q))
         module = self.module
         if q + 1 > module.window:
             raise OutOfWindow(f"degree {q} -> {q + 1} outside window 0..{module.window}")
-        src = _total_weights(module, p, q)
-        tgt = _total_weights(module, p - 1, q + 1)
-        blocks = {
-            w: (int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w)))
-            for w in sorted(set(src.tolist()) & set(tgt.tolist()))
-        }
-        for w, shape in blocks.items():
-            check_budget(f"cell (p, q) = ({p}, {q}), weight block {w}", shape)
+        blocks = _priced_blocks(module.v_weights, p, q, module.weights[q], module.weights[q + 1])
         # no name holds a block past its rank call, so it is freed before the next is built
         total = sum(rank(koszul_differential(module, p, q, w), module.field.p) for w in blocks)
         return self._ranks.setdefault(key, total)
@@ -274,15 +354,15 @@ class KoszulCalculator:
         return middle - self.rank_d(p, q) - self.rank_d(p + 1, q - 1)
 
 
-def _certified_ranks(module: GradedModule) -> dict[tuple[int, int], int]:
-    """rank d_{p,q} for 1 <= p <= n wherever the injective or surjective certificate holds."""
+def _certified_ranks(module: GradedModule) -> dict[tuple[int, int], tuple[str, int]]:
+    """(certificate, rank d_{p,q}) for 1 <= p <= n wherever the injective or surjective one holds."""
     n, prime = module.n, module.field.p
     ranks = {}
     for q, a in enumerate(module.action):
         if module.pieces[q] == 1 and rank(a[:, :, 0], prime) == n:
-            ranks.update({(p, q): comb(n, p) for p in range(1, n + 1)})
+            ranks.update({(p, q): ("injective", comb(n, p)) for p in range(1, n + 1)})
         elif module.pieces[q + 1] == 1 and rank(a[:, 0, :], prime) == n:
-            ranks.update({(p, q): comb(n, p - 1) for p in range(1, n + 1)})
+            ranks.update({(p, q): ("surjective", comb(n, p - 1)) for p in range(1, n + 1)})
     return ranks
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map
 from ribbonsyz.graded import GradedAlgebra
-from ribbonsyz.koszul import BettiTable, betti_table
+from ribbonsyz.koszul import BettiTable, betti_table, check_row_one_budget
 
 __all__ = [
     "RibbonError",
@@ -116,6 +116,7 @@ def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
             f"dim S~_1 = {s_dims[1] + j_dims[1]} != p_a = {p_a}; "
             "the conormal degree is too small for this model"
         )
+    _price_reduced_table(s_dims, j_dims)
     dims = [s_dims[q] + j_dims[q] for q in range(_WINDOW + 1)]
     weights = [np.repeat([0, 1], [s_dims[q], j_dims[q]]) for q in range(_WINDOW + 1)]
     # S~_1 x S~_b -> S~_{b+1} in the action layout; epsilon J x epsilon J = 0
@@ -132,6 +133,25 @@ def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
         products.append(tensor)
     algebra = GradedAlgebra(model.field, dims, products, weights=weights)
     return SplitRibbonRing(model=model, deg_l=deg_l, g=g, p_a=p_a, algebra=algebra)
+
+
+def _price_reduced_table(s_dims, j_dims) -> None:
+    """Refuse a Betti table over the memory budget before the ring and its certificate are built.
+
+    The table is ranked on B = S~ / (l1, l2), two weight-0 forms whose
+    regular-sequence certificate fixes every weight piece of B:
+    dim B_q^w = dim S~_q^w - 2 dim S~_{q-1}^w + dim S~_{q-2}^w.  Its
+    always-ranked row-1 cells are priced from those dimensions
+    (``koszul.check_row_one_budget``), and the first block over the budget
+    raises MatrixTooLarge.  A B block is a sub-block of the ring's block of
+    the same weight, so a refusal holds whichever path the table takes;
+    dimensions no reduction can have (a negative one) price nothing.
+    """
+    b1 = [a[1] - 2 * a[0] for a in (s_dims, j_dims)]
+    b2 = [a[2] - 2 * a[1] + a[0] for a in (s_dims, j_dims)]
+    if min(b1 + b2) < 0:
+        return
+    check_row_one_budget(*(np.repeat([0, 1], b) for b in (b1, b1, b2)))
 
 
 def split_invariants(g: int, m: int, deg_l: int) -> dict:

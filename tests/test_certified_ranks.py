@@ -1,11 +1,13 @@
-"""Koszul cells next to a one-dimensional piece, ranked from exact certificates.
+"""Koszul cells ranked from exact certificates, against the fully ranked cells.
 
 ``KoszulCalculator`` takes rank d_{p,q} = C(n, p) when dim M_q = 1 and the
 x_k . m_0 are independent (the map is injective), and C(n, p - 1) when
 dim M_{q+1} = 1 and the functionals x_k : M_q -> M_{q+1} are independent
-(the map is surjective); ``derived`` names those cells.  The oracle is the
-rank of the assembled cell, one weight block at a time through
-``koszul_differential`` and ``fflinalg.rank``, and the table of a
+(the map is surjective).  On a Gorenstein module with pieces (1, n, n, 1, 0)
+it takes r_{p,1} = r_{n+1-p,1} for 2p > n + 1.  ``certificates`` names the
+certificate of each such cell and ``derived`` is the set of them.  The
+oracle is the rank of the assembled cell, one weight block at a time
+through ``koszul_differential`` and ``fflinalg.rank``, and the table of a
 calculator that derives nothing.
 """
 
@@ -20,6 +22,7 @@ from ribbonsyz import fflinalg, koszul
 from ribbonsyz.cli import main
 from ribbonsyz.curves import random_hyperelliptic
 from ribbonsyz.fflinalg import PrimeField, rank
+from ribbonsyz.graded import GradedError
 from ribbonsyz.greenchk import build_syzygy_module
 from ribbonsyz.koszul import (
     KoszulCalculator,
@@ -59,13 +62,31 @@ def assembled_rank(module, p: int, q: int) -> int:
     return sum(rank(koszul_differential(module, p, q, w), module.field.p) for w in set(src.tolist()))
 
 
+def no_certificates(m) -> None:
+    """Switch every certificate off inside the monkeypatch context ``m``."""
+    m.setattr(koszul, "_certified_ranks", lambda module: {})
+    m.setattr(KoszulCalculator, "_gorenstein", lambda self: False)
+
+
 def underived(monkeypatch, module) -> KoszulCalculator:
     """A calculator for the module that derives nothing: every cell is ranked."""
     with monkeypatch.context() as m:
-        m.setattr(koszul, "_certified_ranks", lambda module: {})
+        no_certificates(m)
         calc = KoszulCalculator(module)
-    assert not calc.derived
+    assert not calc.derived and not calc.certificates
     return calc
+
+
+# The reductions whose Gorenstein certificate holds.  Those of genus 0 at
+# t = 8 and of the genus-3 curve at t = 2 have B_1 B_1 = 0 (action[1] is
+# zero), so they are not cyclic and rank their whole row 1.
+GORENSTEIN = {"plane quartic, reduced", "hyperelliptic g=2, reduced", "elliptic, reduced", "W5, reduced"}
+
+
+def mirrored_cells(module) -> dict:
+    """The row-1 cells a Gorenstein module reads off their mirror."""
+    n = module.n
+    return {(p, 1): "gorenstein" for p in range(1, n) if 2 * p > n + 1}
 
 
 def table(calc: KoszulCalculator, rows) -> list[list[int]]:
@@ -79,23 +100,38 @@ def row_cells(module, *rows) -> set:
 class TestDifferential:
     def test_derived_cells_are_the_rows_next_to_a_one_dimensional_piece(self, modules):
         # a reduction's pieces are (1, n, n, 1, 0): row 0 by injectivity out
-        # of B_0, row 2 by surjectivity onto B_3; a ring derives row 0 only
+        # of B_0, row 2 by surjectivity onto B_3, and row 1 past its middle by
+        # Gorenstein duality; a ring derives row 0 only
         for name, module in modules:
             assert module.pieces[0] == 1 and module.pieces[2] > 1, name
-            expected = row_cells(module, 0, 2) if module.pieces[3] == 1 else row_cells(module, 0)
-            assert KoszulCalculator(module).derived == expected, name
+            expected = dict.fromkeys(row_cells(module, 0), "injective")
+            if module.pieces[3] == 1:
+                expected |= dict.fromkeys(row_cells(module, 2), "surjective")
+            if name in GORENSTEIN:
+                expected |= mirrored_cells(module)
+            elif module.pieces[3] == 1:
+                assert not module.action[1].any(), name
+            calc = KoszulCalculator(module)
+            assert calc.certificates == expected, name
+            assert calc.derived == set(expected), name
 
     def test_derived_ranks_equal_the_assembled_cells(self, modules, w5_ring):
         compared = 0
         for name, module in modules + [("W5", w5_ring.algebra)]:
             calc = KoszulCalculator(module)
             assert calc.derived, name
+            n = module.n
             for p, q in sorted(calc.derived):
-                want = comb(module.n, p) if q == 0 else comb(module.n, p - 1)
+                want = {
+                    "injective": comb(n, p),
+                    "surjective": comb(n, p - 1),
+                    "gorenstein": assembled_rank(calc.module, n + 1 - p, q),
+                }[calc.certificates[p, q]]
                 assert calc.rank_d(p, q) == want == assembled_rank(calc.module, p, q), (name, p, q)
                 compared += 1
-        # the quartic (n = 9, reduced 7), four rings with n = 7 (reduced 5), W5 (12, reduced 10)
-        assert compared == (9 + 2 * 7) + 4 * (7 + 2 * 5) + (12 + 2 * 10)
+        # the quartic (n = 9, reduced 7 with 2 mirrored cells), four rings with
+        # n = 7 (reduced 5, 1 mirrored on two of them), W5 (12, reduced 10, 4 mirrored)
+        assert compared == (9 + 2 * 7 + 2) + 4 * (7 + 2 * 5) + 2 + (12 + 2 * 10 + 4)
 
     def test_tables_equal_the_underived_ones(self, modules, monkeypatch):
         # every row of a reduction; rows 0 and 1 of a ring, the rows that read
@@ -108,21 +144,130 @@ class TestDifferential:
         for name, ring in zoo() + [("W5", w5_ring)]:
             got = betti_table(ring.algebra)
             with monkeypatch.context() as m:
-                m.setattr(koszul, "_certified_ranks", lambda module: {})
+                no_certificates(m)
                 want = betti_table(ring.algebra)
             assert got.method == want.method == "artinian", name
             assert np.array_equal(got.entries, want.entries), name
 
     def test_derived_cells_skip_the_budget(self, modules, monkeypatch):
-        # nothing is assembled for a derived cell, so no budget applies to it
+        # nothing is assembled for a derived cell, so no budget applies to it;
+        # a mirrored cell reads its mirror, ranked here first
         _, module = modules[1]
         calc = KoszulCalculator(module)
+        mirrors = {module.n + 1 - p: calc.rank_d(module.n + 1 - p, 1) for p, _ in mirrored_cells(module)}
+        assert mirrors
         monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 0)
         monkeypatch.setattr(koszul, "koszul_differential", lambda *args: pytest.fail("assembled"))
         for p, q in calc.derived:
-            assert calc.rank_d(p, q) in (comb(module.n, p), comb(module.n, p - 1))
-        with pytest.raises(fflinalg.MatrixTooLarge, match=r"\(p, q\) = \(1, 1\)"):
-            calc.rank_d(1, 1)
+            want = {
+                "injective": comb(module.n, p),
+                "surjective": comb(module.n, p - 1),
+                "gorenstein": mirrors.get(module.n + 1 - p),
+            }[calc.certificates[p, q]]
+            assert calc.rank_d(p, q) == want
+        middle = (module.n + 1) // 2  # ranked, and no mirror of a derived cell
+        with pytest.raises(fflinalg.MatrixTooLarge, match=rf"\(p, q\) = \({middle}, 1\)"):
+            calc.rank_d(middle, 1)
+
+
+class TestGorenstein:
+    """A reduction with pieces (1, n, n, 1, 0) that is cyclic, has socle B_3
+    alone and commutes is Gorenstein: r_{p,1} = r_{n+1-p,1}, and the cells
+    with 2p > n + 1 are read off their mirror.  Each tamper below fails one
+    leg of the certificate, which then returns False without raising, and
+    the table is the fully ranked one."""
+
+    def reduced(self):
+        _, ring = zoo()[0]
+        return koszul._artinian_module(ring.algebra)
+
+    def test_row_one_equals_the_assembled_cells(self, modules):
+        # every r_{p,1} of every reduction, mirrored or ranked, is the rank
+        # of the assembled cell
+        for name, module in modules:
+            if module.pieces[3] != 1:
+                continue
+            calc = KoszulCalculator(module)
+            assert (set(mirrored_cells(module)) <= calc.derived) == (name in GORENSTEIN), name
+            for p in range(1, module.n + 1):
+                assert calc.rank_d(p, 1) == assembled_rank(calc.module, p, 1), (name, p)
+
+    def test_mirrored_cells_are_never_assembled(self, monkeypatch):
+        module = self.reduced()
+        built = []
+        real = koszul.koszul_differential
+
+        def recording(mod, p, q, weight=None):
+            built.append((p, q))
+            return real(mod, p, q, weight)
+
+        monkeypatch.setattr(koszul, "koszul_differential", recording)
+        calc = KoszulCalculator(module)
+        # the certificate ranks the mirrored pair d_{1,1} and d_{n,1} once each
+        assert set(built) == {(1, 1), (module.n, 1)}
+        table(calc, range(module.window))
+        assert {c for c in built if c[1] == 1} == {(p, 1) for p in range(1, module.n + 1)} - set(mirrored_cells(module))
+
+    def assert_fully_ranked(self, module, monkeypatch):
+        calc = KoszulCalculator(module)
+        assert calc._gorenstein() is False
+        assert "gorenstein" not in calc.certificates.values()
+        rows = range(module.window)
+        assert table(calc, rows) == table(underived(monkeypatch, module), rows)
+
+    def test_two_dimensional_socle(self, monkeypatch):
+        # every x_k kills one basis vector e_j of B_2, so the socle is e_j and B_3
+        module = self.reduced()
+        action = list(module.action)
+        action[2] = action[2].copy()
+        action[2][:, :, 0] = 0
+        tampered = replace(module, action=tuple(action))
+        assert rank(tampered.action[2].reshape(module.n, module.n), 101) == module.n - 1
+        assert rank(tampered.action[1].transpose(1, 0, 2).reshape(module.n, -1), 101) == module.n  # cyclic
+        self.assert_fully_ranked(tampered, monkeypatch)
+
+    def test_not_cyclic(self, monkeypatch):
+        # V B_2 = 0 misses B_3; the action still commutes
+        module = self.reduced()
+        action = list(module.action)
+        action[2] = np.zeros_like(action[2])
+        tampered = replace(module, action=tuple(action))
+        tampered.check_commutativity()
+        self.assert_fully_ranked(tampered, monkeypatch)
+
+    def test_not_cyclic_reductions_of_the_zoo(self, modules, monkeypatch):
+        # genus 0 at t = 8 and the genus-3 curve at t = 2: B_1 B_1 = 0
+        for name, module in modules:
+            if module.pieces[3] == 1 and name not in GORENSTEIN:
+                self.assert_fully_ranked(module, monkeypatch)
+
+    def test_not_commuting(self, monkeypatch):
+        # x_0 . e_1 moves inside its weight block, x_1 . e_0 does not: the
+        # ranks of the cyclic and socle legs stay full
+        module = self.reduced()
+        action = list(module.action)
+        action[1] = action[1].copy()
+        i = int(np.flatnonzero(module.weights[2] == module.v_weights[0] + module.weights[1][1])[0])
+        action[1][0, i, 1] = (action[1][0, i, 1] + 1) % 101
+        tampered = replace(module, action=tuple(action))
+        assert tampered.respects_weights()
+        with pytest.raises(GradedError):
+            tampered.check_commutativity()
+        n = module.n
+        assert rank(tampered.action[1].transpose(1, 0, 2).reshape(n, -1), 101) == n
+        assert rank(tampered.action[1].reshape(n * n, n), 101) == n
+        self.assert_fully_ranked(tampered, monkeypatch)
+
+    def test_tampered_mirrored_pair(self, monkeypatch):
+        # r_{n,1} moved by one: the pair disagrees and the whole row is ranked,
+        # the tampered cell included
+        module = self.reduced()
+        n = module.n
+        shifted = TestDualityReadsComputedRanks().shift_first_block_of(monkeypatch, (n, 1))
+        calc = KoszulCalculator(module)
+        assert shifted and calc.rank_d(n, 1) == calc.rank_d(1, 1) + 1
+        self.assert_fully_ranked(module, monkeypatch)
+        assert len(shifted) == 3  # this calculator, and the two of the comparison
 
 
 class TestTamper:
@@ -176,26 +321,33 @@ class TestTamper:
 
 
 class TestDualityReadsComputedRanks:
-    """Row 1 is always ranked, so ``duality_check`` compares computed ranks:
-    moving r_{3,1} by one breaks it, while ``hilbert_check`` still holds (its
-    rank terms telescope)."""
+    """``duality_check`` compares computed ranks.  With the Gorenstein
+    certificate off, moving r_{3,1} by one breaks it, while ``hilbert_check``
+    still holds (its rank terms telescope).  With it on, r_{1,1} and r_{n,1}
+    are both ranked, and moving r_{1,1} by one fails the certificate's
+    mirrored pair, so the whole row is ranked and duality fails."""
 
     W1 = ("betti", "--curve", "plane-quartic", "--random", "--p", "101", "--conormal", "-1", "--seed", "0")
 
-    def shift_first_block_of(self, monkeypatch, cell):
-        """Add one to the rank of the first weight block ranked in ``cell``."""
-        current, shifted = [], []
+    def shift_first_block_of(self, monkeypatch, cell, by=1):
+        """Add ``by`` to the rank of the first weight block ranked in ``cell``, each time it is ranked.
+
+        Returns the list of the true ranks shifted, one per ranking.
+        """
+        current, first, shifted = [], {}, []
         real_differential, real_rank = koszul.koszul_differential, koszul.rank
 
         def differential(module, p, q, weight=None):
-            current[:] = [(p, q)]
+            current[:] = [(p, q, weight)]
+            first.setdefault((p, q), weight)
             return real_differential(module, p, q, weight)
 
         def shifted_rank(a, prime):
             r = real_rank(a, prime)
-            if current == [cell] and not shifted:
+            if current == [(*cell, first.get(cell))]:
+                current.clear()
                 shifted.append(r)
-                return r + 1
+                return r + by
             return r
 
         monkeypatch.setattr(koszul, "koszul_differential", differential)
@@ -205,6 +357,8 @@ class TestDualityReadsComputedRanks:
     def test_shifted_rank_fails_the_duality_check(self, monkeypatch):
         _, ring = zoo()[0]
         good = betti_table(ring.algebra)
+        monkeypatch.setattr(KoszulCalculator, "_gorenstein", lambda self: False)
+        assert np.array_equal(betti_table(ring.algebra).entries, good.entries)
         shifted = self.shift_first_block_of(monkeypatch, (3, 1))
         bad = betti_table(ring.algebra)
         assert shifted
@@ -216,7 +370,12 @@ class TestDualityReadsComputedRanks:
         runner = CliRunner()
         ok = runner.invoke(main, list(self.W1), catch_exceptions=False)
         assert ok.exit_code == 0 and "duality: ok   hilbert: ok" in ok.output
-        self.shift_first_block_of(monkeypatch, (3, 1))
+        gorenstein = []
+        real = KoszulCalculator._gorenstein
+        monkeypatch.setattr(KoszulCalculator, "_gorenstein", lambda self: gorenstein.append(real(self)) or gorenstein[-1])
+        # one less: b_{0,2} = n - r_{1,1} must stay nonnegative
+        shifted = self.shift_first_block_of(monkeypatch, (1, 1), by=-1)
         res = runner.invoke(main, list(self.W1), catch_exceptions=False)
         assert res.exit_code == 0
+        assert len(shifted) == 1 and gorenstein == [False]  # the mirrored pair caught the shift
         assert "duality: FAIL   hilbert: ok" in res.output

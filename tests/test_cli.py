@@ -312,6 +312,23 @@ class TestCurveAndRibbonErrors:
         assert "matrix too large: cell (p, q) = " in res.output and "more than the budget of 3200" in res.output
         assert isinstance(res.exception, SystemExit)
 
+    def test_table_too_large_before_the_rings_certificate_exit_2(self, runner, monkeypatch):
+        # the genus-30 ring at t = 1: its table is refused from the section
+        # dimensions, before the ring's commutativity certificate (about 20 s
+        # of n**2 products) could run.  The block named is the Artinian
+        # reduction's, a sub-block of the ring's
+        from ribbonsyz.graded import GradedModule
+
+        certified = []
+        monkeypatch.setattr(GradedModule, "check_commutativity", lambda self: certified.append(self))
+        res = runner.invoke(main, ["betti", "--curve", "hyperelliptic", "--g", "30", "--conormal", "-1"])
+        assert res.exit_code == 2
+        assert (
+            "matrix too large: cell (p, q) = (2, 1), weight block 1: 1684 x 34860, about 1878535680 bytes, "
+            "more than the budget of 1073741824"
+        ) in res.output
+        assert isinstance(res.exception, SystemExit) and certified == []
+
     def test_smoothness_certificate_too_large_exit_2(self, runner, monkeypatch):
         # d = 60: f's own 6786 rows of the 15576 columns are over the budget
         # already, so the degree is refused before a coefficient is drawn, and

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ribbonsyz import fflinalg, koszul
+from ribbonsyz import fflinalg, koszul, ribbon
 from ribbonsyz.curves import (
     HyperellipticCurve,
     random_hyperelliptic,
@@ -320,16 +320,21 @@ class TestTrivialGrading:
         calc = KoszulCalculator(module)
         table = [[calc.dim(p, q) for p in range(module.n + 1)] for q in range(module.window)]
         monkeypatch.undo()
-        built["derived"] = calc.derived
+        built["certificates"] = calc.certificates
         return table, built
 
     def assert_one_block_per_cell(self, module, built):
         # rows 0 and 2 are next to the one-dimensional B_0 and B_3, and the
         # tampers keep both certificates (action[0] is untouched, action[2] at
-        # most changes basis): those cells are derived and never built; every
-        # other cell is built whole
-        derived = {(p, q) for p in range(1, module.n + 1) for q in (0, 2)}
-        assert built.pop("derived") == derived
+        # most changes basis): those cells are derived and never built, and so
+        # are the row-1 cells that the Gorenstein certificate, when it holds,
+        # reads off their mirror; every other cell is built whole, once
+        certificates = built.pop("certificates")
+        derived = set(certificates)
+        assert {(p, q) for p in range(1, module.n + 1) for q in (0, 2)} <= derived
+        assert {(p, q) for (p, q), c in certificates.items() if c == "gorenstein"} == {
+            (p, q) for p, q in derived if q == 1
+        }
         for p in range(1, module.n + 1):
             for q in range(module.window):
                 rows, cols = koszul._cell_shape(module, p, q)
@@ -342,6 +347,7 @@ class TestTrivialGrading:
         module, tampered = self.tampered_module()
         assert not tampered.respects_weights()
         table, built = self.table(tampered, monkeypatch)
+        assert "gorenstein" not in built["certificates"].values()  # the tamper does not commute
         self.assert_one_block_per_cell(tampered, built)
         assert table == self.table(unweighted(tampered), monkeypatch)[0]
         assert table != self.table(module, monkeypatch)[0]
@@ -364,6 +370,9 @@ class TestTrivialGrading:
         moved.check_commutativity()
         assert not moved.respects_weights()
         table, built = self.table(moved, monkeypatch)
+        n = module.n
+        mirrored = {(p, 1) for p in range(1, n) if 2 * p > n + 1}
+        assert mirrored and {c for c, name in built["certificates"].items() if name == "gorenstein"} == mirrored
         self.assert_one_block_per_cell(moved, built)
         assert table == self.table(module, monkeypatch)[0]
 
@@ -383,10 +392,11 @@ class TestCellBudget:
         monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", need)
         assert KoszulCalculator(module).rank_d(4, 1) == expected
         monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", need - 1)
+        calc = KoszulCalculator(module)  # its certificate ranks d_{1,1} and d_{7,1}, under the budget
         built = []
         monkeypatch.setattr(koszul, "koszul_differential", lambda *args: built.append(args))
         with pytest.raises(fflinalg.MatrixTooLarge) as info:
-            KoszulCalculator(module).rank_d(4, 1)
+            calc.rank_d(4, 1)
         message = str(info.value)
         assert "(p, q) = (4, 1)" in message and "108 x 108" in message and str(need) in message
         assert "weight block 2" in message
@@ -429,6 +439,28 @@ class TestCellBudget:
         monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 100 * 100)
         with pytest.raises(fflinalg.MatrixTooLarge):
             ring.betti()
+
+    def test_table_is_priced_before_the_ring_is_built(self, monkeypatch):
+        # build_split_ribbon prices the reduction's always-ranked row-1 cells
+        # from dimensions alone; on a ring whose table takes the Artinian
+        # path, its refusal is the one the table itself would give
+        model = random_plane_curve(PrimeField(101), 4, np.random.default_rng(0))
+        module = koszul._artinian_module(build_split_ribbon(model, 1).algebra)
+        n = module.n
+        entries = []
+        for p in [p for p in range(1, n + 1) if 2 * p <= n + 1 or p == n]:
+            for w in set(koszul._total_weights(module, p, 1).tolist()):
+                entries.append(koszul_differential(module, p, 1, w).size)
+        for budget in (32 * max(entries) - 1, 32 * min(entries) - 1, 0):
+            monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", budget)
+            with pytest.raises(fflinalg.MatrixTooLarge) as early:
+                build_split_ribbon(model, 1)
+            with monkeypatch.context() as m:
+                m.setattr(ribbon, "_price_reduced_table", lambda s_dims, j_dims: None)
+                ring = build_split_ribbon(model, 1)
+                with pytest.raises(fflinalg.MatrixTooLarge) as late:
+                    ring.betti()
+            assert str(early.value) == str(late.value), budget
 
     def test_genus_3_gate_case_fits_the_default_budget(self):
         # the split ribbon over a genus-3 hyperelliptic curve at p_a = 14
