@@ -43,7 +43,7 @@ from ribbonsyz.curves import (
 )
 from ribbonsyz.fflinalg import MatrixTooLarge, NotPrime, PrimeField
 from ribbonsyz.greenchk import green_split_report
-from ribbonsyz.koszul import NoNonzero, duality_check, hilbert_check, hilbert_dims, rcliff
+from ribbonsyz.koszul import duality_check, hilbert_check, hilbert_dims, rcliff
 from ribbonsyz.ribbon import (
     RibbonError,
     build_split_ribbon,
@@ -383,10 +383,7 @@ def betti(cfg, field, rng, model):
     """Betti table of the split ribbon's canonical ring, plus checks."""
     ring = build_split_ribbon(model, -cfg["conormal"])
     table = ring.betti()
-    try:
-        rc = rcliff(table)
-    except NoNonzero:
-        rc = None
+    rc = rcliff(table)
     inv = split_invariants(ring.g, model.gonality, ring.deg_l)
     obj = {
         "command": "betti",

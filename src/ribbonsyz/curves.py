@@ -38,7 +38,6 @@ __all__ = [
     "PlaneCurve",
     "HyperellipticCurve",
     "SectionSpace",
-    "MultMap",
     "mult_map",
     "rational_points",
     "evaluation_matrix",
@@ -182,7 +181,7 @@ class PlaneCurve:
         self._lead_inv = field.inv(f[self.lead])
         self.genus = (d - 1) * (d - 2) // 2
         self._sections: dict[int, SectionSpace] = {}
-        self._mults: dict[tuple[int, int], MultMap] = {}
+        self._mults: dict[tuple[int, int], np.ndarray] = {}
         self._check_smooth()
 
     # gonality of a smooth plane curve of degree d >= 3 is d - 1
@@ -248,12 +247,12 @@ class PlaneCurve:
     def _mult_tensor(self, ta: int, tb: int) -> np.ndarray:
         sa, sb, sc = self.sections(ta), self.sections(tb), self.sections(ta + tb)
         index = {m: i for i, m in enumerate(sc.basis)}
-        t = np.zeros((sa.dim, sb.dim, sc.dim), dtype=np.int64)
+        t = np.zeros((sa.dim, sc.dim, sb.dim), dtype=np.int64)
         for i, ma in enumerate(sa.basis):
             for j, mb in enumerate(sb.basis):
                 prod = self._normal_form({(ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2]): 1})
                 for m, c in prod.items():
-                    t[i, j, index[m]] = c
+                    t[i, index[m], j] = c
         return t
 
     def _on_curve_rows(self, xyz: np.ndarray) -> np.ndarray:
@@ -341,7 +340,7 @@ class HyperellipticCurve:
         self.g = (len(h) - 2) // 2
         self.genus = self.g
         self._sections: dict[int, SectionSpace] = {}
-        self._mults: dict[tuple[int, int], MultMap] = {}
+        self._mults: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def gonality(self) -> int:
@@ -379,7 +378,7 @@ class HyperellipticCurve:
         p = self.field.p
         sa, sb, sc = self.sections(ta), self.sections(tb), self.sections(ta + tb)
         index = {tok: i for i, tok in enumerate(sc.basis)}
-        t = np.zeros((sa.dim, sb.dim, sc.dim), dtype=np.int64)
+        t = np.zeros((sa.dim, sc.dim, sb.dim), dtype=np.int64)
         for i, (ia, ya) in enumerate(sa.basis):
             for j, (ib, yb) in enumerate(sb.basis):
                 deg = ia + ib
@@ -387,9 +386,9 @@ class HyperellipticCurve:
                     # y*y reduces to h(x)
                     for k, c in enumerate(self.h):
                         if c:
-                            t[i, j, index[(deg + k, 0)]] = c
+                            t[i, index[(deg + k, 0)], j] = c
                 else:
-                    t[i, j, index[(deg, ya or yb)]] = 1
+                    t[i, index[(deg, ya or yb)], j] = 1
         return t
 
     def _h_values(self, x: np.ndarray) -> np.ndarray:
@@ -433,36 +432,22 @@ class SectionSpace:
         return f"SectionSpace({self.model.family}, tag={self.tag}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class MultMap:
-    """The bilinear multiplication H^0(A) x H^0(B) -> H^0(A tensor B).
+def mult_map(sa: SectionSpace, sb: SectionSpace) -> np.ndarray:
+    """The multiplication H^0(A) x H^0(B) -> H^0(A tensor B) in the action layout.
 
-    ``tensor[i, j]`` is the coordinate vector of (basis_A[i] * basis_B[j])
-    in the target basis.
+    A read-only array of shape (dim A, dim target, dim B), cached on the
+    model: entry [i, :, j] is the coordinate vector of
+    basis_A[i] * basis_B[j] in the basis of ``sections(tag_A + tag_B)``, so
+    ``mult_map(sa, sb)[i]`` is the matrix of multiplication by basis_A[i].
     """
-
-    source_a: SectionSpace
-    source_b: SectionSpace
-    target: SectionSpace
-    tensor: np.ndarray
-
-    @property
-    def action(self) -> np.ndarray:
-        """The tensor in the action layout (dim A, dim target, dim B), contiguous:
-        ``action[i]`` is the matrix of multiplication by basis element i of A."""
-        return np.ascontiguousarray(np.swapaxes(self.tensor, 1, 2))
-
-
-def mult_map(sa: SectionSpace, sb: SectionSpace) -> MultMap:
-    """Multiplication map between two section spaces on the same model."""
     if sa.model is not sb.model:
         raise CurveError("section spaces live on different models")
     model = sa.model
     key = (sa.tag, sb.tag)
     cached = model._mults.get(key)
     if cached is None:
-        tensor = model._mult_tensor(sa.tag, sb.tag)
-        cached = MultMap(sa, sb, model.sections(sa.tag + sb.tag), tensor)
+        cached = model._mult_tensor(sa.tag, sb.tag)
+        cached.setflags(write=False)
         model._mults[key] = cached
     return cached
 

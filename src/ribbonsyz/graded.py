@@ -17,12 +17,13 @@ S at epsilon-weight 0 and epsilon J at weight 1).  They are a claim, not a
 fact: ``GradedModule.respects_weights`` is the exact certificate that
 every x_k maps weight w of M_q into weight w + weight(x_k) of M_{q+1}, and
 ``koszul.KoszulCalculator`` splits a cell by weight only on a certified
-module, ranking any other by its trivial grading.  ``subquotient`` passes
-the weights on to the basis columns it keeps, and gives the trivial
-grading when a kept column is not homogeneous.
+module, ranking any other by its trivial grading.  ``subquotient`` gives
+the trivial grading: the one module that it builds for a command, the
+syzygy module M^p of ``greenchk``, is a subquotient of unweighted
+coefficients.
 
 Two ways to a smaller module.  ``GradedModule.subquotient`` is the general
-one, for any homogeneous sub and rel in w copies of the module (the syzygy
+one, for any sub and rel in w copies of the module (the syzygy
 modules M^p of ``greenchk``, in C(dim U, p) copies of their coefficients).
 ``GradedAlgebra.artinian_reduction`` cuts the algebra by two linear forms
 and reads the quotient off the one RREF per degree that its
@@ -171,12 +172,10 @@ class GradedModule:
         or rel_{q-1} outside rel_q, and NotASubspace when rel_q is dependent
         or (sub_q being a basis) not inside span(sub_q), and MatrixTooLarge
         when a degree's RREF input, rows x (nr + ns + n m), is over the memory
-        budget, before its products are formed.  Weights pass to the
-        kept columns of sub_q, each copy weighted as M_q (the weights tiled w
-        times); when a kept column is not homogeneous, the result has the
-        trivial grading.  Only one degree is held at a time: its sub and
-        rel are reduced mod p inside that degree's RREF input, and C_q and
-        rel_q are read back from it.
+        budget, before its products are formed.  The result has the trivial
+        grading, whatever the weights of M.  Only one degree is held at a
+        time: its sub and rel are reduced mod p inside that degree's RREF
+        input, and C_q and rel_q are read back from it.
         """
         p, n = self.field.p, self.n
         count = f"need sub and rel bases for each of {len(self.pieces)} degrees"
@@ -224,11 +223,7 @@ class GradedModule:
             del joint, red, coords  # this degree's matrices go before the next is built
         if next(sub, None) is not None or next(rel, None) is not None:
             raise InconsistentDims(count)
-        pieces = tuple(cm.shape[1] for cm in comps)
-        kept = _column_weights(comps, [np.tile(wt, w or 0) for wt in self.weights])
-        if kept is None:  # a kept column is not homogeneous
-            return GradedModule(self.field, n, pieces, tuple(action))
-        return GradedModule(self.field, n, pieces, tuple(action), self.v_weights, kept)
+        return GradedModule(self.field, n, tuple(cm.shape[1] for cm in comps), tuple(action))
 
 
 class GradedAlgebra(GradedModule):
@@ -326,20 +321,6 @@ class GradedAlgebra(GradedModule):
         return GradedModule(
             self.field, len(kept[1]), tuple(map(len, kept)), tuple(action), weights[1], weights
         )
-
-
-def _column_weights(bases, weights) -> tuple[np.ndarray, ...] | None:
-    """The weight of each column of each basis, or None when some column is not homogeneous."""
-    big = np.iinfo(np.int64).max
-    out = []
-    for basis, w in zip(bases, weights):
-        nonzero = basis != 0
-        lo = np.where(nonzero, w[:, None], big).min(axis=0, initial=big)
-        hi = np.where(nonzero, w[:, None], -big).max(axis=0, initial=-big)
-        if not np.array_equal(lo, hi):
-            return None
-        out.append(lo)
-    return tuple(out)
 
 
 def _as_weights(given, count: int) -> np.ndarray:

@@ -39,7 +39,6 @@ from ribbonsyz.graded import GradedModule, NotASubmodule
 from ribbonsyz.koszul import (
     IllDefined,
     KoszulCalculator,
-    NoNonzero,
     koszul_cohomology,
     rcliff,
 )
@@ -121,13 +120,13 @@ def build_syzygy_module(model, conormal_multiple: int, p: int) -> SyzygyModule:
 
     def coefficient_module(q: int) -> GradedModule:
         spaces = [model.sections(q * k_tag + j * w_tag) for j in range(3)]
-        action = tuple(mult_map(u_space, s).action for s in spaces[:2])
+        action = tuple(mult_map(u_space, s) for s in spaces[:2])
         return GradedModule(model.field, u_space.dim, tuple(s.dim for s in spaces), action)
 
     # Phi_{i,p,1} and K_{i,1}(M^p) read no piece past degree 2
     groups = [koszul_cohomology(coefficient_module(q), p, 1) for q in range(3)]
     sections = [model.sections(q * k_tag + w_tag) for q in range(3)]
-    action = tuple(mult_map(k_space, s).action for s in sections[:2])  # (g, tgt, src)
+    action = tuple(mult_map(k_space, s) for s in sections[:2])  # (g, tgt, src)
     coefficients = GradedModule(model.field, g, tuple(s.dim for s in sections), action)
     sub = [grp.cocycles for grp in groups]
     rel = [grp.coboundaries for grp in groups]
@@ -202,10 +201,6 @@ def green_split_report(model, conormal_multiple: int) -> dict:
     inv = split_invariants(ring.g, m, ring.deg_l)
     gate = hypothesis_gate(ring.g, m, ring.p_a)
     table = ring.betti()
-    try:
-        rc = rcliff(table)
-    except NoNonzero:
-        rc = None
 
     pairs = [(i, 2 * m - 3 - i) for i in range(2 * m - 2)] if 2 * m - 3 >= 0 else []
     phi_entries = []
@@ -234,7 +229,7 @@ def green_split_report(model, conormal_multiple: int) -> dict:
         "m": m,
         "p_a": ring.p_a,
         "deg_l": ring.deg_l,
-        "rcliff": rc,
+        "rcliff": rcliff(table),
         "lcliff": inv["lcliff"],
         "gonality": inv["gonality"],
         "gate": gate,

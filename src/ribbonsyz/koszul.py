@@ -71,6 +71,17 @@ n^2 x n matrix d_{n,1}, and holds only when the two agree, so
 computed independently.  A module whose certificate fails (every ring,
 every syzygy module M^p, any reduction that is not Gorenstein) has its
 whole row ranked.
+
+Pricing before the ring.  ``check_table_budget`` refuses a table over the
+memory budget from the ring's weights alone, before ``ribbon`` builds the
+ring and runs its commutativity certificate.  ``_artinian_module`` draws
+its two forms at weight 0, so a certified reduction B has
+dim B_q^w = dim A_q^w - 2 dim A_{q-1}^w + dim A_{q-2}^w
+(``_reduced_pieces``), and the row-1 cells that every module ranks (those
+``_mirrored`` leaves out) are priced from these pieces, in increasing p,
+through the ``_priced_blocks`` that ``rank_d`` uses.  A block of B is a
+sub-block of the ring's block of the same weight, so a refusal holds
+whichever path the table takes.
 """
 
 from __future__ import annotations
@@ -89,14 +100,13 @@ from ribbonsyz.rng import SeededStream
 __all__ = [
     "IllDefined",
     "OutOfWindow",
-    "NoNonzero",
     "KoszulGroup",
     "KoszulCalculator",
     "BettiTable",
     "koszul_differential",
     "koszul_cohomology",
     "betti_table",
-    "check_row_one_budget",
+    "check_table_budget",
     "duality_check",
     "hilbert_check",
     "hilbert_dims",
@@ -110,10 +120,6 @@ class IllDefined(Exception):
 
 class OutOfWindow(Exception):
     """A requested degree needs graded pieces outside the computed window."""
-
-
-class NoNonzero(Exception):
-    """A Betti table with no nonzero entry in the q = 2 row."""
 
 
 def _wedges(n: int, p: int) -> int:
@@ -177,19 +183,13 @@ def _priced_blocks(v_weights, p: int, q: int, src_weights, tgt_weights) -> list[
     return blocks
 
 
-def check_row_one_budget(v_weights, weights_1, weights_2) -> None:
-    """Price, from the weights of V, M_1 and M_2 alone, the row-1 cells a Gorenstein module ranks.
+def _mirrored(n: int, p: int) -> bool:
+    """Whether a Gorenstein module reads r_{p,1} off its mirror r_{n+1-p,1} (see the module docstring).
 
-    Those are d_{p,1} for 2p <= n + 1 and d_{n,1} (see the module
-    docstring), priced in increasing p: the first block over the memory
-    budget raises the MatrixTooLarge that ``KoszulCalculator.rank_d``
-    would, so a caller can refuse a table before its module is built.
+    The row-1 cells that every module ranks are the others: 2p <= n + 1,
+    and p = n, the cheapest mirror, which the certificate ranks itself.
     """
-    v_weights = np.asarray(v_weights, dtype=np.int64)
-    n = len(v_weights)
-    for p in range(1, n + 1):
-        if 2 * p <= n + 1 or p == n:
-            _priced_blocks(v_weights, p, 1, np.asarray(weights_1), np.asarray(weights_2))
+    return 2 * p > n + 1 and p < n
 
 
 def koszul_differential(module: GradedModule, p: int, q: int, weight: int | None = None) -> np.ndarray:
@@ -290,8 +290,7 @@ class KoszulCalculator:
         self.certificates: dict[tuple[int, int], str] = {cell: c for cell, (c, _) in certified.items()}
         if self._gorenstein():
             n = module.n
-            mirrored = {(p, 1): "gorenstein" for p in range(1, n) if 2 * p > n + 1}
-            self.certificates.update(mirrored)
+            self.certificates.update({(p, 1): "gorenstein" for p in range(1, n + 1) if _mirrored(n, p)})
         self.derived = frozenset(self.certificates)
 
     def _gorenstein(self) -> bool:
@@ -442,6 +441,37 @@ def _artinian_module(algebra: GradedAlgebra) -> GradedModule | None:
     return None
 
 
+def _reduced_pieces(weights) -> list[np.ndarray]:
+    """dim B_q^w, q = 0, 1, 2, one count per weight w, from the weights of A_0, A_1 and A_2.
+
+    B = A / (l1, l2) for forms of weight 0, as ``_artinian_module`` draws
+    them (see "Pricing before the ring" in the module docstring).
+    """
+    size = 1 + max(int(w.max(initial=0)) for w in weights[:3])
+    a = [np.bincount(w, minlength=size) for w in weights[:3]]
+    return [a[0], a[1] - 2 * a[0], a[2] - 2 * a[1] + a[0]]
+
+
+def check_table_budget(weights) -> None:
+    """Refuse an algebra's Betti table over the memory budget from its weights, before it is built.
+
+    ``weights`` are the algebra's weight arrays, one per degree (those of
+    A_0, A_1 and A_2 are read).  The row-1 cells of the Artinian reduction
+    that every module ranks are priced from ``_reduced_pieces`` (see
+    "Pricing before the ring" in the module docstring); the first block over
+    the budget raises MatrixTooLarge.  Pieces no reduction can have (a
+    negative dimension) price nothing.
+    """
+    pieces = _reduced_pieces(weights)
+    if min(c.min() for c in pieces) < 0:
+        return
+    v, b2 = (np.repeat(np.arange(len(c)), c) for c in pieces[1:])  # V is B_1
+    n = len(v)
+    for p in range(1, n + 1):
+        if not _mirrored(n, p):
+            _priced_blocks(v, p, 1, v, b2)
+
+
 def betti_table(algebra: GradedAlgebra) -> BettiTable:
     """Betti table of the algebra as a module over itself, V = degree 1.
 
@@ -509,10 +539,7 @@ def hilbert_check(table: BettiTable, h: list[int]) -> bool:
     return lhs == rhs
 
 
-def rcliff(table: BettiTable) -> int:
-    """Resolution Clifford index: smallest p with b_{p,2} != 0."""
-    row = table.entries[2]
-    nz = np.nonzero(row)[0]
-    if nz.size == 0:
-        raise NoNonzero("no nonzero entry in the q = 2 row")
-    return int(nz[0])
+def rcliff(table: BettiTable) -> int | None:
+    """Resolution Clifford index: smallest p with b_{p,2} != 0, or None when the row is zero."""
+    nz = np.flatnonzero(table.entries[2])
+    return int(nz[0]) if nz.size else None

@@ -27,7 +27,7 @@ import numpy as np
 
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map
 from ribbonsyz.graded import GradedAlgebra
-from ribbonsyz.koszul import BettiTable, betti_table, check_row_one_budget
+from ribbonsyz.koszul import BettiTable, betti_table, check_table_budget
 
 __all__ = [
     "RibbonError",
@@ -96,7 +96,8 @@ def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
     """Assemble the split-ribbon canonical ring through degree _WINDOW.
 
     Raises UnsupportedConormal when p_a < 3, below the range of canonical
-    ribbons.
+    ribbons, and MatrixTooLarge when ``koszul.check_table_budget`` refuses
+    the ring's Betti table, before the ring and its certificate are built.
     """
     # S_q = q(K_C - L) and J_q = S_q + L; J_1 is exactly the canonical bundle
     _, unit, deg_l = conormal_tags(model, conormal_multiple)
@@ -116,42 +117,23 @@ def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
             f"dim S~_1 = {s_dims[1] + j_dims[1]} != p_a = {p_a}; "
             "the conormal degree is too small for this model"
         )
-    _price_reduced_table(s_dims, j_dims)
-    dims = [s_dims[q] + j_dims[q] for q in range(_WINDOW + 1)]
     weights = [np.repeat([0, 1], [s_dims[q], j_dims[q]]) for q in range(_WINDOW + 1)]
+    check_table_budget(weights)
+    dims = [s_dims[q] + j_dims[q] for q in range(_WINDOW + 1)]
     # S~_1 x S~_b -> S~_{b+1} in the action layout; epsilon J x epsilon J = 0
     s1, j1 = s_dims[1], j_dims[1]
     products = []
     for b in range(1, _WINDOW):
         sb, sc = s_dims[b], s_dims[b + 1]
         tensor = np.zeros((dims[1], dims[b + 1], dims[b]), dtype=np.int64)
-        tensor[:s1, :sc, :sb] = mult_map(s_spaces[1], s_spaces[b]).action
+        tensor[:s1, :sc, :sb] = mult_map(s_spaces[1], s_spaces[b])
         if j_dims[b]:
-            tensor[:s1, sc:, sb:] = mult_map(s_spaces[1], j_spaces[b]).action
+            tensor[:s1, sc:, sb:] = mult_map(s_spaces[1], j_spaces[b])
         if j1:
-            tensor[s1:, sc:, :sb] = mult_map(j_spaces[1], s_spaces[b]).action
+            tensor[s1:, sc:, :sb] = mult_map(j_spaces[1], s_spaces[b])
         products.append(tensor)
     algebra = GradedAlgebra(model.field, dims, products, weights=weights)
     return SplitRibbonRing(model=model, deg_l=deg_l, g=g, p_a=p_a, algebra=algebra)
-
-
-def _price_reduced_table(s_dims, j_dims) -> None:
-    """Refuse a Betti table over the memory budget before the ring and its certificate are built.
-
-    The table is ranked on B = S~ / (l1, l2), two weight-0 forms whose
-    regular-sequence certificate fixes every weight piece of B:
-    dim B_q^w = dim S~_q^w - 2 dim S~_{q-1}^w + dim S~_{q-2}^w.  Its
-    always-ranked row-1 cells are priced from those dimensions
-    (``koszul.check_row_one_budget``), and the first block over the budget
-    raises MatrixTooLarge.  A B block is a sub-block of the ring's block of
-    the same weight, so a refusal holds whichever path the table takes;
-    dimensions no reduction can have (a negative one) price nothing.
-    """
-    b1 = [a[1] - 2 * a[0] for a in (s_dims, j_dims)]
-    b2 = [a[2] - 2 * a[1] + a[0] for a in (s_dims, j_dims)]
-    if min(b1 + b2) < 0:
-        return
-    check_row_one_budget(*(np.repeat([0, 1], b) for b in (b1, b1, b2)))
 
 
 def split_invariants(g: int, m: int, deg_l: int) -> dict:

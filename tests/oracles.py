@@ -90,10 +90,10 @@ def algebra_from_sections(spaces) -> GradedAlgebra:
         if q and tags[q] != q * tags[1] + tags[0]:
             raise InconsistentDims("tags must grow linearly with the degree")
     window = len(spaces) - 1
-    products = [mult_map(spaces[1], spaces[b]).action for b in range(1, window)]
+    products = [mult_map(spaces[1], spaces[b]) for b in range(1, window)]
     # unit law from the actual model multiplication
     for q in range(1, window + 1):
-        t = mult_map(spaces[0], spaces[q]).tensor
+        t = mult_map(spaces[0], spaces[q])
         if not np.array_equal(t[0], np.eye(spaces[q].dim, dtype=np.int64)):
             raise GradedError(f"degree-0 section does not act as identity on degree {q}")
     return GradedAlgebra(model.field, [s.dim for s in spaces], products)
@@ -106,11 +106,13 @@ def artinian_by_subquotient(alg, l1, l2):
     and rank [l1 A_q | l2 A_q] = 2 dim A_q - dim A_{q-1}, else None.  The
     acting space is spanned by the coordinates of A_1 off the pivots of
     <l1, l2>, and B = ``subquotient(identity, rel)`` of A restricted to it,
-    rel_q the RREF rows spanning l1 A_{q-1} + l2 A_{q-1}.
+    rel_q the RREF rows spanning l1 A_{q-1} + l2 A_{q-1}.  The subquotient
+    keeps the coordinate vectors off the pivots of rel_q, and B is given
+    their weights in A.
     """
     p, n = alg.field.p, alg.n
     forms = np.vstack([l1, l2])
-    rel = [np.zeros((1, 0), dtype=np.int64)]
+    rel, kept = [np.zeros((1, 0), dtype=np.int64)], [alg.weights[0]]
     for q, a in enumerate(alg.action):
         by_l = matmul_mod(forms, a.reshape(n, -1), p).reshape(2, *a.shape[1:])
         r, pivots = rref(np.hstack(by_l).T, p)
@@ -118,10 +120,12 @@ def artinian_by_subquotient(alg, l1, l2):
         if rank(by_l[0], p) != alg.pieces[q] or len(pivots) != 2 * alg.pieces[q] - below:
             return None
         rel.append(r[: len(pivots)].T)
+        kept.append(np.delete(alg.weights[q + 1], pivots))
         if q == 0:
             acting = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
     identity = [np.eye(d, dtype=np.int64) for d in alg.pieces]
-    return module_restrict_action(alg, acting).subquotient(identity, rel)
+    module = module_restrict_action(alg, acting).subquotient(identity, rel)
+    return GradedModule(module.field, module.n, module.pieces, module.action, kept[1], kept)
 
 
 def syzygy_module_by_ambient(model, t: int, p: int) -> GradedModule:
@@ -139,12 +143,12 @@ def syzygy_module_by_ambient(model, t: int, p: int) -> GradedModule:
     groups = []
     for q in range(3):
         spaces = [model.sections(q * k_tag + j * w_tag) for j in range(3)]
-        action = tuple(mult_map(u_space, s).action for s in spaces[:2])
+        action = tuple(mult_map(u_space, s) for s in spaces[:2])
         coefficients = GradedModule(model.field, u_space.dim, tuple(s.dim for s in spaces), action)
         groups.append(koszul_cohomology(coefficients, p, 1))
     action = []
     for q in range(2):
-        mult = mult_map(k_space, model.sections(q * k_tag + w_tag)).action
+        mult = mult_map(k_space, model.sections(q * k_tag + w_tag))
         blocks = np.einsum("ij,kab->kiajb", np.eye(wedge, dtype=np.int64), mult)
         action.append(blocks.reshape(g, wedge * mult.shape[1], wedge * mult.shape[2]))
     pieces = tuple(grp.cocycles.shape[0] for grp in groups)

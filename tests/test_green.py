@@ -52,7 +52,7 @@ def brute_force_piece_dims(model, t, p):
         actions = []
         for j in range(2):
             mm = mult_map(u, spaces[j])
-            actions.append([mm.tensor[k].T.tolist() for k in range(u.dim)])
+            actions.append([mm[k].tolist() for k in range(u.dim)])
         dims.append(
             oracle_koszul_dim(u.dim, [s.dim for s in spaces], actions, p, 1, 101)
         )

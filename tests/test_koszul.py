@@ -9,7 +9,6 @@ from ribbonsyz.graded import GradedModule
 from ribbonsyz.koszul import (
     BettiTable,
     KoszulCalculator,
-    NoNonzero,
     OutOfWindow,
     betti_table,
     duality_check,
@@ -238,8 +237,7 @@ class TestBettiTable:
         e[2, 6] = 1
         t = BettiTable(9, e)
         assert rcliff(t) == 3
-        with pytest.raises(NoNonzero):
-            rcliff(BettiTable(9, np.zeros((4, 8), dtype=np.int64)))
+        assert rcliff(BettiTable(9, np.zeros((4, 8), dtype=np.int64))) is None
 
     def test_duality_perturbation(self):
         e = np.zeros((4, 8), dtype=np.int64)

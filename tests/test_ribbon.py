@@ -119,7 +119,7 @@ class TestRingStructure:
         unit = 2 * model.g - 2 + 5
         s1 = model.sections(unit)
         j2 = model.sections(2 * unit - 5)
-        expect = mult_map(s1, j2).action
+        expect = mult_map(s1, j2)
         tensor = r.algebra.action[2]
         s, _ = split_dims(r, 5)
         got = tensor[: s[1], s[3] :, s[2] :]

@@ -45,6 +45,12 @@ def zoo(p: int = 101):
     ]
 
 
+@pytest.fixture(scope="module")
+def gate_ring():
+    """W6: the split ribbon over a genus-3 hyperelliptic curve at p_a = 14, the 6g - 4 gate."""
+    return build_split_ribbon(random_hyperelliptic(PrimeField(101), 3, np.random.default_rng(0)), 9)
+
+
 def unweighted(module: GradedModule) -> GradedModule:
     """The same module built without weights: the trivial grading."""
     return GradedModule(module.field, module.n, module.pieces, module.action)
@@ -241,22 +247,21 @@ class TestCertificate:
             mismatched += summed != plain.rank_d(p, q)
         assert mismatched
 
-    def test_non_homogeneous_kept_column_drops_the_weights(self):
+    def test_subquotient_of_the_weighted_ring_is_trivially_graded(self):
+        # subquotient gives the trivial grading, whatever the weights of the
+        # module and of the kept columns: every cell is one block
         _, ring = zoo()[2]
         module = ring.algebra
         ident = [np.eye(d, dtype=np.int64) for d in module.pieces]
         none = [np.zeros((d, 0), dtype=np.int64) for d in module.pieces]
         kept = module.subquotient(ident, none)
-        assert kept.respects_weights()
-        assert all(np.array_equal(a, b) for a, b in zip(kept.weights, module.weights))
-        # the sum of the first S_1 and the first J_1 coordinate vector is not homogeneous
-        mixed = [b.copy() for b in ident]
+        assert kept.pieces == module.pieces
+        assert all(np.array_equal(a, b) for a, b in zip(kept.action, module.action, strict=True))
+        assert trivially_graded(kept) and kept.respects_weights()
+        assert KoszulCalculator(kept).module is kept
+        # in V, the sum of the first S_1 and the first J_1 coordinate vector,
+        # which is not homogeneous, drops the weights of the restricted action
         s, j = int(np.flatnonzero(module.weights[1] == 0)[0]), int(np.flatnonzero(module.weights[1] == 1)[0])
-        mixed[1][j, s] = 1
-        dropped = module.subquotient(mixed, none)
-        assert trivially_graded(dropped) and dropped.respects_weights()
-        assert KoszulCalculator(dropped).module is dropped  # one block per cell
-        # in V, the same mixed column drops the weights of the restricted action
         basis = np.eye(module.n, dtype=np.int64)
         basis[j, s] = 1
         assert trivially_graded(module_restrict_action(module, basis))
@@ -442,8 +447,9 @@ class TestCellBudget:
 
     def test_table_is_priced_before_the_ring_is_built(self, monkeypatch):
         # build_split_ribbon prices the reduction's always-ranked row-1 cells
-        # from dimensions alone; on a ring whose table takes the Artinian
-        # path, its refusal is the one the table itself would give
+        # from the ring's weights alone (koszul.check_table_budget); on a ring
+        # whose table takes the Artinian path, its refusal is the one the
+        # table itself would give
         model = random_plane_curve(PrimeField(101), 4, np.random.default_rng(0))
         module = koszul._artinian_module(build_split_ribbon(model, 1).algebra)
         n = module.n
@@ -456,20 +462,32 @@ class TestCellBudget:
             with pytest.raises(fflinalg.MatrixTooLarge) as early:
                 build_split_ribbon(model, 1)
             with monkeypatch.context() as m:
-                m.setattr(ribbon, "_price_reduced_table", lambda s_dims, j_dims: None)
+                m.setattr(ribbon, "check_table_budget", lambda weights: None)
                 ring = build_split_ribbon(model, 1)
                 with pytest.raises(fflinalg.MatrixTooLarge) as late:
                     ring.betti()
             assert str(early.value) == str(late.value), budget
 
-    def test_genus_3_gate_case_fits_the_default_budget(self):
+    def test_priced_pieces_are_the_reductions(self, gate_ring):
+        # the price reads B's weight pieces off the ring's weights, for forms
+        # of weight 0; they are the pieces of the reduction that
+        # _artinian_module certifies, on the zoo, W5 and W6 (the gate case)
+        w5 = build_split_ribbon(random_hyperelliptic(PrimeField(101), 2, np.random.default_rng(0)), 9)
+        rings = [ring for _, ring in zoo()] + [w5, gate_ring]
+        for ring in rings:
+            module = koszul._artinian_module(ring.algebra)
+            assert module is not None, ring
+            want = koszul._reduced_pieces(ring.algebra.weights)
+            for q in range(3):
+                got = np.bincount(module.weights[q], minlength=len(want[q]))
+                assert np.array_equal(got, want[q]), (ring, q)
+
+    def test_genus_3_gate_case_fits_the_default_budget(self, gate_ring):
         # the split ribbon over a genus-3 hyperelliptic curve at p_a = 14
         # (``green --curve hyperelliptic --g 3 --conormal -9``): every block
         # its Betti table ranks is under the budget, the largest (the
         # 4158 x 4536 block of d_{6,1} and its transpose in d_{7,1}) at 0.6 GB
-        f = PrimeField(101)
-        ring = build_split_ribbon(random_hyperelliptic(f, 3, np.random.default_rng(0)), 9)
-        module = koszul._artinian_module(ring.algebra)
+        module = koszul._artinian_module(gate_ring.algebra)
         largest = {}
         for q in range(4):
             for p in range(1, module.n + 1):
