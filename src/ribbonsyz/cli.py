@@ -475,7 +475,7 @@ def strata(cfg, field, rng, model, task, bmax, sweep_n, span_size, blowup_b):
         )
     else:
         m = model.gonality
-        p_a = 2 * model.genus - 1 - conormal_tags(model, t)[2]
+        p_a = split_invariants(model.genus, m, conormal_tags(model, t)[2])["p_a"]
         obj["bounds"] = gonality_bounds(blowup_b, model.genus, m, p_a)
     return obj, "strata.json", None, 0
 

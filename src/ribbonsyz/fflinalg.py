@@ -1,6 +1,7 @@
 """Exact dense linear algebra over a prime field Z/p.
 
-Matrices are numpy ``int64`` arrays with entries reduced to ``[0, p)``.
+Matrices are numpy ``int64`` arrays with entries reduced to ``[0, p)``,
+but for an RREF, which is returned in its working dtype (below).
 Everything here is deterministic and pure: the reduced row echelon form is
 the canonical one, so pivot columns, kernel bases and image bases are
 reproducible across runs and safe to use as reference bases elsewhere.
@@ -21,21 +22,29 @@ run that pass:
   picked from p: ``float32`` when 2 * 128 * (p - 1)**2 < 2**24 (p <= 256,
   the default p = 101 included), else ``float64`` up to p = 2**20.  Every
   intermediate value then stays below the dtype's exact-integer limit,
-  2**24 or 2**53, so the float arithmetic is exact.  It is what makes
-  desk-scale Koszul computations (ranks of ~5000 x 3000 matrices) run in
-  seconds instead of hours.
+  2**24 or 2**53, so the float arithmetic is exact.
 
-Memory.  An elimination reduces one working copy of the caller's matrix,
-written straight from it, and its Schur updates go _PANEL rows at a
-time, so their temporaries stay _PANEL rows.  ``rank``, ``pivots`` and
-``image_basis`` reduce a copy in the dtype picked from p (4 bytes an
-entry at p <= 256) and build no int64 result matrix; ``rref`` and
-``kernel_basis`` reduce a float64 copy and build the int64 RREF in its
-own buffer.  ``matmul_mod`` works in the same dtype and writes a product
-larger than _MOD_BLOCK entries into its int64 result a block of rows at
-a time.  The program's one memory budget is here too: every caller prices
-a matrix it is about to build with ``check_budget``, which raises
-MatrixTooLarge above 1 GiB at 32 bytes an entry.
+The blocked engine stays because it pays on the large sparse Koszul
+blocks and is no slower on the smallest measured.  Forward passes, best
+of 2-3 runs with one BLAS thread (2 vCPUs), blocked against simple:
+1.24 s against 15.5 s on the 4158 x 4536 block (0.41% dense) of the
+genus-3 gate case ``betti --curve hyperelliptic --g 3 --conormal -9``,
+0.43 s against 3.26 s on its 2592 x 3402 block (0.54%), and 0.046 s
+against 0.057 s on the 784 x 1232 block (1.2%) of
+``betti --curve hyperelliptic --g 2 --conormal -9``.
+
+Memory.  Every elimination, forward or reduced, reduces one working copy
+of the caller's matrix, written straight from it in the dtype picked
+from p: ``_work_dtype(p)`` on the blocked path (4 bytes an entry at
+p <= 256), int64 on the simple one.  Its Schur updates go _PANEL rows at
+a time, so their temporaries stay _PANEL rows.  ``rref`` returns that
+copy, exact integers in [0, p), and its readers cast only the entries
+they keep: ``kernel_basis`` writes them into its int64 result.
+``matmul_mod`` works in the same dtype and writes a product larger than
+_MOD_BLOCK entries into its int64 result a block of rows at a time.  The
+program's one memory budget is here too: every caller prices a matrix it
+is about to build with ``check_budget``, which raises MatrixTooLarge
+above 1 GiB at 32 bytes an entry.
 """
 
 from __future__ import annotations
@@ -78,13 +87,13 @@ _MOD_BLOCK = 1 << 14
 _INT_DRIFT_MAX = 1 << 62
 # The one memory budget of the program: the largest matrix, priced by
 # ``check_budget`` where it is built, that anything agrees to reduce.
-# Reducing an r x c matrix holds the int64 matrix, the elimination's one
-# working copy (float32 at p <= 256, float64 above, written straight from
-# the matrix) and temporaries of at most _PANEL rows: about 12 r c bytes at
-# p <= 256 and 16 r c bytes above.  The budget still prices 32 bytes an
-# entry, the four copies a matrix held before the engine kept one, on
-# purpose: it refuses what it refused before, and re-pricing it is a change
-# of its own.  The largest Koszul block of the genus-3 gate case
+# Reducing an r x c matrix, to its rank or its RREF alike, holds the int64
+# matrix, the elimination's one working copy (float32 at p <= 256, float64
+# above, written straight from the matrix) and temporaries of at most
+# _PANEL rows: about 12 r c bytes at p <= 256 and 16 r c bytes above.  The
+# budget still prices 32 bytes an entry, the four copies a matrix held
+# before the engine kept one, on purpose: it refuses what it refused
+# before, and re-pricing it is a change of its own.  The largest Koszul block of the genus-3 gate case
 # (p_a = 14), 4158 x 4536, is priced at 0.6 GB of the 1 GiB budget and
 # holds about 0.23 GB.
 _MATRIX_BYTES_MAX = 1 << 30
@@ -400,36 +409,21 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
 
 
 def _eliminate(a, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Reduce ``a`` into the engine's one working copy.  Returns (working copy, pivots).
+    """Reduce one working copy of ``a``.  Returns (working copy, pivots).
 
-    The blocked engine's copy is written from ``a`` by one ``np.remainder``,
-    in the dtype ``_work_dtype`` picks from p, or with ``reduced`` in
-    float64 at every p, which ends as the int64 RREF (every entry in
-    [0, p)) in its own buffer.  Without ``reduced`` only the pivots are
-    meaningful.  The simple engine's copy is the int64 one ``np.mod`` makes.
+    The blocked engine's copy is written from ``a`` by one ``np.remainder``
+    in the dtype ``_work_dtype`` picks from p, for a forward and a reduced
+    pass alike; the simple engine's is the int64 one ``np.mod`` makes.
+    With ``reduced`` the copy ends as the RREF, every entry an exact
+    integer in [0, p); without it only the pivots are meaningful.
     """
     m = _as_matrix(a)
     work = _work_dtype(p)
     if work is not np.int64 and min(m.shape) >= _BLOCK_MIN:
-        w = np.remainder(m, p, out=np.empty(m.shape, np.float64 if reduced else work))
-        pivots = _eliminate_blocked(w, p, reduced)
-        return (_int64_in_place(w) if reduced else w), pivots
+        w = np.remainder(m, p, out=np.empty(m.shape, work))
+        return w, _eliminate_blocked(w, p, reduced)
     w = np.mod(m, p)
     return w, _eliminate_simple(w, p, reduced)
-
-
-def _int64_in_place(w: np.ndarray) -> np.ndarray:
-    """The exact integers of a float64 matrix as int64, in its own buffer.
-
-    Both dtypes take 8 bytes, so an int64 view of the buffer is filled a
-    block of rows at a time, each block cast through a temporary of under
-    _MOD_BLOCK entries (at least one row).
-    """
-    out = w.view(np.int64)
-    step = max(1, _MOD_BLOCK // max(1, w.shape[1]))
-    for r in range(0, w.shape[0], step):
-        out[r : r + step] = w[r : r + step].astype(np.int64)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +435,10 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of ``a`` mod p and its pivot columns.
 
     The RREF over a field is unique, hence canonical across engines.
-    rank(a) == len(pivots).
+    rank(a) == len(pivots).  It is the elimination's working copy: exact
+    integers in [0, p), in the dtype ``_work_dtype(p)`` on the blocked
+    path and int64 on the simple one, so a caller casts the entries it
+    keeps.
     """
     return _eliminate(a, p, reduced=True)
 
@@ -465,7 +462,8 @@ def kernel_basis(a, p: int) -> np.ndarray:
 
     Columns are the canonical kernel vectors read off the RREF: one per free
     column f, with 1 in position f and -R[i, pivot_i] above.  Satisfies
-    a @ k == 0 and k has cols(a) - rank(a) columns.
+    a @ k == 0 and k has cols(a) - rank(a) columns; k is int64, whatever
+    the RREF's working dtype.
     """
     r, pivots = _eliminate(a, p, reduced=True)
     ncols = r.shape[1]

@@ -174,8 +174,9 @@ class GradedModule:
         when a degree's RREF input, rows x (nr + ns + n m), is over the memory
         budget, before its products are formed.  The result has the trivial
         grading, whatever the weights of M.  Only one degree is held at a
-        time: its sub and rel are reduced mod p inside that degree's RREF
-        input, and C_q and rel_q are read back from it.
+        time: its sub and rel are copied into that degree's RREF input, and
+        C_q and rel_q are read back from it as given; the RREF and the next
+        degree's products each reduce their own copy mod p.
         """
         p, n = self.field.p, self.n
         count = f"need sub and rel bases for each of {len(self.pieces)} degrees"
@@ -204,7 +205,6 @@ class GradedModule:
                 images = images.reshape(n, dim, w, m).transpose(2, 1, 0, 3).reshape(rows, n * m)
             joint = np.hstack([r, s[:, ::-1], images])
             del images, s, r  # copied into joint: free them before the elimination, the peak of M^p
-            joint %= p
             red, pivots = rref(joint, p)
             picked = [j - nr for j in pivots if nr <= j < nr + ns]
             if pivots[:nr] != list(range(nr)) or len(picked) != ns - nr:
@@ -217,7 +217,7 @@ class GradedModule:
                 c = comps[-1].shape[1]
                 if np.any(coords[:, :, c:]):
                     raise NotASubmodule(f"the action maps rel_{q - 1} outside rel_{q}")
-                action.append(coords[:, :, :c].transpose(1, 0, 2).copy())  # a copy, never a view of red
+                action.append(coords[:, :, :c].transpose(1, 0, 2).astype(np.int64))  # int64, never a view of red
             comps.append(joint[:, [nr + t for t in reversed(picked)]])
             prev = np.hstack([comps[-1], joint[:, :nr]])
             del joint, red, coords  # this degree's matrices go before the next is built

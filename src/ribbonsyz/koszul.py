@@ -277,8 +277,7 @@ class KoszulCalculator:
     maps each cell whose rank comes from a certificate (see the module
     docstring) to its name: "injective" or "surjective" for the cells next
     to a one-dimensional piece, "gorenstein" for the row-1 cells read off
-    their mirror.  ``derived`` is the set of those cells, which are never
-    assembled.
+    their mirror.  Those cells are never assembled.
     """
 
     def __init__(self, module: GradedModule):
@@ -291,7 +290,6 @@ class KoszulCalculator:
         if self._gorenstein():
             n = module.n
             self.certificates.update({(p, 1): "gorenstein" for p in range(1, n + 1) if _mirrored(n, p)})
-        self.derived = frozenset(self.certificates)
 
     def _gorenstein(self) -> bool:
         """The Gorenstein certificate of the module docstring; never raises.
@@ -319,7 +317,7 @@ class KoszulCalculator:
             return False
 
     def rank_d(self, p: int, q: int) -> int:
-        """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) and derived cells cost nothing.
+        """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) and certified cells cost nothing.
 
         A Gorenstein cell returns the rank of its mirror d_{n+1-p,1}.
         Otherwise the sum of the ranks of the weight blocks found on both

@@ -103,7 +103,7 @@ def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
     _, unit, deg_l = conormal_tags(model, conormal_multiple)
     t = conormal_multiple
     g = model.genus
-    p_a = 2 * g - 1 - deg_l
+    p_a = split_invariants(g, model.gonality, deg_l)["p_a"]
     if p_a < 3:
         raise UnsupportedConormal(f"p_a = {p_a}: a canonical ribbon needs p_a >= 3")
     s_spaces = [model.sections(q * unit) for q in range(_WINDOW + 1)]
@@ -137,7 +137,7 @@ def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
 
 
 def split_invariants(g: int, m: int, deg_l: int) -> dict:
-    """Numerical invariants of the split ribbon over an m-gonal genus-g curve."""
+    """Numerical invariants of the split ribbon over an m-gonal genus-g curve, p_a among them."""
     return {"p_a": 2 * g - 1 - deg_l, "gonality": 2 * m, "lcliff": 2 * m - 2}
 
 

@@ -5,7 +5,7 @@ x_k . m_0 are independent (the map is injective), and C(n, p - 1) when
 dim M_{q+1} = 1 and the functionals x_k : M_q -> M_{q+1} are independent
 (the map is surjective).  On a Gorenstein module with pieces (1, n, n, 1, 0)
 it takes r_{p,1} = r_{n+1-p,1} for 2p > n + 1.  ``certificates`` names the
-certificate of each such cell and ``derived`` is the set of them.  The
+certificate of each such cell, and its keys are the set of them.  The
 oracle is the rank of the assembled cell, one weight block at a time
 through ``koszul_differential`` and ``fflinalg.rank``, and the table of a
 calculator that derives nothing.
@@ -73,7 +73,7 @@ def underived(monkeypatch, module) -> KoszulCalculator:
     with monkeypatch.context() as m:
         no_certificates(m)
         calc = KoszulCalculator(module)
-    assert not calc.derived and not calc.certificates
+    assert not calc.certificates
     return calc
 
 
@@ -113,15 +113,14 @@ class TestDifferential:
                 assert not module.action[1].any(), name
             calc = KoszulCalculator(module)
             assert calc.certificates == expected, name
-            assert calc.derived == set(expected), name
 
     def test_derived_ranks_equal_the_assembled_cells(self, modules, w5_ring):
         compared = 0
         for name, module in modules + [("W5", w5_ring.algebra)]:
             calc = KoszulCalculator(module)
-            assert calc.derived, name
+            assert calc.certificates, name
             n = module.n
-            for p, q in sorted(calc.derived):
+            for p, q in sorted(calc.certificates):
                 want = {
                     "injective": comb(n, p),
                     "surjective": comb(n, p - 1),
@@ -158,7 +157,7 @@ class TestDifferential:
         assert mirrors
         monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 0)
         monkeypatch.setattr(koszul, "koszul_differential", lambda *args: pytest.fail("assembled"))
-        for p, q in calc.derived:
+        for p, q in calc.certificates:
             want = {
                 "injective": comb(module.n, p),
                 "surjective": comb(module.n, p - 1),
@@ -188,7 +187,7 @@ class TestGorenstein:
             if module.pieces[3] != 1:
                 continue
             calc = KoszulCalculator(module)
-            assert (set(mirrored_cells(module)) <= calc.derived) == (name in GORENSTEIN), name
+            assert (set(mirrored_cells(module)) <= set(calc.certificates)) == (name in GORENSTEIN), name
             for p in range(1, module.n + 1):
                 assert calc.rank_d(p, 1) == assembled_rank(calc.module, p, 1), (name, p)
 
@@ -293,7 +292,7 @@ class TestTamper:
         tampered = replace(module, action=tuple(action))
         assert tampered.respects_weights() and rank(tampered.action[2][:, 0, :], 101) < module.n
         calc = self.assert_fully_ranked_table(tampered, monkeypatch)
-        assert calc.derived == row_cells(module, 0)
+        assert set(calc.certificates) == row_cells(module, 0)
         # d_{n,2} sends e_0 ^ ... ^ e_{n-1} (x) B_2 onto the span of the n - 1
         # functionals left, so it misses the C(n, n - 1) = n of a surjection
         assert calc.rank_d(module.n, 2) == module.n - 1
@@ -307,7 +306,7 @@ class TestTamper:
         tampered = replace(module, action=tuple(action))
         assert rank(tampered.action[0][:, :, 0], 101) == module.n - 1
         calc = self.assert_fully_ranked_table(tampered, monkeypatch)
-        assert calc.derived == row_cells(module, 2)
+        assert set(calc.certificates) == row_cells(module, 2)
         assert calc.rank_d(1, 0) == module.n - 1  # e_0 - e_1 (x) 1 is a cycle
 
     def test_syzygy_module_has_no_one_dimensional_piece(self, monkeypatch):
@@ -315,7 +314,7 @@ class TestTamper:
         syz = build_syzygy_module(random_hyperelliptic(F101, 2, np.random.default_rng(1)), 5, 1)
         assert syz.module.pieces == (8, 3, 4)
         calc = KoszulCalculator(syz.module)
-        assert not calc.derived
+        assert not calc.certificates
         rows = range(syz.module.window)
         assert table(calc, rows) == table(underived(monkeypatch, syz.module), rows)
 

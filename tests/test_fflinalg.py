@@ -159,30 +159,31 @@ class TestDriftReset:
     resets."""
 
     @staticmethod
-    def surplus_calls(a, p, monkeypatch) -> tuple[list, np.ndarray, list]:
-        """The blocked engine's reset calls, as shapes, forward and reduced,
-        and its reduced result; one update fits under the lowered bound,
-        the next must reset first."""
+    def surplus_calls(a, p, monkeypatch, dtype=np.float64) -> tuple[list, np.ndarray, list]:
+        """The blocked engine's reset calls in ``dtype``, as shapes, forward
+        and reduced, and its reduced result; one update fits under the
+        dtype's lowered bound, the next must reset first."""
         from ribbonsyz import fflinalg
 
         calls = record_mod_calls(monkeypatch)
 
         def run(reduced):
             calls.clear()
-            w = a.astype(np.float64)
+            w = a.astype(dtype)
             piv = fflinalg._eliminate_blocked(w, p, reduced)
             return Counter(calls), w, piv
 
         plain = [run(reduced)[0] for reduced in (False, True)]
         step = fflinalg._PANEL * (p - 1) ** 2
-        monkeypatch.setattr(fflinalg, "_EXACT_FLOAT_MAX", float(p + 2 * step))
+        limit = "_EXACT_FLOAT32_MAX" if dtype == np.float32 else "_EXACT_FLOAT_MAX"
+        monkeypatch.setattr(fflinalg, limit, float(p + 2 * step))
         forward, _, piv = run(False)
         reduced, w, rpiv = run(True)
         assert piv == rpiv
         return [forward - plain[0], reduced - plain[1]], w.astype(np.int64), piv
 
-    @pytest.mark.parametrize("p", [1048573, 101])
-    def test_forced_reset_matches_simple(self, p, monkeypatch):
+    def assert_forced_reset_matches_simple(self, p, monkeypatch, dtype=np.float64):
+        """Returns the matrix and its RREF by the simple engine."""
         from ribbonsyz import fflinalg
 
         g = rng(p % 97)
@@ -192,7 +193,7 @@ class TestDriftReset:
         a[:, 300] = a[:, 7]
         s = a.copy()
         piv_s = fflinalg._eliminate_simple(s, p, reduced=True)
-        surplus, w, piv = self.surplus_calls(a, p, monkeypatch)
+        surplus, w, piv = self.surplus_calls(a, p, monkeypatch, dtype)
         assert piv == piv_s and np.array_equal(w, s)
         # pivots 118, 128 and 84 in the first three panels, rank 330: the
         # second and third updates reset the rows below, 174 and 90 of them,
@@ -200,6 +201,19 @@ class TestDriftReset:
         assert [sum(c // fflinalg._PANEL == i for c in piv) for i in range(5)] == [118, 128, 84, 0, 0]
         assert surplus[0] == Counter({(174, 512): 1, (90, 384): 1})
         assert surplus[1] == surplus[0] + Counter({(118, 512): 1, (246, 384): 1})
+        return a, s
+
+    @pytest.mark.parametrize("p", [1048573, 101])
+    def test_forced_reset_matches_simple(self, p, monkeypatch):
+        self.assert_forced_reset_matches_simple(p, monkeypatch)
+
+    def test_forced_reset_in_float32_matches_simple(self, monkeypatch):
+        # the same resets in float32, the working dtype of every elimination
+        # at p = 101, under its lowered exact-integer limit; rref, still
+        # under that limit, returns the float32 RREF of the simple engine
+        a, s = self.assert_forced_reset_matches_simple(P, monkeypatch, np.float32)
+        r, _ = rref(a, P)
+        assert r.dtype == np.float32 and np.array_equal(r, s)
 
     def test_reset_of_the_rows_above_alone(self, monkeypatch):
         # full rank 300 in panels of 128, 128 and 44 pivots: the last panel
@@ -287,11 +301,12 @@ class TestFloat32Boundary:
         monkeypatch.setattr(fflinalg, "_eliminate_blocked", recording)
         assert pivots(a, p) == piv and rank(a, p) == len(piv)
         r, rpiv = rref(a, p)
-        assert rpiv == piv and r.dtype == np.int64 and np.array_equal(r, s)
+        assert rpiv == piv and r.dtype == fflinalg._work_dtype(p) and np.array_equal(r, s)
         k = kernel_basis(a, p)
         assert np.array_equal(k, loop_kernel_basis(s, piv, p)) and not np.any(matmul_mod(a, k, p))
+        # forward and reduced passes alike reduce a copy in the working dtype
         forward = np.float32 if p < 256 else np.float64
-        assert dtypes == [(False, forward)] * 2 + [(True, np.float64)] * 2
+        assert dtypes == [(False, forward)] * 2 + [(True, forward)] * 2
 
     @pytest.mark.parametrize("p", [251, 257])
     def test_matmul_mod_over_several_chunks(self, p):
@@ -632,20 +647,23 @@ class TestWorkingCopies:
         assert r == [900]
 
     def test_rref_on_the_blocked_path(self):
-        # the int64 RREF is made in the float copy's own buffer; it equals
-        # the simple engine's, zero rows below the rank included
+        # the RREF is the float32 working copy, half the int64 input, and
+        # equals the simple engine's, zero rows below the rank included;
+        # kernel_basis holds that copy beside its int64 result
         from ribbonsyz.fflinalg import _eliminate_simple
 
         g = rng(51)
         a = matmul_mod(g.integers(0, P, (1000, 300)), g.integers(0, P, (300, 1400)), P)
         out = []
-        assert traced_peak(lambda: out.append(rref(a, P))) <= 1.5 * a.nbytes
+        assert traced_peak(lambda: out.append(rref(a, P))) <= 0.75 * a.nbytes
         r, piv = out[0]
         s = a.copy()
         assert piv == _eliminate_simple(s, P, reduced=True)
-        assert len(piv) == 300 and r.dtype == np.int64 and np.array_equal(r, s)
-        k = kernel_basis(a, P)
-        assert k.shape == (1400, 1100) and not np.any(matmul_mod(a, k, P))
+        assert len(piv) == 300 and r.dtype == np.float32 and np.array_equal(r, s)
+        out = []
+        assert traced_peak(lambda: out.append(kernel_basis(a, P))) <= 1.8 * a.nbytes
+        k = out[0]
+        assert k.dtype == np.int64 and k.shape == (1400, 1100) and not np.any(matmul_mod(a, k, P))
         assert np.array_equal(image_basis(a, P), a[:, piv])
 
     def test_rank_holds_a_float32_copy(self):

@@ -312,7 +312,7 @@ class TestTrivialGrading:
 
     def table(self, module, monkeypatch):
         """The Koszul table of the module, and the shape of every matrix each cell built
-        (a ``derived`` entry lists the cells ranked from a certificate)."""
+        (a ``certificates`` entry names the certificate of each cell ranked from one)."""
         built = {}
         real = koszul.koszul_differential
 
