@@ -3,8 +3,9 @@
 Matrices are numpy ``int64`` arrays with entries reduced to ``[0, p)``,
 but for an RREF, which is returned in its working dtype (below).
 Everything here is deterministic and pure: the reduced row echelon form is
-the canonical one, so pivot columns, kernel bases and image bases are
-reproducible across runs and safe to use as reference bases elsewhere.
+the canonical one, so pivot columns, and the coordinates that
+``graded.Chart`` reads off them, are reproducible across runs and safe to
+use as reference bases elsewhere.
 
 Every elimination is one Gauss-Jordan pass.  Each pivot clears the rows
 below it and, for a reduced echelon form, the rows above it in the same
@@ -39,7 +40,7 @@ from p: ``_work_dtype(p)`` on the blocked path (4 bytes an entry at
 p <= 256), int64 on the simple one.  Its Schur updates go _PANEL rows at
 a time, so their temporaries stay _PANEL rows.  ``rref`` returns that
 copy, exact integers in [0, p), and its readers cast only the entries
-they keep: ``kernel_basis`` writes them into its int64 result.
+they keep: ``graded.Chart`` casts the free columns of the pivot rows.
 ``matmul_mod`` works in the same dtype and writes a product larger than
 _MOD_BLOCK entries into its int64 result a block of rows at a time.  The
 program's one memory budget is here too: every caller prices a matrix it
@@ -63,8 +64,6 @@ __all__ = [
     "rref",
     "rank",
     "pivots",
-    "kernel_basis",
-    "image_basis",
     "matmul_mod",
 ]
 
@@ -455,34 +454,6 @@ def pivots(a, p: int) -> list[int]:
 def rank(a, p: int) -> int:
     """Rank of ``a`` over Z/p (forward elimination only)."""
     return len(pivots(a, p))
-
-
-def kernel_basis(a, p: int) -> np.ndarray:
-    """Basis of the right null space of ``a``, as matrix columns.
-
-    Columns are the canonical kernel vectors read off the RREF: one per free
-    column f, with 1 in position f and -R[i, pivot_i] above.  Satisfies
-    a @ k == 0 and k has cols(a) - rank(a) columns; k is int64, whatever
-    the RREF's working dtype.
-    """
-    r, pivots = _eliminate(a, p, reduced=True)
-    ncols = r.shape[1]
-    free = np.ones(ncols, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    k = np.zeros((ncols, free.size), dtype=np.int64)
-    # R[i, f] = 0 when pivot_i > f, so no order test is needed
-    above = r[: len(pivots), free]
-    np.negative(above, out=above)
-    k[pivots] = np.remainder(above, p, out=above)
-    k[free, np.arange(free.size)] = 1
-    return k
-
-
-def image_basis(a, p: int) -> np.ndarray:
-    """Columns of ``a`` forming a basis of its column space (pivot columns)."""
-    m = _as_matrix(a)
-    return np.mod(m[:, pivots(m, p)], p)
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:

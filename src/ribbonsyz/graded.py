@@ -17,23 +17,25 @@ S at epsilon-weight 0 and epsilon J at weight 1).  They are a claim, not a
 fact: ``GradedModule.respects_weights`` is the exact certificate that
 every x_k maps weight w of M_q into weight w + weight(x_k) of M_{q+1}, and
 ``koszul.KoszulCalculator`` splits a cell by weight only on a certified
-module, ranking any other by its trivial grading.  ``subquotient`` gives
+module, ranking any other by its trivial grading.  ``cohomology`` gives
 the trivial grading: the one module that it builds for a command, the
-syzygy module M^p of ``greenchk``, is a subquotient of unweighted
+syzygy module M^p of ``greenchk``, is a cohomology of unweighted
 coefficients.
 
-Two ways to a smaller module.  ``GradedModule.subquotient`` is the general
-one, for any sub and rel in w copies of the module (the syzygy
-modules M^p of ``greenchk``, in C(dim U, p) copies of their coefficients).
-``GradedAlgebra.artinian_reduction`` cuts the algebra by two linear forms
-and reads the quotient off the one RREF per degree that its
-regular-sequence certificate runs anyway: every kept basis vector is a
-coordinate vector, so the weights pass on unchanged.
+One quotient rule.  Modulo the rows of an RREF R with pivot columns P,
+the class of y is y[N] - R[:, N]^T y[P] in the unit vectors off P, the
+kept coordinates N (``_classes``).  Both ways to a smaller module read
+their quotients by it: ``GradedModule.cohomology``, of cohomologies
+Z_q / B_q in w copies of the module, each charted in the free coordinates
+of the RREF of the map whose kernel is Z_q (``Chart``; the syzygy modules
+M^p of ``greenchk``), and ``GradedAlgebra.artinian_reduction``, by the
+RREF that its regular-sequence certificate runs in each degree anyway:
+every kept basis vector is a coordinate vector, so the weights pass on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,8 +44,8 @@ from ribbonsyz.fflinalg import _MOD_BLOCK, PrimeField, check_budget, matmul_mod,
 __all__ = [
     "GradedError",
     "InconsistentDims",
-    "NotASubspace",
     "NotASubmodule",
+    "Chart",
     "GradedModule",
     "GradedAlgebra",
 ]
@@ -57,12 +59,71 @@ class InconsistentDims(GradedError):
     pass
 
 
-class NotASubspace(GradedError):
-    pass
-
-
 class NotASubmodule(GradedError):
-    """The action leaves a subspace that ``GradedModule.subquotient`` needs it to keep."""
+    """The action leaves a subspace that ``GradedModule.cohomology`` needs it to keep."""
+
+
+@dataclass(frozen=True)
+class Chart:
+    """A quotient Z / B of Z = ker d, in the free coordinates of the RREF R of d.
+
+    ``lift`` is R[:, free] on its pivot rows: a v in Z is v[free], as
+    v[pivots] = -lift v[free].  ``rel`` is the RREF of the free coordinates
+    of B, as rows, with pivot columns ``rel_pivots``; Z / B has the basis of
+    the unit vectors e_f, f in ``kept`` (off ``rel_pivots``), and ``classes``
+    reads a class by the quotient rule.  ``kernel`` charts Z / 0 by one RREF,
+    of d, and ``modulo`` adds B by one more, of its free coordinates.
+    """
+
+    pivots: np.ndarray
+    free: np.ndarray
+    lift: np.ndarray
+    rel: np.ndarray
+    rel_pivots: np.ndarray
+
+    @classmethod
+    def kernel(cls, d, p: int) -> Chart:
+        """ker d modulo nothing, from the RREF of d."""
+        r, piv = rref(d, p)
+        free = np.delete(np.arange(r.shape[1]), piv)
+        lift = r[: len(piv), free].astype(np.int64)
+        none = np.zeros((0, len(free)), dtype=np.int64)
+        return cls(np.array(piv, dtype=np.int64), free, lift, none, np.zeros(0, dtype=np.int64))
+
+    def modulo(self, coords, p: int) -> Chart:
+        """The same kernel modulo the span of the columns of ``coords``, given in free coordinates."""
+        r, piv = rref(np.asarray(coords).T, p)
+        return replace(self, rel=r[: len(piv)].astype(np.int64), rel_pivots=np.array(piv, dtype=np.int64))
+
+    @property
+    def size(self) -> int:
+        return len(self.pivots) + len(self.free)
+
+    @property
+    def kept(self) -> np.ndarray:
+        return np.delete(np.arange(len(self.free)), self.rel_pivots)
+
+    @property
+    def dim(self) -> int:
+        """dim Z / B."""
+        return len(self.free) - len(self.rel_pivots)
+
+    def lifted(self, u, p: int) -> np.ndarray:
+        """The vectors of Z whose free coordinates are the columns of u."""
+        out = np.zeros((self.size, u.shape[1]), dtype=np.int64)
+        out[self.free] = u
+        out[self.pivots] = -matmul_mod(self.lift, u, p) % p
+        return out
+
+    def misses(self, y, p: int) -> bool:
+        """Whether some column of y lies outside Z: y[pivots] != -lift y[free] (mod p)."""
+        defect = matmul_mod(self.lift, y[self.free], p)
+        defect += y[self.pivots]
+        return bool(np.remainder(defect, p, out=defect).any())
+
+    def classes(self, y, p: int) -> np.ndarray:
+        """The classes in Z / B of the columns of y, vectors of Z, in the basis of ``kept``."""
+        return _classes(y[self.free], self.rel, self.rel_pivots, self.kept, p)
 
 
 @dataclass(frozen=True)
@@ -147,83 +208,63 @@ class GradedModule:
                         f"action does not commute at degree {q} for basis pair ({k},{l})"
                     )
 
-    def subquotient(self, sub, rel) -> GradedModule:
-        """The subquotient with pieces span(sub[q]) / span(rel[q]) and the induced action.
+    def cohomology(self, charts) -> GradedModule:
+        """The module of pieces Z_q / B_q (sub_q / rel_q), one ``Chart`` a degree, and its action.
 
-        ``sub`` and ``rel`` give, one entry per degree, basis columns of
-        subspaces rel_q <= sub_q of w copies of M_q, stacked with the copy
-        index slow (row c * dim M_q + m is coordinate m of copy c, koszul's
-        layout of wedge^p V (x) M_q); V acts on the M factor of every copy.
-        Each entry is read once, in order, so either may be an iterator that
-        hands the degrees over one at a time.  w is read off the rows of the
-        first degree of nonzero dimension, the same in every degree, and
-        w = 1 is M itself.
-        Piece q is spanned by a complement C_q of rel_q in sub_q: the last
-        columns of sub_q that are independent of rel_q and of the sub_q
-        columns after them.  One RREF per degree, of
-
-            [rel_q | sub_q, last column first | x_k C_{q-1} | x_k rel_{q-1}],
-
-        picks C_q from its pivots and reads the action on C_{q-1} in
-        C_q-coordinates off the same rows; x_k is applied to all w copies at
-        once, by one product with the (n dim M_q) x dim M_{q-1} matrix of the
-        action.  Raises InconsistentDims when some degree's rows are not
-        w dim M_q, NotASubmodule when some x_k maps sub_{q-1} outside sub_q
-        or rel_{q-1} outside rel_q, and NotASubspace when rel_q is dependent
-        or (sub_q being a basis) not inside span(sub_q), and MatrixTooLarge
-        when a degree's RREF input, rows x (nr + ns + n m), is over the memory
-        budget, before its products are formed.  The result has the trivial
-        grading, whatever the weights of M.  Only one degree is held at a
-        time: its sub and rel are copied into that degree's RREF input, and
-        C_q and rel_q are read back from it as given; the RREF and the next
-        degree's products each reduce their own copy mod p.
+        Each chart lies in w copies of M_q, the copy index slow (row
+        c dim M_q + m is coordinate m of copy c, koszul's layout of
+        wedge^p V (x) M_q), and V acts on every copy.  The charts are read
+        once, in order, so an iterator may build each when it is taken; w
+        is read off the first degree of nonzero dimension.  Piece q has its
+        chart's basis.  For q >= 1 a basis of Z_{q-1}, the lifts of its kept
+        unit vectors and of its ``rel`` rows, goes through one x_k at a time,
+        on all copies by one product with the matrix of x_k on M; each image
+        must lie in Z_q, and its class is the action on the kept lifts and
+        zero on the rest.  Raises InconsistentDims for a chart not of size
+        w dim M_q, NotASubmodule when x_k maps sub_{q-1} outside sub_q or
+        rel_{q-1} outside rel_q, and MatrixTooLarge, before they are formed,
+        for lifts or images over the memory budget.  The grading is trivial.
         """
-        p, n = self.field.p, self.n
-        count = f"need sub and rel bases for each of {len(self.pieces)} degrees"
-        sub, rel = iter(sub), iter(rel)
-        w = None  # copies of M
-        comps, action = [], []
-        prev = np.zeros((0, 0), dtype=np.int64)  # [C_{q-1} | rel_{q-1}]
+        count = f"need a chart for each of {len(self.pieces)} degrees"
+        charts = iter(charts)
+        w, prev = 0, None  # copies of M, the chart of degree q - 1
+        dims, action = [], []
         for q, dim in enumerate(self.pieces):
-            s, r = next(sub, None), next(rel, None)
-            if s is None or r is None:
+            chart = next(charts, None)
+            if chart is None:
                 raise InconsistentDims(count)
-            s, r = np.asarray(s, dtype=np.int64), np.asarray(r, dtype=np.int64)
-            if w is None and dim and s.ndim == 2:
-                w = s.shape[0] // dim
-            rows = w * dim if w else 0
-            if s.ndim != 2 or r.ndim != 2 or s.shape[0] != rows or r.shape[0] != rows:
-                raise InconsistentDims(f"sub_{q} and rel_{q} need {rows} rows, {dim} a copy")
-            ns, nr, m = s.shape[1], r.shape[1], prev.shape[1]
-            check_budget(f"subquotient in degree {q}", (rows, nr + ns + n * m))
-            images = np.zeros((rows, 0), dtype=np.int64)
-            if m:  # x_k applied to the columns of prev, as columns ordered (k, j); w is known
-                below = self.pieces[q - 1]
-                flat = prev.reshape(w, below, m).transpose(1, 0, 2).reshape(below, w * m)
-                images = matmul_mod(self.action[q - 1].reshape(n * dim, below), flat, p)
-                del flat
-                images = images.reshape(n, dim, w, m).transpose(2, 1, 0, 3).reshape(rows, n * m)
-            joint = np.hstack([r, s[:, ::-1], images])
-            del images, s, r  # copied into joint: free them before the elimination, the peak of M^p
-            red, pivots = rref(joint, p)
-            picked = [j - nr for j in pivots if nr <= j < nr + ns]
-            if pivots[:nr] != list(range(nr)) or len(picked) != ns - nr:
-                raise NotASubspace(f"rel_{q} is dependent or not inside span(sub_{q})")
-            if pivots and pivots[-1] >= nr + ns:
-                raise NotASubmodule(f"the action maps sub_{q - 1} outside sub_{q}")
-            # the complement's pivot rows, reordered to follow sub's column order
-            coords = red[nr : nr + len(picked)][::-1, nr + ns :].reshape(len(picked), n, m)
+            if not w and dim:
+                w = chart.size // dim
+            if chart.size != w * dim:
+                raise InconsistentDims(f"the chart of degree {q} needs size {w * dim}, {dim} a copy")
             if q:
-                c = comps[-1].shape[1]
-                if np.any(coords[:, :, c:]):
-                    raise NotASubmodule(f"the action maps rel_{q - 1} outside rel_{q}")
-                action.append(coords[:, :, :c].transpose(1, 0, 2).astype(np.int64))  # int64, never a view of red
-            comps.append(joint[:, [nr + t for t in reversed(picked)]])
-            prev = np.hstack([comps[-1], joint[:, :nr]])
-            del joint, red, coords  # this degree's matrices go before the next is built
-        if next(sub, None) is not None or next(rel, None) is not None:
+                action.append(self._induced(q, w, prev, chart))
+            dims.append(chart.dim)
+            prev = chart
+        if next(charts, None) is not None:
             raise InconsistentDims(count)
-        return GradedModule(self.field, n, tuple(cm.shape[1] for cm in comps), tuple(action))
+        return GradedModule(self.field, self.n, tuple(dims), tuple(action))
+
+    def _induced(self, q: int, w: int, prev: Chart, chart: Chart) -> np.ndarray:
+        """``cohomology``'s checked action from degree q - 1 to q, its images freed on return."""
+        p, below, dim = self.field.p, self.pieces[q - 1], self.pieces[q]
+        c, m = len(prev.kept), len(prev.free)
+        check_budget(f"cohomology in degree {q}, lifts of degree {q - 1}", (w * below, m))
+        lifts = prev.lifted(np.hstack([np.eye(m, dtype=np.int64)[:, prev.kept], prev.rel.T]), p)
+        flat = lifts.reshape(w, below, m).transpose(1, 0, 2).reshape(below, w * m)
+        del lifts
+        check_budget(f"cohomology in degree {q}, images under x_k", (w * dim, m))
+        out = np.empty((self.n, len(chart.kept), c), dtype=np.int64)
+        for k in range(self.n):
+            image = matmul_mod(self.action[q - 1][k], flat, p)
+            image = image.reshape(dim, w, m).transpose(1, 0, 2).reshape(w * dim, m)
+            if chart.misses(image, p):
+                raise NotASubmodule(f"the action maps sub_{q - 1} outside sub_{q}")
+            classes = chart.classes(image, p)
+            if np.any(classes[:, c:]):
+                raise NotASubmodule(f"the action maps rel_{q - 1} outside rel_{q}")
+            out[k] = classes[:, :c]
+        return out
 
 
 class GradedAlgebra(GradedModule):
@@ -270,13 +311,10 @@ class GradedAlgebra(GradedModule):
         row of R is read, and forward elimination gives the pivots.  B_q is
         spanned by the coordinate vectors off P_q (N_q), the acting space by
         those of A_1 off P_1, so the two share a basis, and x_k maps e_j,
-        j in N_q, to
-
-            img[N_{q+1}] - R_{q+1}[:, N_{q+1}]^T img[P_{q+1}]   (mod p),
-
-        img = x_k e_j, its class modulo rel_{q+1}; the weights are the kept
-        coordinates' weights.  The certificate, checked exactly for every
-        q <= window - 1, is the rank condition
+        j in N_q, to the class of x_k e_j modulo rel_{q+1} by the quotient
+        rule; the weights are the kept coordinates' weights.  The
+        certificate, checked exactly for every q <= window - 1, is the rank
+        condition
 
             rank [l1 A_q | l2 A_q] = 2 dim A_q - dim A_{q-1}.
 
@@ -308,19 +346,28 @@ class GradedAlgebra(GradedModule):
             off = np.ones(self.pieces[q + 1], dtype=bool)
             off[piv] = False
             kept.append(np.flatnonzero(off))
-            out = a[np.ix_(kept[1], kept[q + 1], kept[q])]
-            if not full:
-                # x_k e_j modulo rel_{q+1}: img[N_{q+1}] - R_{q+1}[:, N_{q+1}]^T img[P_{q+1}]
-                k, c, m = len(kept[1]), len(kept[q + 1]), len(kept[q])
-                img = a[np.ix_(kept[1], piv, kept[q])].transpose(1, 0, 2).reshape(len(piv), k * m)
-                fold = r[: len(piv), kept[q + 1]].T
-                out -= matmul_mod(fold, img, p).reshape(c, k, m).transpose(1, 0, 2)
-                out %= p
-            action.append(out)
+            k, m = len(kept[1]), len(kept[q])  # x_k e_j, j in N_q, for every k at once
+            img = a[kept[1]][:, :, kept[q]].transpose(1, 0, 2).reshape(self.pieces[q + 1], k * m)
+            out = _classes(img, r, piv, kept[q + 1], p)
+            action.append(out.reshape(len(kept[q + 1]), k, m).transpose(1, 0, 2))
         weights = tuple(w[cols] for w, cols in zip(self.weights, kept))
         return GradedModule(
             self.field, len(kept[1]), tuple(map(len, kept)), tuple(action), weights[1], weights
         )
+
+
+def _classes(y: np.ndarray, r, piv, kept: np.ndarray, p: int) -> np.ndarray:
+    """The quotient rule: the columns of y modulo the rows of an RREF r, pivot columns piv.
+
+    In the basis e_j, j in ``kept`` (off piv), a class is y[kept] -
+    r[:, kept]^T y[piv] (mod p), what is left of y once the rows of r, scaled
+    by its pivot entries, are taken off.  With nothing kept r is not read.
+    """
+    out = y[kept]
+    if len(piv) and len(kept):
+        out -= matmul_mod(r[: len(piv), kept].T, y[piv], p)
+        out %= p
+    return out
 
 
 def _as_weights(given, count: int) -> np.ndarray:

@@ -12,19 +12,17 @@ differentials are the maps Phi_{i,p,q}, and the split-ribbon resolution
 Clifford index question reduces to their surjectivity at q = 1 (for
 i + j = 2m - 3), equivalently to the vanishing of K_{i,1}(M^j).
 
-M^p is built as one subquotient, cocycles / coboundaries, of
-wedge^p U (x) H^0(K^q W) (q = 0, 1, 2): w = C(dim U, p) copies of the
-coefficient module [H^0(W), H^0(KW), H^0(K^2 W)], on which H^0(K_C) acts
-by multiplication (``GradedModule.subquotient`` of w copies), so the
-block-diagonal action id (x) multiplication is never written out.  Piece q
-is spanned by the last cocycle columns independent of the coboundaries and
-of the later cocycle columns, and the action is read in those coordinates.
-The exact checks live where the objects are made: ``koszul_cohomology``
-checks d o d = 0, and ``subquotient`` checks that the action keeps the
-cocycles and the coboundaries.  A failure of either raises IllDefined (a bug, not a
-mathematical state).  The memory budget (``fflinalg.check_budget``) is
-applied where the matrices are made too: ``koszul_cohomology`` prices its
-two maps, and ``subquotient`` each degree's RREF input.
+M^p is built in its cocycles' own coordinates.  ``koszul_cohomology``
+charts piece q in w = C(dim U, p) copies of H^0(K^q W), the free
+coordinates of the RREF of d_out, and H^0(K_C) acts by multiplication on
+the coefficient module [H^0(W), H^0(KW), H^0(K^2 W)], applied to every
+copy (``GradedModule.cohomology``), so the block-diagonal action
+id (x) multiplication is never written out.  The exact checks live where
+the objects are made: ``koszul_cohomology`` checks d o d = 0, and
+``cohomology`` that the action keeps the cocycles and the coboundaries; a
+failure raises IllDefined (a bug, not a mathematical state).  So does the
+memory budget (``fflinalg.check_budget``): ``koszul_cohomology`` prices
+its two maps, and ``cohomology`` each degree's lifts and images.
 """
 
 from __future__ import annotations
@@ -104,14 +102,12 @@ def build_syzygy_module(model, conormal_multiple: int, p: int) -> SyzygyModule:
       wedge^{p+1} U (x) H^0(K^q)  ->  wedge^p U (x) H^0(K^q W)  ->  wedge^{p-1} U (x) H^0(K^q W^2),
 
     computed as K_{p,1} of the coefficient module [H^0(K^q), H^0(K^q W),
-    H^0(K^q W^2)] over U by ``koszul_cohomology``.  Its cocycles and
-    coboundaries lie in w = C(dim U, p) copies of H^0(K^q W), and M^p is
-    their subquotient over the module [H^0(W), H^0(KW), H^0(K^2 W)] of
-    H^0(K_C) acting by multiplication, applied to every copy
-    (``GradedModule.subquotient``, which reads w off the row counts); see
-    there for the basis and the checks.  Raises MatrixTooLarge before a map
-    of a cohomology group, or the subquotient's RREF input of a degree
-    (w dim H^0(K^q W) rows), over the memory budget is assembled.
+    H^0(K^q W^2)] over U and charted by ``koszul_cohomology`` in
+    w = C(dim U, p) copies of H^0(K^q W); M^p is their cohomology over the
+    module [H^0(W), H^0(KW), H^0(K^2 W)] of H^0(K_C) acting by
+    multiplication (``GradedModule.cohomology``, see there for the basis and
+    the checks).  Raises MatrixTooLarge before a map of a cohomology group,
+    or the lifts or images of a degree, over the memory budget is assembled.
     """
     k_tag, w_tag, _ = conormal_tags(model, conormal_multiple)
     u_space = model.sections(w_tag)
@@ -123,18 +119,14 @@ def build_syzygy_module(model, conormal_multiple: int, p: int) -> SyzygyModule:
         action = tuple(mult_map(u_space, s) for s in spaces[:2])
         return GradedModule(model.field, u_space.dim, tuple(s.dim for s in spaces), action)
 
-    # Phi_{i,p,1} and K_{i,1}(M^p) read no piece past degree 2
-    groups = [koszul_cohomology(coefficient_module(q), p, 1) for q in range(3)]
     sections = [model.sections(q * k_tag + w_tag) for q in range(3)]
     action = tuple(mult_map(k_space, s) for s in sections[:2])  # (g, tgt, src)
     coefficients = GradedModule(model.field, g, tuple(s.dim for s in sections), action)
-    sub = [grp.cocycles for grp in groups]
-    rel = [grp.coboundaries for grp in groups]
-    del groups  # sub and rel hold the only references
+    # Phi_{i,p,1} and K_{i,1}(M^p) read no piece past degree 2; each degree
+    # is charted when cohomology takes it, and freed once the next is read
+    charts = (koszul_cohomology(coefficient_module(q), p, 1) for q in range(3))
     try:
-        # one degree at a time: each leaves the lists as subquotient takes it,
-        # so it is freed once copied into that degree's RREF input
-        module = coefficients.subquotient((sub.pop(0) for _ in range(3)), (rel.pop(0) for _ in range(3)))
+        module = coefficients.cohomology(charts)
     except NotASubmodule as exc:
         raise IllDefined(f"the H^0(K_C) action does not descend to cohomology: {exc}") from exc
     module.check_commutativity()
@@ -205,11 +197,8 @@ def green_split_report(model, conormal_multiple: int) -> dict:
     pairs = [(i, 2 * m - 3 - i) for i in range(2 * m - 2)] if 2 * m - 3 >= 0 else []
     phi_entries = []
     van_entries = []
-    syz_cache: dict[int, SyzygyModule] = {}
-    for i, j in pairs:
-        if j not in syz_cache:
-            syz_cache[j] = build_syzygy_module(model, conormal_multiple, j)
-        syz = syz_cache[j]
+    for i, j in pairs:  # each j occurs once
+        syz = build_syzygy_module(model, conormal_multiple, j)
         verdict = phi_map(syz, i)
         phi_entries.append(
             {

@@ -8,7 +8,7 @@ Conventions, fixed project-wide:
 * the basis of wedge^p V (x) M_q is indexed by  wedge_rank * dim(M_q) + m_index.
 
 Cohomology dimensions are convention-independent; fixing one makes the
-representative bases reproducible.
+charts of ``koszul_cohomology`` (``graded.Chart``) reproducible.
 
 Weight blocks.  Every module carries weights (``GradedModule.weights``,
 all zero unless given; the split ribbon S~ = S (+) epsilon J puts S at
@@ -93,14 +93,13 @@ from math import comb
 
 import numpy as np
 
-from ribbonsyz.fflinalg import MatrixTooLarge, check_budget, image_basis, kernel_basis, matmul_mod, rank
-from ribbonsyz.graded import GradedAlgebra, GradedError, GradedModule
+from ribbonsyz.fflinalg import MatrixTooLarge, check_budget, rank
+from ribbonsyz.graded import Chart, GradedAlgebra, GradedError, GradedModule
 from ribbonsyz.rng import SeededStream
 
 __all__ = [
     "IllDefined",
     "OutOfWindow",
-    "KoszulGroup",
     "KoszulCalculator",
     "BettiTable",
     "koszul_differential",
@@ -228,42 +227,29 @@ def koszul_differential(module: GradedModule, p: int, q: int, weight: int | None
     return out
 
 
-@dataclass(frozen=True)
-class KoszulGroup:
-    """A computed K_{p,q}: dimension plus representative bases.
+def koszul_cohomology(module: GradedModule, p: int, q: int) -> Chart:
+    """K_{p,q} as a ``graded.Chart``: ker d_out / im d_in, d_out = d_{p,q}, d_in = d_{p+1,q-1}.
 
-    ``cocycles`` columns span ker d_{p,q}; ``coboundaries`` columns span
-    im d_{p+1,q-1} inside it.  dim = #cocycle columns - #coboundary columns.
-    """
-
-    p: int
-    q: int
-    dim: int
-    cocycles: np.ndarray
-    coboundaries: np.ndarray
-
-
-def koszul_cohomology(module: GradedModule, p: int, q: int) -> KoszulGroup:
-    """K_{p,q} of the module with explicit cocycle/coboundary bases.
-
-    Needs pieces q-1 (implicitly zero when q = 0), q, and q+1 in window.
-    Raises MatrixTooLarge, before either is assembled, when d_out = d_{p,q}
-    or d_in = d_{p+1,q-1} would take more than the memory budget to reduce.
+    Two eliminations, the RREF of d_out and, for q >= 1, that of the free
+    rows of d_in, transposed; dim K_{p,q} is the chart's ``dim``.  Needs
+    pieces q-1 (zero when q = 0), q and q+1.  Raises MatrixTooLarge, before
+    either is assembled, when d_out or d_in is over the memory budget, and
+    IllDefined when d o d != 0.
     """
     where = f"K_{{p,q}} at (p, q) = ({p}, {q})"
     check_budget(f"{where}, d_out", _cell_shape(module, p, q))
     if q >= 1:
         check_budget(f"{where}, d_in", _cell_shape(module, p + 1, q - 1))
-    d_out = koszul_differential(module, p, q)
-    z = kernel_basis(d_out, module.field.p)
-    if q >= 1:
-        d_in = koszul_differential(module, p + 1, q - 1)
-        b = image_basis(d_in, module.field.p)
-    else:
-        b = np.zeros((d_out.shape[1], 0), dtype=np.int64)
-    if b.shape[1] and np.any(matmul_mod(d_out, b, module.field.p)):
+    prime = module.field.p
+    chart = Chart.kernel(koszul_differential(module, p, q), prime)
+    if q == 0:
+        return chart
+    d_in = koszul_differential(module, p + 1, q - 1)
+    if chart.misses(d_in, prime):
         raise IllDefined("d o d != 0: coboundaries are not cocycles")
-    return KoszulGroup(p, q, z.shape[1] - b.shape[1], z, b)
+    coords = d_in[chart.free]
+    del d_in  # before the second elimination
+    return chart.modulo(coords, prime)
 
 
 class KoszulCalculator:

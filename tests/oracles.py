@@ -5,19 +5,21 @@ integers, or one plain elimination batched over numpy arrays where a
 python loop would take minutes; no imports from the package's fast paths)
 so the production code can be checked against an implementation that
 shares nothing with it beyond the problem statement.  The exceptions are
-``solve``, a test helper that the package no longer uses, which runs on
-``fflinalg.rref``; ``artinian_by_subquotient`` and ``module_restrict_action``,
-the Artinian reduction as the package once computed it, through
-``GradedModule.subquotient``; ``syzygy_module_by_ambient``, the syzygy
-module M^p as the package once built it, from a dense ambient action and
-``GradedModule.subquotient``; ``smooth_every_degree``, the smoothness
-certificate ranked at every degree up to the Macaulay bound; and three
-reference paths the package's commands never take, kept here because the
-tests check against them: ``algebra_from_sections`` (a ``GradedAlgebra``
-straight from section spaces), ``restriction`` (the push-out and pull-back
-restriction of a class, through ``fflinalg.kernel_basis``) and
-``first_witness`` (one degree of the secant search, through
-``strata._project`` and ``strata._search_degree``).
+``solve``, ``kernel_basis`` and ``image_basis``, test helpers that the
+package no longer uses, which run on ``fflinalg.rref`` and
+``fflinalg.pivots``; ``subquotient``, the general subquotient with its
+induced action as the package once built it, by one joint RREF per
+degree, and the references that call it: ``artinian_by_subquotient`` and
+``module_restrict_action``, the Artinian reduction as the package once
+computed it, and ``syzygy_module_by_ambient``, the syzygy module M^p as
+the package once built it, from a dense ambient action;
+``smooth_every_degree``, the smoothness certificate ranked at every degree
+up to the Macaulay bound; and three reference paths the package's
+commands never take, kept here because the tests check against them:
+``algebra_from_sections`` (a ``GradedAlgebra`` straight from section
+spaces), ``restriction`` (the push-out and pull-back restriction of a
+class, through ``kernel_basis``) and ``first_witness`` (one degree of the
+secant search, through ``strata._project`` and ``strata._search_degree``).
 """
 
 from __future__ import annotations
@@ -29,11 +31,122 @@ from itertools import combinations, islice
 import numpy as np
 
 from ribbonsyz.curves import mult_map
-from ribbonsyz.fflinalg import DimensionMismatch, kernel_basis, matmul_mod, rank, rref
-from ribbonsyz.graded import GradedAlgebra, GradedError, GradedModule, InconsistentDims, NotASubspace
-from ribbonsyz.koszul import koszul_cohomology
+from ribbonsyz.fflinalg import DimensionMismatch, check_budget, matmul_mod, pivots, rank, rref
+from ribbonsyz.graded import GradedAlgebra, GradedError, GradedModule, InconsistentDims, NotASubmodule
+from ribbonsyz.koszul import koszul_differential
 from ribbonsyz.ribbon import conormal_tags
 from ribbonsyz.strata import _project, _search_degree
+
+
+class NotASubspace(GradedError):
+    """A basis handed to ``subquotient`` or ``module_restrict_action`` is dependent or lies outside its space."""
+
+
+def subquotient(module: GradedModule, sub, rel) -> GradedModule:
+    """The subquotient with pieces span(sub[q]) / span(rel[q]) and the induced action.
+
+    ``sub`` and ``rel`` give, one entry per degree, basis columns of
+    subspaces rel_q <= sub_q of w copies of M_q, stacked with the copy
+    index slow (row c * dim M_q + m is coordinate m of copy c, koszul's
+    layout of wedge^p V (x) M_q); V acts on the M factor of every copy.
+    Each entry is read once, in order, so either may be an iterator that
+    hands the degrees over one at a time.  w is read off the rows of the
+    first degree of nonzero dimension, the same in every degree, and
+    w = 1 is M itmodule.
+    Piece q is spanned by a complement C_q of rel_q in sub_q: the last
+    columns of sub_q that are independent of rel_q and of the sub_q
+    columns after them.  One RREF per degree, of
+
+        [rel_q | sub_q, last column first | x_k C_{q-1} | x_k rel_{q-1}],
+
+    picks C_q from its pivots and reads the action on C_{q-1} in
+    C_q-coordinates off the same rows; x_k is applied to all w copies at
+    once, by one product with the (n dim M_q) x dim M_{q-1} matrix of the
+    action.  Raises InconsistentDims when some degree's rows are not
+    w dim M_q, NotASubmodule when some x_k maps sub_{q-1} outside sub_q
+    or rel_{q-1} outside rel_q, and NotASubspace when rel_q is dependent
+    or (sub_q being a basis) not inside span(sub_q), and MatrixTooLarge
+    when a degree's RREF input, rows x (nr + ns + n m), is over the memory
+    budget, before its products are formed.  The result has the trivial
+    grading, whatever the weights of M.  Only one degree is held at a
+    time: its sub and rel are copied into that degree's RREF input, and
+    C_q and rel_q are read back from it as given; the RREF and the next
+    degree's products each reduce their own copy mod p.
+    """
+    p, n = module.field.p, module.n
+    count = f"need sub and rel bases for each of {len(module.pieces)} degrees"
+    sub, rel = iter(sub), iter(rel)
+    w = None  # copies of M
+    comps, action = [], []
+    prev = np.zeros((0, 0), dtype=np.int64)  # [C_{q-1} | rel_{q-1}]
+    for q, dim in enumerate(module.pieces):
+        s, r = next(sub, None), next(rel, None)
+        if s is None or r is None:
+            raise InconsistentDims(count)
+        s, r = np.asarray(s, dtype=np.int64), np.asarray(r, dtype=np.int64)
+        if w is None and dim and s.ndim == 2:
+            w = s.shape[0] // dim
+        rows = w * dim if w else 0
+        if s.ndim != 2 or r.ndim != 2 or s.shape[0] != rows or r.shape[0] != rows:
+            raise InconsistentDims(f"sub_{q} and rel_{q} need {rows} rows, {dim} a copy")
+        ns, nr, m = s.shape[1], r.shape[1], prev.shape[1]
+        check_budget(f"subquotient in degree {q}", (rows, nr + ns + n * m))
+        images = np.zeros((rows, 0), dtype=np.int64)
+        if m:  # x_k applied to the columns of prev, as columns ordered (k, j); w is known
+            below = module.pieces[q - 1]
+            flat = prev.reshape(w, below, m).transpose(1, 0, 2).reshape(below, w * m)
+            images = matmul_mod(module.action[q - 1].reshape(n * dim, below), flat, p)
+            del flat
+            images = images.reshape(n, dim, w, m).transpose(2, 1, 0, 3).reshape(rows, n * m)
+        joint = np.hstack([r, s[:, ::-1], images])
+        del images, s, r  # copied into joint: free them before the elimination, the peak of M^p
+        red, pivots = rref(joint, p)
+        picked = [j - nr for j in pivots if nr <= j < nr + ns]
+        if pivots[:nr] != list(range(nr)) or len(picked) != ns - nr:
+            raise NotASubspace(f"rel_{q} is dependent or not inside span(sub_{q})")
+        if pivots and pivots[-1] >= nr + ns:
+            raise NotASubmodule(f"the action maps sub_{q - 1} outside sub_{q}")
+        # the complement's pivot rows, reordered to follow sub's column order
+        coords = red[nr : nr + len(picked)][::-1, nr + ns :].reshape(len(picked), n, m)
+        if q:
+            c = comps[-1].shape[1]
+            if np.any(coords[:, :, c:]):
+                raise NotASubmodule(f"the action maps rel_{q - 1} outside rel_{q}")
+            action.append(coords[:, :, :c].transpose(1, 0, 2).astype(np.int64))  # int64, never a view of red
+        comps.append(joint[:, [nr + t for t in reversed(picked)]])
+        prev = np.hstack([comps[-1], joint[:, :nr]])
+        del joint, red, coords  # this degree's matrices go before the next is built
+    if next(sub, None) is not None or next(rel, None) is not None:
+        raise InconsistentDims(count)
+    return GradedModule(module.field, n, tuple(cm.shape[1] for cm in comps), tuple(action))
+
+
+def kernel_basis(a, p: int) -> np.ndarray:
+    """Basis of the right null space of ``a``, as matrix columns.
+
+    Columns are the canonical kernel vectors read off the RREF: one per free
+    column f, with 1 in position f and -R[i, pivot_i] above.  Satisfies
+    a @ k == 0 and k has cols(a) - rank(a) columns; k is int64, whatever
+    the RREF's working dtype.
+    """
+    r, pivots = rref(a, p)
+    ncols = r.shape[1]
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    k = np.zeros((ncols, free.size), dtype=np.int64)
+    # R[i, f] = 0 when pivot_i > f, so no order test is needed
+    above = r[: len(pivots), free]
+    np.negative(above, out=above)
+    k[pivots] = np.remainder(above, p, out=above)
+    k[free, np.arange(free.size)] = 1
+    return k
+
+
+def image_basis(a, p: int) -> np.ndarray:
+    """Columns of ``a`` forming a basis of its column space (pivot columns)."""
+    m = np.asarray(a, dtype=np.int64)
+    return np.mod(m[:, pivots(m, p)], p)
 
 
 def degree_one_generates(alg) -> bool:
@@ -124,7 +237,7 @@ def artinian_by_subquotient(alg, l1, l2):
         if q == 0:
             acting = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
     identity = [np.eye(d, dtype=np.int64) for d in alg.pieces]
-    module = module_restrict_action(alg, acting).subquotient(identity, rel)
+    module = subquotient(module_restrict_action(alg, acting), identity, rel)
     return GradedModule(module.field, module.n, module.pieces, module.action, kept[1], kept)
 
 
@@ -140,20 +253,20 @@ def syzygy_module_by_ambient(model, t: int, p: int) -> GradedModule:
     k_tag, w_tag, _ = conormal_tags(model, t)
     u_space, k_space = model.sections(w_tag), model.sections(k_tag)
     g, wedge = k_space.dim, math.comb(u_space.dim, p)
-    groups = []
+    sub, rel = [], []
     for q in range(3):
         spaces = [model.sections(q * k_tag + j * w_tag) for j in range(3)]
         action = tuple(mult_map(u_space, s) for s in spaces[:2])
         coefficients = GradedModule(model.field, u_space.dim, tuple(s.dim for s in spaces), action)
-        groups.append(koszul_cohomology(coefficients, p, 1))
+        sub.append(kernel_basis(koszul_differential(coefficients, p, 1), model.field.p))
+        rel.append(image_basis(koszul_differential(coefficients, p + 1, 0), model.field.p))
     action = []
     for q in range(2):
         mult = mult_map(k_space, model.sections(q * k_tag + w_tag))
         blocks = np.einsum("ij,kab->kiajb", np.eye(wedge, dtype=np.int64), mult)
         action.append(blocks.reshape(g, wedge * mult.shape[1], wedge * mult.shape[2]))
-    pieces = tuple(grp.cocycles.shape[0] for grp in groups)
-    ambient = GradedModule(model.field, g, pieces, tuple(action))
-    return ambient.subquotient([grp.cocycles for grp in groups], [grp.coboundaries for grp in groups])
+    ambient = GradedModule(model.field, g, tuple(s.shape[0] for s in sub), tuple(action))
+    return subquotient(ambient, sub, rel)
 
 
 def _monomial_triples(deg: int) -> list[tuple[int, int, int]]:
@@ -370,7 +483,7 @@ def loop_kernel_basis(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     """Kernel basis read off an RREF ``r`` with its pivot columns, by a double loop.
 
     One column per free column f: 1 in row f and -r[i, f] in the row of
-    each pivot c_i < f.  The loop ``fflinalg.kernel_basis`` replaced.
+    each pivot c_i < f.  The loop ``kernel_basis`` replaced.
     """
     ncols = r.shape[1]
     free = [j for j in range(ncols) if j not in set(pivots)]

@@ -238,7 +238,8 @@ def test_reduction_makes_one_rref_per_degree(monkeypatch):
 
     for name in ("rref", "pivots"):
         monkeypatch.setattr(graded, name, counted(name))
-    monkeypatch.setattr(graded.GradedModule, "subquotient", refuse)
+    monkeypatch.setattr(graded.GradedModule, "cohomology", refuse)
+    monkeypatch.setattr(oracles, "subquotient", refuse)
     monkeypatch.setattr(oracles, "module_restrict_action", refuse)
     for name in ("rank", "pivots"):
         monkeypatch.setattr(fflinalg, name, refuse)

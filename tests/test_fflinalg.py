@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ribbonsyz.fflinalg import (
     NotPrime,
     PrimeField,
-    image_basis,
-    kernel_basis,
     matmul_mod,
     pivots,
     rank,
@@ -18,7 +16,7 @@ from ribbonsyz.fflinalg import (
 
 from ribbonsyz.fflinalg import _MOD_BLOCK
 
-from oracles import eager_eliminate, loop_kernel_basis, naive_rank, naive_solve, solve
+from oracles import eager_eliminate, image_basis, kernel_basis, loop_kernel_basis, naive_rank, naive_solve, solve
 
 P = 101
 

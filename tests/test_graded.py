@@ -10,17 +10,27 @@ from ribbonsyz import fflinalg, graded
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve, mult_map, random_plane_curve
 from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank, rref
 from ribbonsyz.graded import (
+    Chart,
     GradedAlgebra,
     GradedError,
     GradedModule,
     InconsistentDims,
     NotASubmodule,
-    NotASubspace,
 )
 from ribbonsyz.koszul import KoszulCalculator
 from ribbonsyz.ribbon import build_split_ribbon
 
-from oracles import algebra_from_sections, degree_one_generates, module_restrict_action, oracle_koszul_dim, solve
+import oracles
+from oracles import (
+    NotASubspace,
+    algebra_from_sections,
+    degree_one_generates,
+    kernel_basis,
+    module_restrict_action,
+    oracle_koszul_dim,
+    solve,
+    subquotient,
+)
 
 F101 = PrimeField(101)
 
@@ -486,7 +496,7 @@ class TestSubquotient:
                 cols = matmul_mod(change[q], monomial_columns(n, q, gens), 101)
                 mix = invertible(cols.shape[1], rng)
                 basis.append(matmul_mod(cols, mix, 101) if cols.size else cols)
-        module = ambient.subquotient(sub, rel)
+        module = subquotient(ambient, sub, rel)
         pieces, actions = self.hand_built()
         assert list(module.pieces) == pieces == [0, 2, 4, 4, 3]
         calc = KoszulCalculator(module)
@@ -497,7 +507,8 @@ class TestSubquotient:
 
     def test_whole_module_over_nothing_is_itself(self):
         mod = polynomial_module(2, 3)
-        same = mod.subquotient(
+        same = subquotient(
+            mod,
             [np.eye(d, dtype=np.int64) for d in mod.pieces],
             [np.zeros((d, 0), dtype=np.int64) for d in mod.pieces],
         )
@@ -512,7 +523,7 @@ class TestSubquotient:
         sub = [monomial_columns(self.N, q, self.J) for q in range(self.WINDOW + 1)]
         rel = [monomial_columns(self.N, q, self.I) for q in range(self.WINDOW + 1)]
         held = []
-        reduce = graded.rref
+        reduce = oracles.rref
 
         def tracked(a, p):
             assert all(ref() is None for ref in held)
@@ -520,8 +531,8 @@ class TestSubquotient:
             held.extend([weakref.ref(a), weakref.ref(red)])
             return red, pivots
 
-        monkeypatch.setattr(graded, "rref", tracked)
-        assert mod.subquotient(sub, rel).pieces == (0, 2, 4, 4, 3)
+        monkeypatch.setattr(oracles, "rref", tracked)
+        assert subquotient(mod, sub, rel).pieces == (0, 2, 4, 4, 3)
         assert len(held) == 2 * (self.WINDOW + 1)
 
     def test_each_degree_is_priced_before_its_rref(self, monkeypatch):
@@ -532,14 +543,14 @@ class TestSubquotient:
         sub = [np.eye(2 * d, dtype=np.int64) for d in mod.pieces]
         rel = [np.zeros((2 * d, 0), dtype=np.int64) for d in mod.pieces]
         rrefs = []
-        reduce = graded.rref
-        monkeypatch.setattr(graded, "rref", lambda a, p: rrefs.append(a.shape) or reduce(a, p))
+        reduce = oracles.rref
+        monkeypatch.setattr(oracles, "rref", lambda a, p: rrefs.append(a.shape) or reduce(a, p))
         monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 6 * 12 - 1)
         with pytest.raises(fflinalg.MatrixTooLarge, match=r"subquotient in degree 1: 6 x 12, about 2304 bytes,"):
-            mod.subquotient(sub, rel)
+            subquotient(mod, sub, rel)
         assert rrefs == [(2, 2)]  # degree 1 was refused before its RREF
         monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 6 * 12)
-        assert mod.subquotient(sub, rel).pieces == (2, 6)
+        assert subquotient(mod, sub, rel).pieces == (2, 6)
         assert rrefs == [(2, 2), (2, 2), (6, 12)]
 
     def test_complement_takes_the_last_columns(self):
@@ -550,7 +561,7 @@ class TestSubquotient:
         mod = GradedModule(F101, 1, (2, 3), (a,))
         sub = [np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)]
         rel = [np.zeros((2, 0), dtype=np.int64), np.array([[1], [0], [1]], dtype=np.int64)]
-        res = mod.subquotient(sub, rel)
+        res = subquotient(mod, sub, rel)
         assert res.pieces == (2, 2)
         # x m_0 lies in rel_1; x m_1 = e_1 + e_2
         assert res.action[0].tolist() == [[[0, 1], [0, 1]]]
@@ -560,14 +571,14 @@ class TestSubquotient:
         sub = [np.eye(1, dtype=np.int64), np.array([[1], [0]], dtype=np.int64), np.eye(3, dtype=np.int64)]
         rel = [np.zeros((d, 0), dtype=np.int64) for d in mod.pieces]
         with pytest.raises(NotASubmodule, match="maps sub_0 outside sub_1"):
-            mod.subquotient(sub, rel)
+            subquotient(mod, sub, rel)
 
     def test_rel_not_preserved(self):
         mod = polynomial_module(2, 2)
         sub = [np.eye(d, dtype=np.int64) for d in mod.pieces]
         rel = [np.zeros((1, 0), dtype=np.int64), np.array([[1], [0]], dtype=np.int64), np.zeros((3, 0), dtype=np.int64)]
         with pytest.raises(NotASubmodule, match="maps rel_1 outside rel_2"):
-            mod.subquotient(sub, rel)
+            subquotient(mod, sub, rel)
 
     @pytest.mark.parametrize(
         "rel_1",
@@ -579,13 +590,13 @@ class TestSubquotient:
         sub = [np.zeros((1, 0), dtype=np.int64), np.array([[1], [0]], dtype=np.int64)]
         rel = [np.zeros((1, 0), dtype=np.int64), np.array(rel_1, dtype=np.int64)]
         with pytest.raises(NotASubspace):
-            mod.subquotient(sub, rel)
+            subquotient(mod, sub, rel)
 
     def test_wrong_row_count(self):
         mod = polynomial_module(2, 1)
         with pytest.raises(InconsistentDims):
-            mod.subquotient([np.eye(1, dtype=np.int64), np.eye(3, dtype=np.int64)],
-                            [np.zeros((1, 0), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)])
+            subquotient(mod, [np.eye(1, dtype=np.int64), np.eye(3, dtype=np.int64)],
+                        [np.zeros((1, 0), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)])
 
     def test_zero_pieces(self):
         # a zero piece between nonzero ones, and a subquotient that is zero in degree 2
@@ -593,10 +604,11 @@ class TestSubquotient:
         a1 = np.zeros((2, 2, 0), dtype=np.int64)
         mod = GradedModule(F101, 2, (1, 0, 2), (a0, a1))
         empty = [np.zeros((d, 0), dtype=np.int64) for d in mod.pieces]
-        res = mod.subquotient([np.eye(d, dtype=np.int64) for d in mod.pieces], empty)
+        res = subquotient(mod, [np.eye(d, dtype=np.int64) for d in mod.pieces], empty)
         assert res.pieces == (1, 0, 2)
         assert [a.shape for a in res.action] == [(2, 0, 1), (2, 2, 0)]
-        res = mod.subquotient(
+        res = subquotient(
+            mod,
             [np.eye(d, dtype=np.int64) for d in mod.pieces],
             empty[:2] + [np.eye(2, dtype=np.int64)],
         )
@@ -605,7 +617,8 @@ class TestSubquotient:
     def test_no_acting_space(self):
         # n = 0: pieces are plain subquotients and every action tensor is empty
         mod = GradedModule(F101, 0, (2, 3), (np.zeros((0, 3, 2), dtype=np.int64),))
-        res = mod.subquotient(
+        res = subquotient(
+            mod,
             [np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)[:, :2]],
             [np.array([[1], [1]], dtype=np.int64), np.zeros((3, 0), dtype=np.int64)],
         )
@@ -661,6 +674,18 @@ def homogeneous(rng, weights: np.ndarray, weight: int, count: int) -> np.ndarray
     return rng.integers(0, 101, (len(weights), count)) * (weights == weight)[:, None]
 
 
+def submodules(rng, big: GradedModule) -> tuple[list, list]:
+    """Bases of homogeneous submodules rel <= sub of ``big`` in degrees 0..3: sub generated by a
+    weight-0 vector of degree 0 and two weight-1 vectors of degree 1, rel by a random combination
+    of the sub_1 columns of weight 0."""
+    empty = [np.zeros((d, 0), dtype=np.int64) for d in big.pieces]
+    gens = [homogeneous(rng, big.weights[0], 0, 1), homogeneous(rng, big.weights[1], 1, 2)]
+    sub = generated(big, gens + empty[2:])
+    of_weight = np.where(sub[1] != 0, big.weights[1][:, None], -1).max(axis=0, initial=-1) == 0
+    mix = rng.integers(0, 101, (int(of_weight.sum()), 1))
+    return sub, generated(big, [empty[0], matmul_mod(sub[1][:, of_weight], mix, 101), *empty[2:]])
+
+
 class TestSubquotientOfCopies:
     """``subquotient`` of sub and rel in w copies of M, against the same
     subquotient of the block-diagonal module of w copies."""
@@ -671,14 +696,8 @@ class TestSubquotientOfCopies:
         rng = np.random.default_rng(seed)
         mod = weighted_module(rng)
         big = block_diagonal(mod, w)
-        empty = [np.zeros((d, 0), dtype=np.int64) for d in big.pieces]
-        gens = [homogeneous(rng, big.weights[0], 0, 1), homogeneous(rng, big.weights[1], 1, 2)]
-        sub = generated(big, gens + empty[2:])
-        # rel: generated by a random combination of the sub_1 columns of weight 0
-        of_weight = np.where(sub[1] != 0, big.weights[1][:, None], -1).max(axis=0, initial=-1) == 0
-        mix = rng.integers(0, 101, (int(of_weight.sum()), 1))
-        rel = generated(big, [empty[0], matmul_mod(sub[1][:, of_weight], mix, 101), *empty[2:]])
-        got, want = mod.subquotient(sub, rel), big.subquotient(sub, rel)
+        sub, rel = submodules(rng, big)
+        got, want = subquotient(mod, sub, rel), subquotient(big, sub, rel)
         assert got.n == want.n and got.pieces == want.pieces
         for a, b in zip(got.action + (got.v_weights,) + got.weights, want.action + (want.v_weights,) + want.weights):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -690,7 +709,102 @@ class TestSubquotientOfCopies:
         mod = polynomial_module(3, 3)
         sub = [np.zeros((r, 0), dtype=np.int64) for r in rows]
         with pytest.raises(InconsistentDims):
-            mod.subquotient(sub, sub)
+            subquotient(mod, sub, sub)
         good = [np.zeros((2 * d, 0), dtype=np.int64) for d in mod.pieces]
         with pytest.raises(InconsistentDims):
-            mod.subquotient(good, sub)
+            subquotient(mod, good, sub)
+
+
+def charted(sub, rel) -> list:
+    """One ``Chart`` a degree of span(sub_q) / span(rel_q), the way ``koszul_cohomology`` builds
+    one: sub_q as the kernel of a map, its annihilator, and rel_q by its free coordinates."""
+    charts = []
+    for s, r in zip(sub, rel):
+        chart = Chart.kernel(kernel_basis(s.T, 101).T, 101)
+        charts.append(chart.modulo(r[chart.free], 101))
+    return charts
+
+
+def kernel_bases(charts) -> list:
+    """The canonical basis of each chart's kernel: the lifts of the unit vectors."""
+    return [c.lifted(np.eye(len(c.free), dtype=np.int64), 101) for c in charts]
+
+
+class TestCohomology:
+    """``cohomology`` of charted quotients in w copies of M, against the ``subquotient`` oracle."""
+
+    @pytest.mark.parametrize("w", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_subquotient_oracle(self, w, seed):
+        # the oracle, handed the canonical kernel basis, keeps its last columns
+        # independent of rel and of the later ones: the unit vectors the chart keeps
+        rng = np.random.default_rng(seed)
+        mod = weighted_module(rng)
+        sub, rel = submodules(rng, block_diagonal(mod, w))
+        charts = charted(sub, rel)
+        got = mod.cohomology(iter(charts))
+        want = subquotient(mod, kernel_bases(charts), rel)
+        assert got.n == want.n and got.pieces == want.pieces == tuple(c.dim for c in charts)
+        for a, b in zip(got.action + (got.v_weights,) + got.weights, want.action + (want.v_weights,) + want.weights):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_scrambled_bases_against_the_hand_built_module(self):
+        # TestSubquotient's J / I in scrambled coordinates, charted
+        rng = np.random.default_rng(5)
+        n, window = TestSubquotient.N, TestSubquotient.WINDOW
+        plain = polynomial_module(n, window)
+        change = [invertible(d, rng) for d in plain.pieces]
+        inverse = [solve(c, np.eye(len(c), dtype=np.int64), 101) for c in change]
+        action = tuple(
+            np.stack([matmul_mod(change[q + 1], matmul_mod(a[k], inverse[q], 101), 101) for k in range(n)])
+            for q, a in enumerate(plain.action)
+        )
+        ambient = GradedModule(F101, n, plain.pieces, action)
+        sub, rel = [], []
+        for q in range(window + 1):
+            for basis, gens in ((sub, TestSubquotient.J), (rel, TestSubquotient.I)):
+                basis.append(matmul_mod(change[q], monomial_columns(n, q, gens), 101))
+        module = ambient.cohomology(charted(sub, rel))
+        pieces, actions = TestSubquotient().hand_built()
+        assert list(module.pieces) == pieces == [0, 2, 4, 4, 3]
+        calc = KoszulCalculator(module)
+        for q in range(window):
+            for i in range(n + 1):
+                assert calc.dim(i, q) == oracle_koszul_dim(n, pieces, actions, i, q, 101), (i, q)
+        module.check_commutativity()
+
+    def test_sub_not_preserved(self):
+        # sub_1 = <x_0>, but x_1 . 1 = x_1
+        mod = polynomial_module(2, 2)
+        sub = [np.eye(1, dtype=np.int64), np.array([[1], [0]], dtype=np.int64), np.eye(3, dtype=np.int64)]
+        rel = [np.zeros((d, 0), dtype=np.int64) for d in mod.pieces]
+        with pytest.raises(NotASubmodule, match="maps sub_0 outside sub_1"):
+            mod.cohomology(charted(sub, rel))
+
+    def test_rel_not_preserved(self):
+        # rel_1 = <x_0>, but x_0 . x_0 is not in rel_2 = 0
+        mod = polynomial_module(2, 2)
+        sub = [np.eye(d, dtype=np.int64) for d in mod.pieces]
+        rel = [np.zeros((1, 0), dtype=np.int64), np.array([[1], [0]], dtype=np.int64), np.zeros((3, 0), dtype=np.int64)]
+        with pytest.raises(NotASubmodule, match="maps rel_1 outside rel_2"):
+            mod.cohomology(charted(sub, rel))
+
+    def test_wrong_sizes_and_counts(self):
+        # two copies of pieces (1, 3, 6, 10) need charts of sizes (2, 6, 12, 20)
+        mod = polynomial_module(3, 3)
+        whole = [Chart.kernel(np.zeros((0, r), dtype=np.int64), 101) for r in (2, 6, 12, 20)]
+        assert mod.cohomology(whole).pieces == (2, 6, 12, 20)
+        for charts in (whole[:3] + [whole[2]], [whole[1]] + whole[1:], whole[:3], whole + whole[:1]):
+            with pytest.raises(InconsistentDims):
+                mod.cohomology(charts)
+
+    def test_zero_pieces_and_no_acting_space(self):
+        # a zero piece between nonzero ones, then n = 0, where every action tensor is empty
+        mod = GradedModule(F101, 2, (1, 0, 2), (np.zeros((2, 0, 1), dtype=np.int64), np.zeros((2, 2, 0), dtype=np.int64)))
+        res = mod.cohomology(Chart.kernel(np.zeros((0, d), dtype=np.int64), 101) for d in mod.pieces)
+        assert res.pieces == (1, 0, 2) and [a.shape for a in res.action] == [(2, 0, 1), (2, 2, 0)]
+        mod = GradedModule(F101, 0, (2, 3), (np.zeros((0, 3, 2), dtype=np.int64),))
+        sub = [np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)[:, :2]]
+        rel = [np.array([[1], [1]], dtype=np.int64), np.zeros((3, 0), dtype=np.int64)]
+        res = mod.cohomology(charted(sub, rel))
+        assert res.n == 0 and res.pieces == (1, 2) and res.action[0].shape == (0, 2, 1)

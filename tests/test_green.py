@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 import weakref
@@ -105,21 +104,22 @@ class TestSyzygyModule:
             assert module_koszul_vanishing(syz, hyp2.g + 1) == 0
 
     def test_each_degree_is_released_once_copied(self, hyp2, monkeypatch):
-        # the subquotient copies degree 0's cocycle basis into its first
-        # RREF input; no other reference may keep it past that elimination
+        # the chart of degree 0 is copied into the lifts that degree 1 pushes
+        # through each x_k; no reference may keep it past that, so it is gone
+        # before degree 2 is charted
         degree0 = []
         real_group, real_rref = greenchk.koszul_cohomology, graded.rref
 
         def recording(module, p, q):
-            group = real_group(module, p, q)
+            chart = real_group(module, p, q)
             if not degree0:
-                degree0.append(weakref.ref(group.cocycles))
-            return group
+                degree0.append(weakref.ref(chart))
+            return chart
 
         reduced = []
 
         def tracked(a, p):
-            if reduced:  # every RREF after degree 0's
+            if len(reduced) >= 4:  # degree 2's eliminations
                 assert degree0[0]() is None
             reduced.append(a.shape)
             return real_rref(a, p)
@@ -127,7 +127,23 @@ class TestSyzygyModule:
         monkeypatch.setattr(greenchk, "koszul_cohomology", recording)
         monkeypatch.setattr(graded, "rref", tracked)
         assert build_syzygy_module(hyp2, 5, 1).module.pieces == (8, 3, 4)
-        assert len(reduced) == 3
+        assert len(reduced) == 6
+
+    def test_two_eliminations_per_degree(self, hyp2, monkeypatch):
+        # M^1 of hyp2 at t = 5: w = 6 copies of (6, 8, 10).  Each degree
+        # reduces d_out, then the free rows of d_in, transposed, and nothing
+        # else: no joint matrix, no forward pass, no rank
+        charts, reduced = [], []
+        real_group, real_rref = greenchk.koszul_cohomology, graded.rref
+        monkeypatch.setattr(greenchk, "koszul_cohomology", lambda *a: charts.append(real_group(*a)) or charts[-1])
+        monkeypatch.setattr(graded, "rref", lambda a, p: reduced.append(np.shape(a)) or real_rref(a, p))
+        monkeypatch.setattr(graded, "pivots", lambda *a: pytest.fail("forward elimination"))
+        monkeypatch.setattr(koszul, "rank", lambda *a: pytest.fail("a rank"))
+        assert build_syzygy_module(hyp2, 5, 1).module.pieces == (8, 3, 4)
+        # d_out = d_{1,1} : U (x) H^0(K^q W) -> H^0(K^q W^2) with dim U = 6, and
+        # d_in = d_{2,0} has C(6, 2) = 15 columns for each dimension of H^0(K^q)
+        assert reduced[::2] == [(13, 36), (15, 48), (17, 60)]
+        assert reduced[1::2] == [(15 * c, len(chart.free)) for c, chart in zip((1, 2, 3), charts)]
 
 
 class TestAgainstAmbient:
@@ -166,34 +182,46 @@ class TestAgainstAmbient:
         k_tag, w_tag, _ = conormal_tags(quartic, 1)
         c = [quartic.sections(q * k_tag + w_tag).dim for q in range(3)]
         g = syz.g
-        assert left[:2] == [(g * c[1], c[0]), (g * c[2], c[1])]  # the subquotient's products
-        assert all(rows <= g * c[2] for rows, _ in left)  # and the commutativity check's
+        # one product per x_k and degree, with the coefficient module's matrix of x_k
+        pushed = [shape for shape in left if shape in ((c[1], c[0]), (c[2], c[1]))]
+        assert pushed == [(c[1], c[0])] * g + [(c[2], c[1])] * g
+        # and no operator as wide as w = C(6, 2) copies of a piece, as x_k on the ambient would be
+        assert not {cols for _, cols in left} & {15 * d for d in c}
 
 
-class TestSubquotientBudget:
-    """The joint RREF input of each degree of M^p's subquotient is priced at 32 bytes an entry first."""
+class TestCohomologyBudget:
+    """The lifts and the x_k images of each degree of M^p are priced at 32 bytes an entry first."""
 
-    def test_matrix_over_the_budget_is_refused_before_rref(self, hyp2, monkeypatch):
-        # M^1 of hyp2 at t = 5: w = 6 copies of (6, 8, 10); in degree 2 the
-        # input is 60 x 148, rel_2 and sub_2 beside x_k of the 48 sub_1 columns
+    def test_matrix_over_the_budget_is_refused_before_it_is_built(self, hyp2, monkeypatch):
+        # M^1 of hyp2 at t = 5: w = 6 copies of (6, 8, 10), and the cocycles of
+        # degree 1 have 33 free coordinates.  In degree 2 their lifts fill
+        # 48 x 33, and the images of the lifts under one x_k 60 x 33
         real, default = greenchk.koszul_cohomology, fflinalg._MATRIX_BYTES_MAX
 
-        def unbudgeted(module, p, q):  # isolates the subquotient's guard from the groups'
+        def unbudgeted(module, p, q):  # isolates the cohomology's guards from the groups'
             with monkeypatch.context() as m:
                 m.setattr(fflinalg, "_MATRIX_BYTES_MAX", default)
                 return real(module, p, q)
 
         monkeypatch.setattr(greenchk, "koszul_cohomology", unbudgeted)
-        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 60 * 148)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 60 * 33)
         build_syzygy_module(hyp2, 5, 1)  # at the budget exactly
-        rrefs = []
-        real_rref = graded.rref
-        monkeypatch.setattr(graded, "rref", lambda a, p: rrefs.append(a.shape) or real_rref(a, p))
-        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * (60 * 148 - 1))
-        with pytest.raises(fflinalg.MatrixTooLarge, match=r"subquotient in degree 2: 60 x 148,"):
-            build_syzygy_module(hyp2, 5, 1)
-        # degrees 0 and 1 are priced and reduced first; degree 2 is refused before its RREF
-        assert rrefs == [(36, 38), (48, 109)]
+        lifted, left = [], []
+        real_lifted, real_product = graded.Chart.lifted, graded.matmul_mod
+        monkeypatch.setattr(graded.Chart, "lifted", lambda c, u, p: lifted.append(u.shape) or real_lifted(c, u, p))
+        monkeypatch.setattr(graded, "matmul_mod", lambda a, b, p: left.append(np.shape(a)) or real_product(a, b, p))
+        # degree 0's 23 lifts are built in either case, and each of the g = 2
+        # matrices of x_k from degree 0 to 1 (8 x 6) applied; degree 1's 33
+        # lifts only when they are not the matrix refused; x_k from degree 1
+        # to 2 (10 x 8) never
+        for where, shape, built in (("images under x_k", (60, 33), 2), ("lifts of degree 1", (48, 33), 1)):
+            lifted.clear()
+            left.clear()
+            monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * (shape[0] * shape[1] - 1))
+            with pytest.raises(fflinalg.MatrixTooLarge, match=rf"cohomology in degree 2, {where}: {shape[0]} x {shape[1]},"):
+                build_syzygy_module(hyp2, 5, 1)
+            assert lifted == [(23, 23), (33, 33)][:built]
+            assert left.count((8, 6)) == 2 and (10, 8) not in left
 
 
 class TestIllDefined:
@@ -201,14 +229,14 @@ class TestIllDefined:
 
     @staticmethod
     def corrupt_degree_one(monkeypatch, edit):
-        # build_syzygy_module takes K_{p,1} of the coefficient complexes of
-        # degrees 0, 1, 2 in that order; edit the group of degree 1
-        groups = []
+        # build_syzygy_module charts K_{p,1} of the coefficient complexes of
+        # degrees 0, 1, 2 in that order; edit the chart of degree 1
+        charts = []
 
         def fake(module, p, q):
-            group = koszul.koszul_cohomology(module, p, q)
-            groups.append(group)
-            return edit(group) if len(groups) == 2 else group
+            chart = koszul.koszul_cohomology(module, p, q)
+            charts.append(chart)
+            return edit(chart) if len(charts) == 2 else chart
 
         monkeypatch.setattr(greenchk, "koszul_cohomology", fake)
 
@@ -224,14 +252,15 @@ class TestIllDefined:
             build_syzygy_module(hyp2, 5, 1)
 
     def test_cocycles_not_preserved(self, hyp2, monkeypatch):
-        # sub_1 gains a coordinate vector that is not a cocycle
-        def edit(group):
-            z = group.cocycles
-            col = next(
-                e for e in np.eye(z.shape[0], dtype=np.int64)
-                if rank(np.column_stack([z, e]), 101) > z.shape[1]
-            )
-            return dataclasses.replace(group, cocycles=np.column_stack([z, col]))
+        # sub_1 gains a vector that is not a cocycle: the chart is rebuilt from
+        # the RREF of d_out less its last row, whose pivot column turns free
+        def edit(chart):
+            r = np.zeros((len(chart.pivots), chart.size), dtype=np.int64)
+            r[np.arange(len(chart.pivots)), chart.pivots] = 1
+            r[:, chart.free] = chart.lift
+            wider = graded.Chart.kernel(r[:-1], 101)
+            assert len(wider.free) == len(chart.free) + 1
+            return wider.modulo(chart.lifted(chart.rel.T, 101)[wider.free], 101)
 
         self.corrupt_degree_one(monkeypatch, edit)
         with pytest.raises(IllDefined, match="maps sub_1 outside sub_2"):
@@ -240,7 +269,7 @@ class TestIllDefined:
     def test_coboundaries_not_preserved(self, hyp2, monkeypatch):
         # rel_1 = every cocycle, so M^1_1 = 0 while x_k M^1_1 != 0 in M^1_2
         self.corrupt_degree_one(
-            monkeypatch, lambda group: dataclasses.replace(group, coboundaries=group.cocycles)
+            monkeypatch, lambda chart: chart.modulo(np.eye(len(chart.free), dtype=np.int64), 101)
         )
         with pytest.raises(IllDefined, match="maps rel_1 outside rel_2"):
             build_syzygy_module(hyp2, 5, 1)
@@ -351,6 +380,15 @@ class TestGreenReport:
         }
         assert rep["consistent"] is True
         assert {(e["i"], e["j"]) for e in rep["phi"]} == {(0, 1), (1, 0)}
+
+    def test_each_syzygy_module_is_built_once(self, hyp2, monkeypatch):
+        # the pairs (i, 2m - 3 - i), 0 <= i <= 2m - 3, meet each j once
+        built = []
+        real = greenchk.build_syzygy_module
+        monkeypatch.setattr(greenchk, "build_syzygy_module", lambda model, t, j: built.append(j) or real(model, t, j))
+        rep = green_split_report(hyp2, 5)
+        assert len(built) == 2 * rep["m"] - 2 == 2
+        assert built == [e["j"] for e in rep["phi"]] == [1, 0]
 
     def test_genus0_degenerates_gracefully(self):
         line = HyperellipticCurve(F101, [0, 1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ribbonsyz.curves import HyperellipticCurve, PlaneCurve
-from ribbonsyz.fflinalg import PrimeField, kernel_basis, matmul_mod, rank
+from ribbonsyz.fflinalg import PrimeField, matmul_mod, rank
 from ribbonsyz.graded import GradedModule
 from ribbonsyz.koszul import (
     BettiTable,
@@ -19,7 +19,7 @@ from ribbonsyz.koszul import (
     rcliff,
 )
 
-from oracles import algebra_from_sections, eagon_northcott_b_p1, oracle_koszul_dim
+from oracles import algebra_from_sections, eagon_northcott_b_p1, kernel_basis, oracle_koszul_dim
 
 F101 = PrimeField(101)
 
@@ -135,11 +135,17 @@ class TestCohomology:
         assert grp.dim == 1
 
     def test_coboundaries_inside_cocycles(self, quartic_ring):
+        # lifted from the chart's free coordinates, the unit vectors are the
+        # canonical kernel basis of d_out, and the coboundary rows are a basis
+        # of the image of d_in, inside that kernel
         mod = quartic_ring
         grp = koszul_cohomology(mod, 2, 1)
-        d = koszul_differential(mod, 2, 1)
-        assert not np.any(matmul_mod(d, grp.cocycles, 101))
-        assert not np.any(matmul_mod(d, grp.coboundaries, 101))
+        d, d_in = koszul_differential(mod, 2, 1), koszul_differential(mod, 3, 0)
+        cocycles = grp.lifted(np.eye(len(grp.free), dtype=np.int64), 101)
+        coboundaries = grp.lifted(grp.rel.T, 101)
+        assert np.array_equal(cocycles, kernel_basis(d, 101))
+        assert not np.any(matmul_mod(d, coboundaries, 101))
+        assert rank(np.hstack([d_in, coboundaries]), 101) == rank(d_in, 101) == coboundaries.shape[1]
 
     def test_bases_vs_rank_formula(self, quartic_ring):
         mod = quartic_ring

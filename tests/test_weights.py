@@ -24,7 +24,7 @@ from ribbonsyz.curves import (
     random_split_cubic,
 )
 from ribbonsyz.fflinalg import PrimeField, rank
-from ribbonsyz.graded import GradedModule, InconsistentDims
+from ribbonsyz.graded import Chart, GradedModule, InconsistentDims
 from ribbonsyz.koszul import KoszulCalculator, koszul_differential
 from ribbonsyz.ribbon import build_split_ribbon
 
@@ -248,13 +248,12 @@ class TestCertificate:
         assert mismatched
 
     def test_subquotient_of_the_weighted_ring_is_trivially_graded(self):
-        # subquotient gives the trivial grading, whatever the weights of the
-        # module and of the kept columns: every cell is one block
+        # cohomology gives the trivial grading, whatever the weights of the
+        # module and of the kept coordinates: every cell is one block.  Each
+        # piece is charted whole, as the kernel of a map with no rows
         _, ring = zoo()[2]
         module = ring.algebra
-        ident = [np.eye(d, dtype=np.int64) for d in module.pieces]
-        none = [np.zeros((d, 0), dtype=np.int64) for d in module.pieces]
-        kept = module.subquotient(ident, none)
+        kept = module.cohomology(Chart.kernel(np.zeros((0, d), dtype=np.int64), module.field.p) for d in module.pieces)
         assert kept.pieces == module.pieces
         assert all(np.array_equal(a, b) for a, b in zip(kept.action, module.action, strict=True))
         assert trivially_graded(kept) and kept.respects_weights()
