@@ -314,6 +314,12 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _check_genus(g: int) -> None:
+    """Refuse a genus whose canonical tag 2g - 2 is past ``_HYP_TAG_MAX``: no section space of it exists."""
+    if 2 * g - 2 > _HYP_TAG_MAX:
+        raise CurveError(f"hyperelliptic genus {g} beyond supported range: canonical tag {2 * g - 2} > {_HYP_TAG_MAX}")
+
+
 class HyperellipticCurve:
     """y^2 = h(x) with h monic squarefree of odd degree 2g+1.
 
@@ -334,10 +340,11 @@ class HyperellipticCurve:
             raise WrongDegree("h must have odd degree 2g+1")
         if h[-1] != 1:
             raise WrongDegree("h must be monic (normal form for determinism)")
+        self.g = (len(h) - 2) // 2
+        _check_genus(self.g)  # before the gcd, which is quadratic in deg h
         if len(_poly_gcd(h, _poly_deriv(h, p), p)) > 1:
             raise NotSmooth("h is not squarefree")
         self.h = h
-        self.g = (len(h) - 2) // 2
         self.genus = self.g
         self._sections: dict[int, SectionSpace] = {}
         self._mults: dict[tuple[int, int], np.ndarray] = {}
@@ -559,9 +566,10 @@ def random_plane_curve(field: PrimeField, d: int, rng) -> PlaneCurve:
 
 
 def random_hyperelliptic(field: PrimeField, g: int, rng) -> HyperellipticCurve:
-    """Random monic squarefree h of degree 2g+1: retry until squarefree."""
+    """Random monic squarefree h of degree 2g+1, for a genus in range: retry until squarefree."""
     if g < 0:
         raise WrongDegree(f"genus must be >= 0, got {g}")
+    _check_genus(g)
     for _ in range(_RANDOM_TRIES):
         h = [int(c) for c in rng.integers(0, field.p, 2 * g + 1)] + [1]
         try:

@@ -22,13 +22,15 @@ the trivial grading: the one module that it builds for a command, the
 syzygy module M^p of ``greenchk``, is a cohomology of unweighted
 coefficients.
 
-One quotient rule.  Modulo the rows of an RREF R with pivot columns P,
-the class of y is y[N] - R[:, N]^T y[P] in the unit vectors off P, the
-kept coordinates N (``_classes``).  Both ways to a smaller module read
-their quotients by it: ``GradedModule.cohomology``, of cohomologies
-Z_q / B_q in w copies of the module, each charted in the free coordinates
-of the RREF of the map whose kernel is Z_q (``Chart``; the syzygy modules
-M^p of ``greenchk``), and ``GradedAlgebra.artinian_reduction``, by the
+One quotient rule.  Every quotient is a ``Chart``: Z = ker d in the free
+coordinates F of the RREF of d, modulo B, whose free coordinates span the
+rows of an RREF R with pivot columns P.  The class of u, given in F, is
+u[N] - R[:, N]^T u[P] in the unit vectors off P, the kept coordinates N
+(``Chart.classes``).  Both ways to a smaller module chart their quotients
+so: ``GradedModule.cohomology``, of cohomologies Z_q / B_q in w copies of
+the module (the syzygy modules M^p of ``greenchk``), and
+``GradedAlgebra.artinian_reduction``, of all of A_{q+1} (the kernel of a
+map with no rows, so F is every coordinate) modulo l1 A_q + l2 A_q, by the
 RREF that its regular-sequence certificate runs in each degree anyway:
 every kept basis vector is a coordinate vector, so the weights pass on.
 """
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ribbonsyz.fflinalg import _MOD_BLOCK, PrimeField, check_budget, matmul_mod, pivots, rref
+from ribbonsyz.fflinalg import _MOD_BLOCK, PrimeField, check_budget, matmul_mod, rref
 
 __all__ = [
     "GradedError",
@@ -67,12 +69,12 @@ class NotASubmodule(GradedError):
 class Chart:
     """A quotient Z / B of Z = ker d, in the free coordinates of the RREF R of d.
 
-    ``lift`` is R[:, free] on its pivot rows: a v in Z is v[free], as
-    v[pivots] = -lift v[free].  ``rel`` is the RREF of the free coordinates
-    of B, as rows, with pivot columns ``rel_pivots``; Z / B has the basis of
-    the unit vectors e_f, f in ``kept`` (off ``rel_pivots``), and ``classes``
+    ``lift`` is R[:, free] on its pivot rows: a v in Z is v[free]
+    (``coordinates``), as v[pivots] = -lift v[free].  ``rel`` is the RREF of
+    the free coordinates of B, as rows, pivot columns ``rel_pivots``; Z / B
+    has the basis e_f, f in ``kept`` (off ``rel_pivots``), and ``classes``
     reads a class by the quotient rule.  ``kernel`` charts Z / 0 by one RREF,
-    of d, and ``modulo`` adds B by one more, of its free coordinates.
+    of d (with no rows, Z is the whole space), ``modulo`` adds B by one more.
     """
 
     pivots: np.ndarray
@@ -80,6 +82,7 @@ class Chart:
     lift: np.ndarray
     rel: np.ndarray
     rel_pivots: np.ndarray
+    kept: np.ndarray
 
     @classmethod
     def kernel(cls, d, p: int) -> Chart:
@@ -88,25 +91,22 @@ class Chart:
         free = np.delete(np.arange(r.shape[1]), piv)
         lift = r[: len(piv), free].astype(np.int64)
         none = np.zeros((0, len(free)), dtype=np.int64)
-        return cls(np.array(piv, dtype=np.int64), free, lift, none, np.zeros(0, dtype=np.int64))
+        return cls(np.array(piv, dtype=np.int64), free, lift, none, np.zeros(0, dtype=np.int64), np.arange(len(free)))
 
     def modulo(self, coords, p: int) -> Chart:
         """The same kernel modulo the span of the columns of ``coords``, given in free coordinates."""
         r, piv = rref(np.asarray(coords).T, p)
-        return replace(self, rel=r[: len(piv)].astype(np.int64), rel_pivots=np.array(piv, dtype=np.int64))
+        rel, rel_pivots = r[: len(piv)].astype(np.int64), np.array(piv, dtype=np.int64)
+        return replace(self, rel=rel, rel_pivots=rel_pivots, kept=np.delete(np.arange(len(self.free)), piv))
 
     @property
     def size(self) -> int:
         return len(self.pivots) + len(self.free)
 
     @property
-    def kept(self) -> np.ndarray:
-        return np.delete(np.arange(len(self.free)), self.rel_pivots)
-
-    @property
     def dim(self) -> int:
         """dim Z / B."""
-        return len(self.free) - len(self.rel_pivots)
+        return len(self.kept)
 
     def lifted(self, u, p: int) -> np.ndarray:
         """The vectors of Z whose free coordinates are the columns of u."""
@@ -115,15 +115,25 @@ class Chart:
         out[self.pivots] = -matmul_mod(self.lift, u, p) % p
         return out
 
-    def misses(self, y, p: int) -> bool:
-        """Whether some column of y lies outside Z: y[pivots] != -lift y[free] (mod p)."""
-        defect = matmul_mod(self.lift, y[self.free], p)
+    def coordinates(self, y, p: int) -> np.ndarray | None:
+        """y[free], the free coordinates of the columns of y, or None if one has y[pivots] != -lift y[free]."""
+        u = y[self.free]
+        defect = matmul_mod(self.lift, u, p)
         defect += y[self.pivots]
-        return bool(np.remainder(defect, p, out=defect).any())
+        return None if np.remainder(defect, p, out=defect).any() else u
 
-    def classes(self, y, p: int) -> np.ndarray:
-        """The classes in Z / B of the columns of y, vectors of Z, in the basis of ``kept``."""
-        return _classes(y[self.free], self.rel, self.rel_pivots, self.kept, p)
+    def classes(self, u, p: int) -> np.ndarray:
+        """The quotient rule: the classes in Z / B of the columns of u, free coordinates, in the basis of ``kept``.
+
+        A class is u[kept] - rel[:, kept]^T u[rel_pivots] (mod p), what is
+        left of u once the rows of ``rel``, scaled by its pivot entries, are
+        taken off.  With nothing kept ``rel`` is not read.
+        """
+        out = u[self.kept]
+        if len(self.rel_pivots) and len(self.kept):
+            out -= matmul_mod(self.rel[:, self.kept].T, u[self.rel_pivots], p)
+            out %= p
+        return out
 
 
 @dataclass(frozen=True)
@@ -258,9 +268,11 @@ class GradedModule:
         for k in range(self.n):
             image = matmul_mod(self.action[q - 1][k], flat, p)
             image = image.reshape(dim, w, m).transpose(1, 0, 2).reshape(w * dim, m)
-            if chart.misses(image, p):
+            coords = chart.coordinates(image, p)
+            if coords is None:
                 raise NotASubmodule(f"the action maps sub_{q - 1} outside sub_{q}")
-            classes = chart.classes(image, p)
+            classes = chart.classes(coords, p)
+            del coords  # before the next image is formed
             if np.any(classes[:, c:]):
                 raise NotASubmodule(f"the action maps rel_{q - 1} outside rel_{q}")
             out[k] = classes[:, :c]
@@ -304,15 +316,13 @@ class GradedAlgebra(GradedModule):
         """The algebra cut by two linear forms, or None if they are not certified.
 
         Returns B = A / (l1, l2), acted on by the complement of <l1, l2> in
-        A_1, read off one elimination per degree: R_{q+1}, of the rows l1 e_i
-        and l2 e_i (e_i the basis of A_q), spans rel_{q+1} = l1 A_q + l2 A_q
-        with pivot columns P_{q+1}.  R is the RREF, except where the rank
-        condition below makes rel_{q+1} all of A_{q+1}: there B_{q+1} = 0, no
-        row of R is read, and forward elimination gives the pivots.  B_q is
-        spanned by the coordinate vectors off P_q (N_q), the acting space by
-        those of A_1 off P_1, so the two share a basis, and x_k maps e_j,
-        j in N_q, to the class of x_k e_j modulo rel_{q+1} by the quotient
-        rule; the weights are the kept coordinates' weights.  The
+        A_1, read off one ``Chart`` per degree: all of A_{q+1} modulo
+        rel_{q+1} = l1 A_q + l2 A_q, the columns l1 e_i and l2 e_i (e_i the
+        basis of A_q), whose RREF has pivot columns P_{q+1}.  B_q is spanned
+        by the coordinate vectors off P_q (N_q, the chart's ``kept``), the
+        acting space by those of A_1 off P_1, so the two share a basis, and
+        x_k maps e_j, j in N_q, to the class of x_k e_j modulo rel_{q+1} by
+        the quotient rule; the weights are the kept coordinates' weights.  The
         certificate, checked exactly for every q <= window - 1, is the rank
         condition
 
@@ -336,38 +346,17 @@ class GradedAlgebra(GradedModule):
         for q, a in enumerate(self.action):
             # by_l[k] is the matrix of multiplication by l_k on A_q
             by_l = matmul_mod(forms, a.reshape(n, -1), p).reshape(2, *a.shape[1:])
-            rank_want = 2 * self.pieces[q] - (self.pieces[q - 1] if q else 0)
-            # where the certified rank fills A_{q+1}, B_{q+1} = 0 and no row of R is read
-            full = rank_want == self.pieces[q + 1]
-            stacked = np.hstack(by_l).T
-            r, piv = (None, pivots(stacked, p)) if full else rref(stacked, p)
-            if len(piv) != rank_want:
+            chart = Chart.kernel(np.zeros((0, self.pieces[q + 1]), dtype=np.int64), p).modulo(np.hstack(by_l), p)
+            if len(chart.rel_pivots) != 2 * self.pieces[q] - (self.pieces[q - 1] if q else 0):
                 return None
-            off = np.ones(self.pieces[q + 1], dtype=bool)
-            off[piv] = False
-            kept.append(np.flatnonzero(off))
+            kept.append(chart.kept)
             k, m = len(kept[1]), len(kept[q])  # x_k e_j, j in N_q, for every k at once
             img = a[kept[1]][:, :, kept[q]].transpose(1, 0, 2).reshape(self.pieces[q + 1], k * m)
-            out = _classes(img, r, piv, kept[q + 1], p)
-            action.append(out.reshape(len(kept[q + 1]), k, m).transpose(1, 0, 2))
+            action.append(chart.classes(img, p).reshape(len(kept[q + 1]), k, m).transpose(1, 0, 2))
         weights = tuple(w[cols] for w, cols in zip(self.weights, kept))
         return GradedModule(
             self.field, len(kept[1]), tuple(map(len, kept)), tuple(action), weights[1], weights
         )
-
-
-def _classes(y: np.ndarray, r, piv, kept: np.ndarray, p: int) -> np.ndarray:
-    """The quotient rule: the columns of y modulo the rows of an RREF r, pivot columns piv.
-
-    In the basis e_j, j in ``kept`` (off piv), a class is y[kept] -
-    r[:, kept]^T y[piv] (mod p), what is left of y once the rows of r, scaled
-    by its pivot entries, are taken off.  With nothing kept r is not read.
-    """
-    out = y[kept]
-    if len(piv) and len(kept):
-        out -= matmul_mod(r[: len(piv), kept].T, y[piv], p)
-        out %= p
-    return out
 
 
 def _as_weights(given, count: int) -> np.ndarray:

@@ -28,9 +28,9 @@ which ``koszul_cohomology`` applies to its two maps too); a module
 whose certificate fails is ranked by its trivial grading, whose one block
 is the whole cell.  The Betti table reads one set of action tensors,
 whether it ranks the ring itself or its Artinian reduction; the reduction
-(``GradedAlgebra.artinian_reduction``) comes from the one RREF per degree
-of its regular-sequence certificate and keeps coordinate vectors of the
-ring, so it keeps their weights.
+(``GradedAlgebra.artinian_reduction``) is a ``graded.Chart`` a degree,
+as ``koszul_cohomology`` is, from the RREF its certificate runs anyway; it
+keeps coordinate vectors of the ring, so it keeps their weights.
 
 Cells next to a one-dimensional piece.  Two exact certificates, checked
 once per module, give the rank of d_{p,q}, 1 <= p <= n, without assembling
@@ -244,11 +244,9 @@ def koszul_cohomology(module: GradedModule, p: int, q: int) -> Chart:
     chart = Chart.kernel(koszul_differential(module, p, q), prime)
     if q == 0:
         return chart
-    d_in = koszul_differential(module, p + 1, q - 1)
-    if chart.misses(d_in, prime):
+    coords = chart.coordinates(koszul_differential(module, p + 1, q - 1), prime)
+    if coords is None:
         raise IllDefined("d o d != 0: coboundaries are not cocycles")
-    coords = d_in[chart.free]
-    del d_in  # before the second elimination
     return chart.modulo(coords, prime)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ribbonsyz import curves
 from ribbonsyz.curves import (
+    CurveError,
     HyperellipticCurve,
     NotSmooth,
     PlaneCurve,
@@ -458,6 +460,24 @@ class TestGenusDegenerations:
     def test_monic_required(self):
         with pytest.raises(WrongDegree):
             HyperellipticCurve(F101, [0, 0, 0, 0, 0, 2])
+
+    def test_oversized_genus_refused_before_the_draw(self):
+        # g = 514: canonical tag 1026, past the hyperelliptic tag range
+        class NoDraws:
+            def integers(self, *args, **kwargs):
+                pytest.fail("a coefficient was drawn")
+
+        for g in (514, 10**6):
+            with pytest.raises(CurveError, match=f"genus {g} beyond supported range") as info:
+                random_hyperelliptic(F101, g, NoDraws())
+            assert not isinstance(info.value, TargetOverflow)
+        assert random_hyperelliptic(F101, 513, np.random.default_rng(0)).canonical_tag == 1024
+
+    def test_oversized_genus_refused_before_the_gcd(self, monkeypatch):
+        monkeypatch.setattr(curves, "_poly_gcd", lambda *a: pytest.fail("the squarefree gcd ran"))
+        with pytest.raises(CurveError, match="genus 514 beyond supported range") as info:
+            HyperellipticCurve(F101, [1] + [0] * 1028 + [1])
+        assert not isinstance(info.value, TargetOverflow)
 
     def test_squarefree_required(self):
         # (x-1)^2 (x-2)(x-3)(x-4)

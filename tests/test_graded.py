@@ -730,6 +730,54 @@ def kernel_bases(charts) -> list:
     return [c.lifted(np.eye(len(c.free), dtype=np.int64), 101) for c in charts]
 
 
+class TestChart:
+    """``Chart.coordinates``, the one membership test, and the chart of a whole space."""
+
+    def test_coordinates_are_the_free_rows_of_cocycles(self):
+        rng = np.random.default_rng(3)
+        d = matmul_mod(rng.integers(0, 101, size=(5, 3)), rng.integers(0, 101, size=(3, 9)), 101)
+        chart = Chart.kernel(d, 101)
+        assert len(chart.pivots) == 3 and len(chart.free) == 6
+        u = rng.integers(0, 101, size=(6, 4))
+        y = chart.lifted(u, 101)
+        assert not matmul_mod(d, y, 101).any()
+        got = chart.coordinates(y, 101)
+        assert np.array_equal(got, u) and np.array_equal(got, y[chart.free])
+
+    @pytest.mark.parametrize("column", [0, 3])
+    @pytest.mark.parametrize("row", ["pivot", "free"])
+    def test_a_tampered_column_leaves_the_kernel(self, row, column):
+        rng = np.random.default_rng(4)
+        d = rng.integers(0, 101, size=(3, 8))
+        chart = Chart.kernel(d, 101)
+        y = chart.lifted(rng.integers(0, 101, size=(len(chart.free), 4)), 101)
+        # a free coordinate moves the column off its lift: d has no zero column here
+        at = (chart.pivots if row == "pivot" else chart.free)[0]
+        y[at, column] = (y[at, column] + 1) % 101
+        assert matmul_mod(d, y, 101)[:, column].any()
+        assert chart.coordinates(y, 101) is None
+
+    def test_the_whole_space(self):
+        # the kernel of a map with no rows: every coordinate free, nothing to lift
+        chart = Chart.kernel(np.zeros((0, 6), dtype=np.int64), 101)
+        assert chart.pivots.size == 0 and np.array_equal(chart.free, np.arange(6)) and chart.lift.shape == (0, 6)
+        assert (chart.size, chart.dim) == (6, 6) and np.array_equal(chart.kept, np.arange(6))
+        y = np.random.default_rng(5).integers(0, 101, size=(6, 3))
+        assert np.array_equal(chart.coordinates(y, 101), y)
+        assert np.array_equal(chart.classes(y, 101), y)  # modulo nothing
+        # modulo two columns: their span is the zero class, four unit vectors are kept
+        b = np.array([[1, 0], [2, 0], [0, 1], [0, 3], [0, 0], [5, 7]], dtype=np.int64)
+        quotient = chart.modulo(b, 101)
+        assert quotient.dim == 4 and chart.dim == 6
+        assert np.array_equal(quotient.rel_pivots, [0, 2]) and np.array_equal(quotient.kept, [1, 3, 4, 5])
+        assert not quotient.classes(b, 101).any()
+        assert np.array_equal(quotient.classes(np.eye(6, dtype=np.int64)[:, quotient.kept], 101), np.eye(4))
+        # a class is the kept part of y minus what the relation rows carry there
+        assert np.array_equal(quotient.classes(np.eye(6, dtype=np.int64)[:, [0]], 101).ravel(), [99, 0, 0, 96])
+        # kept is a field, built with the chart, not recomputed on each read
+        assert quotient.kept is quotient.kept
+
+
 class TestCohomology:
     """``cohomology`` of charted quotients in w copies of M, against the ``subquotient`` oracle."""
 
