@@ -4,8 +4,7 @@ Two families cover everything the ribbon computations need:
 
 * ``PlaneCurve``: a smooth plane curve f(x,y,z) = 0 of degree d, with the
   one-parameter bundle family O_C(q).  Bases are the degree-q monomials not
-  divisible by the leading monomial of f; multiplication is polynomial
-  multiplication followed by reduction mod f.  Its smoothness certificate
+  divisible by the leading monomial of f.  Its smoothness certificate
   ranks one Macaulay matrix, priced first by the program's one memory
   budget, ``fflinalg.check_budget``.
 
@@ -15,8 +14,11 @@ Two families cover everything the ribbon computations need:
   same model.  Bases are {x^i : 2i <= m} and {x^i y : 2i + 2g+1 <= m},
   ordered by pole order at infinity.
 
-All bases are deterministic, so multiplication tensors and everything
-derived from them are reproducible bit for bit.
+Both models multiply by one rule (``mult_map``): a product of basis
+elements is the row at the sum of their exponents in the model's table of
+normal forms for the target tag.  All bases are deterministic, so
+multiplication tensors and everything derived from them are reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -109,40 +111,17 @@ def _powers(x: np.ndarray, top: int, p: int) -> np.ndarray:
     return out
 
 
-def _monomial_values(xyz: np.ndarray, monos, p: int) -> np.ndarray:
-    """(N, len(monos)) values of the exponent triples at the rows of xyz, mod p."""
-    e = np.array(monos, dtype=np.int64).reshape(-1, 3)
-    top = int(e.max(initial=0))
-    px, py, pz = (_powers(xyz[:, i], top, p) for i in range(3))
-    return px[:, e[:, 0]] * py[:, e[:, 1]] % p * pz[:, e[:, 2]] % p
+def _monomial_values(coords: np.ndarray, monos, p: int) -> np.ndarray:
+    """(N, len(monos)) values mod p of the exponent tuples, one exponent a column, at the rows of coords."""
+    e = np.array(monos, dtype=np.int64).reshape(-1, coords.shape[1])
+    out = np.ones((coords.shape[0], e.shape[0]), dtype=np.int64)
+    for x, k in zip(coords.T, e.T):
+        out = out * _powers(x, int(k.max(initial=0)), p)[:, k] % p
+    return out
 
 
 def _divides(m: tuple, lead: tuple) -> bool:
     return m[0] >= lead[0] and m[1] >= lead[1] and m[2] >= lead[2]
-
-
-def _reduce_mod(f: dict, lead: tuple, lead_inv: int, rel: dict, p: int) -> dict:
-    """Normal form of f modulo the single homogeneous relation ``rel``.
-
-    A single polynomial is a Groebner basis of the principal ideal it
-    generates, so repeatedly cancelling the lex-largest monomial divisible
-    by its leading monomial terminates in the canonical remainder.
-    """
-    work = dict(f)
-    while True:
-        target = None
-        for m in sorted(work, reverse=True):
-            if work[m] and _divides(m, lead):
-                target = m
-                break
-        if target is None:
-            break
-        factor = (work[target] * lead_inv) % p
-        shift = (target[0] - lead[0], target[1] - lead[1], target[2] - lead[2])
-        for m, c in rel.items():
-            key = (m[0] + shift[0], m[1] + shift[1], m[2] + shift[2])
-            work[key] = (work.get(key, 0) - factor * c) % p
-    return {m: c for m, c in work.items() if c}
 
 
 class PlaneCurve:
@@ -181,6 +160,7 @@ class PlaneCurve:
         self._lead_inv = field.inv(f[self.lead])
         self.genus = (d - 1) * (d - 2) // 2
         self._sections: dict[int, SectionSpace] = {}
+        self._tables: dict[int, np.ndarray] = {}
         self._mults: dict[tuple[int, int], np.ndarray] = {}
         self._check_smooth()
 
@@ -241,28 +221,35 @@ class PlaneCurve:
     def h0(self, tag: int) -> int:
         return self.sections(tag).dim if tag >= 0 else 0
 
-    def _normal_form(self, poly: dict) -> dict:
-        return _reduce_mod(poly, self.lead, self._lead_inv, self.coeffs, self.field.p)
+    def _product_table(self, tag: int) -> np.ndarray:
+        """Normal form mod f of every degree-``tag`` monomial x^a y^b z^c, at row [a, b].
 
-    def _mult_tensor(self, ta: int, tb: int) -> np.ndarray:
-        sa, sb, sc = self.sections(ta), self.sections(tb), self.sections(ta + tb)
-        index = {m: i for i, m in enumerate(sc.basis)}
-        t = np.zeros((sa.dim, sc.dim, sb.dim), dtype=np.int64)
-        for i, ma in enumerate(sa.basis):
-            for j, mb in enumerate(sb.basis):
-                prod = self._normal_form({(ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2]): 1})
-                for m, c in prod.items():
-                    t[i, index[m], j] = c
-        return t
+        In ascending lex order, a monomial off the lead is its own basis
+        vector, and lead * s is -lead_inv * sum c_t (t * s) over the other
+        terms c_t t of f, each t * s lex-smaller, so its row is already there.
+        """
+        p = self.field.p
+        basis = self.sections(tag).basis
+        shape = (max(tag + 1, 0),) * 2 + (len(basis),)
+        check_budget(f"degree-{tag} product table of the plane model", shape)
+        table = np.zeros(shape, dtype=np.int64)
+        for col, (a, b, _) in enumerate(basis):
+            table[a, b, col] = 1
+        rest = {m: c for m, c in self.coeffs.items() if m != self.lead}
+        terms = np.array(list(rest))
+        scale = np.array(list(rest.values()))[:, None] * (p - self._lead_inv) % p  # -c_t / c_lead
+        la, lb, lc = self.lead
+        for a in range(la, tag - lb - lc + 1):
+            for b in range(lb, tag - a - lc + 1):
+                rows = table[terms[:, 0] + a - la, terms[:, 1] + b - lb]
+                table[a, b] = (scale * rows % p).sum(axis=0) % p
+        return table
 
     def _on_curve_rows(self, xyz: np.ndarray) -> np.ndarray:
         """Whether each row of an (N, 3) array with entries in [0, p) is a point of the curve."""
         p = self.field.p
-        vals = _monomial_values(xyz, list(self.coeffs), p)
-        total = np.zeros(xyz.shape[0], dtype=np.int64)
-        for col, c in enumerate(self.coeffs.values()):
-            total = (total + vals[:, col] * c) % p
-        return xyz.any(axis=1) & (total == 0)
+        terms = _monomial_values(xyz, list(self.coeffs), p) * list(self.coeffs.values()) % p
+        return xyz.any(axis=1) & (terms.sum(axis=1) % p == 0)
 
     def __repr__(self) -> str:
         return f"PlaneCurve(d={self.d}, g={self.genus}, p={self.field.p})"
@@ -347,6 +334,7 @@ class HyperellipticCurve:
         self.h = h
         self.genus = self.g
         self._sections: dict[int, SectionSpace] = {}
+        self._tables: dict[int, np.ndarray] = {}
         self._mults: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -381,22 +369,21 @@ class HyperellipticCurve:
         i, has_y = tok
         return 2 * i + (2 * self.g + 1) * has_y
 
-    def _mult_tensor(self, ta: int, tb: int) -> np.ndarray:
-        p = self.field.p
-        sa, sb, sc = self.sections(ta), self.sections(tb), self.sections(ta + tb)
-        index = {tok: i for i, tok in enumerate(sc.basis)}
-        t = np.zeros((sa.dim, sc.dim, sb.dim), dtype=np.int64)
-        for i, (ia, ya) in enumerate(sa.basis):
-            for j, (ib, yb) in enumerate(sb.basis):
-                deg = ia + ib
-                if ya and yb:
-                    # y*y reduces to h(x)
-                    for k, c in enumerate(self.h):
-                        if c:
-                            t[i, index[(deg + k, 0)], j] = c
-                else:
-                    t[i, index[(deg, ya or yb)], j] = 1
-        return t
+    def _product_table(self, tag: int) -> np.ndarray:
+        """Normal form of every product x^i y^a (a <= 2) in L(tag * Pinf), at row [i, a].
+
+        x^i y^a with a <= 1 is its own basis vector, and x^i y^2 = x^i h(x)
+        is h shifted by i: the sum of h_k times the unit rows of x^(i + k).
+        """
+        basis = self.sections(tag).basis
+        shape = (max(tag // 2 + 1, 0), 3, len(basis))
+        check_budget(f"tag-{tag} product table of the hyperelliptic model", shape)
+        table = np.zeros(shape, dtype=np.int64)
+        i, a = np.array(basis, dtype=np.int64).reshape(-1, 2).T
+        table[i, a, np.arange(len(basis))] = 1
+        n = max(tag // 2 - len(self.h) + 2, 0)  # x^i y^2 has pole order 2i + 2 deg h
+        table[:n, 2] = np.matmul(self.h, table[np.arange(n)[:, None] + np.arange(len(self.h)), 0])
+        return table
 
     def _h_values(self, x: np.ndarray) -> np.ndarray:
         """h(x) mod p for each entry of x in [0, p), by one vectorised Horner loop."""
@@ -446,6 +433,12 @@ def mult_map(sa: SectionSpace, sb: SectionSpace) -> np.ndarray:
     model: entry [i, :, j] is the coordinate vector of
     basis_A[i] * basis_B[j] in the basis of ``sections(tag_A + tag_B)``, so
     ``mult_map(sa, sb)[i]`` is the matrix of multiplication by basis_A[i].
+
+    Basis keys are exponents, (a, b, c) of x^a y^b z^c or (i, a) of x^i y^a,
+    so a product is the monomial at the sum of two keys.  Both models take
+    it from one table per target tag, cached on the model
+    (``_product_table``, indexed by the key's leading exponents): the
+    tensor is one gather.
     """
     if sa.model is not sb.model:
         raise CurveError("section spaces live on different models")
@@ -453,7 +446,14 @@ def mult_map(sa: SectionSpace, sb: SectionSpace) -> np.ndarray:
     key = (sa.tag, sb.tag)
     cached = model._mults.get(key)
     if cached is None:
-        cached = model._mult_tensor(sa.tag, sb.tag)
+        tag = sa.tag + sb.tag
+        table = model._tables.get(tag)
+        if table is None:
+            table = model._tables[tag] = model._product_table(tag)
+        n = table.ndim - 1
+        ka, kb = (np.array([k[:n] for k in s.basis], dtype=np.int64).reshape(s.dim, n) for s in (sa, sb))
+        rows = table[tuple(ka[:, None, c] + kb[None, :, c] for c in range(n))]
+        cached = np.ascontiguousarray(rows.transpose(0, 2, 1))
         cached.setflags(write=False)
         model._mults[key] = cached
     return cached
@@ -508,12 +508,13 @@ def rational_points(model) -> list:
 def evaluation_matrix(space: SectionSpace, points) -> np.ndarray:
     """Rows are the evaluation vectors of the given points, in one vectorised pass.
 
-    Each row is well-defined up to scale.  Plane curves: plain monomial
-    evaluation at any homogeneous representative.  Hyperelliptic affine
-    points likewise; at infinity the local trivialization by t^{-tag} sends
-    the (unique, by parity) basis element of pole order exactly ``tag`` to
-    1 and all others to 0.  Raises PointNotOnCurve, naming the first
-    offending point, before anything is evaluated.
+    Each row is well-defined up to scale.  A point given by coordinates,
+    homogeneous on a plane curve or affine (x, y) on a hyperelliptic one,
+    takes the basis keys as exponents.  At infinity the local
+    trivialization by t^{-tag} sends the (unique, by parity) basis element
+    of pole order exactly ``tag`` to 1 and all others to 0.  Raises
+    PointNotOnCurve, naming the first offending point, before anything is
+    evaluated.
     """
     model = space.model
     p = model.field.p
@@ -525,18 +526,12 @@ def evaluation_matrix(space: SectionSpace, points) -> np.ndarray:
     on = model._on_curve_rows(coords)
     if not on.all():
         raise PointNotOnCurve(f"{points[listed[int(np.argmin(on))]]} does not lie on {model}")
-    if plane:
-        return _monomial_values(coords, space.basis, p)
     out = np.zeros((len(points), space.dim), dtype=np.int64)
-    out[[i for i, pt in enumerate(points) if pt == "inf"]] = [
-        1 if model._pole_order(tok) == space.tag else 0 for tok in space.basis
-    ]
-    if listed and space.dim:
-        expo = np.array([i for i, _ in space.basis], dtype=np.int64)
-        has_y = np.array([bool(y) for _, y in space.basis])
-        vals = _powers(coords[:, 0], int(expo.max()), p)[:, expo]
-        vals[:, has_y] = vals[:, has_y] * coords[:, 1:2] % p
-        out[listed] = vals
+    out[listed] = _monomial_values(coords, space.basis, p)
+    if len(listed) < len(points):
+        out[[i for i, pt in enumerate(points) if pt == "inf"]] = [
+            1 if model._pole_order(tok) == space.tag else 0 for tok in space.basis
+        ]
     return out
 
 

@@ -29,9 +29,9 @@ to it whenever the witnessing divisor is rational and reduced.
 
 The blow-up along a divisor splits the ribbon iff the restriction of e to
 the sections vanishing on the divisor is zero, that is iff e lies in the
-span of the divisor's evaluation functionals.  ``span_membership`` decides
-that by two ranks, and the search by one forward elimination a candidate;
-no kernel of the evaluation matrix is computed.
+span of the divisor's evaluation functionals.  ``span_membership`` and the
+search decide that by one forward elimination (``_in_span``); no kernel of
+the evaluation matrix is computed.
 """
 
 from __future__ import annotations
@@ -155,12 +155,18 @@ def make_witness(space: SectionSpace, points) -> DivisorWitness:
 def span_membership(e: ExtensionClass, w: DivisorWitness) -> bool:
     """Whether e lies in the projective span of the witness points.
 
-    As functionals: e must lie in the row space of the evaluation matrix,
-    decided by comparing ranks.
+    As functionals: e must lie in the row space of the evaluation matrix.
     """
-    p = e.space.field.p
-    base = rank(w.rows, p)
-    return rank(np.vstack([w.rows, e.vec]), p) == base
+    return _in_span(e.vec, w.rows, e.space.field.p)
+
+
+def _in_span(vec: np.ndarray, rows: np.ndarray, p: int) -> bool:
+    """Whether vec lies in the row space of rows.
+
+    One forward elimination of the columns [rows, vec] decides: vec lies in
+    their span exactly when its column is no pivot.
+    """
+    return len(rows) not in pivots(np.vstack([rows, vec]).T, p)
 
 
 @dataclass(frozen=True)
@@ -283,13 +289,9 @@ def _bucket_pairs(stack: np.ndarray, first: np.ndarray, p: int) -> list:
 
 
 def _confirm(vec: np.ndarray, rows: np.ndarray, candidates, p: int):
-    """The first candidate tuple of row indices whose span contains vec, or None.
-
-    One forward elimination of the columns [rows of the candidate, vec]
-    decides: vec lies in their span exactly when its column is no pivot.
-    """
+    """The first candidate tuple of row indices whose span contains vec (``_in_span``), or None."""
     for cand in candidates:
-        if len(cand) not in pivots(np.vstack([rows[list(cand)], vec]).T, p):
+        if _in_span(vec, rows[list(cand)], p):
             return cand
     return None
 

@@ -14,7 +14,12 @@ degree, and the references that call it: ``artinian_by_subquotient`` and
 computed it, and ``syzygy_module_by_ambient``, the syzygy module M^p as
 the package once built it, from a dense ambient action;
 ``smooth_every_degree``, the smoothness certificate ranked at every degree
-up to the Macaulay bound; and three reference paths the package's
+up to the Macaulay bound; ``plane_mult_by_pairs`` and
+``hyperelliptic_mult_by_pairs``, the multiplication tensors as the package
+once built them, one basis pair at a time (on a plane curve each product
+reduced on its own by the Groebner loop ``reduce_mod``), and
+``evaluation_by_family``, the evaluation vectors as the package once
+computed them, by one rule per curve family; and three reference paths the package's
 commands never take, kept here because the tests check against them:
 ``algebra_from_sections`` (a ``GradedAlgebra`` straight from section
 spaces), ``restriction`` (the push-out and pull-back restriction of a
@@ -683,3 +688,94 @@ def plane_points_exhaustive(coeffs: dict[tuple[int, int, int], int], p: int):
     if f(0, 0, 1) == 0:
         pts.append((0, 0, 1))
     return pts
+
+
+def reduce_mod(f: dict, lead: tuple, lead_inv: int, rel: dict, p: int) -> dict:
+    """Normal form of f modulo the single homogeneous relation ``rel``.
+
+    A single polynomial is a Groebner basis of the principal ideal it
+    generates, so repeatedly cancelling the lex-largest monomial divisible
+    by its leading monomial terminates in the canonical remainder.
+    """
+    work = dict(f)
+    while True:
+        target = None
+        for m in sorted(work, reverse=True):
+            if work[m] and all(a >= b for a, b in zip(m, lead)):
+                target = m
+                break
+        if target is None:
+            break
+        factor = (work[target] * lead_inv) % p
+        shift = (target[0] - lead[0], target[1] - lead[1], target[2] - lead[2])
+        for m, c in rel.items():
+            key = (m[0] + shift[0], m[1] + shift[1], m[2] + shift[2])
+            work[key] = (work.get(key, 0) - factor * c) % p
+    return {m: c for m, c in work.items() if c}
+
+
+def plane_mult_by_pairs(model, ta: int, tb: int) -> np.ndarray:
+    """A plane curve's multiplication tensor, each basis pair's product reduced on its own by ``reduce_mod``."""
+    sa, sb, sc = model.sections(ta), model.sections(tb), model.sections(ta + tb)
+    index = {m: i for i, m in enumerate(sc.basis)}
+    lead_inv = pow(model.coeffs[model.lead], -1, model.field.p)
+    t = np.zeros((sa.dim, sc.dim, sb.dim), dtype=np.int64)
+    for i, ma in enumerate(sa.basis):
+        for j, mb in enumerate(sb.basis):
+            prod = {(ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2]): 1}
+            for m, c in reduce_mod(prod, model.lead, lead_inv, model.coeffs, model.field.p).items():
+                t[i, index[m], j] = c
+    return t
+
+
+def hyperelliptic_mult_by_pairs(model, ta: int, tb: int) -> np.ndarray:
+    """A hyperelliptic curve's multiplication tensor, pair by pair: y * y reduces to h(x)."""
+    sa, sb, sc = model.sections(ta), model.sections(tb), model.sections(ta + tb)
+    index = {tok: i for i, tok in enumerate(sc.basis)}
+    t = np.zeros((sa.dim, sc.dim, sb.dim), dtype=np.int64)
+    for i, (ia, ya) in enumerate(sa.basis):
+        for j, (ib, yb) in enumerate(sb.basis):
+            deg = ia + ib
+            if ya and yb:
+                for k, c in enumerate(model.h):
+                    if c:
+                        t[i, index[(deg + k, 0)], j] = c
+            else:
+                t[i, index[(deg, ya or yb)], j] = 1
+    return t
+
+
+def _powers(x: np.ndarray, top: int, p: int) -> np.ndarray:
+    out = np.ones((x.shape[0], top + 1), dtype=np.int64)
+    for k in range(1, top + 1):
+        out[:, k] = out[:, k - 1] * x % p
+    return out
+
+
+def evaluation_by_family(space, points) -> np.ndarray:
+    """Evaluation vectors with one rule per family: exponent triples at the
+    plane points; on a hyperelliptic curve, x^i at x times y where the token
+    has y, and the pole-order rule at infinity.  The points must lie on the
+    curve (nothing is checked).
+    """
+    model, p = space.model, space.field.p
+    points = list(points)
+    if model.family == "plane":
+        xyz = np.array(points, dtype=np.int64).reshape(-1, 3) % p
+        e = np.array(space.basis, dtype=np.int64).reshape(-1, 3)
+        top = int(e.max(initial=0))
+        px, py, pz = (_powers(xyz[:, i], top, p) for i in range(3))
+        return px[:, e[:, 0]] * py[:, e[:, 1]] % p * pz[:, e[:, 2]] % p
+    out = np.zeros((len(points), space.dim), dtype=np.int64)
+    out[[i for i, pt in enumerate(points) if pt == "inf"]] = [
+        1 if model._pole_order(tok) == space.tag else 0 for tok in space.basis
+    ]
+    listed = [i for i, pt in enumerate(points) if pt != "inf"]
+    if listed and space.dim:
+        xy = np.array([points[i] for i in listed], dtype=np.int64) % p
+        expo = np.array([i for i, _ in space.basis], dtype=np.int64)
+        has_y = np.array([bool(y) for _, y in space.basis])
+        vals = _powers(xy[:, 0], int(expo.max()), p)[:, expo]
+        vals[:, has_y] = vals[:, has_y] * xy[:, 1:2] % p
+        out[listed] = vals
+    return out

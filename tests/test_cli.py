@@ -112,6 +112,38 @@ class TestBetti:
         "args, want",
         [
             (
+                ("betti", "--curve", "plane", "--d", "3", "--conormal", "-3", "--seed", "0"),
+                "499fde3dc298bc63e849a6709124ba9597b80f387a06dc6d602d2da1c9f3c40e",
+            ),
+            (
+                ("green", "--curve", "plane", "--d", "3", "--conormal", "-3", "--seed", "0"),
+                "ec7640d07f542c59cfb0fe46b438f0739155ffa38e9ca187e55091b172072d8c",
+            ),
+            (
+                ("betti", "--curve", "plane-quartic", "--conormal", "-1", "--p", "2"),
+                "e0a626767816678b3304554fc08304ce40c7eea646b6c68a2603546c8f64cda3",
+            ),
+            (
+                ("betti", "--curve", "plane-quartic", "--conormal", "-1", "--p", "3"),
+                "ff62c7240735fa54d85acf884f77d3f330d5cabecf2ed57a23ed42ce947b9803",
+            ),
+        ],
+        ids=["betti-plane-cubic", "green-plane-cubic", "betti-quartic-p2", "betti-quartic-p3"],
+    )
+    def test_plane_golden_hash(self, runner, args, want):
+        # plane rings built from curves.mult_map's product tables: a cubic
+        # at t = -3, and random quartics at p = 2 and 3, where the
+        # reduction's coefficients wrap the most
+        import hashlib
+
+        res = run(runner, *args, "--format", "json")
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (
                 ("betti", "--curve", "plane-quartic", "--random", "--p", "101", "--conormal", "-1", "--seed", "0"),
                 "7f0eaaf850f20ea169c1a391226e361347af6dad4ebeff417c79add2b66a04d1",
             ),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,13 @@ from ribbonsyz.curves import (
 )
 from ribbonsyz.fflinalg import MatrixTooLarge, PrimeField, rank
 
-from oracles import plane_points_exhaustive, smooth_every_degree
+from oracles import (
+    evaluation_by_family,
+    hyperelliptic_mult_by_pairs,
+    plane_mult_by_pairs,
+    plane_points_exhaustive,
+    smooth_every_degree,
+)
 
 F101 = PrimeField(101)
 
@@ -31,6 +39,11 @@ def multiply(mm, va, vb, p=101):
 
 def fermat_quartic(field=F101):
     return PlaneCurve(field, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}, 4)
+
+
+def lead_x3y_quartic(field=F101):
+    # x^3 y + y^4 + z^4, smooth for p >= 5, whose lex-leading monomial is x^3 y
+    return PlaneCurve(field, {(3, 1, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}, 4)
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +308,66 @@ class TestMultiplication:
                 assert lhs == rhs
 
 
+def assert_same_tensors(model, tags_a, tags_b, oracle):
+    for ta in tags_a:
+        for tb in tags_b:
+            got = mult_map(model.sections(ta), model.sections(tb))
+            want = oracle(model, ta, tb)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (model, ta, tb)
+
+
+class TestProductTables:
+    """mult_map's one table per target tag against the pair-by-pair tensors.
+
+    The tags include negative ones (empty bases, and an empty target), 0,
+    and products that use f or y^2 = h(x) more than once.
+    """
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 101, 65537])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_plane_matches_pair_by_pair_reduction(self, d, p):
+        model = random_plane_curve(PrimeField(p), d, np.random.default_rng(10 * d + p))
+        assert_same_tensors(model, (-1, 0, 1, 2, d - 3, d), (-2, 0, 1, 3, d), plane_mult_by_pairs)
+
+    @pytest.mark.parametrize("p", [5, 7, 101, 65537])
+    def test_lead_off_x4(self, p):
+        model = lead_x3y_quartic(PrimeField(p))
+        assert model.lead == (3, 1, 0)
+        assert_same_tensors(model, (-1, 0, 1, 2, 3), (-1, 0, 1, 2, 5, 8), plane_mult_by_pairs)
+
+    @pytest.mark.parametrize("p", [3, 7, 101])
+    @pytest.mark.parametrize("g", range(6))
+    def test_hyperelliptic_matches_pair_by_pair(self, g, p):
+        model = random_hyperelliptic(PrimeField(p), g, np.random.default_rng(100 * g + p))
+        tags_a = (-1, 0, 1, 2, 2 * g - 2, 2 * g + 1, 4 * g + 3)
+        assert_same_tensors(model, tags_a, (-3, 0, 1, 3, 2 * g + 1, 4 * g + 2), hyperelliptic_mult_by_pairs)
+
+    def test_one_table_per_target_tag(self, monkeypatch):
+        model = fermat_quartic()
+        built = []
+        build = PlaneCurve._product_table
+        monkeypatch.setattr(PlaneCurve, "_product_table", lambda self, tag: built.append(tag) or build(self, tag))
+        for ta, tb in [(1, 2), (2, 1), (0, 3), (1, 1), (3, 0)]:
+            mult_map(model.sections(ta), model.sections(tb))
+        assert built == [3, 2]
+
+    def test_table_is_priced_where_it_is_built(self, monkeypatch):
+        # degree 5 on a quartic: 6 x 6 rows [a, b] over h0(O(5)) = 18 columns;
+        # tag 9 on genus 2: 5 x 3 rows [i, a] over h0(9 Pinf) = 8 columns
+        from ribbonsyz import fflinalg
+
+        hyp = HyperellipticCurve(F101, [1, 3, 0, 0, 0, 1])
+        for model, ta, tb, shape, where in [
+            (fermat_quartic(), 2, 3, (6, 6, 18), "degree-5 product table of the plane model"),
+            (hyp, 4, 5, (5, 3, 8), "tag-9 product table of the hyperelliptic model"),
+        ]:
+            monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * math.prod(shape) - 1)
+            with pytest.raises(MatrixTooLarge, match=f"{where}: {shape[0]} x {shape[1]} x {shape[2]},"):
+                mult_map(model.sections(ta), model.sections(tb))
+            monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * math.prod(shape))
+            assert mult_map(model.sections(ta), model.sections(tb)).shape[1] == shape[2]
+
+
 class TestRationalPoints:
     def test_fermat_points_satisfy_f(self, quartic):
         pts = rational_points(quartic)
@@ -390,12 +463,19 @@ def pointwise_evaluation(space, point, p: int) -> list[int]:
 
 class TestVectorisedEvaluation:
     def test_matches_pointwise_reference(self, quartic, hyp2):
-        for model, tags in [(quartic, range(-1, 6)), (hyp2, range(-1, 12)), (HyperellipticCurve(F101, [0, 1]), range(4))]:
+        models = [
+            (quartic, range(-1, 6)),
+            (lead_x3y_quartic(), range(-1, 6)),
+            (hyp2, range(-1, 12)),
+            (HyperellipticCurve(F101, [0, 1]), range(4)),
+        ]
+        for model, tags in models:
             pts = rational_points(model)
             for tag in tags:
                 space = model.sections(tag)
                 want = [pointwise_evaluation(space, pt, 101) for pt in pts]
                 assert evaluation_matrix(space, pts).tolist() == want
+                assert np.array_equal(evaluation_matrix(space, pts), evaluation_by_family(space, pts))
                 assert evaluation_matrix(space, []).shape == (0, space.dim)
 
     @pytest.mark.parametrize("p", [1048573, 2147483647])
@@ -419,6 +499,7 @@ class TestVectorisedEvaluation:
                 space = model.sections(tag)
                 want = [pointwise_evaluation(space, pt, p) for pt in pts]
                 assert evaluation_matrix(space, pts).tolist() == want
+                assert np.array_equal(evaluation_matrix(space, pts), evaluation_by_family(space, pts))
                 assert [evaluation_matrix(space, [pt])[0].tolist() for pt in pts] == want
 
     def test_first_point_off_the_curve_is_named(self, quartic, hyp2):

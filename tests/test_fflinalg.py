@@ -511,7 +511,7 @@ class TestKernel:
 
 
 def in_span(a, v) -> bool:
-    """Whether v lies in the column span of a, decided by ranks as ``strata.span_membership`` does."""
+    """Whether v lies in the column span of a, decided by comparing two ranks."""
     return rank(np.column_stack([a, v]), P) == rank(a, P)
 
 

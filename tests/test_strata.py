@@ -105,6 +105,26 @@ class TestSpanMembership:
             assert span_membership(e, w_small)
             assert span_membership(e, w_big)
 
+    def test_one_rule_with_the_search(self, elliptic, monkeypatch):
+        # _in_span, the search's confirmation, against comparing two ranks:
+        # dependent and zero rows, no rows at all, and the zero vector
+        rng = np.random.default_rng(6)
+        for trial in range(60):
+            n, d = int(rng.integers(0, 6)), int(rng.integers(1, 6))
+            basis = rng.integers(0, 101, (int(rng.integers(0, d + 1)), d))
+            rows = rng.integers(0, 101, (n, len(basis))) @ basis % 101  # dependent once n > len(basis)
+            vec = [np.zeros(d, dtype=np.int64), rng.integers(0, 101, len(basis)) @ basis % 101, rng.integers(0, 101, d)][trial % 3]
+            want = rank(np.vstack([rows, vec]), 101) == rank(rows, 101)
+            assert strata._in_span(vec, rows, 101) == want
+        # span_membership and the confirmation both go through it
+        space = ambient_space(elliptic, 6)
+        w = make_witness(space, rational_points(elliptic)[:3])
+        e = class_in_span(space, list(w.points), rng)
+        calls = []
+        monkeypatch.setattr(strata, "_in_span", lambda vec, rows, p: calls.append(len(rows)) or True)
+        assert span_membership(e, w) and strata._confirm(e.vec, w.rows, [(0, 2)], 101) == (0, 2)
+        assert calls == [3, 2]
+
 
 class TestPushoutPullback:
     def test_restriction_zero_iff_membership(self, elliptic, hyp2, quartic):
