@@ -79,7 +79,10 @@ _PREFIX_MAX = 300_000
 # (32 KB): small enough to stop soon after the witness's chunk and to keep
 # the temporaries small, large enough to amortise numpy's per-call cost
 _STACK_ENTRIES = 1 << 12
-# largest p whose inverses are read from a table (2**16 int64 entries, 512 KB)
+# largest p whose inverses are read from a table (2**16 int64 entries, 512 KB);
+# the table pays: the whole `strata --sweep 100 --seed 2026` command took
+# 42.0-43.5 ms in process with it and 58.9-61.2 ms with Fermat at every p
+# (best of 15, three alternations, 2 vCPUs, one BLAS thread)
 _TABLE_P_MAX = 1 << 16
 
 

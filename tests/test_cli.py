@@ -1,4 +1,8 @@
+import ast
+import importlib.util
 import json
+import re
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -8,6 +12,7 @@ from click.testing import CliRunner
 from jsonschema import validate as schema_validate
 from jsonschema.validators import validator_for
 
+import pins
 from ribbonsyz import cli, fflinalg, strata
 from ribbonsyz.cli import main
 from ribbonsyz.curves import CurveError, NotSmooth, TargetOverflow, random_split_cubic, rational_points
@@ -28,6 +33,9 @@ def run(runner, *args):
 
 STRATA_GOLDEN = json.loads((Path(__file__).parent / "golden" / "strata_cli.json").read_text())
 HELP_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text())
+TIER1_PINS = pins.entries("tier1")
+ROOT = Path(__file__).parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def _golden_id(case):
@@ -88,87 +96,6 @@ class TestBetti:
     def test_q3_flag_retired(self, runner):
         res = runner.invoke(main, ["betti", *G0, "--q3", "full"])
         assert res.exit_code == 2
-
-    def test_w5_golden_hash(self, runner):
-        # the genus-2, p_a = 12 table (largest cell d_{5,1}, 2100 x 2520 whole)
-        import hashlib
-
-        res = run(runner, "betti", "--curve", "hyperelliptic", "--g", "2", "--conormal", "-9", "--format", "json")
-        assert res.exit_code == 0
-        digest = hashlib.sha256(res.output.encode()).hexdigest()
-        assert digest == "4ba1bc60f0054b9f5c3fbdcc1a12a7c633fb7f8835a37b0f607867abb3507505"
-
-    def test_w4_golden_hash(self, runner):
-        # the genus-0 ribbon at p_a = 8: J_1 = 0, so degree one does not
-        # generate the ring, and its table goes through the reduction
-        import hashlib
-
-        res = run(runner, "betti", "--curve", "genus0", "--conormal", "-9", "--format", "json")
-        assert res.exit_code == 0
-        digest = hashlib.sha256(res.output.encode()).hexdigest()
-        assert digest == "45c78801adbabda6910b143c7f3d890f984e27a880b3ca492e720a3f6cf63e07"
-
-    @pytest.mark.parametrize(
-        "args, want",
-        [
-            (
-                ("betti", "--curve", "plane", "--d", "3", "--conormal", "-3", "--seed", "0"),
-                "499fde3dc298bc63e849a6709124ba9597b80f387a06dc6d602d2da1c9f3c40e",
-            ),
-            (
-                ("green", "--curve", "plane", "--d", "3", "--conormal", "-3", "--seed", "0"),
-                "ec7640d07f542c59cfb0fe46b438f0739155ffa38e9ca187e55091b172072d8c",
-            ),
-            (
-                ("betti", "--curve", "plane-quartic", "--conormal", "-1", "--p", "2"),
-                "e0a626767816678b3304554fc08304ce40c7eea646b6c68a2603546c8f64cda3",
-            ),
-            (
-                ("betti", "--curve", "plane-quartic", "--conormal", "-1", "--p", "3"),
-                "ff62c7240735fa54d85acf884f77d3f330d5cabecf2ed57a23ed42ce947b9803",
-            ),
-        ],
-        ids=["betti-plane-cubic", "green-plane-cubic", "betti-quartic-p2", "betti-quartic-p3"],
-    )
-    def test_plane_golden_hash(self, runner, args, want):
-        # plane rings built from curves.mult_map's product tables: a cubic
-        # at t = -3, and random quartics at p = 2 and 3, where the
-        # reduction's coefficients wrap the most
-        import hashlib
-
-        res = run(runner, *args, "--format", "json")
-        assert res.exit_code == 0
-        assert hashlib.sha256(res.output.encode()).hexdigest() == want
-
-    @pytest.mark.parametrize(
-        "args, want",
-        [
-            (
-                ("betti", "--curve", "plane-quartic", "--random", "--p", "101", "--conormal", "-1", "--seed", "0"),
-                "7f0eaaf850f20ea169c1a391226e361347af6dad4ebeff417c79add2b66a04d1",
-            ),
-            (
-                ("green", "--curve", "hyperelliptic", "--g", "2", "--conormal", "-5", "--seed", "1"),
-                "545dbe08f041269a2eed034c5d16d5ff37aaa12a8effc7484f0cf3d01e61f7fd",
-            ),
-            (
-                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--sweep", "100", "--seed", "2026"),
-                "c5a33a1ca453641f5f818fe4cd773680e9c0d219651b1df0c82f8d2d7edc1822",
-            ),
-            (
-                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--task", "w4", "--seed", "2026"),
-                "42498faacaa5b8b530d90aa1b6bdd26d7dc5ee05094290dd4cdb3c9835b87c0b",
-            ),
-        ],
-        ids=["betti-quartic", "green-hyperelliptic", "strata-sweep", "strata-w4"],
-    )
-    def test_benchmark_commands_golden_hash(self, runner, args, want):
-        # the three benchmark commands at benchmark seed 0, and W4
-        import hashlib
-
-        res = run(runner, *args, "--format", "json")
-        assert res.exit_code == 0
-        assert hashlib.sha256(res.output.encode()).hexdigest() == want
 
     def test_seed_changes_curve_not_table_shape(self, runner):
         a = json.loads(run(runner, "betti", *ELL1[:-1], "7", "--format", "json").output)
@@ -625,38 +552,9 @@ class TestStrata:
 
 
 class TestRunner:
-    """Every subcommand runs through one runner: its text output, its help
-    and the exit code of every typed error are pinned here."""
-
-    @pytest.mark.parametrize(
-        "args, want",
-        [
-            (
-                ("betti", "--curve", "plane-quartic", "--random", "--p", "101", "--conormal", "-1", "--seed", "0"),
-                "3d53995c7572d9d48baa97aff089002aa54d816d346889ce228ffd33c9302392",
-            ),
-            (("green", *HYP2), "4def81494849a6b800680cc141192b061befcd4ba99ef3e142632ea74017799a"),
-            (
-                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--task", "w4"),
-                "5724d333dcb4460d1ad4c5b9c076599a8eaaa5a3af0392046c4c2aa81bfe6fe5",
-            ),
-            (
-                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--task", "blowup", "--seed", "3"),
-                "a78fc04e6405e03944ec584f3088d56339f0717bb97d954c182f4193530ff47e",
-            ),
-            (
-                ("strata", "--curve", "elliptic-split", "--conormal", "-6", "--task", "bounds", "--blowup-b", "0"),
-                "d49036db3f573732df1a12b87f495bd8986284357528a05cea4cc1cc02acd43d",
-            ),
-        ],
-        ids=["betti", "green", "strata-w4", "strata-blowup", "strata-bounds"],
-    )
-    def test_text_output_golden_hash(self, runner, args, want):
-        import hashlib
-
-        res = run(runner, *args)
-        assert res.exit_code == 0
-        assert hashlib.sha256(res.output.encode()).hexdigest() == want
+    """Every subcommand runs through one runner: its help and the exit code
+    of every typed error are pinned here, its text output in the manifest
+    that TestPins checks."""
 
     @pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
     def test_help_text(self, runner, command):
@@ -688,6 +586,66 @@ class TestRunner:
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code == code
         assert res.output.endswith(message)
+
+
+class TestPins:
+    """Every pinned stdout is one entry of tests/golden/pins.json, read by
+    tests/pins.py: the tier1 entries are checked here, the ci entries by the
+    full CI job, which runs them under its memory gates."""
+
+    @pytest.mark.parametrize("pin", TIER1_PINS, ids=[pin["id"] for pin in TIER1_PINS])
+    def test_pinned_stdout(self, runner, pin):
+        # each entry's "why" says what its stdout pins
+        res = run(runner, *pin["argv"])
+        assert res.exit_code == 0
+        assert pins.digest(res.stdout_bytes) == pin["sha256"]
+
+    def test_manifest_entries(self):
+        manifest = pins.load()
+        assert len({pin["id"] for pin in manifest}) == len(manifest)
+        for pin in manifest:
+            assert set(pin) == {"id", "argv", "sha256", "where", "why"}
+            assert pin["where"] in pins.WHERES
+            assert re.fullmatch("[0-9a-f]{64}", pin["sha256"])
+            assert pin["argv"][0] in {"betti", "green", "strata"} and pin["why"]
+
+    def test_parametrized_over_exactly_the_tier1_pins(self):
+        (mark,) = TestPins.test_pinned_stdout.pytestmark
+        assert mark.args[1] == pins.entries("tier1")
+        assert mark.kwargs["ids"] == [pin["id"] for pin in pins.entries("tier1")]
+
+    def test_no_hash_outside_the_manifest(self):
+        for path in (Path(__file__), WORKFLOW):
+            assert not re.search("[0-9a-fA-F]{64}", path.read_text()), path
+
+    def test_workflow_checks_every_pin(self):
+        # the run-time-dependency legs run every tier1 entry; the full job
+        # checks each ci entry's stdout, written by the command the entry names
+        workflow = WORKFLOW.read_text()
+        assert "python tests/pins.py run tier1" in workflow
+        for pin in pins.entries("ci"):
+            assert f"python3 tests/pins.py check {pin['id']} " in workflow
+            shell, listed = " ".join(pin["argv"]), json.dumps(pin["argv"])[1:-1]
+            assert f"ribbonsyz {shell} >" in workflow or listed in workflow, pin["id"]
+
+    def test_reader_uses_the_standard_library_alone(self):
+        # so the run-time-dependency CI legs can run it without the test extra
+        tree = ast.parse(Path(pins.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert imported and {name.split(".")[0] for name in imported} <= sys.stdlib_module_names
+
+    def test_benchmark_commands_are_the_benchmark_argv(self, monkeypatch):
+        # the benchmark's three workloads at benchmark seed 0 are pinned under
+        # their own names; bench/workloads.py is read, not changed
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        by_id = {pin["id"]: pin for pin in pins.load()}
+        for name, workload in workloads.WORKLOADS.items():
+            assert by_id[name]["where"] == "tier1"
+            assert by_id[name]["argv"] == workload.argv(workloads.cli_seed(workload, 0))
 
 
 @pytest.mark.parametrize("name", ["betti.json", "green.json", "strata.json"])
