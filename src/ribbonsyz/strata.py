@@ -11,27 +11,33 @@ work is done at the level it depends on:
 * per field: the inverses mod p, read from a table for p <= _TABLE_P_MAX
   (Fermat above it), and the radix of the bucket keys for each dimension;
 * per pool: its evaluation matrix, cached for the last (space, pool) and
-  read-only, so a sweep evaluates its pool once;
-* per class: the pool's rows projected from e, shared by every degree;
-* per degree: the subsets P, walked depth first with one rank-1 update
-  for each point added to P, the last point of P vectorised over a numpy
-  stack, a chunk of points at a time; later points whose images agree up
-  to scale share a key.  One sort of a chunk's keys finds the shared
-  ones, and most chunks have none.  The points behind a shared key are
-  paired per last point exactly, and each pair is confirmed, in
-  lexicographic order, by one forward elimination of the columns
-  (points, e): e lies in their span exactly when its column is no pivot.
+  read-only, so a sweep evaluates its pool once, and its greedy basis;
+* per class: the pool's rows in V/<e>, projected from e without e's
+  leading column and scaled so that each first nonzero entry is 1; every
+  degree reads these units;
+* per degree: the subsets P, walked depth first with one update and one
+  scaling for each point added to P (a unit clears its leading column
+  with no inverse), the last point of P vectorised over a numpy stack, a
+  chunk of points at a time; later points whose images agree up to scale
+  share a key, salted by the last point of P.  One sort of a chunk's keys
+  finds the shared ones, and most chunks have none.  The points behind a
+  shared key are paired per last point exactly, and each pair is
+  confirmed, in lexicographic order, by the exact membership rule
+  (``_in_span``).
 
-A degree with more than _PREFIX_MAX prefixes is refused up front
-(SearchTooLarge).  The result is labelled a rational-reduced blow-up
-index: an upper bound for the index over the algebraic closure, and equal
-to it whenever the witnessing divisor is rational and reduced.
+The degree equal to the rank of the pool's rows is not searched: its first
+witness is the pool's greedy basis when e lies in its span, and otherwise
+no degree has one.  Any other degree with more than _PREFIX_MAX prefixes
+is refused up front (SearchTooLarge).  The result is labelled a
+rational-reduced blow-up index: an upper bound for the index over the
+algebraic closure, and equal to it whenever the witnessing divisor is
+rational and reduced.
 
 The blow-up along a divisor splits the ribbon iff the restriction of e to
 the sections vanishing on the divisor is zero, that is iff e lies in the
 span of the divisor's evaluation functionals.  ``span_membership`` and the
-search decide that by one forward elimination (``_in_span``); no kernel of
-the evaluation matrix is computed.
+search decide that by one forward elimination in Python integers
+(``_in_span``); no kernel of the evaluation matrix is computed.
 """
 
 from __future__ import annotations
@@ -71,9 +77,9 @@ __all__ = [
     "blowup_sweep",
 ]
 
-# (b - 2)-prefixes one degree may scan: about 2 s at ~6.5-7 us per prefix
-# (a full degree-5 scan of the 84-point pool in dimension 10: 0.61-0.66 s
-# on 2 vCPUs)
+# (b - 2)-prefixes one degree may scan: about 1.4 s at ~4.7-4.9 us per
+# prefix (a full degree-5 scan of the 84-point pool in dimension 10:
+# 0.44-0.46 s in process on 2 vCPUs, one BLAS thread)
 _PREFIX_MAX = 300_000
 # int64 entries in one chunk of the last prefix level's projection stack
 # (32 KB): small enough to stop soon after the witness's chunk and to keep
@@ -84,6 +90,10 @@ _STACK_ENTRIES = 1 << 12
 # 42.0-43.5 ms in process with it and 58.9-61.2 ms with Fermat at every p
 # (best of 15, three alternations, 2 vCPUs, one BLAS thread)
 _TABLE_P_MAX = 1 << 16
+# an odd constant: the keys of a chunk's t-th prefix point are offset by
+# t times it (modulo 2**64), so keys that agree only across prefix points
+# rarely send a chunk into the exact grouping
+_SALT = 0x9E3779B97F4A7C15
 
 
 class StrataError(Exception):
@@ -166,10 +176,24 @@ def span_membership(e: ExtensionClass, w: DivisorWitness) -> bool:
 def _in_span(vec: np.ndarray, rows: np.ndarray, p: int) -> bool:
     """Whether vec lies in the row space of rows.
 
-    One forward elimination of the columns [rows, vec] decides: vec lies in
-    their span exactly when its column is no pivot.
+    One forward elimination of the rows and then vec, in Python integers
+    (the search's witnesses have a few short rows): each is reduced mod p,
+    cleared at the leading columns kept so far, and kept, scaled to 1 at
+    its own first nonzero entry, unless it clears to zero.  vec lies in
+    the span exactly when it clears to zero.
     """
-    return len(rows) not in pivots(np.vstack([rows, vec]).T, p)
+    kept: list[tuple[int, list]] = []  # (leading column, row), each row zero at the earlier leads
+    for row in [*rows.tolist(), vec.tolist()]:
+        row = [x % p for x in row]
+        for lead, k in kept:
+            f = row[lead]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, k)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            kept.append((lead, [x * inv % p for x in row]))
+    return lead is None  # vec, the last row, cleared to zero
 
 
 @dataclass(frozen=True)
@@ -222,6 +246,14 @@ def _radix(p: int, d: int) -> np.ndarray:
     return radix
 
 
+@lru_cache(maxsize=None)
+def _salts(t: int) -> np.ndarray:
+    """_SALT * s modulo 2**64 for s < t, as a column: the offsets of the keys of t prefix points."""
+    salts = (np.arange(t, dtype=np.uint64) * np.uint64(_SALT))[:, None]
+    salts.setflags(write=False)
+    return salts
+
+
 @lru_cache(maxsize=1)
 def _pool_rows(space: SectionSpace, pool: tuple) -> np.ndarray:
     """The pool's evaluation matrix reduced mod p, read-only; kept for the last pool asked.
@@ -232,6 +264,14 @@ def _pool_rows(space: SectionSpace, pool: tuple) -> np.ndarray:
     rows = evaluation_matrix(space, pool) % space.field.p
     rows.setflags(write=False)
     return rows
+
+
+@lru_cache(maxsize=1)
+def _pool_basis(space: SectionSpace, pool: tuple) -> tuple:
+    """The pool's greedy basis, kept for the last pool asked: the indices of
+    the rows outside the span of the rows before them.
+    """
+    return tuple(pivots(_pool_rows(space, pool).T, space.field.p))
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -246,49 +286,77 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _project(rows: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
-    """The rows modulo span(point) for each of the points: a (points, rows, dim) stack.
+def _units(x: np.ndarray, p: int):
+    """(unit, lead, nonzero): the vectors along x's last axis scaled so that
+    each first nonzero entry is 1, the columns of those entries, and which
+    vectors are nonzero.
 
-    One rank-1 update per point clears the point's first nonzero column,
-    so two rows are proportional (or zero) modulo the point exactly when
-    their images are.  A zero point spans nothing and leaves the rows as
-    they are.
+    Two vectors are proportional exactly when their units are equal.  A
+    zero vector stays zero, with lead 0.
     """
-    lead = (points != 0).argmax(axis=1)
-    f = _reduce(rows[:, lead].T * _inverses(points[np.arange(len(points)), lead], p)[:, None], p)
-    out = f[:, :, None] * points[:, None, :]
-    np.subtract(rows, out, out=out)
-    return _reduce(out, p)
+    flat = x.reshape(-1, x.shape[-1])
+    lead = (flat != 0).argmax(axis=1)
+    first = flat.ravel().take(lead + np.arange(0, flat.size, flat.shape[1]))
+    unit = _reduce(flat * _inverses(first, p)[:, None], p)
+    return unit.reshape(x.shape), lead.reshape(x.shape[:-1]), (first != 0).reshape(x.shape[:-1])
 
 
-def _bucket_pairs(stack: np.ndarray, first: np.ndarray, p: int) -> list:
-    """Triples (t, j, k), in lexicographic order, with stack[t, j] and stack[t, k]
-    nonzero, first[t] <= j < k, and equal scale-invariant keys.
+def _modulo(vec: np.ndarray, rows: np.ndarray, p: int):
+    """``_units`` of the rows in V/<vec>: projected from vec, without vec's leading column.
 
-    Each vector is scaled so that its first nonzero entry is 1 and read as
-    base-p digits, wrapping modulo 2**64.  Proportional vectors therefore
-    always share a key; other vectors share one only by a wrapped collision,
-    which the caller's exact check rejects.  One sort of the keys finds
-    the shared ones (most stacks have none and return there); the vectors
-    behind them are then grouped exactly by (t, key).
+    vec is nonzero and reduced mod p, and the dimension is at least 2.
+    Rows j and k have equal nonzero units exactly when some combination
+    a * row j - row k is a multiple of vec, and a zero unit marks a row
+    that is a multiple of vec.
     """
-    flat = stack.reshape(-1, stack.shape[2])
-    lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)].reshape(stack.shape[:2])
-    unit = _reduce(stack * _inverses(lead, p)[..., None], p)
-    keys = unit.view(np.uint64) @ _radix(p, stack.shape[2])
-    kept = (lead != 0) & (np.arange(stack.shape[1]) >= first[:, None])
-    k = keys[kept]
-    s = np.sort(k)
+    c = int((vec != 0).argmax())
+    rest = np.arange(len(vec)) != c
+    scaled = vec[rest] * pow(int(vec[c]), -1, p) % p
+    return _units(_reduce(rows[:, rest] - rows[:, c, None] * scaled, p), p)
+
+
+def _equal_pairs(unit: np.ndarray, kept: np.ndarray, first, p: int) -> list:
+    """Triples (t, j, k), in lexicographic order, with kept[t, j] and
+    kept[t, k], first[t] <= j < k, and equal keys of unit[t, j] and
+    unit[t, k].
+
+    A key reads a vector of the (t, rows, dim) stack as base-p digits plus
+    _SALT * t, wrapping modulo 2**64.  Equal vectors of one t therefore
+    always share a key; other vectors share one only by a wrapped
+    collision, which the caller's exact check rejects, and vectors of two
+    t's rarely do.  One sort of the keys finds the shared ones (most
+    stacks have none and return there); the vectors behind them are then
+    grouped exactly by (t, key), without those before first[t].  In a
+    chunk's stack these are the chunk's earlier points, which meet a later
+    vector of t only where their own t meets it too, or by a collision;
+    so they are dropped there rather than masked on every stack.
+    """
+    keys = unit.view(np.uint64) @ _radix(p, unit.shape[2])
+    keys += _salts(len(keys))
+    s = keys[kept]
+    s.sort()
     dup = s[1:][s[1:] == s[:-1]]  # sorted, each shared key at least once
     if not dup.size:
         return []
-    at = np.searchsorted(dup, k).clip(max=dup.size - 1)
+    k = keys[kept]
+    at = np.minimum(dup.searchsorted(k), dup.size - 1)
     hit = np.flatnonzero(dup[at] == k)  # the entries whose key is shared
-    t, j = (x[hit].tolist() for x in np.nonzero(kept))
+    t, j = (x[hit].tolist() for x in kept.nonzero())
     groups: dict[tuple, list] = {}
     for tx, jx, kx in zip(t, j, k[hit].tolist()):  # t, then j, ascending
-        groups.setdefault((tx, kx), []).append(jx)
+        if jx >= first[tx]:
+            groups.setdefault((tx, kx), []).append(jx)
     return sorted((tx, a, b) for (tx, _), js in groups.items() for a, b in combinations(js, 2))
+
+
+def _bucket_pairs(stack: np.ndarray, first, p: int) -> list:
+    """Triples (t, j, k), in lexicographic order, with stack[t, j] and
+    stack[t, k] nonzero, first[t] <= j < k, and equal scale-invariant keys
+    (``_equal_pairs`` of the stack's units): proportional vectors always
+    share one.
+    """
+    unit, _, nonzero = _units(stack, p)
+    return _equal_pairs(unit, nonzero, first, p)
 
 
 def _confirm(vec: np.ndarray, rows: np.ndarray, candidates, p: int):
@@ -299,56 +367,63 @@ def _confirm(vec: np.ndarray, rows: np.ndarray, candidates, p: int):
     return None
 
 
-def _walk(vec: np.ndarray, rows: np.ndarray, proj: np.ndarray, prefix: tuple, depth: int, p: int):
+def _walk(vec: np.ndarray, rows: np.ndarray, unit: np.ndarray, lead: np.ndarray, prefix: tuple, depth: int, p: int):
     """First witness prefix + Q + (i, j, k), with Q of size ``depth``.
 
-    ``proj`` holds the rows modulo span(vec, prefix).  The walk is depth
-    first, with one rank-1 update for each point added to the prefix.  The
-    last prefix point i is vectorised: one (points, rows, dim) stack,
-    built a chunk of points at a time, projects every later row from
-    span(vec, prefix, i) for each i of the chunk.
+    ``unit`` holds the rows modulo span(vec, prefix), each scaled to 1 at
+    its first nonzero column ``lead`` (``_units``).  So a point's unit
+    clears its lead column from any row with one multiply, and no inverse.
+    The walk is depth first, with one such update and one ``_units`` for
+    each point added to the prefix.  The last prefix point i is
+    vectorised: one (points, rows, dim) stack, built a chunk of points at
+    a time, projects every later row from span(vec, prefix, i) for each i
+    of the chunk.
     """
-    n, d = rows.shape
+    n, d = unit.shape
     first = prefix[-1] + 1 if prefix else 0
     if depth:
         for i in range(first, n - depth - 2):
-            found = _walk(vec, rows, _project(proj, proj[i : i + 1], p)[0], prefix + (i,), depth - 1, p)
+            child, child_lead, _ = _units(_reduce(unit - unit[:, lead[i], None] * unit[i], p), p)
+            found = _walk(vec, rows, child, child_lead, prefix + (i,), depth - 1, p)
             if found is not None:
                 return found
         return None
     chunk = max(1, _STACK_ENTRIES // max(1, (n - first) * d))
     for i0 in range(first, n - 2, chunk):
-        pts = proj[i0 : min(i0 + chunk, n - 2)]
-        stack = _project(proj[i0 + 1 :], pts, p)  # row r is row i0 + 1 + r of the pool
-        cands = _bucket_pairs(stack, np.arange(len(pts)), p)  # j > i: r >= t
+        i1 = min(i0 + chunk, n - 2)
+        # row r is row i0 + 1 + r of the pool, minus unit_r[lead_i] * unit_i
+        stack = unit.T[lead[i0:i1], i0 + 1 :][:, :, None] * unit[i0:i1, None, :]
+        np.subtract(unit[i0 + 1 :], stack, out=stack)
+        cands = _bucket_pairs(_reduce(stack, p), range(i1 - i0), p)  # j > i: r >= t
         found = _confirm(vec, rows, [prefix + (i0 + t, i0 + 1 + j, i0 + 1 + k) for t, j, k in cands], p)
         if found is not None:
             return found
     return None
 
 
-def _search_degree(vec: np.ndarray, rows: np.ndarray, proj: np.ndarray, b: int, p: int):
+def _search_degree(vec: np.ndarray, rows: np.ndarray, units: tuple, b: int, p: int):
     """Lexicographically first b-subset of row indices whose span contains vec, or None.
 
-    vec and rows are reduced mod p, and proj holds the rows modulo
-    span(vec).  Assumes no set of fewer than b rows has vec in its span,
-    which ``blowup_index_bruteforce`` guarantees by searching b = 1, 2, ...
-    in turn.  A witness P + (j, k), with P its first b - 2 indices, then
+    vec and rows are reduced mod p, and ``units`` is ``_modulo(vec, rows,
+    p)``.  Assumes no set of fewer than b rows has vec in its span, which
+    ``blowup_index_bruteforce`` guarantees by searching b = 1, 2, ... in
+    turn.  A witness P + (j, k), with P its first b - 2 indices, then
     forces rows j and k to have proportional nonzero images modulo
-    span(vec, P).  Degree 1 takes the first nonzero row that the projection kills.
-    Higher degrees walk the prefixes P depth first (``_walk``), bucket the
-    later rows by the keys of their projections, and confirm every
-    bucketed pair in lexicographic order by one forward elimination
-    (``_confirm``), which rejects the collisions that come from dependent
-    rows (or from wrapped keys) rather than from vec.
+    span(vec, P).  Degree 1 takes the first nonzero row with a zero unit,
+    and degree 2 pairs the equal nonzero units.  Higher degrees walk the
+    prefixes P depth first (``_walk``), bucket the later rows by the keys
+    of their projections, and confirm every bucketed pair in
+    lexicographic order (``_confirm``), which rejects the collisions that
+    come from dependent rows (or from wrapped keys) rather than from vec.
     """
+    unit, lead, nonzero = units
     if b == 1:
-        hit = rows.any(axis=1) & ~proj.any(axis=1)
-        return (int(np.argmax(hit)),) if hit.any() else None
+        hit = rows.any(axis=1) & ~nonzero
+        return (int(hit.argmax()),) if hit.any() else None
     if b == 2:
-        pairs = _bucket_pairs(proj[None], np.zeros(1, dtype=np.int64), p)
+        pairs = _equal_pairs(unit[None], nonzero[None], (0,), p)
         return _confirm(vec, rows, [(j, k) for _, j, k in pairs], p)
-    return _walk(vec, rows, proj, (), b - 3, p)
+    return _walk(vec, rows, unit, lead, (), b - 3, p)
 
 
 def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int) -> BlowupResult:
@@ -356,26 +431,38 @@ def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int) -> BlowupR
 
     Every degree 1..b_max is searched exhaustively, so the answer is the
     lexicographically first witness of the pool and always exact.  The
-    pool's rows come from ``_pool_rows`` and the projection from e is made
-    once for all degrees.  The zero class is split already: index 0 by
-    convention.  Raises SearchTooLarge before a degree whose
-    (b - 2)-prefixes exceed _PREFIX_MAX, and NotFound when nothing of
-    degree <= b_max works.
+    pool's rows come from ``_pool_rows``, and they are normalised in
+    V/<e> once for all degrees (``_modulo``).  The zero class is split
+    already: index 0 by convention.
+
+    The degree b = r, the rank of the pool's rows, needs no search: every
+    b-subset lexicographically before the greedy basis (``_pool_basis``)
+    is dependent, so with e in its span it would give a witness of a
+    lower degree, which the earlier degrees ruled out; and the basis spans
+    every row.  So the basis is the first witness of degree r when e lies
+    in its span, and otherwise no degree has one.  Raises
+    SearchTooLarge before a searched degree whose (b - 2)-prefixes exceed
+    _PREFIX_MAX, and NotFound when nothing of degree <= b_max works.
     """
     p = space.field.p
     vec = np.asarray(e.vec if isinstance(e, ExtensionClass) else e, dtype=np.int64) % p
-    if not np.any(vec):
+    if not vec.any():
         return BlowupResult(0, "exact", ())
     ExtensionClass(space, vec)  # checks the length
     pts = tuple(pool)
     rows = _pool_rows(space, pts)
-    proj = _project(rows, vec[None], p)[0]
+    basis = _pool_basis(space, pts)
+    units = _modulo(vec, rows, p) if len(basis) > 1 else None  # only degrees below the rank are searched
     n = len(pts)
     for b in range(1, b_max + 1):
+        if b >= len(basis):  # b = r, or r = 0 at b = 1
+            if not _in_span(vec, rows[list(basis)], p):
+                break
+            return BlowupResult(b, "exact", tuple(pts[i] for i in basis))
         prefixes = math.comb(n, max(b - 2, 0))
         if prefixes > _PREFIX_MAX:
             raise SearchTooLarge(b, n, prefixes)
-        found = _search_degree(vec, rows, proj, b, p)
+        found = _search_degree(vec, rows, units, b, p)
         if found is not None:
             return BlowupResult(b, "exact", tuple(pts[i] for i in found))
     raise NotFound(b_max)

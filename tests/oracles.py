@@ -24,7 +24,7 @@ commands never take, kept here because the tests check against them:
 ``algebra_from_sections`` (a ``GradedAlgebra`` straight from section
 spaces), ``restriction`` (the push-out and pull-back restriction of a
 class, through ``kernel_basis``) and ``first_witness`` (one degree of the
-secant search, through ``strata._project`` and ``strata._search_degree``).
+secant search, through ``strata._modulo`` and ``strata._search_degree``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ribbonsyz.fflinalg import DimensionMismatch, check_budget, matmul_mod, pivo
 from ribbonsyz.graded import GradedAlgebra, GradedError, GradedModule, InconsistentDims, NotASubmodule
 from ribbonsyz.koszul import koszul_differential
 from ribbonsyz.ribbon import conormal_tags
-from ribbonsyz.strata import _project, _search_degree
+from ribbonsyz.strata import _modulo, _search_degree
 
 
 class NotASubspace(GradedError):
@@ -354,13 +354,13 @@ def first_witness(vec, rows, b: int, p: int):
     """Lexicographically first b-subset of row indices whose span contains vec, or None.
 
     One degree of ``strata.blowup_index_bruteforce``'s search, for any vec
-    and rows: reduce both mod p, project the rows from span(vec), and call
-    ``strata._search_degree``, which assumes no set of fewer than b rows
-    has vec in its span.
+    and rows: reduce both mod p, normalise the rows in V/<vec>
+    (``strata._modulo``), and call ``strata._search_degree``, which assumes
+    no set of fewer than b rows has vec in its span.  vec is nonzero.
     """
     vec = np.asarray(vec, dtype=np.int64) % p
     rows = np.asarray(rows, dtype=np.int64) % p
-    return _search_degree(vec, rows, _project(rows, vec[None], p)[0], b, p)
+    return _search_degree(vec, rows, _modulo(vec, rows, p), b, p)
 
 
 def naive_first_witness(vec: list[int], rows: list[list[int]], b: int, p: int):

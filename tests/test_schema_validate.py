@@ -439,8 +439,10 @@ def test_cli_runs_without_jsonschema(argv):
         ("betti", "--curve", "plane-quartic", "--random", "--p", "101", "--conormal", "-1", "--seed", "0"),
         ("green", "--curve", "hyperelliptic", "--g", "2", "--conormal", "-5", "--seed", "1"),
         ("strata", *ELL, "--sweep", "100", "--seed", "2026"),
+        ("strata", *ELL, "--sweep", "20", "--span-size", "4", "--bmax", "4", "--seed", "2026"),
+        ("strata", *ELL, "--sweep", "100", "--span-size", "2", "--bmax", "3", "--seed", "7"),
     ],
-    ids=["betti-quartic", "green-hyperelliptic", "strata-sweep"],
+    ids=["betti-quartic", "green-hyperelliptic", "strata-sweep", "strata-sweep-bmax4", "strata-sweep-span2"],
 )
 def test_benchmark_commands_leave_numpy_ma_out(argv):
     # np.isin, np.in1d and np.setdiff1d import numpy.ma on first use, about

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ribbonsyz.curves import (
     random_split_cubic,
     rational_points,
 )
-from ribbonsyz.fflinalg import PrimeField, rank
+from ribbonsyz.fflinalg import PrimeField, pivots, rank
 from ribbonsyz import strata
 from ribbonsyz.strata import (
     _PREFIX_MAX,
@@ -36,6 +37,7 @@ from ribbonsyz.strata import (
     _bucket_pairs,
     _inverse_table,
     _inverses,
+    _pool_basis,
     _pool_rows,
     _reduce,
 )
@@ -379,14 +381,15 @@ class TestProjectionSearch:
         )
         vec = np.array([1, 0, 1, 1, 0], dtype=np.int64)
         checked = []
-        real = strata.pivots
-        monkeypatch.setattr(strata, "pivots", lambda a, q: checked.append(a.copy()) or real(a, q))
+        real = strata._in_span
+        monkeypatch.setattr(strata, "_in_span", lambda v, r, q: checked.append(r.copy()) or real(v, r, q))
         assert first_witness(vec, rows, 3, p) == (0, 3, 4)
-        # the candidate (0, 1, 2) reaches the exact check, as the columns
-        # [rows 0, 1, 2; vec], and is rejected there: vec's column is a pivot
-        degenerate = np.vstack([rows[[0, 1, 2]], vec]).T
-        assert any(np.array_equal(a, degenerate) for a in checked)
-        assert 3 in real(degenerate, p)
+        # the candidate (0, 1, 2) reaches the exact check, as the rows
+        # [rows 0, 1, 2], and is rejected there: vec is not in their span
+        degenerate = rows[[0, 1, 2]]
+        assert any(np.array_equal(r, degenerate) for r in checked)
+        assert not real(vec, degenerate, p)
+        assert 3 in pivots(np.vstack([degenerate, vec]).T, p)
         assert naive_blowup_index(vec.tolist(), rows.tolist(), 3, p) == (3, (0, 3, 4))
 
 
@@ -538,6 +541,161 @@ class TestDifferentialSearch:
         assert pairs == sorted(pairs)
 
 
+@dataclass(frozen=True)
+class RowSpace:
+    """A stand-in for a SectionSpace whose pool is given as rows (``rows_search``)."""
+
+    field: PrimeField
+    dim: int
+
+
+def rows_search(monkeypatch, rows, vec, b_max: int, p: int):
+    """(index, witness) of ``blowup_index_bruteforce`` over the given rows, or None.
+
+    The pool is the rows' indices, and the witness a tuple of them.
+    """
+    monkeypatch.setattr(strata, "evaluation_matrix", lambda space, pts: rows[list(pts)])
+    _pool_rows.cache_clear()
+    _pool_basis.cache_clear()
+    try:
+        res = blowup_index_bruteforce(vec, range(len(rows)), RowSpace(PrimeField(p), rows.shape[1]), b_max)
+    except NotFound:
+        return None
+    finally:
+        _pool_rows.cache_clear()
+        _pool_basis.cache_clear()
+    assert res.bound == "exact"
+    return res.index, res.witness
+
+
+def combination(rng, rows, pick, p: int) -> np.ndarray:
+    """A combination of the picked rows with nonzero coefficients, each product reduced before the sum."""
+    return sum(int(rng.integers(1, p)) * rows[k] % p for k in pick) % p
+
+
+def planted_pool(rng, p: int, n: int = 11, d: int = 5) -> np.ndarray:
+    """Random rows with the degeneracies the normalised search meets.
+
+    Row 2 is a base point, row 6 a multiple of row 1, and row 8 depends on
+    rows 0 and 3.  Rows 4 and 9 are zero in their first two columns: for
+    a class with a nonzero first entry, their images in V/<e> lead after
+    the first column, so a prefix point leading there leaves them as they
+    are, and they keep one key across a chunk's prefix points.
+    """
+    rows = rng.integers(0, p, (n, d))
+    rows[2] = 0
+    rows[6] = rows[1] * int(rng.integers(1, p)) % p
+    rows[8] = combination(rng, rows, [0, 3], p)
+    rows[[4, 9], :2] = 0
+    return rows
+
+
+def keys_shared_across_prefix_points(unit, kept, p: int) -> bool:
+    """Whether two prefix points t of a stack have a kept vector with one unsalted key."""
+    keys = unit.view(np.uint64) @ strata._radix(p, unit.shape[2])
+    owners: dict[int, set] = {}
+    for t, r in zip(*kept.nonzero()):
+        owners.setdefault(int(keys[t, r]), set()).add(int(t))
+    return any(len(ts) > 1 for ts in owners.values())
+
+
+class TestNormalisedSearch:
+    """The search in V/<e>: one normalisation per class, keys salted per
+    prefix point, and the confirmation in Python integers, against the
+    naive oracle.  65537 is the first prime whose inverses come from
+    Fermat, not the table; at 2**31 - 1 the base-p keys wrap modulo 2**64."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 65537, 2147483647])
+    def test_planted_pools_against_naive(self, p, monkeypatch):
+        rng = np.random.default_rng(p % 1009)
+        rows = planted_pool(rng, p)
+        n, d = rows.shape
+        stacks = []
+        real = strata._equal_pairs
+        monkeypatch.setattr(strata, "_equal_pairs", lambda u, k, f, q: stacks.append((u, k)) or real(u, k, f, q))
+        # a multiple of row 5 (index 1), a multiple of row 6 (whose first
+        # witness is row 1), spans of two to four rows, among them the
+        # dependent triple (0, 3, 8) and rows 4 and 9, and a random class
+        picks = [[5], [6], [0, 3], [1, 5], [0, 3, 8], [5, 7, 10], [0, 1, 5, 7], [3, 4, 9, 10]]
+        for pick in picks + [None]:
+            vec = rng.integers(0, p, d) if pick is None else combination(rng, rows, pick, p)
+            if not vec.any():
+                continue
+            want = naive_blowup_index(vec.tolist(), rows.tolist(), 4, p)
+            if pick is not None:
+                assert want is not None and want[0] <= len(pick)
+            for entries in (_STACK_ENTRIES, 2 * n * d):  # one chunk, or chunks of about two points
+                monkeypatch.setattr(strata, "_STACK_ENTRIES", entries)
+                assert search_index(vec, rows, 4, p) == want
+                assert rows_search(monkeypatch, rows, vec, 4, p) == want
+        # the salt path ran: some chunk had one key at two prefix points
+        # (over F_2 this pool meets every class by degree 2, before any chunk)
+        assert p == 2 or any(u.shape[0] > 1 and keys_shared_across_prefix_points(u, k, p) for u, k in stacks)
+
+    def test_keys_shared_across_prefix_points_skip_the_grouping(self, monkeypatch):
+        # one vector repeated at every prefix point, and no equal vectors
+        # within one: salted, its keys differ and the sort finds nothing to
+        # group; unsalted, they reach the exact grouping, which pairs nothing
+        p = 101
+        stack = np.random.default_rng(3).integers(1, p, (3, 6, 4))
+        stack[:, 5] = stack[0, 5]
+        unit, _, nonzero = strata._units(stack, p)
+        assert all(len({tuple(v) for v in unit[t].tolist()}) == 6 for t in range(3))
+        assert keys_shared_across_prefix_points(unit, nonzero, p)
+        grouped = []
+        real = strata.combinations
+        monkeypatch.setattr(strata, "combinations", lambda js, k: grouped.append(js) or real(js, k))
+        assert _bucket_pairs(stack, range(3), p) == []
+        assert grouped == []
+        monkeypatch.setattr(strata, "_salts", lambda t: np.zeros((t, 1), dtype=np.uint64))
+        assert _bucket_pairs(stack, range(3), p) == []
+        assert grouped == [[5], [5], [5]]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_top_degree_rule_against_naive(self, p, monkeypatch):
+        # b_max at or above the rank r: degree r is answered by the greedy
+        # basis without a search, and a class off the rows' span raises
+        # NotFound there, whatever b_max
+        rng = np.random.default_rng(p)
+        searched = []
+        real = strata._search_degree
+        monkeypatch.setattr(strata, "_search_degree", lambda v, r, u, b, q: searched.append(b) or real(v, r, u, b, q))
+        seen = set()
+        for trial in range(40):
+            n, d = int(rng.integers(3, 7)), 4
+            rows = rng.integers(0, p, (n, d))
+            if trial % 3 == 1:
+                rows[:, 3] = 0  # rank <= 3 < d
+            vec = rng.integers(0, p, d)
+            if not vec.any():
+                continue
+            r = rank(rows, p)
+            want = naive_blowup_index(vec.tolist(), rows.tolist(), 6, p)
+            searched.clear()
+            assert rows_search(monkeypatch, rows, vec, 6, p) == want
+            assert all(b < r for b in searched)
+            seen.add("none" if want is None else "top" if want[0] == r else "below")
+            if want is not None and want[0] == r:
+                assert want[1] == tuple(pivots(rows.T, p))
+        assert seen == {"none", "top", "below"}
+
+    def test_top_degree_answers_past_the_prefix_budget(self, monkeypatch):
+        # six rows of rank 3 in F_101^4 and a budget of one prefix: degree 3
+        # would scan six prefixes, but it is the rank, so the greedy basis
+        # answers it, and a class off the rows' span raises NotFound there
+        p = 101
+        rows = np.array(
+            [[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]], dtype=np.int64
+        )
+        monkeypatch.setattr(strata, "_PREFIX_MAX", 1)
+        assert rows_search(monkeypatch, rows, np.array([1, 2, 3, 0]), 6, p) == (3, (1, 3, 5))
+        assert rows_search(monkeypatch, rows, np.array([0, 0, 0, 1]), 6, p) is None
+        # below the rank the budget still holds
+        full = np.vstack([rows, [[0, 0, 0, 1]]])
+        with pytest.raises(SearchTooLarge):
+            rows_search(monkeypatch, full, np.array([1, 2, 3, 4]), 6, p)
+
+
 class TestGonalityBounds:
     def test_split_hyperelliptic_case(self):
         # b = 0, g = 2, m = 2, p_a = 8: upper = min(4, 5) = 4 = expected gonality
@@ -650,6 +808,17 @@ class TestPoolRows:
                 _pool_rows(space, bad)
             with pytest.raises(PointNotOnCurve):
                 blowup_index_bruteforce(e, bad, space, 3)
+
+    def test_sweep_calls_the_search_once_per_class(self, elliptic, monkeypatch):
+        # the benchmark times each class at this call: bench/worker.py wraps
+        # the module global blowup_index_bruteforce
+        calls = []
+        real = strata.blowup_index_bruteforce
+        monkeypatch.setattr(strata, "blowup_index_bruteforce", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for count in (1, 7):
+            calls.clear()
+            out = blowup_sweep(elliptic, 6, count, np.random.default_rng(count), span_size=3, b_max=3)
+            assert len(calls) == count == len(out["results"])
 
     def test_sweep_evaluates_the_pool_once(self, elliptic, monkeypatch):
         pool = rational_points(elliptic)
