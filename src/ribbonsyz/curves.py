@@ -41,6 +41,7 @@ __all__ = [
     "HyperellipticCurve",
     "SectionSpace",
     "mult_map",
+    "product_index",
     "rational_points",
     "evaluation_matrix",
     "random_plane_curve",
@@ -434,11 +435,8 @@ def mult_map(sa: SectionSpace, sb: SectionSpace) -> np.ndarray:
     basis_A[i] * basis_B[j] in the basis of ``sections(tag_A + tag_B)``, so
     ``mult_map(sa, sb)[i]`` is the matrix of multiplication by basis_A[i].
 
-    Basis keys are exponents, (a, b, c) of x^a y^b z^c or (i, a) of x^i y^a,
-    so a product is the monomial at the sum of two keys.  Both models take
-    it from one table per target tag, cached on the model
-    (``_product_table``, indexed by the key's leading exponents): the
-    tensor is one gather.
+    The tensor is one gather from the target tag's product table
+    (``product_index``).
     """
     if sa.model is not sb.model:
         raise CurveError("section spaces live on different models")
@@ -446,17 +444,35 @@ def mult_map(sa: SectionSpace, sb: SectionSpace) -> np.ndarray:
     key = (sa.tag, sb.tag)
     cached = model._mults.get(key)
     if cached is None:
-        tag = sa.tag + sb.tag
-        table = model._tables.get(tag)
-        if table is None:
-            table = model._tables[tag] = model._product_table(tag)
-        n = table.ndim - 1
-        ka, kb = (np.array([k[:n] for k in s.basis], dtype=np.int64).reshape(s.dim, n) for s in (sa, sb))
-        rows = table[tuple(ka[:, None, c] + kb[None, :, c] for c in range(n))]
-        cached = np.ascontiguousarray(rows.transpose(0, 2, 1))
+        table, at = product_index(sa, sb)
+        cached = np.ascontiguousarray(table[at].transpose(0, 2, 1))
         cached.setflags(write=False)
         model._mults[key] = cached
     return cached
+
+
+def product_index(sa: SectionSpace, sb: SectionSpace) -> tuple:
+    """(table, at): the product table of tag_A + tag_B and where each product lies in it.
+
+    ``table[at]`` has shape (dim A, dim B, dim target), and entry [i, j] is
+    the coordinate vector of basis_A[i] * basis_B[j] in the basis of
+    ``sections(tag_A + tag_B)``.  Basis keys are exponents, (a, b, c) of
+    x^a y^b z^c or (i, a) of x^i y^a, so a product is the monomial at the
+    sum of two keys, and ``at`` indexes the table, one per target tag and
+    cached on the model (``_product_table``), by the sum's leading
+    exponents.  A functional e on the target pairs the two spaces as
+    ``(table @ e)[at]`` mod p, the matrix e(s_i t_j), without the tensor.
+    """
+    if sa.model is not sb.model:
+        raise CurveError("section spaces live on different models")
+    model = sa.model
+    tag = sa.tag + sb.tag
+    table = model._tables.get(tag)
+    if table is None:
+        table = model._tables[tag] = model._product_table(tag)
+    n = table.ndim - 1
+    ka, kb = (np.array([k[:n] for k in s.basis], dtype=np.int64).reshape(s.dim, n) for s in (sa, sb))
+    return table, tuple(ka[:, None, c] + kb[None, :, c] for c in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,21 @@ H^0(K_C^2 L^{-1}) up to scale.  Its blow-up index is the least degree of an
 effective divisor whose span (in the embedding by |2K_C - L|) contains the
 point e, i.e. the secant order of e.  Divisors are restricted to reduced
 sets of rational points.  Every degree b is searched exhaustively, by
-projection from span(e, P) for each (b - 2)-subset P.  Each piece of
-work is done at the level it depends on:
+projection from span(e, P) for each (b - 2)-subset P, unless a bound
+rules it out.  Each piece of work is done at the level it depends on:
 
 * per field: the inverses mod p, read from a table for p <= _TABLE_P_MAX
   (Fermat above it), and the radix of the bucket keys for each dimension;
-* per pool: its evaluation matrix, cached for the last (space, pool) and
-  read-only, so a sweep evaluates its pool once, and its greedy basis;
-* per class: the pool's rows in V/<e>, projected from e without e's
-  leading column and scaled so that each first nonzero entry is 1; every
-  degree reads these units;
+* per pool: its evaluation matrix and its greedy basis, cached together
+  for the last (space, pool) and read-only, so a sweep evaluates its pool
+  once;
+* per class: in a sweep, two bounds that bracket the index.  The floor,
+  the rank of the matrix e(s_i t_j) of a split 2K_C - L = A + B
+  (``_floor``), rules out every lower degree, and the span the class was
+  drawn in, confirmed by ``_in_span``, answers its own degree; only the
+  degrees in between are searched.  A degree that is searched reads the
+  pool's rows in V/<e>, projected from e without e's leading column and
+  scaled so that each first nonzero entry is 1, made once per class;
 * per degree: the subsets P, walked depth first with one update and one
   scaling for each point added to P (a unit clears its leading column
   with no inverse), the last point of P vectorised over a numpy stack, a
@@ -28,10 +33,10 @@ work is done at the level it depends on:
 The degree equal to the rank of the pool's rows is not searched: its first
 witness is the pool's greedy basis when e lies in its span, and otherwise
 no degree has one.  Any other degree with more than _PREFIX_MAX prefixes
-is refused up front (SearchTooLarge).  The result is labelled a
-rational-reduced blow-up index: an upper bound for the index over the
-algebraic closure, and equal to it whenever the witnessing divisor is
-rational and reduced.
+is refused up front (SearchTooLarge), whether or not a bound skips it.
+The result is labelled a rational-reduced blow-up index: an upper bound
+for the index over the algebraic closure, and equal to it whenever the
+witnessing divisor is rational and reduced.
 
 The blow-up along a divisor splits the ribbon iff the restriction of e to
 the sections vanishing on the divisor is zero, that is iff e lies in the
@@ -53,9 +58,10 @@ from ribbonsyz.curves import (
     HyperellipticCurve,
     SectionSpace,
     evaluation_matrix,
+    product_index,
     rational_points,
 )
-from ribbonsyz.fflinalg import matmul_mod, pivots, rank
+from ribbonsyz.fflinalg import pivots, rank
 from ribbonsyz.ribbon import conormal_tags
 
 __all__ = [
@@ -138,8 +144,7 @@ class ExtensionClass:
 
     def __post_init__(self):
         v = np.asarray(self.vec, dtype=np.int64) % self.space.field.p
-        if v.shape != (self.space.dim,):
-            raise StrataError(f"functional must have length {self.space.dim}")
+        _check_length(v, self.space)
         if not np.any(v):
             raise StrataError("the zero functional is not an extension class")
         object.__setattr__(self, "vec", v)
@@ -165,6 +170,11 @@ def make_witness(space: SectionSpace, points) -> DivisorWitness:
     return DivisorWitness(space, pts, rows)
 
 
+def _check_length(vec: np.ndarray, space: SectionSpace) -> None:
+    if vec.shape != (space.dim,):
+        raise StrataError(f"functional must have length {space.dim}")
+
+
 def span_membership(e: ExtensionClass, w: DivisorWitness) -> bool:
     """Whether e lies in the projective span of the witness points.
 
@@ -173,17 +183,17 @@ def span_membership(e: ExtensionClass, w: DivisorWitness) -> bool:
     return _in_span(e.vec, w.rows, e.space.field.p)
 
 
-def _in_span(vec: np.ndarray, rows: np.ndarray, p: int) -> bool:
-    """Whether vec lies in the row space of rows.
+def _leads(rows: list, p: int):
+    """One forward elimination in Python integers (for a few short rows):
+    yields, row by row, the leading column the row keeps, or None.
 
-    One forward elimination of the rows and then vec, in Python integers
-    (the search's witnesses have a few short rows): each is reduced mod p,
-    cleared at the leading columns kept so far, and kept, scaled to 1 at
-    its own first nonzero entry, unless it clears to zero.  vec lies in
-    the span exactly when it clears to zero.
+    Each row is reduced mod p, cleared at the leading columns kept so far,
+    and kept, scaled to 1 at its own first nonzero entry, unless it clears
+    to zero (None).  So the rows before it span a row exactly when it
+    yields None, and the rank is the number of leads.
     """
     kept: list[tuple[int, list]] = []  # (leading column, row), each row zero at the earlier leads
-    for row in [*rows.tolist(), vec.tolist()]:
+    for row in rows:
         row = [x % p for x in row]
         for lead, k in kept:
             f = row[lead]
@@ -193,7 +203,39 @@ def _in_span(vec: np.ndarray, rows: np.ndarray, p: int) -> bool:
         if lead is not None:
             inv = pow(row[lead], -1, p)
             kept.append((lead, [x * inv % p for x in row]))
-    return lead is None  # vec, the last row, cleared to zero
+        yield lead
+
+
+def _in_span(vec: np.ndarray, rows: np.ndarray, p: int) -> bool:
+    """Whether vec lies in the row space of rows: vec, eliminated after the rows, clears to zero (``_leads``)."""
+    *_, last = _leads([*rows.tolist(), vec.tolist()], p)
+    return last is None
+
+
+def _floor_map(space: SectionSpace) -> tuple:
+    """``product_index`` of the split A + B = ``space.tag`` with A = floor(tag / 2):
+    the products s_i * t_j, in ``space``'s basis, that ``_floor`` pairs with e.
+    """
+    model, a = space.model, space.tag // 2
+    return product_index(model.sections(a), model.sections(space.tag - a))
+
+
+def _floor(products: tuple, vec: np.ndarray, p: int) -> int:
+    """The rank of e(s_i t_j) for ``products = _floor_map(space)``: no witness of e has a lower degree.
+
+    If e lies in the span of an effective divisor D of degree b, over any
+    extension field and reduced or not, every s in H^0(A - D) gives a zero
+    row, and H^0(A - D) has codimension at most b in H^0(A).  So the rank
+    is at most b: an exact lower bound on the index over the algebraic
+    closure, and so on the rational-reduced index.  e is paired with the
+    product table, not with the (h^0(A), h^0(B), dim) tensor.
+    """
+    table, at = products
+    if table.shape[-1] * (p - 1) ** 2 < 1 << 63:  # one int64 product, exact
+        values = table @ vec
+    else:  # each product is below p**2 < 2**62 (p < 2**31), reduced before the sum
+        values = _reduce(table * vec, p).sum(axis=-1)
+    return sum(lead is not None for lead in _leads(values[at].tolist(), p))
 
 
 @dataclass(frozen=True)
@@ -255,23 +297,17 @@ def _salts(t: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _pool_rows(space: SectionSpace, pool: tuple) -> np.ndarray:
-    """The pool's evaluation matrix reduced mod p, read-only; kept for the last pool asked.
+def _pool(space: SectionSpace, pool: tuple) -> tuple:
+    """(rows, basis) of the pool, kept for the last pool asked: its
+    evaluation matrix reduced mod p, read-only, and its greedy basis, the
+    indices of the rows outside the span of the rows before them.
 
     A point off the curve raises PointNotOnCurve on every call, since
     lru_cache does not keep exceptions.
     """
     rows = evaluation_matrix(space, pool) % space.field.p
     rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=1)
-def _pool_basis(space: SectionSpace, pool: tuple) -> tuple:
-    """The pool's greedy basis, kept for the last pool asked: the indices of
-    the rows outside the span of the rows before them.
-    """
-    return tuple(pivots(_pool_rows(space, pool).T, space.field.p))
+    return rows, tuple(pivots(rows.T, space.field.p))
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -426,33 +462,40 @@ def _search_degree(vec: np.ndarray, rows: np.ndarray, units: tuple, b: int, p: i
     return _walk(vec, rows, unit, lead, (), b - 3, p)
 
 
-def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int) -> BlowupResult:
+def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int, *, floor: int = 1, span=None) -> BlowupResult:
     """Smallest degree of a reduced rational divisor whose span contains e.
 
-    Every degree 1..b_max is searched exhaustively, so the answer is the
-    lexicographically first witness of the pool and always exact.  The
-    pool's rows come from ``_pool_rows``, and they are normalised in
-    V/<e> once for all degrees (``_modulo``).  The zero class is split
-    already: index 0 by convention.
+    By default every degree 1..b_max is searched exhaustively, so the
+    answer is the lexicographically first witness of the pool and always
+    exact.  The pool's rows and greedy basis come from ``_pool``, and the
+    rows are normalised in V/<e> once, before the first degree searched
+    (``_modulo``).  The zero class is split already: index 0 by convention.
+
+    Two bounds, which only ``blowup_sweep`` passes, bracket the search:
+    ``floor``, a degree below which e has no witness (``_floor``), skips
+    the degrees below it; and ``span``, pool indices whose span contains
+    e, answers the degree len(span) with those points once ``_in_span``
+    confirms it (if it does not, that degree is searched).  The index
+    stays exact, but a witness of degree len(span) is then the span, not
+    the lexicographically first one; the sweep prints no witnesses.
 
     The degree b = r, the rank of the pool's rows, needs no search: every
-    b-subset lexicographically before the greedy basis (``_pool_basis``)
-    is dependent, so with e in its span it would give a witness of a
-    lower degree, which the earlier degrees ruled out; and the basis spans
-    every row.  So the basis is the first witness of degree r when e lies
-    in its span, and otherwise no degree has one.  Raises
-    SearchTooLarge before a searched degree whose (b - 2)-prefixes exceed
-    _PREFIX_MAX, and NotFound when nothing of degree <= b_max works.
+    b-subset lexicographically before the greedy basis is dependent, so
+    with e in its span it would give a witness of a lower degree, which
+    the earlier degrees ruled out; and the basis spans every row.  So the
+    basis is the first witness of degree r when e lies in its span, and
+    otherwise no degree has one.  Raises SearchTooLarge before a degree
+    below r whose (b - 2)-prefixes exceed _PREFIX_MAX, even one the
+    bounds would skip, and NotFound when nothing of degree <= b_max works.
     """
     p = space.field.p
     vec = np.asarray(e.vec if isinstance(e, ExtensionClass) else e, dtype=np.int64) % p
     if not vec.any():
         return BlowupResult(0, "exact", ())
-    ExtensionClass(space, vec)  # checks the length
+    _check_length(vec, space)
     pts = tuple(pool)
-    rows = _pool_rows(space, pts)
-    basis = _pool_basis(space, pts)
-    units = _modulo(vec, rows, p) if len(basis) > 1 else None  # only degrees below the rank are searched
+    rows, basis = _pool(space, pts)
+    units = None  # _modulo(vec, rows, p), made for the first degree searched
     n = len(pts)
     for b in range(1, b_max + 1):
         if b >= len(basis):  # b = r, or r = 0 at b = 1
@@ -462,6 +505,14 @@ def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int) -> BlowupR
         prefixes = math.comb(n, max(b - 2, 0))
         if prefixes > _PREFIX_MAX:
             raise SearchTooLarge(b, n, prefixes)
+        if b < floor:
+            continue
+        if span is not None and b == len(span):
+            drawn = sorted(span)
+            if _in_span(vec, rows[drawn], p):
+                return BlowupResult(b, "exact", tuple(pts[i] for i in drawn))
+        if units is None:
+            units = _modulo(vec, rows, p)
         found = _search_degree(vec, rows, units, b, p)
         if found is not None:
             return BlowupResult(b, "exact", tuple(pts[i] for i in found))
@@ -593,8 +644,9 @@ def _class_in_rows(space: SectionSpace, points: list, rows: np.ndarray, rng) -> 
     if not np.any(rows):
         raise ZeroSpan(f"no nonzero extension class: the points {list(map(str, points))} are base points of |2K - L|")
     while True:
+        # a sum of reduced products: each term is below p, so the sum is exact for p < 2**31
         coeffs = rng.integers(0, p, rows.shape[0])
-        v = matmul_mod(coeffs.reshape(1, -1), rows, p).ravel()
+        v = _reduce(coeffs[:, None] * rows, p).sum(axis=0) % p
         if np.any(v):
             return ExtensionClass(space, v)
 
@@ -613,19 +665,29 @@ def blowup_sweep(
     index is exactly span_size for almost every draw (a uniform class of
     the full space would instead concentrate above it, since spans of
     rational-reduced divisors cover only a thin slice of the dual space).
-    Each class is drawn from the pool's cached rows (``_pool_rows``), so
-    the pool is evaluated once for the whole sweep.
+    Each class is drawn from the pool's cached rows (``_pool``), so the
+    pool is evaluated once for the whole sweep.  Each class's search is
+    bracketed (``blowup_index_bruteforce``): from below by its
+    determinantal floor (``_floor``), from above by the span it was drawn
+    in, so only the degrees in between are searched.  The indices are the
+    exhaustive search's; the sweep prints no witnesses, and a witness of
+    degree span_size is the drawn span rather than the lexicographically
+    first one.
     """
     space = ambient_space(model, conormal_multiple)
     pool = rational_points(model)
-    rows = _pool_rows(space, tuple(pool))
+    rows, _ = _pool(space, tuple(pool))
+    products = _floor_map(space)
+    p = space.field.p
     histogram: dict[int, int] = {}
     results = []
     for _ in range(count):
         idx_pts = rng.choice(len(pool), size=span_size, replace=False)
         e = _class_in_rows(space, [pool[int(i)] for i in idx_pts], rows[idx_pts], rng)
         try:
-            res = blowup_index_bruteforce(e, pool, space, b_max)
+            res = blowup_index_bruteforce(
+                e, pool, space, b_max, floor=_floor(products, e.vec, p), span=idx_pts.tolist()
+            )
             key = res.index
             results.append({"index": res.index, "bound": res.bound})
         except NotFound:

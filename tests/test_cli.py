@@ -504,6 +504,20 @@ class TestStrata:
         assert "blow-up search too large: degree 3 over 84 points needs 84 prefixes" in res.output
         assert isinstance(res.exception, SystemExit)
 
+    def test_sweep_refuses_a_degree_below_its_floor(self, runner):
+        # the budget is checked at every degree up to the answer, also those
+        # a bracketed sweep skips: the first class is refused at degree 6,
+        # below the span of 7, as the exhaustive search refuses it
+        res = runner.invoke(
+            main,
+            ["strata", "--curve", "elliptic-split", "--conormal", "-14", "--sweep", "3", "--span-size", "7", "--bmax", "7", "--seed", "0"],
+        )
+        assert res.exit_code == 2
+        assert (
+            "blow-up search too large: degree 6 over 96 points needs 3321960 prefixes of size 4, "
+            "more than the budget of 300000"
+        ) in res.output
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -14,6 +14,7 @@ from ribbonsyz.curves import (
     WrongDegree,
     evaluation_matrix,
     mult_map,
+    product_index,
     random_hyperelliptic,
     random_plane_curve,
     random_split_cubic,
@@ -306,6 +307,22 @@ class TestMultiplication:
                 lhs = int(ec @ multiply(mm, va, vb)) % 101
                 rhs = (int(ea @ va) * int(eb @ vb)) % 101
                 assert lhs == rhs
+
+    def test_product_index_pairs_a_functional_without_the_tensor(self, quartic, hyp2):
+        # a functional on the target, paired through the table, is the
+        # tensor contracted over its target axis
+        rng = np.random.default_rng(5)
+        for model, tags in [(quartic, (1, 2)), (quartic, (0, 3)), (hyp2, (4, 5)), (hyp2, (1, 1))]:
+            sa, sb = model.sections(tags[0]), model.sections(tags[1])
+            table, at = product_index(sa, sb)
+            mm = mult_map(sa, sb)
+            assert np.array_equal(table[at], mm.transpose(0, 2, 1))
+            e = rng.integers(0, 101, mm.shape[1])
+            assert np.array_equal((table @ e % 101)[at], np.einsum("ikj,k->ij", mm, e) % 101)
+        with pytest.raises(CurveError, match="different models"):
+            product_index(quartic.sections(1), hyp2.sections(1))
+        with pytest.raises(CurveError, match="different models"):
+            mult_map(quartic.sections(1), hyp2.sections(1))
 
 
 def assert_same_tensors(model, tags_a, tags_b, oracle):

@@ -441,8 +441,16 @@ def test_cli_runs_without_jsonschema(argv):
         ("strata", *ELL, "--sweep", "100", "--seed", "2026"),
         ("strata", *ELL, "--sweep", "20", "--span-size", "4", "--bmax", "4", "--seed", "2026"),
         ("strata", *ELL, "--sweep", "100", "--span-size", "2", "--bmax", "3", "--seed", "7"),
+        ("strata", "--curve", "genus0", "--conormal", "-9", "--sweep", "20", "--span-size", "4", "--bmax", "4", "--seed", "0"),
     ],
-    ids=["betti-quartic", "green-hyperelliptic", "strata-sweep", "strata-sweep-bmax4", "strata-sweep-span2"],
+    ids=[
+        "betti-quartic",
+        "green-hyperelliptic",
+        "strata-sweep",
+        "strata-sweep-bmax4",
+        "strata-sweep-span2",
+        "strata-sweep-genus0-gap",
+    ],
 )
 def test_benchmark_commands_leave_numpy_ma_out(argv):
     # np.isin, np.in1d and np.setdiff1d import numpy.ma on first use, about

@@ -1,19 +1,25 @@
 import math
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from ribbonsyz.curves import (
+    CurveError,
     HyperellipticCurve,
     PlaneCurve,
     PointNotOnCurve,
     evaluation_matrix,
+    mult_map,
+    random_hyperelliptic,
+    random_plane_curve,
     random_split_cubic,
     rational_points,
 )
-from ribbonsyz.fflinalg import PrimeField, pivots, rank
+from ribbonsyz.fflinalg import PrimeField, matmul_mod, pivots, rank
+from ribbonsyz.rng import SeededStream
 from ribbonsyz import strata
 from ribbonsyz.strata import (
     _PREFIX_MAX,
@@ -37,12 +43,18 @@ from ribbonsyz.strata import (
     _bucket_pairs,
     _inverse_table,
     _inverses,
-    _pool_basis,
-    _pool_rows,
+    _pool,
     _reduce,
 )
 
-from oracles import first_witness, naive_blowup_index, naive_first_witness, restriction, vectorised_blowup_index
+from oracles import (
+    first_witness,
+    naive_blowup_index,
+    naive_first_witness,
+    naive_rank,
+    restriction,
+    vectorised_blowup_index,
+)
 
 F101 = PrimeField(101)
 
@@ -555,15 +567,13 @@ def rows_search(monkeypatch, rows, vec, b_max: int, p: int):
     The pool is the rows' indices, and the witness a tuple of them.
     """
     monkeypatch.setattr(strata, "evaluation_matrix", lambda space, pts: rows[list(pts)])
-    _pool_rows.cache_clear()
-    _pool_basis.cache_clear()
+    _pool.cache_clear()
     try:
         res = blowup_index_bruteforce(vec, range(len(rows)), RowSpace(PrimeField(p), rows.shape[1]), b_max)
     except NotFound:
         return None
     finally:
-        _pool_rows.cache_clear()
-        _pool_basis.cache_clear()
+        _pool.cache_clear()
     assert res.bound == "exact"
     return res.index, res.witness
 
@@ -696,6 +706,252 @@ class TestNormalisedSearch:
             rows_search(monkeypatch, full, np.array([1, 2, 3, 4]), 6, p)
 
 
+def recorded_sweep(monkeypatch, model, t: int, count: int, rng, span_size: int, b_max: int):
+    """(space, pool, calls) of a ``blowup_sweep``: per class (e, its bounds, its result or None)."""
+    calls = []
+    real = strata.blowup_index_bruteforce
+
+    def record(e, pool, space, b, **bounds):
+        try:
+            res = real(e, pool, space, b, **bounds)
+        except NotFound:
+            res = None
+        calls.append((e, bounds, res))
+        if res is None:
+            raise NotFound(b)
+        return res
+
+    monkeypatch.setattr(strata, "blowup_index_bruteforce", record)
+    out = blowup_sweep(model, t, count, rng, span_size=span_size, b_max=b_max)
+    monkeypatch.setattr(strata, "blowup_index_bruteforce", real)
+    assert [None if res is None else res.index for _, _, res in calls] == [r["index"] for r in out["results"]]
+    return ambient_space(model, t), rational_points(model), calls
+
+
+def exhaustive_index(e, pool, space, b_max: int):
+    try:
+        return blowup_index_bruteforce(e, pool, space, b_max).index
+    except NotFound:
+        return None
+
+
+def floor_of(space, vec) -> int:
+    return strata._floor(strata._floor_map(space), np.asarray(vec), space.field.p)
+
+
+def collinear_triple(pool, p: int) -> list:
+    """Three points of a plane pool over F_p on one line, or []."""
+    for a, b in combinations(pool, 2):
+        line = np.cross(a, b)  # the line through a and b, as a row of coefficients
+        on = [pt for pt in pool if not int(np.dot(line, pt)) % p]
+        if len(on) >= 3:
+            return on[:3]
+    return []
+
+
+# (model maker, t): every family, at every p where it exists
+BRACKETED_FAMILIES = {
+    "elliptic": (lambda field, rng: random_split_cubic(field, rng), 6),
+    "hyperelliptic-g2": (lambda field, rng: random_hyperelliptic(field, 2, rng), 5),
+    "genus0": (lambda field, rng: HyperellipticCurve(field, [0, 1]), 9),
+    "plane-cubic": (lambda field, rng: random_plane_curve(field, 3, rng), 3),
+    "plane-quartic": (lambda field, rng: random_plane_curve(field, 4, rng), 1),
+}
+
+
+class TestBracketedSweep:
+    """The sweep's search between the determinantal floor and the drawing
+    span, against the exhaustive search of every degree."""
+
+    @pytest.mark.parametrize("family", sorted(BRACKETED_FAMILIES))
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_sweep_gives_the_exhaustive_index(self, family, p, monkeypatch):
+        make, t = BRACKETED_FAMILIES[family]
+        try:
+            model = make(PrimeField(p), np.random.default_rng(p))
+        except CurveError:  # hyperelliptic models and split cubics need odd p
+            assert p == 2 and family not in ("plane-cubic", "plane-quartic")
+            return
+        n = len(rational_points(model))
+        for span_size in range(1, min(4, n) + 1):
+            space, pool, calls = recorded_sweep(
+                monkeypatch, model, t, 6, np.random.default_rng(span_size), span_size, span_size
+            )
+            for e, bounds, res in calls:
+                assert bounds["span"] is not None and len(bounds["span"]) == span_size
+                want = exhaustive_index(e, pool, space, span_size)
+                assert (None if res is None else res.index) == want
+                assert bounds["floor"] == floor_of(space, e.vec)
+                if res is not None:
+                    assert bounds["floor"] <= res.index == len(res.witness)
+                    assert span_membership(e, make_witness(space, res.witness))
+
+    def test_floor_equals_the_index_on_the_benchmark_sweep(self, monkeypatch):
+        # strata --curve elliptic-split --conormal -6 --sweep 100 --seed 2026:
+        # the floor meets the index on every class, so the only degree
+        # searched is 2, on the classes of index 2, and no degree-3 walk runs
+        rng = SeededStream(2026)
+        model = random_split_cubic(F101, rng)
+        searched = []
+        real = strata._search_degree
+        monkeypatch.setattr(strata, "_search_degree", lambda v, r, u, b, q: searched.append(b) or real(v, r, u, b, q))
+        space, pool, calls = recorded_sweep(monkeypatch, model, 6, 100, rng, 3, 3)
+        assert len(pool) == 84 and len(calls) == 100
+        indices = [res.index for _, _, res in calls]
+        assert {b: indices.count(b) for b in set(indices)} == {2: 2, 3: 98}
+        assert searched == [2, 2]
+        for e, bounds, res in calls:
+            assert bounds["floor"] == res.index == exhaustive_index(e, pool, space, 3)
+            if res.index == 3:
+                assert res.witness == tuple(pool[i] for i in sorted(bounds["span"]))
+
+    def test_gap_search_on_genus0(self, monkeypatch):
+        # the pinned genus-0 sweep: a floor of at most 3 below spans of 4,
+        # so degree 3 is searched between them
+        searched = []
+        real = strata._search_degree
+        monkeypatch.setattr(strata, "_search_degree", lambda v, r, u, b, q: searched.append(b) or real(v, r, u, b, q))
+        model = HyperellipticCurve(F101, [0, 1])
+        space, pool, calls = recorded_sweep(monkeypatch, model, 9, 20, np.random.default_rng(0), 4, 4)
+        assert all(bounds["floor"] <= 3 for _, bounds, _ in calls)
+        assert searched.count(3) == 20 and set(searched) == {3}
+        for e, _, res in calls:
+            assert res.index == exhaustive_index(e, pool, space, 4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 65537])
+    def test_floor_at_most_the_index_on_planted_pools(self, p):
+        # classes drawn in planted spans of up to 4 pool points, among them
+        # repeated and dependent ones; the pool is at most 24 points
+        rng = np.random.default_rng(p)
+        seen = 0
+        for family in sorted(BRACKETED_FAMILIES):
+            make, t = BRACKETED_FAMILIES[family]
+            try:
+                model = make(PrimeField(p), np.random.default_rng(p))
+            except CurveError:
+                continue
+            if isinstance(model, PlaneCurve) and p == 65537:
+                continue  # p**2 + p + 1 candidate points: past the point-scan budget
+            space = ambient_space(model, t)
+            pool = rational_points(model)[:24]
+            for _ in range(6):
+                size = int(rng.integers(1, min(4, len(pool)) + 1))
+                e = class_in_span(space, [pool[int(i)] for i in rng.choice(len(pool), size=size, replace=False)], rng)
+                index = exhaustive_index(e, pool, space, 4)
+                assert index is not None and floor_of(space, e.vec) <= index <= size
+                seen += 1
+        assert seen >= 6
+
+    @pytest.mark.parametrize("p", [101, 65537, 2147483647])
+    def test_floor_is_the_rank_of_the_contracted_tensor(self, p, monkeypatch):
+        # the floor pairs e with the product table: one int64 product while
+        # dim * (p - 1)**2 < 2**63, reduced products at 2**31 - 1; both
+        # against mult_map's tensor contracted in Python integers
+        ranked = []
+        real = strata._leads
+        monkeypatch.setattr(strata, "_leads", lambda rows, q: ranked.append(rows) or real(rows, q))
+        rng = np.random.default_rng(p % 1009)
+        field = PrimeField(p)
+        for model, t in [
+            (random_split_cubic(field, rng), 6),
+            (random_hyperelliptic(field, 2, rng), 5),
+            (random_plane_curve(field, 3, rng), 4),  # products reduced by f: entries up to p - 1
+        ]:
+            space = ambient_space(model, t)
+            a = space.tag // 2
+            mm = mult_map(model.sections(a), model.sections(space.tag - a)).tolist()
+            for _ in range(5):
+                e = random_class(space, rng).vec.tolist()
+                matrix = [[sum(x * y for x, y in zip(column, e)) % p for column in zip(*rows)] for rows in mm]
+                ranked.clear()
+                assert floor_of(space, e) == naive_rank(matrix, p)
+                assert [[x % p for x in row] for row in ranked[0]] == matrix
+
+    def test_floor_below_the_index_at_three_collinear_points(self, quartic):
+        # a line through three points of the quartic is a zero row of the
+        # (O(1), O(2)) split, so the floor is 2; the index is 3, and the
+        # sweep's bounds give the exhaustive index and witness
+        space = ambient_space(quartic, 1)
+        pool = rational_points(quartic)
+        triple = collinear_triple(pool, 101)
+        assert len(triple) == 3
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            e = class_in_span(space, triple, rng)
+            want = blowup_index_bruteforce(e, pool, space, 3)
+            assert floor_of(space, e.vec) == 2 and want.index == 3
+            got = blowup_index_bruteforce(
+                e, pool, space, 3, floor=2, span=[pool.index(pt) for pt in triple]
+            )
+            assert got.index == 3 and set(got.witness) == set(triple)
+
+    def test_floor_with_a_base_point_in_the_pool(self):
+        # on a split cubic at t = 1, 2K - L = P_inf, whose one section is
+        # constant: P_inf is a base point (a zero row), and any other point
+        # spans the whole dual space
+        model = random_split_cubic(F101, np.random.default_rng(7))
+        space = ambient_space(model, 1)
+        pool = rational_points(model)
+        assert pool[0] == "inf" and not evaluation_matrix(space, pool[:1]).any()
+        rng = np.random.default_rng(6)
+        with pytest.raises(ZeroSpan):
+            class_in_span(space, pool[:1], rng)
+        for size in (2, 3):
+            e = class_in_span(space, pool[:size], rng)
+            assert floor_of(space, e.vec) == 1 == exhaustive_index(e, pool, space, 3)
+
+    def test_span_without_e_falls_back_to_the_search(self, elliptic, monkeypatch):
+        # e drawn in one 3-span, the bounds given another: the certificate
+        # fails, degree 3 is searched, and the lexicographically first
+        # witness is returned, as without bounds
+        space = ambient_space(elliptic, 6)
+        pool = rational_points(elliptic)
+        searched = []
+        real = strata._search_degree
+        monkeypatch.setattr(strata, "_search_degree", lambda v, r, u, b, q: searched.append(b) or real(v, r, u, b, q))
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            drawn, other = rng.choice(len(pool), size=(2, 3), replace=False)
+            e = class_in_span(space, [pool[int(i)] for i in drawn], rng)
+            want = blowup_index_bruteforce(e, pool, space, 3)
+            assert not span_membership(e, make_witness(space, [pool[int(i)] for i in other]))
+            searched.clear()
+            got = blowup_index_bruteforce(e, pool, space, 3, floor=floor_of(space, e.vec), span=other.tolist())
+            assert got == want and want.index in searched
+
+    def test_budget_holds_below_the_floor(self):
+        # a class of floor 7 in a 7-span over the 96-point pool at t = 14:
+        # degree 6 is below the floor, yet its 3321960 prefixes are refused
+        # there, as the exhaustive search refuses them
+        model = random_split_cubic(F101, SeededStream(0))
+        space, pool = ambient_space(model, 14), rational_points(model)
+        rng = np.random.default_rng(0)
+        while True:
+            span = rng.choice(len(pool), size=7, replace=False).tolist()
+            e = class_in_span(space, [pool[i] for i in span], rng)
+            if floor_of(space, e.vec) == 7:
+                break
+        for bounds in ({}, {"floor": 7, "span": span}):
+            with pytest.raises(SearchTooLarge) as refused:
+                blowup_index_bruteforce(e, pool, space, 7, **bounds)
+            assert (refused.value.b, refused.value.n, refused.value.prefixes) == (6, 96, 3321960)
+
+    @pytest.mark.parametrize("p", [2, 101, 2147483647])
+    def test_draws_match_matmul_mod(self, p):
+        # the sum of reduced products draws the same vector from the same
+        # coefficients as the exact product
+        rows = np.random.default_rng(p % 1009).integers(0, p, (5, 7))
+        space = RowSpace(PrimeField(p), 7)
+        for seed in range(20):
+            got = strata._class_in_rows(space, list(range(5)), rows, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            while True:
+                want = matmul_mod(rng.integers(0, p, 5).reshape(1, -1), rows, p).ravel()
+                if want.any():
+                    break
+            assert np.array_equal(got.vec, want)
+
+
 class TestGonalityBounds:
     def test_split_hyperelliptic_case(self):
         # b = 0, g = 2, m = 2, p_a = 8: upper = min(4, 5) = 4 = expected gonality
@@ -776,7 +1032,7 @@ class TestPoolRows:
         pool = tuple(rational_points(elliptic))
         for t in (5, 6, 5):
             space = ambient_space(elliptic, t)
-            rows = _pool_rows(space, pool)
+            rows, _ = _pool(space, pool)
             assert rows.shape == (len(pool), space.dim)
             assert np.array_equal(rows, evaluation_matrix(space, pool))
         assert ambient_space(elliptic, 5).dim != ambient_space(elliptic, 6).dim
@@ -784,15 +1040,15 @@ class TestPoolRows:
     def test_second_pool_gives_fresh_rows(self, elliptic):
         space = ambient_space(elliptic, 6)
         pool = tuple(rational_points(elliptic))
-        first = _pool_rows(space, pool)
-        assert _pool_rows(space, pool) is first  # a hit is the same array
+        first, _ = _pool(space, pool)
+        assert _pool(space, pool)[0] is first  # a hit is the same array
         other = pool[::-1]
-        rows = _pool_rows(space, other)
+        rows, _ = _pool(space, other)
         assert np.array_equal(rows, evaluation_matrix(space, other))
         assert not np.array_equal(rows, first)
 
     def test_cached_rows_refuse_writes(self, elliptic):
-        rows = _pool_rows(ambient_space(elliptic, 6), tuple(rational_points(elliptic)))
+        rows, _ = _pool(ambient_space(elliptic, 6), tuple(rational_points(elliptic)))
         with pytest.raises(ValueError):
             rows[0, 0] = 1
 
@@ -805,7 +1061,7 @@ class TestPoolRows:
         e = class_in_span(space, pool[:2], np.random.default_rng(0))
         for _ in range(2):
             with pytest.raises(PointNotOnCurve, match=re.escape(str(off))):
-                _pool_rows(space, bad)
+                _pool(space, bad)
             with pytest.raises(PointNotOnCurve):
                 blowup_index_bruteforce(e, bad, space, 3)
 
@@ -825,7 +1081,7 @@ class TestPoolRows:
         sizes = []
         real = strata.evaluation_matrix
         monkeypatch.setattr(strata, "evaluation_matrix", lambda s, pts: sizes.append(len(pts)) or real(s, pts))
-        _pool_rows.cache_clear()
+        _pool.cache_clear()
         out = blowup_sweep(elliptic, 6, 20, np.random.default_rng(3), span_size=3, b_max=3)
         assert out["pool_size"] == len(pool)
         # one evaluation in all: each class is drawn from the cached rows
