@@ -13,13 +13,14 @@ rules it out.  Each piece of work is done at the level it depends on:
 * per pool: its evaluation matrix and its greedy basis, cached together
   for the last (space, pool) and read-only, so a sweep evaluates its pool
   once;
-* per class: in a sweep, two bounds that bracket the index.  The floor,
-  the rank of the matrix e(s_i t_j) of a split 2K_C - L = A + B
-  (``_floor``), rules out every lower degree, and the span the class was
-  drawn in, confirmed by ``_in_span``, answers its own degree; only the
-  degrees in between are searched.  A degree that is searched reads the
-  pool's rows in V/<e>, projected from e without e's leading column and
-  scaled so that each first nonzero entry is 1, made once per class;
+* per class: in a sweep, two bounds that bracket the index.  The span
+  the class was drawn in, confirmed by ``_in_span``, answers its own
+  degree, and the floor, the rank of the matrix e(s_i t_j) of a split
+  2K_C - L = A + B (``_floor``, its product table cached for the last
+  space), rules out every lower degree; only the degrees in between are
+  searched.  A degree that is searched reads the pool's rows in V/<e>,
+  projected from e without e's leading column and scaled so that each
+  first nonzero entry is 1, made once per class;
 * per degree: the subsets P, walked depth first with one update and one
   scaling for each point added to P (a unit clears its leading column
   with no inverse), the last point of P vectorised over a numpy stack, a
@@ -212,28 +213,35 @@ def _in_span(vec: np.ndarray, rows: np.ndarray, p: int) -> bool:
     return last is None
 
 
+@lru_cache(maxsize=1)
 def _floor_map(space: SectionSpace) -> tuple:
-    """``product_index`` of the split A + B = ``space.tag`` with A = floor(tag / 2):
-    the products s_i * t_j, in ``space``'s basis, that ``_floor`` pairs with e.
+    """``product_index`` of the split A + B = ``space.tag`` with A = floor(tag / 2),
+    kept for the last space asked: the products s_i * t_j, in ``space``'s
+    basis, that ``_floor`` pairs with e.
     """
     model, a = space.model, space.tag // 2
     return product_index(model.sections(a), model.sections(space.tag - a))
 
 
-def _floor(products: tuple, vec: np.ndarray, p: int) -> int:
-    """The rank of e(s_i t_j) for ``products = _floor_map(space)``: no witness of e has a lower degree.
+def _floor(vec: np.ndarray, space: SectionSpace) -> int:
+    """The rank of e(s_i t_j) for the split of ``_floor_map``: no witness of e has a lower degree.
 
     If e lies in the span of an effective divisor D of degree b, over any
     extension field and reduced or not, every s in H^0(A - D) gives a zero
     row, and H^0(A - D) has codimension at most b in H^0(A).  So the rank
     is at most b: an exact lower bound on the index over the algebraic
     closure, and so on the rational-reduced index.  e is paired with the
-    product table, not with the (h^0(A), h^0(B), dim) tensor.
+    product table, not with the (h^0(A), h^0(B), dim) tensor: by one
+    int64 product while that is exact, which makes no table-sized
+    temporary (at genus0 t = 1020 a sweep peaks at 53 MB this way and at
+    71 MB through reduced products), else as a sum of reduced products,
+    each below p, exact for p < 2**31.
     """
-    table, at = products
-    if table.shape[-1] * (p - 1) ** 2 < 1 << 63:  # one int64 product, exact
+    p = space.field.p
+    table, at = _floor_map(space)
+    if table.shape[-1] * (p - 1) ** 2 < 1 << 63:
         values = table @ vec
-    else:  # each product is below p**2 < 2**62 (p < 2**31), reduced before the sum
+    else:
         values = _reduce(table * vec, p).sum(axis=-1)
     return sum(lead is not None for lead in _leads(values[at].tolist(), p))
 
@@ -462,7 +470,7 @@ def _search_degree(vec: np.ndarray, rows: np.ndarray, units: tuple, b: int, p: i
     return _walk(vec, rows, unit, lead, (), b - 3, p)
 
 
-def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int, *, floor: int = 1, span=None) -> BlowupResult:
+def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int, *, span=None) -> BlowupResult:
     """Smallest degree of a reduced rational divisor whose span contains e.
 
     By default every degree 1..b_max is searched exhaustively, so the
@@ -471,13 +479,15 @@ def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int, *, floor: 
     rows are normalised in V/<e> once, before the first degree searched
     (``_modulo``).  The zero class is split already: index 0 by convention.
 
-    Two bounds, which only ``blowup_sweep`` passes, bracket the search:
-    ``floor``, a degree below which e has no witness (``_floor``), skips
-    the degrees below it; and ``span``, pool indices whose span contains
-    e, answers the degree len(span) with those points once ``_in_span``
-    confirms it (if it does not, that degree is searched).  The index
-    stays exact, but a witness of degree len(span) is then the span, not
-    the lexicographically first one; the sweep prints no witnesses.
+    ``span``, pool indices whose span contains e, which only
+    ``blowup_sweep`` passes, brackets the search: it answers the degree
+    len(span) with those points once ``_in_span`` confirms it (if it does
+    not, that degree is searched), and below it the determinantal floor
+    (``_floor``) skips the degrees where e has no witness.  The floor is
+    computed only when it can skip a degree searched, that is with a span
+    of at least 2 points and b_max >= 2.  The index stays exact, but a
+    witness of degree len(span) is then the span, not the
+    lexicographically first one; the sweep prints no witnesses.
 
     The degree b = r, the rank of the pool's rows, needs no search: every
     b-subset lexicographically before the greedy basis is dependent, so
@@ -495,6 +505,7 @@ def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int, *, floor: 
     _check_length(vec, space)
     pts = tuple(pool)
     rows, basis = _pool(space, pts)
+    floor = _floor(vec, space) if span is not None and min(len(span), b_max) >= 2 else 1
     units = None  # _modulo(vec, rows, p), made for the first degree searched
     n = len(pts)
     for b in range(1, b_max + 1):
@@ -667,9 +678,9 @@ def blowup_sweep(
     rational-reduced divisors cover only a thin slice of the dual space).
     Each class is drawn from the pool's cached rows (``_pool``), so the
     pool is evaluated once for the whole sweep.  Each class's search is
-    bracketed (``blowup_index_bruteforce``): from below by its
-    determinantal floor (``_floor``), from above by the span it was drawn
-    in, so only the degrees in between are searched.  The indices are the
+    bracketed (``blowup_index_bruteforce``): from above by the span it was
+    drawn in, and from below by its determinantal floor (``_floor``), so
+    only the degrees in between are searched.  The indices are the
     exhaustive search's; the sweep prints no witnesses, and a witness of
     degree span_size is the drawn span rather than the lexicographically
     first one.
@@ -677,17 +688,13 @@ def blowup_sweep(
     space = ambient_space(model, conormal_multiple)
     pool = rational_points(model)
     rows, _ = _pool(space, tuple(pool))
-    products = _floor_map(space)
-    p = space.field.p
     histogram: dict[int, int] = {}
     results = []
     for _ in range(count):
         idx_pts = rng.choice(len(pool), size=span_size, replace=False)
         e = _class_in_rows(space, [pool[int(i)] for i in idx_pts], rows[idx_pts], rng)
         try:
-            res = blowup_index_bruteforce(
-                e, pool, space, b_max, floor=_floor(products, e.vec, p), span=idx_pts.tolist()
-            )
+            res = blowup_index_bruteforce(e, pool, space, b_max, span=idx_pts.tolist())
             key = res.index
             results.append({"index": res.index, "bound": res.bound})
         except NotFound:

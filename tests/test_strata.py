@@ -707,23 +707,35 @@ class TestNormalisedSearch:
 
 
 def recorded_sweep(monkeypatch, model, t: int, count: int, rng, span_size: int, b_max: int):
-    """(space, pool, calls) of a ``blowup_sweep``: per class (e, its bounds, its result or None)."""
-    calls = []
-    real = strata.blowup_index_bruteforce
+    """(space, pool, calls) of a ``blowup_sweep``: per class (e, its bounds, its result or None).
+
+    The bounds are the keywords the sweep passes and "floor", the floor the
+    search computed, or None if it computed none.
+    """
+    calls, floors = [], []
+    real, real_floor = strata.blowup_index_bruteforce, strata._floor
+
+    def floor(vec, space):
+        floors.append(real_floor(vec, space))
+        return floors[-1]
 
     def record(e, pool, space, b, **bounds):
+        floors.clear()
         try:
             res = real(e, pool, space, b, **bounds)
         except NotFound:
             res = None
-        calls.append((e, bounds, res))
+        assert len(floors) <= 1
+        calls.append((e, {**bounds, "floor": floors[0] if floors else None}, res))
         if res is None:
             raise NotFound(b)
         return res
 
     monkeypatch.setattr(strata, "blowup_index_bruteforce", record)
+    monkeypatch.setattr(strata, "_floor", floor)
     out = blowup_sweep(model, t, count, rng, span_size=span_size, b_max=b_max)
     monkeypatch.setattr(strata, "blowup_index_bruteforce", real)
+    monkeypatch.setattr(strata, "_floor", real_floor)
     assert [None if res is None else res.index for _, _, res in calls] == [r["index"] for r in out["results"]]
     return ambient_space(model, t), rational_points(model), calls
 
@@ -736,7 +748,7 @@ def exhaustive_index(e, pool, space, b_max: int):
 
 
 def floor_of(space, vec) -> int:
-    return strata._floor(strata._floor_map(space), np.asarray(vec), space.field.p)
+    return strata._floor(np.asarray(vec), space)
 
 
 def collinear_triple(pool, p: int) -> list:
@@ -781,9 +793,12 @@ class TestBracketedSweep:
                 assert bounds["span"] is not None and len(bounds["span"]) == span_size
                 want = exhaustive_index(e, pool, space, span_size)
                 assert (None if res is None else res.index) == want
-                assert bounds["floor"] == floor_of(space, e.vec)
+                if span_size == 1:  # the span answers degree 1, and no floor is computed
+                    assert bounds["floor"] is None
+                else:
+                    assert bounds["floor"] == floor_of(space, e.vec)
                 if res is not None:
-                    assert bounds["floor"] <= res.index == len(res.witness)
+                    assert (bounds["floor"] or 1) <= res.index == len(res.witness)
                     assert span_membership(e, make_witness(space, res.witness))
 
     def test_floor_equals_the_index_on_the_benchmark_sweep(self, monkeypatch):
@@ -881,7 +896,7 @@ class TestBracketedSweep:
             want = blowup_index_bruteforce(e, pool, space, 3)
             assert floor_of(space, e.vec) == 2 and want.index == 3
             got = blowup_index_bruteforce(
-                e, pool, space, 3, floor=2, span=[pool.index(pt) for pt in triple]
+                e, pool, space, 3, span=[pool.index(pt) for pt in triple]
             )
             assert got.index == 3 and set(got.witness) == set(triple)
 
@@ -916,7 +931,7 @@ class TestBracketedSweep:
             want = blowup_index_bruteforce(e, pool, space, 3)
             assert not span_membership(e, make_witness(space, [pool[int(i)] for i in other]))
             searched.clear()
-            got = blowup_index_bruteforce(e, pool, space, 3, floor=floor_of(space, e.vec), span=other.tolist())
+            got = blowup_index_bruteforce(e, pool, space, 3, span=other.tolist())
             assert got == want and want.index in searched
 
     def test_budget_holds_below_the_floor(self):
@@ -931,10 +946,30 @@ class TestBracketedSweep:
             e = class_in_span(space, [pool[i] for i in span], rng)
             if floor_of(space, e.vec) == 7:
                 break
-        for bounds in ({}, {"floor": 7, "span": span}):
+        for bounds in ({}, {"span": span}):
             with pytest.raises(SearchTooLarge) as refused:
                 blowup_index_bruteforce(e, pool, space, 7, **bounds)
             assert (refused.value.b, refused.value.n, refused.value.prefixes) == (6, 96, 3321960)
+
+    @pytest.mark.parametrize("span_size, b_max", [(1, 3), (3, 1), (2, 2)])
+    def test_floor_only_where_it_can_skip_a_degree(self, span_size, b_max, monkeypatch):
+        # a span of one point answers degree 1, and b_max 1 searches only
+        # degree 1, so neither computes the floor nor builds the product
+        # table of the ambient tag, which at large tags costs more than the
+        # sweep; spans of 2 with b_max 2 need both
+        model = random_split_cubic(F101, np.random.default_rng(3))
+        space, _, calls = recorded_sweep(monkeypatch, model, 6, 5, np.random.default_rng(4), span_size, b_max)
+        needed = min(span_size, b_max) >= 2
+        assert all((bounds["floor"] is not None) == needed for _, bounds, _ in calls)
+        assert (space.tag in model._tables) == needed
+
+    def test_search_without_a_span_computes_no_floor(self, elliptic, monkeypatch):
+        # --task blowup passes no span: the exhaustive search, no floor
+        monkeypatch.setattr(strata, "_floor", lambda vec, space: pytest.fail("floor computed"))
+        space = ambient_space(elliptic, 6)
+        pool = rational_points(elliptic)
+        e = class_in_span(space, pool[1:4], np.random.default_rng(2))
+        assert blowup_index_bruteforce(e, pool, space, 3).index == 3
 
     @pytest.mark.parametrize("p", [2, 101, 2147483647])
     def test_draws_match_matmul_mod(self, p):
