@@ -7,16 +7,19 @@ the canonical one, so pivot columns, and the coordinates that
 ``graded.Chart`` reads off them, are reproducible across runs and safe to
 use as reference bases elsewhere.
 
-Every elimination is one Gauss-Jordan pass.  Each pivot clears the rows
-below it and, for a reduced echelon form, the rows above it in the same
-update; the matrix is then reduced mod p once, at the end.  Two engines
-run that pass:
+Every RREF, and every forward elimination of more than _TINY_MAX entries,
+is one Gauss-Jordan pass.  Each pivot clears the rows below it and, for a
+reduced echelon form, the rows above it in the same update; the matrix is
+then reduced mod p once, at the end.  Two numpy engines run that pass:
 
 * the simple engine, ``_eliminate_simple`` (``int64``, exact for any
   p < 2**31), pivots one column at a time.  It reduces only the pivot
   column and the pivot row at each step and lets the other entries drift:
   every rank-1 update moves an entry by at most (p - 1)**2, and the rows
-  updated are reduced only when that additive bound would reach 2**62,
+  updated are reduced only when that additive bound would reach 2**62.
+  Its reductions stay ``np.remainder``: over the 44 eliminations the
+  numpy engines run for the two commands named below, x - (x // p) * p
+  took 12.0-19.7 ms against 9.4-9.8 ms (timeit, best of 5, 2 vCPUs),
 * the blocked engine, ``_eliminate_blocked``, runs the simple one only on
   panels of at most 128 columns, to find each panel's pivots, and pushes
   the Schur-complement updates through BLAS matmuls in one float dtype
@@ -24,6 +27,23 @@ run that pass:
   the default p = 101 included), else ``float64`` up to p = 2**20.  Every
   intermediate value then stays below the dtype's exact-integer limit,
   2**24 or 2**53, so the float arithmetic is exact.
+
+A forward elimination of at most _TINY_MAX = 256 entries (``rank`` and
+``pivots``) runs in Python integers instead, in the tiny engine ``leads``:
+numpy's fixed cost of 10-30 us a call outweighs the arithmetic of such a
+matrix.  It is lazy.  A vector is cleared at each lead kept so far with
+that kept vector's lead inverse, and no kept vector is rescaled or
+reduced as a whole; only the entries a test reads are reduced mod p.
+``rank`` and ``pivots`` feed it the matrix's columns and stop once the
+rank fills the rows.  ``strata`` feeds it its own rows, for the secant
+search's membership rule.  The threshold is measured on the 47 forward
+eliminations of ``betti --curve plane-quartic --random --p 101 --conormal
+-1 --seed 0`` and ``green --curve hyperelliptic --g 2 --conormal -5
+--seed 1`` (timeit, best of 5, 2 vCPUs).  The 31 of at most 256 entries,
+up to 8 x 24 and 36 x 6, took 1.1-9x less time in it than in the simple
+engine.  From 288 to 576 entries it took 0.5-1.2x the time, and at 880
+entries (20 x 44) 2.6x.  A random dense 16 x 16 of full rank takes it
+1.7-2x the simple engine's time; no command ranks one.
 
 The blocked engine stays because it pays on the large sparse Koszul
 blocks and is no slower on the smallest measured.  Forward passes, best
@@ -42,7 +62,8 @@ a time, so their temporaries stay _PANEL rows.  ``rref`` returns that
 copy, exact integers in [0, p), and its readers cast only the entries
 they keep: ``graded.Chart`` casts the free columns of the pivot rows.
 ``matmul_mod`` works in the same dtype and writes a product larger than
-_MOD_BLOCK entries into its int64 result a block of rows at a time.  The
+_MOD_BLOCK entries into its int64 result a block of rows at a time; a
+product of at most _INT_PRODUCT_MAX multiply-adds is one int64 matmul.  The
 program's one memory budget is here too: every caller prices a matrix it
 is about to build with ``check_budget``, which raises MatrixTooLarge
 above 1 GiB at 32 bytes an entry.
@@ -64,6 +85,7 @@ __all__ = [
     "rref",
     "rank",
     "pivots",
+    "leads",
     "matmul_mod",
 ]
 
@@ -78,9 +100,20 @@ _EXACT_FLOAT_MAX = float(1 << 53)
 _EXACT_FLOAT32_MAX = float(1 << 24)
 # Below this size the simple engine wins (no dgemm setup cost).
 _BLOCK_MIN = 200
+# Forward eliminations of at most this many entries run in Python integers
+# (``leads``); the measurement behind it is in the module docstring
+_TINY_MAX = 256
 _FAST_P_MAX = 1 << 20
 # Entries of the quotient temporary that one block of _mod_inplace allocates.
 _MOD_BLOCK = 1 << 14
+# A product of at most this many multiply-adds is one int64 matmul when that
+# is exact: numpy's integer matmul then beats the float path's fixed cost.
+# On the 67 products of ``betti --curve plane-quartic --random --p 101
+# --conormal -1 --seed 0`` and ``green --curve hyperelliptic --g 2
+# --conormal -5 --seed 1`` (timeit, best of 5, 2 vCPUs, one BLAS thread) it
+# took 0.23-0.77x the float path's time up to 6.9 k multiply-adds,
+# 0.75-1.2x from 10 k to 17.5 k, and 1.0-7x from 24 k up
+_INT_PRODUCT_MAX = 1 << 14
 # The simple engine lets its trailing entries drift below -p; their bound
 # stays under this, so every int64 product and difference stays exact.
 _INT_DRIFT_MAX = 1 << 62
@@ -183,6 +216,51 @@ def _as_matrix(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elimination engines
 # ---------------------------------------------------------------------------
+
+
+def leads(rows, p: int):
+    """One lazy forward elimination in Python integers: yields, row by row,
+    the leading column the row keeps, or None.
+
+    ``rows`` is an iterable of sequences of Python integers, in any range;
+    none is written.  Each row is cleared at the leads kept so far and kept
+    unless it clears to zero mod p (None).  So the rows before it span a
+    row exactly when it yields None, and the rank is the number of leads.
+    The elimination is lazy: a kept row stays as it was cleared, unreduced
+    and unscaled, beside the inverse of its lead; a row is cleared with
+    f = row[lead] * inverse mod p, and only the entries a test reads are
+    reduced, the kept leads and the entries up to the row's own lead.
+    Python integers are exact at any size, and the entries grow by about a
+    factor of p for each lead kept before them.
+    """
+    kept: list[tuple] = []  # (lead, inverse of the lead mod p, row)
+    for row in rows:
+        for lead, inv, k in kept:
+            f = row[lead] * inv % p
+            if f:
+                row = [x - f * y for x, y in zip(row, k)]
+        for c, x in enumerate(row):
+            if x % p:
+                kept.append((c, pow(x, -1, p), row))
+                yield c
+                break
+        else:
+            yield None
+
+
+def _tiny_pivots(m: np.ndarray, p: int) -> list[int]:
+    """The pivot columns of a small int64 matrix through ``leads`` on its columns.
+
+    Column c is a pivot exactly when ``leads`` keeps it; once there are as
+    many pivots as rows, no later column can be one.
+    """
+    found: list[int] = []
+    for c, lead in enumerate(leads(m.T.tolist(), p)):
+        if lead is not None:
+            found.append(c)
+            if len(found) == m.shape[0]:
+                break
+    return found
 
 
 def _swap_rows(x: np.ndarray, i: int, j: int) -> None:
@@ -446,9 +524,13 @@ def pivots(a, p: int) -> list[int]:
     """Pivot columns of ``a`` over Z/p (forward elimination only).
 
     Column c is a pivot exactly when it is not in the span of the columns
-    before it, so the list is canonical across engines.
+    before it, so the list is canonical across engines.  A matrix of at
+    most _TINY_MAX entries is eliminated in Python integers (``leads``).
     """
-    return _eliminate(a, p, reduced=False)[1]
+    m = _as_matrix(a)
+    if m.size <= _TINY_MAX:
+        return _tiny_pivots(m, p)
+    return _eliminate(m, p, reduced=False)[1]
 
 
 def rank(a, p: int) -> int:
@@ -466,11 +548,17 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     exact-integer limit 2**t, 2**24 or 2**53; for larger p, a sum of int64
     outer products reduced one at a time (p**2 < 2**62).  Beside operands
     and result it holds one working copy of ``b``, one of a block of rows
-    of ``a``, and the block's accumulator.
+    of ``a``, and the block's accumulator.  A product of at most
+    _INT_PRODUCT_MAX multiply-adds whose inner dimension times (p - 1)**2
+    stays below 2**63 is instead one int64 product of the reduced
+    operands, reduced once.
     """
     x, y = _as_matrix(a), _as_matrix(b)
     if x.shape[1] != y.shape[0]:
         raise DimensionMismatch(f"cannot multiply {x.shape} by {y.shape}")
+    inner = x.shape[1]
+    if x.shape[0] * inner * y.shape[1] <= _INT_PRODUCT_MAX and inner * (p - 1) ** 2 < 1 << 63:
+        return np.remainder(np.remainder(x, p) @ np.remainder(y, p), p)
     work = _work_dtype(p)
     if work is np.int64:
         chunk, reduce = 1, lambda v, q: np.remainder(v, q, out=v)

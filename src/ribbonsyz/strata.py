@@ -10,9 +10,10 @@ rules it out.  Each piece of work is done at the level it depends on:
 
 * per field: the inverses mod p, read from a table for p <= _TABLE_P_MAX
   (Fermat above it), and the radix of the bucket keys for each dimension;
-* per pool: its evaluation matrix and its greedy basis, cached together
-  for the last (space, pool) and read-only, so a sweep evaluates its pool
-  once;
+* per pool: its evaluation matrix, the same rows as tuples of Python
+  integers, and its greedy basis, cached together for the last (space,
+  pool) and read-only, so a sweep evaluates its pool once and its exact
+  checks read the rows with no numpy call;
 * per class: in a sweep, two bounds that bracket the index.  The span
   the class was drawn in, confirmed by ``_in_span``, answers its own
   degree, and the floor, the rank of the matrix e(s_i t_j) of a split
@@ -42,8 +43,9 @@ witnessing divisor is rational and reduced.
 The blow-up along a divisor splits the ribbon iff the restriction of e to
 the sections vanishing on the divisor is zero, that is iff e lies in the
 span of the divisor's evaluation functionals.  ``span_membership`` and the
-search decide that by one forward elimination in Python integers
-(``_in_span``); no kernel of the evaluation matrix is computed.
+search decide that by one lazy forward elimination in Python integers
+(``_in_span``, through ``fflinalg.leads``, the engine of ``fflinalg``'s
+small eliminations); no kernel of the evaluation matrix is computed.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from ribbonsyz.curves import (
     product_index,
     rational_points,
 )
-from ribbonsyz.fflinalg import pivots, rank
+from ribbonsyz.fflinalg import leads, pivots, rank
 from ribbonsyz.ribbon import conormal_tags
 
 __all__ = [
@@ -181,35 +183,14 @@ def span_membership(e: ExtensionClass, w: DivisorWitness) -> bool:
 
     As functionals: e must lie in the row space of the evaluation matrix.
     """
-    return _in_span(e.vec, w.rows, e.space.field.p)
+    return _in_span(e.vec.tolist(), w.rows.tolist(), e.space.field.p)
 
 
-def _leads(rows: list, p: int):
-    """One forward elimination in Python integers (for a few short rows):
-    yields, row by row, the leading column the row keeps, or None.
-
-    Each row is reduced mod p, cleared at the leading columns kept so far,
-    and kept, scaled to 1 at its own first nonzero entry, unless it clears
-    to zero (None).  So the rows before it span a row exactly when it
-    yields None, and the rank is the number of leads.
+def _in_span(vec, rows, p: int) -> bool:
+    """Whether vec lies in the row space of rows, both of Python integers:
+    vec, eliminated after the rows, clears to zero (``fflinalg.leads``).
     """
-    kept: list[tuple[int, list]] = []  # (leading column, row), each row zero at the earlier leads
-    for row in rows:
-        row = [x % p for x in row]
-        for lead, k in kept:
-            f = row[lead]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, k)]
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None:
-            inv = pow(row[lead], -1, p)
-            kept.append((lead, [x * inv % p for x in row]))
-        yield lead
-
-
-def _in_span(vec: np.ndarray, rows: np.ndarray, p: int) -> bool:
-    """Whether vec lies in the row space of rows: vec, eliminated after the rows, clears to zero (``_leads``)."""
-    *_, last = _leads([*rows.tolist(), vec.tolist()], p)
+    *_, last = leads([*rows, vec], p)
     return last is None
 
 
@@ -235,7 +216,8 @@ def _floor(vec: np.ndarray, space: SectionSpace) -> int:
     int64 product while that is exact, which makes no table-sized
     temporary (at genus0 t = 1020 a sweep peaks at 53 MB this way and at
     71 MB through reduced products), else as a sum of reduced products,
-    each below p, exact for p < 2**31.
+    each below p, exact for p < 2**31.  The rank is ``fflinalg.rank``'s,
+    in Python integers for a matrix as small as a sweep's.
     """
     p = space.field.p
     table, at = _floor_map(space)
@@ -243,7 +225,7 @@ def _floor(vec: np.ndarray, space: SectionSpace) -> int:
         values = table @ vec
     else:
         values = _reduce(table * vec, p).sum(axis=-1)
-    return sum(lead is not None for lead in _leads(values[at].tolist(), p))
+    return rank(values[at], p)
 
 
 @dataclass(frozen=True)
@@ -306,16 +288,18 @@ def _salts(t: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _pool(space: SectionSpace, pool: tuple) -> tuple:
-    """(rows, basis) of the pool, kept for the last pool asked: its
-    evaluation matrix reduced mod p, read-only, and its greedy basis, the
-    indices of the rows outside the span of the rows before them.
+    """(rows, ints, basis) of the pool, kept for the last pool asked: its
+    evaluation matrix reduced mod p, read-only; the same rows as tuples of
+    Python integers, for the exact checks (``_in_span``); and its greedy
+    basis, the indices of the rows outside the span of the rows before
+    them.
 
     A point off the curve raises PointNotOnCurve on every call, since
     lru_cache does not keep exceptions.
     """
     rows = evaluation_matrix(space, pool) % space.field.p
     rows.setflags(write=False)
-    return rows, tuple(pivots(rows.T, space.field.p))
+    return rows, tuple(map(tuple, rows.tolist())), tuple(pivots(rows.T, space.field.p))
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -406,7 +390,7 @@ def _bucket_pairs(stack: np.ndarray, first, p: int) -> list:
 def _confirm(vec: np.ndarray, rows: np.ndarray, candidates, p: int):
     """The first candidate tuple of row indices whose span contains vec (``_in_span``), or None."""
     for cand in candidates:
-        if _in_span(vec, rows[list(cand)], p):
+        if _in_span(vec.tolist(), rows[list(cand)].tolist(), p):
             return cand
     return None
 
@@ -475,9 +459,11 @@ def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int, *, span=No
 
     By default every degree 1..b_max is searched exhaustively, so the
     answer is the lexicographically first witness of the pool and always
-    exact.  The pool's rows and greedy basis come from ``_pool``, and the
-    rows are normalised in V/<e> once, before the first degree searched
-    (``_modulo``).  The zero class is split already: index 0 by convention.
+    exact.  The pool's rows and greedy basis come from ``_pool``, with the
+    rows in Python integers for the exact checks of the span and the
+    basis, and the rows are normalised in V/<e> once, before the first
+    degree searched (``_modulo``).  The zero class is split already: index
+    0 by convention.
 
     ``span``, pool indices whose span contains e, which only
     ``blowup_sweep`` passes, brackets the search: it answers the degree
@@ -500,17 +486,17 @@ def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int, *, span=No
     """
     p = space.field.p
     vec = np.asarray(e.vec if isinstance(e, ExtensionClass) else e, dtype=np.int64) % p
-    if not vec.any():
+    if not np.count_nonzero(vec):  # a quarter of vec.any()'s fixed cost on a short vector
         return BlowupResult(0, "exact", ())
     _check_length(vec, space)
     pts = tuple(pool)
-    rows, basis = _pool(space, pts)
+    rows, ints, basis = _pool(space, pts)
     floor = _floor(vec, space) if span is not None and min(len(span), b_max) >= 2 else 1
     units = None  # _modulo(vec, rows, p), made for the first degree searched
     n = len(pts)
     for b in range(1, b_max + 1):
         if b >= len(basis):  # b = r, or r = 0 at b = 1
-            if not _in_span(vec, rows[list(basis)], p):
+            if not _in_span(vec.tolist(), [ints[i] for i in basis], p):
                 break
             return BlowupResult(b, "exact", tuple(pts[i] for i in basis))
         prefixes = math.comb(n, max(b - 2, 0))
@@ -520,7 +506,7 @@ def blowup_index_bruteforce(e, pool, space: SectionSpace, b_max: int, *, span=No
             continue
         if span is not None and b == len(span):
             drawn = sorted(span)
-            if _in_span(vec, rows[drawn], p):
+            if _in_span(vec.tolist(), [ints[i] for i in drawn], p):
                 return BlowupResult(b, "exact", tuple(pts[i] for i in drawn))
         if units is None:
             units = _modulo(vec, rows, p)
@@ -687,7 +673,7 @@ def blowup_sweep(
     """
     space = ambient_space(model, conormal_multiple)
     pool = rational_points(model)
-    rows, _ = _pool(space, tuple(pool))
+    rows, _, _ = _pool(space, tuple(pool))
     histogram: dict[int, int] = {}
     results = []
     for _ in range(count):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -8,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from ribbonsyz.fflinalg import (
     NotPrime,
     PrimeField,
+    leads,
     matmul_mod,
     pivots,
     rank,
     rref,
 )
 
+from ribbonsyz import fflinalg
 from ribbonsyz.fflinalg import _MOD_BLOCK
 
 from oracles import eager_eliminate, image_basis, kernel_basis, loop_kernel_basis, naive_rank, naive_solve, solve
@@ -470,6 +473,101 @@ class TestLazyElimination:
             assert resets == (want if fires else [])
 
 
+def tiny_cases(p, seed=0):
+    """Matrices in [0, p) for the Python-integer engine: the degenerate
+    shapes, dependent rows and the largest square it admits."""
+    g = rng(seed)
+    dup = g.integers(0, p, (5, 7))
+    dup[3] = dup[1]
+    side = math.isqrt(fflinalg._TINY_MAX)
+    return {
+        "0x5": np.zeros((0, 5), dtype=np.int64),
+        "5x0": np.zeros((5, 0), dtype=np.int64),
+        "1x1": g.integers(1, p, (1, 1)),
+        "1x1 zero": np.zeros((1, 1), dtype=np.int64),
+        "zero": np.zeros((4, 6), dtype=np.int64),
+        "duplicate rows": dup,
+        "deficient": exact_product(g.integers(0, p, (6, 2)), g.integers(0, p, (2, 9)), p),
+        "late pivots": np.hstack([np.zeros((7, 3), dtype=np.int64), g.integers(0, p, (7, 3)) * (g.random((7, 3)) < 0.5)]),
+        "wide": g.integers(0, p, (3, 20)),
+        "tall": g.integers(0, p, (20, 3)),
+        "largest square": g.integers(0, p, (side, side)),
+    }
+
+
+class TestTinyEngine:
+    """``leads``, the engine of forward eliminations of at most _TINY_MAX
+    entries, against the oracles and the numpy engine."""
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 65537, 2**31 - 1])
+    def test_pivots_match_the_oracles_and_the_numpy_engine(self, p, monkeypatch):
+        tiny = []
+        real = fflinalg._tiny_pivots
+        monkeypatch.setattr(fflinalg, "_tiny_pivots", lambda m, q: tiny.append(m.shape) or real(m, q))
+        for name, a in tiny_cases(p, seed=p % 1009).items():
+            assert a.size <= fflinalg._TINY_MAX, name
+            want = eager_eliminate(a.copy(), p, False)
+            assert fflinalg._eliminate(a, p, False)[1] == want, name
+            tiny.clear()
+            assert pivots(a, p) == want and tiny == [a.shape], name
+            assert rank(a, p) == len(want) == naive_rank(a.tolist(), p), name
+            # unreduced and negative entries read as their residues
+            assert pivots(a + p * rng(1).integers(-2, 3, a.shape), p) == want, name
+
+    @pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+    def test_dispatch_at_the_threshold(self, p, monkeypatch):
+        # _TINY_MAX entries run in Python integers, one more in numpy
+        limit = fflinalg._TINY_MAX
+        engines = []
+        real_tiny, real_numpy = fflinalg._tiny_pivots, fflinalg._eliminate
+        monkeypatch.setattr(fflinalg, "_tiny_pivots", lambda m, q: engines.append("tiny") or real_tiny(m, q))
+        monkeypatch.setattr(fflinalg, "_eliminate", lambda a, q, reduced: engines.append("numpy") or real_numpy(a, q, reduced))
+        g = rng(p % 997)
+        for shape, engine in [((1, limit), "tiny"), ((limit, 1), "tiny"), ((1, limit + 1), "numpy"), ((limit + 1, 1), "numpy"), ((2, limit // 2), "tiny"), ((3, (limit + 3) // 3), "numpy")]:
+            a = g.integers(0, p, shape)
+            a[:, : shape[1] // 2] = 0  # the first pivot lies past the middle
+            engines.clear()
+            got = pivots(a, p)
+            assert engines == [engine], shape
+            assert got == eager_eliminate(a.copy(), p, False) and len(got) == naive_rank(a.tolist(), p), shape
+
+    def test_largest_square_at_the_largest_prime(self):
+        # where the lazy rows grow the most: every column of a random
+        # full-rank square is cleared by all the columns kept before it
+        p = 2**31 - 1
+        side = math.isqrt(fflinalg._TINY_MAX)
+        for seed in range(3):
+            a = rng(seed).integers(0, p, (side, side))
+            assert a.size == fflinalg._TINY_MAX
+            want = eager_eliminate(a.copy(), p, False)
+            assert pivots(a, p) == want == list(range(side)) and rank(a, p) == naive_rank(a.tolist(), p)
+            # a dependent last column, from integer combinations far past p
+            b = a.copy()
+            b[:, -1] = (a[:, :-1] @ rng(seed + 9).integers(0, 5, side - 1)) % p
+            assert pivots(b, p) == list(range(side - 1)) == eager_eliminate(b.copy(), p, False)
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 65537, 2**31 - 1])
+    def test_leads_row_by_row(self, p):
+        # row i yields None exactly when the rows before it span it, and
+        # otherwise its lead: the first column c where adding row i raises
+        # the rank of the first c + 1 columns.  Rows of unreduced and
+        # negative Python integers are read as residues and left unwritten
+        g = rng(p % 1021)
+        for trial in range(8):
+            n, d = int(g.integers(1, 7)), int(g.integers(1, 7))
+            rows = g.integers(0, p, (n, d)).tolist()
+            if trial % 2:
+                rows[-1] = [(2 * x + y) % p for x, y in zip(rows[0], rows[n // 2])]
+            rows[0][0] = 0
+            given = [[x + p * int(k) for x, k in zip(row, g.integers(-3, 4, d))] for row in rows]
+            before = [list(row) for row in given]
+            got = list(leads(given, p))
+            assert given == before
+            for i, lead in enumerate(got):
+                grows = [naive_rank([r[: c + 1] for r in rows[: i + 1]], p) > naive_rank([r[: c + 1] for r in rows[:i]], p) for c in range(d)]
+                assert lead == (grows.index(True) if any(grows) else None), (trial, i)
+
+
 class TestKernel:
     def test_identity_empty(self):
         k = kernel_basis(np.eye(4, dtype=np.int64), P)
@@ -595,16 +693,48 @@ class TestMatmulMod:
         assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
 
     @pytest.mark.parametrize("p", [2, 13, 101])
-    def test_float_path_one_chunk(self, p):
+    def test_float_path_one_chunk(self, p, monkeypatch):
+        # a product small enough for one int64 matmul: forced onto the float path
+        monkeypatch.setattr(fflinalg, "_INT_PRODUCT_MAX", -1)
         g = rng(p)
         x, y = g.integers(0, p, (7, 300)), g.integers(0, p, (300, 5))
         assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
 
     @pytest.mark.parametrize("p", [1048583, 2147483629])
-    def test_int64_path_above_2_20(self, p):
+    def test_int64_path_above_2_20(self, p, monkeypatch):
+        # the sum of reduced outer products, forced as above at p = 1048583
+        monkeypatch.setattr(fflinalg, "_INT_PRODUCT_MAX", -1)
         g = rng(p % 97)
         x, y = g.integers(p - 1000, p, (6, 50)), g.integers(0, p, (50, 8))
         assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p))
+
+    @pytest.mark.parametrize("p", [2, 101, 65537, 2**31 - 1])
+    def test_small_int64_product_matches_the_blocked_path(self, p, monkeypatch):
+        # a product of at most _INT_PRODUCT_MAX multiply-adds is one int64
+        # matmul when inner * (p - 1)**2 < 2**63, on unreduced and negative
+        # operands alike; it must equal the path it skips, _product_rows
+        # (the BLAS path, or reduced int64 outer products above 2**20)
+        blocked = []
+        real = fflinalg._product_rows
+        monkeypatch.setattr(fflinalg, "_product_rows", lambda *a: blocked.append(1) or real(*a))
+        g = rng(p % 1013)
+        limit = fflinalg._INT_PRODUCT_MAX
+        for r, k, c in [(1, 1, 1), (3, 2, 5), (7, 2, 7), (4, 0, 3), (0, 4, 3), (3, 5, 0), (5, 9, 6), (16, 32, 32)]:
+            x, y = g.integers(-3 * p, 3 * p, (r, k)), g.integers(-3 * p, 3 * p, (k, c))
+            want = exact_product(x, y, p)
+            small = k * (p - 1) ** 2 < 1 << 63
+            assert r * k * c <= limit
+            blocked.clear()
+            got = matmul_mod(x, y, p)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (r, k, c)
+            assert (not blocked) == small, (r, k, c)
+            monkeypatch.setattr(fflinalg, "_INT_PRODUCT_MAX", -1)
+            assert np.array_equal(matmul_mod(x, y, p), want), (r, k, c)
+            monkeypatch.setattr(fflinalg, "_INT_PRODUCT_MAX", limit)
+        # one multiply-add past the limit takes the other path
+        x, y = g.integers(0, p, (1, 1)), g.integers(0, p, (1, limit + 1))
+        blocked.clear()
+        assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p)) and blocked
 
     @pytest.mark.parametrize("p", MODULI)
     @pytest.mark.parametrize("shape", [(300, 40, 70), (17000, 2, 1), (90, 5, 200)])

@@ -121,7 +121,8 @@ class TestSpanMembership:
 
     def test_one_rule_with_the_search(self, elliptic, monkeypatch):
         # _in_span, the search's confirmation, against comparing two ranks:
-        # dependent and zero rows, no rows at all, and the zero vector
+        # dependent and zero rows, no rows at all, and the zero vector, all
+        # as Python integers
         rng = np.random.default_rng(6)
         for trial in range(60):
             n, d = int(rng.integers(0, 6)), int(rng.integers(1, 6))
@@ -129,7 +130,7 @@ class TestSpanMembership:
             rows = rng.integers(0, 101, (n, len(basis))) @ basis % 101  # dependent once n > len(basis)
             vec = [np.zeros(d, dtype=np.int64), rng.integers(0, 101, len(basis)) @ basis % 101, rng.integers(0, 101, d)][trial % 3]
             want = rank(np.vstack([rows, vec]), 101) == rank(rows, 101)
-            assert strata._in_span(vec, rows, 101) == want
+            assert strata._in_span(vec.tolist(), rows.tolist(), 101) == want
         # span_membership and the confirmation both go through it
         space = ambient_space(elliptic, 6)
         w = make_witness(space, rational_points(elliptic)[:3])
@@ -400,7 +401,7 @@ class TestProjectionSearch:
         # [rows 0, 1, 2], and is rejected there: vec is not in their span
         degenerate = rows[[0, 1, 2]]
         assert any(np.array_equal(r, degenerate) for r in checked)
-        assert not real(vec, degenerate, p)
+        assert not real(vec.tolist(), degenerate.tolist(), p)
         assert 3 in pivots(np.vstack([degenerate, vec]).T, p)
         assert naive_blowup_index(vec.tolist(), rows.tolist(), 3, p) == (3, (0, 3, 4))
 
@@ -861,10 +862,11 @@ class TestBracketedSweep:
     def test_floor_is_the_rank_of_the_contracted_tensor(self, p, monkeypatch):
         # the floor pairs e with the product table: one int64 product while
         # dim * (p - 1)**2 < 2**63, reduced products at 2**31 - 1; both
-        # against mult_map's tensor contracted in Python integers
+        # against mult_map's tensor contracted in Python integers.  The
+        # matrix goes to fflinalg.rank, whose engine is tested on its own
         ranked = []
-        real = strata._leads
-        monkeypatch.setattr(strata, "_leads", lambda rows, q: ranked.append(rows) or real(rows, q))
+        real = strata.rank
+        monkeypatch.setattr(strata, "rank", lambda a, q: ranked.append(np.asarray(a).tolist()) or real(a, q))
         rng = np.random.default_rng(p % 1009)
         field = PrimeField(p)
         for model, t in [
@@ -1064,28 +1066,42 @@ class TestPoolRows:
     """The pool's evaluation matrix, cached for the last (space, pool) asked."""
 
     def test_same_pool_in_two_spaces(self, elliptic):
+        # each space gets its own rows, as an array and as Python rows
         pool = tuple(rational_points(elliptic))
         for t in (5, 6, 5):
             space = ambient_space(elliptic, t)
-            rows, _ = _pool(space, pool)
+            rows, ints, _ = _pool(space, pool)
             assert rows.shape == (len(pool), space.dim)
             assert np.array_equal(rows, evaluation_matrix(space, pool))
+            assert len(ints) == len(pool) and all(len(row) == space.dim for row in ints)
+            assert [list(row) for row in ints] == rows.tolist()
         assert ambient_space(elliptic, 5).dim != ambient_space(elliptic, 6).dim
 
     def test_second_pool_gives_fresh_rows(self, elliptic):
         space = ambient_space(elliptic, 6)
         pool = tuple(rational_points(elliptic))
-        first, _ = _pool(space, pool)
-        assert _pool(space, pool)[0] is first  # a hit is the same array
+        first, first_ints, _ = _pool(space, pool)
+        hit = _pool(space, pool)
+        assert hit[0] is first and hit[1] is first_ints  # a hit is the same rows
         other = pool[::-1]
-        rows, _ = _pool(space, other)
+        rows, ints, _ = _pool(space, other)
         assert np.array_equal(rows, evaluation_matrix(space, other))
         assert not np.array_equal(rows, first)
+        # the Python rows are rebuilt with the array
+        assert ints is not first_ints and [list(row) for row in ints] == evaluation_matrix(space, other).tolist()
 
     def test_cached_rows_refuse_writes(self, elliptic):
-        rows, _ = _pool(ambient_space(elliptic, 6), tuple(rational_points(elliptic)))
+        rows, ints, _ = _pool(ambient_space(elliptic, 6), tuple(rational_points(elliptic)))
         with pytest.raises(ValueError):
             rows[0, 0] = 1
+        # the Python rows are tuples of Python integers, so the lazy engine
+        # reads them exactly and can write neither them nor their entries
+        assert type(ints) is tuple and all(type(row) is tuple for row in ints)
+        assert all(type(x) is int for row in ints for x in row)
+        with pytest.raises(TypeError):
+            ints[0] = ints[1]
+        with pytest.raises(TypeError):
+            ints[0][0] = 1
 
     def test_off_curve_point_raises_on_every_call(self, elliptic):
         space = ambient_space(elliptic, 6)
