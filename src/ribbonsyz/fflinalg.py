@@ -16,10 +16,12 @@ then reduced mod p once, at the end.  Two numpy engines run that pass:
   p < 2**31), pivots one column at a time.  It reduces only the pivot
   column and the pivot row at each step and lets the other entries drift:
   every rank-1 update moves an entry by at most (p - 1)**2, and the rows
-  updated are reduced only when that additive bound would reach 2**62.
-  Its reductions stay ``np.remainder``: over the 44 eliminations the
-  numpy engines run for the two commands named below, x - (x // p) * p
-  took 12.0-19.7 ms against 9.4-9.8 ms (timeit, best of 5, 2 vCPUs),
+  updated are reduced only when that additive bound would reach 2**62,
+  the delayed reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
+  TOMS 2008), in one update rule (``_rank1_update``).  Its reductions
+  stay ``np.remainder``: over the 44 eliminations the numpy engines run
+  for the two commands named below, x - (x // p) * p took 12.0-19.7 ms
+  against 9.4-9.8 ms (timeit, best of 5, 2 vCPUs),
 * the blocked engine, ``_eliminate_blocked``, runs the simple one only on
   panels of at most 128 columns, to find each panel's pivots, and pushes
   the Schur-complement updates through BLAS matmuls in one float dtype
@@ -57,13 +59,13 @@ against 0.057 s on the 784 x 1232 block (1.2%) of
 Memory.  Every elimination, forward or reduced, reduces one working copy
 of the caller's matrix, written straight from it in the dtype picked
 from p: ``_work_dtype(p)`` on the blocked path (4 bytes an entry at
-p <= 256), int64 on the simple one.  Its Schur updates go _PANEL rows at
-a time, so their temporaries stay _PANEL rows.  ``rref`` returns that
-copy, exact integers in [0, p), and its readers cast only the entries
-they keep: ``graded.Chart`` casts the free columns of the pivot rows.
-``matmul_mod`` works in the same dtype and writes a product larger than
-_MOD_BLOCK entries into its int64 result a block of rows at a time; a
-product of at most _INT_PRODUCT_MAX multiply-adds is one int64 matmul.  The
+p <= 256), int64 on the simple one.  Its Schur and rank-1 updates go
+_PANEL rows at a time, so their temporaries stay _PANEL rows.  ``rref``
+returns that copy, exact integers in [0, p), and its readers cast only
+the entries they keep: ``graded.Chart`` casts the free columns of the
+pivot rows.  ``matmul_mod`` works in the same dtype and writes its int64
+result a block of rows of about _MOD_BLOCK entries at a time; a product
+of at most _INT_PRODUCT_MAX multiply-adds is one int64 matmul.  The
 program's one memory budget is here too: every caller prices a matrix it
 is about to build with ``check_budget``, which raises MatrixTooLarge
 above 1 GiB at 32 bytes an entry.
@@ -264,7 +266,8 @@ def _tiny_pivots(m: np.ndarray, p: int) -> list[int]:
 
 
 def _swap_rows(x: np.ndarray, i: int, j: int) -> None:
-    """Swap rows i and j through a copy: cheaper than a fancy-index swap on short rows."""
+    """Swap rows i and j through a copy: cheaper than a fancy-index swap on short rows
+    (the 21 numpy eliminations of the betti-quartic pin: 6.0-6.1 ms against 6.6-6.8 ms)."""
     t = x[i].copy()
     x[i] = x[j]
     x[j] = t
@@ -276,10 +279,12 @@ def _rank1_update(a, row: int, col: int, lo: int, hi: int, hit, p: int, bound: i
     Pivot row ``row`` and multipliers a[r, col] are residues, and ``bound``
     bounds |entry| on rows lo..hi-1; returns the bound after the update.
     Those rows are reduced first when the update could take it to
-    _INT_DRIFT_MAX.  The rows not hit are exactly zero in column ``col``,
-    but for the pivot row when it lies in lo..hi-1; when they are under
-    half the range, the whole range is updated through a view, with no
-    gathered copy of the rows hit.
+    _INT_DRIFT_MAX.  Only the rows hit are updated, gathered _PANEL at a
+    time; the others are exactly zero in column ``col``.  A view of the
+    whole range instead doubled ``betti --curve hyperelliptic --g 2
+    --conormal -9`` (347-351 ms against 175-184 ms in process), and its
+    temporary spans the range.  The _PANEL blocks stay in cache: 74 us
+    against 220 us for one gather of 300 rows of a panel of that command.
     """
     step = (p - 1) ** 2
     if bound + step >= _INT_DRIFT_MAX:
@@ -287,16 +292,11 @@ def _rank1_update(a, row: int, col: int, lo: int, hi: int, hit, p: int, bound: i
         np.remainder(drifted, p, out=drifted)
         bound = p - 1
     piv = a[row, col:]
-    if 2 * hit.size >= hi - lo:
-        rest = a[lo:hi, col:]
-        update = rest[:, :1] * piv
-        if lo <= row:
-            update[row - lo] = 0  # the pivot row stays
-        rest -= update
-    else:
-        rest = a[hit, col:]
+    for s in range(0, hit.size, _PANEL):
+        rows = hit[s : s + _PANEL]
+        rest = a[rows, col:]
         rest -= rest[:, :1] * piv
-        a[hit, col:] = rest
+        a[rows, col:] = rest
     return bound + step
 
 
@@ -342,15 +342,13 @@ def _eliminate_simple(
             np.remainder(piv, p, out=piv)
         np.multiply(piv, pow(int(piv[0]), -1, p), out=piv)
         np.remainder(piv, p, out=piv)
-        # after the swap the rows hit below are row + nz[1:]
+        hit = nz[1:] + row  # the rows hit below, after the swap
         if reduced:  # and the rows above, whose column may have drifted
             above = a[:row, col]
             np.remainder(above, p, out=above)
-            hit = np.concatenate((above.nonzero()[0], nz[1:] + row))
-            if hit.size:
-                bound = _rank1_update(a, row, col, 0, n, hit, p, bound)
-        elif nz.size > 1:
-            bound = _rank1_update(a, row, col, row + 1, n, nz[1:] + row, p, bound)
+            hit = np.concatenate((above.nonzero()[0], hit))
+        if hit.size:
+            bound = _rank1_update(a, row, col, 0 if reduced else row + 1, n, hit, p, bound)
         pivots.append(col)
         row += 1
     if reduced:
@@ -414,7 +412,9 @@ def _mod_inplace(x: np.ndarray, p: int) -> np.ndarray:
 def _subtract_product(x: np.ndarray, f: np.ndarray, b: np.ndarray) -> None:
     """x -= f @ b in place, _PANEL rows at a time, skipping the zero row blocks of f.
 
-    The product temporary is at most _PANEL rows of x, not a second x.
+    The product temporary is at most _PANEL rows of x, not a second x.  The
+    skip pays on sparse Koszul blocks: the pin betti-hyperelliptic-w6 took
+    3.1-3.8 s with it and 4.0-4.6 s without (three alternating pairs).
     """
     for r in range(0, x.shape[0], _PANEL):
         fr = f[r : r + _PANEL]
@@ -551,7 +551,8 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     of ``a``, and the block's accumulator.  A product of at most
     _INT_PRODUCT_MAX multiply-adds whose inner dimension times (p - 1)**2
     stays below 2**63 is instead one int64 product of the reduced
-    operands, reduced once.
+    operands, reduced once; every other product, however small, takes
+    the row blocks.
     """
     x, y = _as_matrix(a), _as_matrix(b)
     if x.shape[1] != y.shape[0]:
@@ -568,13 +569,10 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
         # stays below 2**t - p, as 2 p**3 < 2**t (2p - 1).  So every float
         # sum is exact and _mod_inplace applies
         chunk, reduce = int(_exact_max(work)) // (p * p), _mod_inplace
-    if x.shape[0] * y.shape[1] <= _MOD_BLOCK:  # one block: small copies beat a cast on the fly
-        xw, yw = np.mod(x, p).astype(work), np.mod(y, p).astype(work)
-        return _product_rows(xw, yw, p, chunk, reduce).astype(np.int64)
     out = np.empty((x.shape[0], y.shape[1]), dtype=np.int64)
     yw = np.remainder(y, p, out=np.empty(y.shape, work))
-    step = max(1, _MOD_BLOCK // y.shape[1])
-    for r in range(0, x.shape[0], step):
+    step = max(1, _MOD_BLOCK // max(1, y.shape[1]))
+    for r in range(0, max(1, x.shape[0]), step):  # a product with no rows is one empty block
         rows = x[r : r + step]
         xw = np.remainder(rows, p, out=np.empty(rows.shape, work))
         out[r : r + step] = _product_rows(xw, yw, p, chunk, reduce)

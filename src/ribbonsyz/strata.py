@@ -64,7 +64,7 @@ from ribbonsyz.curves import (
     product_index,
     rational_points,
 )
-from ribbonsyz.fflinalg import leads, pivots, rank
+from ribbonsyz.fflinalg import leads, matmul_mod, pivots, rank
 from ribbonsyz.ribbon import conormal_tags
 
 __all__ = [
@@ -95,9 +95,10 @@ _PREFIX_MAX = 300_000
 # the temporaries small, large enough to amortise numpy's per-call cost
 _STACK_ENTRIES = 1 << 12
 # largest p whose inverses are read from a table (2**16 int64 entries, 512 KB);
-# the table pays: the whole `strata --sweep 100 --seed 2026` command took
-# 42.0-43.5 ms in process with it and 58.9-61.2 ms with Fermat at every p
-# (best of 15, three alternations, 2 vCPUs, one BLAS thread)
+# it pays on the sweeps that walk: the pins strata-sweep-genus0-gap and
+# strata-sweep-bmax4 took 13.4-14.2 and 11.4-12.9 ms in process against
+# 21.7-24.5 and 18.1-20.0 ms with Fermat at every p (best of 15, three
+# alternations, 2 vCPUs, one BLAS thread)
 _TABLE_P_MAX = 1 << 16
 # an odd constant: the keys of a chunk's t-th prefix point are offset by
 # t times it (modulo 2**64), so keys that agree only across prefix points
@@ -215,7 +216,8 @@ def _floor(vec: np.ndarray, space: SectionSpace) -> int:
     product table, not with the (h^0(A), h^0(B), dim) tensor: by one
     int64 product while that is exact, which makes no table-sized
     temporary (at genus0 t = 1020 a sweep peaks at 53 MB this way and at
-    71 MB through reduced products), else as a sum of reduced products,
+    71 MB through reduced products) and costs 0.8 us against matmul_mod's
+    4.6-5.3 us, of a floor's 8 us, else as a sum of reduced products,
     each below p, exact for p < 2**31.  The rank is ``fflinalg.rank``'s,
     in Python integers for a matrix as small as a sweep's.
     """
@@ -306,7 +308,8 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p in place for int64 x, as x - (x // p) * p.
 
     numpy divides an integer array by a scalar with a multiply and a shift,
-    so this is 2-3x faster than ``%`` on the search's stacks.
+    so this is 2-3x faster than ``%`` on the search's stacks; the pin
+    strata-sweep-genus0-gap took 13.6-14.3 ms, 16.5-17.3 ms with ``%``.
     """
     q = x // p
     q *= p
@@ -641,9 +644,7 @@ def _class_in_rows(space: SectionSpace, points: list, rows: np.ndarray, rng) -> 
     if not np.any(rows):
         raise ZeroSpan(f"no nonzero extension class: the points {list(map(str, points))} are base points of |2K - L|")
     while True:
-        # a sum of reduced products: each term is below p, so the sum is exact for p < 2**31
-        coeffs = rng.integers(0, p, rows.shape[0])
-        v = _reduce(coeffs[:, None] * rows, p).sum(axis=0) % p
+        v = matmul_mod(rng.integers(0, p, (1, rows.shape[0])), rows, p)[0]
         if np.any(v):
             return ExtensionClass(space, v)
 
