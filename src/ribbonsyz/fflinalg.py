@@ -63,12 +63,13 @@ p <= 256), int64 on the simple one.  Its Schur and rank-1 updates go
 _PANEL rows at a time, so their temporaries stay _PANEL rows.  ``rref``
 returns that copy, exact integers in [0, p), and its readers cast only
 the entries they keep: ``graded.Chart`` casts the free columns of the
-pivot rows.  ``matmul_mod`` works in the same dtype and writes its int64
-result a block of rows of about _MOD_BLOCK entries at a time; a product
-of at most _INT_PRODUCT_MAX multiply-adds is one int64 matmul.  The
-program's one memory budget is here too: every caller prices a matrix it
-is about to build with ``check_budget``, which raises MatrixTooLarge
-above 1 GiB at 32 bytes an entry.
+pivot rows.  Every product, ``matmul_mod``, follows the same delayed
+reduction: it sums as many inner columns at once as its dtype holds
+exactly (``_EXACT_MAX``), int64 up to _INT_PRODUCT_MAX multiply-adds and
+``_work_dtype(p)`` above, then reduces, a block of result rows at a
+time.  The program's one memory budget is here too: every caller prices
+a matrix it is about to build with ``check_budget``, which raises
+MatrixTooLarge above 1 GiB at 32 bytes an entry.
 """
 
 from __future__ import annotations
@@ -97,19 +98,19 @@ __all__ = [
 # always fits after a drift reset: float32 for p <= 256, since
 # 2 * 128 * 255**2 < 2**24, and float64 up to p = 2**20.
 _PANEL = 128
-# Every integer up to these in magnitude is exact in float64 and float32.
-_EXACT_FLOAT_MAX = float(1 << 53)
-_EXACT_FLOAT32_MAX = float(1 << 24)
+# The exact-integer limit of each working dtype: every integer of smaller
+# magnitude is exact in it.
+_EXACT_MAX = {np.float32: 1 << 24, np.float64: 1 << 53, np.int64: 1 << 63}
 # Below this size the simple engine wins (no dgemm setup cost).
 _BLOCK_MIN = 200
 # Forward eliminations of at most this many entries run in Python integers
 # (``leads``); the measurement behind it is in the module docstring
 _TINY_MAX = 256
 _FAST_P_MAX = 1 << 20
-# Entries of the quotient temporary that one block of _mod_inplace allocates.
+# Entries of a block of _mod_inplace's quotient and of matmul_mod's result.
 _MOD_BLOCK = 1 << 14
-# A product of at most this many multiply-adds is one int64 matmul when that
-# is exact: numpy's integer matmul then beats the float path's fixed cost.
+# A product of at most this many multiply-adds runs in int64, whatever p:
+# numpy's integer matmul then beats the float path's fixed cost.
 # On the 67 products of ``betti --curve plane-quartic --random --p 101
 # --conormal -1 --seed 0`` and ``green --curve hyperelliptic --g 2
 # --conormal -5 --seed 1`` (timeit, best of 5, 2 vCPUs, one BLAS thread) it
@@ -358,19 +359,14 @@ def _eliminate_simple(
 
 
 def _work_dtype(p: int) -> type:
-    """The working dtype of ``matmul_mod`` and the blocked engine for p, from p alone.
+    """The working dtype of the blocked engine and of a large product for p, from p alone.
 
     float32 when 2 * _PANEL * (p - 1)**2 < 2**24 (p <= 256), float64 up to
     _FAST_P_MAX, int64 above.
     """
     if p > _FAST_P_MAX:
         return np.int64
-    return np.float32 if 2 * _PANEL * (p - 1) ** 2 < _EXACT_FLOAT32_MAX else np.float64
-
-
-def _exact_max(dtype) -> float:
-    """The float dtype's exact-integer limit: 2**24 for float32, 2**53 for float64."""
-    return _EXACT_FLOAT32_MAX if dtype == np.float32 else _EXACT_FLOAT_MAX
+    return np.float32 if 2 * _PANEL * (p - 1) ** 2 < _EXACT_MAX[np.float32] else np.float64
 
 
 def _inv_small(b: np.ndarray, p: int) -> np.ndarray:
@@ -382,10 +378,10 @@ def _inv_small(b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _mod_inplace(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce an exact-integer float matrix with |x| < 2**t - p into [0, p).
+    """Reduce a working matrix with |x| < 2**t - p, 2**t its dtype's ``_EXACT_MAX``, into [0, p).
 
-    2**t is the dtype's exact-integer limit: t = 24 for float32, 53 for
-    float64.  In place, and returns x.  The quotient q = x * (1/p) is taken
+    int64 goes to ``np.remainder``.  In place, and returns x.  For float32
+    (t = 24) and float64 (t = 53) the quotient q = x * (1/p) is taken
     in x's dtype, two roundings of relative error at most u = 2**-t each,
     so |q - x/p| <= |x| (2u + u**2) / p < 2/p for |x| <= 2**t - p - 1.
     Hence floor(q) is floor(x/p) or off by one: one low only when
@@ -396,6 +392,8 @@ def _mod_inplace(x: np.ndarray, p: int) -> np.ndarray:
     on the engine's matrices.  Rows go a block at a time, so the quotient
     temporary stays under _MOD_BLOCK entries.
     """
+    if x.dtype == np.int64:
+        return np.remainder(x, p, out=x)
     inv = x.dtype.type(1.0 / p)
     step = max(1, _MOD_BLOCK // max(1, x.shape[1]))
     for r in range(0, x.shape[0], step):
@@ -449,7 +447,7 @@ def _eliminate_blocked(a: np.ndarray, p: int, reduced: bool) -> list[int]:
     # re-reduced from thin column slices.  It is reduced only when the
     # accumulated bound would reach 2**t - p
     step = _PANEL * (p - 1) ** 2
-    limit = _exact_max(a.dtype) - p
+    limit = _EXACT_MAX[a.dtype.type] - p
     bound = p
     while r0 < n and c0 < m:
         c1 = min(c0 + _PANEL, m)
@@ -539,50 +537,48 @@ def rank(a, p: int) -> int:
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
-    """Exact matrix product mod p, written into its int64 result a block of rows at a time.
+    """Exact matrix product mod p, int64, formed by ``_product_rows`` a block of about
+    _MOD_BLOCK entries (at least one row) at a time.
 
-    A block is about _MOD_BLOCK result entries (at least one row).  The
-    working dtype is ``_work_dtype(p)``.  For p <= 2**20 it is a BLAS
-    product in float32 (p <= 256) or float64 whose inner dimension is
-    chunked so that the integer accumulations stay below the dtype's
-    exact-integer limit 2**t, 2**24 or 2**53; for larger p, a sum of int64
-    outer products reduced one at a time (p**2 < 2**62).  Beside operands
-    and result it holds one working copy of ``b``, one of a block of rows
-    of ``a``, and the block's accumulator.  A product of at most
-    _INT_PRODUCT_MAX multiply-adds whose inner dimension times (p - 1)**2
-    stays below 2**63 is instead one int64 product of the reduced
-    operands, reduced once; every other product, however small, takes
-    the row blocks.
+    The working dtype is int64 for at most _INT_PRODUCT_MAX multiply-adds,
+    else ``_work_dtype(p)``.  Beside operands and result it holds one
+    working copy of ``b``, one of a block of rows of ``a``, and the
+    block's accumulator; a product of one block returns that block.
     """
     x, y = _as_matrix(a), _as_matrix(b)
-    if x.shape[1] != y.shape[0]:
+    (r, k), c = x.shape, y.shape[1]
+    if k != y.shape[0]:
         raise DimensionMismatch(f"cannot multiply {x.shape} by {y.shape}")
-    inner = x.shape[1]
-    if x.shape[0] * inner * y.shape[1] <= _INT_PRODUCT_MAX and inner * (p - 1) ** 2 < 1 << 63:
-        return np.remainder(np.remainder(x, p) @ np.remainder(y, p), p)
-    work = _work_dtype(p)
-    if work is np.int64:
-        chunk, reduce = 1, lambda v, q: np.remainder(v, q, out=v)
-    else:
-        # chunk = 2**t // p**2 (266 at p = 251, 8192 at p = 1048573): a
-        # reduced acc plus one chunk's products, < p + chunk * (p - 1)**2,
-        # stays below 2**t - p, as 2 p**3 < 2**t (2p - 1).  So every float
-        # sum is exact and _mod_inplace applies
-        chunk, reduce = int(_exact_max(work)) // (p * p), _mod_inplace
-    out = np.empty((x.shape[0], y.shape[1]), dtype=np.int64)
-    yw = np.remainder(y, p, out=np.empty(y.shape, work))
-    step = max(1, _MOD_BLOCK // max(1, y.shape[1]))
-    for r in range(0, max(1, x.shape[0]), step):  # a product with no rows is one empty block
-        rows = x[r : r + step]
-        xw = np.remainder(rows, p, out=np.empty(rows.shape, work))
-        out[r : r + step] = _product_rows(xw, yw, p, chunk, reduce)
+    yw = _residues(y, p, np.int64 if r * k * c <= _INT_PRODUCT_MAX else _work_dtype(p))
+    if r * c <= _MOD_BLOCK or r <= 1:
+        return _product_rows(x, yw, p).astype(np.int64, copy=False)
+    step = max(1, _MOD_BLOCK // c)
+    out = np.empty((r, c), dtype=np.int64)
+    for s in range(0, r, step):
+        out[s : s + step] = _product_rows(x[s : s + step], yw, p)
     return out
 
 
-def _product_rows(xw: np.ndarray, yw: np.ndarray, p: int, chunk: int, reduce) -> np.ndarray:
-    """xw @ yw mod p for reduced working copies, chunk inner columns at a time, in their dtype."""
-    acc = reduce(xw[:, :chunk] @ yw[:chunk], p)
+def _residues(m: np.ndarray, p: int, dtype) -> np.ndarray:
+    """m mod p as a new array of ``dtype``, written straight from the int64 m."""
+    return m % p if dtype is np.int64 else np.remainder(m, p, out=np.empty(m.shape, dtype))
+
+
+def _product_rows(x: np.ndarray, yw: np.ndarray, p: int) -> np.ndarray:
+    """x @ yw mod p in the dtype of the reduced yw, for int64 rows x in any range.
+
+    The inner dimension goes ``chunk`` columns at a time, the most for
+    which a reduced accumulator plus their products, (p - 1) + chunk
+    (p - 1)**2, stays below the dtype's exact-integer limit less p, where
+    ``_mod_inplace`` is exact: 268 at p = 251 (float32), 8192 at 1048573
+    (float64), 2 at 2**31 - 1 (int64).  ``dot`` without slices while one
+    chunk holds x: 3.1 us against 3.6 us on a 1 x 3 by 3 x 6 product.
+    """
+    work = yw.dtype.type
+    xw = _residues(x, p, work)
+    chunk = (_EXACT_MAX[work] - 2 * p) // (p - 1) ** 2
+    acc = _mod_inplace(xw.dot(yw) if xw.shape[1] <= chunk else xw[:, :chunk].dot(yw[:chunk]), p)
     for s in range(chunk, xw.shape[1], chunk):
-        acc += xw[:, s : s + chunk] @ yw[s : s + chunk]
-        reduce(acc, p)
+        acc += xw[:, s : s + chunk].dot(yw[s : s + chunk])
+        _mod_inplace(acc, p)
     return acc

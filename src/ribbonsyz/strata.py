@@ -213,20 +213,20 @@ def _floor(vec: np.ndarray, space: SectionSpace) -> int:
     row, and H^0(A - D) has codimension at most b in H^0(A).  So the rank
     is at most b: an exact lower bound on the index over the algebraic
     closure, and so on the rational-reduced index.  e is paired with the
-    product table, not with the (h^0(A), h^0(B), dim) tensor: by one
-    int64 product while that is exact, which makes no table-sized
-    temporary (at genus0 t = 1020 a sweep peaks at 53 MB this way and at
-    71 MB through reduced products) and costs 0.8 us against matmul_mod's
-    4.6-5.3 us, of a floor's 8 us, else as a sum of reduced products,
-    each below p, exact for p < 2**31.  The rank is ``fflinalg.rank``'s,
-    in Python integers for a matrix as small as a sweep's.
+    product table, not with the (h^0(A), h^0(B), dim) tensor: by one int64
+    product while dim (p - 1)**2 < 2**63, else by ``matmul_mod``.  The
+    int64 product makes no table-sized temporary (at genus0 t = 1020 a
+    sweep peaked at 53 MB without one and at 71 MB with one) and takes
+    0.63 us on W3's 4 x 3 x 6 table against ``matmul_mod``'s 3.7 us, of a
+    floor's 6 us.  The rank is ``fflinalg.rank``'s, in Python integers for
+    a matrix as small as a sweep's.
     """
     p = space.field.p
     table, at = _floor_map(space)
     if table.shape[-1] * (p - 1) ** 2 < 1 << 63:
         values = table @ vec
     else:
-        values = _reduce(table * vec, p).sum(axis=-1)
+        values = matmul_mod(table.reshape(-1, table.shape[-1]), vec, p).reshape(table.shape[:-1])
     return rank(values[at], p)
 
 

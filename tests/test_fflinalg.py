@@ -134,8 +134,8 @@ def record_mod_calls(monkeypatch) -> list:
     """The shapes of the ``_mod_inplace`` calls, one each.
 
     Each call's input is checked against the bound |x| < 2**t - p under
-    which it is exact, with 2**t read when it is made, so that a lowered
-    ``_EXACT_FLOAT_MAX`` applies.
+    which it is exact, with 2**t read from ``_EXACT_MAX`` when it is made,
+    so that a lowered limit applies.
     """
     from ribbonsyz import fflinalg
 
@@ -143,7 +143,7 @@ def record_mod_calls(monkeypatch) -> list:
     exact = fflinalg._mod_inplace
 
     def checked(x, q):
-        assert np.abs(x).max(initial=0) < fflinalg._exact_max(x.dtype) - q
+        assert np.abs(x).max(initial=0) < fflinalg._EXACT_MAX[x.dtype.type] - q
         calls.append(x.shape)
         return exact(x, q)
 
@@ -176,8 +176,7 @@ class TestDriftReset:
 
         plain = [run(reduced)[0] for reduced in (False, True)]
         step = fflinalg._PANEL * (p - 1) ** 2
-        limit = "_EXACT_FLOAT32_MAX" if dtype == np.float32 else "_EXACT_FLOAT_MAX"
-        monkeypatch.setattr(fflinalg, limit, float(p + 2 * step))
+        monkeypatch.setitem(fflinalg._EXACT_MAX, dtype, p + 2 * step)
         forward, _, piv = run(False)
         reduced, w, rpiv = run(True)
         assert piv == rpiv
@@ -248,10 +247,10 @@ class TestDriftReset:
 def assert_mod_inplace_exact(p, dtype) -> int:
     """Check ``_mod_inplace`` below the dtype's limit 2**t - p; returns how
     many raw quotients floor(x * (1/p)) were off, which it corrected."""
-    from ribbonsyz.fflinalg import _MOD_BLOCK, _exact_max, _mod_inplace
+    from ribbonsyz.fflinalg import _EXACT_MAX, _MOD_BLOCK, _mod_inplace
 
     g = rng(5)
-    top = int(_exact_max(dtype)) - p  # |x| < top
+    top = _EXACT_MAX[dtype] - p  # |x| < top
     k = (top - 2) // p  # the largest multiple k p whose neighbours stay below top
     near = g.integers(-k, k + 1, 2 * _MOD_BLOCK) * p
     ends = [p, -p, top - 1, 1 - top, k * p - 1, k * p + 1, 1 - k * p, -1 - k * p]
@@ -681,11 +680,85 @@ def test_other_moduli(p):
     assert not np.any(matmul_mod(a, k, p))
 
 
+def product_dtypes(monkeypatch) -> list:
+    """The working dtype of each ``_product_rows`` call of ``matmul_mod``, one a block of rows."""
+    dtypes = []
+    real = fflinalg._product_rows
+
+    def recording(x, yw, p):
+        dtypes.append(yw.dtype)
+        return real(x, yw, p)
+
+    monkeypatch.setattr(fflinalg, "_product_rows", recording)
+    return dtypes
+
+
+# p: the working dtype of a product past the int64 crossover, and the chunk,
+# the inner columns summed before each reduction, in int64 and in that
+# dtype: the largest c with (p - 1) + c (p - 1)**2 below the dtype's
+# exact-integer limit (2**24, 2**53 or 2**63) less p
+PRODUCT_CHUNKS = {
+    2: (np.float32, 9223372036854775804, 16777212),
+    3: (np.float32, 2305843009213693950, 4194302),
+    101: (np.float32, 922337203685477, 1677),
+    251: (np.float32, 147573952589676, 268),
+    257: (np.float64, 140737488355327, 137438953471),
+    65537: (np.float64, 2147483647, 2097151),
+    1048573: (np.float64, 8388672, 8192),
+    1048583: (np.int64, 8388512, 8388512),
+    2**31 - 1: (np.int64, 2, 2),
+}
+
+
+@pytest.mark.parametrize("p", list(PRODUCT_CHUNKS))
+def test_matmul_mod_against_python_integers(p, monkeypatch):
+    # the one product rule against a product in Python integers: each dtype
+    # at one, two and several chunks where its chunk allows it (float32 at
+    # p = 101 and 251, float64 at 1048573, int64 at 2**31 - 1), products on
+    # both sides of the int64 crossover, empty ones, and results of several
+    # row blocks.  Operands are unreduced and negative, their residues near
+    # p - 1, where the sums are largest; every reduction's input is checked
+    # below the dtype's exact-integer limit less p
+    work, int_chunk, work_chunk = PRODUCT_CHUNKS[p]
+    assert fflinalg._work_dtype(p) is work
+    g = rng(p % 997)
+    limit = fflinalg._INT_PRODUCT_MAX
+
+    def operand(shape):
+        return g.integers(max(0, p - 4), p, shape) + p * g.integers(-3, 3, shape)
+
+    cases = []  # (rows, inner, columns, the blocks' dtypes, chunks if one block)
+    for dtype, chunk, small in ((np.int64, int_chunk, True), (work, work_chunk, False)):
+        for k in sorted({1, 7, chunk, chunk + 1, 3 * chunk + 1}):
+            # three rows and columns below the crossover; past it one row,
+            # one block, and the fewest columns that cross it
+            r = c = 3
+            if not small:
+                r, c = 1, limit // k + 1
+            if k <= 30000 and (r * k * c <= limit) == small:
+                cases.append((r, k, c, [dtype], -(-k // chunk)))
+    for r, k, c in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (20000, 0, 2)]:
+        cases.append((r, k, c, [np.int64] * max(1, -(-r * c // _MOD_BLOCK)), None))
+    cases += [(200, 3, 100, [work] * 2, None), (100, 1, 200, [work] * 2, None)]
+    assert {n for *_, n in cases} >= ({1, 2, 4} if p in (101, 251, 1048573, 2**31 - 1) else {1})
+    dtypes = product_dtypes(monkeypatch)
+    mods = record_mod_calls(monkeypatch)
+    for r, k, c, blocks, chunks in cases:
+        x, y = operand((r, k)), operand((k, c))
+        dtypes.clear()
+        mods.clear()
+        got = matmul_mod(x, y, p)
+        assert got.dtype == np.int64 and np.array_equal(got, exact_product(x, y, p)), (r, k, c)
+        assert dtypes == [np.dtype(d) for d in blocks], (r, k, c)
+        if chunks is not None:
+            assert len(mods) == chunks, (r, k, c)
+
+
 class TestMatmulMod:
     def test_float_path_crosses_a_chunk_boundary(self):
-        # at p = 1048573 one float chunk holds 2**53 // p**2 = 8192 products
+        # at p = 1048573 one float chunk holds 8192 products
         p = 1048573
-        assert (1 << 53) // (p * p) == 8192
+        assert (2**53 - 2 * p) // (p - 1) ** 2 == 8192
         g = rng(37)
         x = g.integers(p - 40, p, (3, 9001))  # near p - 1: the largest sums
         y = g.integers(p - 40, p, (9001, 4))
@@ -702,7 +775,8 @@ class TestMatmulMod:
 
     @pytest.mark.parametrize("p", [1048583, 2147483629])
     def test_int64_path_above_2_20(self, p, monkeypatch):
-        # the sum of reduced outer products, forced as above at p = 1048583
+        # int64 chunks of inner columns, forced into _work_dtype(p) as above:
+        # one chunk at p = 1048583, 25 chunks of 2 at p = 2147483629
         monkeypatch.setattr(fflinalg, "_INT_PRODUCT_MAX", -1)
         g = rng(p % 97)
         x, y = g.integers(p - 1000, p, (6, 50)), g.integers(0, p, (50, 8))
@@ -710,31 +784,31 @@ class TestMatmulMod:
 
     @pytest.mark.parametrize("p", [2, 101, 65537, 2**31 - 1])
     def test_small_int64_product_matches_the_blocked_path(self, p, monkeypatch):
-        # a product of at most _INT_PRODUCT_MAX multiply-adds is one int64
-        # matmul when inner * (p - 1)**2 < 2**63, on unreduced and negative
-        # operands alike; it must equal the path it skips, _product_rows
-        # (the BLAS path, or reduced int64 outer products above 2**20)
-        blocked = []
-        real = fflinalg._product_rows
-        monkeypatch.setattr(fflinalg, "_product_rows", lambda *a: blocked.append(1) or real(*a))
+        # a product of at most _INT_PRODUCT_MAX multiply-adds runs in int64,
+        # on unreduced and negative operands alike, in chunks of two inner
+        # columns at p = 2**31 - 1; it must equal the same product forced
+        # into _work_dtype(p)
+        dtypes = product_dtypes(monkeypatch)
         g = rng(p % 1013)
         limit = fflinalg._INT_PRODUCT_MAX
+        work = np.dtype(fflinalg._work_dtype(p))
         for r, k, c in [(1, 1, 1), (3, 2, 5), (7, 2, 7), (4, 0, 3), (0, 4, 3), (3, 5, 0), (5, 9, 6), (16, 32, 32)]:
             x, y = g.integers(-3 * p, 3 * p, (r, k)), g.integers(-3 * p, 3 * p, (k, c))
             want = exact_product(x, y, p)
-            small = k * (p - 1) ** 2 < 1 << 63
             assert r * k * c <= limit
-            blocked.clear()
+            dtypes.clear()
             got = matmul_mod(x, y, p)
             assert got.dtype == np.int64 and np.array_equal(got, want), (r, k, c)
-            assert (not blocked) == small, (r, k, c)
+            assert dtypes == [np.dtype(np.int64)], (r, k, c)
             monkeypatch.setattr(fflinalg, "_INT_PRODUCT_MAX", -1)
+            dtypes.clear()
             assert np.array_equal(matmul_mod(x, y, p), want), (r, k, c)
+            assert dtypes == [work], (r, k, c)
             monkeypatch.setattr(fflinalg, "_INT_PRODUCT_MAX", limit)
-        # one multiply-add past the limit takes the other path
+        # one multiply-add past the limit takes _work_dtype(p)
         x, y = g.integers(0, p, (1, 1)), g.integers(0, p, (1, limit + 1))
-        blocked.clear()
-        assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p)) and blocked
+        dtypes.clear()
+        assert np.array_equal(matmul_mod(x, y, p), exact_product(x, y, p)) and dtypes == [work]
 
     @pytest.mark.parametrize("p", MODULI)
     @pytest.mark.parametrize("shape", [(300, 40, 70), (17000, 2, 1), (90, 5, 200)])

@@ -18,7 +18,7 @@ from ribbonsyz.curves import (
     random_split_cubic,
     rational_points,
 )
-from ribbonsyz.fflinalg import PrimeField, matmul_mod, pivots, rank
+from ribbonsyz.fflinalg import PrimeField, pivots, rank
 from ribbonsyz.rng import SeededStream
 from ribbonsyz import strata
 from ribbonsyz.strata import (
@@ -861,8 +861,8 @@ class TestBracketedSweep:
     @pytest.mark.parametrize("p", [101, 65537, 2147483647])
     def test_floor_is_the_rank_of_the_contracted_tensor(self, p, monkeypatch):
         # the floor pairs e with the product table: one int64 product while
-        # dim * (p - 1)**2 < 2**63, reduced products at 2**31 - 1; both
-        # against mult_map's tensor contracted in Python integers.  The
+        # dim * (p - 1)**2 < 2**63, matmul_mod at 2**31 - 1; both against
+        # mult_map's tensor contracted in Python integers.  The
         # matrix goes to fflinalg.rank, whose engine is tested on its own
         ranked = []
         real = strata.rank
@@ -975,18 +975,20 @@ class TestBracketedSweep:
 
     @pytest.mark.parametrize("p", [2, 101, 2147483647])
     def test_draws_match_matmul_mod(self, p):
-        # the sum of reduced products draws the same vector from the same
-        # coefficients as the exact product
+        # a class is the combination of the rows by coefficients drawn in
+        # one call each, redrawn while it is zero: the same vector as the
+        # product in Python integers of the same draws
         rows = np.random.default_rng(p % 1009).integers(0, p, (5, 7))
         space = RowSpace(PrimeField(p), 7)
         for seed in range(20):
             got = strata._class_in_rows(space, list(range(5)), rows, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
             while True:
-                want = matmul_mod(rng.integers(0, p, 5).reshape(1, -1), rows, p).ravel()
-                if want.any():
+                coefficients = rng.integers(0, p, 5).tolist()
+                want = [sum(a * int(b) for a, b in zip(coefficients, column)) % p for column in rows.T]
+                if any(want):
                     break
-            assert np.array_equal(got.vec, want)
+            assert got.vec.tolist() == want
 
 
 class TestGonalityBounds:
