@@ -10,17 +10,9 @@ assumes they are section spaces.  A graded algebra is a graded module over
 its degree-one piece (``GradedAlgebra``), so every consumer reads one
 layout of action tensors.
 
-Weights.  Every module carries an integer weight for each basis vector of
-each piece and of V; a module built without them has the trivial grading,
-all zeros (the canonical ring S~ = S (+) epsilon J of a split ribbon puts
-S at epsilon-weight 0 and epsilon J at weight 1).  They are a claim, not a
-fact: ``GradedModule.respects_weights`` is the exact certificate that
-every x_k maps weight w of M_q into weight w + weight(x_k) of M_{q+1}, and
-``koszul.KoszulCalculator`` splits a cell by weight only on a certified
-module, ranking any other by its trivial grading.  ``cohomology`` gives
-the trivial grading: the one module that it builds for a command, the
-syzygy module M^p of ``greenchk``, is a cohomology of unweighted
-coefficients.
+A module carries no grading beyond its degrees: ``koszul`` splits each
+Koszul cell by the connected components of its nonzero pattern, which
+show whatever finer grading the action respects.
 
 One quotient rule.  Every quotient is a ``Chart``: Z = ker d in the free
 coordinates F of the RREF of d, modulo B, whose free coordinates span the
@@ -32,7 +24,7 @@ the module (the syzygy modules M^p of ``greenchk``), and
 ``GradedAlgebra.artinian_reduction``, of all of A_{q+1} (the kernel of a
 map with no rows, so F is every coordinate) modulo l1 A_q + l2 A_q, by the
 RREF that its regular-sequence certificate runs in each degree anyway:
-every kept basis vector is a coordinate vector, so the weights pass on.
+every kept basis vector is a coordinate vector.
 """
 
 from __future__ import annotations
@@ -118,9 +110,20 @@ class Chart:
     def coordinates(self, y, p: int) -> np.ndarray | None:
         """y[free], the free coordinates of the columns of y, or None if one has y[pivots] != -lift y[free]."""
         u = y[self.free]
+        return u if self.holds(u, lambda block: y[self.pivots[block]], p) else None
+
+    def holds(self, u, pivot_rows, p: int) -> bool:
+        """Whether the vectors with free rows u, and pivot rows read by ``pivot_rows``, lie in Z.
+
+        They do when their pivot rows are -lift u.  ``pivot_rows(block)``
+        gives the rows of a slice of the pivots, added to the defect about
+        _MOD_BLOCK entries at a time.
+        """
         defect = matmul_mod(self.lift, u, p)
-        defect += y[self.pivots]
-        return None if np.remainder(defect, p, out=defect).any() else u
+        step = max(1, _MOD_BLOCK // max(1, u.shape[1]))
+        for t in range(0, len(defect), step):
+            defect[t : t + step] += pivot_rows(slice(t, t + step))
+        return not np.remainder(defect, p, out=defect).any()
 
     def classes(self, u, p: int) -> np.ndarray:
         """The quotient rule: the classes in Z / B of the columns of u, free coordinates, in the basis of ``kept``.
@@ -142,17 +145,13 @@ class GradedModule:
 
     ``action[q]`` has shape (n, dim M_{q+1}, dim M_q): the matrix of the
     k-th distinguished basis vector of V is ``action[q][k]``.  The action
-    must commute: x.(y.m) = y.(x.m).  ``v_weights`` (length n) and
-    ``weights`` (one array per piece) are the integer weights of the basis
-    vectors; either one left out is all zeros.
+    must commute: x.(y.m) = y.(x.m).
     """
 
     field: PrimeField
     n: int
     pieces: tuple[int, ...]
     action: tuple[np.ndarray, ...]
-    v_weights: np.ndarray = None
-    weights: tuple[np.ndarray, ...] = None
 
     def __post_init__(self):
         if len(self.action) != len(self.pieces) - 1:
@@ -161,30 +160,10 @@ class GradedModule:
             want = (self.n, self.pieces[q + 1], self.pieces[q])
             if a.shape != want:
                 raise InconsistentDims(f"action[{q}] has shape {a.shape}, expected {want}")
-        weights = self.weights or (None,) * len(self.pieces)
-        if len(weights) != len(self.pieces):
-            raise InconsistentDims("need one weight array per piece")
-        object.__setattr__(self, "v_weights", _as_weights(self.v_weights, self.n))
-        object.__setattr__(self, "weights", tuple(map(_as_weights, weights, self.pieces)))
 
     @property
     def window(self) -> int:
         return len(self.pieces) - 1
-
-    def respects_weights(self) -> bool:
-        """The exact weight certificate: every action tensor vanishes outside its weight blocks.
-
-        True when each x_k maps the weight-w basis vectors of M_q into the
-        span of the weight w + v_weights[k] ones of M_{q+1}, for every q;
-        always true of the trivial grading.
-        """
-        for q, a in enumerate(self.action):
-            allowed = self.weights[q + 1][None, :, None] == (
-                self.v_weights[:, None, None] + self.weights[q][None, None, :]
-            )
-            if np.any(np.where(allowed, 0, a)):
-                return False
-        return True
 
     def check_commutativity(self) -> None:
         """Verify that every pair of basis vectors of V commutes in the action.
@@ -233,7 +212,7 @@ class GradedModule:
         zero on the rest.  Raises InconsistentDims for a chart not of size
         w dim M_q, NotASubmodule when x_k maps sub_{q-1} outside sub_q or
         rel_{q-1} outside rel_q, and MatrixTooLarge, before they are formed,
-        for lifts or images over the memory budget.  The grading is trivial.
+        for lifts or images over the memory budget.
         """
         count = f"need a chart for each of {len(self.pieces)} degrees"
         charts = iter(charts)
@@ -256,7 +235,7 @@ class GradedModule:
         return GradedModule(self.field, self.n, tuple(dims), tuple(action))
 
     def _induced(self, q: int, w: int, prev: Chart, chart: Chart) -> np.ndarray:
-        """``cohomology``'s checked action from degree q - 1 to q, its images freed on return."""
+        """``cohomology``'s checked action from degree q - 1 to q, each image dropped once its rows are read."""
         p, below, dim = self.field.p, self.pieces[q - 1], self.pieces[q]
         c, m = len(prev.kept), len(prev.free)
         check_budget(f"cohomology in degree {q}, lifts of degree {q - 1}", (w * below, m))
@@ -265,14 +244,18 @@ class GradedModule:
         del lifts
         check_budget(f"cohomology in degree {q}, images under x_k", (w * dim, m))
         out = np.empty((self.n, len(chart.kept), c), dtype=np.int64)
+        # row i dim + r of the images (copy i) is [r, i] of the product: its free
+        # and pivot rows are read there, with no copy-slow stack of it
+        free, pivots = (np.divmod(rows, max(dim, 1))[::-1] for rows in (chart.free, chart.pivots))
         for k in range(self.n):
-            image = matmul_mod(self.action[q - 1][k], flat, p)
-            image = image.reshape(dim, w, m).transpose(1, 0, 2).reshape(w * dim, m)
-            coords = chart.coordinates(image, p)
-            if coords is None:
+            image = matmul_mod(self.action[q - 1][k], flat, p).reshape(dim, w, m)
+            u, rest = image[free], image[pivots]
+            del image  # before the rows are checked
+            if not chart.holds(u, rest.__getitem__, p):
                 raise NotASubmodule(f"the action maps sub_{q - 1} outside sub_{q}")
-            classes = chart.classes(coords, p)
-            del coords  # before the next image is formed
+            del rest
+            classes = chart.classes(u, p)
+            del u  # before the next image is formed
             if np.any(classes[:, c:]):
                 raise NotASubmodule(f"the action maps rel_{q - 1} outside rel_{q}")
             out[k] = classes[:, :c]
@@ -287,9 +270,7 @@ class GradedAlgebra(GradedModule):
     (n = dims[1]) acts on the pieces ``dims``, with ``action[0]`` the unit,
     x_k . 1 = e_k (built here, so dims[0] must be 1), and ``action[b]`` =
     ``products[b - 1]`` the products A_1 x A_b -> A_{b+1} for
-    1 <= b < window, of shape (dims[1], dims[b+1], dims[b]).  ``weights``,
-    one integer array per degree, weight the pieces and, through degree
-    one, V; left out, they are all zero.
+    1 <= b < window, of shape (dims[1], dims[b+1], dims[b]).
 
     The constructor's certificate is exact: ``check_commutativity`` checks
     x_k (x_l m) = x_l (x_k m) for every pair of basis vectors of A_1 and
@@ -301,15 +282,14 @@ class GradedAlgebra(GradedModule):
     InconsistentDims for a product of the wrong shape or number.
     """
 
-    def __init__(self, field: PrimeField, dims, products, weights=None):
+    def __init__(self, field: PrimeField, dims, products):
         dims = tuple(int(d) for d in dims)
         if len(dims) < 2 or dims[0] != 1:
             raise InconsistentDims("need dims[0] = 1 (the unit) and a degree-one piece")
         n = dims[1]
         unit = np.eye(n, dtype=np.int64).reshape(n, n, 1)
         action = (unit, *(np.asarray(t, dtype=np.int64) % field.p for t in products))
-        super().__init__(field, n, dims, action, weights=weights)
-        object.__setattr__(self, "v_weights", self.weights[1])  # V is degree one
+        super().__init__(field, n, dims, action)
         self.check_commutativity()
 
     def artinian_reduction(self, l1, l2) -> GradedModule | None:
@@ -322,9 +302,8 @@ class GradedAlgebra(GradedModule):
         by the coordinate vectors off P_q (N_q, the chart's ``kept``), the
         acting space by those of A_1 off P_1, so the two share a basis, and
         x_k maps e_j, j in N_q, to the class of x_k e_j modulo rel_{q+1} by
-        the quotient rule; the weights are the kept coordinates' weights.  The
-        certificate, checked exactly for every q <= window - 1, is the rank
-        condition
+        the quotient rule.  The certificate, checked exactly for every
+        q <= window - 1, is the rank condition
 
             rank [l1 A_q | l2 A_q] = 2 dim A_q - dim A_{q-1}.
 
@@ -353,15 +332,4 @@ class GradedAlgebra(GradedModule):
             k, m = len(kept[1]), len(kept[q])  # x_k e_j, j in N_q, for every k at once
             img = a[kept[1]][:, :, kept[q]].transpose(1, 0, 2).reshape(self.pieces[q + 1], k * m)
             action.append(chart.classes(img, p).reshape(len(kept[q + 1]), k, m).transpose(1, 0, 2))
-        weights = tuple(w[cols] for w, cols in zip(self.weights, kept))
-        return GradedModule(
-            self.field, len(kept[1]), tuple(map(len, kept)), tuple(action), weights[1], weights
-        )
-
-
-def _as_weights(given, count: int) -> np.ndarray:
-    """``count`` integer weights as an int64 array; None gives the trivial grading, all zeros."""
-    w = np.zeros(count, dtype=np.int64) if given is None else np.asarray(given, dtype=np.int64)
-    if w.shape != (count,):
-        raise InconsistentDims("need one weight per basis vector of V and of each piece")
-    return w
+        return GradedModule(self.field, len(kept[1]), tuple(map(len, kept)), tuple(action))

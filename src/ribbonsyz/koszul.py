@@ -10,27 +10,25 @@ Conventions, fixed project-wide:
 Cohomology dimensions are convention-independent; fixing one makes the
 charts of ``koszul_cohomology`` (``graded.Chart``) reproducible.
 
-Weight blocks.  Every module carries weights (``GradedModule.weights``,
-all zero unless given; the split ribbon S~ = S (+) epsilon J puts S at
-epsilon-weight 0 and epsilon J at weight 1), and the basis vector
-e_{s_1}^...^e_{s_p} (x) m has total weight
-weight(x_{s_1}) + ... + weight(x_{s_p}) + weight(m).  If the action
-respects the weights, every differential preserves the total weight, so
-d_{p,q} is block diagonal, one block per total weight w: the rows and
-columns of weight w, each in basis order.  For the split ribbon the
-blocks are the curve-level Koszul complexes with coefficients in
-K^q L^{-q} and K^q L^{-q+1}.  ``KoszulCalculator`` checks the exact
-certificate once per module (``GradedModule.respects_weights``: every
-action tensor vanishes outside its weight blocks) and ranks every cell
-one weight block at a time, each block assembled on its own, once every
-block of the cell has passed the memory budget (``fflinalg.check_budget``,
-which ``koszul_cohomology`` applies to its two maps too); a module
-whose certificate fails is ranked by its trivial grading, whose one block
-is the whole cell.  The Betti table reads one set of action tensors,
-whether it ranks the ring itself or its Artinian reduction; the reduction
-(``GradedAlgebra.artinian_reduction``) is a ``graded.Chart`` a degree,
-as ``koszul_cohomology`` is, from the RREF its certificate runs anyway; it
-keeps coordinate vectors of the ring, so it keeps their weights.
+Components.  The nonzero pattern of d_{p,q} is read off the action
+alone (``_pattern``): a nonzero (x_k)[m', m] puts one entry in column
+(S, m) and row (S - k, m') for each of the C(n - 1, p - 1) subsets S that
+hold k.  The rows and columns joined by these entries form a bipartite
+graph, and its connected components (``_components``) are the finest
+block-diagonal split of the cell under any permutation (the coarse
+decomposition of Pothen and Fan, ACM TOMS 16, 1990): the rank of the cell
+is the sum of its components' ranks, an identity that needs no
+certificate.  ``KoszulCalculator.rank_d`` prices the pattern and then
+every component against the memory budget (``fflinalg.check_budget``,
+which ``koszul_cohomology`` applies to its two maps too) before it
+assembles the first, and assembles, ranks and drops one at a time.  On a
+split ribbon S~ = S (+) epsilon J, whose products add epsilon-weights (S
+at 0, epsilon J at 1), the components refine the weight blocks, the
+curve-level Koszul complexes with coefficients in K^q L^{-q} and
+K^q L^{-q+1}.  The Betti table reads one set of action tensors, whether it
+ranks the ring itself or its Artinian reduction; the reduction
+(``GradedAlgebra.artinian_reduction``) is a ``graded.Chart`` a degree, as
+``koszul_cohomology`` is, from the RREF its certificate runs anyway.
 
 Cells next to a one-dimensional piece.  Two exact certificates, checked
 once per module, give the rank of d_{p,q}, 1 <= p <= n, without assembling
@@ -72,16 +70,17 @@ computed independently.  A module whose certificate fails (every ring,
 every syzygy module M^p, any reduction that is not Gorenstein) has its
 whole row ranked.
 
-Pricing before the ring.  ``check_table_budget`` refuses a table over the
-memory budget from the ring's weights alone, before ``ribbon`` builds the
-ring and runs its commutativity certificate.  ``_artinian_module`` draws
-its two forms at weight 0, so a certified reduction B has
-dim B_q^w = dim A_q^w - 2 dim A_{q-1}^w + dim A_{q-2}^w
-(``_reduced_pieces``), and the row-1 cells that every module ranks (those
-``_mirrored`` leaves out) are priced from these pieces, in increasing p,
-through the ``_priced_blocks`` that ``rank_d`` uses.  A block of B is a
-sub-block of the ring's block of the same weight, so a refusal holds
-whichever path the table takes.
+Pricing before the ring.  ``check_table_budget`` refuses a table over
+the memory budget from the ribbon's S and epsilon J dimensions alone,
+before ``ribbon`` builds the ring and runs its commutativity certificate.
+``_artinian_module`` draws a ribbon's two forms on S_1, so a certified
+reduction B respects the epsilon-weights and has
+dim B_q^w = dim A_q^w - 2 dim A_{q-1}^w + dim A_{q-2}^w.  The row-1 cells
+that every module ranks (those ``_mirrored`` leaves out) are priced one
+weight block at a time, in increasing p and w: the block of total weight
+w is a union of components of B's cell, so a table priced here never has
+a component of these cells over the budget on the Artinian path.  The
+components may be finer than the blocks, so a refusal here is cautious.
 """
 
 from __future__ import annotations
@@ -155,33 +154,6 @@ def _wedge_arrays(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return subsets, faces
 
 
-def _total_weights(module: GradedModule, p: int, q: int) -> np.ndarray:
-    """Total weight of each basis vector of wedge^p V (x) M_q, in basis order."""
-    return _wedge_weights(module.v_weights, p, module.weights[q])
-
-
-def _wedge_weights(v_weights: np.ndarray, p: int, piece_weights: np.ndarray) -> np.ndarray:
-    """Total weight of each basis vector of wedge^p V (x) M, from the weights of V and of M."""
-    subsets, _ = _wedge_arrays(len(v_weights), p)
-    wedge = v_weights[subsets].sum(axis=1)
-    return (wedge[:, None] + piece_weights[None, :]).ravel()
-
-
-def _priced_blocks(v_weights, p: int, q: int, src_weights, tgt_weights) -> list[int]:
-    """The total weights found on both sides of d_{p,q}, every block priced before any is built.
-
-    ``src_weights`` and ``tgt_weights`` weight M_q and M_{q+1}; a block over
-    the memory budget raises MatrixTooLarge.
-    """
-    src = _wedge_weights(v_weights, p, src_weights)
-    tgt = _wedge_weights(v_weights, p - 1, tgt_weights)
-    blocks = sorted(set(src.tolist()) & set(tgt.tolist()))
-    for w in blocks:
-        shape = (int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w)))
-        check_budget(f"cell (p, q) = ({p}, {q}), weight block {w}", shape)
-    return blocks
-
-
 def _mirrored(n: int, p: int) -> bool:
     """Whether a Gorenstein module reads r_{p,1} off its mirror r_{n+1-p,1} (see the module docstring).
 
@@ -191,30 +163,27 @@ def _mirrored(n: int, p: int) -> bool:
     return 2 * p > n + 1 and p < n
 
 
-def koszul_differential(module: GradedModule, p: int, q: int, weight: int | None = None) -> np.ndarray:
-    """Matrix of d : wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, or one weight block of it.
+def koszul_differential(module: GradedModule, p: int, q: int, block=None) -> np.ndarray:
+    """Matrix of d : wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, or one block of it.
 
-    With ``weight`` given, only the rows and columns of that total weight
-    (see the module docstring), in basis order; the entries that the
-    action puts outside the block are not read, so this is a block of d
-    only when the module's action respects its weights.  For p = 0 the
-    target is the empty wedge and the map is the zero map out of M_q (a
-    matrix with zero rows).  Every entry is placed at once: column (r, m)
-    holds (-1)^j (x_{s_j})[m', m] in row (faces[r, j], m') for each wedge
-    position j of the subset s = subsets[r].
+    ``block`` is (row indices, column indices), each increasing: the
+    submatrix on them, whose entries in other rows are not read, so this is
+    a block of d when no entry of its columns lies outside its rows (a
+    component, see the module docstring).  For p = 0 the target is the
+    empty wedge and the map is the zero map out of M_q (a matrix with zero
+    rows).  Every entry is placed at once: column (r, m) holds
+    (-1)^j (x_{s_j})[m', m] in row (faces[r, j], m') for each wedge position
+    j of the subset s = subsets[r].
     """
     if q < 0 or q + 1 > module.window:
         raise OutOfWindow(f"degree {q} -> {q + 1} outside window 0..{module.window}")
     dmq, dmq1 = module.pieces[q], module.pieces[q + 1]
     subsets, faces = _wedge_arrays(module.n, p)
     n_rows = _wedges(module.n, p - 1) * dmq1
-    if weight is None:
-        cols, local = np.arange(len(subsets) * dmq), np.arange(n_rows)
-    else:
-        cols = np.flatnonzero(_total_weights(module, p, q) == weight)
-        in_block = _total_weights(module, p - 1, q + 1) == weight
-        local = np.where(in_block, np.cumsum(in_block) - 1, -1)
-    out = np.zeros((int(np.count_nonzero(local >= 0)), len(cols)), dtype=np.int64)
+    kept, cols = (np.arange(n_rows), np.arange(len(subsets) * dmq)) if block is None else block
+    local = np.full(n_rows, -1, dtype=np.int64)
+    local[kept] = np.arange(len(kept))
+    out = np.zeros((len(kept), len(cols)), dtype=np.int64)
     if not out.size:
         return out
     r, m = np.divmod(cols, dmq)
@@ -225,6 +194,56 @@ def koszul_differential(module: GradedModule, p: int, q: int, weight: int | None
     at = np.broadcast_to(np.arange(len(cols))[:, None, None], rows.shape)
     out[rows[keep], at[keep]] = vals[keep]
     return out
+
+
+def _pattern(module: GradedModule, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the entries of d_{p,q} that the action can make nonzero, distinct.
+
+    There are C(n - 1, p - 1) nnz(action[q]) of them, priced against the
+    memory budget before any is placed (MatrixTooLarge).
+    """
+    subsets, faces = _wedge_arrays(module.n, p)
+    # row k: the positions r p + j of x_k in ``subsets``, in colex order of r
+    holding = np.argsort(subsets, axis=None, kind="stable").reshape(module.n, _wedges(module.n - 1, p - 1))
+    k, target, source = np.nonzero(module.action[q])
+    check_budget(f"cell (p, q) = ({p}, {q}), nonzero pattern", (len(k), holding.shape[1]))
+    at = holding[k]  # one row per nonzero of the action, one column per subset holding its x_k
+    rows = faces.ravel()[at] * module.pieces[q + 1] + target[:, None]
+    cols = at // max(p, 1) * module.pieces[q] + source[:, None]
+    return rows.ravel(), cols.ravel()
+
+
+def _components(rows: np.ndarray, cols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected components of the bipartite graph that the entries (rows, cols) span.
+
+    Each is (row indices, column indices), both increasing, and the list is
+    ordered by first column; rows and columns with no entry are left out.
+    The columns are nodes 0.., the rows the nodes after them, and every
+    node ends labelled by the least node of its component, a column: a
+    round gives both ends of every entry the lesser of their labels
+    (``np.minimum.at``), then pointer jumping (label = label[label])
+    shortens every chain; the rounds stop when no label moves.
+    """
+    if not len(cols):
+        return []
+    width = int(cols.max()) + 1
+    ends = (cols, rows + width)
+    label = np.arange(width + int(rows.max()) + 1)
+    while True:
+        least, new = np.minimum(label[ends[0]], label[ends[1]]), label.copy()
+        for end in ends:
+            np.minimum.at(new, end, least)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            break
+        label = new
+    blocks = []
+    for ids, first in ((np.flatnonzero(np.bincount(rows)), width), (np.flatnonzero(np.bincount(cols)), 0)):
+        labels = label[ids + first]
+        order = np.argsort(labels, kind="stable")
+        blocks.append(np.split(ids[order], np.flatnonzero(np.diff(labels[order])) + 1))
+    return list(zip(*blocks))
 
 
 def koszul_cohomology(module: GradedModule, p: int, q: int) -> Chart:
@@ -255,9 +274,7 @@ class KoszulCalculator:
 
     Cells are pure and independent, and the cache keeps the first rank
     stored for a cell (``dict.setdefault``), so evaluating a cell twice,
-    even from two threads at once, only repeats work.  ``module`` is the
-    module as given when its weight certificate holds (checked once), and
-    otherwise the same module with the trivial grading.  ``certificates``
+    even from two threads at once, only repeats work.  ``certificates``
     maps each cell whose rank comes from a certificate (see the module
     docstring) to its name: "injective" or "surjective" for the cells next
     to a one-dimensional piece, "gorenstein" for the row-1 cells read off
@@ -265,8 +282,6 @@ class KoszulCalculator:
     """
 
     def __init__(self, module: GradedModule):
-        if not module.respects_weights():
-            module = GradedModule(module.field, module.n, module.pieces, module.action)
         self.module = module
         certified = _certified_ranks(module)
         self._ranks: dict[tuple[int, int], int] = {cell: r for cell, (_, r) in certified.items()}
@@ -304,11 +319,11 @@ class KoszulCalculator:
         """rank of d_{p,q}; zero maps (p<=0, q<0, empty wedge) and certified cells cost nothing.
 
         A Gorenstein cell returns the rank of its mirror d_{n+1-p,1}.
-        Otherwise the sum of the ranks of the weight blocks found on both
-        sides of the cell, each assembled, ranked and dropped before the next
-        is built.
-        Every block's shape is checked against the memory budget before the
-        first is assembled: one over it raises MatrixTooLarge.
+        Otherwise the sum of the ranks of the cell's components (see the
+        module docstring), each assembled, ranked and dropped before the
+        next is built.  The pattern and every component's dense shape are
+        checked against the memory budget before the first is assembled:
+        one over it raises MatrixTooLarge.
         """
         n = self.module.n
         if p <= 0 or q < 0 or p > n:
@@ -321,9 +336,11 @@ class KoszulCalculator:
         module = self.module
         if q + 1 > module.window:
             raise OutOfWindow(f"degree {q} -> {q + 1} outside window 0..{module.window}")
-        blocks = _priced_blocks(module.v_weights, p, q, module.weights[q], module.weights[q + 1])
+        blocks = _components(*_pattern(module, p, q))
+        for i, (rows, cols) in enumerate(blocks, 1):
+            check_budget(f"cell (p, q) = ({p}, {q}), component {i} of {len(blocks)}", (len(rows), len(cols)))
         # no name holds a block past its rank call, so it is freed before the next is built
-        total = sum(rank(koszul_differential(module, p, q, w), module.field.p) for w in blocks)
+        total = sum(rank(koszul_differential(module, p, q, block), module.field.p) for block in blocks)
         return self._ranks.setdefault(key, total)
 
     def dim(self, p: int, q: int) -> int:
@@ -403,17 +420,15 @@ _REDUCTION_SEED = 0
 _REDUCTION_DRAWS = 4
 
 
-def _artinian_module(algebra: GradedAlgebra) -> GradedModule | None:
+def _artinian_module(algebra: GradedAlgebra, support: np.ndarray) -> GradedModule | None:
     """The algebra cut by two certified general linear forms, or None.
 
-    The forms are drawn on the weight-0 coordinates of degree one (all of
-    them under the trivial grading), so the reduction keeps the weights;
-    the regular-sequence certificate decides either way.
+    The forms are drawn on the coordinates of degree one that ``support``
+    marks (0 or 1 each); the regular-sequence certificate decides.
     """
     n = algebra.n
     if n < 2:
         return None
-    support = algebra.weights[1] == 0
     rng = SeededStream(_REDUCTION_SEED)
     for _ in range(_REDUCTION_DRAWS):
         l1, l2 = rng.integers(0, algebra.field.p, size=(2, n)) * support
@@ -423,50 +438,48 @@ def _artinian_module(algebra: GradedAlgebra) -> GradedModule | None:
     return None
 
 
-def _reduced_pieces(weights) -> list[np.ndarray]:
-    """dim B_q^w, q = 0, 1, 2, one count per weight w, from the weights of A_0, A_1 and A_2.
+def _weight_block(v: tuple[int, int], p: int, piece: tuple[int, int], w: int) -> int:
+    """Basis vectors of wedge^p V (x) M of total epsilon-weight w, for V and M of (weight-0, weight-1) dimensions
+    ``v`` and ``piece``: a subset of weight j, C(v0, p - j) C(v1, j) of them, times the vectors of M of weight w - j."""
+    return sum(_wedges(v[0], p - j) * _wedges(v[1], j) * piece[w - j] for j in (w - 1, w))
 
-    B = A / (l1, l2) for forms of weight 0, as ``_artinian_module`` draws
-    them (see "Pricing before the ring" in the module docstring).
+
+def check_table_budget(s_dims, j_dims) -> None:
+    """Refuse a split ribbon's Betti table over the memory budget from the dimensions of S_q and J_q, q <= 2.
+
+    The reduction B by two forms on S_1 has dim B_q^w = dim A_q^w -
+    2 dim A_{q-1}^w + dim A_{q-2}^w, A_q^0 = S_q and A_q^1 = epsilon J_q (see
+    "Pricing before the ring" in the module docstring).  Its row-1 cells that
+    every module ranks are priced one weight block at a time, in increasing p
+    and w, each block found on both sides of its cell; the first over the
+    budget raises MatrixTooLarge.  Pieces no reduction can have (a negative
+    dimension) price nothing.
     """
-    size = 1 + max(int(w.max(initial=0)) for w in weights[:3])
-    a = [np.bincount(w, minlength=size) for w in weights[:3]]
-    return [a[0], a[1] - 2 * a[0], a[2] - 2 * a[1] + a[0]]
-
-
-def check_table_budget(weights) -> None:
-    """Refuse an algebra's Betti table over the memory budget from its weights, before it is built.
-
-    ``weights`` are the algebra's weight arrays, one per degree (those of
-    A_0, A_1 and A_2 are read).  The row-1 cells of the Artinian reduction
-    that every module ranks are priced from ``_reduced_pieces`` (see
-    "Pricing before the ring" in the module docstring); the first block over
-    the budget raises MatrixTooLarge.  Pieces no reduction can have (a
-    negative dimension) price nothing.
-    """
-    pieces = _reduced_pieces(weights)
-    if min(c.min() for c in pieces) < 0:
+    (s0, s1, s2), (j0, j1, j2) = s_dims[:3], j_dims[:3]
+    v, b2 = (s1 - 2 * s0, j1 - 2 * j0), (s2 - 2 * s1 + s0, j2 - 2 * j1 + j0)  # V is B_1
+    if min(v + b2) < 0:
         return
-    v, b2 = (np.repeat(np.arange(len(c)), c) for c in pieces[1:])  # V is B_1
-    n = len(v)
-    for p in range(1, n + 1):
-        if not _mirrored(n, p):
-            _priced_blocks(v, p, 1, v, b2)
+    n = sum(v)
+    for p, w in ((p, w) for p in range(1, n + 1) if not _mirrored(n, p) for w in range(p + 2)):
+        shape = (_weight_block(v, p - 1, b2, w), _weight_block(v, p, v, w))
+        if all(shape):  # a block found on both sides of the cell
+            check_budget(f"cell (p, q) = ({p}, 1), weight block {w}", shape)
 
 
-def betti_table(algebra: GradedAlgebra) -> BettiTable:
+def betti_table(algebra: GradedAlgebra, support: np.ndarray | None = None) -> BettiTable:
     """Betti table of the algebra as a module over itself, V = degree 1.
 
     Every cell of rows q = 0..3 is a Koszul dimension from differential
     ranks (the window must reach degree 4).  The ranks are taken on the
-    Artinian reduction by two linear forms whenever its certificate holds
-    (``GradedAlgebra.artinian_reduction``), and on the algebra itself
-    otherwise.
+    Artinian reduction by two linear forms, drawn on the coordinates of
+    degree one that ``support`` marks (all of them when None), whenever its
+    certificate holds (``GradedAlgebra.artinian_reduction``), and on the
+    algebra itself otherwise.
     """
     p_a = algebra.n
     if algebra.window < 4:
         raise OutOfWindow("betti_table needs pieces through degree 4 (socle rank)")
-    module = _artinian_module(algebra)
+    module = _artinian_module(algebra, np.ones(algebra.n, dtype=bool) if support is None else support)
     method = "artinian"
     if module is None:
         module, method = algebra, "direct"

@@ -11,9 +11,12 @@ the ring, stored as its action by S~_1 (``graded.GradedAlgebra``: the unit
 and the products S~_1 x S~_q -> S~_{q+1}, each of shape
 (dim S~_1, dim S~_{q+1}, dim S~_q)), is assembled from curve
 multiplication tables alone.  The basis of every graded piece puts the S
-block first, then the epsilon J block, and the algebra carries these as
-epsilon-weights 0 and 1: multiplication adds them, so every Koszul
-differential splits into weight blocks (see ``koszul``).
+block first, then the epsilon J block.  Multiplication adds the
+epsilon-weights (S at 0, epsilon J at 1), so the Koszul differentials of
+the ring, and of its reduction by two forms on S_1, split at least as
+finely as those weights; ``koszul`` finds the split from each cell's
+nonzero pattern, and prices the table from the S and epsilon J dimensions
+before the ring is built.
 
 Supported conormal bundles: L = -t * O_C(1) on a plane model (t >= 1) and
 L = -k * Pinf on a hyperelliptic model (k >= 1).
@@ -62,9 +65,10 @@ class SplitRibbonRing:
     g: int
     p_a: int
     algebra: GradedAlgebra
+    support: np.ndarray  # the S_1 coordinates of S~_1, where the Artinian reduction draws its forms
 
     def betti(self) -> BettiTable:
-        return betti_table(self.algebra)
+        return betti_table(self.algebra, self.support)
 
     def __repr__(self) -> str:
         return (
@@ -117,8 +121,7 @@ def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
             f"dim S~_1 = {s_dims[1] + j_dims[1]} != p_a = {p_a}; "
             "the conormal degree is too small for this model"
         )
-    weights = [np.repeat([0, 1], [s_dims[q], j_dims[q]]) for q in range(_WINDOW + 1)]
-    check_table_budget(weights)
+    check_table_budget(s_dims, j_dims)
     dims = [s_dims[q] + j_dims[q] for q in range(_WINDOW + 1)]
     # S~_1 x S~_b -> S~_{b+1} in the action layout; epsilon J x epsilon J = 0
     s1, j1 = s_dims[1], j_dims[1]
@@ -132,8 +135,8 @@ def build_split_ribbon(model, conormal_multiple: int) -> SplitRibbonRing:
         if j1:
             tensor[s1:, sc:, :sb] = mult_map(j_spaces[1], s_spaces[b])
         products.append(tensor)
-    algebra = GradedAlgebra(model.field, dims, products, weights=weights)
-    return SplitRibbonRing(model=model, deg_l=deg_l, g=g, p_a=p_a, algebra=algebra)
+    algebra = GradedAlgebra(model.field, dims, products)
+    return SplitRibbonRing(model=model, deg_l=deg_l, g=g, p_a=p_a, algebra=algebra, support=np.arange(p_a) < s1)
 
 
 def split_invariants(g: int, m: int, deg_l: int) -> dict:

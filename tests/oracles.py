@@ -35,11 +35,13 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ribbonsyz.curves import mult_map
+from ribbonsyz import koszul
+from ribbonsyz.curves import PlaneCurve, mult_map
 from ribbonsyz.fflinalg import DimensionMismatch, check_budget, matmul_mod, pivots, rank, rref
 from ribbonsyz.graded import GradedAlgebra, GradedError, GradedModule, InconsistentDims, NotASubmodule
 from ribbonsyz.koszul import koszul_differential
 from ribbonsyz.ribbon import conormal_tags
+from ribbonsyz.rng import SeededStream
 from ribbonsyz.strata import _modulo, _search_degree
 
 
@@ -167,9 +169,8 @@ def degree_one_generates(alg) -> bool:
 def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> GradedModule:
     """Same pieces, action restricted to a subspace of V given by basis columns.
 
-    The weights stay when every basis column is homogeneous in V; otherwise
-    the result has the trivial grading.  Raises NotASubspace for a basis of
-    the wrong height or with dependent columns.
+    Raises NotASubspace for a basis of the wrong height or with dependent
+    columns.
     """
     p = module.field.p
     b = np.asarray(subspace, dtype=np.int64) % p
@@ -181,11 +182,7 @@ def module_restrict_action(module: GradedModule, subspace: np.ndarray) -> Graded
     action = tuple(
         matmul_mod(b.T, a.reshape(module.n, -1), p).reshape(k, *a.shape[1:]) for a in module.action
     )
-    column_weights = [set(module.v_weights[b[:, j] != 0].tolist()) for j in range(k)]
-    if any(len(w) > 1 for w in column_weights):  # a basis column is not homogeneous
-        return GradedModule(module.field, k, module.pieces, action)
-    v_weights = [min(w, default=0) for w in column_weights]
-    return GradedModule(module.field, k, module.pieces, action, v_weights, module.weights)
+    return GradedModule(module.field, k, module.pieces, action)
 
 
 def algebra_from_sections(spaces) -> GradedAlgebra:
@@ -224,26 +221,81 @@ def artinian_by_subquotient(alg, l1, l2):
     and rank [l1 A_q | l2 A_q] = 2 dim A_q - dim A_{q-1}, else None.  The
     acting space is spanned by the coordinates of A_1 off the pivots of
     <l1, l2>, and B = ``subquotient(identity, rel)`` of A restricted to it,
-    rel_q the RREF rows spanning l1 A_{q-1} + l2 A_{q-1}.  The subquotient
-    keeps the coordinate vectors off the pivots of rel_q, and B is given
-    their weights in A.
+    rel_q the RREF rows spanning l1 A_{q-1} + l2 A_{q-1} (``reduction_relations``).
+    The subquotient keeps the coordinate vectors off the pivots of rel_q.
+    """
+    found = reduction_relations(alg, l1, l2)
+    if found is None:
+        return None
+    rel = [np.zeros((1, 0), dtype=np.int64)] + [r for r, _ in found]
+    acting = np.delete(np.eye(alg.n, dtype=np.int64), found[0][1], axis=1)
+    identity = [np.eye(d, dtype=np.int64) for d in alg.pieces]
+    return subquotient(module_restrict_action(alg, acting), identity, rel)
+
+
+def reduction_relations(alg, l1, l2):
+    """(rel_q, pivots of rel_q) for q = 1..window, or None: ``artinian_by_subquotient``'s relations.
+
+    rel_q holds, as columns, the RREF rows spanning l1 A_{q-1} + l2 A_{q-1};
+    None when l1 is not injective on some A_{q-1} or the rank of
+    [l1 A_{q-1} | l2 A_{q-1}] is not 2 dim A_{q-1} - dim A_{q-2}.
     """
     p, n = alg.field.p, alg.n
     forms = np.vstack([l1, l2])
-    rel, kept = [np.zeros((1, 0), dtype=np.int64)], [alg.weights[0]]
+    out = []
     for q, a in enumerate(alg.action):
         by_l = matmul_mod(forms, a.reshape(n, -1), p).reshape(2, *a.shape[1:])
         r, pivots = rref(np.hstack(by_l).T, p)
         below = alg.pieces[q - 1] if q else 0
         if rank(by_l[0], p) != alg.pieces[q] or len(pivots) != 2 * alg.pieces[q] - below:
             return None
-        rel.append(r[: len(pivots)].T)
-        kept.append(np.delete(alg.weights[q + 1], pivots))
-        if q == 0:
-            acting = np.delete(np.eye(n, dtype=np.int64), pivots, axis=1)
-    identity = [np.eye(d, dtype=np.int64) for d in alg.pieces]
-    module = subquotient(module_restrict_action(alg, acting), identity, rel)
-    return GradedModule(module.field, module.n, module.pieces, module.action, kept[1], kept)
+        out.append((r[: len(pivots)].T, pivots))
+    return out
+
+
+def epsilon_weights(ring) -> list[np.ndarray]:
+    """The epsilon-weight of every basis vector of every piece of a split ribbon's ring.
+
+    Each piece puts its S_q block first, at weight 0, then its epsilon J_q
+    block, at weight 1; the dimensions are read off the ring's model.
+    """
+    t = -ring.deg_l // (ring.model.d if isinstance(ring.model, PlaneCurve) else 1)
+    _, unit, _ = conormal_tags(ring.model, t)
+    dims = [(ring.model.sections(q * unit).dim, ring.model.sections(q * unit - t).dim) for q in range(len(ring.algebra.pieces))]
+    return [np.repeat([0, 1], d) for d in dims]
+
+
+def reduced_epsilon_weights(ring) -> list[np.ndarray] | None:
+    """The epsilon-weights of the coordinates that the reduction of ``ring.betti()`` keeps, or None.
+
+    The forms ``koszul._artinian_module`` draws on ``ring.support`` are
+    replayed; the first certified pair keeps the coordinates off the pivots
+    of its relations, with their weights in the ring.
+    """
+    alg, weights = ring.algebra, epsilon_weights(ring)
+    draws = SeededStream(koszul._REDUCTION_SEED)
+    for _ in range(koszul._REDUCTION_DRAWS):
+        l1, l2 = draws.integers(0, alg.field.p, size=(2, alg.n)) * ring.support
+        found = reduction_relations(alg, l1, l2)
+        if found is not None:
+            return [weights[0]] + [np.delete(w, pivots) for w, (_, pivots) in zip(weights[1:], found)]
+    return None
+
+
+def respects(module: GradedModule, v_weights, weights) -> bool:
+    """Whether every x_k maps the weight-w basis vectors of M_q into the weight w + v_weights[k] ones of M_{q+1}."""
+    for q, a in enumerate(module.action):
+        allowed = weights[q + 1][None, :, None] == v_weights[:, None, None] + weights[q][None, None, :]
+        if np.any(np.where(allowed, 0, a)):
+            return False
+    return True
+
+
+def total_weights(v_weights, p: int, piece_weights) -> np.ndarray:
+    """The total weight of each basis vector of wedge^p V (x) M, in ``koszul``'s basis order."""
+    subsets = colex(len(v_weights), p)
+    wedge = np.asarray(v_weights)[np.array(subsets, dtype=np.int64).reshape(len(subsets), p)].sum(axis=1)
+    return (wedge[:, None] + np.asarray(piece_weights)[None, :]).ravel()
 
 
 def syzygy_module_by_ambient(model, t: int, p: int) -> GradedModule:

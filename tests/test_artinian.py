@@ -3,9 +3,9 @@
 `betti_table` takes its Koszul ranks on A / (l1, l2) whenever the
 regular-sequence certificate of `GradedAlgebra.artinian_reduction` holds.
 The oracle is the direct computation on A itself, cell by cell.  The
-direct path ranks one weight block at a time, so `direct_cells` leaves out
-a cell only when its largest weight block would be too large to build in
-a test; up to p_a = 9 no cell is.  The reduction itself, read off one
+direct path ranks one connected component at a time, so `direct_cells`
+leaves out a cell only when its largest component would be too large to
+build in a test; up to p_a = 9 no cell is.  The reduction itself, read off one
 elimination per degree, is checked array for array against the subquotient
 it replaces (`oracles.artinian_by_subquotient`).
 """
@@ -25,23 +25,18 @@ from oracles import artinian_by_subquotient, oracle_koszul_dim
 
 F101 = PrimeField(101)
 
-# Largest direct weight block the oracle builds, in entries (64 MB as
+# Largest direct component the oracle builds, in entries (64 MB as
 # int64).  Every table cell of a ring with p_a <= 9 fits, and 25 of the 36
 # cells of the genus-0 ribbon with p_a = 10.
 DIRECT_MAX_ENTRIES = 8_000_000
 
 
 def largest_block(calc: KoszulCalculator, p: int, q: int) -> int:
-    """Entries of the largest matrix that ranking d_{p,q} builds: its largest
-    weight block under the grading the calculator ranks by (the whole cell
-    under the trivial grading of a module whose certificate fails)."""
+    """Entries of the largest matrix that ranking d_{p,q} builds: its largest connected component."""
     module = calc.module
     if p <= 0 or q < 0 or p > module.n:
         return 0
-    cols = np.bincount(koszul._total_weights(module, p, q))
-    rows = np.bincount(koszul._total_weights(module, p - 1, q + 1))
-    k = min(cols.size, rows.size)
-    return int((cols[:k] * rows[:k]).max(initial=0))
+    return max((len(r) * len(c) for r, c in koszul._components(*koszul._pattern(module, p, q))), default=0)
 
 
 def direct_cells(algebra, max_entries: int = DIRECT_MAX_ENTRIES) -> dict:
@@ -118,9 +113,9 @@ def test_artinian_input_answers_directly():
     # the quartic ribbon's reduction, read back as an algebra: its table is
     # the ribbon's (the hyperplane-section property) cut to p <= 5
     ring = build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(0)), 1)
-    artinian = algebra_of(koszul._artinian_module(ring.algebra))
+    artinian = algebra_of(koszul._artinian_module(ring.algebra, ring.support))
     assert artinian.pieces == (1, 7, 7, 1, 0)
-    assert koszul._artinian_module(artinian) is None
+    assert koszul._artinian_module(artinian, np.ones(artinian.n, dtype=bool)) is None
     table = betti_table(artinian)
     assert table.method == "direct"
     assert np.array_equal(table.entries, ring.betti().entries[:, :6])
@@ -128,7 +123,7 @@ def test_artinian_input_answers_directly():
 
 def test_artinian_input_against_naive_oracle():
     ring = build_split_ribbon(HyperellipticCurve(F101, [0, 1]), 6)  # p_a = 5
-    artinian = algebra_of(koszul._artinian_module(ring.algebra))
+    artinian = algebra_of(koszul._artinian_module(ring.algebra, ring.support))
     assert artinian.pieces == (1, 3, 3, 1, 0)
     table = betti_table(artinian)
     assert table.method == "direct"
@@ -181,13 +176,14 @@ def reduction_rings():
     rings = [build_split_ribbon(random_plane_curve(F101, 4, np.random.default_rng(s)), 1) for s in (0, 1, 2)]
     rings += [build_split_ribbon(random_hyperelliptic(F101, 2, np.random.default_rng(s)), 5) for s in (1, 2, 3)]
     rings += [build_split_ribbon(HyperellipticCurve(PrimeField(p), [0, 1]), k) for p in (3, 7) for k in (4, 6)]
-    return [ring.algebra for ring in rings]
+    return rings
 
 
-def form_pairs(alg, rng, each: int = 5):
+def form_pairs(ring, rng, each: int = 5):
     """(kind, l1, l2): ``each`` pairs of five kinds, valid or not as regular sequences."""
+    alg = ring.algebra
     p, n = alg.field.p, alg.n
-    eps = alg.weights[1] == 1
+    eps = ~ring.support
     for _ in range(each):
         l1, l2 = rng.integers(0, p, size=(2, n))
         yield "random", l1, l2
@@ -201,8 +197,9 @@ def form_pairs(alg, rng, each: int = 5):
 def test_reduction_equals_the_subquotient(reduction_rings):
     rng = np.random.default_rng(17)
     pairs = certified = 0
-    for alg in reduction_rings:
-        for kind, l1, l2 in form_pairs(alg, rng):
+    for ring in reduction_rings:
+        alg = ring.algebra
+        for kind, l1, l2 in form_pairs(ring, rng):
             got, want = alg.artinian_reduction(l1, l2), artinian_by_subquotient(alg, l1, l2)
             pairs += 1
             assert (got is None) == (want is None), kind
@@ -210,8 +207,7 @@ def test_reduction_equals_the_subquotient(reduction_rings):
                 continue
             certified += 1
             assert (got.n, got.pieces) == (want.n, want.pieces), kind
-            assert np.array_equal(got.v_weights, want.v_weights)
-            for mine, theirs in zip(got.action + got.weights, want.action + want.weights, strict=True):
+            for mine, theirs in zip(got.action, want.action, strict=True):
                 assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), kind
     assert pairs >= 200
     assert 0 < certified < pairs

@@ -6,9 +6,9 @@ dim M_{q+1} = 1 and the functionals x_k : M_q -> M_{q+1} are independent
 (the map is surjective).  On a Gorenstein module with pieces (1, n, n, 1, 0)
 it takes r_{p,1} = r_{n+1-p,1} for 2p > n + 1.  ``certificates`` names the
 certificate of each such cell, and its keys are the set of them.  The
-oracle is the rank of the assembled cell, one weight block at a time
-through ``koszul_differential`` and ``fflinalg.rank``, and the table of a
-calculator that derives nothing.
+oracle is the rank of the assembled cell, one connected component at a
+time through ``koszul_differential`` and ``fflinalg.rank``, and the table
+of a calculator that derives nothing.
 """
 
 from dataclasses import replace
@@ -34,7 +34,8 @@ from ribbonsyz.koszul import (
 )
 from ribbonsyz.ribbon import build_split_ribbon
 
-from test_weights import zoo
+import oracles
+from test_weights import reduced, zoo
 
 F101 = PrimeField(101)
 
@@ -51,15 +52,15 @@ def modules(w5_ring):
     out = []
     for name, ring in zoo():
         out.append((name, ring.algebra))
-        out.append((f"{name}, reduced", koszul._artinian_module(ring.algebra)))
-    out.append(("W5, reduced", koszul._artinian_module(w5_ring.algebra)))
+        out.append((f"{name}, reduced", reduced(ring)))
+    out.append(("W5, reduced", reduced(w5_ring)))
     return out
 
 
 def assembled_rank(module, p: int, q: int) -> int:
-    """rank d_{p,q} as the sum of its weight blocks' ranks, each one assembled."""
-    src = koszul._total_weights(module, p, q)
-    return sum(rank(koszul_differential(module, p, q, w), module.field.p) for w in set(src.tolist()))
+    """rank d_{p,q} as the sum of its connected components' ranks, each one assembled."""
+    blocks = koszul._components(*koszul._pattern(module, p, q))
+    return sum(rank(koszul_differential(module, p, q, block), module.field.p) for block in blocks)
 
 
 def no_certificates(m) -> None:
@@ -141,10 +142,10 @@ class TestDifferential:
 
     def test_betti_tables_equal_the_underived_ones(self, w5_ring, monkeypatch):
         for name, ring in zoo() + [("W5", w5_ring)]:
-            got = betti_table(ring.algebra)
+            got = betti_table(ring.algebra, ring.support)
             with monkeypatch.context() as m:
                 no_certificates(m)
-                want = betti_table(ring.algebra)
+                want = betti_table(ring.algebra, ring.support)
             assert got.method == want.method == "artinian", name
             assert np.array_equal(got.entries, want.entries), name
 
@@ -178,7 +179,7 @@ class TestGorenstein:
 
     def reduced(self):
         _, ring = zoo()[0]
-        return koszul._artinian_module(ring.algebra)
+        return reduced(ring)
 
     def test_row_one_equals_the_assembled_cells(self, modules):
         # every r_{p,1} of every reduction, mirrored or ranked, is the rank
@@ -244,12 +245,13 @@ class TestGorenstein:
         # x_0 . e_1 moves inside its weight block, x_1 . e_0 does not: the
         # ranks of the cyclic and socle legs stay full
         module = self.reduced()
+        weights = oracles.reduced_epsilon_weights(zoo()[0][1])
         action = list(module.action)
         action[1] = action[1].copy()
-        i = int(np.flatnonzero(module.weights[2] == module.v_weights[0] + module.weights[1][1])[0])
+        i = int(np.flatnonzero(weights[2] == weights[1][0] + weights[1][1])[0])
         action[1][0, i, 1] = (action[1][0, i, 1] + 1) % 101
         tampered = replace(module, action=tuple(action))
-        assert tampered.respects_weights()
+        assert oracles.respects(tampered, weights[1], weights)
         with pytest.raises(GradedError):
             tampered.check_commutativity()
         n = module.n
@@ -275,7 +277,7 @@ class TestTamper:
 
     def reduced(self):
         _, ring = zoo()[2]
-        return koszul._artinian_module(ring.algebra)
+        return reduced(ring)
 
     def assert_fully_ranked_table(self, module, monkeypatch):
         calc = KoszulCalculator(module)
@@ -290,7 +292,8 @@ class TestTamper:
         action[2] = action[2].copy()
         action[2][1] = 0
         tampered = replace(module, action=tuple(action))
-        assert tampered.respects_weights() and rank(tampered.action[2][:, 0, :], 101) < module.n
+        weights = oracles.reduced_epsilon_weights(zoo()[2][1])
+        assert oracles.respects(tampered, weights[1], weights) and rank(tampered.action[2][:, 0, :], 101) < module.n
         calc = self.assert_fully_ranked_table(tampered, monkeypatch)
         assert set(calc.certificates) == row_cells(module, 0)
         # d_{n,2} sends e_0 ^ ... ^ e_{n-1} (x) B_2 onto the span of the n - 1
@@ -329,17 +332,20 @@ class TestDualityReadsComputedRanks:
     W1 = ("betti", "--curve", "plane-quartic", "--random", "--p", "101", "--conormal", "-1", "--seed", "0")
 
     def shift_first_block_of(self, monkeypatch, cell, by=1):
-        """Add ``by`` to the rank of the first weight block ranked in ``cell``, each time it is ranked.
+        """Add ``by`` to the rank of the first component ranked in ``cell``, each time it is ranked.
 
-        Returns the list of the true ranks shifted, one per ranking.
+        A component is known by its first column (the whole cell, with no
+        block argument, by None).  Returns the list of the true ranks
+        shifted, one per ranking.
         """
         current, first, shifted = [], {}, []
         real_differential, real_rank = koszul.koszul_differential, koszul.rank
 
-        def differential(module, p, q, weight=None):
-            current[:] = [(p, q, weight)]
-            first.setdefault((p, q), weight)
-            return real_differential(module, p, q, weight)
+        def differential(module, p, q, block=None):
+            key = None if block is None else int(block[1][0])
+            current[:] = [(p, q, key)]
+            first.setdefault((p, q), key)
+            return real_differential(module, p, q, block)
 
         def shifted_rank(a, prime):
             r = real_rank(a, prime)
@@ -355,11 +361,11 @@ class TestDualityReadsComputedRanks:
 
     def test_shifted_rank_fails_the_duality_check(self, monkeypatch):
         _, ring = zoo()[0]
-        good = betti_table(ring.algebra)
+        good = betti_table(ring.algebra, ring.support)
         monkeypatch.setattr(KoszulCalculator, "_gorenstein", lambda self: False)
-        assert np.array_equal(betti_table(ring.algebra).entries, good.entries)
+        assert np.array_equal(betti_table(ring.algebra, ring.support).entries, good.entries)
         shifted = self.shift_first_block_of(monkeypatch, (3, 1))
-        bad = betti_table(ring.algebra)
+        bad = betti_table(ring.algebra, ring.support)
         assert shifted
         assert bad.entries[1, 3] == good.entries[1, 3] - 1 and bad.entries[2, 2] == good.entries[2, 2] - 1
         assert duality_check(good) and not duality_check(bad)

@@ -274,8 +274,8 @@ class TestCurveAndRibbonErrors:
     def test_table_too_large_before_the_rings_certificate_exit_2(self, runner, monkeypatch):
         # the genus-30 ring at t = 1: its table is refused from the section
         # dimensions, before the ring's commutativity certificate (about 20 s
-        # of n**2 products) could run.  The block named is the Artinian
-        # reduction's, a sub-block of the ring's
+        # of n**2 products) could run.  The block named is an epsilon-weight
+        # block of the Artinian reduction by two forms on S_1
         from ribbonsyz.graded import GradedModule
 
         certified = []
@@ -287,6 +287,20 @@ class TestCurveAndRibbonErrors:
             "more than the budget of 1073741824"
         ) in res.output
         assert isinstance(res.exception, SystemExit) and certified == []
+
+    def test_genus_12_table_refused_before_the_ring_exit_2(self, runner, monkeypatch):
+        # the genus-12 ring at t = 1, priced as the genus-30 one above: refused
+        # before the ring is assembled, so no product table is built
+        from ribbonsyz import ribbon
+
+        monkeypatch.setattr(ribbon, "mult_map", lambda *args: pytest.fail("ring assembled"))
+        res = runner.invoke(main, ["betti", "--curve", "hyperelliptic", "--g", "12", "--conormal", "-1"])
+        assert res.exit_code == 2
+        assert (
+            "matrix too large: cell (p, q) = (4, 1), weight block 1: 7680 x 16920, about 4158259200 bytes, "
+            "more than the budget of 1073741824"
+        ) in res.output
+        assert isinstance(res.exception, SystemExit)
 
     def test_smoothness_certificate_too_large_exit_2(self, runner, monkeypatch):
         # d = 60: f's own 6786 rows of the 15576 columns are over the budget

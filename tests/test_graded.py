@@ -626,9 +626,9 @@ class TestSubquotient:
         assert res.action[0].shape == (0, 2, 1)
 
 
-def weighted_module(rng) -> GradedModule:
-    """F[x0, x1, x2] in degrees 0..3, weighted by the degree in x0 (x0 of weight 1),
-    in random bases of each piece that keep every weight block."""
+def weighted_module(rng) -> tuple[GradedModule, list]:
+    """F[x0, x1, x2] in degrees 0..3 in random bases of each piece that keep every
+    block of the weight by the degree in x0 (x0 of weight 1), and those weights."""
     plain = polynomial_module(3, 3)
     weights = [np.array([m[0] for m in monomials(3, q)], dtype=np.int64) for q in range(4)]
     change = []
@@ -643,17 +643,17 @@ def weighted_module(rng) -> GradedModule:
         np.stack([matmul_mod(change[q + 1], matmul_mod(a[k], inverse[q], 101), 101) for k in range(3)])
         for q, a in enumerate(plain.action)
     )
-    return GradedModule(F101, 3, plain.pieces, action, [1, 0, 0], weights)
+    return GradedModule(F101, 3, plain.pieces, action), weights
 
 
 def block_diagonal(mod: GradedModule, w: int) -> GradedModule:
-    """w copies of mod written out: id_w (x) the action, the weights tiled w times."""
+    """w copies of mod written out: id_w (x) the action."""
     eye = np.eye(w, dtype=np.int64)
     action = tuple(
         np.einsum("ij,kab->kiajb", eye, a).reshape(mod.n, w * a.shape[1], w * a.shape[2]) for a in mod.action
     )
     pieces = tuple(w * d for d in mod.pieces)
-    return GradedModule(mod.field, mod.n, pieces, action, mod.v_weights, [np.tile(wt, w) for wt in mod.weights])
+    return GradedModule(mod.field, mod.n, pieces, action)
 
 
 def generated(big: GradedModule, gens) -> list:
@@ -674,14 +674,14 @@ def homogeneous(rng, weights: np.ndarray, weight: int, count: int) -> np.ndarray
     return rng.integers(0, 101, (len(weights), count)) * (weights == weight)[:, None]
 
 
-def submodules(rng, big: GradedModule) -> tuple[list, list]:
-    """Bases of homogeneous submodules rel <= sub of ``big`` in degrees 0..3: sub generated by a
-    weight-0 vector of degree 0 and two weight-1 vectors of degree 1, rel by a random combination
-    of the sub_1 columns of weight 0."""
+def submodules(rng, big: GradedModule, weights) -> tuple[list, list]:
+    """Bases of homogeneous submodules rel <= sub of ``big``, of the given weights, in degrees 0..3:
+    sub generated by a weight-0 vector of degree 0 and two weight-1 vectors of degree 1, rel by a
+    random combination of the sub_1 columns of weight 0."""
     empty = [np.zeros((d, 0), dtype=np.int64) for d in big.pieces]
-    gens = [homogeneous(rng, big.weights[0], 0, 1), homogeneous(rng, big.weights[1], 1, 2)]
+    gens = [homogeneous(rng, weights[0], 0, 1), homogeneous(rng, weights[1], 1, 2)]
     sub = generated(big, gens + empty[2:])
-    of_weight = np.where(sub[1] != 0, big.weights[1][:, None], -1).max(axis=0, initial=-1) == 0
+    of_weight = np.where(sub[1] != 0, weights[1][:, None], -1).max(axis=0, initial=-1) == 0
     mix = rng.integers(0, 101, (int(of_weight.sum()), 1))
     return sub, generated(big, [empty[0], matmul_mod(sub[1][:, of_weight], mix, 101), *empty[2:]])
 
@@ -694,14 +694,13 @@ class TestSubquotientOfCopies:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_the_block_diagonal_module(self, w, seed):
         rng = np.random.default_rng(seed)
-        mod = weighted_module(rng)
+        mod, weights = weighted_module(rng)
         big = block_diagonal(mod, w)
-        sub, rel = submodules(rng, big)
+        sub, rel = submodules(rng, big, [np.tile(wt, w) for wt in weights])
         got, want = subquotient(mod, sub, rel), subquotient(big, sub, rel)
         assert got.n == want.n and got.pieces == want.pieces
-        for a, b in zip(got.action + (got.v_weights,) + got.weights, want.action + (want.v_weights,) + want.weights):
+        for a, b in zip(got.action, want.action, strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert not got.v_weights.any() and not any(wt.any() for wt in got.weights)  # trivially graded
 
     @pytest.mark.parametrize("rows", [(2, 6, 12, 21), (2, 6, 12, 19), (1, 6, 12, 20), (3, 6, 12, 20)])
     def test_bad_row_counts(self, rows):
@@ -787,13 +786,13 @@ class TestCohomology:
         # the oracle, handed the canonical kernel basis, keeps its last columns
         # independent of rel and of the later ones: the unit vectors the chart keeps
         rng = np.random.default_rng(seed)
-        mod = weighted_module(rng)
-        sub, rel = submodules(rng, block_diagonal(mod, w))
+        mod, weights = weighted_module(rng)
+        sub, rel = submodules(rng, block_diagonal(mod, w), [np.tile(wt, w) for wt in weights])
         charts = charted(sub, rel)
         got = mod.cohomology(iter(charts))
         want = subquotient(mod, kernel_bases(charts), rel)
         assert got.n == want.n and got.pieces == want.pieces == tuple(c.dim for c in charts)
-        for a, b in zip(got.action + (got.v_weights,) + got.weights, want.action + (want.v_weights,) + want.weights):
+        for a, b in zip(got.action, want.action, strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_scrambled_bases_against_the_hand_built_module(self):

@@ -13,7 +13,7 @@ from ribbonsyz.ribbon import (
     split_invariants,
 )
 
-from oracles import degree_one_generates, module_restrict_action
+from oracles import degree_one_generates, epsilon_weights, module_restrict_action
 
 F101 = PrimeField(101)
 
@@ -86,16 +86,16 @@ class TestBuild:
 
 class TestRingStructure:
     def test_ring_is_a_graded_module(self, hyp_ribbon):
-        # the ring is its action by S~_1: one set of tensors, weights always there
+        # the ring is its action by S~_1: one set of tensors; the forms of its
+        # reduction are drawn on the S_1 coordinates, which come first
         alg = hyp_ribbon.algebra
         assert isinstance(alg, GradedModule)
         assert not hasattr(alg, "mult") and not hasattr(alg, "as_module")
         assert alg.n == alg.pieces[1] == hyp_ribbon.p_a
         assert np.array_equal(alg.action[0][:, :, 0], np.eye(alg.n, dtype=np.int64))  # x_k . 1 = e_k
-        assert np.array_equal(alg.v_weights, alg.weights[1])
         s, j = split_dims(hyp_ribbon, 5)
-        for q, w in enumerate(alg.weights):
-            assert w.tolist() == [0] * s[q] + [1] * j[q]
+        assert hyp_ribbon.support.tolist() == [True] * s[1] + [False] * j[1]
+        assert [len(w) for w in epsilon_weights(hyp_ribbon)] == [a + b for a, b in zip(s, j)] == list(alg.pieces)
 
     def test_epsilon_nilpotency_exhaustive(self, hyp_ribbon):
         # products of the epsilon-block basis vectors vanish identically

@@ -1,12 +1,14 @@
-"""Weight blocks of split-ribbon Koszul cells, against the unsplit computation.
+"""Connected components of Koszul cells, against the whole-cell computation.
 
-A split ribbon's ring S~ = S (+) epsilon J carries epsilon-weights (S at 0,
-epsilon J at 1), and ``KoszulCalculator`` ranks each cell one weight block
-at a time, by the module's weights once ``GradedModule.respects_weights``
-certifies them and by the trivial grading (all zeros, one block per cell)
-otherwise.  The oracle is the unsplit rank of the whole cell, and for the
-vectorised assembler the python loop it replaced
-(``oracles.loop_koszul_differential``).
+``KoszulCalculator`` ranks each cell one connected component of its
+nonzero pattern at a time (``koszul._pattern``, ``koszul._components``).
+The oracle is the rank of the whole assembled cell, and for the vectorised
+assembler the python loop it replaced (``oracles.loop_koszul_differential``).
+A split ribbon's ring S~ = S (+) epsilon J has epsilon-weights, S at 0 and
+epsilon J at 1, that the package no longer carries: the tests recompute
+them (``oracles.epsilon_weights``, ``oracles.reduced_epsilon_weights``) to
+check that the components refine the weight blocks, and that a tampered
+cross-weight entry merges components without changing any rank.
 """
 
 import math
@@ -24,11 +26,12 @@ from ribbonsyz.curves import (
     random_split_cubic,
 )
 from ribbonsyz.fflinalg import PrimeField, rank
-from ribbonsyz.graded import Chart, GradedModule, InconsistentDims
+from ribbonsyz.graded import Chart, GradedModule
 from ribbonsyz.koszul import KoszulCalculator, koszul_differential
 from ribbonsyz.ribbon import build_split_ribbon
 
-from oracles import colex, colex_rank, loop_koszul_differential, module_restrict_action
+import oracles
+from oracles import colex, colex_rank, loop_koszul_differential, module_restrict_action, total_weights
 
 PRIMES = (2, 13, 101, 1048573)
 
@@ -45,47 +48,61 @@ def zoo(p: int = 101):
     ]
 
 
+def reduced(ring):
+    """The Artinian reduction that ``ring.betti()`` ranks: forms drawn on S_1."""
+    return koszul._artinian_module(ring.algebra, ring.support)
+
+
 @pytest.fixture(scope="module")
 def gate_ring():
     """W6: the split ribbon over a genus-3 hyperelliptic curve at p_a = 14, the 6g - 4 gate."""
     return build_split_ribbon(random_hyperelliptic(PrimeField(101), 3, np.random.default_rng(0)), 9)
 
 
-def unweighted(module: GradedModule) -> GradedModule:
-    """The same module built without weights: the trivial grading."""
-    return GradedModule(module.field, module.n, module.pieces, module.action)
+@pytest.fixture(scope="module")
+def w5_ring():
+    """W5: the split ribbon over a genus-2 hyperelliptic curve at p_a = 12."""
+    return build_split_ribbon(random_hyperelliptic(PrimeField(101), 2, np.random.default_rng(0)), 9)
 
 
-def trivially_graded(module: GradedModule) -> bool:
-    return not module.v_weights.any() and not any(w.any() for w in module.weights)
+def components(module, p: int, q: int) -> list:
+    return koszul._components(*koszul._pattern(module, p, q))
 
 
 def cells(module: GradedModule):
     return [(p, q) for q in range(module.window) for p in range(module.n + 2)]
 
 
+def whole_rank(module: GradedModule, p: int, q: int) -> int:
+    full = koszul_differential(module, p, q)
+    return rank(full, module.field.p) if full.size and p > 0 else 0
+
+
+def whole_table(module: GradedModule) -> list:
+    """The Koszul table of ``KoszulCalculator.dim``, from whole-cell ranks."""
+    n = module.n
+    return [
+        [math.comb(n, p) * module.pieces[q] - whole_rank(module, p, q) - (whole_rank(module, p + 1, q - 1) if q else 0) for p in range(n + 1)]
+        for q in range(module.window)
+    ]
+
+
 def assert_split_matches_unsplit(module: GradedModule, max_entries: int | None = None) -> int:
-    """Summed block ranks equal the unsplit rank on every cell (of at most
+    """Summed component ranks equal the rank of the whole cell on every cell (of at most
     ``max_entries`` entries when given); returns the cells compared."""
     calc = KoszulCalculator(module)
-    assert calc.module is module  # certified: ranked by its own weights
-    plain = KoszulCalculator(unweighted(module))
-    assert trivially_graded(plain.module)
     compared = 0
     for p, q in cells(module):
         n_rows = math.comb(module.n, p - 1) * module.pieces[q + 1] if p else 0
         if max_entries is not None and n_rows * math.comb(module.n, p) * module.pieces[q] > max_entries:
             continue
-        full = koszul_differential(module, p, q)
-        want = rank(full, module.field.p) if full.size and p > 0 else 0
-        assert calc.rank_d(p, q) == want, (p, q)
-        assert plain.rank_d(p, q) == want, (p, q)  # the whole cell, one block
+        assert calc.rank_d(p, q) == whole_rank(module, p, q), (p, q)
         compared += 1
     return compared
 
 
-def random_weighted_module(rng, prime: int) -> GradedModule:
-    """A random module whose action respects random weights (not commuting)."""
+def random_weighted_module(rng, prime: int) -> tuple[GradedModule, np.ndarray, list]:
+    """A random module whose action respects random weights (not commuting), and those weights."""
     n = int(rng.integers(2, 6))
     pieces = tuple(int(d) for d in rng.integers(0, 5, size=4))
     v_weights = rng.integers(0, 2, n)
@@ -95,7 +112,31 @@ def random_weighted_module(rng, prime: int) -> GradedModule:
         a = rng.integers(0, prime, (n, pieces[q + 1], pieces[q]))
         allowed = weights[q + 1][None, :, None] == v_weights[:, None, None] + weights[q][None, None, :]
         action.append(np.where(allowed, a, 0))
-    return GradedModule(PrimeField(prime), n, pieces, tuple(action), v_weights, tuple(weights))
+    return GradedModule(PrimeField(prime), n, pieces, tuple(action)), v_weights, weights
+
+
+def assert_refines(module, v_weights, weights, p: int, q: int) -> None:
+    """Every component of d_{p,q} lies in one weight block, and per weight the components
+    cover the block's nonzero rows and columns."""
+    src, tgt = total_weights(v_weights, p, weights[q]), total_weights(v_weights, p - 1, weights[q + 1])
+    full = koszul_differential(module, p, q)
+    for rows, cols in components(module, p, q):
+        assert len(set(tgt[rows].tolist()) | set(src[cols].tolist())) == 1, (p, q)
+    covered = np.zeros(full.shape, dtype=bool)
+    for rows, cols in components(module, p, q):
+        covered[np.ix_(rows, cols)] = True
+    assert not np.any(full[~covered]), (p, q)
+
+
+def tampered(module: GradedModule, v_weights, weights) -> GradedModule:
+    """``module`` with one cross-weight entry: a weight-1 x_k sends a weight-1 vector of M_1
+    to a weight-0 one of M_2."""
+    action = [a.copy() for a in module.action]
+    k = int(np.flatnonzero(v_weights == 1)[0])
+    i = int(np.flatnonzero(weights[2] == 0)[0])
+    j = int(np.flatnonzero(weights[1] == 1)[0])
+    action[1][k, i, j] = 1 + action[1][k, i, j]
+    return replace(module, action=tuple(action))
 
 
 class TestWedgeArrays:
@@ -111,10 +152,76 @@ class TestWedgeArrays:
                     assert faces[r, j] == colex_rank(s[:j] + s[j + 1 :])
 
 
+class TestPattern:
+    """The pattern is the nonzero set of the cell, and the components are those of its graph."""
+
+    def test_pattern_is_the_nonzero_set_of_the_cell(self):
+        # every action entry is reduced mod p, so each pattern entry is a
+        # signed nonzero entry: the pattern is exactly the cell's nonzeros
+        modules = [reduced(ring) for _, ring in zoo()] + [zoo()[2][1].algebra]
+        rng = np.random.default_rng(5)
+        modules += [random_weighted_module(rng, prime)[0] for prime in PRIMES]
+        for module in modules:
+            for p, q in cells(module):
+                rows, cols = koszul._pattern(module, p, q)
+                want = math.comb(module.n - 1, p - 1) * np.count_nonzero(module.action[q]) if p >= 1 else 0
+                assert len(rows) == len(cols) == want, (p, q)
+                full = koszul_differential(module, p, q)
+                got = set(zip(rows.tolist(), cols.tolist()))
+                assert len(got) == want and got == set(zip(*map(np.ndarray.tolist, np.nonzero(full)))), (p, q)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_components_against_union_find(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = (int(d) for d in rng.integers(1, 40, size=2))
+        count = int(rng.integers(0, 60))
+        rows, cols = rng.integers(0, n_rows, count), rng.integers(0, n_cols, count)
+        parent = list(range(n_rows + n_cols))
+
+        def root(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            parent[root(r)] = root(n_rows + c)
+        groups = {}
+        for r in sorted(set(rows.tolist())):
+            groups.setdefault(root(r), ([], []))[0].append(r)
+        for c in sorted(set(cols.tolist())):
+            groups.setdefault(root(n_rows + c), ([], []))[1].append(c)
+        want = sorted((tuple(r), tuple(c)) for r, c in groups.values())
+        got = koszul._components(rows, cols)
+        assert [int(c[0]) for _, c in got] == sorted(int(c[0]) for _, c in got)  # ordered by first column
+        assert sorted((tuple(r.tolist()), tuple(c.tolist())) for r, c in got) == want
+
+    def test_a_path_needs_pointer_jumping(self):
+        # a 500-long path whose least column is at the far end: min-label
+        # propagation alone would take 500 rounds
+        n = 500
+        rows = np.concatenate([np.arange(n), np.arange(n - 1)])
+        cols = np.concatenate([n - 1 - np.arange(n), n - 2 - np.arange(n - 1)])
+        ((got_rows, got_cols),) = koszul._components(rows, cols)
+        assert np.array_equal(got_rows, np.arange(n)) and np.array_equal(got_cols, np.arange(n))
+
+    def test_zero_cell_and_empty_sides(self):
+        # no entry, no component, rank 0, nothing assembled
+        field = PrimeField(101)
+        zero = GradedModule(field, 3, (2, 3, 4), (np.zeros((3, 3, 2), dtype=np.int64), np.zeros((3, 4, 3), dtype=np.int64)))
+        empty = GradedModule(field, 3, (2, 0, 4), (np.zeros((3, 0, 2), dtype=np.int64), np.zeros((3, 4, 0), dtype=np.int64)))
+        for module in (zero, empty):
+            calc = KoszulCalculator(module)
+            for p in range(1, 4):
+                for q in (0, 1):
+                    assert components(module, p, q) == []
+                    assert calc.rank_d(p, q) == 0 == whole_rank(module, p, q)
+        assert koszul_differential(empty, 2, 0).shape == (0, 6)
+
+
 class TestAssembler:
     def test_matches_loop_on_the_zoo(self):
         for name, ring in zoo():
-            for module in (ring.algebra, koszul._artinian_module(ring.algebra)):
+            for module in (ring.algebra, reduced(ring)):
                 for p, q in cells(module):
                     if math.comb(module.n, p) * module.pieces[q] > 4000:
                         continue
@@ -125,44 +232,56 @@ class TestAssembler:
     def test_matches_loop_on_random_modules(self, prime):
         rng = np.random.default_rng(prime)
         for _ in range(6):
-            module = unweighted(random_weighted_module(rng, prime))
+            module = random_weighted_module(rng, prime)[0]
             for p, q in cells(module):
                 got = koszul_differential(module, p, q)
                 assert np.array_equal(got, loop_koszul_differential(module, p, q)), (p, q)
 
     def test_blocks_are_the_weight_slices_and_cover_the_cell(self):
+        # each component of the quartic's reduction is the slice of the cell
+        # on its rows and columns, lies in one epsilon-weight block, and the
+        # components hold every nonzero; in row 1 each weight block's nonzero
+        # rows and columns are one component
         _, ring = zoo()[0]
-        module = koszul._artinian_module(ring.algebra)
+        module = reduced(ring)
+        weights = oracles.reduced_epsilon_weights(ring)
         for p, q in cells(module):
             full = koszul_differential(module, p, q)
-            src = koszul._total_weights(module, p, q)
-            tgt = koszul._total_weights(module, p - 1, q + 1)
             covered = 0
-            for w in sorted(set(src.tolist()) | set(tgt.tolist())):
-                block = koszul_differential(module, p, q, w)
-                assert np.array_equal(block, full[np.ix_(tgt == w, src == w)]), (p, q, w)
+            for rows, cols in components(module, p, q):
+                block = koszul_differential(module, p, q, (rows, cols))
+                assert np.array_equal(block, full[np.ix_(rows, cols)]), (p, q)
                 covered += np.count_nonzero(block)
             assert covered == np.count_nonzero(full), (p, q)
+            if p:
+                assert_refines(module, weights[1], weights, p, q)
+            if q == 1 and p:
+                src = total_weights(weights[1], p, weights[1])
+                live = np.flatnonzero(full.any(axis=0))
+                assert len(components(module, p, q)) == len(set(src[live].tolist())), p
 
     def test_quartic_block_shapes(self):
         # d_{4,1} of the quartic's reduced module: 245 x 245 whole, 108 x 108 at most
         _, ring = zoo()[0]
-        module = koszul._artinian_module(ring.algebra)
+        module = reduced(ring)
         assert koszul_differential(module, 4, 1).shape == (245, 245)
-        src = koszul._total_weights(module, 4, 1)
-        shapes = [koszul_differential(module, 4, 1, w).shape for w in sorted(set(src.tolist()))]
-        assert max(shapes) == (108, 108)
+        shapes = [koszul_differential(module, 4, 1, block).shape for block in components(module, 4, 1)]
+        assert shapes == [(12, 4), (70, 51), (108, 108), (51, 70), (4, 12)]
         assert sum(r for r, _ in shapes) == 245 and sum(c for _, c in shapes) == 245
 
-    def test_weight_block_needs_weights(self):
-        # a module built without weights has the trivial grading: its
-        # weight-0 block is the whole cell, and no other weight has a block
+    def test_block_argument_is_a_submatrix(self):
+        # with no 4th argument the whole cell; with (rows, cols) its slice on them
         _, ring = zoo()[0]
-        module = unweighted(ring.algebra)
+        module = ring.algebra
         full = koszul_differential(module, 2, 1)
-        assert full.shape == koszul_differential(ring.algebra, 2, 1).shape
-        assert np.array_equal(koszul_differential(module, 2, 1, 0), full)
-        assert koszul_differential(module, 2, 1, 1).shape == (0, 0)
+        assert full.shape == koszul._cell_shape(module, 2, 1)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            rows = np.flatnonzero(rng.random(full.shape[0]) < 0.3)
+            cols = np.flatnonzero(rng.random(full.shape[1]) < 0.3)
+            assert np.array_equal(koszul_differential(module, 2, 1, (rows, cols)), full[np.ix_(rows, cols)])
+        everything = (np.arange(full.shape[0]), np.arange(full.shape[1]))
+        assert np.array_equal(koszul_differential(module, 2, 1, everything), full)
 
 
 class TestSplitRanks:
@@ -171,27 +290,49 @@ class TestSplitRanks:
         # cells up to 3 000 000 entries
         compared = 0
         for name, ring in zoo():
-            compared += assert_split_matches_unsplit(koszul._artinian_module(ring.algebra))
+            compared += assert_split_matches_unsplit(reduced(ring))
             compared += assert_split_matches_unsplit(ring.algebra, 3_000_000)
         assert compared > 150
 
     @pytest.mark.parametrize("prime", (13, 1048573))
     def test_ribbons_over_other_fields(self, prime):
         for name, ring in zoo(prime)[:3]:
-            module = koszul._artinian_module(ring.algebra)
-            assert_split_matches_unsplit(module)
+            assert_split_matches_unsplit(reduced(ring))
             assert ring.betti().method == "artinian"
 
     @pytest.mark.parametrize("prime", PRIMES)
     def test_random_weighted_modules(self, prime):
+        # the components are found without the weights, and refine them
         rng = np.random.default_rng(1000 + prime)
         for _ in range(8):
-            assert_split_matches_unsplit(random_weighted_module(rng, prime))
+            module, v_weights, weights = random_weighted_module(rng, prime)
+            assert_split_matches_unsplit(module)
+            for p, q in cells(module):
+                if 1 <= p <= module.n:
+                    assert_refines(module, v_weights, weights, p, q)
+
+    def test_w5_and_w6_cells(self, w5_ring, gate_ring):
+        # the reductions that W5's and W6's tables rank, every cell of at
+        # most 3 000 000 entries
+        assert assert_split_matches_unsplit(reduced(w5_ring), 3_000_000) > 30
+        assert assert_split_matches_unsplit(reduced(gate_ring), 3_000_000) > 30
+
+    @pytest.mark.parametrize("genus", (3, 4))
+    def test_direct_rings(self, genus):
+        # hyperelliptic --conormal -1: no reduction is certified, the table
+        # ranks the ring itself, and its cells split far finer than its
+        # epsilon-weights
+        ring = build_split_ribbon(random_hyperelliptic(PrimeField(101), genus, np.random.default_rng(0)), 1)
+        assert reduced(ring) is None and ring.betti().method == "direct"
+        assert assert_split_matches_unsplit(ring.algebra, 3_000_000) > 20
+        weights = oracles.epsilon_weights(ring)
+        blocks = len(set(total_weights(weights[1], 3, weights[1]).tolist()))
+        assert len(components(ring.algebra, 3, 1)) > 4 * blocks
 
     def test_each_block_is_dropped_before_the_next_is_built(self, monkeypatch):
         # rank_d holds no block past its rank call: when a block is built,
         # every block built before it is already freed
-        module = koszul._artinian_module(zoo()[0][1].algebra)
+        module = reduced(zoo()[0][1])
         built = []
         assemble = koszul.koszul_differential
 
@@ -213,101 +354,76 @@ class TestSplitRanks:
 
 
 class TestCertificate:
-    def test_reduction_keeps_the_weights(self):
-        for name, ring in zoo():
-            module = koszul._artinian_module(ring.algebra)
-            assert not trivially_graded(module) and module.respects_weights(), name
-            assert ring.betti().method == "artinian", name
-            # the acting space keeps the J_1 coordinates: the forms lie in S_1
-            assert np.count_nonzero(module.v_weights) == np.count_nonzero(ring.algebra.weights[1])
+    """What the weight certificate once checked, read off the components."""
 
-    def test_tampered_cross_block_entry_is_rejected(self):
+    def test_reduction_keeps_the_weights(self):
+        # the forms lie in S_1, so the reduction respects the epsilon-weights
+        # of the coordinates it keeps and keeps the J_1 coordinates in V
+        for name, ring in zoo():
+            module = reduced(ring)
+            weights = oracles.reduced_epsilon_weights(ring)
+            assert [len(w) for w in weights] == list(module.pieces), name
+            assert oracles.respects(module, weights[1], weights), name
+            assert ring.betti().method == "artinian", name
+            assert np.count_nonzero(weights[1]) == np.count_nonzero(~ring.support), name
+
+    def test_tampered_cross_block_entry_merges_components(self):
+        # one cross-weight entry: the weights are no longer respected, the
+        # components of every cell it reaches merge across them, and the table
+        # is the one ranked whole, cell by cell
         _, ring = zoo()[2]
-        module = koszul._artinian_module(ring.algebra)
-        action = [a.copy() for a in module.action]
-        # x_k of weight 1 sends a weight-1 vector of M_1 to a weight-0 one of M_2
-        k = int(np.flatnonzero(module.v_weights == 1)[0])
-        i = int(np.flatnonzero(module.weights[2] == 0)[0])
-        j = int(np.flatnonzero(module.weights[1] == 1)[0])
-        action[1][k, i, j] = 1 + action[1][k, i, j]
-        tampered = replace(module, action=tuple(action))
-        assert not tampered.respects_weights()
-        calc = KoszulCalculator(tampered)
-        assert calc.module is not tampered and trivially_graded(calc.module)
-        plain = KoszulCalculator(unweighted(tampered))
-        table = [[calc.dim(p, q) for p in range(module.n + 1)] for q in range(module.window)]
-        assert table == [[plain.dim(p, q) for p in range(module.n + 1)] for q in range(module.window)]
-        # summing block ranks on the tampered module would have lost the entry
-        mismatched = 0
-        for p, q in cells(tampered):
+        module = reduced(ring)
+        weights = oracles.reduced_epsilon_weights(ring)
+        bad = tampered(module, weights[1], weights)
+        assert not oracles.respects(bad, weights[1], weights)
+        calc = KoszulCalculator(bad)
+        merged = mismatched = 0
+        for p, q in cells(bad):
             if p == 0 or q != 1:
                 continue
-            src = koszul._total_weights(tampered, p, q)
-            summed = sum(rank(koszul_differential(tampered, p, q, w), tampered.field.p) for w in set(src.tolist()))
-            mismatched += summed != plain.rank_d(p, q)
-        assert mismatched
+            assert calc.rank_d(p, q) == whole_rank(bad, p, q), p
+            merged += len(components(bad, p, q)) < len(components(module, p, q))
+            # summing the old weight blocks' ranks would have lost the entry
+            src = total_weights(weights[1], p, weights[1])
+            tgt = total_weights(weights[1], p - 1, weights[2])
+            full = koszul_differential(bad, p, q)
+            summed = sum(rank(full[np.ix_(tgt == w, src == w)], 101) for w in set(src.tolist()))
+            mismatched += summed != whole_rank(bad, p, q)
+        assert merged and mismatched
 
-    def test_subquotient_of_the_weighted_ring_is_trivially_graded(self):
-        # cohomology gives the trivial grading, whatever the weights of the
-        # module and of the kept coordinates: every cell is one block.  Each
-        # piece is charted whole, as the kernel of a map with no rows
+    def test_subquotient_of_the_ring_splits_as_the_ring(self):
+        # cohomology of the ring, each piece charted whole as the kernel of a
+        # map with no rows, is the ring's action, and its cells split into the
+        # same components
         _, ring = zoo()[2]
         module = ring.algebra
         kept = module.cohomology(Chart.kernel(np.zeros((0, d), dtype=np.int64), module.field.p) for d in module.pieces)
         assert kept.pieces == module.pieces
         assert all(np.array_equal(a, b) for a, b in zip(kept.action, module.action, strict=True))
-        assert trivially_graded(kept) and kept.respects_weights()
-        assert KoszulCalculator(kept).module is kept
+        for p, q in ((2, 1), (3, 1), (2, 2)):
+            mine, theirs = components(kept, p, q), components(module, p, q)
+            assert len(mine) == len(theirs) > 1
+            assert all(np.array_equal(a, b) for x, y in zip(mine, theirs) for a, b in zip(x, y))
         # in V, the sum of the first S_1 and the first J_1 coordinate vector,
-        # which is not homogeneous, drops the weights of the restricted action
-        s, j = int(np.flatnonzero(module.weights[1] == 0)[0]), int(np.flatnonzero(module.weights[1] == 1)[0])
+        # which is not homogeneous, merges the weight blocks of the restricted action
+        s, j = int(np.flatnonzero(ring.support)[0]), int(np.flatnonzero(~ring.support)[0])
         basis = np.eye(module.n, dtype=np.int64)
         basis[j, s] = 1
-        assert trivially_graded(module_restrict_action(module, basis))
-        assert module_restrict_action(module, np.eye(module.n, dtype=np.int64)).respects_weights()
-
-    def test_weights_are_validated(self):
-        _, ring = zoo()[2]
-        algebra = ring.algebra
-        module = GradedModule(algebra.field, algebra.n, algebra.pieces, algebra.action, algebra.v_weights, algebra.weights)
-        assert module.respects_weights()
-        # the pieces' weights left out are all zero, which the epsilon J_1
-        # coordinates of V (weight 1) do not respect
-        zeroed = replace(module, weights=None)
-        assert np.array_equal(zeroed.v_weights, module.v_weights)
-        assert not any(w.any() for w in zeroed.weights) and not zeroed.respects_weights()
-        with pytest.raises(InconsistentDims):
-            replace(module, v_weights=module.v_weights[1:])
-        with pytest.raises(InconsistentDims):
-            replace(module, weights=module.weights[:-1] + (module.weights[-1][1:],))
-        with pytest.raises(InconsistentDims):
-            replace(module, weights=module.weights[:-1])
+        mixed = module_restrict_action(module, basis)
+        assert len(components(mixed, 2, 1)) < len(components(module, 2, 1))
+        assert KoszulCalculator(mixed).rank_d(2, 1) == KoszulCalculator(module).rank_d(2, 1)
 
 
 class TestTrivialGrading:
-    """A module built without weights has the trivial grading, all zeros: one
-    weight block per cell, which is the whole cell."""
-
-    def test_module_without_weights_is_trivially_graded(self):
-        # its rank_d is the rank of the whole koszul_differential on every
-        # zoo cell: ``assert_split_matches_unsplit``, run by TestSplitRanks
-        for name, ring in zoo():
-            for module in (koszul._artinian_module(ring.algebra), ring.algebra):
-                plain = unweighted(module)
-                assert plain.v_weights.shape == (plain.n,) and not plain.v_weights.any(), name
-                assert [w.shape for w in plain.weights] == [(d,) for d in plain.pieces], name
-                assert trivially_graded(plain) and plain.respects_weights(), name
-                assert KoszulCalculator(plain).module is plain, name
+    """A cell whose weight blocks a module does not respect is ranked by its
+    components, which merge across the blocks; the table is unchanged by a
+    change of basis."""
 
     def tampered_module(self):
         _, ring = zoo()[2]
-        module = koszul._artinian_module(ring.algebra)
-        action = [a.copy() for a in module.action]
-        k = int(np.flatnonzero(module.v_weights == 1)[0])
-        i = int(np.flatnonzero(module.weights[2] == 0)[0])
-        j = int(np.flatnonzero(module.weights[1] == 1)[0])
-        action[1][k, i, j] = 1 + action[1][k, i, j]
-        return module, replace(module, action=tuple(action))
+        module = reduced(ring)
+        weights = oracles.reduced_epsilon_weights(ring)
+        return module, weights, tampered(module, weights[1], weights)
 
     def table(self, module, monkeypatch):
         """The Koszul table of the module, and the shape of every matrix each cell built
@@ -327,12 +443,13 @@ class TestTrivialGrading:
         built["certificates"] = calc.certificates
         return table, built
 
-    def assert_one_block_per_cell(self, module, built):
+    def assert_built_by_components(self, module, built):
         # rows 0 and 2 are next to the one-dimensional B_0 and B_3, and the
         # tampers keep both certificates (action[0] is untouched, action[2] at
         # most changes basis): those cells are derived and never built, and so
         # are the row-1 cells that the Gorenstein certificate, when it holds,
-        # reads off their mirror; every other cell is built whole, once
+        # reads off their mirror; every other cell is built as its components,
+        # once each
         certificates = built.pop("certificates")
         derived = set(certificates)
         assert {(p, q) for p in range(1, module.n + 1) for q in (0, 2)} <= derived
@@ -341,30 +458,32 @@ class TestTrivialGrading:
         }
         for p in range(1, module.n + 1):
             for q in range(module.window):
-                rows, cols = koszul._cell_shape(module, p, q)
-                whole = [(rows, cols)] if rows and cols and (p, q) not in derived else []
-                assert built.get((p, q), []) == whole, (p, q)
+                want = [] if (p, q) in derived else [(len(r), len(c)) for r, c in components(module, p, q)]
+                assert built.get((p, q), []) == want, (p, q)
 
-    def test_tampered_module_is_ranked_as_one_block_per_cell(self, monkeypatch):
-        # one cross-block entry: the certificate fails, every cell not derived
-        # is built whole, once, and the table is that of the module without weights
-        module, tampered = self.tampered_module()
-        assert not tampered.respects_weights()
-        table, built = self.table(tampered, monkeypatch)
+    def test_tampered_module_is_ranked_by_merged_components(self, monkeypatch):
+        # one cross-weight entry: the components of row 1 merge, every cell not
+        # derived is built as its components, and the table is the one ranked
+        # whole, which differs from the untampered module's
+        module, weights, bad = self.tampered_module()
+        table, built = self.table(bad, monkeypatch)
         assert "gorenstein" not in built["certificates"].values()  # the tamper does not commute
-        self.assert_one_block_per_cell(tampered, built)
-        assert table == self.table(unweighted(tampered), monkeypatch)[0]
+        self.assert_built_by_components(bad, built)
+        n = module.n
+        merged = [p for p in range(1, n + 1) if len(components(bad, p, 1)) < len(components(module, p, 1))]
+        assert merged
+        assert table == whole_table(bad)
         assert table != self.table(module, monkeypatch)[0]
 
     def test_basis_change_across_blocks_keeps_the_table(self, monkeypatch):
         # e_s + e_j for a weight-0 e_s and a weight-1 e_j of M_2 puts
-        # cross-block entries into an isomorphic module: the certificate
-        # fails, every cell not derived is built whole, and the table is the
-        # untampered one
-        module, _ = self.tampered_module()
+        # cross-block entries into an isomorphic module: components merge,
+        # every cell not derived is built as its components, and the table is
+        # the untampered one
+        module, weights, _ = self.tampered_module()
         p = module.field.p
-        s = int(np.flatnonzero(module.weights[2] == 0)[0])
-        j = int(np.flatnonzero(module.weights[2] == 1)[0])
+        s = int(np.flatnonzero(weights[2] == 0)[0])
+        j = int(np.flatnonzero(weights[2] == 1)[0])
         change, inverse = np.eye(module.pieces[2], dtype=np.int64), np.eye(module.pieces[2], dtype=np.int64)
         change[s, j], inverse[s, j] = 1, p - 1
         action = list(module.action)
@@ -372,24 +491,25 @@ class TestTrivialGrading:
         action[2] = np.einsum("kab,bc->kac", action[2], inverse) % p
         moved = replace(module, action=tuple(action))
         moved.check_commutativity()
-        assert not moved.respects_weights()
+        assert not oracles.respects(moved, weights[1], weights)
         table, built = self.table(moved, monkeypatch)
         n = module.n
         mirrored = {(p, 1) for p in range(1, n) if 2 * p > n + 1}
         assert mirrored and {c for c, name in built["certificates"].items() if name == "gorenstein"} == mirrored
-        self.assert_one_block_per_cell(moved, built)
+        self.assert_built_by_components(moved, built)
+        assert any(len(components(moved, p, 1)) < len(components(module, p, 1)) for p in range(1, n + 1))
         assert table == self.table(module, monkeypatch)[0]
 
 
 class TestCellBudget:
-    """``rank_d`` checks every block of a cell against the memory budget first."""
+    """``rank_d`` checks the pattern and every component of a cell against the memory budget first."""
 
     def quartic_module(self):
         _, ring = zoo()[0]
-        return koszul._artinian_module(ring.algebra)
+        return reduced(ring)
 
     def test_largest_block_at_and_over_the_budget(self, monkeypatch):
-        # d_{4,1} of the quartic: its largest block is 108 x 108, 32 bytes an entry
+        # d_{4,1} of the quartic: its largest component is 108 x 108, 32 bytes an entry
         module = self.quartic_module()
         expected = KoszulCalculator(module).rank_d(4, 1)
         need = 32 * 108 * 108
@@ -403,24 +523,50 @@ class TestCellBudget:
             calc.rank_d(4, 1)
         message = str(info.value)
         assert "(p, q) = (4, 1)" in message and "108 x 108" in message and str(need) in message
-        assert "weight block 2" in message
-        # refused before any block of the cell is assembled
+        assert "component 3 of 5" in message
+        # refused before any component of the cell is assembled
         assert built == []
 
     def test_message_gives_the_block_shape(self, monkeypatch):
-        # the first block over the budget is named with its (rows, cols)
+        # the first component over the budget is named with its (rows, cols)
         module = self.quartic_module()
-        shape = koszul_differential(module, 4, 1, 1).shape
-        assert shape[0] != shape[1]
+        rows, cols = components(module, 4, 1)[1]
+        shape = koszul_differential(module, 4, 1, (rows, cols)).shape
+        assert shape == (70, 51)
         monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * shape[0] * shape[1] - 1)
-        with pytest.raises(fflinalg.MatrixTooLarge, match=f"weight block 1: {shape[0]} x {shape[1]},"):
+        with pytest.raises(fflinalg.MatrixTooLarge, match=f"component 2 of 5: {shape[0]} x {shape[1]},"):
             KoszulCalculator(module).rank_d(4, 1)
 
     def test_whole_cell_of_an_unsplit_module(self, monkeypatch):
-        module = unweighted(self.quartic_module())
+        # V in a general basis: every x_k is a general combination, so the
+        # pattern is full and the cell is one component
+        module = self.quartic_module()
+        basis = np.random.default_rng(0).integers(1, 101, (module.n, module.n))
+        general = module_restrict_action(module, basis)
+        assert [(len(r), len(c)) for r, c in components(general, 4, 1)] == [(245, 245)]
         monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 245 * 245 - 1)
-        with pytest.raises(fflinalg.MatrixTooLarge, match=r"weight block 0: 245 x 245"):
-            KoszulCalculator(module).rank_d(4, 1)
+        with pytest.raises(fflinalg.MatrixTooLarge, match=r"component 1 of 1: 245 x 245"):
+            KoszulCalculator(general).rank_d(4, 1)
+
+    def test_pattern_and_components_are_priced_before_any_array(self, monkeypatch):
+        # the pattern of d_{4,1} holds C(6, 3) nnz(action[1]) entries: a budget
+        # under it refuses before the pattern is placed or any component found,
+        # and one under the largest component refuses before any is assembled
+        module = self.quartic_module()
+        entries = math.comb(module.n - 1, 3) * np.count_nonzero(module.action[1])
+        calc = KoszulCalculator(module)  # its certificate ranks d_{1,1} and d_{7,1}
+        real_components = koszul._components
+        monkeypatch.setattr(koszul, "_components", lambda *args: pytest.fail("components found"))
+        monkeypatch.setattr(koszul, "koszul_differential", lambda *args: pytest.fail("assembled"))
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * entries - 1)
+        pattern = rf"\(p, q\) = \(4, 1\), nonzero pattern: {np.count_nonzero(module.action[1])} x {math.comb(module.n - 1, 3)},"
+        with pytest.raises(fflinalg.MatrixTooLarge, match=pattern):
+            calc.rank_d(4, 1)
+        monkeypatch.setattr(koszul, "_components", real_components)
+        assert entries < 108 * 108  # the pattern is priced under the dense component
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * 108 * 108 - 1)
+        with pytest.raises(fflinalg.MatrixTooLarge, match="component 3 of 5: 108 x 108"):
+            calc.rank_d(4, 1)
 
     def test_cohomology_checks_both_maps_before_building(self, monkeypatch):
         # K_{3,2} of the quartic: d_out = d_{3,2} is 21 x 245, d_in = d_{4,1} 245 x 245
@@ -446,55 +592,55 @@ class TestCellBudget:
 
     def test_table_is_priced_before_the_ring_is_built(self, monkeypatch):
         # build_split_ribbon prices the reduction's always-ranked row-1 cells
-        # from the ring's weights alone (koszul.check_table_budget); on a ring
-        # whose table takes the Artinian path, its refusal is the one the
-        # table itself would give
+        # one epsilon-weight block at a time from the S and epsilon J
+        # dimensions alone (koszul.check_table_budget).  Each block is a union
+        # of components, so a budget that passes every block lets the table
+        # rank all its components; one just under the largest block is refused
+        # before the ring is built, with that block named
         model = random_plane_curve(PrimeField(101), 4, np.random.default_rng(0))
-        module = koszul._artinian_module(build_split_ribbon(model, 1).algebra)
+        ring = build_split_ribbon(model, 1)
+        module, weights = reduced(ring), oracles.reduced_epsilon_weights(ring)
         n = module.n
-        entries = []
+        blocks = []
         for p in [p for p in range(1, n + 1) if 2 * p <= n + 1 or p == n]:
-            for w in set(koszul._total_weights(module, p, 1).tolist()):
-                entries.append(koszul_differential(module, p, 1, w).size)
-        for budget in (32 * max(entries) - 1, 32 * min(entries) - 1, 0):
+            src = total_weights(weights[1], p, weights[1])
+            tgt = total_weights(weights[1], p - 1, weights[2])
+            for w in sorted(set(src.tolist()) & set(tgt.tolist())):
+                blocks.append((p, w, int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w))))
+        largest = max(r * c for _, _, r, c in blocks)
+        monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", 32 * largest)
+        assert np.array_equal(build_split_ribbon(model, 1).betti().entries, ring.betti().entries)
+        for budget in (32 * largest - 1, 32 * min(r * c for _, _, r, c in blocks) - 1, 0):
             monkeypatch.setattr(fflinalg, "_MATRIX_BYTES_MAX", budget)
-            with pytest.raises(fflinalg.MatrixTooLarge) as early:
-                build_split_ribbon(model, 1)
+            p, w, r, c = next(b for b in blocks if 32 * b[2] * b[3] > budget)
             with monkeypatch.context() as m:
-                m.setattr(ribbon, "check_table_budget", lambda weights: None)
-                ring = build_split_ribbon(model, 1)
-                with pytest.raises(fflinalg.MatrixTooLarge) as late:
-                    ring.betti()
-            assert str(early.value) == str(late.value), budget
+                m.setattr(ribbon, "GradedAlgebra", lambda *args: pytest.fail("ring built"))
+                with pytest.raises(fflinalg.MatrixTooLarge, match=rf"\({p}, 1\), weight block {w}: {r} x {c},"):
+                    build_split_ribbon(model, 1)
 
-    def test_priced_pieces_are_the_reductions(self, gate_ring):
-        # the price reads B's weight pieces off the ring's weights, for forms
-        # of weight 0; they are the pieces of the reduction that
+    def test_priced_pieces_are_the_reductions(self, gate_ring, w5_ring):
+        # the price reads B's weight pieces off the S and epsilon J dimensions,
+        # for forms on S_1; they are the pieces of the reduction that
         # _artinian_module certifies, on the zoo, W5 and W6 (the gate case)
-        w5 = build_split_ribbon(random_hyperelliptic(PrimeField(101), 2, np.random.default_rng(0)), 9)
-        rings = [ring for _, ring in zoo()] + [w5, gate_ring]
+        rings = [ring for _, ring in zoo()] + [w5_ring, gate_ring]
         for ring in rings:
-            module = koszul._artinian_module(ring.algebra)
-            assert module is not None, ring
-            want = koszul._reduced_pieces(ring.algebra.weights)
+            assert reduced(ring) is not None, ring
+            a = [np.bincount(w, minlength=2) for w in oracles.epsilon_weights(ring)]
+            b = [np.bincount(w, minlength=2) for w in oracles.reduced_epsilon_weights(ring)]
             for q in range(3):
-                got = np.bincount(module.weights[q], minlength=len(want[q]))
-                assert np.array_equal(got, want[q]), (ring, q)
+                assert np.array_equal(b[q], a[q] - 2 * (a[q - 1] if q else 0) + (a[q - 2] if q > 1 else 0)), (ring, q)
 
     def test_genus_3_gate_case_fits_the_default_budget(self, gate_ring):
         # the split ribbon over a genus-3 hyperelliptic curve at p_a = 14
-        # (``green --curve hyperelliptic --g 3 --conormal -9``): every block
+        # (``green --curve hyperelliptic --g 3 --conormal -9``): every component
         # its Betti table ranks is under the budget, the largest (the
-        # 4158 x 4536 block of d_{6,1} and its transpose in d_{7,1}) at 0.6 GB
-        module = koszul._artinian_module(gate_ring.algebra)
+        # 4158 x 4536 component of d_{6,1} and its transpose in d_{7,1}) at 0.6 GB
+        module = reduced(gate_ring)
         largest = {}
         for q in range(4):
             for p in range(1, module.n + 1):
-                src = koszul._total_weights(module, p, q)
-                tgt = koszul._total_weights(module, p - 1, q + 1)
-                for w in set(src.tolist()) & set(tgt.tolist()):
-                    shape = (int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w)))
-                    largest.setdefault(shape[0] * shape[1], []).append((p, q, shape))
+                for rows, cols in components(module, p, q):
+                    largest.setdefault(len(rows) * len(cols), []).append((p, q, (len(rows), len(cols))))
         top = max(largest)
         assert largest[top] == [(6, 1, (4158, 4536)), (7, 1, (4536, 4158))]
         assert 32 * top <= fflinalg._MATRIX_BYTES_MAX
