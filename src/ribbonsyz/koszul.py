@@ -219,10 +219,13 @@ def _components(rows: np.ndarray, cols: np.ndarray) -> list[tuple[np.ndarray, np
     Each is (row indices, column indices), both increasing, and the list is
     ordered by first column; rows and columns with no entry are left out.
     The columns are nodes 0.., the rows the nodes after them, and every
-    node ends labelled by the least node of its component, a column: a
-    round gives both ends of every entry the lesser of their labels
-    (``np.minimum.at``), then pointer jumping (label = label[label])
-    shortens every chain; the rounds stop when no label moves.
+    node ends labelled by the least node of its component, a column.  Each
+    label is a root, a node labelled by itself: a round hooks the root of
+    each end of every entry onto the lesser of the two roots
+    (``np.minimum.at``), then pointer jumping (label = label[label]) takes
+    every node to its new root.  A root that hooks onto a lesser one leaves
+    the set of roots, so a component's roots fall by a fraction each round,
+    and the rounds stop when none moves.
     """
     if not len(cols):
         return []
@@ -230,9 +233,10 @@ def _components(rows: np.ndarray, cols: np.ndarray) -> list[tuple[np.ndarray, np
     ends = (cols, rows + width)
     label = np.arange(width + int(rows.max()) + 1)
     while True:
-        least, new = np.minimum(label[ends[0]], label[ends[1]]), label.copy()
-        for end in ends:
-            np.minimum.at(new, end, least)
+        roots = [label[end] for end in ends]
+        least, new = np.minimum(*roots), label.copy()
+        for root in roots:
+            np.minimum.at(new, root, least)
         while not np.array_equal(jumped := new[new], new):
             new = jumped
         if np.array_equal(new, label):

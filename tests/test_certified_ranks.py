@@ -35,7 +35,7 @@ from ribbonsyz.koszul import (
 from ribbonsyz.ribbon import build_split_ribbon
 
 import oracles
-from test_weights import reduced, zoo
+from test_weights import components, reduced, zoo
 
 F101 = PrimeField(101)
 
@@ -59,8 +59,7 @@ def modules(w5_ring):
 
 def assembled_rank(module, p: int, q: int) -> int:
     """rank d_{p,q} as the sum of its connected components' ranks, each one assembled."""
-    blocks = koszul._components(*koszul._pattern(module, p, q))
-    return sum(rank(koszul_differential(module, p, q, block), module.field.p) for block in blocks)
+    return sum(rank(koszul_differential(module, p, q, block), module.field.p) for block in components(module, p, q))
 
 
 def no_certificates(m) -> None:

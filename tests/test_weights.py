@@ -14,6 +14,7 @@ cross-weight entry merges components without changing any rank.
 import math
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,14 +196,29 @@ class TestPattern:
         assert [int(c[0]) for _, c in got] == sorted(int(c[0]) for _, c in got)  # ordered by first column
         assert sorted((tuple(r.tolist()), tuple(c.tolist())) for r, c in got) == want
 
-    def test_a_path_needs_pointer_jumping(self):
-        # a 500-long path whose least column is at the far end: min-label
-        # propagation alone would take 500 rounds
-        n = 500
-        rows = np.concatenate([np.arange(n), np.arange(n - 1)])
-        cols = np.concatenate([n - 1 - np.arange(n), n - 2 - np.arange(n - 1)])
-        ((got_rows, got_cols),) = koszul._components(rows, cols)
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "random"])
+    def test_a_long_path_takes_few_rounds(self, order, monkeypatch):
+        # a path through 20000 rows and columns is one component; its roots
+        # fall by a fraction each round, so it takes about log2 of its length
+        # in rounds, where moving labels one hop a round would take thousands
+        n = 20000
+        perm = {"sorted": np.arange(n), "reversed": np.arange(n)[::-1]}.get(order)
+        rows, cols = (np.random.default_rng(7).permutation(n) for _ in range(2)) if perm is None else (perm, perm)
+        hooks = []
+
+        class Minimum:
+            __call__ = staticmethod(np.minimum)
+
+            def at(self, *args):
+                hooks.append(args)
+                np.minimum.at(*args)
+
+        counting = SimpleNamespace(**vars(np))
+        counting.minimum = Minimum()
+        monkeypatch.setattr(koszul, "np", counting)
+        ((got_rows, got_cols),) = koszul._components(np.concatenate([rows, rows[:-1]]), np.concatenate([cols, cols[1:]]))
         assert np.array_equal(got_rows, np.arange(n)) and np.array_equal(got_cols, np.arange(n))
+        assert len(hooks) // 2 <= 20
 
     def test_zero_cell_and_empty_sides(self):
         # no entry, no component, rank 0, nothing assembled
