@@ -443,8 +443,12 @@ def _artinian_module(algebra: GradedAlgebra, support: np.ndarray) -> GradedModul
 
 
 def _weight_block(v: tuple[int, int], p: int, piece: tuple[int, int], w: int) -> int:
-    """Basis vectors of wedge^p V (x) M of total epsilon-weight w, for V and M of (weight-0, weight-1) dimensions
-    ``v`` and ``piece``: a subset of weight j, C(v0, p - j) C(v1, j) of them, times the vectors of M of weight w - j."""
+    """Basis vectors of wedge^p V (x) M of total epsilon-weight w.
+
+    ``v`` and ``piece`` are the (weight-0, weight-1) dimensions of V and M: a
+    subset of weight j, C(v0, p - j) C(v1, j) of them, times the vectors of M
+    of weight w - j.
+    """
     return sum(_wedges(v[0], p - j) * _wedges(v[1], j) * piece[w - j] for j in (w - 1, w))
 
 

@@ -646,6 +646,28 @@ class TestCellBudget:
             for q in range(3):
                 assert np.array_equal(b[q], a[q] - 2 * (a[q - 1] if q else 0) + (a[q - 2] if q > 1 else 0)), (ring, q)
 
+    def test_priced_blocks_are_the_reductions_weight_blocks(self, gate_ring, w5_ring, monkeypatch):
+        # check_table_budget's arithmetic on the S and epsilon J dimensions
+        # prices exactly the epsilon-weight blocks of the reduction's row-1
+        # cells that every module ranks, in increasing p and w
+        rings = [ring for _, ring in zoo()] + [w5_ring, gate_ring]
+        for ring in rings:
+            weights = oracles.reduced_epsilon_weights(ring)
+            n = len(weights[1])
+            want = []
+            for p in [p for p in range(1, n + 1) if 2 * p <= n + 1 or p == n]:
+                src = total_weights(weights[1], p, weights[1])
+                tgt = total_weights(weights[1], p - 1, weights[2])
+                for w in sorted(set(src.tolist()) & set(tgt.tolist())):
+                    shape = (int(np.count_nonzero(tgt == w)), int(np.count_nonzero(src == w)))
+                    want.append((f"cell (p, q) = ({p}, 1), weight block {w}", shape))
+            priced = []
+            monkeypatch.setattr(koszul, "check_budget", lambda where, shape: priced.append((where, shape)))
+            s_dims, j_dims = zip(*(np.bincount(w, minlength=2) for w in oracles.epsilon_weights(ring)))
+            koszul.check_table_budget(s_dims, j_dims)
+            monkeypatch.undo()
+            assert priced == want, ring
+
     def test_genus_3_gate_case_fits_the_default_budget(self, gate_ring):
         # the split ribbon over a genus-3 hyperelliptic curve at p_a = 14
         # (``green --curve hyperelliptic --g 3 --conormal -9``): every component
